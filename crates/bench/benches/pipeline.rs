@@ -6,8 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use hand_kinematics::user::UserProfile;
-use rfipad::pipeline::OnlinePipeline;
-use rfipad::{Calibration, RfipadConfig};
+use rfipad::{Calibration, RfipadConfig, StageGraph};
 use std::hint::black_box;
 
 fn bench_calibration(c: &mut Criterion) {
@@ -73,18 +72,18 @@ fn bench_online_pipeline(c: &mut Criterion) {
     c.bench_function("online_pipeline/letter_T_stream", |b| {
         b.iter_batched(
             || {
-                OnlinePipeline::builder()
+                StageGraph::builder()
                     .recognizer(bench.recognizer.clone())
                     .letter_gap_s(1.5)
                     .build()
                     .expect("valid")
             },
-            |mut pipeline| {
+            |mut graph| {
                 let mut events = 0usize;
                 for obs in &trial.reports {
-                    events += pipeline.push(*obs).len();
+                    events += graph.push(*obs).len();
                 }
-                events += pipeline.finish().len();
+                events += graph.finish().len();
                 events
             },
             BatchSize::SmallInput,

@@ -7,7 +7,7 @@
 //!   (`sigproc::kernel::reference`). The reference timings include their
 //!   allocation cost on purpose: that *is* the price the kernels remove.
 //! * `hot_path_allocs` — feeds a quiet synthetic session through
-//!   `OnlinePipeline` long enough to pass two retention-trim cycles (so
+//!   a `StageGraph` long enough to pass two retention-trim cycles (so
 //!   every recycled buffer reached its high-water capacity), then counts
 //!   heap allocations over a trim-free measurement window. Steady-state
 //!   per-tick processing must allocate exactly zero times.
@@ -16,7 +16,7 @@
 //! `cargo run --release -p bench --features count-allocs --bin kernel_bench`
 
 use rfid_gen2::report::{TagId, TagReport};
-use rfipad::{ArrayLayout, Calibration, OnlinePipeline, Recognizer, RfipadConfig};
+use rfipad::{ArrayLayout, Calibration, PipelineEvent, Recognizer, RfipadConfig, StageGraph};
 use sigproc::kernel::{self, reference, Scratch};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -230,10 +230,10 @@ fn run_kernel_bench() -> String {
     format!("{{ \"elems\": {ELEMS}, \"kernels\": {{ {kernels} }} }}")
 }
 
-/// A pipeline over a 1×3 pad with a synthetic static calibration — the
+/// A stage graph over a 1×3 pad with a synthetic static calibration — the
 /// quiet stream never produces events, so the measurement window
 /// exercises exactly the per-tick framing/segmentation hot path.
-fn quiet_pipeline() -> OnlinePipeline {
+fn quiet_graph() -> StageGraph {
     let layout = ArrayLayout::new(1, 3, (0..3).map(TagId).collect());
     let static_obs: Vec<TagReport> = (0..40)
         .flat_map(|j| {
@@ -255,10 +255,10 @@ fn quiet_pipeline() -> OnlinePipeline {
         .config(config)
         .build()
         .expect("recognizer");
-    OnlinePipeline::builder()
+    StageGraph::builder()
         .recognizer(recognizer)
         .build()
-        .expect("pipeline")
+        .expect("stage graph")
 }
 
 /// Quiet reports arrive at 60/s (three tags, 50 ms steps). The retention
@@ -269,10 +269,10 @@ fn quiet_pipeline() -> OnlinePipeline {
 const WARMUP_STEPS: u64 = 820; // 41.0 s simulated
 const MEASURED_STEPS: u64 = 64; // 3.2 s more, ends before the ~45 s trim
 
-fn push_step(pipeline: &mut OnlinePipeline, events: &mut Vec<rfipad::PipelineEvent>, j: u64) {
+fn push_step(graph: &mut StageGraph, events: &mut Vec<PipelineEvent>, j: u64) {
     for i in 0..3u64 {
         let t = j as f64 * 0.05 + i as f64 * 0.01;
-        pipeline.push_into(
+        graph.push_into(
             TagReport::synthetic(TagId(i), t, 1.0 + i as f64, -45.0),
             events,
         );
@@ -280,15 +280,15 @@ fn push_step(pipeline: &mut OnlinePipeline, events: &mut Vec<rfipad::PipelineEve
 }
 
 fn run_alloc_gate() -> String {
-    let mut pipeline = quiet_pipeline();
+    let mut graph = quiet_graph();
     let mut events = Vec::new();
     for j in 0..WARMUP_STEPS {
-        push_step(&mut pipeline, &mut events, j);
+        push_step(&mut graph, &mut events, j);
     }
     assert!(events.is_empty(), "quiet stream must stay quiet");
     let before = bench::count_allocs::alloc_count();
     for j in WARMUP_STEPS..WARMUP_STEPS + MEASURED_STEPS {
-        push_step(&mut pipeline, &mut events, j);
+        push_step(&mut graph, &mut events, j);
     }
     let allocs = bench::count_allocs::alloc_count() - before;
     assert!(events.is_empty(), "quiet stream must stay quiet");

@@ -16,6 +16,7 @@
 //! Usage: `cargo run --release -p experiments --bin bench_pipeline [-- --run-all]`
 
 use experiments::golden::golden_trial;
+use experiments::serveload::session_pipeline;
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::Stroke;
 use hand_kinematics::user::UserProfile;
@@ -85,61 +86,21 @@ fn time_trace_replay(bench: &Bench, encoded: &[u8], iters: u32) -> (f64, usize) 
     )
 }
 
-/// Times the serial streaming pipeline over the golden session: every
-/// report pushed through `OnlinePipeline::push_into` (the incremental
-/// framing / cached-streams hot path) plus the final flush. Returns
-/// (reports per second, reports per replay); asserts the letter so a
-/// regression in the incremental path cannot silently score as a speedup.
+/// Times the serial streaming replay over the golden session: every
+/// report pushed through `StageGraph::push_into` (the incremental framing
+/// / cached-streams hot path) plus the final flush. Returns (reports per
+/// second, reports per replay); asserts the letter so a regression in the
+/// incremental path cannot silently score as a speedup.
 fn time_incremental_framing(
     bench: &Bench,
     reports: &[rfid_gen2::report::TagReport],
 ) -> (f64, usize) {
-    use rfipad::{OnlinePipeline, PipelineEvent};
+    use rfipad::PipelineEvent;
     let rounds = 20;
     let mut events = Vec::new();
     let start = Instant::now();
     for _ in 0..rounds {
-        let mut pipeline = OnlinePipeline::builder()
-            .recognizer(bench.recognizer.clone())
-            .letter_gap_s(1.5)
-            .build()
-            .expect("valid pipeline");
-        let mut letter = None;
-        for r in reports {
-            pipeline.push_into(*r, &mut events);
-        }
-        pipeline.finish_into(&mut events);
-        for e in events.drain(..) {
-            if let PipelineEvent::LetterRecognized { letter: l, .. } = e {
-                letter = l;
-            }
-        }
-        assert_eq!(
-            letter,
-            Some(experiments::golden::GOLDEN_LETTER),
-            "incremental replay must still recognize the golden letter"
-        );
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    ((rounds * reports.len()) as f64 / elapsed, reports.len())
-}
-
-/// Times the raw stage graph over the golden session — the same replay as
-/// [`time_incremental_framing`] but driving [`rfipad::StageGraph`]
-/// directly, bypassing the facade. The entry feeds bench-check's
-/// `stage_overhead` gate: the graph-composed replay must hold the
-/// committed `trace_replay` throughput.
-fn time_stage_graph(bench: &Bench, reports: &[rfid_gen2::report::TagReport]) -> (f64, usize) {
-    use rfipad::{PipelineEvent, StageGraph};
-    let rounds = 20;
-    let mut events = Vec::new();
-    let start = Instant::now();
-    for _ in 0..rounds {
-        let mut graph = StageGraph::builder()
-            .recognizer(bench.recognizer.clone())
-            .letter_gap_s(1.5)
-            .build()
-            .expect("valid graph");
+        let mut graph = session_pipeline(&bench.recognizer);
         let mut letter = None;
         for r in reports {
             graph.push_into(*r, &mut events);
@@ -153,7 +114,7 @@ fn time_stage_graph(bench: &Bench, reports: &[rfid_gen2::report::TagReport]) -> 
         assert_eq!(
             letter,
             Some(experiments::golden::GOLDEN_LETTER),
-            "graph replay must still recognize the golden letter"
+            "incremental replay must still recognize the golden letter"
         );
     }
     let elapsed = start.elapsed().as_secs_f64();
@@ -211,9 +172,6 @@ fn main() {
     obs::info!("timing serial streaming replay (incremental framing)");
     let (framing_rps, framing_reports) = time_incremental_framing(&bench, &golden.reports);
 
-    obs::info!("timing raw stage-graph replay (facade bypassed)");
-    let (graph_rps, graph_reports) = time_stage_graph(&bench, &golden.reports);
-
     let run_all = if with_run_all {
         obs::info!("timing run_all quick --jobs 1 (serial)");
         let one = time_run_all("1");
@@ -242,9 +200,6 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"incremental_framing\": {{ \"reports\": {framing_reports}, \"reports_per_s\": {framing_rps:.0} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"stage_overhead\": {{ \"reports\": {graph_reports}, \"reports_per_s\": {graph_rps:.0} }},\n"
     ));
     if let Some((one, all)) = run_all {
         json.push_str(&format!(

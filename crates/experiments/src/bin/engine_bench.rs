@@ -20,20 +20,18 @@
 //!
 //! Defaults: 8 sessions, one worker per core, 1024-item queues, 64-report
 //! batches. The golden trace is read from
-//! `tests/data/golden_session.rftrace` when run from the repo root; a
-//! missing trace falls back to re-recording the golden session live
-//! (bit-identical by construction — it is seeded).
+//! `tests/data/golden_session.rftrace`; a missing trace falls back to
+//! re-recording the golden session live (bit-identical by construction —
+//! it is seeded).
 
-use experiments::golden::{golden_bench, golden_trial, GOLDEN_LETTER};
+use experiments::golden::{golden_bench, GOLDEN_LETTER};
+use experiments::serveload::{golden_reports, serial_replay, session_pipeline};
 use rfid_gen2::report::TagReport;
-use rfid_gen2::source::{ReportSource, TraceSource};
 use rfipad::engine::{normalize_events, Backpressure, Engine, LatencySnapshot};
-use rfipad::{OnlinePipeline, PipelineEvent, Recognizer};
+use rfipad::PipelineEvent;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-
-const TRACE_PATH: &str = "tests/data/golden_session.rftrace";
 
 struct Args {
     sessions: usize,
@@ -72,46 +70,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("--batch must be at least 1".into());
     }
     Ok(args)
-}
-
-/// The golden report stream: decoded from the committed trace when it is
-/// reachable, otherwise re-recorded live (same bits — the session is
-/// seeded).
-fn golden_reports(recognizer_bench: &experiments::Bench) -> Vec<TagReport> {
-    match TraceSource::open(TRACE_PATH) {
-        Ok(mut source) => match source.try_collect_reports() {
-            Ok(reports) if !reports.is_empty() => {
-                obs::info!("replaying recorded trace"; path = TRACE_PATH, reports = reports.len());
-                return reports;
-            }
-            Ok(_) => {
-                obs::warn!("trace is empty; re-recording the golden session"; path = TRACE_PATH)
-            }
-            Err(e) => obs::warn!("{e}; re-recording the golden session"; path = TRACE_PATH),
-        },
-        Err(e) => obs::warn!("{e}; re-recording the golden session"; path = TRACE_PATH),
-    }
-    golden_trial(recognizer_bench).reports
-}
-
-fn session_pipeline(recognizer: &Recognizer) -> OnlinePipeline {
-    OnlinePipeline::builder()
-        .recognizer(recognizer.clone())
-        .letter_gap_s(1.5)
-        .build()
-        .expect("valid pipeline")
-}
-
-/// The single-stream reference replay every engine session must match.
-fn serial_replay(recognizer: &Recognizer, reports: &[TagReport]) -> Vec<PipelineEvent> {
-    let mut pipeline = session_pipeline(recognizer);
-    let mut events = Vec::new();
-    for r in reports {
-        events.extend(pipeline.push(*r));
-    }
-    events.extend(pipeline.finish());
-    normalize_events(&mut events);
-    events
 }
 
 /// Outcome of one multi-session replay: wall time, throughput, worst

@@ -1,18 +1,17 @@
 //! Fig. 24 — response time per motion category, measured on the online
-//! pipeline.
+//! stage graph.
 //!
 //! The paper streams 50 records per motion through its C# software on a
 //! 2013 laptop and sees responses below 0.1 s. We push the report stream of
-//! each trial through [`rfipad::OnlinePipeline`] and record the compute
+//! each trial through an [`rfipad::StageGraph`] and record the compute
 //! time of each stroke report.
 
 use experiments::report::print_table;
+use experiments::serveload::session_pipeline;
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::Stroke;
 use hand_kinematics::user::UserProfile;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rfipad::{OnlinePipeline, PipelineEvent, RfipadConfig};
+use rfipad::{PipelineEvent, RfipadConfig};
 use sigproc::stats;
 
 fn main() {
@@ -35,15 +34,9 @@ fn main() {
                 &user,
                 2400 + rep as u64 * 37 + stroke.shape.motion_number() as u64,
             );
-            let mut pipeline = OnlinePipeline::builder()
-                .recognizer(bench.recognizer.clone())
-                .letter_gap_s(1.5)
-                .build()
-                .expect("valid gap");
-            let mut rng = StdRng::seed_from_u64(1);
-            let _ = &mut rng;
+            let mut graph = session_pipeline(&bench.recognizer);
             for obs in &trial.reports {
-                for event in pipeline.push(*obs) {
+                for event in graph.push(*obs) {
                     if let PipelineEvent::StrokeDetected {
                         response_time_s, ..
                     } = event
@@ -52,7 +45,7 @@ fn main() {
                     }
                 }
             }
-            for event in pipeline.finish() {
+            for event in graph.finish() {
                 if let PipelineEvent::StrokeDetected {
                     response_time_s, ..
                 } = event

@@ -22,14 +22,14 @@
 //! golden bench and writes the trace; the framing is picked from the file
 //! extension (`.jsonl` → JSON lines, anything else → binary). `inspect`
 //! prints a summary without recognizing. `replay` feeds the trace through
-//! the batch recognizer and the online pipeline of a freshly rebuilt
+//! the batch recognizer and the online stage graph of a freshly rebuilt
 //! golden bench and prints what they see. `stats` replays the trace
-//! through an instrumented online pipeline and prints the Prometheus text
+//! through an instrumented stage graph and prints the Prometheus text
 //! exposition of the process-global metrics registry (self-validated);
 //! with `--bench` it also times instrumented vs `RFIPAD_LOG=off` replays
 //! and merges a `telemetry_overhead` entry into `BENCH_pipeline.json`.
 //! `checkpoint` interrupts an online replay halfway, ships the session
-//! through the checkpoint JSON wire form, resumes on a fresh pipeline,
+//! through the checkpoint JSON wire form, resumes on a fresh graph,
 //! and exits nonzero unless the stitched event stream matches an
 //! uninterrupted replay — the migration smoke test bench-check runs.
 //! `spans` renders a flight-recorder dump — the body of
@@ -37,11 +37,12 @@
 //! timeline: one line per span, children indented under their parents.
 
 use experiments::golden::{golden_bench, golden_trial, GOLDEN_LETTER, GOLDEN_TRIAL_SEED};
+use experiments::serveload::session_pipeline;
 use hand_kinematics::user::UserProfile;
 use rfid_gen2::report::TagReport;
 use rfid_gen2::source::{ReportSource, TraceSource};
 use rfid_gen2::trace::{write_trace_file, TraceFormat};
-use rfipad::{OnlinePipeline, PipelineEvent, Recognizer, RfipadError};
+use rfipad::{PipelineEvent, Recognizer, RfipadError};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -133,26 +134,7 @@ fn replay(path: &str) -> Result<(), RfipadError> {
     }
     println!("  letter: {:?}", result.letter);
 
-    let mut pipeline = OnlinePipeline::builder()
-        .recognizer(bench.recognizer.clone())
-        .letter_gap_s(1.5)
-        .build()?;
-    let mut online_letter = None;
-    let mut strokes = 0usize;
-    for r in &reports {
-        for event in pipeline.push(*r) {
-            match event {
-                PipelineEvent::StrokeDetected { .. } => strokes += 1,
-                PipelineEvent::LetterRecognized { letter, .. } => online_letter = letter,
-            }
-        }
-    }
-    for event in pipeline.finish() {
-        match event {
-            PipelineEvent::StrokeDetected { .. } => strokes += 1,
-            PipelineEvent::LetterRecognized { letter, .. } => online_letter = letter,
-        }
-    }
+    let (strokes, online_letter) = replay_online(&bench.recognizer, &reports);
     println!("online replay: {strokes} strokes, letter {online_letter:?}");
 
     let live = golden_trial(&bench);
@@ -168,14 +150,8 @@ fn replay(path: &str) -> Result<(), RfipadError> {
 }
 
 /// One full online replay of `reports`; returns (strokes, letter).
-fn replay_online(
-    recognizer: &Recognizer,
-    reports: &[TagReport],
-) -> Result<(usize, Option<char>), RfipadError> {
-    let mut pipeline = OnlinePipeline::builder()
-        .recognizer(recognizer.clone())
-        .letter_gap_s(1.5)
-        .build()?;
+fn replay_online(recognizer: &Recognizer, reports: &[TagReport]) -> (usize, Option<char>) {
+    let mut graph = session_pipeline(recognizer);
     let mut letter = None;
     let mut strokes = 0usize;
     let mut handle = |event: PipelineEvent| match event {
@@ -183,14 +159,14 @@ fn replay_online(
         PipelineEvent::LetterRecognized { letter: l, .. } => letter = l,
     };
     for r in reports {
-        for event in pipeline.push(*r) {
+        for event in graph.push(*r) {
             handle(event);
         }
     }
-    for event in pipeline.finish() {
+    for event in graph.finish() {
         handle(event);
     }
-    Ok((strokes, letter))
+    (strokes, letter)
 }
 
 /// Replays and telemetry-off replays interleaved; returns the best
@@ -200,27 +176,24 @@ fn time_overhead(
     reports: &[TagReport],
     trials: u32,
     rounds: u32,
-) -> Result<(f64, f64), RfipadError> {
+) -> (f64, f64) {
     let restore = obs::max_level();
-    let timed = |level: obs::Level| -> Result<f64, RfipadError> {
+    let timed = |level: obs::Level| {
         obs::set_level(level);
         let start = Instant::now();
         for _ in 0..rounds {
-            std::hint::black_box(replay_online(recognizer, reports)?);
+            std::hint::black_box(replay_online(recognizer, reports));
         }
-        Ok(start.elapsed().as_secs_f64())
+        start.elapsed().as_secs_f64()
     };
     let mut best_on = f64::INFINITY;
     let mut best_off = f64::INFINITY;
-    let result = (|| {
-        for _ in 0..trials {
-            best_on = best_on.min(timed(obs::Level::Info)?);
-            best_off = best_off.min(timed(obs::Level::Off)?);
-        }
-        Ok(())
-    })();
+    for _ in 0..trials {
+        best_on = best_on.min(timed(obs::Level::Info));
+        best_off = best_off.min(timed(obs::Level::Off));
+    }
     obs::set_level(restore);
-    result.map(|()| (best_on, best_off))
+    (best_on, best_off)
 }
 
 fn stats(path: &str, bench_overhead: bool) -> Result<(), RfipadError> {
@@ -231,7 +204,7 @@ fn stats(path: &str, bench_overhead: bool) -> Result<(), RfipadError> {
     // The instrumented replay populates the process-global registry:
     // stage histograms, pipeline counters, reader counters from the
     // trace decode above.
-    let (strokes, letter) = replay_online(&bench.recognizer, &reports)?;
+    let (strokes, letter) = replay_online(&bench.recognizer, &reports);
     obs::info!("replayed trace"; reports = reports.len(), strokes = strokes,
         letter = format!("{letter:?}"));
 
@@ -243,7 +216,7 @@ fn stats(path: &str, bench_overhead: bool) -> Result<(), RfipadError> {
     if bench_overhead {
         obs::info!("timing instrumented vs disabled-telemetry replays");
         let (rounds, trials) = (10u32, 3u32);
-        let (on_s, off_s) = time_overhead(&bench.recognizer, &reports, trials, rounds)?;
+        let (on_s, off_s) = time_overhead(&bench.recognizer, &reports, trials, rounds);
         let per_mode = u64::from(rounds) * reports.len() as u64;
         let on_rps = per_mode as f64 / on_s;
         let off_rps = per_mode as f64 / off_s;
@@ -268,7 +241,7 @@ fn stats(path: &str, bench_overhead: bool) -> Result<(), RfipadError> {
 }
 
 /// Interrupts an online replay of the trace at its halfway report,
-/// round-trips the checkpoint through JSON, resumes on a fresh pipeline,
+/// round-trips the checkpoint through JSON, resumes on a fresh graph,
 /// and verifies the stitched event stream equals an uninterrupted replay.
 fn checkpoint(path: &str) -> Result<(), RfipadError> {
     use rfipad::engine::normalize_events;
@@ -281,15 +254,10 @@ fn checkpoint(path: &str) -> Result<(), RfipadError> {
     }
     obs::info!("rebuilding golden bench");
     let bench = golden_bench();
-    let pipeline = || {
-        OnlinePipeline::builder()
-            .recognizer(bench.recognizer.clone())
-            .letter_gap_s(1.5)
-            .build()
-    };
+    let graph = || session_pipeline(&bench.recognizer);
 
     let mut uninterrupted = Vec::new();
-    let mut p = pipeline()?;
+    let mut p = graph();
     for r in &reports {
         p.push_into(*r, &mut uninterrupted);
     }
@@ -298,14 +266,14 @@ fn checkpoint(path: &str) -> Result<(), RfipadError> {
 
     let split = reports.len() / 2;
     let mut stitched = Vec::new();
-    let mut first = pipeline()?;
+    let mut first = graph();
     for r in &reports[..split] {
         first.push_into(*r, &mut stitched);
     }
     let wire = first.checkpoint().to_json();
     drop(first); // only the serialized snapshot crosses the "migration"
-    let mut resumed = pipeline()?;
-    resumed.restore(&PipelineCheckpoint::from_json(&wire)?)?;
+    let mut resumed = graph();
+    resumed.restore_checkpoint(&PipelineCheckpoint::from_json(&wire)?)?;
     for r in &reports[split..] {
         resumed.push_into(*r, &mut stitched);
     }

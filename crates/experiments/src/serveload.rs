@@ -14,7 +14,7 @@ use rfid_gen2::source::{ReportSource, TraceSource};
 use rfid_gen2::wire::IngestClient;
 use rfipad::engine::{normalize_events, Backpressure, Engine};
 use rfipad::serve::{CollectingSink, EventSink, IngestServer};
-use rfipad::{OnlinePipeline, PipelineEvent, Recognizer};
+use rfipad::{PipelineEvent, Recognizer, StageGraph};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -106,23 +106,22 @@ pub fn golden_reports(bench: &crate::Bench) -> Vec<TagReport> {
     crate::golden::golden_trial(bench).reports
 }
 
-/// The session pipeline every replay (serial, in-process, served) uses.
-pub fn session_pipeline(recognizer: &Recognizer) -> OnlinePipeline {
-    OnlinePipeline::builder()
+/// The session stage graph every replay (serial, in-process, served)
+/// uses.
+pub fn session_pipeline(recognizer: &Recognizer) -> StageGraph {
+    StageGraph::builder()
         .recognizer(recognizer.clone())
         .letter_gap_s(1.5)
         .build()
-        .expect("valid pipeline")
+        .expect("valid stage graph")
 }
 
 /// The single-stream reference replay, normalized for comparison.
 pub fn serial_replay(recognizer: &Recognizer, reports: &[TagReport]) -> Vec<PipelineEvent> {
-    let mut pipeline = session_pipeline(recognizer);
+    let mut graph = session_pipeline(recognizer);
     let mut events = Vec::new();
-    for r in reports {
-        events.extend(pipeline.push(*r));
-    }
-    events.extend(pipeline.finish());
+    graph.push_batch(reports.iter().copied(), &mut events);
+    graph.finish_into(&mut events);
     normalize_events(&mut events);
     events
 }

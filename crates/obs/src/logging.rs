@@ -137,14 +137,17 @@ static JOURNAL: Mutex<VecDeque<JournalEntry>> = Mutex::new(VecDeque::new());
 /// which performs the level check first.
 pub fn emit(level: Level, target: &str, message: &str) {
     eprintln!("[{} {target}] {message}", level.tag());
-    let seq = JOURNAL_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-    let entry = JournalEntry {
-        seq,
-        level,
-        target: target.to_string(),
-        message: message.to_string(),
-    };
+    let target = target.to_string();
+    let message = message.to_string();
     let mut journal = JOURNAL.lock().expect("journal poisoned");
+    // Numbered under the lock, so concurrent emitters append in sequence
+    // order and the journal's seq column is strictly increasing.
+    let entry = JournalEntry {
+        seq: JOURNAL_SEQ.fetch_add(1, Ordering::Relaxed) + 1,
+        level,
+        target,
+        message,
+    };
     if journal.len() >= JOURNAL_CAPACITY {
         journal.pop_front();
     }

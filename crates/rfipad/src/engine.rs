@@ -3,10 +3,9 @@
 //! A deployment serves many pads at once: several kiosks replay live
 //! antenna streams, an operator replays recorded traces, and all of them
 //! multiplex onto one process. This module turns the single-stream
-//! [`OnlinePipeline`] into a serving engine: each *session* owns the
-//! pipeline's [`StageGraph`], reports flow in over a bounded queue with
-//! an explicit [`Backpressure`] policy, and a small worker pool drains
-//! the queues.
+//! [`StageGraph`] into a serving engine: each *session* owns one graph,
+//! reports flow in over a bounded queue with an explicit [`Backpressure`]
+//! policy, and a small worker pool drains the queues.
 //!
 //! Sessions are also *migratable*: [`SessionHandle::checkpoint`] freezes
 //! a session's mid-stream recognition state into a serializable
@@ -16,20 +15,21 @@
 //!
 //! Determinism is preserved per session: a session is only ever drained by
 //! the one worker it was assigned to, and never by two threads at once, so
-//! its pipeline consumes reports in exactly the order they were fed. With
+//! its graph consumes reports in exactly the order they were fed. With
 //! [`Backpressure::Block`] (no drops), a session's recognitions are
-//! bit-identical to running the same reports through [`OnlinePipeline`]
+//! bit-identical to running the same reports through the [`StageGraph`]
 //! directly — modulo wall-clock response times, which
 //! [`normalize_events`] strips for comparison.
 //!
 //! # Example
 //!
 //! ```no_run
-//! # fn demo(pipeline: rfipad::OnlinePipeline,
+//! # fn demo(recognizer: rfipad::Recognizer,
 //! #         reports: Vec<rfid_gen2::report::TagReport>)
 //! #         -> Result<(), rfipad::RfipadError> {
 //! let engine = rfipad::engine::Engine::builder().workers(4).build()?;
-//! let session = engine.open_session("kiosk-a", pipeline)?;
+//! let graph = rfipad::StageGraph::builder().recognizer(recognizer).build()?;
+//! let session = engine.open_session("kiosk-a", graph)?;
 //! for report in reports {
 //!     session.ingest(report)?;
 //! }
@@ -39,8 +39,7 @@
 //! ```
 
 use crate::error::RfipadError;
-use crate::pipeline::{OnlinePipeline, PipelineEvent};
-use crate::stage::{PipelineCheckpoint, StageGraph};
+use crate::stage::{PipelineCheckpoint, PipelineEvent, StageGraph};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use rfid_gen2::report::{ReportBatch, TagReport};
 use rfid_gen2::source::ReportSource;
@@ -543,7 +542,7 @@ fn begin_finish(shared: &Shared, sess: &Arc<SessionInner>) -> Result<(), RfipadE
 }
 
 /// The multi-session ingest engine: a worker pool draining per-session
-/// bounded queues into [`OnlinePipeline`]s. See the [module
+/// bounded queues into [`StageGraph`]s. See the [module
 /// docs](crate::engine) for the concurrency model.
 ///
 /// Dropping the engine shuts it down: open sessions are flushed, workers
@@ -615,7 +614,7 @@ impl Engine {
         &self.shared.config
     }
 
-    /// Opens a session: the pipeline will consume every report fed through
+    /// Opens a session: the graph will consume every report fed through
     /// the returned handle, in feed order.
     ///
     /// Sessions are assigned to workers round-robin at open time and stay
@@ -628,35 +627,9 @@ impl Engine {
     pub fn open_session(
         &self,
         id: impl Into<String>,
-        pipeline: OnlinePipeline,
+        graph: StageGraph,
     ) -> Result<SessionHandle, RfipadError> {
-        self.open_graph(id.into(), pipeline.into_graph())
-    }
-
-    /// Opens a session resuming from `checkpoint`: the `pipeline` supplies
-    /// the recognizer and configuration (it must match the one the
-    /// checkpoint was taken under), the checkpoint supplies the mid-stream
-    /// state. The restored session then consumes the remainder of the
-    /// report stream exactly as the original would have — the migration
-    /// path for a session moved across engines or processes.
-    ///
-    /// # Errors
-    ///
-    /// [`RfipadError::Checkpoint`] if the checkpoint does not match the
-    /// pipeline's configuration or fails its integrity checks; otherwise
-    /// as for [`Engine::open_session`].
-    pub fn restore_session(
-        &self,
-        id: impl Into<String>,
-        pipeline: OnlinePipeline,
-        checkpoint: &SessionCheckpoint,
-    ) -> Result<SessionHandle, RfipadError> {
-        let mut graph = pipeline.into_graph();
-        graph.restore_checkpoint(checkpoint.pipeline())?;
-        self.open_graph(id.into(), graph)
-    }
-
-    fn open_graph(&self, id: String, graph: StageGraph) -> Result<SessionHandle, RfipadError> {
+        let id = id.into();
         if self.shared.down.load(Ordering::SeqCst) {
             return Err(RfipadError::EngineDown);
         }
@@ -702,6 +675,28 @@ impl Engine {
         })
     }
 
+    /// Opens a session resuming from `checkpoint`: the `graph` supplies
+    /// the recognizer and configuration (it must match the one the
+    /// checkpoint was taken under), the checkpoint supplies the mid-stream
+    /// state. The restored session then consumes the remainder of the
+    /// report stream exactly as the original would have — the migration
+    /// path for a session moved across engines or processes.
+    ///
+    /// # Errors
+    ///
+    /// [`RfipadError::Checkpoint`] if the checkpoint does not match the
+    /// graph's configuration or fails its integrity checks; otherwise
+    /// as for [`Engine::open_session`].
+    pub fn restore_session(
+        &self,
+        id: impl Into<String>,
+        mut graph: StageGraph,
+        checkpoint: &SessionCheckpoint,
+    ) -> Result<SessionHandle, RfipadError> {
+        graph.restore_checkpoint(checkpoint.pipeline())?;
+        self.open_session(id, graph)
+    }
+
     /// Convenience: open a session, drain a [`ReportSource`] through it
     /// in batches of [`DEFAULT_INGEST_BATCH`], and close. Returns every
     /// event the stream produced. Batching is invisible to the result:
@@ -716,10 +711,10 @@ impl Engine {
     pub fn ingest(
         &self,
         id: impl Into<String>,
-        pipeline: OnlinePipeline,
+        graph: StageGraph,
         source: &mut dyn ReportSource,
     ) -> Result<Vec<PipelineEvent>, RfipadError> {
-        let session = self.open_session(id, pipeline)?;
+        let session = self.open_session(id, graph)?;
         let fed = session.ingest_source(source);
         let events = session.close()?;
         fed?;
@@ -1083,7 +1078,7 @@ pub struct SessionStats {
     /// Pipeline events produced.
     pub events_out: u64,
     /// Reports whose timestamps ran backwards (see
-    /// [`crate::pipeline::OutOfOrderPolicy`]).
+    /// [`crate::stage::OutOfOrderPolicy`]).
     pub out_of_order: u64,
     /// Events produced but not yet drained by the handle.
     pub pending_events: usize,
@@ -1126,7 +1121,7 @@ pub struct EngineStats {
 /// The checkpoint captures the session's [`PipelineCheckpoint`] — buffer,
 /// reported spans, pending strokes, clocks — but *not* the recognizer
 /// (layout, calibration, grammar), which the restoring side supplies via
-/// a freshly built [`OnlinePipeline`]. Undrained events and counters stay
+/// a freshly built [`StageGraph`]. Undrained events and counters stay
 /// with the original session; drain them before migrating.
 ///
 /// [`SessionCheckpoint::to_json`] / [`SessionCheckpoint::from_json`]
@@ -1597,7 +1592,7 @@ mod tests {
         out
     }
 
-    fn pipeline() -> OnlinePipeline {
+    fn pipeline() -> StageGraph {
         let l = layout();
         let static_part: Vec<TagReport> =
             recording().into_iter().filter(|o| o.time < 2.0).collect();
@@ -1609,7 +1604,7 @@ mod tests {
             .config(config)
             .build()
             .expect("recognizer");
-        OnlinePipeline::builder()
+        StageGraph::builder()
             .recognizer(recognizer)
             .letter_gap_s(1.5)
             .build()
@@ -1620,7 +1615,7 @@ mod tests {
 
     /// A tiny 1×3 quiet pipeline — cheap pushes for concurrency tests that
     /// do not care about recognitions.
-    fn quiet_pipeline() -> OnlinePipeline {
+    fn quiet_pipeline() -> StageGraph {
         let layout = ArrayLayout::new(1, 3, (0..3).map(TagId).collect());
         let static_obs: Vec<TagReport> = (0..40)
             .flat_map(|j| {
@@ -1642,7 +1637,7 @@ mod tests {
             .config(config)
             .build()
             .expect("recognizer");
-        OnlinePipeline::builder()
+        StageGraph::builder()
             .recognizer(recognizer)
             .build()
             .expect("pipeline")
@@ -2263,7 +2258,7 @@ mod tests {
         let checkpoint = session.checkpoint().expect("checkpoint");
         // Same recognizer, different letter gap: a different pipeline
         // configuration must refuse the snapshot.
-        let other = OnlinePipeline::builder()
+        let other = StageGraph::builder()
             .recognizer(pipeline().recognizer().clone())
             .letter_gap_s(2.0)
             .build()

@@ -61,8 +61,8 @@ impl fmt::Display for RfipadError {
 
 impl RfipadError {
     /// The one way builders report a bad field: every validating builder
-    /// (`EngineBuilder`, `RecognizerBuilder`, `OnlinePipelineBuilder`,
-    /// `StageGraphBuilder`, `IngestServerBuilder`) produces
+    /// (`EngineBuilder`, `RecognizerBuilder`, `StageGraphBuilder`,
+    /// `IngestServerBuilder`) produces
     /// [`RfipadError::InvalidConfig`] messages of the form
     /// `Builder.field: reason`, so an error always names the offending
     /// field.

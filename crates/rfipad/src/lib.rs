@@ -22,9 +22,10 @@
 //! 5. **Direction** ([`direction`]): two-stage RSS-trough ordering.
 //! 6. **Letters** ([`grammar`], [`recognizer`]): tree-structure grammar
 //!    with positional disambiguation (D/P, O/S, V/X).
-//! 7. **Online engine** ([`pipeline`], [`stage`]): streaming recognition
-//!    as a typed five-stage graph with response-time accounting and
-//!    checkpoint/restore for session migration.
+//! 7. **Online engine** ([`stage`], [`engine`]): streaming recognition
+//!    as a typed five-stage graph ([`StageGraph`]) with response-time
+//!    accounting and checkpoint/restore, served to many concurrent
+//!    sessions by the [`Engine`] worker pool.
 //! 8. **Multi-pad operation** ([`multipad`]): one reader serving several
 //!    pads while its ordinary identification traffic passes through — the
 //!    paper's cost-efficiency claim.
@@ -71,7 +72,6 @@ pub mod layout;
 pub mod metrics;
 pub mod motion;
 pub mod multipad;
-pub mod pipeline;
 pub mod recognizer;
 pub mod segmentation;
 pub mod serve;
@@ -90,11 +90,13 @@ pub use engine::{
 pub use error::RfipadError;
 pub use layout::ArrayLayout;
 pub use multipad::{PadDispatcher, PadEvent, PadHandle};
-pub use pipeline::{OnlinePipeline, PipelineEvent};
 pub use recognizer::{RecognizedStroke, Recognizer, SessionResult};
 pub use segmentation::{Segmentation, StrokeSpan};
 pub use serve::{CollectingSink, EventSink, IngestServer, IngestServerBuilder};
-pub use stage::{PipelineCheckpoint, Stage, StageGraph, StageGraphBuilder, StageState};
+pub use stage::{
+    OutOfOrderPolicy, PipelineCheckpoint, PipelineEvent, Stage, StageGraph, StageGraphBuilder,
+    StageState,
+};
 pub use streams::{TagStreams, TagStreamsBuilder};
 pub use words::{DecodedWord, WordDecoder};
 
@@ -109,9 +111,8 @@ pub mod prelude {
     pub use crate::grammar::GrammarTree;
     pub use crate::layout::ArrayLayout;
     pub use crate::metrics::ConfusionMatrix;
-    pub use crate::pipeline::{OnlinePipeline, PipelineEvent};
     pub use crate::recognizer::{RecognizedStroke, Recognizer, SessionResult};
     pub use crate::segmentation::{Segmentation, StrokeSpan};
-    pub use crate::stage::{PipelineCheckpoint, Stage, StageGraph};
+    pub use crate::stage::{PipelineCheckpoint, PipelineEvent, Stage, StageGraph};
     pub use crate::streams::TagStreams;
 }

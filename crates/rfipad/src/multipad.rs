@@ -9,9 +9,8 @@
 //! while passing unrelated tags through to the host application.
 
 use crate::error::RfipadError;
-use crate::pipeline::PipelineEvent;
 use crate::recognizer::Recognizer;
-use crate::stage::StageGraph;
+use crate::stage::{PipelineEvent, StageGraph};
 use rfid_gen2::report::{TagId, TagReport};
 use std::collections::HashMap;
 
@@ -40,8 +39,8 @@ pub struct PadHandle(pub usize);
 /// tags owned by no pad surface as [`PadEvent::Unassigned`] so the host
 /// application keeps its ordinary RFID functionality — the whole point of
 /// the paper's "cost-efficient extension" framing. Each pad drives a
-/// [`StageGraph`] directly, so recognitions are identical to running that
-/// pad's share of the stream through its own [`crate::OnlinePipeline`].
+/// [`StageGraph`], so recognitions are identical to running that pad's
+/// share of the stream through a graph of its own.
 #[derive(Debug)]
 pub struct PadDispatcher {
     pads: Vec<StageGraph>,

@@ -32,7 +32,7 @@
 //!     .addr("127.0.0.1:7011")
 //!     .engine(engine)
 //!     .pipeline_factory(move |_session| {
-//!         rfipad::OnlinePipeline::builder()
+//!         rfipad::StageGraph::builder()
 //!             .recognizer(recognizer.clone())
 //!             .build()
 //!     })
@@ -44,7 +44,7 @@
 
 use crate::engine::Engine;
 use crate::error::RfipadError;
-use crate::pipeline::{OnlinePipeline, PipelineEvent};
+use crate::stage::{PipelineEvent, StageGraph};
 use crate::telemetry::serve_metrics;
 use rfid_gen2::wire::{
     check_handshake, decode_payload_v, encode_frame_v, handshake_bytes_for, Frame, TraceContext,
@@ -59,9 +59,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Builds the [`OnlinePipeline`] backing each session a client opens; the
+/// Builds the [`StageGraph`] backing each session a client opens; the
 /// argument is the client's session id.
-pub type PipelineFactory = Arc<dyn Fn(&str) -> Result<OnlinePipeline, RfipadError> + Send + Sync>;
+pub type PipelineFactory = Arc<dyn Fn(&str) -> Result<StageGraph, RfipadError> + Send + Sync>;
 
 /// Where a served session's recognition events go when the session closes
 /// (client CLOSE or shutdown drain). The wire protocol reports only event
@@ -166,10 +166,10 @@ impl IngestServerBuilder {
         self
     }
 
-    /// How to build the pipeline behind each opened session (required).
+    /// How to build the stage graph behind each opened session (required).
     pub fn pipeline_factory(
         mut self,
-        factory: impl Fn(&str) -> Result<OnlinePipeline, RfipadError> + Send + Sync + 'static,
+        factory: impl Fn(&str) -> Result<StageGraph, RfipadError> + Send + Sync + 'static,
     ) -> Self {
         self.pipeline_factory = Some(Arc::new(factory));
         self
@@ -724,7 +724,7 @@ impl Connection {
 
     /// Delivers a closed session's events to the sink, timing the emit
     /// hop and closing the session's root span.
-    fn deliver(&mut self, session: &str, engine_id: &str, events: Vec<crate::PipelineEvent>) {
+    fn deliver(&mut self, session: &str, engine_id: &str, events: Vec<PipelineEvent>) {
         let t0 = obs::telemetry_on().then(Instant::now);
         self.shared.sink.on_events(engine_id, events);
         let tr = self.traces.remove(session);
@@ -978,7 +978,7 @@ mod tests {
     }
 
     /// Tiny 1×3 quiet pipeline, same shape as the engine tests use.
-    fn quiet_pipeline() -> Result<OnlinePipeline, RfipadError> {
+    fn quiet_pipeline() -> Result<StageGraph, RfipadError> {
         let layout = ArrayLayout::new(1, 3, (0..3).map(TagId).collect());
         let static_obs: Vec<TagReport> = (0..40)
             .flat_map(|j| {
@@ -999,7 +999,7 @@ mod tests {
             .calibration(cal)
             .config(config)
             .build()?;
-        OnlinePipeline::builder().recognizer(recognizer).build()
+        StageGraph::builder().recognizer(recognizer).build()
     }
 
     fn quiet_reports(n: usize) -> Vec<TagReport> {

@@ -1,14 +1,22 @@
-//! The typed stage graph behind [`crate::OnlinePipeline`].
+//! The online recognition engine (§V-D) as a typed stage graph.
 //!
-//! The paper's online cascade (§V-D) has five distinct steps — buffering
-//! and incremental framing, RMS segmentation, motion classification,
-//! letter assembly, and grammar deduction. This module reifies each step
-//! as a [`Stage`] with a typed input and output, and composes them with a
-//! [`StageGraph`] that owns ordering, the out-of-order report policy, and
-//! per-stage instrumentation (the `rfipad_stage_push_seconds{stage=...}`
-//! histograms).
+//! RFIPad reacts to hand motions as they happen: tag reports stream in, and
+//! as soon as a stroke's end is confirmed by a short silence the stroke is
+//! recognized and reported; when the writer stays idle long enough the
+//! buffered strokes are composed into a letter. Response time — the gap
+//! between a motion ending and its report — is tracked per
+//! [`PipelineEvent`], matching the paper's Fig. 24 evaluation.
 //!
-//! Splitting the cascade buys two things the monolithic pipeline could
+//! The cascade has five distinct steps — buffering and incremental
+//! framing, RMS segmentation, motion classification, letter assembly, and
+//! grammar deduction. This module reifies each step as a [`Stage`] with a
+//! typed input and output, and composes them with a [`StageGraph`] that
+//! owns ordering, the [`OutOfOrderPolicy`], and per-stage instrumentation
+//! (the `rfipad_stage_push_seconds{stage=...}` histograms). The graph is
+//! the one streaming recognizer: callers drive it directly, or hand it to
+//! an [`crate::engine::Engine`] session to run on a worker pool.
+//!
+//! Splitting the cascade buys two things a monolithic recognizer could
 //! not offer:
 //!
 //! * **Checkpoint/restore.** Every stage can [`Stage::snapshot`] its
@@ -30,17 +38,59 @@
 
 use crate::error::RfipadError;
 use crate::metrics::split_top_level;
-use crate::pipeline::{OutOfOrderPolicy, PipelineEvent};
 use crate::recognizer::{RecognizedStroke, Recognizer};
 use crate::segmentation::StrokeSpan;
 use crate::streams::{TagStreams, TagStreamsBuilder};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use rfid_gen2::epc::Epc96;
 use rfid_gen2::report::{TagId, TagReport};
+use serde::{Deserialize, Serialize};
 use sigproc::frames::{FrameBuilder, FrameSeq};
 use sigproc::grid::BinaryGrid;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// An event emitted by a [`StageGraph`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum PipelineEvent {
+    /// A stroke completed and was recognized.
+    StrokeDetected {
+        /// The recognized stroke.
+        stroke: RecognizedStroke,
+        /// Wall-clock compute time spent producing this report, seconds
+        /// (the paper's response-time metric).
+        response_time_s: f64,
+        /// Simulated-time delay between the stroke ending and the decision
+        /// becoming possible (silence confirmation).
+        decision_delay_s: f64,
+    },
+    /// An idle gap closed a letter.
+    LetterRecognized {
+        /// The deduced letter (`None` if the stroke sequence matches no
+        /// grammar entry).
+        letter: Option<char>,
+        /// The strokes composed.
+        strokes: Vec<RecognizedStroke>,
+        /// Wall-clock compute time for the deduction, seconds.
+        response_time_s: f64,
+    },
+}
+
+/// What [`StageGraph::push`] does with a report whose timestamp is older
+/// than one already consumed. A single reader stream is in time order, but
+/// merging several antennas or sources can interleave slightly stale
+/// reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub enum OutOfOrderPolicy {
+    /// Clamp the stale timestamp forward to the newest time seen, keeping
+    /// the report's signal content (the default: a few milliseconds of
+    /// skew never matters to 100 ms frames).
+    #[default]
+    Clamp,
+    /// Drop the stale report entirely.
+    Drop,
+}
 
 /// Upper bound on how much history the framing stage keeps (seconds). A
 /// kiosk runs for days; without a bound, a long quiet spell would grow
@@ -892,7 +942,18 @@ impl Stage for Grammar {
     }
 }
 
-/// Validating builder for [`StageGraph`].
+/// Validating builder for [`StageGraph`], the supported way to construct
+/// one.
+///
+/// ```no_run
+/// # fn demo(recognizer: rfipad::Recognizer) -> Result<(), rfipad::RfipadError> {
+/// let graph = rfipad::StageGraph::builder()
+///     .recognizer(recognizer)
+///     .letter_gap_s(1.5)
+///     .build()?;
+/// # let _ = graph; Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Default)]
 #[must_use = "call .build() to obtain the graph"]
 pub struct StageGraphBuilder {
@@ -970,8 +1031,8 @@ impl StageGraphBuilder {
 /// Owns report admission (the out-of-order policy), drives each stage
 /// under its `rfipad_stage_push_seconds{stage=...}` histogram, and
 /// routes the letter-close feedback (history trim + dedup reset) back
-/// upstream. [`crate::OnlinePipeline`] is a thin facade over this type;
-/// the engine, `multipad`, and the experiment trials drive it directly.
+/// upstream. Every streaming caller — the engine sessions, the ingest
+/// server, `multipad`, the experiment trials — drives this type.
 #[derive(Debug)]
 pub struct StageGraph {
     recognizer: Arc<Recognizer>,
@@ -1044,6 +1105,12 @@ impl StageGraph {
     }
 
     /// Feeds one tag report; returns any events it triggered.
+    ///
+    /// Reports are expected in time order (a single reader stream is);
+    /// stale timestamps from multi-antenna or multi-source merges are
+    /// clamped or dropped per the configured [`OutOfOrderPolicy`] and
+    /// counted in [`StageGraph::out_of_order_count`]. Feeding after
+    /// [`StageGraph::finish`] resumes the stream.
     pub fn push(&mut self, obs: TagReport) -> Vec<PipelineEvent> {
         let mut events = Vec::new();
         self.push_into(obs, &mut events);
@@ -1113,7 +1180,9 @@ impl StageGraph {
     /// letter regardless of gaps).
     ///
     /// Idempotent: a second `finish` without an intervening
-    /// [`StageGraph::push`] returns no events.
+    /// [`StageGraph::push`] returns no events, so drain-then-close
+    /// sequences (and engine eviction racing an explicit close) cannot
+    /// duplicate reports.
     pub fn finish(&mut self) -> Vec<PipelineEvent> {
         let mut events = Vec::new();
         self.finish_into(&mut events);
@@ -1861,8 +1930,10 @@ mod tests {
     use super::*;
     use crate::calibration::Calibration;
     use crate::config::RfipadConfig;
+    use crate::engine::normalize_events;
     use crate::layout::ArrayLayout;
     use crate::motion::RecognizedMotion;
+    use std::f64::consts::TAU;
 
     fn quiet_obs(tag: u64, time: f64) -> TagReport {
         TagReport::synthetic(TagId(tag), time, 1.0 + tag as f64, -45.0)
@@ -1900,6 +1971,71 @@ mod tests {
                 centroid: (0.0, 1.0),
                 bbox: (0, 1, 0, 1),
             },
+        }
+    }
+
+    fn sweep_layout() -> ArrayLayout {
+        ArrayLayout::new(5, 5, (0..25).map(TagId).collect())
+    }
+
+    /// Recording over a 5×5 pad with a column-2 downward sweep during
+    /// [2, 4) and silence until 7 s.
+    fn recording() -> Vec<TagReport> {
+        let l = sweep_layout();
+        let mut out = Vec::new();
+        for step in 0..350 {
+            let t = step as f64 * 0.02;
+            for r in 0..5usize {
+                for c in 0..5usize {
+                    let base = (r * 5 + c) as f64 * 0.37 + 0.4;
+                    let cross = 2.2 + 0.36 * r as f64;
+                    let near = (t - cross).abs() < 0.5 && (2.0..4.0).contains(&t);
+                    let col_factor = 1.0 / (1.0 + (c as f64 - 2.0).powi(2));
+                    let (wiggle, dip) = if near {
+                        (
+                            0.9 * col_factor * ((t - cross) * 18.0).sin(),
+                            -7.0 * col_factor * (-(t - cross) * (t - cross) / 0.01).exp(),
+                        )
+                    } else {
+                        (0.0, 0.0)
+                    };
+                    out.push(TagReport::synthetic(
+                        l.at(r, c),
+                        t + (r * 5 + c) as f64 * 1e-4,
+                        (base + wiggle).rem_euclid(TAU),
+                        -45.0 + dip,
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    /// A graph calibrated on the quiet prefix of [`recording`].
+    fn sweep_graph(out_of_order: OutOfOrderPolicy) -> StageGraph {
+        let l = sweep_layout();
+        let static_part: Vec<TagReport> =
+            recording().into_iter().filter(|o| o.time < 2.0).collect();
+        let config = RfipadConfig::default();
+        let cal = Calibration::from_observations(&l, &static_part, &config).unwrap();
+        let rec = Recognizer::builder()
+            .layout(l)
+            .calibration(cal)
+            .config(config)
+            .build()
+            .unwrap();
+        StageGraph::builder()
+            .recognizer(rec)
+            .letter_gap_s(1.5)
+            .out_of_order(out_of_order)
+            .build()
+            .unwrap()
+    }
+
+    fn event_kind(e: &PipelineEvent) -> &'static str {
+        match e {
+            PipelineEvent::StrokeDetected { .. } => "stroke",
+            PipelineEvent::LetterRecognized { .. } => "letter",
         }
     }
 
@@ -2046,15 +2182,385 @@ mod tests {
     fn builder_validates_like_the_pipeline() {
         assert!(StageGraph::builder().build().is_err());
         let graph = quiet_graph(1.5);
-        assert!(StageGraph::builder()
-            .recognizer(graph.recognizer().clone())
-            .letter_gap_s(f64::NAN)
-            .build()
-            .is_err());
+        for bad_gap in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(StageGraph::builder()
+                .recognizer(graph.recognizer().clone())
+                .letter_gap_s(bad_gap)
+                .build()
+                .is_err());
+        }
         let defaulted = StageGraph::builder()
             .recognizer(graph.recognizer().clone())
             .build()
             .unwrap();
         assert_eq!(defaulted.letter_gap_s(), 1.5);
+    }
+
+    #[test]
+    fn stroke_and_letter_events_emitted_in_order() {
+        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut events = Vec::new();
+        for o in recording() {
+            events.extend(g.push(o));
+        }
+        events.extend(g.finish());
+        let strokes = events
+            .iter()
+            .filter(|e| matches!(e, PipelineEvent::StrokeDetected { .. }))
+            .count();
+        assert_eq!(strokes, 1, "events: {}", events.len());
+        let letters: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                PipelineEvent::LetterRecognized {
+                    letter, strokes, ..
+                } => Some((letter, strokes.len())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(letters.len(), 1);
+        // A lone vertical bar is the letter I.
+        assert_eq!(letters[0], (&Some('I'), 1));
+    }
+
+    #[test]
+    fn stroke_reported_before_letter() {
+        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut kinds = Vec::new();
+        for o in recording() {
+            kinds.extend(g.push(o).iter().map(event_kind));
+        }
+        kinds.extend(g.finish().iter().map(event_kind));
+        assert_eq!(kinds, vec!["stroke", "letter"]);
+    }
+
+    #[test]
+    fn response_times_are_small() {
+        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut response = None;
+        for o in recording() {
+            for e in g.push(o) {
+                if let PipelineEvent::StrokeDetected {
+                    response_time_s, ..
+                } = e
+                {
+                    response = Some(response_time_s);
+                }
+            }
+        }
+        g.finish();
+        let r = response.expect("stroke reported");
+        // The paper reports < 0.1 s on a 2013 laptop; allow headroom for
+        // debug builds.
+        assert!(r < 2.0, "response {r}");
+        assert!(r > 0.0);
+    }
+
+    #[test]
+    fn quiet_stream_emits_nothing() {
+        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut events = Vec::new();
+        for o in recording().into_iter().filter(|o| o.time < 1.8) {
+            events.extend(g.push(o));
+        }
+        events.extend(g.finish());
+        assert!(events.is_empty());
+    }
+
+    #[test]
+    fn finish_is_idempotent() {
+        // Stop the feed right after the stroke, before any silence: the
+        // whole stroke + letter decision then rides on finish().
+        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        for o in recording().into_iter().filter(|o| o.time < 4.2) {
+            g.push(o);
+        }
+        let first = g.finish();
+        assert!(
+            first
+                .iter()
+                .any(|e| matches!(e, PipelineEvent::LetterRecognized { .. })),
+            "finish closes the pending letter: {first:?}"
+        );
+        assert!(g.finish().is_empty(), "second finish re-emitted events");
+        assert!(g.finish().is_empty());
+    }
+
+    #[test]
+    fn push_after_finish_resumes_the_stream() {
+        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let all = recording();
+        for o in all.iter().filter(|o| o.time < 5.0) {
+            g.push(*o);
+        }
+        let mid = g.finish();
+        assert!(mid
+            .iter()
+            .any(|e| matches!(e, PipelineEvent::LetterRecognized { .. })));
+        // The stream resumes: further quiet traffic is consumed normally
+        // and a later finish does not duplicate the closed letter.
+        for o in all.iter().filter(|o| o.time >= 5.0) {
+            g.push(*o);
+        }
+        let tail = g.finish();
+        assert!(
+            !tail.iter().any(|e| matches!(
+                e,
+                PipelineEvent::LetterRecognized {
+                    letter: Some(_),
+                    ..
+                }
+            )),
+            "resumed quiet tail re-reported the letter: {tail:?}"
+        );
+    }
+
+    #[test]
+    fn push_into_batch_and_push_agree() {
+        let mut serial = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut serial_events = Vec::new();
+        for o in recording() {
+            serial_events.extend(serial.push(o));
+        }
+        serial_events.extend(serial.finish());
+
+        let mut batched = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut batched_events = Vec::new();
+        for chunk in recording().chunks(64) {
+            batched.push_batch(chunk.iter().copied(), &mut batched_events);
+        }
+        batched.finish_into(&mut batched_events);
+
+        // Response times are wall-clock and differ run to run; the
+        // recognized content must be identical.
+        normalize_events(&mut serial_events);
+        normalize_events(&mut batched_events);
+        assert_eq!(serial_events, batched_events);
+    }
+
+    #[test]
+    fn cache_invalidated_by_letter_close_then_resumes() {
+        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut letter_seen = false;
+        for o in recording() {
+            let events = g.push(o);
+            if events
+                .iter()
+                .any(|e| matches!(e, PipelineEvent::LetterRecognized { .. }))
+            {
+                // The letter close trims the buffer and must drop the
+                // cache with it, in the same tick.
+                assert!(!g.cache_is_some(), "letter-close trim left a stale cache");
+                letter_seen = true;
+            }
+        }
+        assert!(letter_seen, "recording closes a letter mid-feed");
+        // Later ticks rebuild the cache from the trimmed buffer and then
+        // maintain it incrementally; it must match a rebuild exactly.
+        assert!(g.cache_is_some(), "cache not rebuilt after the letter");
+        g.assert_cache_matches_rebuild();
+        // finish-then-resume: the flush and the resumed traffic keep the
+        // cache in step with the buffer.
+        g.finish();
+        for mut o in recording().into_iter().filter(|o| o.time < 1.0) {
+            o.time += 8.0;
+            g.push(o);
+        }
+        g.assert_cache_matches_rebuild();
+    }
+
+    #[test]
+    fn cache_consistent_under_out_of_order_clamp() {
+        let mut clamping = sweep_graph(OutOfOrderPolicy::Clamp);
+        for (i, mut o) in recording().into_iter().enumerate() {
+            if i % 8 == 3 {
+                o.time -= 0.04;
+            }
+            clamping.push(o);
+        }
+        assert!(clamping.out_of_order_count() > 0, "stale reports seen");
+        clamping.assert_cache_matches_rebuild();
+    }
+
+    #[test]
+    fn cache_consistent_under_out_of_order_drop() {
+        let mut dropping = sweep_graph(OutOfOrderPolicy::Drop);
+        for (i, mut o) in recording().into_iter().enumerate() {
+            if i % 10 == 7 {
+                o.time -= 0.05;
+            }
+            dropping.push(o);
+        }
+        assert!(dropping.out_of_order_count() > 0, "stale reports seen");
+        dropping.assert_cache_matches_rebuild();
+    }
+
+    #[test]
+    fn out_of_order_clamped_and_counted() {
+        let mut clamping = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut events = Vec::new();
+        for (i, mut o) in recording().into_iter().enumerate() {
+            // A second antenna's reports lag by 40 ms every eighth read.
+            if i % 8 == 3 {
+                o.time -= 0.04;
+            }
+            events.extend(clamping.push(o));
+        }
+        events.extend(clamping.finish());
+        assert!(clamping.out_of_order_count() > 0, "stale reports seen");
+        // Clamped timestamps never run backwards inside the buffer.
+        assert!(clamping.buffer().windows(2).all(|w| w[0].time <= w[1].time));
+        // The sweep still resolves to the same letter.
+        assert!(events.iter().any(|e| matches!(
+            e,
+            PipelineEvent::LetterRecognized {
+                letter: Some('I'),
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn out_of_order_drop_discards_stale_reports() {
+        let mut dropping = sweep_graph(OutOfOrderPolicy::Drop);
+        // Stop before the letter closes, so neither a letter-close nor a
+        // retention trim shortens the buffer: every admitted report must
+        // still be in it.
+        let reports: Vec<TagReport> = recording().into_iter().filter(|o| o.time < 3.5).collect();
+        let fed = reports.len() as u64;
+        for (i, mut o) in reports.into_iter().enumerate() {
+            if i % 10 == 7 {
+                o.time -= 0.05;
+            }
+            dropping.push(o);
+        }
+        assert!(dropping.out_of_order_count() > 0);
+        assert_eq!(
+            dropping.buffer().len() as u64,
+            fed - dropping.out_of_order_count(),
+            "dropped reports must not enter the buffer"
+        );
+        assert!(dropping.buffer().windows(2).all(|w| w[0].time <= w[1].time));
+    }
+
+    #[test]
+    fn buffer_stays_bounded_over_long_quiet_runs() {
+        let mut graph = quiet_graph(1.5);
+        // Two simulated minutes of quiet traffic at ~60 reads/s (enough
+        // to overflow an unbounded buffer four times over).
+        let mut max_len = 0usize;
+        for step in 0..7_200u64 {
+            let t = step as f64 / 60.0;
+            graph.push(quiet_obs(step % 3, t));
+            max_len = max_len.max(graph.buffer().len());
+        }
+        // 30 s of history at 60 reads/s is 1800 reads; allow slack for the
+        // trim hysteresis.
+        assert!(
+            graph.buffer().len() < 2_400,
+            "buffer grew to {}",
+            graph.buffer().len()
+        );
+        assert!(max_len < 2_800, "peak buffer {}", max_len);
+    }
+
+    #[test]
+    fn trimming_drops_history_older_than_window() {
+        let mut graph = quiet_graph(1.5);
+        // One simulated minute of quiet traffic: the window is 30 s, so
+        // the earliest reads must be long gone by the end.
+        let mut last_t = 0.0;
+        for step in 0..3_600u64 {
+            last_t = step as f64 / 60.0;
+            graph.push(quiet_obs(step % 3, last_t));
+        }
+        let first = graph.buffer().first().expect("buffer non-empty").time;
+        assert!(first > 2.0, "old history survived: first read at {first}");
+        // Nothing older than the window plus the trim hysteresis remains.
+        assert!(
+            first >= last_t - MAX_BUFFER_S - 5.0 - 1e-9,
+            "first {first} vs now {last_t}"
+        );
+    }
+
+    #[test]
+    fn pending_letter_holds_history_past_the_window() {
+        // A letter gap far longer than the run keeps the stroke pending
+        // throughout; its history must survive even past MAX_BUFFER_S.
+        let mut graph = quiet_graph(1_000.0);
+        graph.pending_strokes_mut().push(fake_stroke(2.0, 3.0));
+        let mut last_t = 0.0;
+        for step in 0..2_400u64 {
+            last_t = step as f64 / 60.0;
+            graph.push(quiet_obs(step % 3, last_t));
+        }
+        assert!(last_t > MAX_BUFFER_S + 5.0, "run long enough to trim");
+        let first = graph.buffer().first().expect("buffer non-empty").time;
+        // Retention is anchored 1 s before the pending stroke, not at the
+        // rolling window edge.
+        assert!(
+            first <= 2.0,
+            "pending letter history trimmed: first {first}"
+        );
+        assert!(!graph.pending_strokes_mut().is_empty());
+    }
+
+    #[test]
+    fn cache_consistent_across_retention_trims() {
+        let mut graph = quiet_graph(1.5);
+        let mut trims = 0usize;
+        for step in 0..3_600u64 {
+            let t = step as f64 / 60.0;
+            let before = graph.buffer().len();
+            graph.push(quiet_obs(step % 3, t));
+            if graph.buffer().len() <= before {
+                trims += 1;
+            }
+            // Spot-check: the incrementally maintained cache never drifts
+            // from a rebuild over the (possibly trimmed) buffer.
+            if step % 600 == 599 {
+                graph.assert_cache_matches_rebuild();
+            }
+        }
+        assert!(trims > 0, "run long enough to trim history");
+        graph.assert_cache_matches_rebuild();
+    }
+
+    #[test]
+    fn reported_spans_stay_sorted() {
+        let mut graph = quiet_graph(1.5);
+        // Out-of-sorted-order marks must land sorted (the dedup relies on
+        // partition_point).
+        graph.mark_reported(2.5);
+        graph.mark_reported(1.0);
+        graph.mark_reported(4.0);
+        graph.mark_reported(1.7);
+        assert_eq!(graph.reported_spans(), vec![1.0, 1.7, 2.5, 4.0]);
+        assert!(graph.span_already_reported(1.2));
+        assert!(graph.span_already_reported(2.6));
+        assert!(!graph.span_already_reported(3.2));
+        assert!(!graph.span_already_reported(0.5));
+    }
+
+    #[test]
+    fn reported_spans_trimmed_with_buffer() {
+        let mut graph = quiet_graph(1.5);
+        // Simulate spans reported early in a run whose letter never closed
+        // (e.g. unclassifiable blips): their dedup entries must not leak.
+        graph.reported_spans_mut().push(1.0);
+        graph.reported_spans_mut().push(2.5);
+        let mut last_t = 0.0;
+        for step in 0..3_600u64 {
+            last_t = step as f64 / 60.0;
+            graph.push(quiet_obs(step % 3, last_t));
+        }
+        assert!(
+            graph
+                .reported_spans()
+                .iter()
+                .all(|&s| s >= last_t - MAX_BUFFER_S - 5.0),
+            "stale reported spans retained: {:?}",
+            graph.reported_spans()
+        );
     }
 }

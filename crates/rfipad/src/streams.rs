@@ -92,11 +92,12 @@ impl TagStreams {
 /// offsets across pushes, so the accumulated [`TagStreams`] is identical to
 /// a one-shot batch build over the same reports in the same order.
 ///
-/// This is what lets `OnlinePipeline` keep its streams cached between frame
-/// ticks instead of rebuilding them from the whole retained buffer. Note
-/// the offsets are chosen at each tag's *first* sample — rebuilding from a
-/// trimmed buffer may legitimately pick different offsets, which is why the
-/// pipeline invalidates (rather than patches) its cache on trims.
+/// This is what lets the framing stage of a [`crate::StageGraph`] keep its
+/// streams cached between frame ticks instead of rebuilding them from the
+/// whole retained buffer. Note the offsets are chosen at each tag's *first*
+/// sample — rebuilding from a trimmed buffer may legitimately pick
+/// different offsets, which is why the stage invalidates (rather than
+/// patches) its cache on trims.
 /// The accumulated streams live behind an [`Arc`] so downstream consumers
 /// (the stage graph's tick payloads) can hold a cheap reference to the
 /// snapshot at a tick without cloning the series. Pushes mutate in place

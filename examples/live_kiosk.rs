@@ -1,18 +1,17 @@
-//! Live kiosk: the online pipeline on its own thread, fed over crossbeam
-//! channels at (accelerated) real-time pacing — the deployment shape of an
-//! actual installation, where LLRP reports stream in from the network and
-//! UI events stream out.
+//! Live kiosk: one ingest-engine session with its own worker thread, fed
+//! in reader-sized batches while recognitions are drained as they appear —
+//! the deployment shape of an actual installation, where LLRP reports
+//! stream in from the network and UI events stream out.
 //!
 //! Run with: `cargo run --release --example live_kiosk`
 
-use crossbeam::channel;
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::user::UserProfile;
 use hand_kinematics::writer::Writer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfipad::pipeline::{spawn, PipelineEvent};
-use rfipad::RfipadConfig;
+use rfipad::engine::{Engine, DEFAULT_INGEST_BATCH};
+use rfipad::{PipelineEvent, RfipadConfig, StageGraph};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = Bench::calibrate(
@@ -32,30 +31,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     observations.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite"));
     println!(
-        "streaming {} tag reads through the threaded pipeline…",
+        "streaming {} tag reads through an engine session…",
         observations.len()
     );
 
-    // Spin up the engine on its own thread.
-    let pipeline = rfipad::OnlinePipeline::builder()
+    // One worker thread drains the session's queue into its stage graph.
+    let engine = Engine::builder().workers(1).build()?;
+    let graph = StageGraph::builder()
         .recognizer(bench.recognizer.clone())
         .letter_gap_s(1.8)
         .build()?;
-    let (obs_tx, obs_rx) = channel::unbounded();
-    let (handle, events) = spawn(pipeline, obs_rx);
+    let session = engine.open_session("kiosk", graph)?;
 
-    // Feed the stream (drop the channel to signal end-of-stream), then
-    // drain events as the kiosk UI would.
-    let feeder = std::thread::spawn(move || {
-        for obs in observations {
-            if obs_tx.send(obs).is_err() {
-                return;
-            }
-        }
-    });
-
+    // Feed reader-sized batches and show whatever the worker recognized so
+    // far after each one, as the kiosk UI would; closing flushes the tail.
     let mut word = String::new();
-    for event in events.iter() {
+    for chunk in observations.chunks(DEFAULT_INGEST_BATCH) {
+        session.ingest_batch(chunk.iter().copied().collect())?;
+        show(session.drain_events(), &mut word);
+    }
+    show(session.close()?, &mut word);
+
+    println!("\nkiosk read: \"{word}\"");
+    assert_eq!(word, "HI");
+
+    // The process-global telemetry registry saw the whole run; these are
+    // the pipeline counters a fleet scraper would collect from the
+    // engine's /metrics endpoint (see EngineBuilder::metrics_addr).
+    println!("\npipeline telemetry:");
+    let exposition = obs::registry().render_prometheus();
+    for line in exposition
+        .lines()
+        .filter(|l| l.starts_with("rfipad_pipeline_"))
+    {
+        println!("  {line}");
+    }
+    Ok(())
+}
+
+/// Prints recognitions as the kiosk UI would, appending letters to `word`.
+fn show(events: Vec<PipelineEvent>, word: &mut String) {
+    for event in events {
         match event {
             PipelineEvent::StrokeDetected {
                 stroke,
@@ -76,22 +92,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    feeder.join().expect("feeder finished");
-    handle.join().expect("pipeline finished");
-
-    println!("\nkiosk read: \"{word}\"");
-    assert_eq!(word, "HI");
-
-    // The process-global telemetry registry saw the whole run; these are
-    // the pipeline counters a fleet scraper would collect from the
-    // engine's /metrics endpoint (see EngineBuilder::metrics_addr).
-    println!("\npipeline telemetry:");
-    let exposition = obs::registry().render_prometheus();
-    for line in exposition
-        .lines()
-        .filter(|l| l.starts_with("rfipad_pipeline_"))
-    {
-        println!("  {line}");
-    }
-    Ok(())
 }

@@ -16,7 +16,6 @@ use hand_kinematics::writer::Writer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rf_sim::targets::MovingTarget;
-use rfipad::pipeline::{OnlinePipeline, PipelineEvent};
 use rfipad::prelude::*;
 
 // Reuse the experiment harness's deployment builder: it assembles the same
@@ -78,13 +77,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Stream the reads through the online engine and print UI commands as
     // the kiosk would execute them.
-    let mut pipeline = OnlinePipeline::builder()
+    let mut graph = StageGraph::builder()
         .recognizer(bench.recognizer.clone())
         .letter_gap_s(1.8)
         .build()?;
     let mut executed = Vec::new();
     for obs in &all_observations {
-        for event in pipeline.push(*obs) {
+        for event in graph.push(*obs) {
             if let PipelineEvent::StrokeDetected {
                 stroke,
                 response_time_s,
@@ -103,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    for event in pipeline.finish() {
+    for event in graph.finish() {
         if let PipelineEvent::StrokeDetected { stroke, .. } = event {
             println!(
                 "t=  end   gesture {:8}  ->  {}",

@@ -1,14 +1,14 @@
 //! Checkpoint/restore equivalence over the golden trace: interrupting a
 //! streaming session at *any* report boundary, freezing it into a
 //! [`PipelineCheckpoint`], shipping it through its JSON wire form, and
-//! resuming on a fresh pipeline must reproduce the uninterrupted event
+//! resuming on a fresh stage graph must reproduce the uninterrupted event
 //! stream bit for bit — the property session migration rests on.
 
 use experiments::golden::{golden_bench, golden_trial};
 use proptest::prelude::*;
 use rfid_gen2::report::TagReport;
 use rfipad::engine::normalize_events;
-use rfipad::{OnlinePipeline, PipelineCheckpoint, PipelineEvent, Recognizer};
+use rfipad::{PipelineCheckpoint, PipelineEvent, Recognizer, StageGraph};
 use std::sync::OnceLock;
 
 /// The golden fixture is seeded and deterministic but costly to rebuild,
@@ -22,15 +22,15 @@ fn fixture() -> &'static (Vec<TagReport>, Recognizer) {
     })
 }
 
-fn pipeline() -> OnlinePipeline {
-    OnlinePipeline::builder()
+fn pipeline() -> StageGraph {
+    StageGraph::builder()
         .recognizer(fixture().1.clone())
         .letter_gap_s(1.5)
         .build()
         .expect("valid gap")
 }
 
-fn run_all(p: &mut OnlinePipeline, reports: &[TagReport]) -> Vec<PipelineEvent> {
+fn run_all(p: &mut StageGraph, reports: &[TagReport]) -> Vec<PipelineEvent> {
     let mut events = Vec::new();
     for &r in reports {
         p.push_into(r, &mut events);
@@ -51,7 +51,7 @@ fn uninterrupted() -> &'static Vec<PipelineEvent> {
 
 /// Runs the golden trace with an interruption after `split` reports:
 /// checkpoint, round-trip the checkpoint through JSON, restore into a
-/// fresh pipeline, and continue there.
+/// fresh graph, and continue there.
 fn interrupted_at(split: usize) -> Vec<PipelineEvent> {
     let (reports, _) = fixture();
     let mut first = pipeline();
@@ -62,7 +62,7 @@ fn interrupted_at(split: usize) -> Vec<PipelineEvent> {
     let parsed = PipelineCheckpoint::from_json(&wire).expect("wire form parses");
     assert_eq!(parsed, checkpoint, "JSON round-trip must be lossless");
     let mut resumed = pipeline();
-    resumed.restore(&parsed).expect("restore");
+    resumed.restore_checkpoint(&parsed).expect("restore");
     events.extend(run_all(&mut resumed, &reports[split..]));
     resumed.finish_into(&mut events);
     normalize_events(&mut events);
@@ -119,12 +119,14 @@ fn restore_rejects_a_mismatched_pipeline_configuration() {
     let mut p = pipeline();
     let _ = run_all(&mut p, &reports[..reports.len() / 2]);
     let checkpoint = p.checkpoint();
-    let mut other_gap = OnlinePipeline::builder()
+    let mut other_gap = StageGraph::builder()
         .recognizer(recognizer.clone())
         .letter_gap_s(2.5)
         .build()
         .expect("valid gap");
-    let err = other_gap.restore(&checkpoint).expect_err("gap mismatch");
+    let err = other_gap
+        .restore_checkpoint(&checkpoint)
+        .expect_err("gap mismatch");
     assert!(
         err.to_string().contains("checkpoint"),
         "unexpected error: {err}"

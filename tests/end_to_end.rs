@@ -4,8 +4,7 @@
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use hand_kinematics::user::UserProfile;
-use rfipad::pipeline::{OnlinePipeline, PipelineEvent};
-use rfipad::RfipadConfig;
+use rfipad::{PipelineEvent, RfipadConfig, StageGraph};
 
 fn bench() -> Bench {
     Bench::calibrate(
@@ -60,7 +59,7 @@ fn online_pipeline_matches_offline_result() {
     let user = UserProfile::average();
     let trial = bench.run_letter_trial('T', &user, 88);
 
-    let mut pipeline = OnlinePipeline::builder()
+    let mut graph = StageGraph::builder()
         .recognizer(bench.recognizer.clone())
         .letter_gap_s(1.5)
         .build()
@@ -68,14 +67,14 @@ fn online_pipeline_matches_offline_result() {
     let mut online_letter = None;
     let mut online_strokes = Vec::new();
     for obs in &trial.reports {
-        for event in pipeline.push(*obs) {
+        for event in graph.push(*obs) {
             match event {
                 PipelineEvent::StrokeDetected { stroke, .. } => online_strokes.push(stroke.stroke),
                 PipelineEvent::LetterRecognized { letter, .. } => online_letter = letter,
             }
         }
     }
-    for event in pipeline.finish() {
+    for event in graph.finish() {
         if let PipelineEvent::LetterRecognized { letter, .. } = event {
             online_letter = letter;
         }

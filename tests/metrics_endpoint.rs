@@ -5,7 +5,7 @@
 //! and the text must survive the exposition-format validator.
 
 use experiments::golden::{golden_bench, golden_trial, GOLDEN_LETTER};
-use rfipad::{Engine, OnlinePipeline, PipelineEvent};
+use rfipad::{Engine, PipelineEvent, StageGraph};
 use std::io::{Read as _, Write as _};
 
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
@@ -31,13 +31,13 @@ fn live_engine_exposition_covers_every_layer() {
         .metrics_addr("127.0.0.1:0")
         .build()
         .expect("engine with endpoint");
-    let pipeline = OnlinePipeline::builder()
+    let graph = StageGraph::builder()
         .recognizer(bench.recognizer.clone())
         .letter_gap_s(1.5)
         .build()
-        .expect("pipeline");
+        .expect("stage graph");
     let session = engine
-        .open_session("kiosk-metrics", pipeline)
+        .open_session("kiosk-metrics", graph)
         .expect("open session");
     for r in &trial.reports {
         session.ingest(*r).expect("ingest");

@@ -10,7 +10,7 @@ use experiments::golden::{golden_bench, golden_trial};
 use rfid_gen2::report::TagReport;
 use rfid_gen2::source::{LiveSource, ReportSource, TraceSource};
 use rfid_gen2::trace::{read_trace_file, write_trace, TraceFormat};
-use rfipad::{OnlinePipeline, PipelineEvent, RecognizedStroke, Recognizer};
+use rfipad::{PipelineEvent, RecognizedStroke, Recognizer, StageGraph};
 
 const GOLDEN_JSONL: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -80,7 +80,7 @@ enum ReplayEvent {
 }
 
 fn drive_online(recognizer: &Recognizer, reports: &[TagReport]) -> Vec<ReplayEvent> {
-    let mut pipeline = OnlinePipeline::builder()
+    let mut pipeline = StageGraph::builder()
         .recognizer(recognizer.clone())
         .letter_gap_s(1.5)
         .build()
