@@ -298,30 +298,20 @@ fn checkpoint(path: &str) -> Result<(), RfipadError> {
     Ok(())
 }
 
-/// Renders a flight-recorder dump (`/debug/trace/<session>` body, or any
-/// file of span-event JSON lines) as a per-trace text timeline.
+/// Renders a flight-recorder dump (the `/debug/trace/<session>` body) as a
+/// per-trace text timeline.
 fn spans(path: &str) -> Result<(), RfipadError> {
     use obs::trace::SpanEvent;
     let text =
         std::fs::read_to_string(path).map_err(|e| RfipadError::Source(format!("{path}: {e}")))?;
-    let mut events: Vec<SpanEvent> = text
-        .lines()
-        .filter_map(|line| SpanEvent::from_json(line.trim().trim_end_matches(',')))
-        .collect();
+    let (dropped, mut events) = obs::trace::parse_dump(&text).map_err(|e| {
+        RfipadError::Source(format!(
+            "{path}: {e} (expected the JSON body of /debug/trace/<session>)"
+        ))
+    })?;
     if events.is_empty() {
-        return Err(RfipadError::Source(format!(
-            "{path}: no span events (expected the JSON body of /debug/trace/<session>)"
-        )));
+        return Err(RfipadError::Source(format!("{path}: no span events")));
     }
-    let dropped = text
-        .split_once("\"dropped\":")
-        .and_then(|(_, rest)| {
-            rest.split(|c: char| !c.is_ascii_digit())
-                .next()?
-                .parse()
-                .ok()
-        })
-        .unwrap_or(0u64);
     events.sort_by_key(|e| (e.trace.0, e.start_us, e.end_us));
 
     // Depth = parent-chain length within the dump; orphaned parents (the

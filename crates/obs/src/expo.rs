@@ -9,6 +9,7 @@
 //! serialize, so both renderings are hand-rolled here (the same approach
 //! `rfid_gen2::trace` takes for trace files).
 
+use crate::json;
 use crate::registry::{valid_label_name, valid_metric_name, Metric, Registry};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -35,25 +36,6 @@ fn escape_help(value: &str) -> String {
         match c {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escapes a string for JSON output.
-pub fn escape_json(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
             c => out.push(c),
         }
     }
@@ -155,9 +137,9 @@ impl Registry {
             let _ = write!(
                 out,
                 "\"{}\":{{\"type\":\"{}\",\"help\":\"{}\",\"series\":[",
-                escape_json(name),
+                json::escape(name),
                 family.kind.as_str(),
-                escape_json(&family.help)
+                json::escape(&family.help)
             );
             let mut first_series = true;
             for (labels, metric) in &family.series {
@@ -172,7 +154,7 @@ impl Registry {
                         out.push(',');
                     }
                     first_label = false;
-                    let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
+                    let _ = write!(out, "\"{}\":\"{}\"", json::escape(k), json::escape(v));
                 }
                 out.push('}');
                 match metric {
@@ -444,7 +426,7 @@ mod tests {
 
     #[test]
     fn json_escape_covers_controls() {
-        assert_eq!(escape_json("a\"b\\c\nd\te\r"), "a\\\"b\\\\c\\nd\\te\\r");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        assert_eq!(json::escape("a\"b\\c\nd\te\r"), "a\\\"b\\\\c\\nd\\te\\r");
+        assert_eq!(json::escape("\u{1}"), "\\u0001");
     }
 }

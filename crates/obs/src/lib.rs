@@ -21,6 +21,8 @@
 //!   recent log events for post-mortem dumps.
 //! - **Exposition** ([`expo`]): Prometheus-style text and JSON renderings
 //!   of a registry, plus a validator for the text format.
+//! - **JSON** ([`json`]): the string escaper every JSON writer shares and
+//!   the one strict reader every JSON parser in the workspace uses.
 //! - **Tracing** ([`mod@trace`]): seedable [`trace::TraceId`]/[`trace::SpanId`]
 //!   streams, parent-linked span events, bounded per-session flight
 //!   recorders, and deterministic head sampling for hot-path hops.
@@ -65,6 +67,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod expo;
+pub mod json;
 pub mod logging;
 pub mod metrics;
 pub mod registry;

@@ -173,7 +173,7 @@ pub fn journal_clear() {
 /// `{"entries":[{"seq":N,"level":"INFO","target":"...","message":"..."}]}`.
 /// Backs the `/debug/journal` endpoint.
 pub fn journal_json() -> String {
-    use crate::expo::escape_json;
+    use crate::json::escape;
     use std::fmt::Write as _;
     let entries = journal_snapshot();
     let mut out = String::with_capacity(64 + entries.len() * 96);
@@ -187,8 +187,8 @@ pub fn journal_json() -> String {
             "{{\"seq\":{},\"level\":\"{}\",\"target\":\"{}\",\"message\":\"{}\"}}",
             e.seq,
             e.level.tag(),
-            escape_json(&e.target),
-            escape_json(&e.message)
+            escape(&e.target),
+            escape(&e.message)
         );
     }
     out.push_str("]}\n");

@@ -27,7 +27,7 @@
 //! recorders accept nothing and samplers return `false`, so a
 //! `RFIPAD_LOG=off` replay never reads the clock for tracing.
 
-use crate::expo::escape_json;
+use crate::json::{self, JsonError, Value};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,74 +122,12 @@ impl SpanEvent {
         let _ = write!(
             out,
             ",\"name\":\"{}\",\"start_us\":{},\"end_us\":{}}}",
-            escape_json(&self.name),
+            json::escape(&self.name),
             self.start_us,
             self.end_us
         );
         out
     }
-
-    /// Parses a span from the single-line JSON form [`SpanEvent::to_json`]
-    /// writes. Returns `None` on any malformation — the flight-recorder
-    /// dump is machine-written, so partial recovery is not worth the
-    /// complexity.
-    pub fn from_json(line: &str) -> Option<SpanEvent> {
-        let hex = |key: &str| -> Option<u64> {
-            let field = json_str_field(line, key)?;
-            u64::from_str_radix(&field, 16).ok()
-        };
-        let num = |key: &str| -> Option<u64> {
-            let marker = format!("\"{key}\":");
-            let at = line.find(&marker)? + marker.len();
-            let rest = &line[at..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let parent = match json_str_field(line, "parent") {
-            Some(p) => Some(SpanId(u64::from_str_radix(&p, 16).ok()?)),
-            None if line.contains("\"parent\":null") => None,
-            None => return None,
-        };
-        Some(SpanEvent {
-            trace: TraceId(hex("trace")?),
-            span: SpanId(hex("span")?),
-            parent,
-            name: json_str_field(line, "name")?,
-            start_us: num("start_us")?,
-            end_us: num("end_us")?,
-        })
-    }
-}
-
-/// Extracts the string value of `"key":"..."` from a single-line JSON
-/// object, unescaping the sequences [`escape_json`] produces.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let at = line.find(&marker)? + marker.len();
-    let mut out = String::new();
-    let mut chars = line[at..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let code: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&code, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
 }
 
 /// Default span capacity of a per-session flight recorder.
@@ -252,8 +190,8 @@ impl FlightRecorder {
     }
 
     /// Dumps the recorder as JSON: `{"dropped":N,"spans":[...]}` with one
-    /// span object per line inside the array, so a line-oriented parser
-    /// ([`SpanEvent::from_json`]) can walk the dump.
+    /// span object per line inside the array, so the dump reads well in a
+    /// terminal; [`parse_dump`] reads it back.
     pub fn to_json(&self) -> String {
         let spans = self.snapshot();
         let mut out = String::with_capacity(64 + spans.len() * 96);
@@ -265,6 +203,46 @@ impl FlightRecorder {
         out.push_str("\n]}\n");
         out
     }
+}
+
+/// Parses a [`FlightRecorder::to_json`] dump back into its dropped-span
+/// count and its spans, oldest first.
+///
+/// # Errors
+///
+/// If the dump is not strict JSON of that shape.
+pub fn parse_dump(dump: &str) -> Result<(u64, Vec<SpanEvent>), JsonError> {
+    let [dropped, spans] = json::parse(dump)?.fields(["dropped", "spans"])?;
+    let spans = spans
+        .into_array()?
+        .into_iter()
+        .map(span_from_json)
+        .collect::<Result<_, _>>()?;
+    Ok((dropped.as_uint()?, spans))
+}
+
+/// Reads one span in the form [`SpanEvent::to_json`] writes.
+fn span_from_json(value: Value<'_>) -> Result<SpanEvent, JsonError> {
+    let [trace, span, parent, name, start_us, end_us] =
+        value.fields(["trace", "span", "parent", "name", "start_us", "end_us"])?;
+    // Ids are written as exactly 16 hex digits.
+    let id = |v: &Value<'_>| {
+        let hex = v.as_str()?;
+        if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(v.error("expected a 16-hex-digit id"));
+        }
+        u64::from_str_radix(hex, 16).map_err(|_| v.error("expected a 16-hex-digit id"))
+    };
+    Ok(SpanEvent {
+        trace: TraceId(id(&trace)?),
+        span: SpanId(id(&span)?),
+        parent: (!parent.is_null())
+            .then(|| id(&parent).map(SpanId))
+            .transpose()?,
+        name: name.as_str()?.to_owned(),
+        start_us: start_us.as_uint()?,
+        end_us: end_us.as_uint()?,
+    })
 }
 
 /// How many sessions the recorder registry retains. Closed sessions keep
@@ -469,18 +447,20 @@ mod tests {
             start_us: 10,
             end_us: 35,
         };
-        let line = span.to_json();
-        assert_eq!(SpanEvent::from_json(&line), Some(span.clone()));
         assert_eq!(span.duration_us(), 25);
-
         let root = SpanEvent {
             parent: None,
-            ..span
+            ..span.clone()
         };
-        let line = root.to_json();
-        assert!(line.contains("\"parent\":null"));
-        assert_eq!(SpanEvent::from_json(&line), Some(root));
-        assert_eq!(SpanEvent::from_json("{\"nope\":1}"), None);
+        assert!(root.to_json().contains("\"parent\":null"));
+        let rec = FlightRecorder::new(4);
+        rec.record(span.clone());
+        rec.record(root.clone());
+        assert_eq!(parse_dump(&rec.to_json()), Ok((0, vec![span, root])));
+        assert!(parse_dump("{\"nope\":1}").is_err());
+        // Ids are fixed-width hex: a short or signed id is not ours.
+        let short = rec.to_json().replacen("00000000deadbeef", "deadbeef", 1);
+        assert!(parse_dump(&short).is_err());
     }
 
     #[test]
@@ -502,10 +482,7 @@ mod tests {
         // Oldest first, and the retained spans are the most recent.
         assert_eq!(spans[0].span, SpanId(7));
         assert_eq!(spans[3].span, SpanId(10));
-        let dump = rec.to_json();
-        assert!(dump.contains("\"dropped\":6"));
-        let parsed: Vec<SpanEvent> = dump.lines().filter_map(SpanEvent::from_json).collect();
-        assert_eq!(parsed, spans);
+        assert_eq!(parse_dump(&rec.to_json()), Ok((6, spans)));
     }
 
     #[test]
@@ -584,16 +561,12 @@ mod tests {
             })
             .collect();
         // Snapshot and dump concurrently with the writers: every observed
-        // state must be internally consistent and line-parseable.
+        // state must be internally consistent and parseable.
         for _ in 0..50 {
             let snap = rec.snapshot();
             assert!(snap.len() <= 64, "ring overflowed: {}", snap.len());
-            let dump = rec.to_json();
-            let parsed = dump
-                .lines()
-                .filter_map(|l| SpanEvent::from_json(l.trim().trim_end_matches(',')))
-                .count();
-            assert!(parsed <= 64);
+            let (_, parsed) = parse_dump(&rec.to_json()).expect("dump parses");
+            assert!(parsed.len() <= 64);
             std::thread::yield_now();
         }
         for w in writers {
@@ -603,11 +576,6 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.len(), 64);
         assert_eq!(rec.dropped() + snap.len() as u64, 800);
-        let dump = rec.to_json();
-        let parsed = dump
-            .lines()
-            .filter_map(|l| SpanEvent::from_json(l.trim().trim_end_matches(',')))
-            .count();
-        assert_eq!(parsed, 64);
+        assert_eq!(parse_dump(&rec.to_json()), Ok((rec.dropped(), snap)));
     }
 }

@@ -1,5 +1,7 @@
-//! Property and concurrency tests for the obs metric primitives.
+//! Property and concurrency tests for the obs metric primitives, plus
+//! hostile-input tests for the strict JSON reader.
 
+use obs::json;
 use obs::metrics::{Histogram, SAMPLE_WINDOW};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -24,7 +26,37 @@ fn reference_buckets(samples: &[u64], bounds: &[u64]) -> Vec<u64> {
     out
 }
 
+/// A valid document with every kind of value, nested like a checkpoint.
+const SAMPLE_DOC: &str = r#"{"version":1,"policy":"clamp","bits":18446744073709551615,
+ "stages":{"letter":{"pending":[{"bbox":[0,1,0,1],"mask":"010","ok":true}]}},
+ "name":"tab\tquote\"\u00e9\ud83d\ude00","neg":-0.5e-3,"none":null,"list":[]}"#;
+
 proptest! {
+    /// Arbitrary bytes never panic the reader.
+    #[test]
+    fn random_bytes_never_panic_parse(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+        let _ = json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Flipping, dropping, or inserting one byte of a valid document never
+    /// panics the reader.
+    #[test]
+    fn one_byte_mutations_never_panic_parse(
+        op in 0u8..3,
+        at in 0usize..SAMPLE_DOC.len(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = SAMPLE_DOC.as_bytes().to_vec();
+        match op {
+            0 => bytes[at] ^= byte | 1,
+            1 => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+        let _ = json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
     #[test]
     fn histogram_matches_sorted_vector_reference(
         samples in prop::collection::vec(0u64..2_000_000, 1..512),
@@ -125,4 +157,41 @@ fn concurrent_histogram_records_preserve_count_and_sum() {
     assert_eq!(snap.sum, expected_sum);
     // The final bucket is cumulative over everything.
     assert_eq!(snap.buckets.last().unwrap().1, THREADS * PER_THREAD);
+}
+
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    let err = json::parse(&"[".repeat(100_000)).expect_err("nesting cap");
+    assert!(err.reason.contains("nesting"), "{err}");
+    assert_eq!(err.offset, json::MAX_DEPTH);
+    let at_cap = "[".repeat(json::MAX_DEPTH) + &"]".repeat(json::MAX_DEPTH);
+    assert!(json::parse(&at_cap).is_ok());
+}
+
+#[test]
+fn non_rfc_8259_input_is_rejected() {
+    assert_eq!(json::parse(SAMPLE_DOC).map(|v| v.text()), Ok(SAMPLE_DOC));
+    for bad in [
+        r#"{version:1}"#,
+        r#"{"a":1,}"#,
+        r#"[1,2,]"#,
+        r#"{"a":1} {"b":2}"#,
+        r#"{"a":1}x"#,
+        r#"{"version":+1}"#,
+        r#"{"time":NaN}"#,
+        r#"{"time":inf}"#,
+        r#"{"time":-Infinity}"#,
+        "{\"name\":\"tab\there\"}",
+        r#"{"tag":1,"tag":2}"#,
+        r#"{"a":01}"#,
+        r#"{"a":1.}"#,
+        r#"{"a":.5}"#,
+        r#"{"a":"\x"}"#,
+        r#"{"a":"\ud800"}"#,
+        r#"{'a':1}"#,
+        "",
+        "   ",
+    ] {
+        assert!(json::parse(bad).is_err(), "accepted {bad:?}");
+    }
 }

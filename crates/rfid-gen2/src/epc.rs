@@ -58,6 +58,24 @@ impl Epc96 {
         6 << 11
     }
 
+    /// The 24 lowercase hex digits of the EPC, as traces and checkpoints
+    /// store it.
+    pub fn to_hex(&self) -> String {
+        self.0.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Parses exactly 24 hex digits (either case); `None` otherwise.
+    pub fn from_hex(hex: &str) -> Option<Self> {
+        if hex.len() != 24 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
+        let mut bytes = [0u8; 12];
+        for (b, pair) in bytes.iter_mut().zip(hex.as_bytes().chunks(2)) {
+            *b = u8::from_str_radix(std::str::from_utf8(pair).ok()?, 16).ok()?;
+        }
+        Some(Self(bytes))
+    }
+
     /// The CRC-16 a tag appends to `PC + EPC` in its reply.
     pub fn reply_crc(&self) -> u16 {
         let mut frame = Vec::with_capacity(14);
@@ -121,6 +139,15 @@ mod tests {
         let a = Epc96::for_tag(TagId(1)).reply_crc();
         let b = Epc96::for_tag(TagId(2)).reply_crc();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn hex_round_trips_and_rejects_non_hex() {
+        let epc = Epc96::for_tag(TagId(0xbeef));
+        assert_eq!(Epc96::from_hex(&epc.to_hex()), Some(epc));
+        assert_eq!(Epc96::from_hex(&epc.to_hex().to_uppercase()), Some(epc));
+        assert_eq!(Epc96::from_hex(&epc.to_hex()[1..]), None);
+        assert_eq!(Epc96::from_hex(&format!("+{}", &epc.to_hex()[1..])), None);
     }
 
     #[test]

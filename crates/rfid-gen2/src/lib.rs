@@ -18,7 +18,6 @@
 //!   EPC/phase/RSS/Doppler reports from a scene;
 //! - [`report`] — [`report::TagReport`], the canonical reader-boundary
 //!   record the recognition stack consumes;
-//! - [`llrp`] — an LLRP-style wire format for the report stream;
 //! - [`trace`] — record/replay serialization of report streams (JSON lines
 //!   and length-prefixed binary);
 //! - [`source`] — the [`source::ReportSource`] abstraction over live runs
@@ -64,7 +63,6 @@ pub mod crc;
 pub mod epc;
 pub mod inventory;
 pub mod link;
-pub mod llrp;
 pub mod protocol;
 pub mod reader;
 pub mod report;

@@ -5,8 +5,8 @@
 //! - **JSON lines** (`.jsonl`): one self-describing JSON object per line —
 //!   greppable, diffable, and editable. Floats are printed with Rust's
 //!   shortest round-trip formatting, so a decoded trace is bit-identical
-//!   to the recorded stream. (The workspace's offline `serde` stand-in has
-//!   no serializer, so the codec writes the JSON framing directly.)
+//!   to the recorded stream. The codec writes each line with `format!` and
+//!   reads it with the strict `obs::json` reader.
 //! - **Binary** (`.rftrace`): a 4-byte magic (`RFT1`) followed by
 //!   length-prefixed fixed-layout records (big-endian, floats as IEEE-754
 //!   bits via the vendored `bytes` buffers) — compact and exact by
@@ -18,6 +18,7 @@
 use crate::epc::Epc96;
 use crate::report::TagReport;
 use bytes::{Buf, BufMut, BytesMut};
+use obs::json::JsonError;
 use rf_sim::tags::TagId;
 use std::fmt;
 use std::fs::File;
@@ -88,107 +89,46 @@ impl From<std::io::Error> for TraceError {
 
 /// Encodes one report as a JSON object (no trailing newline). Floats use
 /// Rust's shortest round-trip formatting, so decoding recovers the exact
-/// bits.
+/// bits. Non-finite floats have no JSON form; record such reports in the
+/// binary framing.
 pub fn encode_json_line(r: &TagReport) -> String {
-    let mut epc_hex = String::with_capacity(24);
-    for b in r.epc.as_bytes() {
-        epc_hex.push_str(&format!("{b:02x}"));
-    }
     format!(
-        "{{\"epc\":\"{epc_hex}\",\"tag\":{},\"time\":{},\"phase\":{},\"rss_dbm\":{},\"doppler_hz\":{},\"antenna_port\":{},\"channel_index\":{}}}",
-        r.tag.0, r.time, r.phase, r.rss_dbm, r.doppler_hz, r.antenna_port, r.channel_index
+        "{{\"epc\":\"{}\",\"tag\":{},\"time\":{},\"phase\":{},\"rss_dbm\":{},\"doppler_hz\":{},\"antenna_port\":{},\"channel_index\":{}}}",
+        r.epc.to_hex(), r.tag.0, r.time, r.phase, r.rss_dbm, r.doppler_hz, r.antenna_port, r.channel_index
     )
 }
 
-fn parse_err(line: usize, reason: impl Into<String>) -> TraceError {
-    TraceError::Parse {
-        line,
-        reason: reason.into(),
-    }
+/// Decodes one JSON trace line (field order independent, every field
+/// required, nothing else allowed). `line_no` is the 1-based line number
+/// used in error messages.
+pub fn decode_json_line(line: &str, line_no: usize) -> Result<TagReport, TraceError> {
+    report_from_json(line).map_err(|e| TraceError::Parse {
+        line: line_no,
+        reason: e.to_string(),
+    })
 }
 
-/// Decodes one JSON trace line (field order independent). `line_no` is the
-/// 1-based line number used in error messages.
-pub fn decode_json_line(line: &str, line_no: usize) -> Result<TagReport, TraceError> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| parse_err(line_no, "not a JSON object"))?;
-
-    let mut epc = None;
-    let mut tag = None;
-    let mut time = None;
-    let mut phase = None;
-    let mut rss = None;
-    let mut doppler = None;
-    let mut antenna = None;
-    let mut channel = None;
-
-    // The only string field (epc) is fixed-charset hex, so splitting the
-    // object body on commas is unambiguous.
-    for field in body.split(',') {
-        let (key, value) = field
-            .split_once(':')
-            .ok_or_else(|| parse_err(line_no, format!("field without ':': {field:?}")))?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "epc" => {
-                let hex = value.trim_matches('"');
-                if hex.len() != 24 {
-                    return Err(parse_err(line_no, format!("EPC hex length {}", hex.len())));
-                }
-                let mut bytes = [0u8; 12];
-                for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-                    let pair = std::str::from_utf8(chunk)
-                        .map_err(|_| parse_err(line_no, "EPC not UTF-8"))?;
-                    bytes[i] = u8::from_str_radix(pair, 16)
-                        .map_err(|_| parse_err(line_no, format!("EPC hex digit {pair:?}")))?;
-                }
-                epc = Some(Epc96::from_bytes(bytes));
-            }
-            "tag" => {
-                tag =
-                    Some(TagId(value.parse().map_err(|_| {
-                        parse_err(line_no, format!("tag id {value:?}"))
-                    })?));
-            }
-            "time" | "phase" | "rss_dbm" | "doppler_hz" => {
-                let v: f64 = value
-                    .parse()
-                    .map_err(|_| parse_err(line_no, format!("number {value:?} for {key}")))?;
-                match key {
-                    "time" => time = Some(v),
-                    "phase" => phase = Some(v),
-                    "rss_dbm" => rss = Some(v),
-                    _ => doppler = Some(v),
-                }
-            }
-            "antenna_port" | "channel_index" => {
-                let v: u16 = value
-                    .parse()
-                    .map_err(|_| parse_err(line_no, format!("u16 {value:?} for {key}")))?;
-                if key == "antenna_port" {
-                    antenna = Some(v);
-                } else {
-                    channel = Some(v);
-                }
-            }
-            other => return Err(parse_err(line_no, format!("unknown field {other:?}"))),
-        }
-    }
-
-    let missing = |name: &str| parse_err(line_no, format!("missing field {name:?}"));
+fn report_from_json(line: &str) -> Result<TagReport, JsonError> {
+    let [epc, tag, time, phase, rss_dbm, doppler_hz, antenna_port, channel_index] =
+        obs::json::parse(line)?.fields([
+            "epc",
+            "tag",
+            "time",
+            "phase",
+            "rss_dbm",
+            "doppler_hz",
+            "antenna_port",
+            "channel_index",
+        ])?;
     Ok(TagReport {
-        epc: epc.ok_or_else(|| missing("epc"))?,
-        tag: tag.ok_or_else(|| missing("tag"))?,
-        time: time.ok_or_else(|| missing("time"))?,
-        phase: phase.ok_or_else(|| missing("phase"))?,
-        rss_dbm: rss.ok_or_else(|| missing("rss_dbm"))?,
-        doppler_hz: doppler.ok_or_else(|| missing("doppler_hz"))?,
-        antenna_port: antenna.ok_or_else(|| missing("antenna_port"))?,
-        channel_index: channel.ok_or_else(|| missing("channel_index"))?,
+        epc: Epc96::from_hex(epc.as_str()?).ok_or_else(|| epc.error("expected 24 hex digits"))?,
+        tag: TagId(tag.as_uint()?),
+        time: time.as_f64()?,
+        phase: phase.as_f64()?,
+        rss_dbm: rss_dbm.as_f64()?,
+        doppler_hz: doppler_hz.as_f64()?,
+        antenna_port: antenna_port.as_uint()?,
+        channel_index: channel_index.as_uint()?,
     })
 }
 
@@ -462,6 +402,17 @@ mod tests {
         match read_trace(&mut data) {
             Err(TraceError::Parse { line, .. }) => assert_eq!(line, 1),
             other => panic!("expected parse error, got {other:?}"),
+        }
+        // Not JSON, though a comma splitter took them: NaN, a duplicated
+        // field, and a leading `+`.
+        let line = encode_json_line(&TagReport::synthetic(TagId(3), 1.5, 2.0, -44.0));
+        for bad in [
+            line.replacen("\"time\":1.5", "\"time\":NaN", 1),
+            line.replacen("\"tag\":3", "\"tag\":3,\"tag\":4", 1),
+            line.replacen("\"tag\":3", "\"tag\":+1", 1),
+        ] {
+            let err = decode_json_line(&bad, 7).unwrap_err();
+            assert!(matches!(err, TraceError::Parse { line: 7, .. }), "{err}");
         }
     }
 

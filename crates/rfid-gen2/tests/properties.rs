@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use rf_sim::tags::TagId;
 use rfid_gen2::crc::{crc16, crc16_verify, crc5, crc5_verify};
 use rfid_gen2::epc::Epc96;
-use rfid_gen2::llrp::{decode_report, encode_report, LlrpMessage};
 use rfid_gen2::report::TagReport;
 use rfid_gen2::trace::{read_trace, write_trace, TraceFormat};
 use rfid_gen2::QAlgorithm;
@@ -54,45 +53,6 @@ proptest! {
     #[test]
     fn epc_round_trip(id in any::<u64>()) {
         prop_assert_eq!(Epc96::for_tag(TagId(id)).to_tag(), Some(TagId(id)));
-    }
-
-    /// LLRP message framing round-trips any payload.
-    #[test]
-    fn llrp_frame_round_trip(
-        msg_type in 0u16..1024,
-        msg_id in any::<u32>(),
-        payload in prop::collection::vec(any::<u8>(), 0..256),
-    ) {
-        let msg = LlrpMessage { msg_type, msg_id, payload };
-        let bytes = msg.encode();
-        let (decoded, used) = LlrpMessage::decode(&bytes).expect("well-formed");
-        prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(decoded, msg);
-    }
-
-    /// Tag reports survive the wire format to quantization accuracy.
-    #[test]
-    fn report_round_trip(
-        reads in prop::collection::vec(
-            (0u64..1000, 0.0f64..100.0, 0.0f64..6.2, -90.0f64..-20.0, -30.0f64..30.0,
-             1u16..5, 0u16..51),
-            0..40,
-        ),
-    ) {
-        let events: Vec<TagReport> = reads.iter().copied().map(report_from).collect();
-        let wire = encode_report(&events, 3);
-        let (msg, _) = LlrpMessage::decode(&wire).expect("frame");
-        let decoded = decode_report(&msg).expect("payload");
-        prop_assert_eq!(decoded.len(), events.len());
-        for (orig, dec) in events.iter().zip(&decoded) {
-            prop_assert_eq!(dec.epc, orig.epc);
-            prop_assert_eq!(dec.antenna_port, orig.antenna_port);
-            prop_assert_eq!(dec.channel_index, orig.channel_index);
-            prop_assert!((dec.phase - orig.phase).abs() < 0.002);
-            prop_assert!((dec.rss_dbm - orig.rss_dbm).abs() < 0.01);
-            prop_assert!((dec.doppler_hz - orig.doppler_hz).abs() < 0.07);
-            prop_assert!((dec.time - orig.time).abs() < 1e-5);
-        }
     }
 
     /// Both trace framings round-trip any report stream bit-exactly —

@@ -9,7 +9,7 @@
 //!
 //! Sessions are also *migratable*: [`SessionHandle::checkpoint`] freezes
 //! a session's mid-stream recognition state into a serializable
-//! [`SessionCheckpoint`], and [`Engine::restore_session`] resumes it —
+//! [`PipelineCheckpoint`], and [`Engine::restore_session`] resumes it —
 //! on this engine or another — so the remainder of the stream produces
 //! exactly the events the uninterrupted session would have.
 //!
@@ -691,9 +691,9 @@ impl Engine {
         &self,
         id: impl Into<String>,
         mut graph: StageGraph,
-        checkpoint: &SessionCheckpoint,
+        checkpoint: &PipelineCheckpoint,
     ) -> Result<SessionHandle, RfipadError> {
-        graph.restore_checkpoint(checkpoint.pipeline())?;
+        graph.restore_checkpoint(checkpoint)?;
         self.open_session(id, graph)
     }
 
@@ -1025,7 +1025,7 @@ fn stats_json(shared: &Shared) -> String {
              \"events_out\":{},\"out_of_order\":{},\"pending_events\":{},\
              \"queue_depth\":{},\"closed\":{},\"push_latency\":{{\"count\":{},\
              \"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}}}",
-            obs::expo::escape_json(&s.id),
+            obs::json::escape(&s.id),
             s.worker,
             s.reports_in,
             s.reports_dropped,
@@ -1112,109 +1112,6 @@ pub struct EngineStats {
     pub events_out: u64,
     /// Open sessions, sorted by id.
     pub sessions: Vec<SessionStats>,
-}
-
-/// A frozen, serializable snapshot of one session's recognition state,
-/// taken by [`SessionHandle::checkpoint`] and consumed by
-/// [`Engine::restore_session`].
-///
-/// The checkpoint captures the session's [`PipelineCheckpoint`] — buffer,
-/// reported spans, pending strokes, clocks — but *not* the recognizer
-/// (layout, calibration, grammar), which the restoring side supplies via
-/// a freshly built [`StageGraph`]. Undrained events and counters stay
-/// with the original session; drain them before migrating.
-///
-/// [`SessionCheckpoint::to_json`] / [`SessionCheckpoint::from_json`]
-/// round-trip the snapshot through a versioned, self-contained JSON
-/// document bit-exactly, so it can cross a process boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionCheckpoint {
-    id: String,
-    pipeline: PipelineCheckpoint,
-}
-
-/// Version stamp of the [`SessionCheckpoint`] JSON envelope (the wrapped
-/// pipeline checkpoint carries its own).
-const SESSION_CHECKPOINT_VERSION: u64 = 1;
-
-impl SessionCheckpoint {
-    /// The id of the session the checkpoint was taken from (informational
-    /// — [`Engine::restore_session`] names the restored session itself).
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// The wrapped mid-stream pipeline state.
-    pub fn pipeline(&self) -> &PipelineCheckpoint {
-        &self.pipeline
-    }
-
-    /// Serializes the checkpoint. The output is bit-stable: serializing
-    /// the same checkpoint twice yields identical strings.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"version\":{},\"id\":\"{}\",\"pipeline\":{}}}",
-            SESSION_CHECKPOINT_VERSION,
-            obs::expo::escape_json(&self.id),
-            self.pipeline.to_json(),
-        )
-    }
-
-    /// Parses a checkpoint serialized by [`SessionCheckpoint::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`RfipadError::Checkpoint`] on malformed JSON, an unknown version,
-    /// or unknown / missing fields — a corrupted or foreign document is
-    /// rejected rather than half-restored.
-    pub fn from_json(json: &str) -> Result<Self, RfipadError> {
-        let reject = |msg: String| RfipadError::Checkpoint(msg);
-        let body = json
-            .trim()
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| reject("session checkpoint is not a JSON object".into()))?;
-        let mut version = None;
-        let mut id = None;
-        let mut pipeline = None;
-        for field in crate::metrics::split_top_level(body) {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| reject(format!("field without ':': {field:?}")))?;
-            match key.trim().trim_matches('"') {
-                "version" => {
-                    version = Some(
-                        value
-                            .trim()
-                            .parse::<u64>()
-                            .map_err(|e| reject(format!("bad session checkpoint version: {e}")))?,
-                    );
-                }
-                "id" => {
-                    id = Some(
-                        crate::metrics::unescape_json_string(value.trim())
-                            .map_err(|e| reject(format!("bad session id: {e}")))?,
-                    );
-                }
-                "pipeline" => pipeline = Some(PipelineCheckpoint::from_json(value.trim())?),
-                other => {
-                    return Err(reject(format!(
-                        "unknown session checkpoint field {other:?}"
-                    )));
-                }
-            }
-        }
-        match (version, id, pipeline) {
-            (Some(SESSION_CHECKPOINT_VERSION), Some(id), Some(pipeline)) => {
-                Ok(Self { id, pipeline })
-            }
-            (Some(v), _, _) if v != SESSION_CHECKPOINT_VERSION => Err(reject(format!(
-                "unsupported session checkpoint version {v} (expected \
-                 {SESSION_CHECKPOINT_VERSION})"
-            ))),
-            _ => Err(reject("incomplete session checkpoint".into())),
-        }
-    }
 }
 
 /// A feeder's handle to one open session.
@@ -1432,7 +1329,13 @@ impl SessionHandle {
 
     /// Snapshots the session's recognition state for migration: waits
     /// until the worker has drained every report accepted so far, then
-    /// freezes the pipeline state into a [`SessionCheckpoint`].
+    /// freezes the graph into a [`PipelineCheckpoint`].
+    ///
+    /// The checkpoint holds the graph's mid-stream state — buffer,
+    /// reported spans, pending strokes, clocks — but *not* the recognizer
+    /// (layout, calibration, grammar), which the restoring side supplies
+    /// via a freshly built [`StageGraph`]. Undrained events and counters
+    /// stay with this session; drain them before migrating.
     ///
     /// The session stays open and keeps accepting feeds afterwards; the
     /// checkpoint is a copy, not a detach. The caller must not feed the
@@ -1446,7 +1349,7 @@ impl SessionHandle {
     ///
     /// [`RfipadError::SessionClosed`] once the session was closed or
     /// evicted; [`RfipadError::EngineDown`] after engine shutdown.
-    pub fn checkpoint(&self) -> Result<SessionCheckpoint, RfipadError> {
+    pub fn checkpoint(&self) -> Result<PipelineCheckpoint, RfipadError> {
         let sess = &self.inner;
         loop {
             if self.shared.down.load(Ordering::SeqCst) {
@@ -1460,10 +1363,7 @@ impl SessionHandle {
                 let accounted =
                     state.processed + sess.counters.reports_dropped.load(Ordering::Relaxed);
                 if accounted == sess.counters.reports_in.load(Ordering::Relaxed) {
-                    return Ok(SessionCheckpoint {
-                        id: sess.id.clone(),
-                        pipeline: state.graph.checkpoint(),
-                    });
+                    return Ok(state.graph.checkpoint());
                 }
             }
             std::thread::yield_now();
@@ -2191,6 +2091,30 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_report_times_spare_the_worker() {
+        let expected = serial_events();
+        let engine = Engine::builder().workers(1).build().expect("engine");
+        let victim = engine.open_session("victim", pipeline()).expect("open");
+        let bystander = engine.open_session("bystander", pipeline()).expect("open");
+        let reports = recording();
+        let split = reports.len() / 2;
+        for (i, &o) in reports.iter().enumerate() {
+            if i == split {
+                for time in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    victim.ingest(TagReport { time, ..o }).expect("feed");
+                }
+            }
+            victim.ingest(o).expect("feed");
+            bystander.ingest(o).expect("feed");
+        }
+        for session in [victim, bystander] {
+            let mut events = session.close().expect("worker survived");
+            normalize_events(&mut events);
+            assert_eq!(events, expected);
+        }
+    }
+
+    #[test]
     fn checkpoint_restore_resumes_mid_stream() {
         let expected = serial_events();
         let reports = recording();
@@ -2203,10 +2127,9 @@ mod tests {
             session.ingest(*o).expect("feed");
         }
         let checkpoint = session.checkpoint().expect("checkpoint");
-        assert_eq!(checkpoint.id(), "migrate-src");
         // The checkpoint survives a serialization round-trip bit-exactly.
         let wire = checkpoint.to_json();
-        let parsed = SessionCheckpoint::from_json(&wire).expect("parse");
+        let parsed = PipelineCheckpoint::from_json(&wire).expect("parse");
         assert_eq!(parsed, checkpoint);
         assert_eq!(parsed.to_json(), wire);
         // Events produced before the migration stay with the source.
@@ -2223,32 +2146,6 @@ mod tests {
         normalize_events(&mut events);
         assert_eq!(events, expected);
         session.close().expect("close source");
-    }
-
-    #[test]
-    fn session_checkpoint_json_rejects_corruption() {
-        let engine = Engine::builder().workers(1).build().expect("engine");
-        let session = engine.open_session("cp", quiet_pipeline()).expect("open");
-        for o in quiet_reports(30) {
-            session.ingest(o).expect("feed");
-        }
-        let wire = session.checkpoint().expect("checkpoint").to_json();
-        assert!(matches!(
-            SessionCheckpoint::from_json("not json"),
-            Err(RfipadError::Checkpoint(_))
-        ));
-        // The first "version" in the document is the session envelope's.
-        let foreign = wire.replacen("\"version\":1", "\"version\":7", 1);
-        assert!(matches!(
-            SessionCheckpoint::from_json(&foreign),
-            Err(RfipadError::Checkpoint(_))
-        ));
-        let extra = format!("{{\"surprise\":true,{}", &wire[1..]);
-        assert!(matches!(
-            SessionCheckpoint::from_json(&extra),
-            Err(RfipadError::Checkpoint(_))
-        ));
-        session.close().expect("close");
     }
 
     #[test]

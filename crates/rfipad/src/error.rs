@@ -34,9 +34,9 @@ pub enum RfipadError {
     SessionClosed(String),
     /// The ingest engine's workers are gone (shut down or panicked).
     EngineDown,
-    /// A pipeline or session checkpoint failed to serialize, parse, or
-    /// restore (corrupted payload, unsupported version, or a checkpoint
-    /// taken under a different pipeline configuration).
+    /// A pipeline checkpoint failed to parse or restore (malformed JSON,
+    /// unsupported version, impossible stage state, or a checkpoint taken
+    /// under a different pipeline configuration).
     Checkpoint(String),
 }
 
@@ -86,6 +86,14 @@ impl From<rfid_gen2::source::SourceError> for RfipadError {
 impl From<rfid_gen2::trace::TraceError> for RfipadError {
     fn from(e: rfid_gen2::trace::TraceError) -> Self {
         RfipadError::Source(e.to_string())
+    }
+}
+
+/// Checkpoints are the only JSON this crate reads, so a JSON error is a
+/// checkpoint error.
+impl From<obs::json::JsonError> for RfipadError {
+    fn from(e: obs::json::JsonError) -> Self {
+        RfipadError::Checkpoint(e.to_string())
     }
 }
 

@@ -83,10 +83,7 @@ pub mod words;
 
 pub use calibration::Calibration;
 pub use config::RfipadConfig;
-pub use engine::{
-    Backpressure, Engine, EngineStats, IngestReceipt, SessionCheckpoint, SessionHandle,
-    SessionStats,
-};
+pub use engine::{Backpressure, Engine, EngineStats, IngestReceipt, SessionHandle, SessionStats};
 pub use error::RfipadError;
 pub use layout::ArrayLayout;
 pub use multipad::{PadDispatcher, PadEvent, PadHandle};
@@ -104,9 +101,7 @@ pub use words::{DecodedWord, WordDecoder};
 pub mod prelude {
     pub use crate::calibration::Calibration;
     pub use crate::config::RfipadConfig;
-    pub use crate::engine::{
-        Backpressure, Engine, IngestReceipt, SessionCheckpoint, SessionHandle,
-    };
+    pub use crate::engine::{Backpressure, Engine, IngestReceipt, SessionHandle};
     pub use crate::error::RfipadError;
     pub use crate::grammar::GrammarTree;
     pub use crate::layout::ArrayLayout;

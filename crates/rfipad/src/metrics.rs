@@ -91,150 +91,6 @@ impl ConfusionMatrix {
             *self.counts.entry((t.clone(), p.clone())).or_default() += c;
         }
     }
-
-    /// Serializes the matrix as one JSON object:
-    /// `{"counts":[{"truth":"a","predicted":"b","count":2}, ...]}`.
-    ///
-    /// The serde stand-in under `vendor/` cannot serialize, so the codec is
-    /// hand-rolled here, the same way `rfid_gen2::trace` persists reports.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counts\":[");
-        for (i, ((t, p), c)) in self.counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"truth\":\"{}\",\"predicted\":\"{}\",\"count\":{c}}}",
-                obs::expo::escape_json(t),
-                obs::expo::escape_json(p)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses a matrix from the [`ConfusionMatrix::to_json`] format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed entry.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let body = json.trim();
-        let inner = body
-            .strip_prefix("{\"counts\":[")
-            .and_then(|s| s.strip_suffix("]}"))
-            .ok_or_else(|| "expected {\"counts\":[...]} wrapper".to_string())?;
-        let mut matrix = ConfusionMatrix::new();
-        if inner.trim().is_empty() {
-            return Ok(matrix);
-        }
-        for record in split_top_level(inner) {
-            let record = record.trim();
-            let entry = record
-                .strip_prefix('{')
-                .and_then(|s| s.strip_suffix('}'))
-                .ok_or_else(|| format!("expected object, got {record:?}"))?;
-            let mut truth = None;
-            let mut predicted = None;
-            let mut count: Option<u64> = None;
-            for field in split_top_level(entry) {
-                let (key, value) = field
-                    .split_once(':')
-                    .ok_or_else(|| format!("field without ':' in {entry:?}"))?;
-                match key.trim().trim_matches('"') {
-                    "truth" => truth = Some(unescape_json_string(value.trim())?),
-                    "predicted" => predicted = Some(unescape_json_string(value.trim())?),
-                    "count" => {
-                        count = Some(
-                            value
-                                .trim()
-                                .parse()
-                                .map_err(|e| format!("bad count in {entry:?}: {e}"))?,
-                        )
-                    }
-                    other => return Err(format!("unknown field {other:?}")),
-                }
-            }
-            let (truth, predicted, count) = match (truth, predicted, count) {
-                (Some(t), Some(p), Some(c)) => (t, p, c),
-                _ => return Err(format!("incomplete entry {entry:?}")),
-            };
-            *matrix.counts.entry((truth, predicted)).or_default() += count;
-        }
-        Ok(matrix)
-    }
-}
-
-/// Splits on commas that sit outside quoted strings and outside nested
-/// `{}`/`[]` — the boundaries between records in an array, or between
-/// fields inside one record. String contents (including escaped quotes and
-/// brace characters in label text) never split.
-///
-/// Shared with the checkpoint codec in [`crate::stage`], which follows the
-/// same hand-rolled JSON conventions.
-pub(crate) fn split_top_level(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    let mut prev_backslash = false;
-    let mut depth = 0usize;
-    for (i, c) in s.char_indices() {
-        if in_string {
-            if prev_backslash {
-                prev_backslash = false;
-            } else if c == '\\' {
-                prev_backslash = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-        } else {
-            match c {
-                '"' => in_string = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth = depth.saturating_sub(1),
-                ',' if depth == 0 => {
-                    out.push(&s[start..i]);
-                    start = i + 1;
-                }
-                _ => {}
-            }
-        }
-    }
-    out.push(&s[start..]);
-    out
-}
-
-/// Decodes one quoted JSON string (the subset [`ConfusionMatrix::to_json`]
-/// emits: `\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX`). Shared with the
-/// checkpoint codec in [`crate::stage`].
-pub(crate) fn unescape_json_string(quoted: &str) -> Result<String, String> {
-    let inner = quoted
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected quoted string, got {quoted:?}"))?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16)
-                    .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                out.push(char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?);
-            }
-            other => return Err(format!("bad escape {other:?}")),
-        }
-    }
-    Ok(out)
 }
 
 impl fmt::Display for ConfusionMatrix {
@@ -403,44 +259,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 2);
         assert!((a.accuracy() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confusion_json_round_trip() {
-        let mut m = ConfusionMatrix::new();
-        m.record("a", "a");
-        m.record("a", "b");
-        m.record("a", "b");
-        m.record("L", "I");
-        let json = m.to_json();
-        assert!(json.contains("\"truth\":\"a\",\"predicted\":\"b\",\"count\":2"));
-        let back = ConfusionMatrix::from_json(&json).expect("round trip");
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn confusion_json_round_trip_with_awkward_labels() {
-        let mut m = ConfusionMatrix::new();
-        // Quotes, backslashes, separators, and braces inside labels must
-        // survive the trip.
-        m.record("he said \"L\"", "back\\slash");
-        m.record("comma,colon:", "brace}{,\"quoted\"");
-        m.record("newline\nand\ttab", "plain");
-        let back = ConfusionMatrix::from_json(&m.to_json()).expect("round trip");
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn confusion_json_empty_and_malformed() {
-        let empty = ConfusionMatrix::new();
-        let back = ConfusionMatrix::from_json(&empty.to_json()).expect("empty round trip");
-        assert_eq!(back, empty);
-        assert!(ConfusionMatrix::from_json("").is_err());
-        assert!(ConfusionMatrix::from_json("{\"counts\":[{\"truth\":\"a\"}]}").is_err());
-        assert!(ConfusionMatrix::from_json(
-            "{\"counts\":[{\"truth\":\"a\",\"predicted\":\"b\",\"count\":\"x\"}]}"
-        )
-        .is_err());
     }
 
     #[test]

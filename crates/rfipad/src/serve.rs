@@ -1330,13 +1330,9 @@ mod tests {
                 .any(|s| s.name == "emit" && s.parent == Some(root.span)),
             "{spans:?}"
         );
-        // The dump is line-parseable back into span events.
-        let dump = rec.to_json();
-        assert!(dump.starts_with("{\"dropped\":"), "{dump}");
-        let parsed = dump
-            .lines()
-            .filter_map(|l| obs::trace::SpanEvent::from_json(l.trim().trim_end_matches(',')))
-            .count();
-        assert_eq!(parsed, spans.len());
+        // The dump parses back into the same span events.
+        let (dropped, parsed) = obs::trace::parse_dump(&rec.to_json()).expect("dump parses");
+        assert_eq!(dropped, rec.dropped());
+        assert_eq!(parsed, spans);
     }
 }

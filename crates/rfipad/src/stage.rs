@@ -20,7 +20,7 @@
 //! not offer:
 //!
 //! * **Checkpoint/restore.** Every stage can [`Stage::snapshot`] its
-//!   mutable state into a versioned, hand-rolled-JSON [`StageState`];
+//!   mutable state into a JSON [`StageState`];
 //!   [`StageGraph::checkpoint`] bundles them into a
 //!   [`PipelineCheckpoint`] that [`StageGraph::restore_checkpoint`]
 //!   replays into a freshly built graph. A restored graph produces the
@@ -33,15 +33,17 @@
 //!
 //! Floats in checkpoints are persisted as IEEE-754 bit patterns
 //! (`f64::to_bits`), never decimal, so a snapshot/restore round trip is
-//! exact; the codec rejects unknown fields and versions it does not
-//! understand with [`RfipadError::Checkpoint`].
+//! exact. Checkpoints are written with `format!` and read with the strict
+//! `obs::json` reader; malformed JSON, unknown or missing fields, foreign
+//! versions, and impossible stage state are rejected with
+//! [`RfipadError::Checkpoint`].
 
 use crate::error::RfipadError;
-use crate::metrics::split_top_level;
 use crate::recognizer::{RecognizedStroke, Recognizer};
 use crate::segmentation::StrokeSpan;
 use crate::streams::{TagStreams, TagStreamsBuilder};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
+use obs::json::{self, JsonError, Value};
 use rfid_gen2::epc::Epc96;
 use rfid_gen2::report::{TagId, TagReport};
 use serde::{Deserialize, Serialize};
@@ -137,9 +139,8 @@ pub trait Stage {
 }
 
 /// A serialized stage snapshot: the owning stage's name plus its state
-/// as a hand-rolled JSON object (the same convention as
-/// [`crate::metrics::ConfusionMatrix`] — no serde in the persistence
-/// path).
+/// as a JSON object. [`PipelineCheckpoint::from_json`] hands each stage
+/// the exact bytes its snapshot wrote.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageState {
     stage: String,
@@ -507,48 +508,41 @@ impl Stage for Framing {
     }
 
     fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        check_stage_name(self.name(), state)?;
-        let mut last_processed = None;
-        let mut buffer = None;
-        let mut frames_diag = None;
-        for (key, value) in parse_fields(object_body(state.state())?)? {
-            match key.as_str() {
-                "last_processed_bits" => last_processed = Some(parse_bits(value)?),
-                "buffer" => {
-                    let mut reports = Vec::new();
-                    for item in array_items(value)? {
-                        reports.push(report_from_json(item)?);
-                    }
-                    buffer = Some(reports);
-                }
-                "frames" => frames_diag = Some(frame_diag_from_json(value)?),
-                other => return Err(checkpoint_err(format!("unknown framing field {other:?}"))),
-            }
+        let [last_processed, buffer, frames] =
+            stage_json(self.name(), state)?.fields(["last_processed_bits", "buffer", "frames"])?;
+        let buffer = buffer
+            .into_array()?
+            .into_iter()
+            .map(report_from_json)
+            .collect::<Result<Vec<_>, _>>()?;
+        // The stream builders need a finite, time-ordered history.
+        if !(buffer.iter().all(|o| o.time.is_finite())
+            && buffer.windows(2).all(|w| w[0].time <= w[1].time))
+        {
+            return Err(checkpoint_err(
+                "framing buffer times must be finite and non-decreasing",
+            ));
         }
-        self.last_processed =
-            last_processed.ok_or_else(|| checkpoint_err("framing state lacks last_processed"))?;
-        self.buffer = buffer.ok_or_else(|| checkpoint_err("framing state lacks buffer"))?;
+        self.last_processed = bits(&last_processed)?;
+        self.buffer = buffer;
         self.invalidate_cache();
         self.hold_from = None;
         self.pending_trim = None;
-        let diag = frames_diag.ok_or_else(|| checkpoint_err("framing state lacks frames"))?;
-        if let Some((anchor, frame_len, max_time)) = diag {
+        if !frames.is_null() {
             // Rebuild the accumulator the next tick would build anyway
             // and verify it against the checkpointed diagnostics — a
             // cheap integrity check that the buffer round-tripped bit
             // for bit.
+            let [anchor, frame_len, max_time] =
+                frames.fields(["anchor_bits", "frame_len_bits", "max_time_bits"])?;
+            let expected: [u64; 3] = [anchor.as_uint()?, frame_len.as_uint()?, max_time.as_uint()?];
             self.ensure_cache();
-            let frames = self
+            let rebuilt = self
                 .cache
                 .as_ref()
                 .and_then(|c| c.frames.as_ref())
-                .ok_or_else(|| {
-                    checkpoint_err("checkpointed frame accumulator cannot be rebuilt from buffer")
-                })?;
-            if frames.start().to_bits() != anchor
-                || frames.frame_len().to_bits() != frame_len
-                || frames.max_time().to_bits() != max_time
-            {
+                .map(|f| [f.start(), f.frame_len(), f.max_time()].map(f64::to_bits));
+            if rebuilt != Some(expected) {
                 return Err(checkpoint_err(
                     "rebuilt frame accumulator diverges from the checkpoint",
                 ));
@@ -702,26 +696,12 @@ impl Stage for Segmentation {
     }
 
     fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        check_stage_name(self.name(), state)?;
-        let mut reported = None;
-        for (key, value) in parse_fields(object_body(state.state())?)? {
-            match key.as_str() {
-                "reported_spans_bits" => {
-                    let mut spans = Vec::new();
-                    for item in array_items(value)? {
-                        spans.push(parse_bits(item)?);
-                    }
-                    reported = Some(spans);
-                }
-                other => {
-                    return Err(checkpoint_err(format!(
-                        "unknown segmentation field {other:?}"
-                    )))
-                }
-            }
-        }
-        self.reported_spans =
-            reported.ok_or_else(|| checkpoint_err("segmentation state lacks reported spans"))?;
+        let [spans] = stage_json(self.name(), state)?.fields(["reported_spans_bits"])?;
+        self.reported_spans = spans
+            .into_array()?
+            .iter()
+            .map(bits)
+            .collect::<Result<_, _>>()?;
         // The last segmentation is diagnostic only; it reappears at the
         // first tick after restore.
         self.last = None;
@@ -788,8 +768,8 @@ impl Stage for Motion {
     }
 
     fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        check_stage_name(self.name(), state)?;
-        expect_empty_state(state)
+        let [] = stage_json(self.name(), state)?.fields([])?;
+        Ok(())
     }
 }
 
@@ -856,21 +836,12 @@ impl Stage for LetterRecognition {
     }
 
     fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        check_stage_name(self.name(), state)?;
-        let mut pending = None;
-        for (key, value) in parse_fields(object_body(state.state())?)? {
-            match key.as_str() {
-                "pending" => {
-                    let mut strokes = Vec::new();
-                    for item in array_items(value)? {
-                        strokes.push(stroke_from_json(item)?);
-                    }
-                    pending = Some(strokes);
-                }
-                other => return Err(checkpoint_err(format!("unknown letter field {other:?}"))),
-            }
-        }
-        self.pending = pending.ok_or_else(|| checkpoint_err("letter state lacks pending"))?;
+        let [pending] = stage_json(self.name(), state)?.fields(["pending"])?;
+        self.pending = pending
+            .into_array()?
+            .into_iter()
+            .map(stroke_from_json)
+            .collect::<Result<_, _>>()?;
         Ok(())
     }
 }
@@ -937,8 +908,8 @@ impl Stage for Grammar {
     }
 
     fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        check_stage_name(self.name(), state)?;
-        expect_empty_state(state)
+        let [] = stage_json(self.name(), state)?.fields([])?;
+        Ok(())
     }
 }
 
@@ -1109,8 +1080,9 @@ impl StageGraph {
     /// Reports are expected in time order (a single reader stream is);
     /// stale timestamps from multi-antenna or multi-source merges are
     /// clamped or dropped per the configured [`OutOfOrderPolicy`] and
-    /// counted in [`StageGraph::out_of_order_count`]. Feeding after
-    /// [`StageGraph::finish`] resumes the stream.
+    /// counted in [`StageGraph::out_of_order_count`]. A report with a
+    /// non-finite time is dropped and counted under either policy.
+    /// Feeding after [`StageGraph::finish`] resumes the stream.
     pub fn push(&mut self, obs: TagReport) -> Vec<PipelineEvent> {
         let mut events = Vec::new();
         self.push_into(obs, &mut events);
@@ -1124,19 +1096,18 @@ impl StageGraph {
         self.finished = false;
         let metrics = crate::telemetry::stage_metrics();
         metrics.reports.inc();
-        if obs.time < self.last_time {
+        if obs.time < self.last_time || !obs.time.is_finite() {
             self.out_of_order_count += 1;
             // Mirror into the durable registry counters: the per-graph
             // count above dies with the session, these survive eviction.
-            match self.out_of_order {
-                OutOfOrderPolicy::Clamp => {
-                    metrics.out_of_order_clamped.inc();
-                    obs.time = self.last_time;
-                }
-                OutOfOrderPolicy::Drop => {
-                    metrics.out_of_order_dropped.inc();
-                    return;
-                }
+            // A non-finite time is dropped under either policy: clamping
+            // it at stream start would anchor frames at -inf.
+            if self.out_of_order == OutOfOrderPolicy::Clamp && obs.time.is_finite() {
+                metrics.out_of_order_clamped.inc();
+                obs.time = self.last_time;
+            } else {
+                metrics.out_of_order_dropped.inc();
+                return;
             }
         }
         self.last_time = obs.time;
@@ -1344,7 +1315,8 @@ impl StageGraph {
     /// Returns [`RfipadError::Checkpoint`] if the checkpoint was taken
     /// under a different configuration (letter gap or end guard), names
     /// an unknown stage, misses one of the five stages, or fails a
-    /// stage's integrity checks.
+    /// stage's integrity checks. The graph's state is unspecified after
+    /// an error; rebuild it before use.
     pub fn restore_checkpoint(
         &mut self,
         checkpoint: &PipelineCheckpoint,
@@ -1355,6 +1327,11 @@ impl StageGraph {
             return Err(checkpoint_err(
                 "checkpoint was taken under a different pipeline configuration",
             ));
+        }
+        // The admission gate only ever holds -inf (no report yet) or the
+        // finite time of the newest admitted report.
+        if checkpoint.last_time.is_nan() || checkpoint.last_time == f64::INFINITY {
+            return Err(checkpoint_err("last_time must be finite"));
         }
         let mut seen = [false; 5];
         for state in &checkpoint.stages {
@@ -1391,6 +1368,12 @@ impl StageGraph {
         }
         if !seen.iter().all(|&s| s) {
             return Err(checkpoint_err("checkpoint is missing a stage"));
+        }
+        // Every buffered report passed the gate, so none is newer than it.
+        if let Some(newest) = self.framing.buffer.last() {
+            if newest.time > checkpoint.last_time {
+                return Err(checkpoint_err("framing buffer runs past last_time"));
+            }
         }
         self.out_of_order = checkpoint.policy;
         self.last_time = checkpoint.last_time;
@@ -1436,8 +1419,8 @@ impl Stage for StageGraph {
 /// A versioned snapshot of a [`StageGraph`]'s mutable state.
 ///
 /// Serialized with [`to_json`](Self::to_json) /
-/// [`from_json`](Self::from_json) — hand-rolled, floats as IEEE-754 bit
-/// patterns, unknown fields and foreign versions rejected — so a
+/// [`from_json`](Self::from_json) — floats as IEEE-754 bit patterns,
+/// strict JSON, unknown fields and foreign versions rejected — so a
 /// checkpoint written by one process restores exactly in another.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineCheckpoint {
@@ -1478,7 +1461,8 @@ impl PipelineCheckpoint {
         )
     }
 
-    /// Parses a checkpoint serialized by [`to_json`](Self::to_json).
+    /// Parses a checkpoint serialized by [`to_json`](Self::to_json). Each
+    /// [`StageState`] keeps the exact bytes of its stage's object.
     ///
     /// # Errors
     ///
@@ -1486,69 +1470,49 @@ impl PipelineCheckpoint {
     /// unsupported version, an unknown policy, or unknown/missing
     /// fields.
     pub fn from_json(json: &str) -> Result<Self, RfipadError> {
-        let mut version = None;
-        let mut policy = None;
-        let mut last_time = None;
-        let mut out_of_order_count = None;
-        let mut finished = None;
-        let mut letter_gap_s = None;
-        let mut end_guard_s = None;
-        let mut stages = None;
-        for (key, value) in parse_fields(object_body(json)?)? {
-            match key.as_str() {
-                "version" => version = Some(parse_u64(value)?),
-                "policy" => {
-                    policy = Some(match value.trim().trim_matches('"') {
-                        "clamp" => OutOfOrderPolicy::Clamp,
-                        "drop" => OutOfOrderPolicy::Drop,
-                        other => {
-                            return Err(checkpoint_err(format!(
-                                "unknown out-of-order policy {other:?}"
-                            )))
-                        }
-                    })
-                }
-                "last_time_bits" => last_time = Some(parse_bits(value)?),
-                "out_of_order_count" => out_of_order_count = Some(parse_u64(value)?),
-                "finished" => finished = Some(parse_bool(value)?),
-                "letter_gap_bits" => letter_gap_s = Some(parse_bits(value)?),
-                "end_guard_bits" => end_guard_s = Some(parse_bits(value)?),
-                "stages" => {
-                    let mut parsed = Vec::new();
-                    for (stage, state) in parse_fields(object_body(value)?)? {
-                        parsed.push(StageState::new(stage, state));
-                    }
-                    stages = Some(parsed);
-                }
-                other => {
-                    return Err(checkpoint_err(format!(
-                        "unknown checkpoint field {other:?}"
-                    )))
-                }
-            }
-        }
-        let version = version.ok_or_else(|| checkpoint_err("checkpoint lacks a version"))?;
+        let [version, policy, last_time, out_of_order_count, finished, letter_gap, end_guard, stages] =
+            json::parse(json)?.fields([
+                "version",
+                "policy",
+                "last_time_bits",
+                "out_of_order_count",
+                "finished",
+                "letter_gap_bits",
+                "end_guard_bits",
+                "stages",
+            ])?;
+        let version: u64 = version.as_uint()?;
         if version != CHECKPOINT_VERSION {
             return Err(checkpoint_err(format!(
                 "unsupported checkpoint version {version}"
             )));
         }
         Ok(Self {
-            policy: policy.ok_or_else(|| checkpoint_err("checkpoint lacks policy"))?,
-            last_time: last_time.ok_or_else(|| checkpoint_err("checkpoint lacks last_time"))?,
-            out_of_order_count: out_of_order_count
-                .ok_or_else(|| checkpoint_err("checkpoint lacks out_of_order_count"))?,
-            finished: finished.ok_or_else(|| checkpoint_err("checkpoint lacks finished"))?,
-            letter_gap_s: letter_gap_s
-                .ok_or_else(|| checkpoint_err("checkpoint lacks letter_gap"))?,
-            end_guard_s: end_guard_s.ok_or_else(|| checkpoint_err("checkpoint lacks end_guard"))?,
-            stages: stages.ok_or_else(|| checkpoint_err("checkpoint lacks stages"))?,
+            policy: match policy.as_str()? {
+                "clamp" => OutOfOrderPolicy::Clamp,
+                "drop" => OutOfOrderPolicy::Drop,
+                other => {
+                    return Err(checkpoint_err(format!(
+                        "unknown out-of-order policy {other:?}"
+                    )))
+                }
+            },
+            last_time: bits(&last_time)?,
+            out_of_order_count: out_of_order_count.as_uint()?,
+            finished: finished.as_bool()?,
+            letter_gap_s: bits(&letter_gap)?,
+            end_guard_s: bits(&end_guard)?,
+            stages: stages
+                .into_object()?
+                .into_iter()
+                .map(|(stage, state)| StageState::new(stage, state.text()))
+                .collect(),
         })
     }
 }
 
 // ---------------------------------------------------------------------
-// Hand-rolled JSON plumbing (shared conventions with crate::metrics).
+// Stage-state codecs: `format!` writers, `obs::json` readers.
 
 fn checkpoint_err(msg: impl Into<String>) -> RfipadError {
     RfipadError::Checkpoint(msg.into())
@@ -1564,102 +1528,22 @@ fn check_stage_name(expected: &str, state: &StageState) -> Result<(), RfipadErro
     Ok(())
 }
 
-fn expect_empty_state(state: &StageState) -> Result<(), RfipadError> {
-    if let Some((key, _)) = parse_fields(object_body(state.state())?)?
-        .into_iter()
-        .next()
-    {
-        return Err(checkpoint_err(format!(
-            "unknown {} field {key:?}",
-            state.stage()
-        )));
-    }
-    Ok(())
+/// Parses `state`'s JSON, which must belong to the stage named `expected`.
+fn stage_json<'a>(expected: &str, state: &'a StageState) -> Result<Value<'a>, RfipadError> {
+    check_stage_name(expected, state)?;
+    Ok(json::parse(state.state())?)
 }
 
-fn preview(s: &str) -> String {
-    s.chars().take(40).collect()
-}
-
-fn object_body(s: &str) -> Result<&str, RfipadError> {
-    let t = s.trim();
-    t.strip_prefix('{')
-        .and_then(|x| x.strip_suffix('}'))
-        .map(str::trim)
-        .ok_or_else(|| checkpoint_err(format!("expected a JSON object at {:?}", preview(t))))
-}
-
-fn array_items(s: &str) -> Result<Vec<&str>, RfipadError> {
-    let t = s.trim();
-    let inner = t
-        .strip_prefix('[')
-        .and_then(|x| x.strip_suffix(']'))
-        .map(str::trim)
-        .ok_or_else(|| checkpoint_err(format!("expected a JSON array at {:?}", preview(t))))?;
-    if inner.is_empty() {
-        return Ok(Vec::new());
-    }
-    Ok(split_top_level(inner))
-}
-
-fn parse_fields(body: &str) -> Result<Vec<(String, &str)>, RfipadError> {
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    for part in split_top_level(body) {
-        let (key, value) = part
-            .split_once(':')
-            .ok_or_else(|| checkpoint_err(format!("expected key:value at {:?}", preview(part))))?;
-        out.push((key.trim().trim_matches('"').to_string(), value.trim()));
-    }
-    Ok(out)
-}
-
-fn parse_u64(s: &str) -> Result<u64, RfipadError> {
-    s.trim()
-        .parse::<u64>()
-        .map_err(|_| checkpoint_err(format!("expected an unsigned integer at {:?}", preview(s))))
-}
-
-fn parse_usize(s: &str) -> Result<usize, RfipadError> {
-    s.trim()
-        .parse::<usize>()
-        .map_err(|_| checkpoint_err(format!("expected an unsigned integer at {:?}", preview(s))))
-}
-
-fn parse_u16(s: &str) -> Result<u16, RfipadError> {
-    s.trim()
-        .parse::<u16>()
-        .map_err(|_| checkpoint_err(format!("expected a 16-bit integer at {:?}", preview(s))))
-}
-
-/// Parses an `f64` persisted as its IEEE-754 bit pattern (a `u64`).
-fn parse_bits(s: &str) -> Result<f64, RfipadError> {
-    Ok(f64::from_bits(parse_u64(s)?))
-}
-
-fn parse_bool(s: &str) -> Result<bool, RfipadError> {
-    match s.trim() {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(checkpoint_err(format!(
-            "expected a boolean at {:?}",
-            preview(other)
-        ))),
-    }
+/// Reads an `f64` persisted as its IEEE-754 bit pattern (a `u64`).
+fn bits(value: &Value<'_>) -> Result<f64, JsonError> {
+    Ok(f64::from_bits(value.as_uint()?))
 }
 
 fn report_to_json(r: &TagReport) -> String {
-    let epc: String = r
-        .epc
-        .as_bytes()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
     format!(
-        "{{\"epc\":\"{epc}\",\"tag\":{},\"time_bits\":{},\"phase_bits\":{},\"rss_bits\":{},\
+        "{{\"epc\":\"{}\",\"tag\":{},\"time_bits\":{},\"phase_bits\":{},\"rss_bits\":{},\
          \"doppler_bits\":{},\"antenna\":{},\"channel\":{}}}",
+        r.epc.to_hex(),
         r.tag.0,
         r.time.to_bits(),
         r.phase.to_bits(),
@@ -1670,80 +1554,27 @@ fn report_to_json(r: &TagReport) -> String {
     )
 }
 
-fn epc_from_hex(s: &str) -> Result<Epc96, RfipadError> {
-    let hex = s.trim().trim_matches('"');
-    if hex.len() != 24 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(checkpoint_err(format!(
-            "expected 24 hex digits of EPC at {:?}",
-            preview(hex)
-        )));
-    }
-    let mut bytes = [0u8; 12];
-    for (i, b) in bytes.iter_mut().enumerate() {
-        *b = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16)
-            .map_err(|_| checkpoint_err("invalid EPC hex"))?;
-    }
-    Ok(Epc96::from_bytes(bytes))
-}
-
-fn report_from_json(s: &str) -> Result<TagReport, RfipadError> {
-    let mut epc = None;
-    let mut tag = None;
-    let mut time = None;
-    let mut phase = None;
-    let mut rss_dbm = None;
-    let mut doppler_hz = None;
-    let mut antenna_port = None;
-    let mut channel_index = None;
-    for (key, value) in parse_fields(object_body(s)?)? {
-        match key.as_str() {
-            "epc" => epc = Some(epc_from_hex(value)?),
-            "tag" => tag = Some(TagId(parse_u64(value)?)),
-            "time_bits" => time = Some(parse_bits(value)?),
-            "phase_bits" => phase = Some(parse_bits(value)?),
-            "rss_bits" => rss_dbm = Some(parse_bits(value)?),
-            "doppler_bits" => doppler_hz = Some(parse_bits(value)?),
-            "antenna" => antenna_port = Some(parse_u16(value)?),
-            "channel" => channel_index = Some(parse_u16(value)?),
-            other => return Err(checkpoint_err(format!("unknown report field {other:?}"))),
-        }
-    }
-    let missing = || checkpoint_err("report is missing a field");
+fn report_from_json(value: Value<'_>) -> Result<TagReport, JsonError> {
+    let [epc, tag, time, phase, rss_dbm, doppler_hz, antenna, channel] = value.fields([
+        "epc",
+        "tag",
+        "time_bits",
+        "phase_bits",
+        "rss_bits",
+        "doppler_bits",
+        "antenna",
+        "channel",
+    ])?;
     Ok(TagReport {
-        epc: epc.ok_or_else(missing)?,
-        tag: tag.ok_or_else(missing)?,
-        time: time.ok_or_else(missing)?,
-        phase: phase.ok_or_else(missing)?,
-        rss_dbm: rss_dbm.ok_or_else(missing)?,
-        doppler_hz: doppler_hz.ok_or_else(missing)?,
-        antenna_port: antenna_port.ok_or_else(missing)?,
-        channel_index: channel_index.ok_or_else(missing)?,
+        epc: Epc96::from_hex(epc.as_str()?).ok_or_else(|| epc.error("expected 24 hex digits"))?,
+        tag: TagId(tag.as_uint()?),
+        time: bits(&time)?,
+        phase: bits(&phase)?,
+        rss_dbm: bits(&rss_dbm)?,
+        doppler_hz: bits(&doppler_hz)?,
+        antenna_port: antenna.as_uint()?,
+        channel_index: channel.as_uint()?,
     })
-}
-
-/// Parses the frame-accumulator diagnostics: `null` (no accumulator at
-/// snapshot time) or the `(anchor, frame_len, max_time)` bit patterns.
-fn frame_diag_from_json(s: &str) -> Result<Option<(u64, u64, u64)>, RfipadError> {
-    if s.trim() == "null" {
-        return Ok(None);
-    }
-    let mut anchor = None;
-    let mut frame_len = None;
-    let mut max_time = None;
-    for (key, value) in parse_fields(object_body(s)?)? {
-        match key.as_str() {
-            "anchor_bits" => anchor = Some(parse_u64(value)?),
-            "frame_len_bits" => frame_len = Some(parse_u64(value)?),
-            "max_time_bits" => max_time = Some(parse_u64(value)?),
-            other => return Err(checkpoint_err(format!("unknown frames field {other:?}"))),
-        }
-    }
-    let missing = || checkpoint_err("frame diagnostics are missing a field");
-    Ok(Some((
-        anchor.ok_or_else(missing)?,
-        frame_len.ok_or_else(missing)?,
-        max_time.ok_or_else(missing)?,
-    )))
 }
 
 fn stroke_to_json(s: &RecognizedStroke) -> String {
@@ -1771,82 +1602,63 @@ fn stroke_to_json(s: &RecognizedStroke) -> String {
     )
 }
 
-fn shape_from_number(n: u64) -> Result<StrokeShape, RfipadError> {
+fn shape_from_json(value: &Value<'_>) -> Result<StrokeShape, RfipadError> {
+    let n: u64 = value.as_uint()?;
     StrokeShape::all()
         .into_iter()
         .find(|s| u64::from(s.motion_number()) == n)
         .ok_or_else(|| checkpoint_err(format!("unknown stroke shape {n}")))
 }
 
-fn stroke_from_json(s: &str) -> Result<RecognizedStroke, RfipadError> {
-    let mut shape = None;
-    let mut reversed = None;
-    let mut start = None;
-    let mut end = None;
-    let mut motion_shape = None;
-    let mut rows = None;
-    let mut cols = None;
-    let mut mask = None;
-    let mut centroid_row = None;
-    let mut centroid_col = None;
-    let mut bbox = None;
-    for (key, value) in parse_fields(object_body(s)?)? {
-        match key.as_str() {
-            "shape" => shape = Some(shape_from_number(parse_u64(value)?)?),
-            "reversed" => reversed = Some(parse_bool(value)?),
-            "start_bits" => start = Some(parse_bits(value)?),
-            "end_bits" => end = Some(parse_bits(value)?),
-            "motion_shape" => motion_shape = Some(shape_from_number(parse_u64(value)?)?),
-            "rows" => rows = Some(parse_usize(value)?),
-            "cols" => cols = Some(parse_usize(value)?),
-            "mask" => {
-                let bits = value.trim().trim_matches('"');
-                if !bits.bytes().all(|b| b == b'0' || b == b'1') {
-                    return Err(checkpoint_err("mask must be 0/1 digits"));
-                }
-                mask = Some(bits.bytes().map(|b| b == b'1').collect::<Vec<bool>>());
-            }
-            "centroid_row_bits" => centroid_row = Some(parse_bits(value)?),
-            "centroid_col_bits" => centroid_col = Some(parse_bits(value)?),
-            "bbox" => {
-                let items = array_items(value)?;
-                if items.len() != 4 {
-                    return Err(checkpoint_err("bbox must have four coordinates"));
-                }
-                bbox = Some((
-                    parse_usize(items[0])?,
-                    parse_usize(items[1])?,
-                    parse_usize(items[2])?,
-                    parse_usize(items[3])?,
-                ));
-            }
-            other => return Err(checkpoint_err(format!("unknown stroke field {other:?}"))),
-        }
+fn stroke_from_json(value: Value<'_>) -> Result<RecognizedStroke, RfipadError> {
+    let [shape, reversed, start, end, motion_shape, rows, cols, mask, centroid_row, centroid_col, bbox] =
+        value.fields([
+            "shape",
+            "reversed",
+            "start_bits",
+            "end_bits",
+            "motion_shape",
+            "rows",
+            "cols",
+            "mask",
+            "centroid_row_bits",
+            "centroid_col_bits",
+            "bbox",
+        ])?;
+    let (rows, cols): (usize, usize) = (rows.as_uint()?, cols.as_uint()?);
+    let mask = mask.as_str()?;
+    if !mask.bytes().all(|b| b == b'0' || b == b'1') {
+        return Err(checkpoint_err("mask must be 0/1 digits"));
     }
-    let missing = || checkpoint_err("stroke is missing a field");
-    let rows = rows.ok_or_else(missing)?;
-    let cols = cols.ok_or_else(missing)?;
-    let mask = mask.ok_or_else(missing)?;
-    if rows == 0 || cols == 0 || mask.len() != rows * cols {
+    if rows.checked_mul(cols).filter(|&n| n > 0) != Some(mask.len()) {
         return Err(checkpoint_err("mask dimensions do not match its digits"));
+    }
+    let [min_r, min_c, max_r, max_c] = <[Value<'_>; 4]>::try_from(bbox.into_array()?)
+        .map_err(|_| checkpoint_err("bbox must have four coordinates"))?;
+    let bbox: (usize, usize, usize, usize) = (
+        min_r.as_uint()?,
+        min_c.as_uint()?,
+        max_r.as_uint()?,
+        max_c.as_uint()?,
+    );
+    // `RecognizedStroke::to_observed` subtracts min from max.
+    if !(bbox.0 <= bbox.2 && bbox.2 < rows && bbox.1 <= bbox.3 && bbox.3 < cols) {
+        return Err(checkpoint_err("bbox must satisfy min <= max < rows/cols"));
     }
     Ok(RecognizedStroke {
         stroke: Stroke {
-            shape: shape.ok_or_else(missing)?,
-            reversed: reversed.ok_or_else(missing)?,
+            shape: shape_from_json(&shape)?,
+            reversed: reversed.as_bool()?,
         },
         span: StrokeSpan {
-            start: start.ok_or_else(missing)?,
-            end: end.ok_or_else(missing)?,
+            start: bits(&start)?,
+            end: bits(&end)?,
         },
         motion: crate::motion::RecognizedMotion {
-            shape: motion_shape.ok_or_else(missing)?,
-            mask: BinaryGrid::from_mask(rows, cols, mask),
-            centroid: (
-                centroid_row.ok_or_else(missing)?,
-                centroid_col.ok_or_else(missing)?,
-            ),
-            bbox: bbox.ok_or_else(missing)?,
+            shape: shape_from_json(&motion_shape)?,
+            mask: BinaryGrid::from_mask(rows, cols, mask.bytes().map(|b| b == b'1').collect()),
+            centroid: (bits(&centroid_row)?, bits(&centroid_col)?),
+            bbox,
         },
     })
 }
@@ -2056,7 +1868,7 @@ mod tests {
         r.doppler_hz = -0.125;
         r.antenna_port = 3;
         r.channel_index = 17;
-        let back = report_from_json(&report_to_json(&r)).unwrap();
+        let back = report_from_json(json::parse(&report_to_json(&r)).unwrap()).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.time.to_bits(), r.time.to_bits());
     }
@@ -2064,7 +1876,7 @@ mod tests {
     #[test]
     fn stroke_json_roundtrips() {
         let s = fake_stroke(1.25, 2.5);
-        let back = stroke_from_json(&stroke_to_json(&s)).unwrap();
+        let back = stroke_from_json(json::parse(&stroke_to_json(&s)).unwrap()).unwrap();
         assert_eq!(back, s);
     }
 
@@ -2072,8 +1884,10 @@ mod tests {
     fn checkpoint_json_roundtrips() {
         let graph = driven_graph();
         let checkpoint = graph.checkpoint();
-        let parsed = PipelineCheckpoint::from_json(&checkpoint.to_json()).unwrap();
+        let wire = checkpoint.to_json();
+        let parsed = PipelineCheckpoint::from_json(&wire).unwrap();
         assert_eq!(parsed, checkpoint);
+        assert_eq!(parsed.to_json(), wire);
     }
 
     #[test]
@@ -2111,6 +1925,68 @@ mod tests {
         assert!(PipelineCheckpoint::from_json("not json").is_err());
         assert!(PipelineCheckpoint::from_json("{}").is_err());
         assert!(PipelineCheckpoint::from_json("{\"version\":1}").is_err());
+        // Near-misses a lenient splitter accepts: an unquoted key, a `+`,
+        // a duplicate key, a trailing comma, and trailing bytes.
+        let json = driven_graph().checkpoint().to_json();
+        assert!(PipelineCheckpoint::from_json(&json).is_ok());
+        for bad in [
+            json.replacen("\"version\":1", "version:1", 1),
+            json.replacen("\"version\":1", "\"version\":+1", 1),
+            json.replacen("\"version\":1", "\"version\":1,\"version\":1", 1),
+            json.replacen("\"grammar\":{}", "\"grammar\":{},", 1),
+            format!("{json}{{}}"),
+        ] {
+            let err = PipelineCheckpoint::from_json(&bad).unwrap_err();
+            assert!(matches!(err, RfipadError::Checkpoint(_)), "{err}");
+        }
+    }
+
+    /// Applies `edit` to the JSON of a valid checkpoint, then expects
+    /// parse + restore to refuse it as a checkpoint error.
+    fn assert_restore_refuses(edit: impl Fn(&str) -> String) {
+        let json = driven_graph().checkpoint().to_json();
+        let edited = edit(&json);
+        assert_ne!(edited, json, "edit did not apply");
+        let restored = PipelineCheckpoint::from_json(&edited)
+            .and_then(|c| quiet_graph(1.5).restore_checkpoint(&c));
+        assert!(
+            matches!(restored, Err(RfipadError::Checkpoint(_))),
+            "{restored:?}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_overflowing_mask_dimensions() {
+        assert_restore_refuses(|json| {
+            json.replacen(
+                "\"rows\":1,\"cols\":3,\"mask\":\"010\"",
+                "\"rows\":4294967296,\"cols\":4294967296,\"mask\":\"\"",
+                1,
+            )
+        });
+    }
+
+    #[test]
+    fn restore_rejects_inverted_bbox() {
+        assert_restore_refuses(|json| json.replacen("\"bbox\":[0,1,0,1]", "\"bbox\":[0,1,0,0]", 1));
+    }
+
+    /// Rewrites the first `"key":<bits of from>` in `json` to the bits of
+    /// `to`.
+    fn replace_bits(json: &str, key: &str, from: f64, to: f64) -> String {
+        let field = |v: f64| format!("\"{key}\":{}", v.to_bits());
+        json.replacen(&field(from), &field(to), 1)
+    }
+
+    #[test]
+    fn restore_rejects_bad_buffer_times() {
+        let graph = driven_graph();
+        let first = graph.buffer()[0].time;
+        let last = graph.buffer().last().unwrap().time;
+        // NaN, later than the next report, and newer than the gate.
+        assert_restore_refuses(|json| replace_bits(json, "time_bits", first, f64::NAN));
+        assert_restore_refuses(|json| replace_bits(json, "time_bits", first, 2.0));
+        assert_restore_refuses(|json| replace_bits(json, "last_time_bits", last, last - 1.0));
     }
 
     #[test]
@@ -2145,20 +2021,10 @@ mod tests {
     #[test]
     fn restore_rejects_corrupted_stage_state() {
         let graph = driven_graph();
-        let json = graph.checkpoint().to_json();
         // Flip one bit of the framing buffer's first timestamp.
-        let marker = "\"time_bits\":";
-        let at = json.find(marker).unwrap() + marker.len();
-        let digits: String = json[at..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        let flipped = digits.parse::<u64>().unwrap() ^ 1;
-        let corrupted = json.replacen(
-            &format!("{marker}{digits}"),
-            &format!("{marker}{flipped}"),
-            1,
-        );
+        let first = graph.buffer()[0].time;
+        let flipped = f64::from_bits(first.to_bits() ^ 1);
+        let corrupted = replace_bits(&graph.checkpoint().to_json(), "time_bits", first, flipped);
         let checkpoint = PipelineCheckpoint::from_json(&corrupted).unwrap();
         let mut restored = quiet_graph(1.5);
         let err = restored.restore_checkpoint(&checkpoint).unwrap_err();
@@ -2441,6 +2307,33 @@ mod tests {
             "dropped reports must not enter the buffer"
         );
         assert!(dropping.buffer().windows(2).all(|w| w[0].time <= w[1].time));
+    }
+
+    #[test]
+    fn non_finite_times_are_dropped_under_both_policies() {
+        for policy in [OutOfOrderPolicy::Clamp, OutOfOrderPolicy::Drop] {
+            let mut clean = sweep_graph(policy);
+            let mut expected = Vec::new();
+            clean.push_batch(recording(), &mut expected);
+            clean.finish_into(&mut expected);
+            let mut hostile = sweep_graph(policy);
+            let mut events = Vec::new();
+            for (i, o) in recording().into_iter().enumerate() {
+                if i == 2_500 {
+                    // Mid-recording, inside the stroke: NaN first, which
+                    // used to panic the stream builders.
+                    for time in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                        hostile.push_into(TagReport { time, ..o }, &mut events);
+                    }
+                }
+                hostile.push_into(o, &mut events);
+            }
+            hostile.finish_into(&mut events);
+            assert_eq!(hostile.out_of_order_count(), 3, "{policy:?}");
+            normalize_events(&mut expected);
+            normalize_events(&mut events);
+            assert_eq!(events, expected, "{policy:?}");
+        }
     }
 
     #[test]

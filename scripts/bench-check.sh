@@ -69,14 +69,19 @@ cargo run --release -p bench --features count-allocs --bin kernel_bench
 
 echo "== health/debug endpoint smoke (live engine) =="
 # A tiny load_gen run serves the engine's endpoint and holds the process
-# alive after the drain; the probes must see 200s and valid JSON. Runs
-# before the full serve smoke so the 4×2 run's serve_loopback and
-# serve_e2e_latency entries are the ones left in BENCH_pipeline.json.
+# alive after the drain; the probes must see 200s and JSON that Python's
+# own parser accepts. The session's flight-recorder dump is saved and
+# rendered by `trace_tool spans`, so a real served dump meets the Rust
+# dump reader end to end. Runs before the full serve smoke so the 4×2
+# run's serve_loopback and serve_e2e_latency entries are the ones left in
+# BENCH_pipeline.json.
 probe_port=${PROBE_PORT:-7939}
+probe_dump=$(mktemp)
+trap 'rm -f "$probe_dump"' EXIT
 cargo run --release -p experiments --bin load_gen -- --connections 1 --sessions 1 \
   --metrics-addr "127.0.0.1:${probe_port}" --hold 10 &
 probe_pid=$!
-if ! python3 - "$probe_port" <<'PY'
+if ! python3 - "$probe_port" "$probe_dump" <<'PY'
 import json, sys, time, urllib.error, urllib.request
 
 base = "http://127.0.0.1:" + sys.argv[1]
@@ -94,14 +99,33 @@ while True:
 with urllib.request.urlopen(base + "/readyz", timeout=2) as r:
     if r.status != 200:
         sys.exit(f"bench-check: /readyz answered {r.status}")
-with urllib.request.urlopen(base + "/debug/journal", timeout=2) as r:
-    if r.status != 200:
-        sys.exit(f"bench-check: /debug/journal answered {r.status}")
+for route in ("/debug/journal", "/stats.json"):
+    with urllib.request.urlopen(base + route, timeout=2) as r:
+        if r.status != 200:
+            sys.exit(f"bench-check: {route} answered {r.status}")
+        try:
+            json.loads(r.read().decode())
+        except ValueError as e:
+            sys.exit(f"bench-check: {route} is not valid JSON: {e}")
+# load_gen's only connection is c0 and its only session pad-0; the
+# recorder answers 404 until that session opens.
+deadline = time.time() + 30
+while True:
     try:
-        json.loads(r.read().decode())
-    except ValueError as e:
-        sys.exit(f"bench-check: /debug/journal is not valid JSON: {e}")
-print("healthz/readyz/debug-journal probes: OK")
+        with urllib.request.urlopen(base + "/debug/trace/c0%23pad-0", timeout=2) as r:
+            dump = r.read().decode()
+        break
+    except (urllib.error.URLError, ConnectionError, OSError):
+        if time.time() > deadline:
+            sys.exit("bench-check: /debug/trace/c0%23pad-0 never answered 200")
+        time.sleep(0.2)
+try:
+    json.loads(dump)
+except ValueError as e:
+    sys.exit(f"bench-check: /debug/trace/c0%23pad-0 is not valid JSON: {e}")
+with open(sys.argv[2], "w") as f:
+    f.write(dump)
+print("healthz/readyz/debug-journal/stats.json/debug-trace probes: OK")
 PY
 then
   kill "$probe_pid" 2>/dev/null || true
@@ -109,6 +133,7 @@ then
   exit 1
 fi
 wait "$probe_pid"
+cargo run --release -p experiments --bin trace_tool -- spans "$probe_dump"
 
 echo "== serve smoke (golden trace over loopback TCP, bit-identical) =="
 # load_gen starts an in-process ingest server, replays the golden trace

@@ -8,7 +8,7 @@ use experiments::golden::{golden_bench, golden_trial};
 use proptest::prelude::*;
 use rfid_gen2::report::TagReport;
 use rfipad::engine::normalize_events;
-use rfipad::{PipelineCheckpoint, PipelineEvent, Recognizer, StageGraph};
+use rfipad::{PipelineCheckpoint, PipelineEvent, Recognizer, RfipadError, StageGraph};
 use std::sync::OnceLock;
 
 /// The golden fixture is seeded and deterministic but costly to rebuild,
@@ -69,7 +69,58 @@ fn interrupted_at(split: usize) -> Vec<PipelineEvent> {
     events
 }
 
+/// The wire form of a golden-trace checkpoint taken right after the first
+/// stroke event: it carries a report buffer and a pending stroke.
+fn golden_checkpoint() -> &'static str {
+    static WIRE: OnceLock<String> = OnceLock::new();
+    WIRE.get_or_init(|| {
+        let mut p = pipeline();
+        let mut events = Vec::new();
+        for &r in &fixture().0 {
+            p.push_into(r, &mut events);
+            if !events.is_empty() {
+                break;
+            }
+        }
+        p.checkpoint().to_json()
+    })
+}
+
+/// Flips one bit of, drops, or inserts one byte into the golden
+/// checkpoint (`op` 0, 1, 2 at `at`), then parses, restores, and
+/// finishes it.
+fn restore_mutated(op: u8, at: usize, byte: u8) -> Result<Vec<PipelineEvent>, RfipadError> {
+    let mut bytes = golden_checkpoint().as_bytes().to_vec();
+    let at = at % bytes.len();
+    match op {
+        0 => bytes[at] ^= 1 << (byte % 8),
+        1 => {
+            bytes.remove(at);
+        }
+        _ => bytes.insert(at, byte),
+    }
+    let checkpoint = PipelineCheckpoint::from_json(&String::from_utf8_lossy(&bytes))?;
+    let mut graph = pipeline();
+    graph.restore_checkpoint(&checkpoint)?;
+    Ok(graph.finish())
+}
+
 proptest! {
+    /// A one-byte corruption of a real checkpoint either still restores
+    /// or is refused as a checkpoint error; it never panics.
+    #[test]
+    fn mutated_checkpoints_restore_or_are_refused(
+        op in 0u8..3,
+        at in 0usize..usize::MAX,
+        byte in any::<u8>(),
+    ) {
+        let outcome = restore_mutated(op, at, byte);
+        prop_assert!(
+            matches!(outcome, Ok(_) | Err(RfipadError::Checkpoint(_))),
+            "{outcome:?}"
+        );
+    }
+
     #[test]
     fn interrupting_anywhere_reproduces_the_uninterrupted_stream(
         split in 1usize..1301

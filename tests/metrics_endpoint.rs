@@ -106,3 +106,47 @@ fn live_engine_exposition_covers_every_layer() {
     assert_eq!(letters, vec![Some(GOLDEN_LETTER)]);
     engine.shutdown();
 }
+
+/// Every JSON document the workspace writes must pass the strict
+/// `obs::json` reader, not just substring checks.
+#[test]
+fn every_json_writer_output_parses_strictly() {
+    let bench = golden_bench();
+    let trial = golden_trial(&bench);
+    let engine = Engine::builder().workers(1).build().expect("engine");
+    let graph = StageGraph::builder()
+        .recognizer(bench.recognizer.clone())
+        .build()
+        .expect("stage graph");
+    let session = engine.open_session("json-writers", graph).expect("open");
+    for r in &trial.reports[..trial.reports.len() / 2] {
+        session.ingest(*r).expect("ingest");
+    }
+    let checkpoint = session.checkpoint().expect("checkpoint");
+    obs::warn!("journal entry with \"quotes\"\tand a tab");
+    let recorder = obs::trace::FlightRecorder::new(4);
+    recorder.record(obs::trace::SpanEvent {
+        trace: obs::trace::TraceId(1),
+        span: obs::trace::SpanId(2),
+        parent: None,
+        name: "stage:\"odd\"\nname".into(),
+        start_us: 3,
+        end_us: 4,
+    });
+    for (writer, document) in [
+        ("Engine::metrics_json", engine.metrics_json()),
+        ("Registry::render_json", obs::registry().render_json()),
+        ("journal_json", obs::logging::journal_json()),
+        ("FlightRecorder::to_json", recorder.to_json()),
+        ("PipelineCheckpoint::to_json", checkpoint.to_json()),
+        (
+            "encode_json_line",
+            rfid_gen2::trace::encode_json_line(&trial.reports[0]),
+        ),
+    ] {
+        if let Err(e) = obs::json::parse(&document) {
+            panic!("{writer} wrote invalid JSON: {e}");
+        }
+    }
+    session.close().expect("close");
+}

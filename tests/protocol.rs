@@ -1,75 +1,11 @@
-//! Protocol-level integration: the Gen2 MAC and LLRP framing carrying real
-//! scene observations end to end.
+//! Protocol-level integration: the Gen2 MAC reading real scene
+//! observations end to end.
 
 use experiments::{Deployment, DeploymentSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfid_gen2::llrp::{decode_report, encode_report, LlrpMessage};
 use rfid_gen2::reader::{Gen2Reader, ReaderConfig};
 use rfid_gen2::{LinkParams, SearchMode};
-
-#[test]
-fn report_stream_survives_llrp_round_trip() {
-    let deployment = Deployment::build(DeploymentSpec::default(), 42);
-    let reader = Gen2Reader::default();
-    let mut rng = StdRng::seed_from_u64(1);
-    let run = reader.run(&deployment.scene, &[], 0.0, 1.0, &mut rng);
-    assert!(run.events.len() > 50);
-
-    // Batch into LLRP messages of ≤ 64 reads, as a real reader would.
-    let mut wire = Vec::new();
-    for (i, chunk) in run.events.chunks(64).enumerate() {
-        wire.extend_from_slice(&encode_report(chunk, i as u32));
-    }
-
-    // A client decodes the byte stream back.
-    let mut decoded = Vec::new();
-    let mut cursor = &wire[..];
-    while !cursor.is_empty() {
-        let (msg, used) = LlrpMessage::decode(cursor).expect("well-formed frame");
-        decoded.extend(decode_report(&msg).expect("valid payload"));
-        cursor = &cursor[used..];
-    }
-    assert_eq!(decoded.len(), run.events.len());
-    for (orig, dec) in run.events.iter().zip(&decoded) {
-        assert_eq!(orig.epc, dec.epc);
-        assert_eq!(orig.tag, dec.tag);
-        assert_eq!(orig.channel_index, dec.channel_index);
-        assert!((orig.phase - dec.phase).abs() < 0.002);
-        assert!((orig.rss_dbm - dec.rss_dbm).abs() < 0.01);
-    }
-}
-
-#[test]
-fn recognition_works_from_decoded_llrp_stream() {
-    // The recognizer must be driveable from the wire format alone — the
-    // boundary a real deployment has.
-    use experiments::Bench;
-    use hand_kinematics::stroke::{Stroke, StrokeShape};
-    use hand_kinematics::user::UserProfile;
-    use rfipad::RfipadConfig;
-
-    let bench = Bench::calibrate(
-        Deployment::build(DeploymentSpec::default(), 42),
-        RfipadConfig::default(),
-        1,
-    );
-    let user = UserProfile::average();
-    let trial = bench.run_stroke_trial(Stroke::new(StrokeShape::Backslash), &user, 31);
-
-    // Round-trip the reports through LLRP.
-    let wire = encode_report(&trial.reports, 9);
-    let (msg, _) = LlrpMessage::decode(&wire).expect("frame");
-    let decoded = decode_report(&msg).expect("payload");
-
-    let result = bench.recognizer.recognize_session(&decoded);
-    assert_eq!(result.strokes.len(), 1);
-    assert_eq!(
-        result.strokes[0].stroke.shape,
-        StrokeShape::Backslash,
-        "recognition through the wire format"
-    );
-}
 
 #[test]
 fn link_profile_changes_sampling_density() {
