@@ -43,8 +43,7 @@ fn main() {
         let Some(series) = streams.phase(id) else {
             continue;
         };
-        let part = series.slice_time(t0, t1);
-        let values = part.values();
+        let (_, values) = series.window(t0, t1);
         if values.len() < 8 {
             continue;
         }

@@ -39,12 +39,12 @@ pub fn accumulate_tag_denoised(
     let Some(series) = streams.phase(id) else {
         return 0.0;
     };
-    let span = series.slice_time(start, end);
-    if span.len() < 2 {
+    let (_, values) = series.window(start, end);
+    if values.len() < 2 {
         return 0.0;
     }
-    let raw: f64 = span.values().windows(2).map(|w| (w[1] - w[0]).abs()).sum();
-    let pairs = (span.len() - 1) as f64;
+    let raw: f64 = values.windows(2).map(|w| (w[1] - w[0]).abs()).sum();
+    let pairs = (values.len() - 1) as f64;
     let expected_noise = pairs * 2.0 * noise_sigma / std::f64::consts::PI.sqrt();
     (raw - expected_noise).max(0.0)
 }
@@ -68,8 +68,9 @@ pub fn accumulative_image(
     end: f64,
 ) -> Result<GridImage, RfipadError> {
     let mut img = GridImage::zeros(layout.rows(), layout.cols());
-    for &id in layout.tags() {
-        let value = match calibration {
+    // `tags()` is row-major, so a tag's index in it is its cell's index.
+    for (&id, cell) in layout.tags().iter().zip(img.data_mut()) {
+        *cell = match calibration {
             Some(cal) => {
                 // Per-sample noise deviation of the suppressed stream is
                 // the tag's calibrated deviation bias.
@@ -78,8 +79,6 @@ pub fn accumulative_image(
             }
             None => accumulate_tag(streams, id, start, end),
         };
-        let (r, c) = layout.position(id)?;
-        img.set(r, c, value);
     }
     Ok(img)
 }

@@ -17,7 +17,8 @@ use crate::motion::RecognizedMotion;
 use crate::streams::TagStreams;
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use serde::{Deserialize, Serialize};
-use sigproc::filter::{deepest_trough, moving_average};
+use sigproc::filter::deepest_trough;
+use sigproc::kernel::moving_average_into;
 
 /// A per-tag trough observation: when the hand crossed the tag.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -99,6 +100,7 @@ impl DirectionEstimator {
         end: f64,
     ) -> Vec<TagTrough> {
         let mut out = Vec::new();
+        let mut smoothed = Vec::new();
         for (r, c) in motion.mask.foreground() {
             let id = layout.at(r, c);
             let Some(series) = streams.rss(id) else {
@@ -107,16 +109,16 @@ impl DirectionEstimator {
             // Pad the span slightly: the trough of an edge tag can sit right
             // at the segment boundary.
             let pad = 0.2;
-            let span = series.slice_time(start - pad, end + pad);
-            if span.len() < 5 {
+            let (times, values) = series.window(start - pad, end + pad);
+            if values.len() < 5 {
                 continue;
             }
-            let smoothed = moving_average(span.values(), self.config.trough_smooth_half);
+            moving_average_into(values, self.config.trough_smooth_half, &mut smoothed);
             if let Some(trough) = deepest_trough(&smoothed) {
                 if trough.prominence >= self.config.trough_min_prominence_db {
                     out.push(TagTrough {
                         cell: (r, c),
-                        time: span.times()[trough.index],
+                        time: times[trough.index],
                         prominence_db: trough.prominence,
                     });
                 }
@@ -147,15 +149,13 @@ impl DirectionEstimator {
             let Some(series) = streams.phase(id) else {
                 continue;
             };
-            let part = series.slice_time(start, end);
-            if part.len() < 3 {
+            let (times, values) = series.window(start, end);
+            if values.len() < 3 {
                 continue;
             }
-            let times = part.times();
-            let values = part.values();
             let mut weight = 0.0;
             let mut weighted_time = 0.0;
-            for j in 1..part.len() {
+            for j in 1..values.len() {
                 let delta = (values[j] - values[j - 1]).abs();
                 weight += delta;
                 weighted_time += delta * 0.5 * (times[j] + times[j - 1]);

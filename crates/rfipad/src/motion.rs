@@ -6,7 +6,9 @@
 //! each candidate shape is rasterized into the observed extent and the one
 //! with the highest normalized correlation against the gray image wins —
 //! training-free (templates are pure geometry) and robust to the per-tag
-//! fading that leaves parts of a stroke faint. A moments/chord-residual
+//! fading that leaves parts of a stroke faint. Templates depend only on
+//! shape, extent and grid size, so a [`TemplateTable`] draws each once and
+//! serves it to every later stroke. A moments/chord-residual
 //! decision tree ([`classify_mask`]) remains as the fallback for images
 //! with degenerate extents.
 
@@ -14,7 +16,10 @@ use crate::config::RfipadConfig;
 use hand_kinematics::stroke::{default_placement, Stroke, StrokeShape};
 use serde::{Deserialize, Serialize};
 use sigproc::grid::{BinaryGrid, GridImage};
+use std::collections::HashMap;
 use std::f64::consts::{FRAC_PI_8, PI};
+use std::fmt;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Minimum mean chord residual (grid cells) of the middle section for a
 /// component to classify as an arc.
@@ -37,12 +42,18 @@ pub struct RecognizedMotion {
 #[derive(Debug, Clone, Default)]
 pub struct MotionRecognizer {
     config: RfipadConfig,
+    /// Shared by every clone: a recognizer cloned per session or per
+    /// worker serves the templates the original already drew.
+    pub(crate) templates: Arc<TemplateTable>,
 }
 
 impl MotionRecognizer {
     /// Creates a recognizer with the given configuration.
     pub fn new(config: RfipadConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            templates: Arc::default(),
+        }
     }
 
     /// Recognizes the motion in an accumulative phase-difference image.
@@ -59,7 +70,7 @@ impl MotionRecognizer {
         if component.area() == 0 {
             return None;
         }
-        let shape = classify_by_template(image, &component)
+        let shape = classify_by_template(image, &component, &self.templates)
             .map(|(s, _)| s)
             .or_else(|| classify_weighted(image, &component))?;
         let moments = component.moments()?;
@@ -77,12 +88,97 @@ impl MotionRecognizer {
 /// roughly the spatial blur of the hand's RF influence on the 6 cm grid.
 const TEMPLATE_SPLAT_SIGMA: f64 = 0.75;
 
+/// A template's fit region `(min_row, min_col, max_row, max_col)`.
+type Region = (usize, usize, usize, usize);
+
+/// Stroke templates memoized per grid size, shape and fit region.
+///
+/// A template depends on nothing else, so `placement_template` draws
+/// each one once, on first use, and every later classification correlates
+/// against the same cells — bit-identical to drawing it afresh. A 5×5
+/// grid has 15 × 15 fit regions, so a table holds at most 7 × 225
+/// templates per grid size. Keys carry the image's rows and columns: a
+/// template drawn for one grid is never served for another.
+#[derive(Default)]
+pub struct TemplateTable {
+    // Each write inserts one complete entry, so a poisoned lock still
+    // guards a valid map and readers recover it.
+    cells: RwLock<HashMap<TemplateKey, Box<[f64]>>>,
+}
+
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct TemplateKey {
+    rows: usize,
+    cols: usize,
+    shape: StrokeShape,
+    region: Region,
+}
+
+impl TemplateTable {
+    /// Number of templates drawn so far.
+    pub(crate) fn len(&self) -> usize {
+        self.cells
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    /// Runs `f` on the cells of `shape`'s template fitted into `region` of
+    /// a `rows × cols` grid: one row-major template per entry of
+    /// [`template_variants`], back to back. Draws them on first use.
+    fn with_cells<R>(
+        &self,
+        shape: StrokeShape,
+        region: Region,
+        (rows, cols): (usize, usize),
+        f: impl FnOnce(&[f64]) -> R,
+    ) -> R {
+        let key = TemplateKey {
+            rows,
+            cols,
+            shape,
+            region,
+        };
+        if let Some(cells) = self
+            .cells
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
+            return f(cells);
+        }
+        let variants = template_variants(shape);
+        let mut drawn = Vec::with_capacity(variants.len() * rows * cols);
+        for placement in &variants {
+            drawn.extend_from_slice(placement_template(placement, region, rows, cols).data());
+        }
+        // A racing thread may have drawn the same cells; either copy serves.
+        let mut table = self.cells.write().unwrap_or_else(PoisonError::into_inner);
+        f(table.entry(key).or_insert_with(|| drawn.into_boxed_slice()))
+    }
+}
+
+// Counts the entries: 1,575 templates' cells would flood a recognizer's
+// debug output.
+impl fmt::Debug for TemplateTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TemplateTable")
+            .field("templates", &self.len())
+            .finish()
+    }
+}
+
 /// Classifies by fitting geometric templates of all plausible shapes into
 /// the image's hot region and picking the best normalized correlation.
+/// Templates come from `templates`, which draws any it lacks.
 ///
 /// Returns the winning shape and its correlation, or `None` when the image
 /// has no usable extent.
-pub fn classify_by_template(image: &GridImage, mask: &BinaryGrid) -> Option<(StrokeShape, f64)> {
+pub fn classify_by_template(
+    image: &GridImage,
+    mask: &BinaryGrid,
+    templates: &TemplateTable,
+) -> Option<(StrokeShape, f64)> {
     // Fit region: everything reasonably hot (a quarter of the peak), not
     // just the Otsu mask — faint stroke ends matter for the shape even when
     // binarization drops them.
@@ -166,18 +262,18 @@ pub fn classify_by_template(image: &GridImage, mask: &BinaryGrid) -> Option<(Str
     }
 
     let region = (min_r, min_c, max_r, max_c);
+    let dims = (image.rows(), image.cols());
     candidates.sort_unstable();
     candidates.dedup();
     candidates
         .into_iter()
         .map(|shape| {
-            let corr = template_variants(shape)
-                .iter()
-                .map(|p| {
-                    let template = placement_template(p, region, image.rows(), image.cols());
-                    pearson_correlation(image, &template)
-                })
-                .fold(f64::NEG_INFINITY, f64::max);
+            let corr = templates.with_cells(shape, region, dims, |cells| {
+                cells
+                    .chunks_exact(image.data().len())
+                    .map(|template| pearson_correlation(image.data(), template))
+                    .fold(f64::NEG_INFINITY, f64::max)
+            });
             (shape, corr)
         })
         .filter(|(_, corr)| corr.is_finite())
@@ -186,8 +282,8 @@ pub fn classify_by_template(image: &GridImage, mask: &BinaryGrid) -> Option<(Str
 
 /// Canonical placements a shape's template is rasterized from (currently
 /// one per shape; the region mapping adapts it to the observed extent).
-fn template_variants(shape: StrokeShape) -> Vec<hand_kinematics::stroke::PlacedStroke> {
-    vec![default_placement(Stroke::new(shape))]
+fn template_variants(shape: StrokeShape) -> [hand_kinematics::stroke::PlacedStroke; 1] {
+    [default_placement(Stroke::new(shape))]
 }
 
 /// One observed point of the temporal hand path: where the intensity
@@ -201,10 +297,11 @@ pub struct PathSample {
 }
 
 /// Rasterizes a placed stroke's path into the given region as a sum of
-/// Gaussian splats.
+/// Gaussian splats. The only template rasterizer: [`TemplateTable`] calls
+/// it to fill each entry.
 fn placement_template(
     placement: &hand_kinematics::stroke::PlacedStroke,
-    region: (usize, usize, usize, usize),
+    region: Region,
     rows: usize,
     cols: usize,
 ) -> GridImage {
@@ -368,15 +465,15 @@ fn path_extent(points: &[(f64, f64)]) -> f64 {
     max_d
 }
 
-/// Pearson correlation between two images over all cells.
-fn pearson_correlation(a: &GridImage, b: &GridImage) -> f64 {
-    let n = a.data().len() as f64;
-    let mean_a = a.data().iter().sum::<f64>() / n;
-    let mean_b = b.data().iter().sum::<f64>() / n;
+/// Pearson correlation between two equally sized images' cells.
+fn pearson_correlation(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len() as f64;
+    let mean_a = a.iter().sum::<f64>() / n;
+    let mean_b = b.iter().sum::<f64>() / n;
     let mut cov = 0.0;
     let mut var_a = 0.0;
     let mut var_b = 0.0;
-    for (&x, &y) in a.data().iter().zip(b.data()) {
+    for (&x, &y) in a.iter().zip(b) {
         let dx = x - mean_a;
         let dy = y - mean_b;
         cov += dx * dy;
@@ -653,6 +750,39 @@ mod tests {
         };
         let rec = MotionRecognizer::new(config);
         assert_eq!(rec.recognize(&img).expect("fg").shape, StrokeShape::HLine);
+    }
+
+    #[test]
+    fn memoized_templates_match_a_fresh_rasterization() {
+        let table = TemplateTable::default();
+        let mut regions = 0;
+        for (rows, cols) in [(5, 5), (3, 7)] {
+            for shape in StrokeShape::all() {
+                for (min_r, max_r) in (0..rows).flat_map(|a| (a..rows).map(move |b| (a, b))) {
+                    for (min_c, max_c) in (0..cols).flat_map(|a| (a..cols).map(move |b| (a, b))) {
+                        let region = (min_r, min_c, max_r, max_c);
+                        let fresh: Vec<u64> = template_variants(shape)
+                            .iter()
+                            .flat_map(|p| placement_template(p, region, rows, cols).data().to_vec())
+                            .map(f64::to_bits)
+                            .collect();
+                        // The first call draws the entry, the second serves it.
+                        for _ in 0..2 {
+                            let memo: Vec<u64> =
+                                table.with_cells(shape, region, (rows, cols), |c| {
+                                    c.iter().map(|v| v.to_bits()).collect()
+                                });
+                            assert_eq!(memo, fresh, "{shape:?} in {region:?} on {rows}x{cols}");
+                        }
+                        regions += 1;
+                    }
+                }
+            }
+        }
+        // 7 shapes × (15 × 15 regions on 5×5 + 6 × 28 on 3×7), each drawn
+        // once: equal regions on the two grids are separate entries.
+        assert_eq!(regions, 7 * (15 * 15 + 6 * 28));
+        assert_eq!(table.len(), regions);
     }
 
     #[test]

@@ -175,7 +175,8 @@ impl Recognizer {
     /// estimator (§III-B), falling back to the path's own travel direction
     /// when too few troughs exist.
     ///
-    /// Returns `None` when the span contains no classifiable foreground.
+    /// Returns `None` when the span contains no classifiable foreground,
+    /// as an empty or inverted span never does.
     pub fn recognize_span(
         &self,
         streams: &TagStreams,
@@ -223,7 +224,7 @@ impl Recognizer {
             None => false,
         };
 
-        let mut direction =
+        let direction =
             self.direction
                 .estimate(&motion, &self.layout, streams, span.start, span.end);
         // Click promotion: a push toward one tag detunes exactly that tag
@@ -231,7 +232,9 @@ impl Recognizer {
         // crosses several tags and troughs each in turn. This signature is
         // robust even when the phase image is weak (e.g. the overhead LOS
         // geometry, where the reflection rides nearly in phase with the
-        // direct path).
+        // direct path). Troughs depend on the mask, not the shape, so the
+        // estimate above stands: at most one trough, and a click is never
+        // reversed.
         let compact_region = max_r - min_r <= 2 && max_c - min_c <= 2;
         if motion.shape != hand_kinematics::stroke::StrokeShape::Click
             && direction.troughs.len() <= 1
@@ -239,9 +242,6 @@ impl Recognizer {
             && path_chord < 1.5
         {
             motion.shape = hand_kinematics::stroke::StrokeShape::Click;
-            direction =
-                self.direction
-                    .estimate(&motion, &self.layout, streams, span.start, span.end);
         }
         let stroke = if direction.troughs.len() >= 2 {
             direction.stroke
@@ -269,23 +269,25 @@ impl Recognizer {
         // Gen2 rates; shorter strokes get fewer, wider windows. Fewer than
         // three windows means no usable path — the caller falls back to
         // image-only classification.
+        const LONG: [(f64, f64); 5] = [
+            (0.0, 0.34),
+            (0.165, 0.505),
+            (0.33, 0.67),
+            (0.495, 0.835),
+            (0.66, 1.0),
+        ];
+        const SHORT: [(f64, f64); 4] = [(0.0, 0.4), (0.2, 0.6), (0.4, 0.8), (0.6, 1.0)];
         let duration = span.duration();
-        let windows: Vec<(f64, f64)> = if duration >= 1.6 {
-            vec![
-                (0.0, 0.34),
-                (0.165, 0.505),
-                (0.33, 0.67),
-                (0.495, 0.835),
-                (0.66, 1.0),
-            ]
+        let windows: &[(f64, f64)] = if duration >= 1.6 {
+            &LONG
         } else if duration >= 0.55 {
-            vec![(0.0, 0.4), (0.2, 0.6), (0.4, 0.8), (0.6, 1.0)]
+            &SHORT
         } else {
-            Vec::new()
+            &[]
         };
         let cal = self.config.suppress_diversity.then_some(&self.calibration);
         let mut path = Vec::with_capacity(windows.len());
-        for (a, b) in windows {
+        for &(a, b) in windows {
             let Ok(img) = accumulative_image(
                 &self.layout,
                 streams,
@@ -526,6 +528,36 @@ mod tests {
             .build()
             .expect("default config valid");
         assert_eq!(built.config(), &RfipadConfig::default());
+    }
+
+    #[test]
+    fn inverted_span_recognizes_nothing() {
+        let rec = recognizer();
+        let streams = rec.streams(&column_sweep_recording());
+        let span = rec.segment(&streams).spans[0];
+        assert!(rec.recognize_span(&streams, span).is_some());
+        let inverted = StrokeSpan {
+            start: span.end,
+            end: span.start,
+        };
+        assert_eq!(rec.recognize_span(&streams, inverted), None);
+    }
+
+    #[test]
+    fn clones_serve_the_templates_the_original_drew() {
+        let rec = recognizer();
+        let streams = rec.streams(&column_sweep_recording());
+        let span = rec.segment(&streams).spans[0];
+        let original = rec.recognize_span(&streams, span);
+        let drawn = rec.motion.templates.len();
+        assert!(drawn > 0, "recognition draws templates");
+        let clone = rec.clone();
+        assert!(std::sync::Arc::ptr_eq(
+            &rec.motion.templates,
+            &clone.motion.templates
+        ));
+        assert_eq!(clone.recognize_span(&streams, span), original);
+        assert_eq!(clone.motion.templates.len(), drawn, "the clone redrew");
     }
 
     #[test]

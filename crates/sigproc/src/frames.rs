@@ -103,11 +103,11 @@ impl FrameSeq {
             let mut rms_sum = 0.0;
             let mut samples = 0;
             for (i, stream) in streams.iter().enumerate() {
-                let part = stream.slice_time(f_start, f_end);
-                if !part.is_empty() {
+                let (_, values) = stream.window(f_start, f_end);
+                if !values.is_empty() {
                     let floor = floors.map(|f| f[i]).unwrap_or(0.0);
-                    rms_sum += (stats::rms(part.values()) - floor).max(0.0);
-                    samples += part.len();
+                    rms_sum += (stats::rms(values) - floor).max(0.0);
+                    samples += values.len();
                 }
             }
             frames.push(Frame {
@@ -239,7 +239,7 @@ fn emit_window(frames: &[Frame], out: &mut Vec<Window>, n: &mut usize) {
 /// [`FrameSeq::build_with_floors`] over the same samples because the
 /// per-frame, per-stream sum of squares is accumulated in the same time
 /// order that [`crate::stats::rms`] would visit a
-/// [`slice_time`](TimeSeries::slice_time) slice, and frame emission walks
+/// [`window`](TimeSeries::window), and frame emission walks
 /// streams in the same index order.
 ///
 /// Frames whose end lies at or before the newest sample time can no longer

@@ -163,14 +163,19 @@ impl TimeSeries {
         );
     }
 
-    /// Returns the sub-series with `start <= t < end`.
-    pub fn slice_time(&self, start: f64, end: f64) -> TimeSeries {
-        let lo = self.times.partition_point(|&x| x < start);
-        let hi = self.times.partition_point(|&x| x < end);
-        TimeSeries {
-            times: self.times[lo..hi].to_vec(),
-            values: self.values[lo..hi].to_vec(),
-        }
+    /// Borrows the `(times, values)` of the samples with `start <= t < end`.
+    ///
+    /// The window is empty when `start >= end` or either bound is NaN.
+    pub fn window(&self, start: f64, end: f64) -> (&[f64], &[f64]) {
+        // A NaN bound fails `start < end` too.
+        let (lo, hi) = if start < end {
+            let lo = self.times.partition_point(|&x| x < start);
+            // Searching only past `lo` keeps `hi >= lo` for any input.
+            (lo, lo + self.times[lo..].partition_point(|&x| x < end))
+        } else {
+            (0, 0)
+        };
+        (&self.times[lo..hi], &self.values[lo..hi])
     }
 
     /// Applies a function to every value, keeping timestamps.
@@ -281,11 +286,12 @@ mod tests {
     }
 
     #[test]
-    fn slice_time_half_open() {
+    fn window_half_open() {
         let ts = ramp();
-        let s = ts.slice_time(0.2, 0.5);
-        assert_eq!(s.len(), 3); // samples at 0.2, 0.3, 0.4
-        assert_eq!(s.values(), &[2.0, 3.0, 4.0]);
+        let (times, values) = ts.window(0.2, 0.5);
+        assert_eq!(times.len(), 3); // samples at 0.2, 0.3, 0.4
+        assert_eq!(values, &[2.0, 3.0, 4.0]);
+        assert_eq!(ts.window(0.5, 0.2), (&[][..], &[][..]));
     }
 
     #[test]

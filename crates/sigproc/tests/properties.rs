@@ -113,20 +113,39 @@ proptest! {
         }
     }
 
-    /// slice_time returns exactly the samples in [start, end).
+    /// `window` borrows exactly the samples a `start <= t < end` filter
+    /// keeps, for any bounds: inverted, NaN, infinite or outside the
+    /// series, over series with repeated timestamps.
     #[test]
-    fn slice_time_is_exact(
-        n in 1usize..80,
-        a in 0.0f64..10.0,
-        len in 0.0f64..10.0,
+    fn window_matches_a_filter_over_all_samples(
+        steps in prop::collection::vec(0u8..3, 0..80),
+        start_kind in 0u8..8,
+        start in -2.0f64..10.0,
+        end_kind in 0u8..8,
+        end in -2.0f64..10.0,
     ) {
-        let ts: TimeSeries = (0..n).map(|i| (i as f64 * 0.1, i as f64)).collect();
-        let s = ts.slice_time(a, a + len);
-        for (t, _) in s.iter() {
-            prop_assert!(t >= a && t < a + len);
-        }
-        let expected = ts.iter().filter(|(t, _)| *t >= a && *t < a + len).count();
-        prop_assert_eq!(s.len(), expected);
+        // Kinds 0–2 pick a special bound; the rest keep the drawn value.
+        let bound = |kind: u8, x: f64| match kind {
+            0 => f64::NAN,
+            1 => f64::NEG_INFINITY,
+            2 => f64::INFINITY,
+            _ => x,
+        };
+        let (start, end) = (bound(start_kind, start), bound(end_kind, end));
+        let mut t = 0.0;
+        let ts: TimeSeries = steps
+            .iter()
+            .enumerate()
+            .map(|(i, &step)| {
+                t += f64::from(step) * 0.1;
+                (t, i as f64)
+            })
+            .collect();
+        let (times, values) = ts.window(start, end);
+        let (want_times, want_values): (Vec<f64>, Vec<f64>) =
+            ts.iter().filter(|&(t, _)| t >= start && t < end).unzip();
+        prop_assert_eq!(times, &want_times[..]);
+        prop_assert_eq!(values, &want_values[..]);
     }
 
     /// The streaming `FrameBuilder` emits frames **bit-identical** to the
