@@ -1,9 +1,12 @@
 //! Benchmarks of the Gen2 MAC simulator: inventory throughput across link
 //! profiles and population sizes — the sampling-rate substrate behind the
-//! paper's "prefers slow motions" finding.
+//! paper's "prefers slow motions" finding — and the full reader recording
+//! over a scene, static and with a hand writing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use experiments::golden::{golden_bench, golden_session};
 use experiments::{Deployment, DeploymentSpec};
+use hand_kinematics::user::UserProfile;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rf_sim::tags::TagId;
@@ -27,7 +30,7 @@ fn bench_inventory_mac(c: &mut Criterion) {
                 inv.run(
                     1.0,
                     &mut rng,
-                    |_t| (0..25).map(TagId).collect(),
+                    |_t, powered: &mut Vec<TagId>| powered.extend((0..25).map(TagId)),
                     |_id, _t| reads += 1,
                 );
                 black_box(reads)
@@ -53,7 +56,7 @@ fn bench_population_scaling(c: &mut Criterion) {
                 inv.run(
                     1.0,
                     &mut rng,
-                    |_t| (0..n).map(TagId).collect(),
+                    |_t, powered: &mut Vec<TagId>| powered.extend((0..n).map(TagId)),
                     |_id, _t| reads += 1,
                 );
                 black_box(reads)
@@ -75,10 +78,26 @@ fn bench_full_reader_over_scene(c: &mut Criterion) {
     });
 }
 
+/// Records the golden letter with the hand and forearm moving over the
+/// pad: unlike the empty scene above, every power check and observation
+/// samples moving targets.
+fn bench_golden_letter_recording(c: &mut Criterion) {
+    let bench = golden_bench();
+    let (session, rng) = golden_session(&bench);
+    let user = UserProfile::average();
+    c.bench_function("reader_run/golden_letter", |b| {
+        b.iter(|| {
+            let reports = bench.record_session(&session, &user, &mut rng.clone());
+            black_box(reports.len())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_inventory_mac,
     bench_population_scaling,
-    bench_full_reader_over_scene
+    bench_full_reader_over_scene,
+    bench_golden_letter_recording
 );
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Kernel microbenchmark + hot-path allocation gates.
 //!
-//! Three probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
+//! Four probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
 //!
 //! * `kernel_bench` — per-kernel ns/element of the `sigproc::kernel`
 //!   slice kernels against their naive allocating references
@@ -16,10 +16,16 @@
 //!   (`tests/data/golden_session.rftrace`), the stroke-bearing work the
 //!   quiet stream never reaches. The count may not grow past its
 //!   committed value.
+//! * `reader_allocs` — counts heap allocations across
+//!   `Bench::record_session` of the golden session, hand and forearm
+//!   present: the simulated reader's power checks, inventory rounds and
+//!   observations. Allocations per read may not grow past the committed
+//!   value.
 //!
 //! Requires the `count-allocs` feature (a counting global allocator):
 //! `cargo run --release -p bench --features count-allocs --bin kernel_bench`
 
+use hand_kinematics::user::UserProfile;
 use rfid_gen2::report::{TagId, TagReport};
 use rfipad::{ArrayLayout, Calibration, PipelineEvent, Recognizer, RfipadConfig, StageGraph};
 use sigproc::kernel::{self, reference, Scratch};
@@ -337,6 +343,23 @@ fn run_stroke_alloc_gate() -> String {
     format!("{{ \"spans\": {n}, \"allocs\": {allocs}, \"allocs_per_span\": {per_span:.4} }}")
 }
 
+/// Counts allocations across `Bench::record_session` of the golden
+/// session. The bench is calibrated first, so the reader's metrics are
+/// already registered and the count covers only the recording.
+fn run_reader_alloc_gate() -> String {
+    let bench = experiments::golden::golden_bench();
+    let (session, mut rng) = experiments::golden::golden_session(&bench);
+    let user = UserProfile::average();
+    let before = bench::count_allocs::alloc_count();
+    let reports = bench.record_session(&session, &user, &mut rng);
+    let allocs = bench::count_allocs::alloc_count() - before;
+    let reads = reports.len();
+    assert!(reads > 0, "the golden session is read");
+    let per_read = allocs as f64 / reads as f64;
+    println!("reader: {allocs} allocations over {reads} reads ({per_read:.4}/read)");
+    format!("{{ \"reads\": {reads}, \"allocs\": {allocs}, \"allocs_per_read\": {per_read:.4} }}")
+}
+
 fn main() {
     println!("kernel microbenchmarks ({ELEMS} elems, half-window {HALF}):");
     let kernel_entry = run_kernel_bench();
@@ -344,11 +367,18 @@ fn main() {
     let alloc_entry = run_alloc_gate();
     println!("stroke allocation gate:");
     let stroke_entry = run_stroke_alloc_gate();
+    println!("reader allocation gate:");
+    let reader_entry = run_reader_alloc_gate();
     experiments::benchjson::merge_entry("kernel_bench", &kernel_entry)
         .expect("merge kernel_bench into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("hot_path_allocs", &alloc_entry)
         .expect("merge hot_path_allocs into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("stroke_allocs", &stroke_entry)
         .expect("merge stroke_allocs into BENCH_pipeline.json");
-    println!("merged kernel_bench + hot_path_allocs + stroke_allocs into BENCH_pipeline.json");
+    experiments::benchjson::merge_entry("reader_allocs", &reader_entry)
+        .expect("merge reader_allocs into BENCH_pipeline.json");
+    println!(
+        "merged kernel_bench + hot_path_allocs + stroke_allocs + reader_allocs \
+         into BENCH_pipeline.json"
+    );
 }

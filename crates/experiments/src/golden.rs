@@ -9,6 +9,9 @@
 use crate::setup::{Deployment, DeploymentSpec};
 use crate::trial::{Bench, LetterTrial};
 use hand_kinematics::user::UserProfile;
+use hand_kinematics::writer::{Writer, WritingSession};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rfipad::RfipadConfig;
 
 /// Deployment seed for the golden bench.
@@ -37,9 +40,29 @@ pub fn golden_trial(bench: &Bench) -> LetterTrial {
     bench.run_letter_trial(GOLDEN_LETTER, &UserProfile::average(), GOLDEN_TRIAL_SEED)
 }
 
+/// The golden session written but not yet recorded: the average user's
+/// [`GOLDEN_LETTER`] and the trial rng, positioned where
+/// [`Bench::record_session`] takes it over. Recording it on a
+/// [`golden_bench`] yields [`golden_trial`]'s reports, so benchmarks can
+/// time or count the reader alone.
+pub fn golden_session(bench: &Bench) -> (WritingSession, StdRng) {
+    let writer = Writer::new(bench.deployment.pad, UserProfile::average());
+    let mut rng = StdRng::seed_from_u64(GOLDEN_TRIAL_SEED);
+    let session = writer.write_letter(GOLDEN_LETTER, 1.0, &mut rng);
+    (session, rng)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recording_the_golden_session_reproduces_the_trial() {
+        let bench = golden_bench();
+        let (session, mut rng) = golden_session(&bench);
+        let reports = bench.record_session(&session, &UserProfile::average(), &mut rng);
+        assert_eq!(reports, golden_trial(&bench).reports);
+    }
 
     #[test]
     fn golden_session_is_deterministic() {

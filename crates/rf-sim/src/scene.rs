@@ -17,19 +17,23 @@
 //! term — static multipath, neighbour shadowing, antenna/tag gains, the
 //! radar-equation and Friis base powers, the geometric phase — is
 //! precomputed per tag and per channel frequency at construction (the
-//! internal `StaticChannelCache`). `observe` then only evaluates the moving
-//! targets' reflection paths and the noise draws, which is what makes
-//! large experiment batches affordable. [`Scene::observe_uncached`]
-//! recomputes everything from scratch and is bit-identical by
-//! construction; tests hold the two against each other.
+//! internal `StaticChannelCache`), along with each tag's static noise
+//! terms. `observe` then only evaluates the moving targets' reflection
+//! paths and the noise draws, which is what makes large experiment batches
+//! affordable. [`Scene::observe_uncached`] recomputes everything from
+//! scratch and is bit-identical by construction; tests hold the two
+//! against each other.
+//!
+//! The reader asks which tags are powered far more often than it observes
+//! one: [`Scene::readable_tags_into`] answers for the whole plate from one
+//! sampling of the moving targets. Targets are sampled into an inline
+//! buffer, so neither the sweep nor an observation touches the heap.
 
 use crate::antenna::ReaderAntenna;
 use crate::channel;
 use crate::coupling;
 use crate::environment::Environment;
-use crate::geometry::Complex;
-#[cfg(test)]
-use crate::geometry::Vec3;
+use crate::geometry::{Complex, Vec3};
 use crate::noise;
 use crate::tags::{Tag, TagId};
 use crate::targets::{MovingTarget, TargetSample};
@@ -211,6 +215,15 @@ struct LinkStatics {
     /// carrier only: the IC harvests power broadband, so the forward link
     /// does not hop.
     base_forward_dbm: f64,
+    /// The environment's multipath energy at the tag, which scales the
+    /// motion-coupled jitter.
+    multipath_energy: f64,
+    /// Static phase-noise σ (rad) at the tag: its deviation bias.
+    phase_noise_sigma: f64,
+    /// Static RSS-noise σ (dB) at the tag.
+    rss_noise_sigma: f64,
+    /// Range factor that scales both noise σs with the reader distance.
+    range_factor: f64,
 }
 
 /// Per-tag static-channel cache, built once per scene and rebuilt when the
@@ -224,6 +237,57 @@ struct StaticChannelCache {
     /// `(frequency bits, statics)` per channel; at most 51 entries (50 FCC
     /// channels + the fixed carrier), scanned linearly.
     channels: Vec<(u64, ChannelStatics)>,
+}
+
+/// How many target samples [`TargetSamples`] holds before it spills to
+/// the heap. The reader passes two targets (hand and forearm).
+const INLINE_TARGETS: usize = 4;
+
+/// The moving targets sampled at one instant, in target order, skipping
+/// absent ones. Up to [`INLINE_TARGETS`] samples live inline; more spill
+/// to a `Vec`.
+struct TargetSamples {
+    inline: [TargetSample; INLINE_TARGETS],
+    len: usize,
+    spill: Vec<TargetSample>,
+}
+
+impl TargetSamples {
+    fn at(targets: &[&dyn MovingTarget], t: f64) -> Self {
+        let empty = TargetSample {
+            position: Vec3::ZERO,
+            rcs_m2: 0.0,
+        };
+        let mut samples = Self {
+            inline: [empty; INLINE_TARGETS],
+            len: 0,
+            spill: Vec::new(),
+        };
+        for sample in targets.iter().filter_map(|target| target.sample(t)) {
+            if samples.len < INLINE_TARGETS {
+                samples.inline[samples.len] = sample;
+            } else {
+                if samples.len == INLINE_TARGETS {
+                    samples.spill.extend_from_slice(&samples.inline);
+                }
+                samples.spill.push(sample);
+            }
+            samples.len += 1;
+        }
+        samples
+    }
+}
+
+impl std::ops::Deref for TargetSamples {
+    type Target = [TargetSample];
+
+    fn deref(&self) -> &[TargetSample] {
+        if self.len <= INLINE_TARGETS {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
 }
 
 /// The full simulated deployment.
@@ -347,18 +411,27 @@ impl Scene {
     }
 
     fn link_statics_for(&self, tag: &Tag, shadow_db: f64) -> LinkStatics {
+        let d_rt_m = self.antenna.position().distance(tag.position);
         LinkStatics {
-            d_rt: self.antenna.position().distance(tag.position).max(1e-6),
+            d_rt: d_rt_m.max(1e-6),
             static_loss_db: self.config.system_loss_db + shadow_db,
             base_forward_dbm: channel::forward_power(
                 self.config.tx_power,
                 self.antenna.gain_toward(tag.position),
                 crate::units::Dbi(tag.model.gain_toward_dbi(self.incidence_angle(tag))),
-                Meters(self.antenna.position().distance(tag.position)),
+                Meters(d_rt_m),
                 self.wavelength(),
                 Db(0.0),
             )
             .value(),
+            multipath_energy: self.environment.multipath_energy(tag.position),
+            phase_noise_sigma: self.environment.phase_noise_sigma(tag.position),
+            rss_noise_sigma: self.environment.rss_noise_sigma(tag.position),
+            // Ambient multipath jitter grows with reader range: the direct
+            // path weakens as 1/d² while room reflections stay put, so the
+            // multipath-to-direct ratio — and the phase jitter it causes —
+            // rises with distance (the paper's Fig. 19 observation).
+            range_factor: (d_rt_m / 0.32).powf(1.0).clamp(0.3, 5.0),
         }
     }
 
@@ -482,11 +555,23 @@ impl Scene {
         (dir.z.abs() / n).clamp(-1.0, 1.0).acos()
     }
 
-    /// Whether the tag can respond at time `t` with the given targets
-    /// present.
-    pub fn is_readable(&self, tag: &Tag, t: f64, targets: &[&dyn MovingTarget]) -> bool {
-        let samples = sample_targets(targets, t);
-        self.forward_power_at(tag, &samples).value() >= tag.model.sensitivity().value()
+    /// Collects into `out` (cleared first) the id of every tag that can
+    /// respond at time `t` with the given targets present, in scene order.
+    ///
+    /// A tag responds when its forward power clears its sensitivity — the
+    /// [`Scene::forward_power_at`] gate [`Scene::observe`] also applies.
+    /// The targets are sampled once for the whole sweep and each tag's
+    /// gate reads its cached link statics.
+    pub fn readable_tags_into(&self, t: f64, targets: &[&dyn MovingTarget], out: &mut Vec<TagId>) {
+        out.clear();
+        let samples = TargetSamples::at(targets, t);
+        for (tag, cache) in self.tags.iter().zip(&self.cache) {
+            let link = &cache.link;
+            let (extra, _) = self.target_losses(tag, link.static_loss_db, &samples);
+            if link.base_forward_dbm - extra >= tag.model.sensitivity().value() {
+                out.push(tag.id);
+            }
+        }
     }
 
     /// Noiseless complex baseband response of `tag` at time `t`.
@@ -496,7 +581,7 @@ impl Scene {
     /// factor `1 + multipath + Σ reflections + Σ cross-terms` (squared
     /// because forward and return paths both traverse it).
     pub fn response(&self, tag: &Tag, t: f64, targets: &[&dyn MovingTarget]) -> Complex {
-        let samples = sample_targets(targets, t);
+        let samples = TargetSamples::at(targets, t);
         self.response_with_samples(tag, &samples, t)
     }
 
@@ -615,7 +700,7 @@ impl Scene {
         let index = self.tag_index(id)?;
         let tag = &self.tags[index];
         let (link, statics) = self.statics_at(index, self.frequency_at(t), use_cache);
-        let samples = sample_targets(targets, t);
+        let samples = TargetSamples::at(targets, t);
         // One loss evaluation feeds the forward-link gate, the response
         // amplitude/phase, and the IC margin below.
         let (extra, obstruction) = self.target_losses(tag, link.static_loss_db, &samples);
@@ -629,7 +714,7 @@ impl Scene {
         // (within one dwell, so hops do not alias into Doppler). The two
         // endpoints share the cached statics; only the target terms move.
         const DOPPLER_DT: f64 = 1e-3;
-        let samples_next = sample_targets(targets, t + DOPPLER_DT);
+        let samples_next = TargetSamples::at(targets, t + DOPPLER_DT);
         let (extra_next, obstruction_next) =
             self.target_losses(tag, link.static_loss_db, &samples_next);
         let h_next = self.response_from_statics(
@@ -653,25 +738,16 @@ impl Scene {
                 1.0 / (1.0 + (d / 0.25).powi(2))
             })
             .sum();
-        let motion_noise = self.config.motion_multipath_gain
-            * self.environment.multipath_energy(tag.position)
-            * presence.min(1.5);
+        let motion_noise =
+            self.config.motion_multipath_gain * link.multipath_energy * presence.min(1.5);
         // IC operating-point noise: a tag fed barely above its sensitivity
         // modulates with compressed depth and jittery phase.
         let margin = forward_dbm - tag.model.sensitivity().value();
         let power_noise = (self.config.power_noise_coeff * (-(margin - 2.0) / 4.0).exp()).min(0.4);
-        // Ambient multipath jitter grows with reader range: the direct
-        // path weakens as 1/d² while room reflections stay put, so the
-        // multipath-to-direct ratio — and the phase jitter it causes —
-        // rises with distance (the paper's Fig. 19 observation).
-        let d_rt_m = self.antenna.position().distance(tag.position);
-        let range_factor = (d_rt_m / 0.32).powf(1.0).clamp(0.3, 5.0);
-        let phase_sigma = (self.environment.phase_noise_sigma(tag.position) + motion_noise)
-            * range_factor
-            + power_noise;
-        let rss_sigma = (self.environment.rss_noise_sigma(tag.position) + 6.0 * motion_noise)
-            * range_factor
-            + 8.0 * power_noise;
+        // Both σs scale with the reader range (see `link_statics_for`).
+        let phase_sigma = (link.phase_noise_sigma + motion_noise) * link.range_factor + power_noise;
+        let rss_sigma =
+            (link.rss_noise_sigma + 6.0 * motion_noise) * link.range_factor + 8.0 * power_noise;
         let phase = noise::quantize_phase(-h.arg() + noise::gaussian(rng, 0.0, phase_sigma));
         let rss =
             noise::quantize_rss(20.0 * h.abs().log10() + noise::gaussian(rng, 0.0, rss_sigma));
@@ -704,10 +780,6 @@ impl Scene {
     fn doppler_noise_sigma(&self) -> f64 {
         0.6
     }
-}
-
-fn sample_targets(targets: &[&dyn MovingTarget], t: f64) -> Vec<TargetSample> {
-    targets.iter().filter_map(|tgt| tgt.sample(t)).collect()
 }
 
 fn wrap_to_pi(phase: f64) -> f64 {
@@ -744,9 +816,10 @@ mod tests {
     #[test]
     fn all_tags_readable_in_default_deployment() {
         let scene = nlos_scene(Environment::free_space());
-        for tag in scene.tags() {
-            assert!(scene.is_readable(tag, 0.0, &[]), "{} unreadable", tag.id);
-        }
+        let mut readable = Vec::new();
+        scene.readable_tags_into(0.0, &[], &mut readable);
+        let all: Vec<TagId> = scene.tags().iter().map(|tag| tag.id).collect();
+        assert_eq!(readable, all);
     }
 
     #[test]

@@ -1,12 +1,43 @@
 //! Property-based tests of the physics substrate's invariants.
 
 use proptest::prelude::*;
+use rf_sim::antenna::ReaderAntenna;
 use rf_sim::channel;
 use rf_sim::coupling;
+use rf_sim::environment::Environment;
 use rf_sim::geometry::{Complex, Vec3};
 use rf_sim::noise::{quantize_phase, quantize_rss, PHASE_STEP, RSS_STEP_DB};
-use rf_sim::tags::{Facing, Tag, TagId, TagModel};
+use rf_sim::scene::{Scene, SceneConfig};
+use rf_sim::tags::{Facing, Tag, TagArray, TagId, TagModel};
+use rf_sim::targets::{MovingTarget, StaticTarget, TargetSample};
 use rf_sim::units::{Db, Dbi, Dbm, Meters};
+
+/// The 5×5 plate at `location`, with the antenna behind it (NLOS) or on
+/// the ceiling on the hand's side (LOS), transmitting `tx_dbm`.
+fn plate_scene(location: usize, los: bool, tx_dbm: f64) -> Scene {
+    let array = TagArray::grid(5, 5, 0.06, Vec3::ZERO, TagModel::TypeB, |id| {
+        (id.0 as f64 * 2.399) % std::f64::consts::TAU
+    });
+    let center = array.center();
+    let (position, boresight) = if los {
+        let position = Vec3::new(center.x, center.y - 0.3, 0.4);
+        (position, (center - position).normalized())
+    } else {
+        (
+            Vec3::new(center.x, center.y, -0.32),
+            Vec3::new(0.0, 0.0, 1.0),
+        )
+    };
+    Scene::new(
+        ReaderAntenna::new(position, boresight, Dbi(8.0)),
+        array.tags().to_vec(),
+        Environment::office_location(location),
+        SceneConfig {
+            tx_power: Dbm(tx_dbm),
+            ..SceneConfig::default()
+        },
+    )
+}
 
 proptest! {
     /// dBm ↔ watts round-trips.
@@ -122,5 +153,40 @@ proptest! {
         prop_assert!((0.0..=max_db + 1e-12).contains(&a));
         let far = coupling::obstruction_db(Vec3::new(ox + 10.0, oy, oz), 0.05, from, to, max_db).value();
         prop_assert!(far < 1e-6);
+    }
+
+    /// The readability sweep returns exactly the tags whose forward power
+    /// clears their sensitivity, in scene order. Up to six targets: more
+    /// than the sweep keeps inline, so its spill path runs too.
+    #[test]
+    fn readability_sweep_matches_per_tag_gate(
+        location in 1usize..5,
+        los in any::<bool>(),
+        tx_dbm in 12.0f64..32.0,
+        spots in prop::collection::vec(
+            (-0.1f64..0.34, -0.34f64..0.1, 0.005f64..0.3, 0.005f64..0.08),
+            0..7,
+        ),
+    ) {
+        let scene = plate_scene(location, los, tx_dbm);
+        let targets: Vec<StaticTarget> = spots
+            .iter()
+            .map(|&(x, y, z, rcs)| StaticTarget::new(Vec3::new(x, y, z), rcs))
+            .collect();
+        let dyn_targets: Vec<&dyn MovingTarget> =
+            targets.iter().map(|t| t as &dyn MovingTarget).collect();
+        let samples: Vec<TargetSample> = targets.iter().map(|t| t.sample).collect();
+        let expected: Vec<TagId> = scene
+            .tags()
+            .iter()
+            .filter(|tag| {
+                scene.forward_power_at(tag, &samples).value() >= tag.model.sensitivity().value()
+            })
+            .map(|tag| tag.id)
+            .collect();
+        // A stale entry the sweep must clear first.
+        let mut swept = vec![TagId(999)];
+        scene.readable_tags_into(0.0, &dyn_targets, &mut swept);
+        prop_assert_eq!(swept, expected);
     }
 }

@@ -10,12 +10,15 @@
 //! session; a successful singulation flips it. In *dual-target* mode the
 //! reader alternates the targeted flag each round, so a static population is
 //! read continuously — the mode any monitoring deployment (and RFIPad) runs.
+//!
+//! Rounds reuse buffers the inventory owns instead of allocating: the
+//! powered set is written into one, and the slot draws go into another,
+//! sorted by slot and walked with a cursor.
 
 use crate::link::LinkParams;
 use rand::Rng;
-use rf_sim::tags::TagId;
+use rf_sim::tags::{TagId, TagIdMap};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Gen2 inventoried-flag values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -145,10 +148,14 @@ pub struct Inventory {
     q: QAlgorithm,
     initial_q: u8,
     search: SearchMode,
-    flags: HashMap<TagId, Flag>,
+    flags: TagIdMap<TagId, Flag>,
     target: Flag,
     time: f64,
     stats: InventoryStats,
+    /// The powered set the `powered` callback last wrote.
+    powered: Vec<TagId>,
+    /// This round's `(slot, tag)` draws, sorted by slot before the walk.
+    draws: Vec<(u64, TagId)>,
 }
 
 impl Inventory {
@@ -159,10 +166,12 @@ impl Inventory {
             q: QAlgorithm::new(initial_q),
             initial_q,
             search,
-            flags: HashMap::new(),
+            flags: TagIdMap::default(),
             target: Flag::A,
             time: start,
             stats: InventoryStats::default(),
+            powered: Vec::new(),
+            draws: Vec::new(),
         }
     }
 
@@ -183,13 +192,14 @@ impl Inventory {
 
     /// Runs rounds until the simulated clock passes `until`.
     ///
-    /// `powered` is queried with the current time and must return the tags
-    /// whose forward link is live at that instant (the scene decides).
-    /// `on_read` receives each singulated tag and the singulation time.
+    /// `powered` is called with the current time and an empty buffer, and
+    /// must push the tags whose forward link is live at that instant (the
+    /// scene decides). `on_read` receives each singulated tag and the
+    /// singulation time.
     pub fn run<R, P, F>(&mut self, until: f64, rng: &mut R, mut powered: P, mut on_read: F)
     where
         R: Rng + ?Sized,
-        P: FnMut(f64) -> Vec<TagId>,
+        P: FnMut(f64, &mut Vec<TagId>),
         F: FnMut(TagId, f64),
     {
         while self.time < until {
@@ -202,7 +212,7 @@ impl Inventory {
     fn run_round<R, P, F>(&mut self, rng: &mut R, powered: &mut P, on_read: &mut F, until: f64)
     where
         R: Rng + ?Sized,
-        P: FnMut(f64) -> Vec<TagId>,
+        P: FnMut(f64, &mut Vec<TagId>),
         F: FnMut(TagId, f64),
     {
         self.stats.rounds += 1;
@@ -210,17 +220,18 @@ impl Inventory {
         let q = self.q.q();
         let slot_count: u64 = 1 << q;
 
-        // Participating tags draw their slot counters.
-        let mut draws: HashMap<u64, Vec<TagId>> = HashMap::new();
-        let mut participants = 0usize;
-        for id in powered(self.time) {
+        // Participating tags draw their slot counters, in powered-set
+        // order (which fixes the rng stream).
+        self.powered.clear();
+        powered(self.time, &mut self.powered);
+        self.draws.clear();
+        for &id in &self.powered {
             let flag = *self.flags.entry(id).or_insert(Flag::A);
             if flag == self.target {
-                participants += 1;
-                let slot = rng.random_range(0..slot_count);
-                draws.entry(slot).or_default().push(id);
+                self.draws.push((rng.random_range(0..slot_count), id));
             }
         }
+        self.draws.sort_by_key(|&(slot, _)| slot);
 
         // The current target population is exhausted: in dual-target mode
         // retarget the opposite flag so the (static) population is read
@@ -228,7 +239,7 @@ impl Inventory {
         // expected population jumps back up. A short probe round (the
         // remaining empty slots are skipped — real readers close the round
         // with a Query rather than stepping through every slot).
-        if participants == 0 {
+        if self.draws.is_empty() {
             self.stats.slots += 1;
             self.stats.empties += 1;
             self.time += self.link.empty_slot_s();
@@ -239,6 +250,8 @@ impl Inventory {
             return;
         }
 
+        // `draws[cursor..]` holds the draws for this slot and later ones.
+        let mut cursor = 0;
         for slot in 0..slot_count {
             if self.time >= until {
                 return;
@@ -250,11 +263,16 @@ impl Inventory {
                 return;
             }
             self.stats.slots += 1;
-            let outcome = match draws.get(&slot).map(|v| v.as_slice()) {
-                None | Some([]) => SlotOutcome::Empty,
-                Some([only]) => SlotOutcome::Success(*only),
-                Some(_) => SlotOutcome::Collision,
+            let replies = self.draws[cursor..]
+                .iter()
+                .take_while(|&&(drawn, _)| drawn == slot)
+                .count();
+            let outcome = match replies {
+                0 => SlotOutcome::Empty,
+                1 => SlotOutcome::Success(self.draws[cursor].1),
+                _ => SlotOutcome::Collision,
             };
+            cursor += replies;
             match outcome {
                 SlotOutcome::Empty => {
                     self.stats.empties += 1;
@@ -273,7 +291,9 @@ impl Inventory {
                     let read_time = self.time + self.link.success_slot_s() * 0.7;
                     // The tag must still be powered when it backscatters its
                     // EPC (the hand may have just shadowed it).
-                    if powered(read_time).contains(&id) {
+                    self.powered.clear();
+                    powered(read_time, &mut self.powered);
+                    if self.powered.contains(&id) {
                         self.flags.insert(id, self.target.flipped());
                         on_read(id, read_time);
                     }
@@ -289,9 +309,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
-    fn population(n: u64) -> Vec<TagId> {
-        (0..n).map(TagId).collect()
+    /// A `powered` callback for a static population of `n` tags.
+    fn population(n: u64) -> impl FnMut(f64, &mut Vec<TagId>) {
+        move |_t, out| out.extend((0..n).map(TagId))
     }
 
     #[test]
@@ -329,12 +351,9 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(1);
         let mut reads: HashMap<TagId, u32> = HashMap::new();
-        inv.run(
-            2.0,
-            &mut rng,
-            |_t| population(25),
-            |id, _t| *reads.entry(id).or_default() += 1,
-        );
+        inv.run(2.0, &mut rng, population(25), |id, _t| {
+            *reads.entry(id).or_default() += 1
+        });
         assert_eq!(reads.len(), 25, "every tag read at least once");
         let min_reads = reads.values().min().copied().unwrap_or(0);
         assert!(min_reads >= 3, "per-tag reads in 2 s: min {min_reads}");
@@ -350,12 +369,9 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(2);
         let mut reads: HashMap<TagId, u32> = HashMap::new();
-        inv.run(
-            3.0,
-            &mut rng,
-            |_t| population(10),
-            |id, _t| *reads.entry(id).or_default() += 1,
-        );
+        inv.run(3.0, &mut rng, population(10), |id, _t| {
+            *reads.entry(id).or_default() += 1
+        });
         assert_eq!(reads.len(), 10);
         assert!(reads.values().all(|&c| c == 1), "{reads:?}");
     }
@@ -372,7 +388,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(3);
         let mut count = 0u64;
-        inv.run(5.0, &mut rng, |_t| population(25), |_id, _t| count += 1);
+        inv.run(5.0, &mut rng, population(25), |_id, _t| count += 1);
         let per_tag_hz = count as f64 / 25.0 / 5.0;
         assert!(
             per_tag_hz > 3.0 && per_tag_hz < 40.0,
@@ -389,7 +405,7 @@ mod tests {
             0.0,
         );
         let mut rng = StdRng::seed_from_u64(4);
-        inv.run(5.0, &mut rng, |_t| population(25), |_id, _t| {});
+        inv.run(5.0, &mut rng, population(25), |_id, _t| {});
         let eff = inv.stats().efficiency();
         assert!(eff > 0.12 && eff < 0.6, "efficiency {eff}");
     }
@@ -404,7 +420,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(5);
         let mut reads = 0;
-        inv.run(0.5, &mut rng, |_t| Vec::new(), |_id, _t| reads += 1);
+        inv.run(0.5, &mut rng, population(0), |_id, _t| reads += 1);
         assert_eq!(reads, 0);
         assert!(inv.stats().empties > 0);
         assert_eq!(inv.stats().successes, 0);
@@ -415,15 +431,10 @@ mod tests {
         let mut inv = Inventory::new(LinkParams::fast(), 3, SearchMode::DualTarget, 1.0);
         let mut rng = StdRng::seed_from_u64(6);
         let mut last = 1.0;
-        inv.run(
-            1.5,
-            &mut rng,
-            |_t| population(8),
-            |_id, t| {
-                assert!(t >= last, "time went backwards");
-                last = t;
-            },
-        );
+        inv.run(1.5, &mut rng, population(8), |_id, t| {
+            assert!(t >= last, "time went backwards");
+            last = t;
+        });
         assert!(inv.time() >= 1.5);
     }
 
@@ -437,7 +448,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(7);
         let mut times = Vec::new();
-        inv.run(3.0, &mut rng, |_t| population(5), |_id, t| times.push(t));
+        inv.run(3.0, &mut rng, population(5), |_id, t| times.push(t));
         assert!(!times.is_empty());
         assert!(times.iter().all(|&t| (2.0..3.2).contains(&t)));
     }
@@ -458,12 +469,10 @@ mod tests {
         inv.run(
             0.05,
             &mut rng,
-            move |_t| {
+            move |_t, out: &mut Vec<TagId>| {
                 if first_call {
                     first_call = false;
-                    vec![TagId(0)]
-                } else {
-                    Vec::new()
+                    out.push(TagId(0));
                 }
             },
             |_id, _t| reads += 1,

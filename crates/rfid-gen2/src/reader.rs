@@ -104,43 +104,29 @@ impl Gen2Reader {
             self.config.search,
             start,
         );
-        let mut events: Vec<TagReport> = Vec::new();
-
         // The powered set changes on hand-motion time scales; cache it and
         // refresh on the configured interval instead of per slot.
         let mut cache_time = f64::NEG_INFINITY;
-        let mut cached: Vec<TagId> = Vec::new();
+        let mut cached: Vec<TagId> = Vec::with_capacity(scene.tags().len());
         let interval = self.config.power_check_interval_s;
+        let powered = |t: f64, out: &mut Vec<TagId>| {
+            if t - cache_time >= interval {
+                cache_time = t;
+                scene.readable_tags_into(t, targets, &mut cached);
+            }
+            out.extend_from_slice(&cached);
+        };
 
-        // The inventory callback cannot carry the rng (already borrowed), so
-        // pre-draw observation noise seeds per read via a child closure that
-        // defers observation until after the run? Simpler: collect read
-        // instants first, then observe. Read ordering is deterministic given
-        // the rng, and observation noise is drawn afterwards from the same
-        // rng — statistically equivalent.
+        // Read instants are collected first, then observed in order with
+        // the same rng: the MAC's slot draws all precede the observation
+        // noise draws in the rng stream.
         let mut read_instants: Vec<(TagId, f64)> = Vec::new();
-        {
-            let powered = |t: f64| -> Vec<TagId> {
-                scene
-                    .tags()
-                    .iter()
-                    .filter(|tag| scene.is_readable(tag, t, targets))
-                    .map(|tag| tag.id)
-                    .collect()
-            };
-            let mut powered_cached = |t: f64| -> Vec<TagId> {
-                if t - cache_time >= interval {
-                    cache_time = t;
-                    cached = powered(t);
-                }
-                cached.clone()
-            };
-            inventory.run(start + duration, rng, &mut powered_cached, |id, t| {
-                read_instants.push((id, t));
-            });
-        }
+        inventory.run(start + duration, rng, powered, |id, t| {
+            read_instants.push((id, t));
+        });
 
         let hopping = scene.config().hopping.as_ref();
+        let mut events: Vec<TagReport> = Vec::with_capacity(read_instants.len());
         for (id, t) in read_instants {
             if let Some(observation) = scene.observe(id, t, targets, rng) {
                 // LLRP ChannelIndex is 1-based under a hopping plan; 0 marks

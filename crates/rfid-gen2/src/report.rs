@@ -13,13 +13,15 @@
 //! [`TagId`] is re-exported here because the report stream is where the
 //! logical tag identity crosses the boundary (EPC ↔ id via [`Epc96`]);
 //! consumers of reports name tags without touching the simulator crate.
+//! [`TagIdMap`] (and its [`TagIdHasher`]) ride along, so the reader's MAC
+//! and the recognizer key their per-tag state with one hasher.
 
 use crate::epc::Epc96;
 use rf_sim::scene::TagObservation;
 use serde::{Deserialize, Serialize};
 
 pub use rf_sim::noise::PHASE_STEP;
-pub use rf_sim::tags::TagId;
+pub use rf_sim::tags::{TagId, TagIdHasher, TagIdMap};
 
 /// Channel index stamped on reports when the reader runs on a fixed
 /// carrier (no hopping plan). Hopping readers report 1-based LLRP channel

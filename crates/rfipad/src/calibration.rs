@@ -17,8 +17,7 @@
 use crate::config::RfipadConfig;
 use crate::error::RfipadError;
 use crate::layout::ArrayLayout;
-use crate::tagmap::TagIdMap;
-use rfid_gen2::report::{TagId, TagReport};
+use rfid_gen2::report::{TagId, TagIdMap, TagReport};
 use serde::{Deserialize, Serialize};
 use sigproc::frames::FrameSeq;
 use sigproc::series::TimeSeries;

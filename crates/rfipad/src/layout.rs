@@ -1,8 +1,7 @@
 //! The logical tag-array layout: tag ids ↔ grid positions.
 
 use crate::error::RfipadError;
-use crate::tagmap::TagIdMap;
-use rfid_gen2::report::TagId;
+use rfid_gen2::report::{TagId, TagIdMap};
 use serde::{Deserialize, Serialize};
 
 /// The recognizer's view of the tag plate: which tag sits at which grid

@@ -77,7 +77,6 @@ pub mod segmentation;
 pub mod serve;
 pub mod stage;
 pub mod streams;
-pub mod tagmap;
 pub(crate) mod telemetry;
 pub mod words;
 

@@ -1064,7 +1064,8 @@ impl StageGraph {
 
     /// How many reports arrived with a timestamp older than an already
     /// consumed one (and were clamped or dropped per the configured
-    /// [`OutOfOrderPolicy`]).
+    /// [`OutOfOrderPolicy`]), plus those dropped for a non-finite time,
+    /// phase or RSS.
     pub fn out_of_order_count(&self) -> u64 {
         self.out_of_order_count
     }
@@ -1081,8 +1082,9 @@ impl StageGraph {
     /// stale timestamps from multi-antenna or multi-source merges are
     /// clamped or dropped per the configured [`OutOfOrderPolicy`] and
     /// counted in [`StageGraph::out_of_order_count`]. A report with a
-    /// non-finite time is dropped and counted under either policy.
-    /// Feeding after [`StageGraph::finish`] resumes the stream.
+    /// non-finite time, phase or RSS is dropped and counted there under
+    /// either policy. Feeding after [`StageGraph::finish`] resumes the
+    /// stream.
     pub fn push(&mut self, obs: TagReport) -> Vec<PipelineEvent> {
         let mut events = Vec::new();
         self.push_into(obs, &mut events);
@@ -1096,6 +1098,13 @@ impl StageGraph {
         self.finished = false;
         let metrics = crate::telemetry::stage_metrics();
         metrics.reports.inc();
+        // Doppler is not read by recognition, so only phase and RSS are
+        // audited: one non-finite value would poison a whole stroke.
+        if !(obs.phase.is_finite() && obs.rss_dbm.is_finite()) {
+            self.out_of_order_count += 1;
+            metrics.out_of_order_dropped.inc();
+            return;
+        }
         if obs.time < self.last_time || !obs.time.is_finite() {
             self.out_of_order_count += 1;
             // Mirror into the durable registry counters: the per-graph

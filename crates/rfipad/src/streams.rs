@@ -8,8 +8,7 @@
 
 use crate::calibration::{wrap_to_pi, Calibration};
 use crate::layout::ArrayLayout;
-use crate::tagmap::TagIdMap;
-use rfid_gen2::report::{TagId, TagReport};
+use rfid_gen2::report::{TagId, TagIdMap, TagReport};
 use serde::{Deserialize, Serialize};
 use sigproc::series::TimeSeries;
 use sigproc::unwrap::StreamingUnwrapper;
@@ -34,7 +33,8 @@ impl TagStreams {
     /// unwrapped phase, whose centre value keeps the tag's hardware offset.
     ///
     /// Reports for tags outside `layout` are ignored (a public-area
-    /// reader hears unrelated tags too).
+    /// reader hears unrelated tags too), as are reports whose phase or
+    /// RSS is not finite.
     pub fn build<'a>(
         layout: &ArrayLayout,
         calibration: Option<&Calibration>,
@@ -126,8 +126,8 @@ impl TagStreamsBuilder {
     }
 
     /// Appends one report. Returns the `(tag, time, calibrated phase)`
-    /// sample that was appended, or `None` if the report's tag is outside
-    /// `layout` and was ignored.
+    /// sample that was appended, or `None` if the report was ignored: its
+    /// tag is outside `layout`, or its phase or RSS is not finite.
     ///
     /// `layout` and `calibration` must be the same on every push; they are
     /// passed per call (rather than stored) so the builder can live beside
@@ -138,7 +138,7 @@ impl TagStreamsBuilder {
         calibration: Option<&Calibration>,
         obs: &TagReport,
     ) -> Option<(TagId, f64, f64)> {
-        if !layout.contains(obs.tag) {
+        if !(layout.contains(obs.tag) && obs.phase.is_finite() && obs.rss_dbm.is_finite()) {
             return None;
         }
         let state = self.tags.entry(obs.tag).or_default();

@@ -9,8 +9,9 @@
 # regression or allocation regression: the freshly measured `ingest_batch`
 # and `incremental_framing` reports_per_s must stay within BENCH_TOLERANCE
 # (default 0.6) of the committed BENCH_pipeline.json, the quiet hot path
-# must not allocate, and `stroke_allocs` may not exceed its committed
-# allocations per span. Parallel-speedup checks are skipped (not
+# must not allocate, `stroke_allocs` may not exceed its committed
+# allocations per span and `reader_allocs` its committed allocations per
+# read. Parallel-speedup checks are skipped (not
 # gated) on single-core machines, where "parallel" has nothing to win.
 # Criterion sample time is kept short via CRITERION_SAMPLE_MS so the pass
 # stays quick.
@@ -32,12 +33,13 @@ base_ingest=$(baseline_rps ingest_batch)
 base_framing=$(baseline_rps incremental_framing)
 base_serve=$(baseline_rps serve_loopback)
 
-# allocs_per_span: the stroke_allocs entry's allocations per span, read
-# from stdin; empty if the entry does not exist.
-allocs_per_span() {
-  sed -n 's/^ *"stroke_allocs":.*"allocs_per_span": \([0-9.]*\).*/\1/p' | head -n 1
+# per_unit_allocs <entry> <field>: one entry's allocations per unit (span,
+# read), read from stdin; empty if the entry does not exist.
+per_unit_allocs() {
+  sed -n "s/^ *\"$1\":.*\"$2\": \([0-9.]*\).*/\1/p" | head -n 1
 }
-base_stroke_allocs=$(allocs_per_span <<<"$baseline")
+base_stroke_allocs=$(per_unit_allocs stroke_allocs allocs_per_span <<<"$baseline")
+base_reader_allocs=$(per_unit_allocs reader_allocs allocs_per_read <<<"$baseline")
 
 echo "== format =="
 cargo fmt --check
@@ -71,9 +73,10 @@ cargo run --release -p experiments --bin engine_bench -- --sessions 8
 
 echo "== kernel microbench + allocation gates =="
 # Runs the sigproc kernel suite against the naive references, feeds a
-# quiet synthetic session through the pipeline and recognizes every span
-# of the golden session, all under a counting global allocator. Merges
-# the kernel_bench, hot_path_allocs and stroke_allocs entries; both
+# quiet synthetic session through the pipeline, recognizes every span of
+# the golden session and records the golden session through the simulated
+# reader, all under a counting global allocator. Merges the kernel_bench,
+# hot_path_allocs, stroke_allocs and reader_allocs entries; all three
 # allocation counts are gated below.
 cargo run --release -p bench --features count-allocs --bin kernel_bench
 
@@ -255,24 +258,31 @@ if [ "$hot_allocs" -ne 0 ]; then
 fi
 echo "hot_path_allocs ${hot_allocs}: OK"
 
-# Stroke allocation gate: the quiet stream above never reaches the motion
-# stage, so recognize_span over the golden session's spans is counted
-# separately. It may not allocate more per span than the committed entry.
-stroke_allocs=$(allocs_per_span <BENCH_pipeline.json)
-if [ -z "$stroke_allocs" ]; then
-  echo "bench-check: stroke_allocs entry missing from BENCH_pipeline.json" >&2
-  exit 1
-fi
-if [ -z "$base_stroke_allocs" ]; then
-  echo "stroke_allocs ${stroke_allocs}/span (no committed baseline; gate skipped)"
-else
-  awk -v f="$stroke_allocs" -v b="$base_stroke_allocs" 'BEGIN { exit !(f <= b) }' || {
-    echo "bench-check: recognize_span made ${stroke_allocs} allocations per span," \
-      "above the committed ${base_stroke_allocs}" >&2
+# Per-unit allocation gates, each entry against its own committed value.
+gate_allocs() { # entry field unit baseline what
+  local entry=$1 field=$2 unit=$3 base=$4 what=$5 fresh
+  fresh=$(per_unit_allocs "$entry" "$field" <BENCH_pipeline.json)
+  if [ -z "$fresh" ]; then
+    echo "bench-check: $entry entry missing from BENCH_pipeline.json" >&2
+    exit 1
+  fi
+  if [ -z "$base" ]; then
+    echo "$entry ${fresh}/$unit (no committed baseline; gate skipped)"
+    return
+  fi
+  awk -v f="$fresh" -v b="$base" 'BEGIN { exit !(f <= b) }' || {
+    echo "bench-check: $what made ${fresh} allocations per $unit," \
+      "above the committed ${base}" >&2
     exit 1
   }
-  echo "stroke_allocs ${stroke_allocs}/span (committed ${base_stroke_allocs}): OK"
-fi
+  echo "$entry ${fresh}/$unit (committed ${base}): OK"
+}
+# The quiet stream above never reaches the motion stage, so
+# recognize_span over the golden session's spans is counted separately.
+gate_allocs stroke_allocs allocs_per_span span "$base_stroke_allocs" recognize_span
+# Nor does any pipeline gate see the simulator: recording the golden
+# session through the reader is counted per read.
+gate_allocs reader_allocs allocs_per_read read "$base_reader_allocs" Bench::record_session
 
 # Parallel-speedup sanity: only meaningful with more than one core.
 cores=$(sed -n 's/^ *"cores": \([0-9]*\),*/\1/p' BENCH_pipeline.json | head -n 1)

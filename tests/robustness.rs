@@ -1,11 +1,13 @@
 //! Failure injection: the recognizer facing degraded deployments —
 //! unreadable tags, foreign tag traffic, low power, partial streams.
 
+use experiments::golden::{golden_bench, golden_trial, GOLDEN_LETTER};
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use hand_kinematics::user::UserProfile;
 use rfid_gen2::report::{TagId, TagReport};
-use rfipad::RfipadConfig;
+use rfipad::engine::normalize_events;
+use rfipad::{PipelineEvent, Recognizer, RfipadConfig, StageGraph};
 
 fn bench() -> Bench {
     Bench::calibrate(
@@ -154,4 +156,50 @@ fn half_the_reads_still_detect_strokes() {
         1,
         "stroke lost under 2× undersampling"
     );
+}
+
+/// The stage graph's events over `reports`, wall-clock fields zeroed.
+fn graph_events(recognizer: &Recognizer, reports: &[TagReport]) -> Vec<PipelineEvent> {
+    let mut graph = StageGraph::builder()
+        .recognizer(recognizer.clone())
+        .letter_gap_s(1.5)
+        .build()
+        .expect("valid gap");
+    let mut events = Vec::new();
+    graph.push_batch(reports.iter().copied(), &mut events);
+    graph.finish_into(&mut events);
+    normalize_events(&mut events);
+    events
+}
+
+#[test]
+fn non_finite_phase_or_rss_counts_as_a_missing_report() {
+    // RFIW frames and binary traces carry raw f64 bits, so a client can
+    // send any value. One poisoned report mid-stroke must change nothing:
+    // both recognizers see the session as if that report never arrived.
+    let bench = golden_bench();
+    let reports = golden_trial(&bench).reports;
+    let victim = reports.len() / 2;
+    let mut deleted = reports.clone();
+    deleted.remove(victim);
+    let batch_expected = bench.recognizer.recognize_session(&deleted);
+    let graph_expected = graph_events(&bench.recognizer, &deleted);
+    assert_eq!(batch_expected.letter, Some(GOLDEN_LETTER));
+    let good = reports[victim];
+    let with_phase = |phase| TagReport { phase, ..good };
+    let with_rss = |rss_dbm| TagReport { rss_dbm, ..good };
+    let poisoned = [
+        ("+inf phase", with_phase(f64::INFINITY)),
+        ("NaN phase", with_phase(f64::NAN)),
+        ("NaN RSS", with_rss(f64::NAN)),
+        ("-inf RSS", with_rss(f64::NEG_INFINITY)),
+    ];
+    for (name, bad) in poisoned {
+        let mut hostile = reports.clone();
+        hostile[victim] = bad;
+        let batch = bench.recognizer.recognize_session(&hostile);
+        assert_eq!(batch, batch_expected, "recognize_session, {name}");
+        let graph = graph_events(&bench.recognizer, &hostile);
+        assert_eq!(graph, graph_expected, "stage graph, {name}");
+    }
 }
