@@ -2,7 +2,7 @@
 //!
 //! The perf-trajectory file is written wholesale by `bench_pipeline` and
 //! then enriched by probes that each own one top-level key
-//! (`engine_bench` → `multi_session`, `trace_tool stats --bench` →
+//! (`engine_bench` → `ingest_batch`, `trace_tool stats --bench` →
 //! `telemetry_overhead`). Because the vendored serde is a no-op shim, the
 //! merge is textual: the file is kept one top-level key per line, and
 //! [`merge_entry`] replaces that key's line while leaving every other

@@ -6,14 +6,10 @@
 //! scheduling plus [`rfipad::engine::Backpressure::Block`] (lossless)
 //! means concurrency must not change recognition — only wall-clock
 //! metadata, which [`rfipad::engine::normalize_events`] strips before the
-//! comparison. On success the run merges a `multi_session` entry into
-//! `BENCH_pipeline.json` next to the other perf-trajectory probes.
-//!
-//! The replay runs twice — once ingesting one report per
-//! `SessionHandle::ingest` (the `multi_session` entry) and once ingesting
-//! `--batch`-sized batches per `SessionHandle::ingest_batch` (the
-//! `ingest_batch` entry) — and both modes must reproduce the serial
-//! replay bit for bit.
+//! comparison. Each session ingests `--batch`-sized batches per
+//! `SessionHandle::ingest_batch`; on success the run merges an
+//! `ingest_batch` entry into `BENCH_pipeline.json` next to the other
+//! perf-trajectory probes.
 //!
 //! Usage: `cargo run --release -p experiments --bin engine_bench [-- \
 //!   --sessions N] [--jobs N] [--capacity N] [--batch N]`
@@ -82,17 +78,14 @@ struct ReplayStats {
     workers: usize,
 }
 
-/// Replays the golden trace through `sessions` concurrent engine sessions
-/// and checks every one against the serial reference. `batch` selects the
-/// ingest mode: `None` ingests one report per `ingest`, `Some(n)` ingests
-/// `n`-report batches per `ingest_batch`. Either way the recognitions
-/// must be bit-identical to the serial replay.
+/// Replays the golden trace through `sessions` concurrent engine sessions,
+/// `batch`-report batches per `ingest_batch`, and checks every one against
+/// the serial reference: the recognitions must be bit-identical.
 fn run_replay(
     bench: &experiments::Bench,
     reports: &Arc<Vec<TagReport>>,
     expected: &Arc<Vec<PipelineEvent>>,
     args: &Args,
-    batch: Option<usize>,
 ) -> Result<ReplayStats, String> {
     let engine = Arc::new(
         Engine::builder()
@@ -104,8 +97,7 @@ fn run_replay(
     );
     let workers = engine.config().workers;
     obs::info!("streaming sessions"; sessions = args.sessions, reports = reports.len(),
-        workers = workers, queue_capacity = args.capacity,
-        batch = batch.unwrap_or(1));
+        workers = workers, queue_capacity = args.capacity, batch = args.batch);
 
     let start = Instant::now();
     let feeders: Vec<_> = (0..args.sessions)
@@ -115,24 +107,16 @@ fn run_replay(
             let expected = Arc::clone(expected);
             let pipeline = session_pipeline(&bench.recognizer);
             let capacity = args.capacity;
+            let batch = args.batch;
             std::thread::spawn(move || -> Result<LatencySnapshot, String> {
                 let session = engine
                     .open_session(format!("replay-{i}"), pipeline)
                     .map_err(|e| e.to_string())?;
                 let mut receipt = rfipad::IngestReceipt::default();
-                match batch {
-                    None => {
-                        for r in reports.iter() {
-                            receipt += session.ingest(*r).map_err(|e| e.to_string())?;
-                        }
-                    }
-                    Some(n) => {
-                        for chunk in reports.chunks(n) {
-                            receipt += session
-                                .ingest_batch(chunk.iter().copied().collect())
-                                .map_err(|e| e.to_string())?;
-                        }
-                    }
+                for chunk in reports.chunks(batch) {
+                    receipt += session
+                        .ingest_batch(chunk.to_vec())
+                        .map_err(|e| e.to_string())?;
                 }
                 if receipt.accepted != reports.len() as u64 || receipt.dropped != 0 {
                     return Err(format!(
@@ -223,44 +207,16 @@ fn run() -> Result<(), String> {
         ));
     }
 
-    let per_report = run_replay(&bench, &reports, &expected, &args, None)?;
-    println!(
-        "{} sessions replayed '{GOLDEN_LETTER}' identically in {:.3} s \
-         ({:.0} reports/s; worst per-session push p50 {} ns, p99 {} ns)",
-        args.sessions,
-        per_report.wall_s,
-        per_report.reports_per_s,
-        per_report.worst_p50,
-        per_report.worst_p99,
-    );
-    let entry = format!(
-        "{{ \"sessions\": {}, \"workers\": {}, \"cores\": {cores}, \"queue_capacity\": {}, \
-         \"reports_per_session\": {}, \"wall_s\": {:.3}, \
-         \"reports_per_s\": {:.0}, \"push_p50_ns\": {}, \
-         \"push_p99_ns\": {}, \"events_per_session\": {}, \
-         \"identical_to_serial\": true }}",
-        args.sessions,
-        per_report.workers,
-        args.capacity,
-        reports.len(),
-        per_report.wall_s,
-        per_report.reports_per_s,
-        per_report.worst_p50,
-        per_report.worst_p99,
-        expected.len(),
-    );
-    experiments::benchjson::merge_entry("multi_session", &entry)
-        .map_err(|e| format!("BENCH_pipeline.json: {e}"))?;
-
-    let batched = run_replay(&bench, &reports, &expected, &args, Some(args.batch))?;
+    let replay = run_replay(&bench, &reports, &expected, &args)?;
     println!(
         "{} sessions replayed '{GOLDEN_LETTER}' identically in {:.3} s with \
-         {}-report batches ({:.0} reports/s, {:.2}x the per-report feed)",
+         {}-report batches ({:.0} reports/s; worst per-session push p50 {} ns, p99 {} ns)",
         args.sessions,
-        batched.wall_s,
+        replay.wall_s,
         args.batch,
-        batched.reports_per_s,
-        batched.reports_per_s / per_report.reports_per_s,
+        replay.reports_per_s,
+        replay.worst_p50,
+        replay.worst_p99,
     );
     let entry = format!(
         "{{ \"sessions\": {}, \"workers\": {}, \"cores\": {cores}, \"queue_capacity\": {}, \
@@ -268,19 +224,19 @@ fn run() -> Result<(), String> {
          \"reports_per_s\": {:.0}, \"push_p50_ns\": {}, \"push_p99_ns\": {}, \
          \"events_per_session\": {}, \"identical_to_serial\": true }}",
         args.sessions,
-        batched.workers,
+        replay.workers,
         args.capacity,
         args.batch,
         reports.len(),
-        batched.wall_s,
-        batched.reports_per_s,
-        batched.worst_p50,
-        batched.worst_p99,
+        replay.wall_s,
+        replay.reports_per_s,
+        replay.worst_p50,
+        replay.worst_p99,
         expected.len(),
     );
     experiments::benchjson::merge_entry("ingest_batch", &entry)
         .map_err(|e| format!("BENCH_pipeline.json: {e}"))?;
-    obs::info!("merged multi_session and ingest_batch entries into BENCH_pipeline.json");
+    obs::info!("merged ingest_batch entry into BENCH_pipeline.json");
     Ok(())
 }
 

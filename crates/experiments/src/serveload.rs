@@ -120,7 +120,7 @@ pub fn session_pipeline(recognizer: &Recognizer) -> StageGraph {
 pub fn serial_replay(recognizer: &Recognizer, reports: &[TagReport]) -> Vec<PipelineEvent> {
     let mut graph = session_pipeline(recognizer);
     let mut events = Vec::new();
-    graph.push_batch(reports.iter().copied(), &mut events);
+    graph.push_batch(reports, &mut events);
     graph.finish_into(&mut events);
     normalize_events(&mut events);
     events
@@ -183,7 +183,7 @@ pub fn replay_over_loopback(
                     for id in &ids {
                         seq += 1;
                         let delivery = client
-                            .send_batch(id, seq, chunk.iter().copied().collect())
+                            .send_batch(id, seq, chunk.to_vec())
                             .map_err(|e| e.to_string())?;
                         if delivery.accepted != chunk.len() as u64 || delivery.dropped != 0 {
                             return Err(format!(

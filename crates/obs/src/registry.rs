@@ -181,7 +181,7 @@ impl Registry {
     }
 
     /// Removes every series of `name` whose labels include `label == value`
-    /// (e.g. all gauges of an evicted session). Returns how many were
+    /// (e.g. all gauges of a closed session). Returns how many were
     /// removed.
     pub fn remove_matching(&self, name: &str, label: &str, value: &str) -> usize {
         let mut families = self.families.lock().expect("registry poisoned");

@@ -292,7 +292,7 @@ pub fn lookup(session: &str) -> Option<Arc<FlightRecorder>> {
         .map(|(_, rec)| Arc::clone(rec))
 }
 
-/// Drops `session`'s flight recorder (close/eviction housekeeping).
+/// Drops `session`'s flight recorder (close housekeeping).
 /// Holders of the `Arc` keep their handle; the registry forgets it.
 pub fn remove(session: &str) {
     recorders()

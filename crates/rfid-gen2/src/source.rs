@@ -369,7 +369,7 @@ mod tests {
             if n == 0 {
                 return out;
             }
-            out.extend(batch.iter());
+            out.extend_from_slice(&batch);
         }
     }
 
@@ -399,7 +399,7 @@ mod tests {
         assert_eq!(src.next_batch(3, &mut batch), 3);
         assert_eq!(src.next_batch(3, &mut batch), 2, "partial final batch");
         assert_eq!(src.next_batch(3, &mut batch), 0, "exhausted");
-        assert_eq!(batch.iter().collect::<Vec<_>>(), reports);
+        assert_eq!(batch, reports);
     }
 
     #[test]
@@ -409,7 +409,7 @@ mod tests {
         batch.push(TagReport::synthetic(TagId(42), 9.0, 0.0, -50.0));
         src.next_batch(2, &mut batch);
         assert_eq!(batch.len(), 3);
-        assert_eq!(batch.get(0).unwrap().tag, TagId(42));
+        assert_eq!(batch[0].tag, TagId(42));
     }
 
     #[test]

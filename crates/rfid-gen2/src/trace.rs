@@ -12,8 +12,9 @@
 //!   bits via the vendored `bytes` buffers) — compact and exact by
 //!   construction.
 //!
-//! [`read_trace`] autodetects the framing from the first byte, so replay
-//! tooling never needs to be told which flavour a file is.
+//! Traces are read back through [`crate::source::TraceSource`], which
+//! autodetects the framing from the first byte, so replay tooling never
+//! needs to be told which flavour a file is.
 
 use crate::epc::Epc96;
 use crate::report::TagReport;
@@ -22,7 +23,7 @@ use obs::json::JsonError;
 use rf_sim::tags::TagId;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes opening a binary trace file.
@@ -148,14 +149,8 @@ pub fn encode_binary_record(r: &TagReport) -> Vec<u8> {
 }
 
 /// Reads one length-prefixed binary record, or `None` at a clean
-/// end-of-stream.
-pub fn read_binary_record<R: Read>(reader: &mut R) -> Result<Option<TagReport>, TraceError> {
-    let mut scratch = Vec::with_capacity(BINARY_RECORD_LEN);
-    read_binary_record_into(reader, &mut scratch)
-}
-
-/// Like [`read_binary_record`] but decoding through a caller-owned scratch
-/// buffer, so a replay loop allocates once instead of per record.
+/// end-of-stream. Decodes through a caller-owned scratch buffer, so a
+/// replay loop allocates once instead of per record.
 pub fn read_binary_record_into<R: Read>(
     reader: &mut R,
     scratch: &mut Vec<u8>,
@@ -264,48 +259,15 @@ pub fn detect_format(first_byte: u8) -> Result<TraceFormat, TraceError> {
     }
 }
 
-/// Reads a complete trace from a buffered stream, autodetecting the
-/// framing.
-pub fn read_trace<R: BufRead>(reader: &mut R) -> Result<Vec<TagReport>, TraceError> {
-    let first = reader.fill_buf()?;
-    if first.is_empty() {
-        return Ok(Vec::new());
-    }
-    match detect_format(first[0])? {
-        TraceFormat::JsonLines => {
-            let mut reports = Vec::new();
-            for (i, line) in reader.lines().enumerate() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                reports.push(decode_json_line(&line, i + 1)?);
-            }
-            Ok(reports)
-        }
-        TraceFormat::Binary => {
-            let mut magic = [0u8; 4];
-            reader.read_exact(&mut magic)?;
-            if magic != BINARY_MAGIC {
-                return Err(TraceError::Malformed(format!("bad magic {magic:02x?}")));
-            }
-            let mut reports = Vec::new();
-            while let Some(r) = read_binary_record(reader)? {
-                reports.push(r);
-            }
-            Ok(reports)
-        }
-    }
-}
-
-/// Reads a complete trace file, autodetecting the framing.
-pub fn read_trace_file(path: impl AsRef<Path>) -> Result<Vec<TagReport>, TraceError> {
-    read_trace(&mut BufReader::new(File::open(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{ReportSource, SourceError, TraceSource};
+
+    /// Reads a whole trace the one way programs do.
+    fn read(bytes: &[u8]) -> Result<Vec<TagReport>, SourceError> {
+        TraceSource::from_reader(bytes)?.try_collect_reports()
+    }
 
     fn sample_reports() -> Vec<TagReport> {
         (0..7)
@@ -327,7 +289,7 @@ mod tests {
         let reports = sample_reports();
         let mut buf = Vec::new();
         write_trace(&mut buf, TraceFormat::JsonLines, &reports).unwrap();
-        let decoded = read_trace(&mut buf.as_slice()).unwrap();
+        let decoded = read(&buf).unwrap();
         assert_eq!(decoded.len(), reports.len());
         for (orig, dec) in reports.iter().zip(&decoded) {
             assert_eq!(orig, dec);
@@ -343,7 +305,7 @@ mod tests {
         write_trace(&mut buf, TraceFormat::Binary, &reports).unwrap();
         assert_eq!(&buf[..4], &BINARY_MAGIC);
         assert_eq!(buf.len(), 4 + reports.len() * (4 + BINARY_RECORD_LEN));
-        let decoded = read_trace(&mut buf.as_slice()).unwrap();
+        let decoded = read(&buf).unwrap();
         assert_eq!(decoded, reports);
     }
 
@@ -353,21 +315,20 @@ mod tests {
         for format in [TraceFormat::JsonLines, TraceFormat::Binary] {
             let mut buf = Vec::new();
             write_trace(&mut buf, format, &reports).unwrap();
-            assert_eq!(read_trace(&mut buf.as_slice()).unwrap(), reports);
+            assert_eq!(read(&buf).unwrap(), reports);
         }
     }
 
     #[test]
     fn empty_trace_reads_empty() {
-        assert!(read_trace(&mut (&[] as &[u8])).unwrap().is_empty());
+        assert!(read(&[]).unwrap().is_empty());
     }
 
     #[test]
     fn garbage_first_byte_rejected() {
-        let mut data: &[u8] = b"\x00\x01\x02";
         assert!(matches!(
-            read_trace(&mut data),
-            Err(TraceError::Malformed(_))
+            read(b"\x00\x01\x02"),
+            Err(SourceError::Trace(TraceError::Malformed(_)))
         ));
     }
 
@@ -393,14 +354,13 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&mut buf, TraceFormat::Binary, &reports).unwrap();
         buf.truncate(buf.len() - 3);
-        assert!(read_trace(&mut buf.as_slice()).is_err());
+        assert!(read(&buf).is_err());
     }
 
     #[test]
     fn malformed_json_line_reports_line_number() {
-        let mut data: &[u8] = b"{\"epc\":\"00\"}\n";
-        match read_trace(&mut data) {
-            Err(TraceError::Parse { line, .. }) => assert_eq!(line, 1),
+        match read(b"{\"epc\":\"00\"}\n") {
+            Err(SourceError::Trace(TraceError::Parse { line, .. })) => assert_eq!(line, 1),
             other => panic!("expected parse error, got {other:?}"),
         }
         // Not JSON, though a comma splitter took them: NaN, a duplicated

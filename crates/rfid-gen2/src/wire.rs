@@ -277,10 +277,25 @@ pub fn check_handshake(hs: &[u8; HANDSHAKE_LEN]) -> Result<u16, WireError> {
     Ok(version)
 }
 
+/// Longest session id a frame can carry: its length travels as a `u16`.
+const MAX_SESSION_LEN: usize = u16::MAX as usize;
+
 fn put_session(buf: &mut Vec<u8>, session: &str) {
-    debug_assert!(session.len() <= u16::MAX as usize);
+    check_session(session).expect("session id fits its u16 length field");
     buf.put_u16(session.len() as u16);
     buf.put_slice(session.as_bytes());
+}
+
+/// Whether `session` fits a frame. [`IngestClient`] checks before it
+/// writes anything; the encoder asserts it.
+fn check_session(session: &str) -> Result<(), WireError> {
+    if session.len() > MAX_SESSION_LEN {
+        return Err(WireError::Malformed(format!(
+            "session id of {} bytes exceeds the {MAX_SESSION_LEN}-byte frame limit",
+            session.len()
+        )));
+    }
+    Ok(())
 }
 
 fn put_trace(buf: &mut Vec<u8>, trace: &Option<TraceContext>) {
@@ -297,12 +312,22 @@ fn put_trace(buf: &mut Vec<u8>, trace: &Option<TraceContext>) {
 /// Encodes one frame in the version-1 wire form (no trace block) — the
 /// frames are bit-identical to the original protocol, and any trace
 /// context on the frame is dropped.
+///
+/// # Panics
+///
+/// As for [`encode_frame_v`].
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     encode_frame_v(frame, WIRE_VERSION_V1)
 }
 
 /// Encodes one frame as length prefix + payload in the negotiated
 /// `version`'s wire form, ready to write.
+///
+/// # Panics
+///
+/// If the frame's session id is longer than 65,535 bytes, the most its
+/// `u16` length field can describe. [`IngestClient`] refuses such ids with
+/// a typed error before encoding.
 pub fn encode_frame_v(frame: &Frame, version: u16) -> Vec<u8> {
     let traced = version >= 2;
     let mut payload = Vec::with_capacity(64);
@@ -325,8 +350,8 @@ pub fn encode_frame_v(frame: &Frame, version: u16) -> Vec<u8> {
             payload.put_u32(*seq);
             payload.put_u32(reports.len() as u32);
             payload.reserve(reports.len() * (4 + BINARY_RECORD_LEN));
-            for r in reports.iter() {
-                payload.extend_from_slice(&encode_binary_record(&r));
+            for r in reports {
+                payload.extend_from_slice(&encode_binary_record(r));
             }
             if traced {
                 put_trace(&mut payload, trace);
@@ -463,7 +488,12 @@ pub fn decode_payload_v(payload: &[u8], version: u16) -> Result<Frame, WireError
             let session = c.session()?;
             let seq = c.u32("batch seq")?;
             let count = c.u32("batch count")? as usize;
-            let body = c.take(count * (4 + BINARY_RECORD_LEN), "batch records")?;
+            // The body is taken, and so bounded by the payload, before
+            // anything is allocated for `count` reports.
+            let body_len = count
+                .checked_mul(4 + BINARY_RECORD_LEN)
+                .ok_or_else(|| WireError::Malformed(format!("batch count {count} overflows")))?;
+            let body = c.take(body_len, "batch records")?;
             let mut reader: &[u8] = body;
             let mut scratch = Vec::with_capacity(BINARY_RECORD_LEN);
             let mut reports = ReportBatch::with_capacity(count);
@@ -724,7 +754,8 @@ impl<S: Read + Write> IngestClient<S> {
     /// # Errors
     ///
     /// A server-side rejection (duplicate id, engine fault) surfaces as
-    /// [`WireError::Remote`].
+    /// [`WireError::Remote`]; a session id longer than 65,535 bytes is
+    /// [`WireError::Malformed`], returned before anything is sent.
     pub fn open(&mut self, session: &str) -> Result<(), WireError> {
         self.open_traced(session, None)
     }
@@ -740,6 +771,7 @@ impl<S: Read + Write> IngestClient<S> {
         session: &str,
         trace: Option<TraceContext>,
     ) -> Result<(), WireError> {
+        check_session(session)?;
         let response = self.round_trip(&Frame::Open {
             session: session.into(),
             trace,
@@ -756,7 +788,8 @@ impl<S: Read + Write> IngestClient<S> {
     ///
     /// [`WireError::Remote`] when the server answers with an error frame
     /// (unknown session, engine fault); transport faults as
-    /// [`WireError::Io`].
+    /// [`WireError::Io`]; a session id longer than 65,535 bytes as
+    /// [`WireError::Malformed`], before anything is sent.
     pub fn send_batch(
         &mut self,
         session: &str,
@@ -779,6 +812,7 @@ impl<S: Read + Write> IngestClient<S> {
         reports: ReportBatch,
         trace: Option<TraceContext>,
     ) -> Result<Delivery, WireError> {
+        check_session(session)?;
         let response = self.round_trip(&Frame::Batch {
             session: session.into(),
             seq,
@@ -816,8 +850,7 @@ impl<S: Read + Write> IngestClient<S> {
     ) -> Result<Delivery, WireError> {
         let mut total = Delivery::default();
         for (i, chunk) in reports.chunks(batch_size.max(1)).enumerate() {
-            let delivery =
-                self.send_batch(session, i as u32 + 1, chunk.iter().copied().collect())?;
+            let delivery = self.send_batch(session, i as u32 + 1, chunk.to_vec())?;
             total.accepted += delivery.accepted;
             total.dropped += delivery.dropped;
         }
@@ -830,6 +863,7 @@ impl<S: Read + Write> IngestClient<S> {
     ///
     /// As for [`IngestClient::open`].
     pub fn close(&mut self, session: &str) -> Result<u64, WireError> {
+        check_session(session)?;
         let response = self.round_trip(&Frame::Close {
             session: session.into(),
         })?;
@@ -1012,7 +1046,7 @@ mod tests {
         let frame = Frame::Batch {
             session: "bits".into(),
             seq: 1,
-            reports: reports.iter().copied().collect(),
+            reports: reports.clone(),
             trace: None,
         };
         match round_trip(frame) {
@@ -1060,6 +1094,73 @@ mod tests {
             decode_payload(&[0x55]),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    /// An in-memory server: reads replay a canned response script, writes
+    /// are kept for inspection.
+    struct ScriptedPeer {
+        script: std::io::Cursor<Vec<u8>>,
+        written: Vec<u8>,
+    }
+
+    impl Read for ScriptedPeer {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.script.read(buf)
+        }
+    }
+
+    impl Write for ScriptedPeer {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn oversized_session_id_is_refused_before_anything_is_sent() {
+        let mut script = handshake_bytes().to_vec();
+        script.extend(encode_frame_v(
+            &Frame::Ack {
+                session: "pad".into(),
+                seq: 0,
+                accepted: 0,
+            },
+            WIRE_VERSION,
+        ));
+        let peer = ScriptedPeer {
+            script: std::io::Cursor::new(script),
+            written: Vec::new(),
+        };
+        let mut client = IngestClient::from_stream(peer).expect("handshake");
+        let handshake_only = client.stream().written.clone();
+        let long = "x".repeat(70_000);
+        for refused in [
+            client.open(&long),
+            client
+                .send_batch(&long, 1, vec![sample_report(0)])
+                .map(drop),
+            client.close(&long).map(drop),
+        ] {
+            match refused {
+                Err(WireError::Malformed(msg)) => assert!(msg.contains("65535-byte"), "{msg}"),
+                other => panic!("expected a typed refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(client.stream().written, handshake_only, "nothing was sent");
+        client.open("pad").expect("the connection is still usable");
+        let mut written = &client.stream().written[HANDSHAKE_LEN..];
+        assert_eq!(
+            read_frame_v(&mut written, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION).expect("one frame"),
+            Some(Frame::Open {
+                session: "pad".into(),
+                trace: None,
+            })
+        );
+        assert!(written.is_empty());
     }
 
     #[test]

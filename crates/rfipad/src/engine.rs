@@ -30,8 +30,8 @@
 //! let engine = rfipad::engine::Engine::builder().workers(4).build()?;
 //! let graph = rfipad::StageGraph::builder().recognizer(recognizer).build()?;
 //! let session = engine.open_session("kiosk-a", graph)?;
-//! for report in reports {
-//!     session.ingest(report)?;
+//! for batch in reports.chunks(rfipad::engine::DEFAULT_INGEST_BATCH) {
+//!     session.ingest_batch(batch.to_vec())?;
 //! }
 //! let events = session.close()?;
 //! # let _ = events; Ok(())
@@ -41,8 +41,7 @@
 use crate::error::RfipadError;
 use crate::stage::{PipelineCheckpoint, PipelineEvent, StageGraph};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use rfid_gen2::report::{ReportBatch, TagReport};
-use rfid_gen2::source::ReportSource;
+use rfid_gen2::report::ReportBatch;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -50,17 +49,17 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Batch size [`Engine::ingest`] uses when draining a source: large
-/// enough to amortize the per-item queue and telemetry costs, small
-/// enough that a batch stays cache-resident and recognition latency stays
-/// sub-batch.
+/// Reports per [`SessionHandle::ingest_batch`] call for a feeder that
+/// chunks a report stream: large enough to amortize the per-batch queue
+/// and telemetry costs, small enough that a batch stays cache-resident
+/// and recognition latency stays sub-batch.
 pub const DEFAULT_INGEST_BATCH: usize = 64;
 
-/// What one `ingest` call did, as seen by the caller: how many reports it
-/// put on the session queue and how many *previously queued* reports it
-/// had to evict to make room (only ever non-zero under
-/// [`Backpressure::DropOldest`]). Receipts add, so a serving loop can
-/// accumulate one per session or per connection.
+/// What one [`SessionHandle::ingest_batch`] call did, as seen by the
+/// caller: how many reports it put on the session queue and how many
+/// *previously queued* reports it had to evict to make room (only ever
+/// non-zero under [`Backpressure::DropOldest`]). Receipts add, so a
+/// serving loop can accumulate one per session or per connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestReceipt {
     /// Reports this call enqueued for recognition.
@@ -93,8 +92,8 @@ impl std::ops::AddAssign for IngestReceipt {
     }
 }
 
-/// What [`SessionHandle::ingest`] does when a session's bounded queue is
-/// full — the engine's explicit backpressure policy.
+/// What [`SessionHandle::ingest_batch`] does when a session's bounded
+/// queue is full — the engine's explicit backpressure policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum Backpressure {
@@ -102,9 +101,9 @@ pub enum Backpressure {
     /// default). Replays and determinism checks want this.
     #[default]
     Block,
-    /// Drop the oldest queued report to make room (lossy, counted in
-    /// [`SessionStats::reports_dropped`]). Live feeds that must never
-    /// stall the reader loop want this.
+    /// Drop the oldest queued batch to make room (lossy, every report in
+    /// it counted in [`SessionStats::reports_dropped`]). Live feeds that
+    /// must never stall the reader loop want this.
     DropOldest,
 }
 
@@ -116,16 +115,12 @@ pub struct EngineConfig {
     /// Worker threads draining session queues. `0` means one per available
     /// core.
     pub workers: usize,
-    /// Per-session queue capacity, in queued *items*: one
-    /// [`SessionHandle::ingest`] report or one
-    /// [`SessionHandle::ingest_batch`] batch each occupy a single slot.
+    /// Per-session queue capacity, in queued batches: each
+    /// [`SessionHandle::ingest_batch`] call occupies one slot, whatever
+    /// its length.
     pub queue_capacity: usize,
     /// What a full queue does to the feeder.
     pub backpressure: Backpressure,
-    /// [`Engine::sweep_idle`] evicts a session once it has been idle for
-    /// this multiple of its pipeline's letter gap (wall-clock seconds).
-    /// `f64::INFINITY` disables eviction.
-    pub idle_eviction_factor: f64,
 }
 
 impl Default for EngineConfig {
@@ -134,7 +129,6 @@ impl Default for EngineConfig {
             workers: 0,
             queue_capacity: 1024,
             backpressure: Backpressure::Block,
-            idle_eviction_factor: 20.0,
         }
     }
 }
@@ -155,7 +149,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Per-session queue capacity in reports (default 1024).
+    /// Per-session queue capacity in batches (default 1024).
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
         self
@@ -165,13 +159,6 @@ impl EngineBuilder {
     /// [`Backpressure::Block`]).
     pub fn backpressure(mut self, policy: Backpressure) -> Self {
         self.config.backpressure = policy;
-        self
-    }
-
-    /// Idle-eviction threshold as a multiple of each session's letter gap
-    /// (default 20; `f64::INFINITY` disables eviction).
-    pub fn idle_eviction_factor(mut self, factor: f64) -> Self {
-        self.config.idle_eviction_factor = factor;
         self
     }
 
@@ -195,9 +182,8 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`RfipadError::InvalidConfig`] if `queue_capacity` is zero,
-    /// `idle_eviction_factor` is not positive, or the metrics endpoint
-    /// fails to bind.
+    /// Returns [`RfipadError::InvalidConfig`] if `queue_capacity` is zero
+    /// or the metrics endpoint fails to bind.
     pub fn build(self) -> Result<Engine, RfipadError> {
         let mut config = self.config;
         if config.queue_capacity == 0 {
@@ -205,13 +191,6 @@ impl EngineBuilder {
                 "EngineBuilder",
                 "queue_capacity",
                 "must be at least 1",
-            ));
-        }
-        if config.idle_eviction_factor.is_nan() || config.idle_eviction_factor <= 0.0 {
-            return Err(RfipadError::invalid_field(
-                "EngineBuilder",
-                "idle_eviction_factor",
-                format!("must be positive, got {}", config.idle_eviction_factor),
             ));
         }
         if config.workers == 0 {
@@ -307,56 +286,27 @@ struct SessionState {
     events: Vec<PipelineEvent>,
     latency: LatencyRecorder,
     /// Event scratch reused across drains, so the worker hands events to
-    /// the graph's `push_into`/`push_batch` without allocating per item.
+    /// the graph's `push_batch` without allocating per batch.
     scratch: Vec<PipelineEvent>,
     /// Reports the worker has pushed through the graph, incremented under
     /// this lock. [`SessionHandle::checkpoint`] compares it against the
     /// feed counters to know when the session has quiesced: the queue
-    /// being empty is not enough, because the worker pops an item *before*
+    /// being empty is not enough, because the worker pops a batch *before*
     /// taking this lock.
     processed: u64,
 }
 
-/// One slot in a session's queue: a single fed report, or a whole batch.
-/// Queue capacity and depth count items, so batching widens the queue's
-/// effective report capacity by the batch size — that is the amortization:
-/// one channel round-trip, one lock acquisition, and one latency record
-/// cover the whole batch.
+/// One slot in a session's queue: one ingested batch. Queue capacity and
+/// depth count batches, so batching widens the queue's effective report
+/// capacity by the batch size — that is the amortization: one channel
+/// round-trip, one lock acquisition, and one latency record cover the
+/// whole batch.
 struct QueueItem {
-    payload: QueuePayload,
+    batch: ReportBatch,
     /// Enqueue stamp for the `rfipad_hop_seconds{hop=queue}` wait
     /// measurement; `None` with telemetry off, so a dark replay never
     /// reads the clock on the feed path.
     enqueued: Option<Instant>,
-}
-
-enum QueuePayload {
-    One(TagReport),
-    Batch(ReportBatch),
-}
-
-impl QueueItem {
-    fn one(report: TagReport) -> Self {
-        Self {
-            payload: QueuePayload::One(report),
-            enqueued: obs::telemetry_on().then(Instant::now),
-        }
-    }
-
-    fn batch(batch: ReportBatch) -> Self {
-        Self {
-            payload: QueuePayload::Batch(batch),
-            enqueued: obs::telemetry_on().then(Instant::now),
-        }
-    }
-
-    /// Reports carried by the item (for drop accounting).
-    fn reports(&self) -> usize {
-        match &self.payload {
-            QueuePayload::One(_) => 1,
-            QueuePayload::Batch(b) => b.len(),
-        }
-    }
 }
 
 /// One open session. Shared between its handle, the engine's session map,
@@ -366,9 +316,6 @@ struct SessionInner {
     /// Index of the one worker allowed to drain this session — the
     /// single-consumer guarantee behind per-session determinism.
     worker: usize,
-    /// The session's letter gap, copied out so eviction never needs the
-    /// state lock.
-    letter_gap_s: f64,
     queue_tx: Sender<QueueItem>,
     queue_rx: Receiver<QueueItem>,
     /// Wakeup token: set by whoever enqueues the session into its worker's
@@ -376,15 +323,12 @@ struct SessionInner {
     /// The set-check-reset dance guarantees the session is in at most one
     /// mailbox at a time and that no report is left behind.
     scheduled: AtomicBool,
-    /// No further feeds accepted (close or eviction started).
+    /// No further feeds accepted (close or shutdown started).
     closed: AtomicBool,
     /// The worker should flush the pipeline once the queue is empty.
     finishing: AtomicBool,
     /// The pipeline has been flushed; set under the state lock.
     finished: AtomicBool,
-    /// Micros since engine start of the most recent feed, for idle
-    /// eviction.
-    last_fed_us: AtomicU64,
     counters: Counters,
     state: Mutex<SessionState>,
     /// Signalled (under the state lock) when `finished` flips true.
@@ -394,7 +338,6 @@ struct SessionInner {
 /// Engine state shared by handles and workers.
 struct Shared {
     config: EngineConfig,
-    epoch: Instant,
     down: AtomicBool,
     sessions: Mutex<HashMap<String, Arc<SessionInner>>>,
     /// One mailbox per worker; cleared on shutdown so workers exit.
@@ -403,7 +346,6 @@ struct Shared {
     totals: Counters,
     sessions_opened: AtomicU64,
     sessions_closed: AtomicU64,
-    sessions_evicted: AtomicU64,
 }
 
 /// Enqueues the session into its worker's mailbox unless it is already
@@ -427,22 +369,19 @@ fn schedule(shared: &Shared, sess: &Arc<SessionInner>) -> Result<(), RfipadError
 }
 
 /// Processes everything currently queued for a session, then flushes the
-/// pipeline if a close or eviction asked for it.
+/// pipeline if a close or shutdown asked for it.
 fn drain_session(shared: &Shared, sess: &SessionInner) {
     let em = crate::telemetry::engine_metrics();
     while let Ok(item) = sess.queue_rx.try_recv() {
         let queue_wait = item.enqueued.map(|at| at.elapsed());
         let t0 = Instant::now();
-        let n_in = item.reports() as u64;
+        let n_in = item.batch.len() as u64;
         let mut state = sess.state.lock().expect("session state poisoned");
         if let Some(wait) = queue_wait {
             record_queue_hop(&state, wait);
         }
         let SessionState { graph, scratch, .. } = &mut *state;
-        match item.payload {
-            QueuePayload::One(report) => graph.push_into(report, scratch),
-            QueuePayload::Batch(batch) => graph.push_batch(batch.iter(), scratch),
-        }
+        graph.push_batch(&item.batch, scratch);
         state.processed += n_in;
         let elapsed = t0.elapsed();
         state.latency.record(elapsed);
@@ -534,7 +473,7 @@ fn wait_finished(sess: &SessionInner) {
 }
 
 /// Marks a session finished-pending and wakes its worker. Shared by
-/// close, eviction, and shutdown.
+/// close and shutdown.
 fn begin_finish(shared: &Shared, sess: &Arc<SessionInner>) -> Result<(), RfipadError> {
     sess.closed.store(true, Ordering::SeqCst);
     sess.finishing.store(true, Ordering::SeqCst);
@@ -581,7 +520,6 @@ impl Engine {
         }
         let shared = Arc::new(Shared {
             config,
-            epoch: Instant::now(),
             down: AtomicBool::new(false),
             sessions: Mutex::new(HashMap::new()),
             mailboxes: Mutex::new(mailboxes),
@@ -589,7 +527,6 @@ impl Engine {
             totals: Counters::default(),
             sessions_opened: AtomicU64::new(0),
             sessions_closed: AtomicU64::new(0),
-            sessions_evicted: AtomicU64::new(0),
         });
         let workers = receivers
             .into_iter()
@@ -639,14 +576,12 @@ impl Engine {
         let sess = Arc::new(SessionInner {
             id: id.clone(),
             worker,
-            letter_gap_s: graph.letter_gap_s(),
             queue_tx,
             queue_rx,
             scheduled: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             finishing: AtomicBool::new(false),
             finished: AtomicBool::new(false),
-            last_fed_us: AtomicU64::new(self.shared.epoch.elapsed().as_micros() as u64),
             counters: Counters::default(),
             state: Mutex::new(SessionState {
                 graph,
@@ -695,69 +630,6 @@ impl Engine {
     ) -> Result<SessionHandle, RfipadError> {
         graph.restore_checkpoint(checkpoint)?;
         self.open_session(id, graph)
-    }
-
-    /// Convenience: open a session, drain a [`ReportSource`] through it
-    /// in batches of [`DEFAULT_INGEST_BATCH`], and close. Returns every
-    /// event the stream produced. Batching is invisible to the result:
-    /// under the lossless default backpressure the events are identical to
-    /// feeding one report at a time.
-    ///
-    /// # Errors
-    ///
-    /// Session and engine faults as in [`Engine::open_session`] /
-    /// [`SessionHandle::ingest`]; a source that dies mid-stream surfaces
-    /// as [`RfipadError::Source`] (the session is still closed cleanly).
-    pub fn ingest(
-        &self,
-        id: impl Into<String>,
-        graph: StageGraph,
-        source: &mut dyn ReportSource,
-    ) -> Result<Vec<PipelineEvent>, RfipadError> {
-        let session = self.open_session(id, graph)?;
-        let fed = session.ingest_source(source);
-        let events = session.close()?;
-        fed?;
-        Ok(events)
-    }
-
-    /// Evicts every session idle longer than `idle_eviction_factor ×
-    /// letter_gap_s` (wall-clock). Evicted sessions are flushed by their
-    /// worker; their handles can still [`SessionHandle::drain_events`] /
-    /// [`SessionHandle::close`], but feeds fail with
-    /// [`RfipadError::SessionClosed`]. Returns the evicted ids.
-    pub fn sweep_idle(&self) -> Vec<String> {
-        let now_us = self.shared.epoch.elapsed().as_micros() as u64;
-        let factor = self.shared.config.idle_eviction_factor;
-        let mut evicted = Vec::new();
-        let mut sessions = self.shared.sessions.lock().expect("session map poisoned");
-        sessions.retain(|id, sess| {
-            let timeout_us = factor * sess.letter_gap_s * 1e6;
-            if !timeout_us.is_finite() {
-                return true;
-            }
-            let idle_us = now_us.saturating_sub(sess.last_fed_us.load(Ordering::Relaxed));
-            if (idle_us as f64) < timeout_us {
-                return true;
-            }
-            let _ = begin_finish(&self.shared, sess);
-            evicted.push(id.clone());
-            false
-        });
-        drop(sessions);
-        self.shared
-            .sessions_evicted
-            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        if !evicted.is_empty() {
-            let em = crate::telemetry::engine_metrics();
-            em.sessions_evicted.add(evicted.len() as u64);
-            em.sessions_open.add(-(evicted.len() as i64));
-            for id in &evicted {
-                remove_session_series(id);
-                obs::info!("idle session evicted"; session = id);
-            }
-        }
-        evicted
     }
 
     /// A consistent snapshot of engine-wide and per-session counters.
@@ -850,7 +722,6 @@ fn engine_stats(shared: &Shared) -> EngineStats {
         sessions_open: sessions.len(),
         sessions_opened: shared.sessions_opened.load(Ordering::Relaxed),
         sessions_closed: shared.sessions_closed.load(Ordering::Relaxed),
-        sessions_evicted: shared.sessions_evicted.load(Ordering::Relaxed),
         reports_in: shared.totals.reports_in.load(Ordering::Relaxed),
         reports_dropped: shared.totals.reports_dropped.load(Ordering::Relaxed),
         events_out: shared.totals.events_out.load(Ordering::Relaxed),
@@ -862,7 +733,7 @@ fn engine_stats(shared: &Shared) -> EngineStats {
 const SESSION_GAUGES: [(&str, &str); 3] = [
     (
         "rfipad_session_queue_depth",
-        "Reports currently queued for the session.",
+        "Batches currently queued for the session.",
     ),
     (
         "rfipad_session_pending_events",
@@ -1004,13 +875,12 @@ fn stats_json(shared: &Shared) -> String {
     let _ = write!(
         out,
         "\"workers\":{},\"sessions_open\":{},\"sessions_opened\":{},\
-         \"sessions_closed\":{},\"sessions_evicted\":{},\"reports_in\":{},\
-         \"reports_dropped\":{},\"events_out\":{},\"sessions\":[",
+         \"sessions_closed\":{},\"reports_in\":{},\"reports_dropped\":{},\
+         \"events_out\":{},\"sessions\":[",
         stats.workers,
         stats.sessions_open,
         stats.sessions_opened,
         stats.sessions_closed,
-        stats.sessions_evicted,
         stats.reports_in,
         stats.reports_dropped,
         stats.events_out,
@@ -1077,16 +947,16 @@ pub struct SessionStats {
     pub reports_dropped: u64,
     /// Pipeline events produced.
     pub events_out: u64,
-    /// Reports whose timestamps ran backwards (see
-    /// [`crate::stage::OutOfOrderPolicy`]).
+    /// Reports clamped for a stale timestamp or dropped as non-finite
+    /// (see [`StageGraph::out_of_order_count`]).
     pub out_of_order: u64,
     /// Events produced but not yet drained by the handle.
     pub pending_events: usize,
-    /// Reports currently queued.
+    /// Batches currently queued.
     pub queue_depth: usize,
     /// Push-latency percentiles.
     pub push_latency: LatencySnapshot,
-    /// Whether the session stopped accepting feeds (closing or evicted).
+    /// Whether the session stopped accepting feeds (closing).
     pub closed: bool,
 }
 
@@ -1102,8 +972,6 @@ pub struct EngineStats {
     pub sessions_opened: u64,
     /// Sessions closed cleanly (including at shutdown).
     pub sessions_closed: u64,
-    /// Sessions evicted by [`Engine::sweep_idle`].
-    pub sessions_evicted: u64,
     /// Reports accepted across all sessions, living and dead.
     pub reports_in: u64,
     /// Reports dropped by backpressure across all sessions.
@@ -1116,12 +984,12 @@ pub struct EngineStats {
 
 /// A feeder's handle to one open session.
 ///
-/// The handle is the session's producer side: [`SessionHandle::ingest`]
-/// enqueues reports (applying the engine's backpressure policy),
-/// [`SessionHandle::drain_events`] collects recognitions produced so far,
-/// and [`SessionHandle::close`] flushes and tears down. Dropping the
-/// handle without closing leaves the session open until idle eviction or
-/// engine shutdown reaps it.
+/// The handle is the session's producer side:
+/// [`SessionHandle::ingest_batch`] enqueues report batches (applying the
+/// engine's backpressure policy), [`SessionHandle::drain_events`] collects
+/// recognitions produced so far, and [`SessionHandle::close`] flushes and
+/// tears down. Dropping the handle without closing leaves the session
+/// open until engine shutdown reaps it.
 pub struct SessionHandle {
     shared: Arc<Shared>,
     inner: Arc<SessionInner>,
@@ -1142,51 +1010,36 @@ impl SessionHandle {
         &self.inner.id
     }
 
-    /// Ingests one report. Blocks or drops per the engine's
-    /// [`Backpressure`] policy when the session queue is full; the receipt
-    /// says what happened (`accepted` is 1, `dropped` counts any earlier
-    /// reports evicted to make room).
-    ///
-    /// # Errors
-    ///
-    /// [`RfipadError::SessionClosed`] once the session was closed or
-    /// evicted; [`RfipadError::EngineDown`] after engine shutdown.
-    pub fn ingest(&self, report: TagReport) -> Result<IngestReceipt, RfipadError> {
-        self.ingest_item(QueueItem::one(report))
-    }
-
-    /// Ingests a whole batch as one queue item: one channel round-trip,
-    /// one worker wakeup, and one latency record for the entire batch.
-    /// Under [`Backpressure::Block`] the session's recognitions are
-    /// bit-identical to ingesting the same reports one at a time. The
-    /// receipt's `accepted` is the batch length; an empty batch is a no-op
-    /// (but still fails on a closed session or a downed engine).
+    /// Ingests a batch as one queue item: one channel round-trip, one
+    /// worker wakeup, and one latency record for the entire batch. Blocks
+    /// or drops per the engine's [`Backpressure`] policy when the session
+    /// queue is full. Under [`Backpressure::Block`] the session's
+    /// recognitions are bit-identical to pushing the same reports through
+    /// the [`StageGraph`] directly, whatever the batch sizes. The receipt's
+    /// `accepted` is the batch length; an empty batch is a no-op (but
+    /// still fails on a downed engine).
     ///
     /// Under [`Backpressure::DropOldest`] a full queue evicts whole queued
-    /// *items*, so one eviction may drop an entire earlier batch — every
-    /// dropped report is counted in the receipt and in
+    /// batches — every dropped report is counted in the receipt and in
     /// [`SessionStats::reports_dropped`].
     ///
     /// # Errors
     ///
-    /// As for [`SessionHandle::ingest`].
+    /// [`RfipadError::EngineDown`] after engine shutdown.
     pub fn ingest_batch(&self, batch: ReportBatch) -> Result<IngestReceipt, RfipadError> {
-        self.ingest_item(QueueItem::batch(batch))
-    }
-
-    fn ingest_item(&self, item: QueueItem) -> Result<IngestReceipt, RfipadError> {
         let sess = &self.inner;
         let em = crate::telemetry::engine_metrics();
         if self.shared.down.load(Ordering::SeqCst) {
             return Err(RfipadError::EngineDown);
         }
-        if sess.closed.load(Ordering::SeqCst) {
-            return Err(RfipadError::SessionClosed(sess.id.clone()));
-        }
-        let n = item.reports();
+        let n = batch.len() as u64;
         if n == 0 {
             return Ok(IngestReceipt::default());
         }
+        let item = QueueItem {
+            batch,
+            enqueued: obs::telemetry_on().then(Instant::now),
+        };
         let mut evicted_here = 0u64;
         match self.shared.config.backpressure {
             Backpressure::Block => {
@@ -1201,10 +1054,10 @@ impl SessionHandle {
                         Ok(()) => break,
                         Err(TrySendError::Full(i)) => {
                             item = i;
-                            // Evict the oldest queued item (the worker may
+                            // Evict the oldest queued batch (the worker may
                             // beat us to it, which is just as good).
                             if let Ok(evicted) = sess.queue_rx.try_recv() {
-                                let dropped = evicted.reports() as u64;
+                                let dropped = evicted.batch.len() as u64;
                                 evicted_here += dropped;
                                 sess.counters
                                     .reports_dropped
@@ -1223,73 +1076,16 @@ impl SessionHandle {
                 }
             }
         }
-        sess.counters
-            .reports_in
-            .fetch_add(n as u64, Ordering::Relaxed);
+        sess.counters.reports_in.fetch_add(n, Ordering::Relaxed);
         self.shared
             .totals
             .reports_in
-            .fetch_add(n as u64, Ordering::Relaxed);
-        em.reports_in.add(n as u64);
-        sess.last_fed_us.store(
-            self.shared.epoch.elapsed().as_micros() as u64,
-            Ordering::Relaxed,
-        );
+            .fetch_add(n, Ordering::Relaxed);
+        em.reports_in.add(n);
         schedule(&self.shared, sess).map(|_| IngestReceipt {
-            accepted: n as u64,
+            accepted: n,
             dropped: evicted_here,
         })
-    }
-
-    /// Drains a [`ReportSource`] into the session in batches of
-    /// [`DEFAULT_INGEST_BATCH`] reports — the recommended bulk path.
-    /// Returns the accumulated receipt.
-    ///
-    /// # Errors
-    ///
-    /// Ingest errors as in [`SessionHandle::ingest`]; a source that dies
-    /// mid-stream surfaces its typed error as [`RfipadError::Source`]
-    /// (after everything before the fault was ingested).
-    pub fn ingest_source(
-        &self,
-        source: &mut dyn ReportSource,
-    ) -> Result<IngestReceipt, RfipadError> {
-        self.ingest_source_batched(source, DEFAULT_INGEST_BATCH)
-    }
-
-    /// Drains a [`ReportSource`] into the session in batches of up to
-    /// `batch_size` reports, one [`SessionHandle::ingest_batch`] per
-    /// refill. Returns the accumulated receipt. Under
-    /// [`Backpressure::Block`] the events are identical for every
-    /// `batch_size` — batching only amortizes the per-item queue and
-    /// telemetry costs.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SessionHandle::ingest_source`]; `batch_size == 0` is
-    /// rejected as [`RfipadError::InvalidConfig`].
-    pub fn ingest_source_batched(
-        &self,
-        source: &mut dyn ReportSource,
-        batch_size: usize,
-    ) -> Result<IngestReceipt, RfipadError> {
-        if batch_size == 0 {
-            return Err(RfipadError::InvalidConfig(
-                "ingest_source_batched batch_size must be at least 1".into(),
-            ));
-        }
-        let mut receipt = IngestReceipt::default();
-        loop {
-            let mut batch = ReportBatch::with_capacity(batch_size);
-            if source.next_batch(batch_size, &mut batch) == 0 {
-                break;
-            }
-            receipt += self.ingest_batch(batch)?;
-        }
-        match source.take_error() {
-            Some(e) => Err(e.into()),
-            None => Ok(receipt),
-        }
     }
 
     /// Binds the session's stage graph to a trace: sampled stage pushes
@@ -1321,10 +1117,10 @@ impl SessionHandle {
         session_stats(&self.inner)
     }
 
-    /// Whether the session still accepts feeds (it stops after close,
-    /// eviction, or engine shutdown).
+    /// Whether the session still accepts feeds (it stops at engine
+    /// shutdown).
     pub fn is_open(&self) -> bool {
-        !self.inner.closed.load(Ordering::SeqCst) && !self.shared.down.load(Ordering::SeqCst)
+        !self.shared.down.load(Ordering::SeqCst)
     }
 
     /// Snapshots the session's recognition state for migration: waits
@@ -1347,16 +1143,12 @@ impl SessionHandle {
     ///
     /// # Errors
     ///
-    /// [`RfipadError::SessionClosed`] once the session was closed or
-    /// evicted; [`RfipadError::EngineDown`] after engine shutdown.
+    /// [`RfipadError::EngineDown`] after engine shutdown.
     pub fn checkpoint(&self) -> Result<PipelineCheckpoint, RfipadError> {
         let sess = &self.inner;
         loop {
             if self.shared.down.load(Ordering::SeqCst) {
                 return Err(RfipadError::EngineDown);
-            }
-            if sess.closed.load(Ordering::SeqCst) {
-                return Err(RfipadError::SessionClosed(sess.id.clone()));
             }
             {
                 let state = sess.state.lock().expect("session state poisoned");
@@ -1376,9 +1168,8 @@ impl SessionHandle {
     /// # Errors
     ///
     /// [`RfipadError::EngineDown`] if the workers are gone before the
-    /// session could be flushed (a session already flushed — e.g. by
-    /// eviction or shutdown — still closes cleanly and returns its
-    /// events).
+    /// session could be flushed (a session already flushed by shutdown
+    /// still closes cleanly and returns its events).
     pub fn close(self) -> Result<Vec<PipelineEvent>, RfipadError> {
         self.close_with_stats().map(|(events, _)| events)
     }
@@ -1445,8 +1236,7 @@ mod tests {
     use crate::calibration::Calibration;
     use crate::config::RfipadConfig;
     use crate::layout::ArrayLayout;
-    use rfid_gen2::report::TagId;
-    use rfid_gen2::source::LiveSource;
+    use rfid_gen2::report::{TagId, TagReport};
     use std::f64::consts::TAU;
 
     fn obs(tag: TagId, time: f64, phase: f64, rss: f64) -> TagReport {
@@ -1573,14 +1363,6 @@ mod tests {
             Engine::builder().queue_capacity(0).build(),
             Err(RfipadError::InvalidConfig(_))
         ));
-        assert!(matches!(
-            Engine::builder().idle_eviction_factor(0.0).build(),
-            Err(RfipadError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            Engine::builder().idle_eviction_factor(f64::NAN).build(),
-            Err(RfipadError::InvalidConfig(_))
-        ));
         let engine = Engine::builder().build().expect("default engine");
         assert!(engine.config().workers >= 1);
     }
@@ -1597,7 +1379,7 @@ mod tests {
         let engine = Engine::builder().workers(2).build().expect("engine");
         let session = engine.open_session("solo", pipeline()).expect("open");
         for o in recording() {
-            session.ingest(o).expect("feed");
+            session.ingest_batch(vec![o]).expect("feed");
         }
         let mut events = session.close().expect("close");
         normalize_events(&mut events);
@@ -1616,7 +1398,7 @@ mod tests {
                         .open_session(format!("s{i}"), pipeline())
                         .expect("open");
                     for o in recording() {
-                        session.ingest(o).expect("feed");
+                        session.ingest_batch(vec![o]).expect("feed");
                     }
                     let mut events = session.close().expect("close");
                     normalize_events(&mut events);
@@ -1635,27 +1417,13 @@ mod tests {
     }
 
     #[test]
-    fn ingest_drains_a_boxed_source() {
-        let expected = serial_events();
-        let engine = Engine::builder().workers(1).build().expect("engine");
-        let mut source: Box<dyn ReportSource + Send> = Box::new(LiveSource::new(recording()));
-        let mut events = engine
-            .ingest("trace", pipeline(), &mut source)
-            .expect("ingest");
-        normalize_events(&mut events);
-        assert_eq!(events, expected);
-    }
-
-    #[test]
     fn ingest_batch_matches_serial_replay() {
         let expected = serial_events();
         let engine = Engine::builder().workers(2).build().expect("engine");
         let session = engine.open_session("batched", pipeline()).expect("open");
         let reports = recording();
         for chunk in reports.chunks(64) {
-            let receipt = session
-                .ingest_batch(chunk.iter().copied().collect())
-                .expect("ingest_batch");
+            let receipt = session.ingest_batch(chunk.to_vec()).expect("ingest_batch");
             assert_eq!(receipt.accepted, chunk.len() as u64);
             assert_eq!(receipt.dropped, 0, "lossless backpressure never drops");
         }
@@ -1676,9 +1444,7 @@ mod tests {
         let session = engine.open_session("latency", pipeline()).expect("open");
         let reports = recording();
         for chunk in reports.chunks(64) {
-            session
-                .ingest_batch(chunk.iter().copied().collect())
-                .expect("ingest_batch");
+            session.ingest_batch(chunk.to_vec()).expect("ingest_batch");
         }
         let (mut events, stats) = session.close_with_stats().expect("close");
         normalize_events(&mut events);
@@ -1699,6 +1465,8 @@ mod tests {
         assert!(stats.push_latency.max_ns >= stats.push_latency.p99_ns);
     }
 
+    /// 17-report batches and runs of one-report batches interleave in
+    /// feed order.
     #[test]
     fn ingest_batch_and_ingest_interleave_in_order() {
         let expected = serial_events();
@@ -1706,12 +1474,10 @@ mod tests {
         let session = engine.open_session("mixed", pipeline()).expect("open");
         for (i, chunk) in recording().chunks(17).enumerate() {
             if i % 2 == 0 {
-                session
-                    .ingest_batch(chunk.iter().copied().collect())
-                    .expect("feed_batch");
+                session.ingest_batch(chunk.to_vec()).expect("feed_batch");
             } else {
                 for &o in chunk {
-                    session.ingest(o).expect("feed");
+                    session.ingest_batch(vec![o]).expect("feed");
                 }
             }
         }
@@ -1727,31 +1493,11 @@ mod tests {
             .open_session("empty", quiet_pipeline())
             .expect("open");
         assert_eq!(
-            session.ingest_batch(ReportBatch::new()).expect("ingest"),
+            session.ingest_batch(Vec::new()).expect("ingest"),
             IngestReceipt::default()
         );
         assert_eq!(session.stats().reports_in, 0);
         session.close().expect("close");
-    }
-
-    #[test]
-    fn ingest_source_batched_matches_serial() {
-        let expected = serial_events();
-        let engine = Engine::builder().workers(1).build().expect("engine");
-        let session = engine.open_session("src", pipeline()).expect("open");
-        assert!(matches!(
-            session.ingest_source_batched(&mut LiveSource::new(Vec::new()), 0),
-            Err(RfipadError::InvalidConfig(_))
-        ));
-        let mut source = LiveSource::new(recording());
-        let receipt = session
-            .ingest_source_batched(&mut source, 48)
-            .expect("ingest_source_batched");
-        assert_eq!(receipt.accepted, recording().len() as u64);
-        assert_eq!(receipt.dropped, 0);
-        let mut events = session.close().expect("close");
-        normalize_events(&mut events);
-        assert_eq!(events, expected);
     }
 
     #[test]
@@ -1773,9 +1519,7 @@ mod tests {
             let _stall = session.inner.state.lock().expect("state");
             let mut receipt = IngestReceipt::default();
             for chunk in quiet_reports(12).chunks(3) {
-                receipt += session
-                    .ingest_batch(chunk.iter().copied().collect())
-                    .expect("ingest_batch");
+                receipt += session.ingest_batch(chunk.to_vec()).expect("ingest_batch");
             }
             (
                 session
@@ -1829,7 +1573,7 @@ mod tests {
             // feeds evict an older one — never fewer.
             let _stall = session.inner.state.lock().expect("state");
             for o in quiet_reports(10) {
-                session.ingest(o).expect("feed");
+                session.ingest_batch(vec![o]).expect("feed");
             }
             session
                 .inner
@@ -1866,7 +1610,7 @@ mod tests {
                 let session = Arc::clone(&session);
                 move || {
                     for o in quiet_reports(32) {
-                        session.ingest(o).expect("feed");
+                        session.ingest_batch(vec![o]).expect("feed");
                     }
                 }
             });
@@ -1890,41 +1634,15 @@ mod tests {
     }
 
     #[test]
-    fn idle_sessions_are_swept() {
-        let engine = Engine::builder()
-            .workers(1)
-            .idle_eviction_factor(0.02) // 0.02 × 1.5 s gap = 30 ms idle budget
-            .build()
-            .expect("engine");
-        let session = engine.open_session("idle", quiet_pipeline()).expect("open");
-        session
-            .ingest(quiet_reports(1).pop().expect("one"))
-            .expect("feed");
-        assert!(engine.sweep_idle().is_empty(), "fresh session must survive");
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(engine.sweep_idle(), vec!["idle".to_string()]);
-        assert!(matches!(
-            session.ingest(quiet_reports(1).pop().expect("one")),
-            Err(RfipadError::SessionClosed(_))
-        ));
-        assert!(!session.is_open());
-        // The handle still collects what the session produced.
-        session.close().expect("close after eviction");
-        let stats = engine.stats();
-        assert_eq!(stats.sessions_evicted, 1);
-        assert_eq!(stats.sessions_open, 0);
-    }
-
-    #[test]
     fn shutdown_flushes_and_stops() {
         let engine = Engine::builder().workers(2).build().expect("engine");
         let session = engine.open_session("late", quiet_pipeline()).expect("open");
         for o in quiet_reports(20) {
-            session.ingest(o).expect("feed");
+            session.ingest_batch(vec![o]).expect("feed");
         }
         engine.shutdown();
         assert!(matches!(
-            session.ingest(quiet_reports(1).pop().expect("one")),
+            session.ingest_batch(quiet_reports(1)),
             Err(RfipadError::EngineDown)
         ));
         // Shutdown flushed the pipeline; close just collects.
@@ -1955,7 +1673,7 @@ mod tests {
             .open_session("meter", quiet_pipeline())
             .expect("open");
         for o in quiet_reports(50) {
-            session.ingest(o).expect("feed");
+            session.ingest_batch(vec![o]).expect("feed");
         }
         // Drain fully so the latency window is populated.
         let _ = session.drain_events();
@@ -2038,7 +1756,7 @@ mod tests {
             // then flood: the queue saturates past the 90% watermark.
             let _stall = inner.state.lock().expect("state");
             for r in quiet_reports(16) {
-                session.ingest(r).expect("ingest");
+                session.ingest_batch(vec![r]).expect("ingest");
             }
             let busy = readyz(&engine.shared);
             assert_eq!(busy.status, 503);
@@ -2064,7 +1782,7 @@ mod tests {
             .open_session("meter-ep", quiet_pipeline())
             .expect("open");
         for o in quiet_reports(10) {
-            session.ingest(o).expect("feed");
+            session.ingest_batch(vec![o]).expect("feed");
         }
         // In-process sinks.
         let text = engine.metrics_text();
@@ -2101,11 +1819,13 @@ mod tests {
         for (i, &o) in reports.iter().enumerate() {
             if i == split {
                 for time in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                    victim.ingest(TagReport { time, ..o }).expect("feed");
+                    victim
+                        .ingest_batch(vec![TagReport { time, ..o }])
+                        .expect("feed");
                 }
             }
-            victim.ingest(o).expect("feed");
-            bystander.ingest(o).expect("feed");
+            victim.ingest_batch(vec![o]).expect("feed");
+            bystander.ingest_batch(vec![o]).expect("feed");
         }
         for session in [victim, bystander] {
             let mut events = session.close().expect("worker survived");
@@ -2124,7 +1844,7 @@ mod tests {
             .open_session("migrate-src", pipeline())
             .expect("open");
         for o in &reports[..split] {
-            session.ingest(*o).expect("feed");
+            session.ingest_batch(vec![*o]).expect("feed");
         }
         let checkpoint = session.checkpoint().expect("checkpoint");
         // The checkpoint survives a serialization round-trip bit-exactly.
@@ -2140,7 +1860,7 @@ mod tests {
             .restore_session("migrate-dst", pipeline(), &parsed)
             .expect("restore");
         for o in &reports[split..] {
-            restored.ingest(*o).expect("feed");
+            restored.ingest_batch(vec![*o]).expect("feed");
         }
         events.extend(restored.close().expect("close restored"));
         normalize_events(&mut events);
@@ -2168,27 +1888,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_fails_once_the_session_is_gone() {
-        let engine = Engine::builder()
-            .workers(1)
-            .idle_eviction_factor(0.02)
-            .build()
-            .expect("engine");
-        let session = engine.open_session("gone", quiet_pipeline()).expect("open");
-        session
-            .ingest(quiet_reports(1).pop().expect("one"))
-            .expect("feed");
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(engine.sweep_idle(), vec!["gone".to_string()]);
-        assert!(matches!(
-            session.checkpoint(),
-            Err(RfipadError::SessionClosed(_))
-        ));
-        session.close().expect("close after eviction");
-        engine.shutdown();
-    }
-
-    #[test]
     fn checkpoint_fails_after_shutdown() {
         let engine = Engine::builder().workers(1).build().expect("engine");
         let session = engine.open_session("down", quiet_pipeline()).expect("open");
@@ -2196,53 +1895,33 @@ mod tests {
         assert!(matches!(session.checkpoint(), Err(RfipadError::EngineDown)));
     }
 
-    /// Every ingest entry point — per-report, batched, and both source
-    /// drains — replays the golden recording to identical events.
+    /// Batch size is invisible to recognition: one-report, odd-sized and
+    /// default-sized batches replay the recording to identical events.
     #[test]
     fn ingest_entry_points_match_serial_replay() {
         let expected = serial_events();
         let engine = Engine::builder().workers(1).build().expect("engine");
-        let session = engine.open_session("mixed", pipeline()).expect("open");
         let reports = recording();
-        let (head, tail) = reports.split_at(reports.len() / 2);
-        for o in head {
-            session.ingest(*o).expect("ingest");
+        for size in [1, 17, DEFAULT_INGEST_BATCH] {
+            let session = engine
+                .open_session(format!("batch-{size}"), pipeline())
+                .expect("open");
+            let mut receipt = IngestReceipt::default();
+            for chunk in reports.chunks(size) {
+                receipt += session.ingest_batch(chunk.to_vec()).expect("ingest_batch");
+            }
+            assert_eq!(receipt.accepted, reports.len() as u64);
+            let mut events = session.close().expect("close");
+            normalize_events(&mut events);
+            assert_eq!(events, expected, "batch size {size}");
         }
-        let receipt = session
-            .ingest_batch(tail.iter().copied().collect())
-            .expect("ingest_batch");
-        assert_eq!(receipt.accepted, tail.len() as u64);
-        let mut events = session.close().expect("close");
-        normalize_events(&mut events);
-        assert_eq!(events, expected);
-
-        let session = engine.open_session("src", pipeline()).expect("open");
-        let receipt = session
-            .ingest_source(&mut LiveSource::new(recording()))
-            .expect("ingest_source");
-        assert_eq!(receipt.accepted, recording().len() as u64);
-        let mut events = session.close().expect("close");
-        normalize_events(&mut events);
-        assert_eq!(events, expected);
-
-        let session = engine
-            .open_session("src-batched", pipeline())
-            .expect("open");
-        let receipt = session
-            .ingest_source_batched(&mut LiveSource::new(recording()), 32)
-            .expect("ingest_source_batched");
-        assert_eq!(receipt.accepted, recording().len() as u64);
-        let mut events = session.close().expect("close");
-        normalize_events(&mut events);
-        assert_eq!(events, expected);
     }
 
-    /// Lifecycle race: ingestors hammering sessions while a sweeper
-    /// evicts them and the owners close them. Nothing may panic, every
-    /// error must be a typed lifecycle error, and the engine's drop
-    /// accounting must exactly match the receipts the ingestors were
-    /// handed (a dropped report is counted once, an accepted one never
-    /// lost).
+    /// Lifecycle race: lossy ingestors hammering short-lived sessions on
+    /// a shared worker pool while their owners open and close them.
+    /// Nothing may panic, and the engine's drop accounting must exactly
+    /// match the receipts the ingestors were handed (a dropped report is
+    /// counted once, an accepted one never lost).
     #[test]
     fn concurrent_ingest_close_and_sweep_conserve_receipts() {
         let em = crate::telemetry::engine_metrics();
@@ -2254,26 +1933,9 @@ mod tests {
                 .workers(2)
                 .queue_capacity(8)
                 .backpressure(Backpressure::DropOldest)
-                // Sessions become sweepable within ~letter_gap_s µs of
-                // their last feed — the sweeper races every round.
-                .idle_eviction_factor(1e-6)
                 .build()
                 .expect("engine"),
         );
-
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let sweeper = {
-            let engine = std::sync::Arc::clone(&engine);
-            let stop = std::sync::Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut evicted = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    evicted += engine.sweep_idle().len();
-                    std::thread::yield_now();
-                }
-                evicted
-            })
-        };
 
         let ingestors: Vec<_> = (0..4)
             .map(|t| {
@@ -2281,25 +1943,13 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut receipt = IngestReceipt::default();
                     for round in 0..20 {
-                        let session = match engine
+                        let session = engine
                             .open_session(format!("race-{t}-{round}"), quiet_pipeline())
-                        {
-                            Ok(s) => s,
-                            Err(RfipadError::EngineDown) => break,
-                            Err(e) => panic!("open: {e}"),
-                        };
+                            .expect("open");
                         for chunk in quiet_reports(48).chunks(12) {
-                            match session.ingest_batch(chunk.iter().copied().collect()) {
-                                Ok(r) => receipt.absorb(r),
-                                // Swept mid-round: the id is gone, move on.
-                                Err(RfipadError::SessionClosed(_)) => break,
-                                Err(e) => panic!("ingest: {e}"),
-                            }
+                            receipt.absorb(session.ingest_batch(chunk.to_vec()).expect("ingest"));
                         }
-                        match session.close() {
-                            Ok(_) | Err(RfipadError::SessionClosed(_)) => {}
-                            Err(e) => panic!("close: {e}"),
-                        }
+                        session.close().expect("close");
                     }
                     receipt
                 })
@@ -2310,8 +1960,6 @@ mod tests {
         for handle in ingestors {
             total.absorb(handle.join().expect("ingestor panicked"));
         }
-        stop.store(true, Ordering::Relaxed);
-        sweeper.join().expect("sweeper panicked");
 
         // Receipts mirror the engine's own accounting exactly…
         let stats = engine.stats();
@@ -2328,7 +1976,7 @@ mod tests {
     }
 
     /// Out-of-order clamp counts outlive the session that produced them:
-    /// the registry is the durable sink once eviction destroys the
+    /// the registry is the durable sink once close destroys the
     /// per-session statistics.
     #[test]
     fn clamp_counts_survive_session_eviction() {
@@ -2343,13 +1991,9 @@ mod tests {
         };
         let before = clamped();
 
-        let engine = Engine::builder()
-            .workers(1)
-            .idle_eviction_factor(1e-6)
-            .build()
-            .expect("engine");
+        let engine = Engine::builder().workers(1).build().expect("engine");
         let session = engine
-            .open_session("clamp-evict", quiet_pipeline())
+            .open_session("clamp-close", quiet_pipeline())
             .expect("open");
         // Feed forward, then stale: timestamps run backwards at the seam.
         let mut reports = quiet_reports(30);
@@ -2361,36 +2005,16 @@ mod tests {
             })
             .collect();
         reports.extend(stale);
-        let receipt = session
-            .ingest_batch(reports.iter().copied().collect())
-            .expect("ingest");
+        let receipt = session.ingest_batch(reports.clone()).expect("ingest");
         assert_eq!(receipt.accepted, reports.len() as u64);
 
-        // Wait until every stale report has been clamped, then let the
-        // sweeper destroy the session.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while session.stats().out_of_order < 30 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "clamps never recorded"
-            );
-            std::thread::yield_now();
-        }
-        let session_clamps = session.stats().out_of_order;
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let evicted = engine.sweep_idle();
-        assert_eq!(evicted, vec!["clamp-evict".to_string()]);
-        assert!(!session.is_open(), "session is gone");
-
+        let (_, stats) = session.close_with_stats().expect("close");
+        assert_eq!(stats.out_of_order, 30, "every stale report clamped");
+        assert!(engine.stats().sessions.is_empty(), "session is gone");
         // The per-session count died with the session; the registry
-        // mirror kept every clamp.
-        while clamped() - before < session_clamps {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "registry lost clamp counts after eviction"
-            );
-            std::thread::yield_now();
-        }
+        // mirror kept every clamp (>= because the counter is
+        // process-global and other tests run concurrently).
+        assert!(clamped() - before >= stats.out_of_order);
         engine.shutdown();
     }
 

@@ -30,8 +30,6 @@ pub enum RfipadError {
     Source(String),
     /// A session with this id is already open in the engine.
     SessionExists(String),
-    /// The referenced engine session was closed or evicted.
-    SessionClosed(String),
     /// The ingest engine's workers are gone (shut down or panicked).
     EngineDown,
     /// A pipeline checkpoint failed to parse or restore (malformed JSON,
@@ -52,7 +50,6 @@ impl fmt::Display for RfipadError {
             RfipadError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             RfipadError::Source(msg) => write!(f, "report source failed: {msg}"),
             RfipadError::SessionExists(id) => write!(f, "session {id:?} is already open"),
-            RfipadError::SessionClosed(id) => write!(f, "session {id:?} is closed"),
             RfipadError::EngineDown => write!(f, "ingest engine is shut down"),
             RfipadError::Checkpoint(msg) => write!(f, "checkpoint rejected: {msg}"),
         }

@@ -90,8 +90,7 @@ pub use recognizer::{RecognizedStroke, Recognizer, SessionResult};
 pub use segmentation::{Segmentation, StrokeSpan};
 pub use serve::{CollectingSink, EventSink, IngestServer, IngestServerBuilder};
 pub use stage::{
-    OutOfOrderPolicy, PipelineCheckpoint, PipelineEvent, Stage, StageGraph, StageGraphBuilder,
-    StageState,
+    PipelineCheckpoint, PipelineEvent, Stage, StageGraph, StageGraphBuilder, StageState,
 };
 pub use streams::{TagStreams, TagStreamsBuilder};
 pub use words::{DecodedWord, WordDecoder};

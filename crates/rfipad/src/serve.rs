@@ -835,23 +835,6 @@ impl Connection {
                     })
                 }
             }
-            Err(e @ RfipadError::SessionClosed(_)) => {
-                // Swept by idle eviction: flush what it produced and make
-                // the id reusable.
-                if let Some(handle) = self.sessions.remove(&session) {
-                    self.sessions_gauge.set(self.sessions.len() as i64);
-                    let engine_id = self.engine_id(&session);
-                    if let Ok(events) = handle.close() {
-                        self.deliver(&session, &engine_id, events);
-                    } else {
-                        self.traces.remove(&session);
-                    }
-                }
-                self.respond(&Frame::Error {
-                    code: ERR_UNKNOWN_SESSION,
-                    message: e.to_string(),
-                })
-            }
             Err(e @ RfipadError::EngineDown) => {
                 self.respond(&Frame::Error {
                     code: ERR_ENGINE,

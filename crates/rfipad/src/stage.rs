@@ -11,7 +11,7 @@
 //! framing, RMS segmentation, motion classification, letter assembly, and
 //! grammar deduction. This module reifies each step as a [`Stage`] with a
 //! typed input and output, and composes them with a [`StageGraph`] that
-//! owns ordering, the [`OutOfOrderPolicy`], and per-stage instrumentation
+//! owns report admission and ordering, and per-stage instrumentation
 //! (the `rfipad_stage_push_seconds{stage=...}` histograms). The graph is
 //! the one streaming recognizer: callers drive it directly, or hand it to
 //! an [`crate::engine::Engine`] session to run on a worker pool.
@@ -26,7 +26,7 @@
 //!   replays into a freshly built graph. A restored graph produces the
 //!   same remaining events, bit for bit, as the uninterrupted run —
 //!   the property [`crate::engine::Engine::restore_session`] uses to
-//!   migrate evicted sessions between processes.
+//!   migrate sessions between processes.
 //! * **Direct drive.** Batch-oriented callers (the engine workers,
 //!   `multipad`, the experiment trials) consume the graph directly
 //!   instead of private framing/segmentation glue.
@@ -76,22 +76,6 @@ pub enum PipelineEvent {
         /// Wall-clock compute time for the deduction, seconds.
         response_time_s: f64,
     },
-}
-
-/// What [`StageGraph::push`] does with a report whose timestamp is older
-/// than one already consumed. A single reader stream is in time order, but
-/// merging several antennas or sources can interleave slightly stale
-/// reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum OutOfOrderPolicy {
-    /// Clamp the stale timestamp forward to the newest time seen, keeping
-    /// the report's signal content (the default: a few milliseconds of
-    /// skew never matters to 100 ms frames).
-    #[default]
-    Clamp,
-    /// Drop the stale report entirely.
-    Drop,
 }
 
 /// Upper bound on how much history the framing stage keeps (seconds). A
@@ -930,7 +914,6 @@ impl Stage for Grammar {
 pub struct StageGraphBuilder {
     recognizer: Option<Recognizer>,
     letter_gap_s: Option<f64>,
-    out_of_order: OutOfOrderPolicy,
 }
 
 impl StageGraphBuilder {
@@ -944,13 +927,6 @@ impl StageGraphBuilder {
     /// comfortable for the default writer profiles).
     pub fn letter_gap_s(mut self, letter_gap_s: f64) -> Self {
         self.letter_gap_s = Some(letter_gap_s);
-        self
-    }
-
-    /// Policy for reports whose timestamps run backwards (default
-    /// [`OutOfOrderPolicy::Clamp`]).
-    pub fn out_of_order(mut self, policy: OutOfOrderPolicy) -> Self {
-        self.out_of_order = policy;
         self
     }
 
@@ -984,7 +960,6 @@ impl StageGraphBuilder {
             recognizer,
             letter_gap_s,
             end_guard_s,
-            out_of_order: self.out_of_order,
             last_time: f64::NEG_INFINITY,
             out_of_order_count: 0,
             finished: false,
@@ -999,7 +974,8 @@ impl StageGraphBuilder {
 
 /// The five-stage online recognition cascade, wired in order.
 ///
-/// Owns report admission (the out-of-order policy), drives each stage
+/// Owns report admission (stale times clamped, non-finite reports
+/// dropped), drives each stage
 /// under its `rfipad_stage_push_seconds{stage=...}` histogram, and
 /// routes the letter-close feedback (history trim + dedup reset) back
 /// upstream. Every streaming caller — the engine sessions, the ingest
@@ -1009,11 +985,10 @@ pub struct StageGraph {
     recognizer: Arc<Recognizer>,
     letter_gap_s: f64,
     end_guard_s: f64,
-    /// What to do with reports whose timestamps run backwards.
-    out_of_order: OutOfOrderPolicy,
     /// Newest report timestamp consumed so far.
     last_time: f64,
-    /// Reports that arrived with a timestamp older than `last_time`.
+    /// Reports clamped for a timestamp older than `last_time`, or dropped
+    /// for a non-finite time, phase or RSS.
     out_of_order_count: u64,
     /// Whether [`StageGraph::finish`] already flushed the stream.
     finished: bool,
@@ -1063,9 +1038,8 @@ impl StageGraph {
     }
 
     /// How many reports arrived with a timestamp older than an already
-    /// consumed one (and were clamped or dropped per the configured
-    /// [`OutOfOrderPolicy`]), plus those dropped for a non-finite time,
-    /// phase or RSS.
+    /// consumed one (and were clamped), plus those dropped for a
+    /// non-finite time, phase or RSS.
     pub fn out_of_order_count(&self) -> u64 {
         self.out_of_order_count
     }
@@ -1079,12 +1053,12 @@ impl StageGraph {
     /// Feeds one tag report; returns any events it triggered.
     ///
     /// Reports are expected in time order (a single reader stream is);
-    /// stale timestamps from multi-antenna or multi-source merges are
-    /// clamped or dropped per the configured [`OutOfOrderPolicy`] and
-    /// counted in [`StageGraph::out_of_order_count`]. A report with a
-    /// non-finite time, phase or RSS is dropped and counted there under
-    /// either policy. Feeding after [`StageGraph::finish`] resumes the
-    /// stream.
+    /// a stale timestamp from a multi-antenna or multi-source merge is
+    /// clamped forward to the newest time seen, keeping the report's
+    /// signal content (a few milliseconds of skew never matters to 100 ms
+    /// frames), and counted in [`StageGraph::out_of_order_count`]. A
+    /// report with a non-finite time, phase or RSS is dropped and counted
+    /// there. Feeding after [`StageGraph::finish`] resumes the stream.
     pub fn push(&mut self, obs: TagReport) -> Vec<PipelineEvent> {
         let mut events = Vec::new();
         self.push_into(obs, &mut events);
@@ -1099,25 +1073,19 @@ impl StageGraph {
         let metrics = crate::telemetry::stage_metrics();
         metrics.reports.inc();
         // Doppler is not read by recognition, so only phase and RSS are
-        // audited: one non-finite value would poison a whole stroke.
-        if !(obs.phase.is_finite() && obs.rss_dbm.is_finite()) {
+        // audited: one non-finite value would poison a whole stroke. A
+        // non-finite time is dropped too: clamping it at stream start
+        // would anchor frames at -inf. The registry counters mirror the
+        // per-graph count, which dies with the session.
+        if !(obs.time.is_finite() && obs.phase.is_finite() && obs.rss_dbm.is_finite()) {
             self.out_of_order_count += 1;
             metrics.out_of_order_dropped.inc();
             return;
         }
-        if obs.time < self.last_time || !obs.time.is_finite() {
+        if obs.time < self.last_time {
             self.out_of_order_count += 1;
-            // Mirror into the durable registry counters: the per-graph
-            // count above dies with the session, these survive eviction.
-            // A non-finite time is dropped under either policy: clamping
-            // it at stream start would anchor frames at -inf.
-            if self.out_of_order == OutOfOrderPolicy::Clamp && obs.time.is_finite() {
-                metrics.out_of_order_clamped.inc();
-                obs.time = self.last_time;
-            } else {
-                metrics.out_of_order_dropped.inc();
-                return;
-            }
+            metrics.out_of_order_clamped.inc();
+            obs.time = self.last_time;
         }
         self.last_time = obs.time;
         // The framing hop is only measured for trace-bound (served)
@@ -1146,12 +1114,8 @@ impl StageGraph {
     /// Feeds a batch of reports in order, appending any triggered events
     /// to `events`. Equivalent to pushing each report individually; one
     /// event buffer serves the whole batch.
-    pub fn push_batch(
-        &mut self,
-        reports: impl IntoIterator<Item = TagReport>,
-        events: &mut Vec<PipelineEvent>,
-    ) {
-        for obs in reports {
+    pub fn push_batch(&mut self, reports: &[TagReport], events: &mut Vec<PipelineEvent>) {
+        for &obs in reports {
             self.push_into(obs, events);
         }
     }
@@ -1161,7 +1125,7 @@ impl StageGraph {
     ///
     /// Idempotent: a second `finish` without an intervening
     /// [`StageGraph::push`] returns no events, so drain-then-close
-    /// sequences (and engine eviction racing an explicit close) cannot
+    /// sequences (and engine shutdown racing an explicit close) cannot
     /// duplicate reports.
     pub fn finish(&mut self) -> Vec<PipelineEvent> {
         let mut events = Vec::new();
@@ -1299,7 +1263,6 @@ impl StageGraph {
     /// recognizer configuration.
     pub fn checkpoint(&self) -> PipelineCheckpoint {
         PipelineCheckpoint {
-            policy: self.out_of_order,
             last_time: self.last_time,
             out_of_order_count: self.out_of_order_count,
             finished: self.finished,
@@ -1384,7 +1347,6 @@ impl StageGraph {
                 return Err(checkpoint_err("framing buffer runs past last_time"));
             }
         }
-        self.out_of_order = checkpoint.policy;
         self.last_time = checkpoint.last_time;
         self.out_of_order_count = checkpoint.out_of_order_count;
         self.finished = checkpoint.finished;
@@ -1433,7 +1395,6 @@ impl Stage for StageGraph {
 /// checkpoint written by one process restores exactly in another.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineCheckpoint {
-    policy: OutOfOrderPolicy,
     last_time: f64,
     out_of_order_count: u64,
     finished: bool,
@@ -1443,22 +1404,18 @@ pub struct PipelineCheckpoint {
 }
 
 /// Format version written by [`PipelineCheckpoint::to_json`].
-const CHECKPOINT_VERSION: u64 = 1;
+const CHECKPOINT_VERSION: u64 = 2;
 
 impl PipelineCheckpoint {
     /// Serializes the checkpoint as a single JSON object.
     pub fn to_json(&self) -> String {
-        let policy = match self.policy {
-            OutOfOrderPolicy::Clamp => "clamp",
-            OutOfOrderPolicy::Drop => "drop",
-        };
         let stages: Vec<String> = self
             .stages
             .iter()
             .map(|s| format!("\"{}\":{}", s.stage(), s.state()))
             .collect();
         format!(
-            "{{\"version\":{CHECKPOINT_VERSION},\"policy\":\"{policy}\",\"last_time_bits\":{},\
+            "{{\"version\":{CHECKPOINT_VERSION},\"last_time_bits\":{},\
              \"out_of_order_count\":{},\"finished\":{},\"letter_gap_bits\":{},\
              \"end_guard_bits\":{},\"stages\":{{{}}}}}",
             self.last_time.to_bits(),
@@ -1476,13 +1433,11 @@ impl PipelineCheckpoint {
     /// # Errors
     ///
     /// Returns [`RfipadError::Checkpoint`] on malformed JSON, an
-    /// unsupported version, an unknown policy, or unknown/missing
-    /// fields.
+    /// unsupported version, or unknown/missing fields.
     pub fn from_json(json: &str) -> Result<Self, RfipadError> {
-        let [version, policy, last_time, out_of_order_count, finished, letter_gap, end_guard, stages] =
+        let [version, last_time, out_of_order_count, finished, letter_gap, end_guard, stages] =
             json::parse(json)?.fields([
                 "version",
-                "policy",
                 "last_time_bits",
                 "out_of_order_count",
                 "finished",
@@ -1497,15 +1452,6 @@ impl PipelineCheckpoint {
             )));
         }
         Ok(Self {
-            policy: match policy.as_str()? {
-                "clamp" => OutOfOrderPolicy::Clamp,
-                "drop" => OutOfOrderPolicy::Drop,
-                other => {
-                    return Err(checkpoint_err(format!(
-                        "unknown out-of-order policy {other:?}"
-                    )))
-                }
-            },
             last_time: bits(&last_time)?,
             out_of_order_count: out_of_order_count.as_uint()?,
             finished: finished.as_bool()?,
@@ -1833,7 +1779,7 @@ mod tests {
     }
 
     /// A graph calibrated on the quiet prefix of [`recording`].
-    fn sweep_graph(out_of_order: OutOfOrderPolicy) -> StageGraph {
+    fn sweep_graph() -> StageGraph {
         let l = sweep_layout();
         let static_part: Vec<TagReport> =
             recording().into_iter().filter(|o| o.time < 2.0).collect();
@@ -1848,7 +1794,6 @@ mod tests {
         StageGraph::builder()
             .recognizer(rec)
             .letter_gap_s(1.5)
-            .out_of_order(out_of_order)
             .build()
             .unwrap()
     }
@@ -1939,9 +1884,9 @@ mod tests {
         let json = driven_graph().checkpoint().to_json();
         assert!(PipelineCheckpoint::from_json(&json).is_ok());
         for bad in [
-            json.replacen("\"version\":1", "version:1", 1),
-            json.replacen("\"version\":1", "\"version\":+1", 1),
-            json.replacen("\"version\":1", "\"version\":1,\"version\":1", 1),
+            json.replacen("\"version\":2", "version:2", 1),
+            json.replacen("\"version\":2", "\"version\":+2", 1),
+            json.replacen("\"version\":2", "\"version\":2,\"version\":2", 1),
             json.replacen("\"grammar\":{}", "\"grammar\":{},", 1),
             format!("{json}{{}}"),
         ] {
@@ -2001,9 +1946,11 @@ mod tests {
     #[test]
     fn restore_rejects_foreign_versions_and_fields() {
         let json = driven_graph().checkpoint().to_json();
-        let bumped = json.replacen("\"version\":1", "\"version\":2", 1);
-        let err = PipelineCheckpoint::from_json(&bumped).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        for version in ["\"version\":1", "\"version\":3"] {
+            let foreign = json.replacen("\"version\":2", version, 1);
+            let err = PipelineCheckpoint::from_json(&foreign).unwrap_err();
+            assert!(err.to_string().contains("version"), "{err}");
+        }
         let extended = json.replacen("{\"version\"", "{\"surprise\":4,\"version\"", 1);
         assert!(PipelineCheckpoint::from_json(&extended).is_err());
     }
@@ -2073,7 +2020,7 @@ mod tests {
 
     #[test]
     fn stroke_and_letter_events_emitted_in_order() {
-        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut g = sweep_graph();
         let mut events = Vec::new();
         for o in recording() {
             events.extend(g.push(o));
@@ -2100,7 +2047,7 @@ mod tests {
 
     #[test]
     fn stroke_reported_before_letter() {
-        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut g = sweep_graph();
         let mut kinds = Vec::new();
         for o in recording() {
             kinds.extend(g.push(o).iter().map(event_kind));
@@ -2111,7 +2058,7 @@ mod tests {
 
     #[test]
     fn response_times_are_small() {
-        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut g = sweep_graph();
         let mut response = None;
         for o in recording() {
             for e in g.push(o) {
@@ -2133,7 +2080,7 @@ mod tests {
 
     #[test]
     fn quiet_stream_emits_nothing() {
-        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut g = sweep_graph();
         let mut events = Vec::new();
         for o in recording().into_iter().filter(|o| o.time < 1.8) {
             events.extend(g.push(o));
@@ -2146,7 +2093,7 @@ mod tests {
     fn finish_is_idempotent() {
         // Stop the feed right after the stroke, before any silence: the
         // whole stroke + letter decision then rides on finish().
-        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut g = sweep_graph();
         for o in recording().into_iter().filter(|o| o.time < 4.2) {
             g.push(o);
         }
@@ -2163,7 +2110,7 @@ mod tests {
 
     #[test]
     fn push_after_finish_resumes_the_stream() {
-        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut g = sweep_graph();
         let all = recording();
         for o in all.iter().filter(|o| o.time < 5.0) {
             g.push(*o);
@@ -2192,17 +2139,17 @@ mod tests {
 
     #[test]
     fn push_into_batch_and_push_agree() {
-        let mut serial = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut serial = sweep_graph();
         let mut serial_events = Vec::new();
         for o in recording() {
             serial_events.extend(serial.push(o));
         }
         serial_events.extend(serial.finish());
 
-        let mut batched = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut batched = sweep_graph();
         let mut batched_events = Vec::new();
         for chunk in recording().chunks(64) {
-            batched.push_batch(chunk.iter().copied(), &mut batched_events);
+            batched.push_batch(chunk, &mut batched_events);
         }
         batched.finish_into(&mut batched_events);
 
@@ -2215,7 +2162,7 @@ mod tests {
 
     #[test]
     fn cache_invalidated_by_letter_close_then_resumes() {
-        let mut g = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut g = sweep_graph();
         let mut letter_seen = false;
         for o in recording() {
             let events = g.push(o);
@@ -2246,7 +2193,7 @@ mod tests {
 
     #[test]
     fn cache_consistent_under_out_of_order_clamp() {
-        let mut clamping = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut clamping = sweep_graph();
         for (i, mut o) in recording().into_iter().enumerate() {
             if i % 8 == 3 {
                 o.time -= 0.04;
@@ -2258,21 +2205,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_consistent_under_out_of_order_drop() {
-        let mut dropping = sweep_graph(OutOfOrderPolicy::Drop);
-        for (i, mut o) in recording().into_iter().enumerate() {
-            if i % 10 == 7 {
-                o.time -= 0.05;
-            }
-            dropping.push(o);
-        }
-        assert!(dropping.out_of_order_count() > 0, "stale reports seen");
-        dropping.assert_cache_matches_rebuild();
-    }
-
-    #[test]
     fn out_of_order_clamped_and_counted() {
-        let mut clamping = sweep_graph(OutOfOrderPolicy::Clamp);
+        let mut clamping = sweep_graph();
         let mut events = Vec::new();
         for (i, mut o) in recording().into_iter().enumerate() {
             // A second antenna's reports lag by 40 ms every eighth read.
@@ -2296,53 +2230,28 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_drop_discards_stale_reports() {
-        let mut dropping = sweep_graph(OutOfOrderPolicy::Drop);
-        // Stop before the letter closes, so neither a letter-close nor a
-        // retention trim shortens the buffer: every admitted report must
-        // still be in it.
-        let reports: Vec<TagReport> = recording().into_iter().filter(|o| o.time < 3.5).collect();
-        let fed = reports.len() as u64;
-        for (i, mut o) in reports.into_iter().enumerate() {
-            if i % 10 == 7 {
-                o.time -= 0.05;
-            }
-            dropping.push(o);
-        }
-        assert!(dropping.out_of_order_count() > 0);
-        assert_eq!(
-            dropping.buffer().len() as u64,
-            fed - dropping.out_of_order_count(),
-            "dropped reports must not enter the buffer"
-        );
-        assert!(dropping.buffer().windows(2).all(|w| w[0].time <= w[1].time));
-    }
-
-    #[test]
     fn non_finite_times_are_dropped_under_both_policies() {
-        for policy in [OutOfOrderPolicy::Clamp, OutOfOrderPolicy::Drop] {
-            let mut clean = sweep_graph(policy);
-            let mut expected = Vec::new();
-            clean.push_batch(recording(), &mut expected);
-            clean.finish_into(&mut expected);
-            let mut hostile = sweep_graph(policy);
-            let mut events = Vec::new();
-            for (i, o) in recording().into_iter().enumerate() {
-                if i == 2_500 {
-                    // Mid-recording, inside the stroke: NaN first, which
-                    // used to panic the stream builders.
-                    for time in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                        hostile.push_into(TagReport { time, ..o }, &mut events);
-                    }
+        let mut clean = sweep_graph();
+        let mut expected = Vec::new();
+        clean.push_batch(&recording(), &mut expected);
+        clean.finish_into(&mut expected);
+        let mut hostile = sweep_graph();
+        let mut events = Vec::new();
+        for (i, o) in recording().into_iter().enumerate() {
+            if i == 2_500 {
+                // Mid-recording, inside the stroke: NaN first, which used
+                // to panic the stream builders.
+                for time in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    hostile.push_into(TagReport { time, ..o }, &mut events);
                 }
-                hostile.push_into(o, &mut events);
             }
-            hostile.finish_into(&mut events);
-            assert_eq!(hostile.out_of_order_count(), 3, "{policy:?}");
-            normalize_events(&mut expected);
-            normalize_events(&mut events);
-            assert_eq!(events, expected, "{policy:?}");
+            hostile.push_into(o, &mut events);
         }
+        hostile.finish_into(&mut events);
+        assert_eq!(hostile.out_of_order_count(), 3);
+        normalize_events(&mut expected);
+        normalize_events(&mut events);
+        assert_eq!(events, expected);
     }
 
     #[test]

@@ -35,9 +35,9 @@ pub(crate) struct StageMetrics {
     pub grammar: Arc<Histogram>,
     /// Reports consumed by pipelines.
     pub reports: Arc<Counter>,
-    /// Stale reports clamped forward (OutOfOrderPolicy::Clamp).
+    /// Stale reports clamped forward to the newest time seen.
     pub out_of_order_clamped: Arc<Counter>,
-    /// Stale reports discarded (OutOfOrderPolicy::Drop).
+    /// Reports discarded for a non-finite time, phase or RSS.
     pub out_of_order_dropped: Arc<Counter>,
     /// Confirmed spans the motion classifier rejected as unclassifiable.
     pub rejected_spans: Arc<Counter>,
@@ -186,9 +186,9 @@ pub(crate) fn segmentation_metrics() -> &'static SegmentationMetrics {
 }
 
 /// Cached handles for engine-wide aggregates. Counters are process-wide:
-/// they survive session eviction and engine shutdown, unlike the
-/// per-session statistics that are lost when a session is swept (the
-/// registry is the durable sink for drop/clamp totals).
+/// they survive session close and engine shutdown, unlike the per-session
+/// statistics that are lost when a session closes (the registry is the
+/// durable sink for drop/clamp totals).
 pub(crate) struct EngineMetrics {
     /// Reports accepted into session queues.
     pub reports_in: Arc<Counter>,
@@ -200,8 +200,6 @@ pub(crate) struct EngineMetrics {
     pub sessions_opened: Arc<Counter>,
     /// Sessions closed (explicitly or by engine shutdown).
     pub sessions_closed: Arc<Counter>,
-    /// Sessions evicted by the idle sweeper.
-    pub sessions_evicted: Arc<Counter>,
     /// Push latency across all sessions, nanoseconds.
     pub push_latency: Arc<Histogram>,
     /// Currently open sessions.
@@ -327,11 +325,6 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
             sessions_closed: r.counter(
                 "rfipad_engine_sessions_closed_total",
                 "Sessions closed explicitly or at engine shutdown.",
-                &[],
-            ),
-            sessions_evicted: r.counter(
-                "rfipad_engine_sessions_evicted_total",
-                "Idle sessions evicted by the sweeper.",
                 &[],
             ),
             push_latency: r.histogram(

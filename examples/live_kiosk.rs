@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // far after each one, as the kiosk UI would; closing flushes the tail.
     let mut word = String::new();
     for chunk in observations.chunks(DEFAULT_INGEST_BATCH) {
-        session.ingest_batch(chunk.iter().copied().collect())?;
+        session.ingest_batch(chunk.to_vec())?;
         show(session.drain_events(), &mut word);
     }
     show(session.close()?, &mut word);

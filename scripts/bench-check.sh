@@ -50,16 +50,19 @@ cargo clippy --all-targets -- -D warnings
 echo "== docs (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# --locked: a manifest edit that would rewrite a Cargo.lock (the root one
+# or rfibench's) fails here instead of silently changing the lock the
+# benchmark builds from.
 echo "== build (release) =="
-cargo build --release --workspace
+cargo build --release --workspace --locked
 
 echo "== tests =="
-cargo test -q
+cargo test -q --locked
 
 echo "== benchmark harness (builds against the workspace crates) =="
 # rfibench is a package of its own outside the workspace; building and
 # testing it here keeps API refactors from silently breaking the benchmark.
-CARGO_TARGET_DIR=target/rfibench cargo test --release --offline --manifest-path rfibench/Cargo.toml
+CARGO_TARGET_DIR=target/rfibench cargo test --release --offline --locked --manifest-path rfibench/Cargo.toml
 
 echo "== quick criterion pass (observe cache + pipeline) =="
 CRITERION_SAMPLE_MS=${CRITERION_SAMPLE_MS:-150} cargo bench -p bench --bench observe_cache

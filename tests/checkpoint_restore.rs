@@ -156,7 +156,8 @@ fn corrupted_checkpoints_are_rejected() {
     assert!(PipelineCheckpoint::from_json(&wire[..wire.len() / 2]).is_err());
 
     // A foreign version number must be refused, not guessed at.
-    let foreign = wire.replacen("\"version\":1", "\"version\":99", 1);
+    let foreign = wire.replacen("\"version\":2", "\"version\":99", 1);
+    assert_ne!(foreign, wire, "the checkpoint names its version");
     assert!(PipelineCheckpoint::from_json(&foreign).is_err());
 
     // Unknown fields mean the document is not ours.

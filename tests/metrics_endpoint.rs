@@ -40,7 +40,7 @@ fn live_engine_exposition_covers_every_layer() {
         .open_session("kiosk-metrics", graph)
         .expect("open session");
     for r in &trial.reports {
-        session.ingest(*r).expect("ingest");
+        session.ingest_batch(vec![*r]).expect("ingest");
     }
     // Wait for the worker to process every queued report, so the stage
     // histograms have observations when we scrape.
@@ -120,7 +120,7 @@ fn every_json_writer_output_parses_strictly() {
         .expect("stage graph");
     let session = engine.open_session("json-writers", graph).expect("open");
     for r in &trial.reports[..trial.reports.len() / 2] {
-        session.ingest(*r).expect("ingest");
+        session.ingest_batch(vec![*r]).expect("ingest");
     }
     let checkpoint = session.checkpoint().expect("checkpoint");
     obs::warn!("journal entry with \"quotes\"\tand a tab");

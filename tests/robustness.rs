@@ -166,7 +166,7 @@ fn graph_events(recognizer: &Recognizer, reports: &[TagReport]) -> Vec<PipelineE
         .build()
         .expect("valid gap");
     let mut events = Vec::new();
-    graph.push_batch(reports.iter().copied(), &mut events);
+    graph.push_batch(reports, &mut events);
     graph.finish_into(&mut events);
     normalize_events(&mut events);
     events

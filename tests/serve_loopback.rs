@@ -9,7 +9,8 @@ use experiments::serveload::{
     golden_reports, replay_over_loopback, serial_replay, session_pipeline, LoopbackConfig,
 };
 use rfid_gen2::report::TagReport;
-use rfid_gen2::wire::IngestClient;
+use rfid_gen2::source::{ReportSource, TraceSource};
+use rfid_gen2::wire::{decode_payload_v, encode_frame_v, Frame, IngestClient, TraceContext};
 use rfipad::engine::{normalize_events, Backpressure, Engine};
 use rfipad::serve::{CollectingSink, EventSink, IngestServer};
 use rfipad::{PipelineEvent, Recognizer};
@@ -42,9 +43,7 @@ fn in_process_batched_replay(
         .expect("open");
     let mut receipt = rfipad::IngestReceipt::default();
     for chunk in reports.chunks(batch) {
-        receipt += session
-            .ingest_batch(chunk.iter().copied().collect())
-            .expect("ingest");
+        receipt += session.ingest_batch(chunk.to_vec()).expect("ingest");
     }
     assert_eq!(receipt.accepted, reports.len() as u64);
     assert_eq!(receipt.dropped, 0);
@@ -151,14 +150,14 @@ fn backpressure_surfaces_as_typed_shed_deliveries() {
     let big: Vec<TagReport> = reports.iter().cycle().take(16_000).copied().collect();
     for seq in 1..=3 {
         let delivery = client
-            .send_batch("busy", seq, big.iter().copied().collect())
+            .send_batch("busy", seq, big.clone())
             .expect("send busy");
         assert_eq!(delivery.accepted, big.len() as u64);
     }
     let mut total = rfid_gen2::wire::Delivery::default();
     for seq in 1..=8 {
         let delivery = client
-            .send_batch("pad", seq, reports[..64].iter().copied().collect())
+            .send_batch("pad", seq, reports[..64].to_vec())
             .expect("send pad");
         assert_eq!(
             delivery.accepted, 64,
@@ -176,4 +175,53 @@ fn backpressure_surfaces_as_typed_shed_deliveries() {
     client.close("pad").expect("close pad");
     client.close("busy").expect("close busy");
     server.shutdown();
+}
+
+/// FNV-1a, 64-bit, over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn golden_trace_wire_bytes_are_pinned() {
+    // The golden trace as consecutive 64-report BATCH frames, in both wire
+    // versions (v2 with trace context on every frame). The length and
+    // hash of the concatenated bytes are fixed: deployed readers and
+    // servers must keep talking to each other, so no refactor of how a
+    // batch is held in memory may move a byte on the wire.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/golden_session.rftrace"
+    );
+    let reports = TraceSource::open(path)
+        .expect("golden trace opens")
+        .try_collect_reports()
+        .expect("golden trace decodes");
+    let ctx = TraceContext {
+        trace: 0x5eed_0000_0000_0001,
+        parent_span: 0x0000_0000_0000_0042,
+    };
+    for (version, trace, len, hash) in [
+        (1, None, 78_501usize, 0x90f8_16fc_4ee4_5be1u64),
+        (2, Some(ctx), 78_858, 0xfff2_daef_0d1f_0a48),
+    ] {
+        let mut wire = Vec::new();
+        for (i, chunk) in reports.chunks(64).enumerate() {
+            let frame = Frame::Batch {
+                session: "golden".into(),
+                seq: i as u32 + 1,
+                reports: chunk.to_vec(),
+                trace,
+            };
+            let bytes = encode_frame_v(&frame, version);
+            assert_eq!(
+                decode_payload_v(&bytes[4..], version).expect("frame decodes"),
+                frame
+            );
+            wire.extend_from_slice(&bytes);
+        }
+        assert_eq!((wire.len(), fnv1a(&wire)), (len, hash), "wire v{version}");
+    }
 }

@@ -9,7 +9,7 @@
 use experiments::golden::{golden_bench, golden_trial};
 use rfid_gen2::report::TagReport;
 use rfid_gen2::source::{LiveSource, ReportSource, TraceSource};
-use rfid_gen2::trace::{read_trace_file, write_trace, TraceFormat};
+use rfid_gen2::trace::{write_trace, TraceFormat};
 use rfipad::{PipelineEvent, RecognizedStroke, Recognizer, StageGraph};
 
 const GOLDEN_JSONL: &str = concat!(
@@ -211,7 +211,7 @@ fn reencoding_the_golden_trace_is_byte_stable() {
         (GOLDEN_JSONL, TraceFormat::JsonLines),
         (GOLDEN_BINARY, TraceFormat::Binary),
     ] {
-        let reports = read_trace_file(path).expect("golden trace reads");
+        let reports = load(path);
         let mut reencoded = Vec::new();
         write_trace(&mut reencoded, format, &reports).expect("encode");
         let original = std::fs::read(path).expect("golden trace bytes");
