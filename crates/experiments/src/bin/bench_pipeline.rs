@@ -67,8 +67,8 @@ fn time_batch(bench: &Bench, user: &UserProfile, threads: Option<usize>) -> f64 
     elapsed
 }
 
-/// Times decode-from-buffer + batch recognition of the golden session in
-/// one trace framing; returns (ms per replay, encoded bytes).
+/// Times decode-from-buffer + whole-recording recognition of the golden
+/// session in one trace framing; returns (ms per replay, encoded bytes).
 fn time_trace_replay(bench: &Bench, encoded: &[u8], iters: u32) -> (f64, usize) {
     use rfid_gen2::source::{ReportSource, TraceSource};
     let start = Instant::now();

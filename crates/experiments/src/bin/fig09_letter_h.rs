@@ -15,13 +15,16 @@ fn main() {
     );
     let user = UserProfile::average();
     let trial = bench.run_letter_trial('H', &user, 909);
+    let segmentation = bench
+        .recognizer
+        .segment(&bench.recognizer.streams(&trial.reports));
 
     println!("== Fig. 9 — writing 'H': frame diagnostics ==");
     println!(
         "{:>6}  {:>8}  {:>9}  {:>7}",
         "t (s)", "rms", "std(rms)", "active"
     );
-    for f in &trial.result.segmentation.frames {
+    for f in &segmentation.frames {
         // Print a bar chart alongside the numbers.
         let bar_len = (f.rms * 2.0).min(40.0) as usize;
         println!(
@@ -44,9 +47,9 @@ fn main() {
         );
     }
     println!("detected spans:");
-    for s in &trial.result.segmentation.spans {
+    for s in &segmentation.spans {
         println!("  {:.2}..{:.2} s", s.start, s.end);
     }
-    println!("threshold: {:.3}", trial.result.segmentation.threshold);
+    println!("threshold: {:.3}", segmentation.threshold);
     println!("recognized letter: {:?}", trial.result.letter);
 }

@@ -31,7 +31,7 @@ fn main() {
         for rep in 0..reps {
             let trial =
                 bench.run_letter_trial(letter, &user, 2200 + rep as u64 * 131 + letter as u64);
-            let seg = trial.segmentation_outcome();
+            let seg = trial.segmentation_outcome(&bench.recognizer);
             insertions += seg.insertions;
             underfills += seg.underfills;
             truth_strokes += seg.truth_count;

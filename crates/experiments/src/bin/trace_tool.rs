@@ -22,12 +22,12 @@
 //! golden bench and writes the trace; the framing is picked from the file
 //! extension (`.jsonl` → JSON lines, anything else → binary). `inspect`
 //! prints a summary without recognizing. `replay` feeds the trace through
-//! the batch recognizer and the online stage graph of a freshly rebuilt
-//! golden bench and prints what they see. `stats` replays the trace
-//! through an instrumented stage graph and prints the Prometheus text
-//! exposition of the process-global metrics registry (self-validated);
-//! with `--bench` it also times instrumented vs `RFIPAD_LOG=off` replays
-//! and merges a `telemetry_overhead` entry into `BENCH_pipeline.json`.
+//! the recognizer of a freshly rebuilt golden bench and prints what it
+//! sees. `stats` replays the trace through the instrumented recognizer
+//! and prints the Prometheus text exposition of the process-global
+//! metrics registry (self-validated); with `--bench` it also times
+//! instrumented vs `RFIPAD_LOG=off` replays and merges a
+//! `telemetry_overhead` entry into `BENCH_pipeline.json`.
 //! `checkpoint` interrupts an online replay halfway, ships the session
 //! through the checkpoint JSON wire form, resumes on a fresh graph,
 //! and exits nonzero unless the stitched event stream matches an
@@ -42,7 +42,7 @@ use hand_kinematics::user::UserProfile;
 use rfid_gen2::report::TagReport;
 use rfid_gen2::source::{ReportSource, TraceSource};
 use rfid_gen2::trace::{write_trace_file, TraceFormat};
-use rfipad::{PipelineEvent, Recognizer, RfipadError};
+use rfipad::{Recognizer, RfipadError};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -122,7 +122,7 @@ fn replay(path: &str) -> Result<(), RfipadError> {
     let bench = golden_bench();
 
     let result = bench.recognizer.recognize_session(&reports);
-    println!("batch replay of {} reports:", reports.len());
+    println!("replay of {} reports:", reports.len());
     for (i, s) in result.strokes.iter().enumerate() {
         println!(
             "  stroke {}: {} over {:.2} .. {:.2} s",
@@ -134,9 +134,6 @@ fn replay(path: &str) -> Result<(), RfipadError> {
     }
     println!("  letter: {:?}", result.letter);
 
-    let (strokes, online_letter) = replay_online(&bench.recognizer, &reports);
-    println!("online replay: {strokes} strokes, letter {online_letter:?}");
-
     let live = golden_trial(&bench);
     if reports == live.reports {
         println!(
@@ -147,26 +144,6 @@ fn replay(path: &str) -> Result<(), RfipadError> {
         println!("note: trace differs from the golden session (custom recording?)");
     }
     Ok(())
-}
-
-/// One full online replay of `reports`; returns (strokes, letter).
-fn replay_online(recognizer: &Recognizer, reports: &[TagReport]) -> (usize, Option<char>) {
-    let mut graph = session_pipeline(recognizer);
-    let mut letter = None;
-    let mut strokes = 0usize;
-    let mut handle = |event: PipelineEvent| match event {
-        PipelineEvent::StrokeDetected { .. } => strokes += 1,
-        PipelineEvent::LetterRecognized { letter: l, .. } => letter = l,
-    };
-    for r in reports {
-        for event in graph.push(*r) {
-            handle(event);
-        }
-    }
-    for event in graph.finish() {
-        handle(event);
-    }
-    (strokes, letter)
 }
 
 /// Replays and telemetry-off replays interleaved; returns the best
@@ -182,7 +159,7 @@ fn time_overhead(
         obs::set_level(level);
         let start = Instant::now();
         for _ in 0..rounds {
-            std::hint::black_box(replay_online(recognizer, reports));
+            std::hint::black_box(recognizer.recognize_session(reports));
         }
         start.elapsed().as_secs_f64()
     };
@@ -204,9 +181,9 @@ fn stats(path: &str, bench_overhead: bool) -> Result<(), RfipadError> {
     // The instrumented replay populates the process-global registry:
     // stage histograms, pipeline counters, reader counters from the
     // trace decode above.
-    let (strokes, letter) = replay_online(&bench.recognizer, &reports);
-    obs::info!("replayed trace"; reports = reports.len(), strokes = strokes,
-        letter = format!("{letter:?}"));
+    let result = bench.recognizer.recognize_session(&reports);
+    obs::info!("replayed trace"; reports = reports.len(), strokes = result.strokes.len(),
+        letter = format!("{:?}", result.letter));
 
     let text = obs::registry().render_prometheus();
     obs::expo::validate(&text)

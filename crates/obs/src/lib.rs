@@ -9,8 +9,9 @@
 //!   so snapshots report *exact* p50/p90/p99/max over the recent window
 //!   (not bucket-interpolated estimates).
 //! - **Registry** ([`registry()`]): a process-global, name + label keyed
-//!   [`Registry`]. Registration takes a mutex; the returned [`Arc`]s are
-//!   cached by callers so the hot path is a single relaxed atomic op.
+//!   [`Registry`]. Registration takes a mutex; the returned
+//!   [`Arc`](std::sync::Arc)s are cached by callers so the hot path is a
+//!   single relaxed atomic op.
 //! - **Logging** ([`logging`]): leveled [`error!`]/[`warn!`]/[`info!`]/
 //!   [`debug!`]/[`trace!`] macros with `key = value` structured fields,
 //!   filtered by the `RFIPAD_LOG` environment variable. A disabled level
@@ -78,8 +79,6 @@ pub use logging::{emit, enabled, max_level, set_level, telemetry_on, Level};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, SpanGuard};
 pub use registry::{registry, MetricKind, Registry};
 
-use std::sync::Arc;
-
 /// Logs at an explicit [`Level`] with optional structured fields.
 ///
 /// The general form is `obs::log!(level, "fmt", args...; key = value, ...)`.
@@ -134,19 +133,4 @@ macro_rules! span {
     ($hist:expr) => {
         $crate::Histogram::start_span(&$hist)
     };
-}
-
-/// Convenience: registers (or fetches) a stage-duration histogram named
-/// `name` with a `stage` label and the default microsecond bounds.
-pub fn stage_histogram(
-    name: &'static str,
-    help: &'static str,
-    stage: &'static str,
-) -> Arc<Histogram> {
-    registry().histogram(
-        name,
-        help,
-        &[("stage", stage)],
-        metrics::DEFAULT_DURATION_BOUNDS_US,
-    )
 }

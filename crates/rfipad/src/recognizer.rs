@@ -1,4 +1,4 @@
-//! The complete offline recognizer: report stream → strokes → letter.
+//! The RFIPad recognizer: report stream → strokes → letter.
 
 use crate::accumulate::accumulative_image;
 use crate::calibration::Calibration;
@@ -9,6 +9,7 @@ use crate::grammar::{GrammarTree, ObservedStroke};
 use crate::layout::ArrayLayout;
 use crate::motion::{MotionRecognizer, RecognizedMotion};
 use crate::segmentation::{Segmentation, Segmenter, StrokeSpan};
+use crate::stage::{PipelineEvent, StageGraph};
 use crate::streams::TagStreams;
 use hand_kinematics::stroke::Stroke;
 use rfid_gen2::report::TagReport;
@@ -40,15 +41,15 @@ impl RecognizedStroke {
     }
 }
 
-/// Result of recognizing one session.
+/// Result of recognizing one recording
+/// ([`Recognizer::recognize_session`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionResult {
     /// Recognized strokes in time order.
     pub strokes: Vec<RecognizedStroke>,
-    /// The deduced letter, if the stroke sequence matches the grammar.
+    /// The letter deduced at the recording's last letter close, if its
+    /// strokes match the grammar.
     pub letter: Option<char>,
-    /// Raw segmentation (spans + frame scores).
-    pub segmentation: Segmentation,
 }
 
 /// Validating builder for [`Recognizer`], the supported way to construct
@@ -324,26 +325,19 @@ impl Recognizer {
         path
     }
 
-    /// Segments already-built streams (exposed for the online pipeline).
+    /// Segments already-built streams in one pass over the whole
+    /// recording — the segmentation the Fig. 9/22 diagnostics print and
+    /// score.
     pub fn segment(&self, streams: &TagStreams) -> Segmentation {
         self.segmenter
             .segment(&self.layout, streams, &self.calibration)
     }
 
     /// Segments an already-built frame sequence with the calibrated
-    /// thresholds. Given the frames [`segment`](Self::segment) would build
-    /// internally, the result is identical; the online pipeline uses this
-    /// with incrementally maintained frames.
-    pub fn segment_frames(&self, frames: &sigproc::frames::FrameSeq) -> Segmentation {
-        self.segmenter.segment_frames(
-            frames,
-            self.calibration.activity_threshold(&self.config),
-            self.calibration.rms_level_threshold(&self.config),
-        )
-    }
-
-    /// Like [`segment_frames`](Self::segment_frames), but reuses `scratch`
-    /// and `out` so the online hot path scores frames without allocating.
+    /// thresholds, reusing `scratch` and `out` so the online hot path
+    /// scores frames without allocating. Given the frames
+    /// [`segment`](Self::segment) would build internally, the result is
+    /// identical.
     pub fn segment_frames_into(
         &self,
         frames: &sigproc::frames::FrameSeq,
@@ -365,28 +359,30 @@ impl Recognizer {
         self.calibration.noise_floors(&self.layout, &self.config)
     }
 
-    /// Runs the full pipeline on a recording: segmentation, per-span motion
-    /// and direction recognition, then grammar-based letter deduction.
+    /// Recognizes a whole recording by replaying it through a
+    /// [`StageGraph`] with the default letter gap, so a recording and a
+    /// live stream go through the same code. Keeps every detected stroke
+    /// in order; a recording that holds several letters yields the last
+    /// one. For per-letter events, drive a [`StageGraph`] directly.
     pub fn recognize_session(&self, observations: &[TagReport]) -> SessionResult {
-        let streams = self.streams(observations);
-        let segmentation = self
-            .segmenter
-            .segment(&self.layout, &streams, &self.calibration);
-        let strokes: Vec<RecognizedStroke> = segmentation
-            .spans
-            .iter()
-            .filter_map(|&span| self.recognize_span(&streams, span))
-            .collect();
-        let observed: Vec<ObservedStroke> = strokes
-            .iter()
-            .map(|s| s.to_observed(&self.layout))
-            .collect();
-        let letter = self.grammar.deduce_fuzzy(&observed);
-        SessionResult {
-            strokes,
-            letter,
-            segmentation,
+        let mut graph = StageGraph::builder()
+            .recognizer(self.clone())
+            .build()
+            .expect("the default letter gap is valid");
+        let mut events = Vec::new();
+        graph.push_batch(observations, &mut events);
+        graph.finish_into(&mut events);
+        let mut result = SessionResult {
+            strokes: Vec::new(),
+            letter: None,
+        };
+        for event in events {
+            match event {
+                PipelineEvent::StrokeDetected { stroke, .. } => result.strokes.push(stroke),
+                PipelineEvent::LetterRecognized { letter, .. } => result.letter = letter,
+            }
         }
+        result
     }
 
     /// The grammar tree (for online prefix queries).
@@ -466,12 +462,7 @@ mod tests {
         let rec = recognizer();
         let recording = column_sweep_recording();
         let result = rec.recognize_session(&recording);
-        assert_eq!(
-            result.strokes.len(),
-            1,
-            "spans {:?}",
-            result.segmentation.spans
-        );
+        assert_eq!(result.strokes.len(), 1, "strokes {:?}", result.strokes);
         let stroke = &result.strokes[0];
         assert_eq!(
             stroke.stroke,

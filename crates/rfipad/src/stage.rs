@@ -28,8 +28,8 @@
 //!   the property [`crate::engine::Engine::restore_session`] uses to
 //!   migrate sessions between processes.
 //! * **Direct drive.** Batch-oriented callers (the engine workers,
-//!   `multipad`, the experiment trials) consume the graph directly
-//!   instead of private framing/segmentation glue.
+//!   `multipad`, [`Recognizer::recognize_session`]) consume the graph
+//!   directly instead of private framing/segmentation glue.
 //!
 //! Floats in checkpoints are persisted as IEEE-754 bit patterns
 //! (`f64::to_bits`), never decimal, so a snapshot/restore round trip is
@@ -548,10 +548,9 @@ pub struct Segmentation {
     end_guard_s: f64,
     /// Spans already reported (by their start time), kept sorted.
     reported_spans: Vec<f64>,
-    /// The most recent full segmentation, for diagnostics and the
-    /// experiment trials' per-session outcome scoring. Doubles as the
-    /// reusable output buffer: each tick takes it, re-scores into it, and
-    /// puts it back, so steady-state scoring allocates nothing.
+    /// The previous tick's segmentation, kept as the reusable output
+    /// buffer: each tick takes it, re-scores into it, and puts it back,
+    /// so steady-state scoring allocates nothing.
     last: Option<crate::segmentation::Segmentation>,
     /// Reusable intermediate buffers for the scoring kernels.
     scratch: sigproc::kernel::Scratch,
@@ -578,12 +577,6 @@ impl Segmentation {
     /// its allocation can be recycled upstream.
     pub(crate) fn take_spare_frames(&mut self) -> Option<FrameSeq> {
         self.spare_frames.take()
-    }
-
-    /// The most recent full segmentation (spans, frame scores, and the
-    /// threshold), if a tick has run.
-    pub fn last_segmentation(&self) -> Option<&crate::segmentation::Segmentation> {
-        self.last.as_ref()
     }
 
     /// Drops dedup entries older than the retained history; spans there
@@ -686,8 +679,8 @@ impl Stage for Segmentation {
             .iter()
             .map(bits)
             .collect::<Result<_, _>>()?;
-        // The last segmentation is diagnostic only; it reappears at the
-        // first tick after restore.
+        // The last segmentation is only a reusable buffer; the first tick
+        // after restore allocates a fresh one.
         self.last = None;
         Ok(())
     }
@@ -975,11 +968,12 @@ impl StageGraphBuilder {
 /// The five-stage online recognition cascade, wired in order.
 ///
 /// Owns report admission (stale times clamped, non-finite reports
-/// dropped), drives each stage
-/// under its `rfipad_stage_push_seconds{stage=...}` histogram, and
-/// routes the letter-close feedback (history trim + dedup reset) back
-/// upstream. Every streaming caller — the engine sessions, the ingest
-/// server, `multipad`, the experiment trials — drives this type.
+/// dropped, a jump past the retention window restarts the stream),
+/// drives each stage under its `rfipad_stage_push_seconds{stage=...}`
+/// histogram, and routes the letter-close feedback (history trim + dedup
+/// reset) back upstream. Every caller — the engine sessions, the ingest server,
+/// `multipad`, whole-recording [`Recognizer::recognize_session`] —
+/// drives this type.
 #[derive(Debug)]
 pub struct StageGraph {
     recognizer: Arc<Recognizer>,
@@ -1044,12 +1038,6 @@ impl StageGraph {
         self.out_of_order_count
     }
 
-    /// The most recent full segmentation over the buffered history
-    /// (spans, frame scores, threshold), if a tick has run.
-    pub fn last_segmentation(&self) -> Option<&crate::segmentation::Segmentation> {
-        self.segmentation.last_segmentation()
-    }
-
     /// Feeds one tag report; returns any events it triggered.
     ///
     /// Reports are expected in time order (a single reader stream is);
@@ -1059,6 +1047,12 @@ impl StageGraph {
     /// frames), and counted in [`StageGraph::out_of_order_count`]. A
     /// report with a non-finite time, phase or RSS is dropped and counted
     /// there. Feeding after [`StageGraph::finish`] resumes the stream.
+    ///
+    /// A report more than the 30 s retention window past the newest one
+    /// (a reader restarted on a new clock, or a hostile client) starts a
+    /// new stream: the graph first flushes the old one exactly as
+    /// [`StageGraph::finish`] would, appending its events, and drops its
+    /// history.
     pub fn push(&mut self, obs: TagReport) -> Vec<PipelineEvent> {
         let mut events = Vec::new();
         self.push_into(obs, &mut events);
@@ -1069,15 +1063,26 @@ impl StageGraph {
     /// `events` instead of allocating a fresh vector — the hot-path
     /// entry point for callers that reuse one event buffer.
     pub fn push_into(&mut self, mut obs: TagReport, events: &mut Vec<PipelineEvent>) {
-        self.finished = false;
-        let metrics = crate::telemetry::stage_metrics();
-        metrics.reports.inc();
         // Doppler is not read by recognition, so only phase and RSS are
         // audited: one non-finite value would poison a whole stroke. A
         // non-finite time is dropped too: clamping it at stream start
-        // would anchor frames at -inf. The registry counters mirror the
-        // per-graph count, which dies with the session.
-        if !(obs.time.is_finite() && obs.phase.is_finite() && obs.rss_dbm.is_finite()) {
+        // would anchor frames at -inf.
+        let admitted = obs.time.is_finite() && obs.phase.is_finite() && obs.rss_dbm.is_finite();
+        // A report far past the retention window shares no frame with the
+        // history, and framing both would size the frame accumulators by
+        // the gap. End the old stream as `finish_into` does and start
+        // afresh from this report.
+        if admitted && self.last_time.is_finite() && obs.time - self.last_time > MAX_BUFFER_S {
+            self.finish_into(events);
+            self.framing.trim_after_letter(f64::INFINITY);
+            self.segmentation.clear_reported();
+        }
+        self.finished = false;
+        let metrics = crate::telemetry::stage_metrics();
+        metrics.reports.inc();
+        // The registry counters mirror the per-graph count, which dies
+        // with the session.
+        if !admitted {
             self.out_of_order_count += 1;
             metrics.out_of_order_dropped.inc();
             return;
@@ -1355,35 +1360,6 @@ impl StageGraph {
         self.strokes.clear();
         self.letters.clear();
         Ok(())
-    }
-}
-
-/// The whole graph is itself a stage (reports in, events out), so a
-/// graph can be embedded wherever a [`Stage`] is expected and its state
-/// snapshots through the same interface.
-impl Stage for StageGraph {
-    type In = TagReport;
-    type Out = PipelineEvent;
-
-    fn name(&self) -> &'static str {
-        "graph"
-    }
-
-    fn push(&mut self, input: TagReport, out: &mut Vec<PipelineEvent>) {
-        self.push_into(input, out);
-    }
-
-    fn flush(&mut self, out: &mut Vec<PipelineEvent>) {
-        self.finish_into(out);
-    }
-
-    fn snapshot(&self) -> StageState {
-        StageState::new(self.name(), self.checkpoint().to_json())
-    }
-
-    fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        check_stage_name(self.name(), state)?;
-        self.restore_checkpoint(&PipelineCheckpoint::from_json(state.state())?)
     }
 }
 
@@ -1985,19 +1961,6 @@ mod tests {
         let mut restored = quiet_graph(1.5);
         let err = restored.restore_checkpoint(&checkpoint).unwrap_err();
         assert!(err.to_string().contains("checkpoint"), "{err}");
-    }
-
-    #[test]
-    fn graph_is_itself_a_stage() {
-        let graph = driven_graph();
-        let state = graph.snapshot();
-        assert_eq!(state.stage(), "graph");
-        let mut restored = quiet_graph(1.5);
-        Stage::restore(&mut restored, &state).unwrap();
-        assert_eq!(restored.checkpoint(), graph.checkpoint());
-        let mut events = Vec::new();
-        Stage::push(&mut restored, quiet_obs(0, 9.0), &mut events);
-        Stage::flush(&mut restored, &mut events);
     }
 
     #[test]

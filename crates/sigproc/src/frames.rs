@@ -164,71 +164,8 @@ impl FrameSeq {
     ///
     /// Panics if `size == 0`.
     pub fn windows(&self, size: usize) -> Vec<Window> {
-        let mut out = Vec::new();
-        self.windows_into(size, &mut out);
-        out
+        self.frames.chunks(size).map(Window::from_frames).collect()
     }
-
-    /// Like [`windows`](Self::windows), but recycles the `Window` slots
-    /// already in `out` (each window's `frame_rms` buffer is cleared, not
-    /// freed) and truncates any excess.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    pub fn windows_into(&self, size: usize, out: &mut Vec<Window>) {
-        assert!(size > 0, "window size must be positive");
-        let mut n = 0;
-        for chunk in self.frames.chunks(size) {
-            emit_window(chunk, out, &mut n);
-        }
-        out.truncate(n);
-    }
-
-    /// Sliding (overlapping) windows advancing one frame at a time. Useful
-    /// for finer-grained segmentation boundaries than non-overlapping
-    /// windows provide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    pub fn sliding_windows(&self, size: usize) -> Vec<Window> {
-        let mut out = Vec::new();
-        self.sliding_windows_into(size, &mut out);
-        out
-    }
-
-    /// Like [`sliding_windows`](Self::sliding_windows), but recycles the
-    /// `Window` slots already in `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    pub fn sliding_windows_into(&self, size: usize, out: &mut Vec<Window>) {
-        assert!(size > 0, "window size must be positive");
-        let mut n = 0;
-        if self.frames.len() < size {
-            if !self.frames.is_empty() {
-                emit_window(&self.frames, out, &mut n);
-            }
-        } else {
-            for run in self.frames.windows(size) {
-                emit_window(run, out, &mut n);
-            }
-        }
-        out.truncate(n);
-    }
-}
-
-/// Writes a window over `frames` into slot `*n` of `out`, reusing the slot
-/// (and its `frame_rms` allocation) when one exists.
-fn emit_window(frames: &[Frame], out: &mut Vec<Window>, n: &mut usize) {
-    if let Some(slot) = out.get_mut(*n) {
-        slot.assign(frames);
-    } else {
-        out.push(Window::from_frames(frames));
-    }
-    *n += 1;
 }
 
 /// Streaming counterpart of [`FrameSeq::build_with_floors`]: appending a
@@ -339,12 +276,6 @@ impl FrameBuilder {
     /// against the one it snapshotted.
     pub fn max_time(&self) -> f64 {
         self.max_time
-    }
-
-    /// Number of finalized frames (the settled prefix no future monotone
-    /// sample can change).
-    pub fn frames_done(&self) -> usize {
-        self.done.len()
     }
 
     /// Start time of frame `k`, with the exact rounding the batch build
@@ -501,40 +432,10 @@ impl Window {
         }
     }
 
-    /// Overwrites this window in place from a non-empty run of frames,
-    /// reusing the `frame_rms` allocation. Equivalent to
-    /// [`from_frames`](Self::from_frames).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames` is empty.
-    pub fn assign(&mut self, frames: &[Frame]) {
-        assert!(!frames.is_empty(), "window needs at least one frame");
-        self.start = frames[0].start;
-        self.end = frames.last().expect("nonempty").end();
-        self.frame_rms.clear();
-        self.frame_rms.extend(frames.iter().map(|f| f.rms));
-    }
-
     /// Standard deviation of the member frames' RMS — the paper's
     /// `std(rms(w))` (left side of Eq. 12).
     pub fn rms_std(&self) -> f64 {
         stats::std_dev(&self.frame_rms)
-    }
-
-    /// Mean of the member frames' RMS.
-    pub fn rms_mean(&self) -> f64 {
-        stats::mean(&self.frame_rms)
-    }
-
-    /// The paper's stroke-activity test (Eq. 12): `std(rms(w)) > thre`.
-    pub fn is_active(&self, threshold: f64) -> bool {
-        self.rms_std() > threshold
-    }
-
-    /// Window midpoint time.
-    pub fn mid(&self) -> f64 {
-        0.5 * (self.start + self.end)
     }
 }
 
@@ -612,7 +513,6 @@ mod tests {
         let fs = FrameSeq::build(&[s], 0.0, 1.0, 0.1);
         for w in fs.windows(5) {
             assert!(w.rms_std() < 1e-9);
-            assert!(!w.is_active(0.01));
         }
     }
 
@@ -631,25 +531,7 @@ mod tests {
         }
         let fs = FrameSeq::build(&[s], 0.0, 1.0, 0.1);
         let ws = fs.windows(5);
-        assert!(ws.iter().any(|w| w.is_active(0.5)));
-    }
-
-    #[test]
-    fn sliding_windows_advance_one_frame() {
-        let s = constant_stream(1.0, 100, 0.01);
-        let fs = FrameSeq::build(&[s], 0.0, 1.0, 0.1);
-        let ws = fs.sliding_windows(5);
-        assert_eq!(ws.len(), 6); // 10 - 5 + 1
-        assert!((ws[1].start - fs.frames()[1].start).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sliding_windows_short_input() {
-        let s = constant_stream(1.0, 10, 0.01);
-        let fs = FrameSeq::build(&[s], 0.0, 0.1, 0.1);
-        let ws = fs.sliding_windows(5);
-        assert_eq!(ws.len(), 1);
-        assert_eq!(ws[0].frame_rms.len(), 1);
+        assert!(ws.iter().any(|w| w.rms_std() > 0.5));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! - [`series`] — irregularly-sampled time series with resampling and
 //!   time-window slicing;
 //! - [`frames`] — fixed-duration framing, per-frame RMS (paper Eq. 11), and
-//!   sliding windows of frames (paper Eq. 12);
+//!   windows of frames (paper Eq. 12);
 //! - [`otsu`] — Otsu's clustering-based threshold selection for gray-scale
 //!   data;
 //! - [`grid`] — small 2-D gray / binary images laid over a tag array, with

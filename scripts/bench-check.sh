@@ -5,7 +5,7 @@
 #   --run-all   also time the full `run_all quick` roster serial vs parallel
 #               (slower; produces the run_all_quick entry in the JSON)
 #
-# Fails on any build error, test failure, bench panic, throughput
+# Fails on any build error, example or test failure, bench panic, throughput
 # regression or allocation regression: the freshly measured `ingest_batch`
 # and `incremental_framing` reports_per_s must stay within BENCH_TOLERANCE
 # (default 0.6) of the committed BENCH_pipeline.json, the quiet hot path
@@ -55,6 +55,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # benchmark builds from.
 echo "== build (release) =="
 cargo build --release --workspace --locked
+
+echo "== examples (each asserts its own outcome) =="
+for example in quickstart airport_kiosk live_kiosk virtual_keyboard deployment_planner; do
+  cargo run --release --locked -q -p experiments --example "$example"
+done
 
 echo "== tests =="
 cargo test -q --locked

@@ -2,12 +2,13 @@
 //! unreadable tags, foreign tag traffic, low power, partial streams.
 
 use experiments::golden::{golden_bench, golden_trial, GOLDEN_LETTER};
+use experiments::serveload::{serial_replay, session_pipeline};
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use hand_kinematics::user::UserProfile;
 use rfid_gen2::report::{TagId, TagReport};
 use rfipad::engine::normalize_events;
-use rfipad::{PipelineEvent, Recognizer, RfipadConfig, StageGraph};
+use rfipad::{PipelineEvent, Recognizer, RfipadConfig};
 
 fn bench() -> Bench {
     Bench::calibrate(
@@ -158,33 +159,18 @@ fn half_the_reads_still_detect_strokes() {
     );
 }
 
-/// The stage graph's events over `reports`, wall-clock fields zeroed.
-fn graph_events(recognizer: &Recognizer, reports: &[TagReport]) -> Vec<PipelineEvent> {
-    let mut graph = StageGraph::builder()
-        .recognizer(recognizer.clone())
-        .letter_gap_s(1.5)
-        .build()
-        .expect("valid gap");
-    let mut events = Vec::new();
-    graph.push_batch(reports, &mut events);
-    graph.finish_into(&mut events);
-    normalize_events(&mut events);
-    events
-}
-
 #[test]
 fn non_finite_phase_or_rss_counts_as_a_missing_report() {
     // RFIW frames and binary traces carry raw f64 bits, so a client can
     // send any value. One poisoned report mid-stroke must change nothing:
-    // both recognizers see the session as if that report never arrived.
+    // recognition sees the session as if that report never arrived.
     let bench = golden_bench();
     let reports = golden_trial(&bench).reports;
     let victim = reports.len() / 2;
     let mut deleted = reports.clone();
     deleted.remove(victim);
-    let batch_expected = bench.recognizer.recognize_session(&deleted);
-    let graph_expected = graph_events(&bench.recognizer, &deleted);
-    assert_eq!(batch_expected.letter, Some(GOLDEN_LETTER));
+    let expected = bench.recognizer.recognize_session(&deleted);
+    assert_eq!(expected.letter, Some(GOLDEN_LETTER));
     let good = reports[victim];
     let with_phase = |phase| TagReport { phase, ..good };
     let with_rss = |rss_dbm| TagReport { rss_dbm, ..good };
@@ -197,9 +183,84 @@ fn non_finite_phase_or_rss_counts_as_a_missing_report() {
     for (name, bad) in poisoned {
         let mut hostile = reports.clone();
         hostile[victim] = bad;
-        let batch = bench.recognizer.recognize_session(&hostile);
-        assert_eq!(batch, batch_expected, "recognize_session, {name}");
-        let graph = graph_events(&bench.recognizer, &hostile);
-        assert_eq!(graph, graph_expected, "stage graph, {name}");
+        let result = bench.recognizer.recognize_session(&hostile);
+        assert_eq!(result, expected, "{name}");
+    }
+}
+
+/// Prefixes of the golden session: its first 0.5 s (quiet), and its
+/// reports up to the one that triggers the first stroke event (a letter
+/// pending).
+fn golden_prefixes(recognizer: &Recognizer, reports: &[TagReport]) -> [usize; 2] {
+    let quiet = reports
+        .iter()
+        .take_while(|r| r.time < reports[0].time + 0.5)
+        .count();
+    let mut graph = session_pipeline(recognizer);
+    let mut events = Vec::new();
+    let pending = 1 + reports
+        .iter()
+        .position(|r| {
+            graph.push_into(*r, &mut events);
+            !events.is_empty()
+        })
+        .expect("the golden session reports a stroke");
+    assert!(matches!(events[..], [PipelineEvent::StrokeDetected { .. }]));
+    [quiet, pending]
+}
+
+#[test]
+fn a_report_far_in_the_future_restarts_the_stream() {
+    // Framing a report 1e12 s past the history used to size the frame
+    // accumulators by the gap and abort the process on the allocation.
+    let bench = golden_bench();
+    let reports = golden_trial(&bench).reports;
+    let [quiet, pending] = golden_prefixes(&bench.recognizer, &reports);
+    for prefix in [quiet, pending] {
+        let mut graph = session_pipeline(&bench.recognizer);
+        let mut ignored = Vec::new();
+        graph.push_batch(&reports[..prefix], &mut ignored);
+        let mut twin = session_pipeline(&bench.recognizer);
+        twin.restore_checkpoint(&graph.checkpoint())
+            .expect("a live checkpoint restores");
+        let far = TagReport {
+            time: 1e12,
+            ..reports[prefix - 1]
+        };
+        let mut events = Vec::new();
+        graph.push_into(far, &mut events);
+        // The old stream ends exactly as `finish` would end it…
+        let mut flushed = Vec::new();
+        twin.finish_into(&mut flushed);
+        normalize_events(&mut events);
+        normalize_events(&mut flushed);
+        assert_eq!(events, flushed, "prefix of {prefix} reports");
+        assert_eq!(events.is_empty(), prefix == quiet, "prefix of {prefix}");
+        // …and the graph holds what a fresh one fed only `far` holds.
+        let mut fresh = session_pipeline(&bench.recognizer);
+        assert!(fresh.push(far).is_empty());
+        assert_eq!(graph.checkpoint(), fresh.checkpoint(), "prefix of {prefix}");
+    }
+}
+
+#[test]
+fn a_recording_after_a_time_jump_is_recognized_on_its_own() {
+    let bench = golden_bench();
+    let reports = golden_trial(&bench).reports;
+    let [quiet, _] = golden_prefixes(&bench.recognizer, &reports);
+    for shift in [1e12, 1e6, 1e4] {
+        let mut stream = reports[..quiet].to_vec();
+        stream.extend(reports.iter().map(|r| TagReport {
+            time: r.time + shift,
+            ..*r
+        }));
+        let letters: Vec<Option<char>> = serial_replay(&bench.recognizer, &stream)
+            .into_iter()
+            .filter_map(|e| match e {
+                PipelineEvent::LetterRecognized { letter, .. } => Some(letter),
+                PipelineEvent::StrokeDetected { .. } => None,
+            })
+            .collect();
+        assert_eq!(letters, [Some(GOLDEN_LETTER)], "shifted by {shift} s");
     }
 }
