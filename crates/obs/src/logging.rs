@@ -164,11 +164,6 @@ pub fn journal_snapshot() -> Vec<JournalEntry> {
         .collect()
 }
 
-/// Clears the journal (tests and post-dump housekeeping).
-pub fn journal_clear() {
-    JOURNAL.lock().expect("journal poisoned").clear();
-}
-
 /// Renders the journal as JSON, oldest first:
 /// `{"entries":[{"seq":N,"level":"INFO","target":"...","message":"..."}]}`.
 /// Backs the `/debug/journal` endpoint.

@@ -172,20 +172,8 @@ impl Histogram {
     /// Inert (clock never read) when telemetry is off — see
     /// [`crate::telemetry_on`].
     pub fn start_span(&self) -> SpanGuard<'_> {
-        self.start_span_if(true)
-    }
-
-    /// Like [`Histogram::start_span`], but also inert when `sampled` is
-    /// false — the head-sampling hook for per-report hot paths, where even
-    /// the two clock reads of an always-on span are too expensive (see
-    /// `obs::trace::sampler`).
-    pub fn start_span_if(&self, sampled: bool) -> SpanGuard<'_> {
-        if sampled && crate::telemetry_on() {
-            SpanGuard {
-                hist: Some((self, Instant::now())),
-            }
-        } else {
-            SpanGuard { hist: None }
+        SpanGuard {
+            hist: crate::telemetry_on().then(|| (self, Instant::now())),
         }
     }
 

@@ -9,7 +9,7 @@
 //! coordination.
 //!
 //! Naming scheme (see DESIGN.md §Observability): `snake_case`, prefixed by
-//! the owning layer (`rfid_reader_`, `rfipad_stage_`, `rfipad_engine_`,
+//! the owning layer (`rfid_reader_`, `rfipad_pipeline_`, `rfipad_engine_`,
 //! `rfipad_session_`), counters suffixed `_total`, durations suffixed with
 //! their unit (`_us`).
 
@@ -198,16 +198,6 @@ impl Registry {
     /// Drops every family. Intended for tests with private registries.
     pub fn clear(&self) {
         self.families.lock().expect("registry poisoned").clear();
-    }
-
-    /// Names of all registered families, sorted.
-    pub fn family_names(&self) -> Vec<String> {
-        self.families
-            .lock()
-            .expect("registry poisoned")
-            .keys()
-            .cloned()
-            .collect()
     }
 }
 

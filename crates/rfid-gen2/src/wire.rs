@@ -239,12 +239,6 @@ impl Frame {
     }
 }
 
-/// The 6 handshake bytes announcing [`WIRE_VERSION`], the newest version
-/// this codec speaks.
-pub fn handshake_bytes() -> [u8; HANDSHAKE_LEN] {
-    handshake_bytes_for(WIRE_VERSION)
-}
-
 /// The 6 handshake bytes announcing an explicit `version` — what a server
 /// echoes after negotiation, and what a downlevel client sends.
 pub fn handshake_bytes_for(version: u16) -> [u8; HANDSHAKE_LEN] {
@@ -307,17 +301,6 @@ fn put_trace(buf: &mut Vec<u8>, trace: &Option<TraceContext>) {
         }
         None => buf.put_u8(0),
     }
-}
-
-/// Encodes one frame in the version-1 wire form (no trace block) — the
-/// frames are bit-identical to the original protocol, and any trace
-/// context on the frame is dropped.
-///
-/// # Panics
-///
-/// As for [`encode_frame_v`].
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_frame_v(frame, WIRE_VERSION_V1)
 }
 
 /// Encodes one frame as length prefix + payload in the negotiated
@@ -459,15 +442,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes one frame payload in the version-1 wire form (no trace block).
-///
-/// # Errors
-///
-/// As for [`decode_payload_v`].
-pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
-    decode_payload_v(payload, WIRE_VERSION_V1)
-}
-
 /// Decodes one frame payload (the bytes after the length prefix) in the
 /// negotiated `version`'s wire form.
 ///
@@ -555,15 +529,6 @@ pub fn decode_payload_v(payload: &[u8], version: u16) -> Result<Frame, WireError
     Ok(frame)
 }
 
-/// Writes one frame to a stream in the version-1 wire form.
-///
-/// # Errors
-///
-/// [`WireError::Io`] if the stream dies mid-write.
-pub fn write_frame<W: Write>(writer: &mut W, frame: &Frame) -> Result<(), WireError> {
-    write_frame_v(writer, frame, WIRE_VERSION_V1)
-}
-
 /// Writes one frame to a stream in the negotiated `version`'s wire form.
 ///
 /// # Errors
@@ -576,15 +541,6 @@ pub fn write_frame_v<W: Write>(
 ) -> Result<(), WireError> {
     writer.write_all(&encode_frame_v(frame, version))?;
     Ok(())
-}
-
-/// Reads one complete frame in the version-1 wire form.
-///
-/// # Errors
-///
-/// As for [`read_frame_v`].
-pub fn read_frame<R: Read>(reader: &mut R, max_len: usize) -> Result<Option<Frame>, WireError> {
-    read_frame_v(reader, max_len, WIRE_VERSION_V1)
 }
 
 /// Reads one complete frame from a blocking stream in the negotiated
@@ -909,15 +865,15 @@ mod tests {
     }
 
     fn round_trip(frame: Frame) -> Frame {
-        let bytes = encode_frame(&frame);
+        let bytes = encode_frame_v(&frame, WIRE_VERSION_V1);
         let len = u32::from_be_bytes(bytes[..4].try_into().unwrap()) as usize;
         assert_eq!(len, bytes.len() - 4, "length prefix covers the payload");
-        decode_payload(&bytes[4..]).expect("decodes")
+        decode_payload_v(&bytes[4..], WIRE_VERSION_V1).expect("decodes")
     }
 
     #[test]
     fn handshake_round_trips_and_rejects() {
-        let hs = handshake_bytes();
+        let hs = handshake_bytes_for(WIRE_VERSION);
         assert_eq!(check_handshake(&hs).expect("valid"), WIRE_VERSION);
         // Every still-supported version is accepted for negotiation.
         for v in MIN_WIRE_VERSION..=WIRE_VERSION {
@@ -971,9 +927,9 @@ mod tests {
                 Frame::Open { trace, .. } | Frame::Batch { trace, .. } => *trace = None,
                 _ => unreachable!(),
             }
-            assert_eq!(encode_frame_v(&frame, 1), encode_frame(&untraced));
+            assert_eq!(encode_frame_v(&frame, 1), encode_frame_v(&untraced, 1));
             assert_eq!(
-                decode_payload(&encode_frame_v(&frame, 1)[4..]).expect("decodes v1"),
+                decode_payload_v(&encode_frame_v(&frame, 1)[4..], 1).expect("decodes v1"),
                 untraced
             );
         }
@@ -983,11 +939,11 @@ mod tests {
             trace: None,
         };
         let bytes = encode_frame_v(&bare, 2);
-        assert_eq!(bytes.len(), encode_frame(&bare).len() + 1);
+        assert_eq!(bytes.len(), encode_frame_v(&bare, 1).len() + 1);
         assert_eq!(decode_payload_v(&bytes[4..], 2).expect("decodes"), bare);
         // A v2 payload fed to a v1 decoder has trailing bytes — typed error.
         assert!(matches!(
-            decode_payload(&encode_frame_v(&open, 2)[4..]),
+            decode_payload_v(&encode_frame_v(&open, 2)[4..], 1),
             Err(WireError::Malformed(_))
         ));
         // A bad flag byte is typed, not a panic.
@@ -1067,18 +1023,21 @@ mod tests {
 
     #[test]
     fn truncated_and_trailing_payloads_are_typed() {
-        let bytes = encode_frame(&Frame::Batch {
-            session: "t".into(),
-            seq: 1,
-            reports: (0..3).map(sample_report).collect(),
-            trace: None,
-        });
+        let bytes = encode_frame_v(
+            &Frame::Batch {
+                session: "t".into(),
+                seq: 1,
+                reports: (0..3).map(sample_report).collect(),
+                trace: None,
+            },
+            WIRE_VERSION_V1,
+        );
         // Every proper prefix of the payload fails with Malformed — never
         // panics, never decodes.
         for cut in 0..bytes.len() - 5 {
             assert!(
                 matches!(
-                    decode_payload(&bytes[4..4 + cut]),
+                    decode_payload_v(&bytes[4..4 + cut], WIRE_VERSION_V1),
                     Err(WireError::Malformed(_))
                 ),
                 "prefix of {cut} bytes must be malformed"
@@ -1087,11 +1046,11 @@ mod tests {
         let mut trailing = bytes[4..].to_vec();
         trailing.push(0);
         assert!(matches!(
-            decode_payload(&trailing),
+            decode_payload_v(&trailing, WIRE_VERSION_V1),
             Err(WireError::Malformed(_))
         ));
         assert!(matches!(
-            decode_payload(&[0x55]),
+            decode_payload_v(&[0x55], WIRE_VERSION_V1),
             Err(WireError::Malformed(_))
         ));
     }
@@ -1122,7 +1081,7 @@ mod tests {
 
     #[test]
     fn oversized_session_id_is_refused_before_anything_is_sent() {
-        let mut script = handshake_bytes().to_vec();
+        let mut script = handshake_bytes_for(WIRE_VERSION).to_vec();
         script.extend(encode_frame_v(
             &Frame::Ack {
                 session: "pad".into(),
@@ -1170,29 +1129,29 @@ mod tests {
             seq: 1,
             accepted: 2,
         };
-        let bytes = encode_frame(&frame);
+        let bytes = encode_frame_v(&frame, WIRE_VERSION_V1);
         // Clean stream: one frame then clean EOF.
         let mut stream: &[u8] = &bytes;
         assert_eq!(
-            read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("reads"),
+            read_frame_v(&mut stream, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION_V1).expect("reads"),
             Some(frame)
         );
         assert_eq!(
-            read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("clean eof"),
+            read_frame_v(&mut stream, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION_V1).expect("clean eof"),
             None
         );
         // Mid-prefix and mid-payload EOFs are malformed.
         for cut in [2usize, bytes.len() - 3] {
             let mut stream: &[u8] = &bytes[..cut];
             assert!(matches!(
-                read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN),
+                read_frame_v(&mut stream, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION_V1),
                 Err(WireError::Malformed(_))
             ));
         }
         // An oversized declared length is rejected before allocation.
         let mut stream: &[u8] = &bytes;
         assert!(matches!(
-            read_frame(&mut stream, 4),
+            read_frame_v(&mut stream, 4, WIRE_VERSION_V1),
             Err(WireError::FrameTooLarge { .. })
         ));
     }

@@ -1117,12 +1117,6 @@ impl SessionHandle {
         session_stats(&self.inner)
     }
 
-    /// Whether the session still accepts feeds (it stops at engine
-    /// shutdown).
-    pub fn is_open(&self) -> bool {
-        !self.shared.down.load(Ordering::SeqCst)
-    }
-
     /// Snapshots the session's recognition state for migration: waits
     /// until the worker has drained every report accepted so far, then
     /// freezes the graph into a [`PipelineCheckpoint`].

@@ -89,9 +89,7 @@ pub use multipad::{PadDispatcher, PadEvent, PadHandle};
 pub use recognizer::{RecognizedStroke, Recognizer, SessionResult};
 pub use segmentation::{Segmentation, StrokeSpan};
 pub use serve::{CollectingSink, EventSink, IngestServer, IngestServerBuilder};
-pub use stage::{
-    PipelineCheckpoint, PipelineEvent, Stage, StageGraph, StageGraphBuilder, StageState,
-};
+pub use stage::{PipelineCheckpoint, PipelineEvent, Stage, StageGraph, StageGraphBuilder};
 pub use streams::{TagStreams, TagStreamsBuilder};
 pub use words::{DecodedWord, WordDecoder};
 

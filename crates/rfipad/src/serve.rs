@@ -954,7 +954,7 @@ mod tests {
     use crate::layout::ArrayLayout;
     use crate::recognizer::Recognizer;
     use rfid_gen2::report::{TagId, TagReport};
-    use rfid_gen2::wire::{read_frame, IngestClient, WIRE_MAGIC};
+    use rfid_gen2::wire::{read_frame_v, IngestClient, WIRE_MAGIC, WIRE_VERSION_V1};
 
     fn obs_report(tag: TagId, time: f64, phase: f64, rss: f64) -> TagReport {
         TagReport::synthetic(tag, time, phase.rem_euclid(std::f64::consts::TAU), rss)
@@ -1129,7 +1129,7 @@ mod tests {
         bad[..4].copy_from_slice(&WIRE_MAGIC);
         bad[4..].copy_from_slice(&99u16.to_be_bytes());
         stream.write_all(&bad).expect("write handshake");
-        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+        let frame = read_frame_v(&mut stream, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION_V1)
             .expect("read")
             .expect("frame");
         assert!(
@@ -1155,7 +1155,7 @@ mod tests {
         stream
             .write_all(&u32::MAX.to_be_bytes())
             .expect("write prefix");
-        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+        let frame = read_frame_v(&mut stream, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION)
             .expect("read")
             .expect("frame");
         assert!(
@@ -1171,7 +1171,7 @@ mod tests {
         stream
             .write_all(&[0, 0, 0, 2, 0xEE, 0xEE])
             .expect("write garbage");
-        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+        let frame = read_frame_v(&mut stream, DEFAULT_MAX_FRAME_LEN, WIRE_VERSION)
             .expect("read")
             .expect("frame");
         assert!(

@@ -11,31 +11,26 @@
 //! framing, RMS segmentation, motion classification, letter assembly, and
 //! grammar deduction. This module reifies each step as a [`Stage`] with a
 //! typed input and output, and composes them with a [`StageGraph`] that
-//! owns report admission and ordering, and per-stage instrumentation
-//! (the `rfipad_stage_push_seconds{stage=...}` histograms). The graph is
-//! the one streaming recognizer: callers drive it directly, or hand it to
-//! an [`crate::engine::Engine`] session to run on a worker pool.
+//! owns report admission and ordering, the per-stage timing (the
+//! `rfipad_hop_seconds{hop="stage:<name>"}` histograms), and checkpoints.
+//! The graph is the one streaming recognizer: callers drive it directly,
+//! or hand it to an [`crate::engine::Engine`] session to run on a worker
+//! pool.
 //!
-//! Splitting the cascade buys two things a monolithic recognizer could
-//! not offer:
-//!
-//! * **Checkpoint/restore.** Every stage can [`Stage::snapshot`] its
-//!   mutable state into a JSON [`StageState`];
-//!   [`StageGraph::checkpoint`] bundles them into a
-//!   [`PipelineCheckpoint`] that [`StageGraph::restore_checkpoint`]
-//!   replays into a freshly built graph. A restored graph produces the
-//!   same remaining events, bit for bit, as the uninterrupted run —
-//!   the property [`crate::engine::Engine::restore_session`] uses to
-//!   migrate sessions between processes.
-//! * **Direct drive.** Batch-oriented callers (the engine workers,
-//!   `multipad`, [`Recognizer::recognize_session`]) consume the graph
-//!   directly instead of private framing/segmentation glue.
+//! [`StageGraph::checkpoint`] freezes the graph's mutable state — its
+//! admission gate plus the state of the framing, segmentation and letter
+//! stages — into a versioned JSON [`PipelineCheckpoint`] that
+//! [`StageGraph::restore_checkpoint`] reads back into a freshly built
+//! graph. A restored graph produces the same remaining events, bit for
+//! bit, as the uninterrupted run — the property
+//! [`crate::engine::Engine::restore_session`] uses to migrate sessions
+//! between processes.
 //!
 //! Floats in checkpoints are persisted as IEEE-754 bit patterns
-//! (`f64::to_bits`), never decimal, so a snapshot/restore round trip is
+//! (`f64::to_bits`), never decimal, so a checkpoint/restore round trip is
 //! exact. Checkpoints are written with `format!` and read with the strict
 //! `obs::json` reader; malformed JSON, unknown or missing fields, foreign
-//! versions, and impossible stage state are rejected with
+//! versions, and stage state no live graph can hold are rejected with
 //! [`RfipadError::Checkpoint`].
 
 use crate::error::RfipadError;
@@ -86,19 +81,14 @@ pub(crate) const MAX_BUFFER_S: f64 = 30.0;
 
 /// One step of the online recognition cascade.
 ///
-/// A stage consumes typed inputs, appends typed outputs, and can
-/// serialize its mutable state for session migration. Stages are wired
-/// together by a [`StageGraph`], which also times every push into the
-/// `rfipad_stage_push_seconds{stage=...}` histogram family.
+/// A stage consumes typed inputs and appends typed outputs. Stages are
+/// wired together by a [`StageGraph`], which also times their pushes and
+/// checkpoints their state.
 pub trait Stage {
     /// The input consumed by [`Stage::push`].
     type In;
     /// The output appended by [`Stage::push`] and [`Stage::flush`].
     type Out;
-
-    /// Stable stage name, used as the metric label and to address the
-    /// stage's [`StageState`] inside a [`PipelineCheckpoint`].
-    fn name(&self) -> &'static str;
 
     /// Consumes one input, appending any outputs it triggers.
     fn push(&mut self, input: Self::In, out: &mut Vec<Self::Out>);
@@ -107,47 +97,6 @@ pub trait Stage {
     /// their inputs and have nothing to flush).
     fn flush(&mut self, out: &mut Vec<Self::Out>) {
         let _ = out;
-    }
-
-    /// Serializes the stage's mutable state.
-    fn snapshot(&self) -> StageState;
-
-    /// Restores state captured by [`Stage::snapshot`] on an identically
-    /// configured stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfipadError::Checkpoint`] if the state belongs to a
-    /// different stage, fails to parse, or fails its integrity checks.
-    fn restore(&mut self, state: &StageState) -> Result<(), RfipadError>;
-}
-
-/// A serialized stage snapshot: the owning stage's name plus its state
-/// as a JSON object. [`PipelineCheckpoint::from_json`] hands each stage
-/// the exact bytes its snapshot wrote.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageState {
-    stage: String,
-    state: String,
-}
-
-impl StageState {
-    /// Wraps a stage name and its JSON state object.
-    pub fn new(stage: impl Into<String>, state: impl Into<String>) -> Self {
-        Self {
-            stage: stage.into(),
-            state: state.into(),
-        }
-    }
-
-    /// The stage this state belongs to.
-    pub fn stage(&self) -> &str {
-        &self.stage
-    }
-
-    /// The stage's state as a JSON object string.
-    pub fn state(&self) -> &str {
-        &self.state
     }
 }
 
@@ -384,15 +333,10 @@ impl Framing {
     }
 
     /// Cuts one processing tick at `now`: finalized frames plus a shared
-    /// stream snapshot. The stage histogram times the tick (the cache
-    /// rebuild + frame cut), not the per-report append — the cheap
-    /// steady-state push must not pay for two clock reads per report, and
-    /// even the tick timer rides the head sampler to stay inside the
-    /// telemetry overhead budget.
+    /// stream snapshot. The tick's `started` stamp lets the graph time the
+    /// framing hop (the cache rebuild + frame cut) without a clock read
+    /// per report.
     fn tick(&mut self, now: f64, out: &mut Vec<FrameTick>) {
-        let _span = crate::telemetry::stage_metrics()
-            .framing
-            .start_span_if(obs::trace::sampler().sample());
         let started = Instant::now();
         self.ensure_cache();
         let mut frames = self.spare_frames.take().unwrap_or_default();
@@ -408,15 +352,89 @@ impl Framing {
             streams: cache.streams.shared_streams(),
         });
     }
+
+    /// The stage's checkpoint state as a JSON object.
+    fn state_json(&self) -> String {
+        let buffer: Vec<String> = self.buffer.iter().map(report_to_json).collect();
+        // Diagnostics of the live frame accumulator, if one exists: the
+        // restore path rebuilds it from the buffer (deterministic, per
+        // the cache-matches-rebuild invariant) and verifies these bits.
+        let frames = self
+            .cache
+            .as_ref()
+            .and_then(|c| c.frames.as_ref())
+            .map(|f| {
+                format!(
+                    "{{\"anchor_bits\":{},\"frame_len_bits\":{},\"max_time_bits\":{}}}",
+                    f.start().to_bits(),
+                    f.frame_len().to_bits(),
+                    f.max_time().to_bits()
+                )
+            })
+            .unwrap_or_else(|| "null".into());
+        format!(
+            "{{\"last_processed_bits\":{},\"buffer\":[{}],\"frames\":{}}}",
+            self.last_processed.to_bits(),
+            buffer.join(","),
+            frames
+        )
+    }
+
+    /// Restores state written by [`Framing::state_json`].
+    fn restore(&mut self, state: Value<'_>) -> Result<(), RfipadError> {
+        let [last_processed, buffer, frames] =
+            state.fields(["last_processed_bits", "buffer", "frames"])?;
+        let buffer = buffer
+            .into_array()?
+            .into_iter()
+            .map(report_from_json)
+            .collect::<Result<Vec<_>, _>>()?;
+        // The stream builders need a finite, time-ordered history. The
+        // frame accumulators are sized by the time the history spans, so a
+        // gap wider than the retention window, which a live graph answers
+        // by restarting the stream, is refused too.
+        if !(buffer.iter().all(|o| o.time.is_finite())
+            && buffer
+                .windows(2)
+                .all(|w| (0.0..=MAX_BUFFER_S).contains(&(w[1].time - w[0].time))))
+        {
+            return Err(checkpoint_err(
+                "framing buffer times must be finite, non-decreasing and at most \
+                 the retention window apart",
+            ));
+        }
+        self.last_processed = bits(&last_processed)?;
+        self.buffer = buffer;
+        self.invalidate_cache();
+        self.hold_from = None;
+        self.pending_trim = None;
+        if !frames.is_null() {
+            // Rebuild the accumulator the next tick would build anyway
+            // and verify it against the checkpointed diagnostics — a
+            // cheap integrity check that the buffer round-tripped bit
+            // for bit.
+            let [anchor, frame_len, max_time] =
+                frames.fields(["anchor_bits", "frame_len_bits", "max_time_bits"])?;
+            let expected: [u64; 3] = [anchor.as_uint()?, frame_len.as_uint()?, max_time.as_uint()?];
+            self.ensure_cache();
+            let rebuilt = self
+                .cache
+                .as_ref()
+                .and_then(|c| c.frames.as_ref())
+                .map(|f| [f.start(), f.frame_len(), f.max_time()].map(f64::to_bits));
+            if rebuilt != Some(expected) {
+                return Err(checkpoint_err(
+                    "rebuilt frame accumulator diverges from the checkpoint",
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Stage for Framing {
     type In = TagReport;
     type Out = FrameTick;
-
-    fn name(&self) -> &'static str {
-        "framing"
-    }
 
     fn push(&mut self, obs: TagReport, out: &mut Vec<FrameTick>) {
         let now = obs.time;
@@ -460,79 +478,6 @@ impl Stage for Framing {
             .map(|o| o.time + self.letter_gap_s + self.end_guard_s)
             .unwrap_or(0.0);
         self.tick(now, out);
-    }
-
-    fn snapshot(&self) -> StageState {
-        let buffer: Vec<String> = self.buffer.iter().map(report_to_json).collect();
-        // Diagnostics of the live frame accumulator, if one exists: the
-        // restore path rebuilds it from the buffer (deterministic, per
-        // the cache-matches-rebuild invariant) and verifies these bits.
-        let frames = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.frames.as_ref())
-            .map(|f| {
-                format!(
-                    "{{\"anchor_bits\":{},\"frame_len_bits\":{},\"max_time_bits\":{}}}",
-                    f.start().to_bits(),
-                    f.frame_len().to_bits(),
-                    f.max_time().to_bits()
-                )
-            })
-            .unwrap_or_else(|| "null".into());
-        StageState::new(
-            self.name(),
-            format!(
-                "{{\"last_processed_bits\":{},\"buffer\":[{}],\"frames\":{}}}",
-                self.last_processed.to_bits(),
-                buffer.join(","),
-                frames
-            ),
-        )
-    }
-
-    fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        let [last_processed, buffer, frames] =
-            stage_json(self.name(), state)?.fields(["last_processed_bits", "buffer", "frames"])?;
-        let buffer = buffer
-            .into_array()?
-            .into_iter()
-            .map(report_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        // The stream builders need a finite, time-ordered history.
-        if !(buffer.iter().all(|o| o.time.is_finite())
-            && buffer.windows(2).all(|w| w[0].time <= w[1].time))
-        {
-            return Err(checkpoint_err(
-                "framing buffer times must be finite and non-decreasing",
-            ));
-        }
-        self.last_processed = bits(&last_processed)?;
-        self.buffer = buffer;
-        self.invalidate_cache();
-        self.hold_from = None;
-        self.pending_trim = None;
-        if !frames.is_null() {
-            // Rebuild the accumulator the next tick would build anyway
-            // and verify it against the checkpointed diagnostics — a
-            // cheap integrity check that the buffer round-tripped bit
-            // for bit.
-            let [anchor, frame_len, max_time] =
-                frames.fields(["anchor_bits", "frame_len_bits", "max_time_bits"])?;
-            let expected: [u64; 3] = [anchor.as_uint()?, frame_len.as_uint()?, max_time.as_uint()?];
-            self.ensure_cache();
-            let rebuilt = self
-                .cache
-                .as_ref()
-                .and_then(|c| c.frames.as_ref())
-                .map(|f| [f.start(), f.frame_len(), f.max_time()].map(f64::to_bits));
-            if rebuilt != Some(expected) {
-                return Err(checkpoint_err(
-                    "rebuilt frame accumulator diverges from the checkpoint",
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -607,15 +552,40 @@ impl Segmentation {
         let at = self.reported_spans.partition_point(|&s| s < start);
         self.reported_spans.insert(at, start);
     }
+
+    /// The stage's checkpoint state as a JSON object.
+    fn state_json(&self) -> String {
+        let spans: Vec<String> = self
+            .reported_spans
+            .iter()
+            .map(|s| s.to_bits().to_string())
+            .collect();
+        format!("{{\"reported_spans_bits\":[{}]}}", spans.join(","))
+    }
+
+    /// Restores state written by [`Segmentation::state_json`].
+    fn restore(&mut self, state: Value<'_>) -> Result<(), RfipadError> {
+        let [spans] = state.fields(["reported_spans_bits"])?;
+        let spans: Vec<f64> = spans
+            .into_array()?
+            .iter()
+            .map(bits)
+            .collect::<Result<_, _>>()?;
+        // The dedup lookup binary-searches the entries.
+        if !(spans.iter().all(|s| s.is_finite()) && spans.windows(2).all(|w| w[0] <= w[1])) {
+            return Err(checkpoint_err("reported spans must be finite and sorted"));
+        }
+        self.reported_spans = spans;
+        // The last segmentation is only a reusable buffer; the first tick
+        // after restore allocates a fresh one.
+        self.last = None;
+        Ok(())
+    }
 }
 
 impl Stage for Segmentation {
     type In = FrameTick;
     type Out = SpanBatch;
-
-    fn name(&self) -> &'static str {
-        "segmentation"
-    }
 
     fn push(&mut self, tick: FrameTick, out: &mut Vec<SpanBatch>) {
         let FrameTick {
@@ -659,31 +629,6 @@ impl Stage for Segmentation {
             last_activity,
         });
     }
-
-    fn snapshot(&self) -> StageState {
-        let spans: Vec<String> = self
-            .reported_spans
-            .iter()
-            .map(|s| s.to_bits().to_string())
-            .collect();
-        StageState::new(
-            self.name(),
-            format!("{{\"reported_spans_bits\":[{}]}}", spans.join(",")),
-        )
-    }
-
-    fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        let [spans] = stage_json(self.name(), state)?.fields(["reported_spans_bits"])?;
-        self.reported_spans = spans
-            .into_array()?
-            .iter()
-            .map(bits)
-            .collect::<Result<_, _>>()?;
-        // The last segmentation is only a reusable buffer; the first tick
-        // after restore allocates a fresh one.
-        self.last = None;
-        Ok(())
-    }
 }
 
 /// Stage 3: motion classification of confirmed spans (§III-C2).
@@ -706,10 +651,6 @@ impl Motion {
 impl Stage for Motion {
     type In = SpanBatch;
     type Out = StrokeBatch;
-
-    fn name(&self) -> &'static str {
-        "motion"
-    }
 
     fn push(&mut self, batch: SpanBatch, out: &mut Vec<StrokeBatch>) {
         let metrics = crate::telemetry::stage_metrics();
@@ -739,15 +680,6 @@ impl Stage for Motion {
             strokes,
         });
     }
-
-    fn snapshot(&self) -> StageState {
-        StageState::new(self.name(), "{}")
-    }
-
-    fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        let [] = stage_json(self.name(), state)?.fields([])?;
-        Ok(())
-    }
 }
 
 /// Stage 4: letter assembly — buffers recognized strokes and closes the
@@ -773,15 +705,28 @@ impl LetterRecognition {
     pub fn hold_anchor(&self) -> Option<f64> {
         self.pending.first().map(|s| s.span.start)
     }
+
+    /// The stage's checkpoint state as a JSON object.
+    fn state_json(&self) -> String {
+        let pending: Vec<String> = self.pending.iter().map(stroke_to_json).collect();
+        format!("{{\"pending\":[{}]}}", pending.join(","))
+    }
+
+    /// Restores state written by [`LetterRecognition::state_json`].
+    fn restore(&mut self, state: Value<'_>) -> Result<(), RfipadError> {
+        let [pending] = state.fields(["pending"])?;
+        self.pending = pending
+            .into_array()?
+            .into_iter()
+            .map(stroke_from_json)
+            .collect::<Result<_, _>>()?;
+        Ok(())
+    }
 }
 
 impl Stage for LetterRecognition {
     type In = StrokeBatch;
     type Out = LetterOut;
-
-    fn name(&self) -> &'static str {
-        "letter"
-    }
 
     fn push(&mut self, batch: StrokeBatch, out: &mut Vec<LetterOut>) {
         for (stroke, response_time_s) in batch.strokes {
@@ -802,24 +747,6 @@ impl Stage for LetterRecognition {
                 });
             }
         }
-    }
-
-    fn snapshot(&self) -> StageState {
-        let pending: Vec<String> = self.pending.iter().map(stroke_to_json).collect();
-        StageState::new(
-            self.name(),
-            format!("{{\"pending\":[{}]}}", pending.join(",")),
-        )
-    }
-
-    fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        let [pending] = stage_json(self.name(), state)?.fields(["pending"])?;
-        self.pending = pending
-            .into_array()?
-            .into_iter()
-            .map(stroke_from_json)
-            .collect::<Result<_, _>>()?;
-        Ok(())
     }
 }
 
@@ -849,10 +776,6 @@ impl Stage for Grammar {
     type In = LetterOut;
     type Out = PipelineEvent;
 
-    fn name(&self) -> &'static str {
-        "grammar"
-    }
-
     fn push(&mut self, input: LetterOut, out: &mut Vec<PipelineEvent>) {
         match input {
             LetterOut::Stroke {
@@ -878,15 +801,6 @@ impl Stage for Grammar {
                 });
             }
         }
-    }
-
-    fn snapshot(&self) -> StageState {
-        StageState::new(self.name(), "{}")
-    }
-
-    fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
-        let [] = stage_json(self.name(), state)?.fields([])?;
-        Ok(())
     }
 }
 
@@ -969,11 +883,11 @@ impl StageGraphBuilder {
 ///
 /// Owns report admission (stale times clamped, non-finite reports
 /// dropped, a jump past the retention window restarts the stream),
-/// drives each stage under its `rfipad_stage_push_seconds{stage=...}`
-/// histogram, and routes the letter-close feedback (history trim + dedup
-/// reset) back upstream. Every caller — the engine sessions, the ingest server,
-/// `multipad`, whole-recording [`Recognizer::recognize_session`] —
-/// drives this type.
+/// drives each stage under its `rfipad_hop_seconds{hop="stage:<name>"}`
+/// histogram, routes the letter-close feedback (history trim + dedup
+/// reset) back upstream, and writes and reads the checkpoints. Every
+/// caller — the engine sessions, the ingest server, `multipad`,
+/// whole-recording [`Recognizer::recognize_session`] — drives this type.
 #[derive(Debug)]
 pub struct StageGraph {
     recognizer: Arc<Recognizer>,
@@ -1093,14 +1007,6 @@ impl StageGraph {
             obs.time = self.last_time;
         }
         self.last_time = obs.time;
-        // The framing hop is only measured for trace-bound (served)
-        // sessions, and then only on sampled pushes — untraced replays pay
-        // one Option check per report.
-        let framing_hop = if self.trace.is_some() {
-            self.begin_stage_hop(obs::trace::sampler().sample())
-        } else {
-            None
-        };
         // Retention must not cut into the letter being assembled: feed
         // the letter stage's oldest pending stroke back as the anchor.
         self.framing.set_hold_anchor(self.letter.hold_anchor());
@@ -1108,7 +1014,6 @@ impl StageGraph {
         if let Some(keep_from) = self.framing.take_trim() {
             self.segmentation.trim_reported(keep_from);
         }
-        self.end_stage_hop(0, framing_hop);
         // Most pushes buffer without crossing a frame boundary; only a
         // tick has anything to drive downstream.
         if !self.ticks.is_empty() {
@@ -1161,26 +1066,18 @@ impl StageGraph {
         self.trace.as_ref()
     }
 
-    /// Opens one sampled stage-hop measurement: the recorder timebase
-    /// stamp (when a trace is bound) plus the wall clock. `None` when this
-    /// push is not sampled.
-    fn begin_stage_hop(&self, sampled: bool) -> Option<(Option<u64>, Instant)> {
-        if !sampled {
-            return None;
-        }
-        let stamp = self.trace.as_ref().map(|t| t.recorder.now_us());
-        Some((stamp, Instant::now()))
-    }
-
-    /// Closes a sampled stage-hop measurement: records the
-    /// `rfipad_hop_seconds{hop=stage:<name>}` histogram and, when a trace
-    /// is bound, a `stage:<name>` child span in the flight recorder.
-    fn end_stage_hop(&self, stage: usize, begun: Option<(Option<u64>, Instant)>) {
-        let Some((stamp, t0)) = begun else { return };
-        let elapsed = t0.elapsed();
+    /// Records one stage hop that began at `started`, if the tick was
+    /// sampled: the `rfipad_hop_seconds{hop="stage:<name>"}` histogram
+    /// and, when a trace is bound, a `stage:<name>` child span in the
+    /// session's flight recorder.
+    fn record_stage_hop(&self, stage: usize, started: Option<Instant>) {
+        let Some(started) = started else { return };
+        let elapsed = started.elapsed();
         crate::telemetry::hop_metrics().stages[stage].record_duration_ns(elapsed);
-        if let (Some(start_us), Some(tr)) = (stamp, self.trace.as_ref()) {
-            let end_us = start_us + elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+        if let Some(tr) = &self.trace {
+            let end_us = tr.recorder.now_us();
+            let start_us =
+                end_us.saturating_sub(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
             obs::trace::finish_span(
                 &tr.recorder,
                 obs::trace::SpanEvent {
@@ -1195,22 +1092,19 @@ impl StageGraph {
         }
     }
 
-    /// Drains every edge buffer through the downstream stages, timing
-    /// each downstream stage push (framing times its own ticks), and
-    /// routes letter-close feedback upstream. Stage timers and hop spans
-    /// are head-sampled (`obs::trace::sampler`) so the per-report cascade
-    /// stays inside the telemetry overhead budget.
+    /// Drains every edge buffer through the downstream stages and routes
+    /// letter-close feedback upstream. One head-sampler decision
+    /// (`obs::trace::sampler`) per tick times the tick's framing, from its
+    /// cut, and every downstream push, so the cascade stays inside the
+    /// telemetry overhead budget.
     fn cascade(&mut self, events: &mut Vec<PipelineEvent>) {
-        let metrics = crate::telemetry::stage_metrics();
         let sampled = obs::trace::sampler().sample();
         let mut ticks = std::mem::take(&mut self.ticks);
         for tick in ticks.drain(..) {
-            let hop = self.begin_stage_hop(sampled);
-            {
-                let _span = metrics.segmentation.start_span_if(sampled);
-                self.segmentation.push(tick, &mut self.spans);
-            }
-            self.end_stage_hop(1, hop);
+            self.record_stage_hop(0, sampled.then_some(tick.started));
+            let started = sampled.then(Instant::now);
+            self.segmentation.push(tick, &mut self.spans);
+            self.record_stage_hop(1, started);
         }
         self.ticks = ticks;
         // The segmentation stage is done with the tick's frame sequence;
@@ -1220,22 +1114,16 @@ impl StageGraph {
         }
         let mut spans = std::mem::take(&mut self.spans);
         for batch in spans.drain(..) {
-            let hop = self.begin_stage_hop(sampled);
-            {
-                let _span = metrics.motion.start_span_if(sampled);
-                self.motion.push(batch, &mut self.strokes);
-            }
-            self.end_stage_hop(2, hop);
+            let started = sampled.then(Instant::now);
+            self.motion.push(batch, &mut self.strokes);
+            self.record_stage_hop(2, started);
         }
         self.spans = spans;
         let mut strokes = std::mem::take(&mut self.strokes);
         for batch in strokes.drain(..) {
-            let hop = self.begin_stage_hop(sampled);
-            {
-                let _span = metrics.letter.start_span_if(sampled);
-                self.letter.push(batch, &mut self.letters);
-            }
-            self.end_stage_hop(3, hop);
+            let started = sampled.then(Instant::now);
+            self.letter.push(batch, &mut self.letters);
+            self.record_stage_hop(3, started);
         }
         self.strokes = strokes;
         let mut closed_at = None;
@@ -1244,12 +1132,9 @@ impl StageGraph {
             if let LetterOut::Close { letter_end, .. } = &out {
                 closed_at = Some(*letter_end);
             }
-            let hop = self.begin_stage_hop(sampled);
-            {
-                let _span = metrics.grammar.start_span_if(sampled);
-                self.grammar.push(out, events);
-            }
-            self.end_stage_hop(4, hop);
+            let started = sampled.then(Instant::now);
+            self.grammar.push(out, events);
+            self.record_stage_hop(4, started);
         }
         self.letters = letters;
         if let Some(letter_end) = closed_at {
@@ -1267,19 +1152,22 @@ impl StageGraph {
     /// [`StageGraph::restore_checkpoint`] on a graph built from the same
     /// recognizer configuration.
     pub fn checkpoint(&self) -> PipelineCheckpoint {
+        // Motion and grammar are stateless: their states are empty objects.
         PipelineCheckpoint {
-            last_time: self.last_time,
-            out_of_order_count: self.out_of_order_count,
-            finished: self.finished,
-            letter_gap_s: self.letter_gap_s,
-            end_guard_s: self.end_guard_s,
-            stages: vec![
-                self.framing.snapshot(),
-                self.segmentation.snapshot(),
-                self.motion.snapshot(),
-                self.letter.snapshot(),
-                self.grammar.snapshot(),
-            ],
+            json: format!(
+                "{{\"version\":{CHECKPOINT_VERSION},\"last_time_bits\":{},\
+                 \"out_of_order_count\":{},\"finished\":{},\"letter_gap_bits\":{},\
+                 \"end_guard_bits\":{},\"stages\":{{\"framing\":{},\"segmentation\":{},\
+                 \"motion\":{{}},\"letter\":{},\"grammar\":{{}}}}}}",
+                self.last_time.to_bits(),
+                self.out_of_order_count,
+                self.finished,
+                self.letter_gap_s.to_bits(),
+                self.end_guard_s.to_bits(),
+                self.framing.state_json(),
+                self.segmentation.state_json(),
+                self.letter.state_json(),
+            ),
         }
     }
 
@@ -1290,16 +1178,16 @@ impl StageGraph {
     /// # Errors
     ///
     /// Returns [`RfipadError::Checkpoint`] if the checkpoint was taken
-    /// under a different configuration (letter gap or end guard), names
-    /// an unknown stage, misses one of the five stages, or fails a
-    /// stage's integrity checks. The graph's state is unspecified after
-    /// an error; rebuild it before use.
+    /// under a different configuration (letter gap or end guard), or
+    /// holds stage state no live graph can hold. The graph's state is
+    /// unspecified after an error; rebuild it before use.
     pub fn restore_checkpoint(
         &mut self,
         checkpoint: &PipelineCheckpoint,
     ) -> Result<(), RfipadError> {
-        if checkpoint.letter_gap_s.to_bits() != self.letter_gap_s.to_bits()
-            || checkpoint.end_guard_s.to_bits() != self.end_guard_s.to_bits()
+        let doc = CheckpointDoc::parse(&checkpoint.json)?;
+        if doc.letter_gap_s.to_bits() != self.letter_gap_s.to_bits()
+            || doc.end_guard_s.to_bits() != self.end_guard_s.to_bits()
         {
             return Err(checkpoint_err(
                 "checkpoint was taken under a different pipeline configuration",
@@ -1307,54 +1195,26 @@ impl StageGraph {
         }
         // The admission gate only ever holds -inf (no report yet) or the
         // finite time of the newest admitted report.
-        if checkpoint.last_time.is_nan() || checkpoint.last_time == f64::INFINITY {
+        if doc.last_time.is_nan() || doc.last_time == f64::INFINITY {
             return Err(checkpoint_err("last_time must be finite"));
         }
-        let mut seen = [false; 5];
-        for state in &checkpoint.stages {
-            let slot = match state.stage() {
-                "framing" => {
-                    self.framing.restore(state)?;
-                    0
-                }
-                "segmentation" => {
-                    self.segmentation.restore(state)?;
-                    1
-                }
-                "motion" => {
-                    self.motion.restore(state)?;
-                    2
-                }
-                "letter" => {
-                    self.letter.restore(state)?;
-                    3
-                }
-                "grammar" => {
-                    self.grammar.restore(state)?;
-                    4
-                }
-                other => return Err(checkpoint_err(format!("unknown stage {other:?}"))),
-            };
-            if seen[slot] {
-                return Err(checkpoint_err(format!(
-                    "duplicate stage {:?} in checkpoint",
-                    state.stage()
-                )));
-            }
-            seen[slot] = true;
-        }
-        if !seen.iter().all(|&s| s) {
-            return Err(checkpoint_err("checkpoint is missing a stage"));
-        }
-        // Every buffered report passed the gate, so none is newer than it.
+        let [framing, segmentation, motion, letter, grammar] = doc.stages;
+        let [] = motion.fields([])?;
+        let [] = grammar.fields([])?;
+        self.framing.restore(framing)?;
+        self.segmentation.restore(segmentation)?;
+        self.letter.restore(letter)?;
+        // The newest buffered report is the one the gate last admitted. A
+        // gate ahead of it would let the next push size the frame
+        // accumulators by the gap.
         if let Some(newest) = self.framing.buffer.last() {
-            if newest.time > checkpoint.last_time {
-                return Err(checkpoint_err("framing buffer runs past last_time"));
+            if newest.time != doc.last_time {
+                return Err(checkpoint_err("framing buffer must end at last_time"));
             }
         }
-        self.last_time = checkpoint.last_time;
-        self.out_of_order_count = checkpoint.out_of_order_count;
-        self.finished = checkpoint.finished;
+        self.last_time = doc.last_time;
+        self.out_of_order_count = doc.out_of_order_count;
+        self.finished = doc.finished;
         self.ticks.clear();
         self.spans.clear();
         self.strokes.clear();
@@ -1363,54 +1223,58 @@ impl StageGraph {
     }
 }
 
-/// A versioned snapshot of a [`StageGraph`]'s mutable state.
+/// A versioned snapshot of a [`StageGraph`]'s mutable state: the JSON
+/// document [`StageGraph::checkpoint`] wrote.
 ///
 /// Serialized with [`to_json`](Self::to_json) /
 /// [`from_json`](Self::from_json) — floats as IEEE-754 bit patterns,
 /// strict JSON, unknown fields and foreign versions rejected — so a
 /// checkpoint written by one process restores exactly in another.
+/// Checkpoints compare equal when their JSON bytes do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineCheckpoint {
+    json: String,
+}
+
+/// Format version written by [`StageGraph::checkpoint`].
+const CHECKPOINT_VERSION: u64 = 2;
+
+impl PipelineCheckpoint {
+    /// The checkpoint as a single JSON object.
+    pub fn to_json(&self) -> String {
+        self.json.clone()
+    }
+
+    /// Reads a checkpoint serialized by [`to_json`](Self::to_json),
+    /// keeping its exact bytes. Each stage's state is checked when the
+    /// checkpoint is restored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RfipadError::Checkpoint`] on malformed JSON, an
+    /// unsupported version, or unknown, missing or mistyped fields.
+    pub fn from_json(json: &str) -> Result<Self, RfipadError> {
+        CheckpointDoc::parse(json)?;
+        Ok(Self {
+            json: json.to_owned(),
+        })
+    }
+}
+
+/// The top level of a checkpoint document, typed; each stage's state
+/// stays JSON for that stage to read.
+struct CheckpointDoc<'a> {
     last_time: f64,
     out_of_order_count: u64,
     finished: bool,
     letter_gap_s: f64,
     end_guard_s: f64,
-    stages: Vec<StageState>,
+    /// The framing, segmentation, motion, letter and grammar states.
+    stages: [Value<'a>; 5],
 }
 
-/// Format version written by [`PipelineCheckpoint::to_json`].
-const CHECKPOINT_VERSION: u64 = 2;
-
-impl PipelineCheckpoint {
-    /// Serializes the checkpoint as a single JSON object.
-    pub fn to_json(&self) -> String {
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| format!("\"{}\":{}", s.stage(), s.state()))
-            .collect();
-        format!(
-            "{{\"version\":{CHECKPOINT_VERSION},\"last_time_bits\":{},\
-             \"out_of_order_count\":{},\"finished\":{},\"letter_gap_bits\":{},\
-             \"end_guard_bits\":{},\"stages\":{{{}}}}}",
-            self.last_time.to_bits(),
-            self.out_of_order_count,
-            self.finished,
-            self.letter_gap_s.to_bits(),
-            self.end_guard_s.to_bits(),
-            stages.join(",")
-        )
-    }
-
-    /// Parses a checkpoint serialized by [`to_json`](Self::to_json). Each
-    /// [`StageState`] keeps the exact bytes of its stage's object.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfipadError::Checkpoint`] on malformed JSON, an
-    /// unsupported version, or unknown/missing fields.
-    pub fn from_json(json: &str) -> Result<Self, RfipadError> {
+impl<'a> CheckpointDoc<'a> {
+    fn parse(json: &'a str) -> Result<Self, RfipadError> {
         let [version, last_time, out_of_order_count, finished, letter_gap, end_guard, stages] =
             json::parse(json)?.fields([
                 "version",
@@ -1433,11 +1297,7 @@ impl PipelineCheckpoint {
             finished: finished.as_bool()?,
             letter_gap_s: bits(&letter_gap)?,
             end_guard_s: bits(&end_guard)?,
-            stages: stages
-                .into_object()?
-                .into_iter()
-                .map(|(stage, state)| StageState::new(stage, state.text()))
-                .collect(),
+            stages: stages.fields(["framing", "segmentation", "motion", "letter", "grammar"])?,
         })
     }
 }
@@ -1447,22 +1307,6 @@ impl PipelineCheckpoint {
 
 fn checkpoint_err(msg: impl Into<String>) -> RfipadError {
     RfipadError::Checkpoint(msg.into())
-}
-
-fn check_stage_name(expected: &str, state: &StageState) -> Result<(), RfipadError> {
-    if state.stage() != expected {
-        return Err(checkpoint_err(format!(
-            "state for stage {:?} handed to stage {expected:?}",
-            state.stage()
-        )));
-    }
-    Ok(())
-}
-
-/// Parses `state`'s JSON, which must belong to the stage named `expected`.
-fn stage_json<'a>(expected: &str, state: &'a StageState) -> Result<Value<'a>, RfipadError> {
-    check_stage_name(expected, state)?;
-    Ok(json::parse(state.state())?)
 }
 
 /// Reads an `f64` persisted as its IEEE-754 bit pattern (a `u64`).
@@ -1941,13 +1785,36 @@ mod tests {
 
     #[test]
     fn restore_rejects_missing_and_unknown_stages() {
-        let mut checkpoint = driven_graph().checkpoint();
-        let dropped = checkpoint.stages.pop().unwrap();
-        let mut graph = quiet_graph(1.5);
-        assert!(graph.restore_checkpoint(&checkpoint).is_err());
-        checkpoint.stages.push(dropped);
-        checkpoint.stages.push(StageState::new("mystery", "{}"));
-        assert!(graph.restore_checkpoint(&checkpoint).is_err());
+        assert_restore_refuses(|json| json.replacen(",\"grammar\":{}", "", 1));
+        assert_restore_refuses(|json| {
+            json.replacen("\"grammar\":{}", "\"grammar\":{},\"mystery\":{}", 1)
+        });
+        assert_restore_refuses(|json| json.replacen("\"motion\":{}", "\"motion\":{\"x\":1}", 1));
+    }
+
+    #[test]
+    fn restore_rejects_a_gap_in_the_framing_buffer() {
+        // A live graph restarts the stream rather than buffer a gap past
+        // the retention window; a restored one would size its frame
+        // accumulators by the gap, at restore or at the next push.
+        let graph = driven_graph();
+        let first = graph.buffer()[0].time;
+        let last = graph.buffer().last().unwrap().time;
+        assert_restore_refuses(|json| {
+            let json = replace_bits(json, "time_bits", first, -1e9);
+            replace_bits(&json, "anchor_bits", first, -1e9)
+        });
+        assert_restore_refuses(|json| replace_bits(json, "last_time_bits", last, 1e9));
+    }
+
+    #[test]
+    fn restore_rejects_unsorted_or_non_finite_reported_spans() {
+        // The dedup lookup binary-searches the entries; out of order, it
+        // misses a reported span and reports the stroke again.
+        let spans =
+            |a: f64, b: f64| format!("\"reported_spans_bits\":[{},{}]", a.to_bits(), b.to_bits());
+        assert_restore_refuses(|json| json.replacen(&spans(1.0, 2.6), &spans(2.6, 1.0), 1));
+        assert_restore_refuses(|json| json.replacen(&spans(1.0, 2.6), &spans(1.0, f64::NAN), 1));
     }
 
     #[test]

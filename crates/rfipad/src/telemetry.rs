@@ -2,37 +2,20 @@
 //!
 //! All handles are registered once (on first use) and cached in statics,
 //! so the recognition hot path only ever performs relaxed atomic ops.
-//! Stage histograms are process-wide aggregates across every live
+//! Hop histograms are process-wide aggregates across every live
 //! pipeline — the "which stage is slow" view — while per-session state
 //! stays in [`crate::engine`]'s own statistics.
 //!
-//! Naming follows DESIGN.md §Observability: `rfipad_stage_*`,
-//! `rfipad_pipeline_*`, `rfipad_engine_*`, `rfipad_session_*`,
-//! `rfipad_serve_*`, `rfipad_hop_*`.
+//! Naming follows DESIGN.md §Observability: `rfipad_pipeline_*`,
+//! `rfipad_engine_*`, `rfipad_session_*`, `rfipad_serve_*`,
+//! `rfipad_hop_*`.
 
 use obs::{Counter, Gauge, Histogram};
 use std::sync::{Arc, OnceLock};
 
-/// Name of the per-stage push-duration histogram family. One series per
-/// stage of the [`crate::stage::StageGraph`], labelled `stage=framing |
-/// segmentation | motion | letter | grammar`. Values are recorded in
-/// microseconds against [`obs::metrics::DEFAULT_DURATION_BOUNDS_US`].
-pub const STAGE_PUSH_METRIC: &str = "rfipad_stage_push_seconds";
-
-/// Cached handles for the stage graph's instrumentation. The graph times
-/// every [`crate::stage::Stage::push`] it drives, so each histogram is the
-/// wall time spent inside that stage across every live graph.
+/// Cached counters of the stage graph's work; its stage timings are the
+/// `stage:*` series of [`HOP_METRIC`].
 pub(crate) struct StageMetrics {
-    /// Buffering, incremental streams/frames, and tick cuts (§III-A).
-    pub framing: Arc<Histogram>,
-    /// Stroke segmentation over a frame tick (Eq. 11–12).
-    pub segmentation: Arc<Histogram>,
-    /// Motion classification of confirmed spans (§III-C2).
-    pub motion: Arc<Histogram>,
-    /// Letter assembly: pending strokes and the idle-gap close decision.
-    pub letter: Arc<Histogram>,
-    /// Grammar deduction and event emission (§III-D).
-    pub grammar: Arc<Histogram>,
     /// Reports consumed by pipelines.
     pub reports: Arc<Counter>,
     /// Stale reports clamped forward to the newest time seen.
@@ -52,14 +35,6 @@ pub(crate) fn stage_metrics() -> &'static StageMetrics {
     static METRICS: OnceLock<StageMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let r = obs::registry();
-        let stage = |name: &'static str| {
-            r.histogram(
-                STAGE_PUSH_METRIC,
-                "Wall time per stage-graph push, recorded in microseconds.",
-                &[("stage", name)],
-                obs::metrics::DEFAULT_DURATION_BOUNDS_US,
-            )
-        };
         let ooo = |policy: &'static str| {
             r.counter(
                 "rfipad_pipeline_out_of_order_total",
@@ -68,11 +43,6 @@ pub(crate) fn stage_metrics() -> &'static StageMetrics {
             )
         };
         StageMetrics {
-            framing: stage("framing"),
-            segmentation: stage("segmentation"),
-            motion: stage("motion"),
-            letter: stage("letter"),
-            grammar: stage("grammar"),
             reports: r.counter(
                 "rfipad_pipeline_reports_total",
                 "Tag reports consumed by online pipelines.",
@@ -107,17 +77,18 @@ pub(crate) fn stage_metrics() -> &'static StageMetrics {
 pub const HOP_METRIC: &str = "rfipad_hop_seconds";
 
 /// Cached handles for the per-hop latency breakdown of the ingest path
-/// (DESIGN.md §11): wire decode, engine queue wait, the five stage pushes,
-/// and event emission. The batch-granular hops (decode, queue, emit) are
-/// recorded unsampled; the per-report stage hops ride the head sampler
-/// (`obs::trace::sampler`) so the hot path stays inside the overhead
-/// budget.
+/// (DESIGN.md §11): wire decode, engine queue wait, the five stages, and
+/// event emission. The batch-granular hops (decode, queue, emit) are
+/// recorded unsampled; the stage hops ride the head sampler
+/// (`obs::trace::sampler`), one decision per frame tick, so the hot path
+/// stays inside the overhead budget.
 pub(crate) struct HopMetrics {
     /// Wire-frame decode time on the ingest server.
     pub decode: Arc<Histogram>,
     /// Time a queue item waited between enqueue and worker drain.
     pub queue: Arc<Histogram>,
-    /// Per-stage push time, indexed like the stage graph (sampled).
+    /// Per-stage time, indexed like the stage graph (sampled): framing
+    /// per tick, the other stages per push.
     pub stages: [Arc<Histogram>; 5],
     /// Sink delivery time when a session's events are emitted.
     pub emit: Arc<Histogram>,
@@ -133,7 +104,7 @@ pub(crate) fn hop_metrics() -> &'static HopMetrics {
     static METRICS: OnceLock<HopMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let r = obs::registry();
-        let hop = |name: &'static str| {
+        let hop = |name: &str| {
             r.histogram(
                 HOP_METRIC,
                 "Per-hop ingest latency, recorded in nanoseconds.",
@@ -144,13 +115,7 @@ pub(crate) fn hop_metrics() -> &'static HopMetrics {
         HopMetrics {
             decode: hop("decode"),
             queue: hop("queue"),
-            stages: [
-                hop("stage:framing"),
-                hop("stage:segmentation"),
-                hop("stage:motion"),
-                hop("stage:letter"),
-                hop("stage:grammar"),
-            ],
+            stages: STAGE_NAMES.map(|stage| hop(&format!("stage:{stage}"))),
             emit: hop("emit"),
         }
     })

@@ -33,20 +33,6 @@ impl TimeSeries {
         Self::default()
     }
 
-    /// Creates a series from parallel time/value vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or times are not non-decreasing.
-    pub fn from_parts(times: Vec<f64>, values: Vec<f64>) -> Self {
-        assert_eq!(times.len(), values.len(), "times/values length mismatch");
-        assert!(
-            times.windows(2).all(|w| w[0] <= w[1]),
-            "timestamps must be non-decreasing"
-        );
-        Self { times, values }
-    }
-
     /// Appends a sample.
     ///
     /// # Panics

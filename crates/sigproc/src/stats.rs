@@ -158,15 +158,6 @@ impl Welford {
         self.population_variance().sqrt()
     }
 
-    /// Sample (Bessel-corrected) variance (0.0 with fewer than two samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Merges another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &Welford) {
         if other.count == 0 {

@@ -169,10 +169,21 @@ echo "== telemetry exposition smoke + overhead -> BENCH_pipeline.json =="
 # the telemetry_overhead entry (instrumented vs RFIPAD_LOG=off replay).
 expo=$(cargo run --release -p experiments --bin trace_tool -- \
   stats tests/data/golden_session.rftrace --bench)
-for family in rfid_reader_reads_total rfipad_stage_push_seconds_bucket \
+for family in rfid_reader_reads_total rfipad_hop_seconds_bucket \
   rfipad_pipeline_reports_total; do
   grep -q "^$family" <<<"$expo" || {
     echo "bench-check: exposition is missing $family" >&2
+    exit 1
+  }
+done
+# Every stage that runs on a tick is timed under the default sampler. Grammar
+# runs only for the golden session's three events, which may all fall on
+# unsampled ticks.
+for stage in framing segmentation motion letter; do
+  count=$(sed -n "s/^rfipad_hop_seconds_count{hop=\"stage:$stage\"} \([0-9]*\)$/\1/p" \
+    <<<"$expo")
+  [ "${count:-0}" -gt 0 ] || {
+    echo "bench-check: stage:$stage was never timed (count ${count:-missing})" >&2
     exit 1
   }
 done

@@ -144,6 +144,36 @@ fn interrupting_mid_stroke_reproduces_the_uninterrupted_stream() {
     }
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    // Checkpoints migrate between processes, so their bytes are a format:
+    // one written here must read the same anywhere else.
+    let mut p = pipeline();
+    let mut events = Vec::new();
+    let mut wire = String::new();
+    for (i, &r) in fixture().0.iter().enumerate() {
+        p.push_into(r, &mut events);
+        if i % 37 == 0 {
+            wire.push_str(&p.checkpoint().to_json());
+            wire.push('\n');
+        }
+    }
+    p.finish_into(&mut events);
+    wire.push_str(&p.checkpoint().to_json());
+    wire.push('\n');
+    assert_eq!(
+        (wire.len(), fnv1a64(wire.as_bytes())),
+        (4_756_885, 0xd35e_bd81_697b_e141)
+    );
+}
+
 #[test]
 fn corrupted_checkpoints_are_rejected() {
     let (reports, _) = fixture();

@@ -1,6 +1,6 @@
 //! Live-engine exposition coverage: with the HTTP endpoint enabled, a
 //! serving [`rfipad::Engine`] must expose every telemetry layer at once —
-//! reader counters from the simulated Gen2 inventory, per-stage pipeline
+//! reader counters from the simulated Gen2 inventory, per-stage hop
 //! histograms, engine aggregates, and per-session queue/drop gauges —
 //! and the text must survive the exposition-format validator.
 
@@ -59,16 +59,15 @@ fn live_engine_exposition_covers_every_layer() {
     for needle in [
         "rfid_reader_reads_total",
         "rfid_reader_inventory_rounds_total",
-        "rfipad_stage_push_seconds_bucket{stage=\"framing\"",
-        "rfipad_stage_push_seconds_bucket{stage=\"segmentation\"",
-        "rfipad_stage_push_seconds_bucket{stage=\"motion\"",
-        "rfipad_stage_push_seconds_bucket{stage=\"letter\"",
-        "rfipad_stage_push_seconds_bucket{stage=\"grammar\"",
+        "rfipad_hop_seconds_bucket{hop=\"stage:framing\"",
+        "rfipad_hop_seconds_bucket{hop=\"stage:segmentation\"",
+        "rfipad_hop_seconds_bucket{hop=\"stage:motion\"",
+        "rfipad_hop_seconds_bucket{hop=\"stage:letter\"",
+        "rfipad_hop_seconds_bucket{hop=\"stage:grammar\"",
         "rfipad_pipeline_reports_total",
         "rfipad_engine_reports_in_total",
         "rfipad_engine_push_latency_ns_count",
         "rfipad_hop_seconds_bucket{hop=\"queue\"",
-        "rfipad_hop_seconds_bucket{hop=\"stage:framing\"",
         "rfipad_session_queue_depth{session=\"kiosk-metrics\"}",
         "rfipad_session_reports_dropped{session=\"kiosk-metrics\"}",
     ] {
