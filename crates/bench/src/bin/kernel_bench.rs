@@ -1,6 +1,6 @@
 //! Kernel microbenchmark + hot-path allocation gates.
 //!
-//! Four probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
+//! Six probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
 //!
 //! * `kernel_bench` — per-kernel ns/element of the `sigproc::kernel`
 //!   slice kernels against their naive allocating references
@@ -16,11 +16,21 @@
 //!   (`tests/data/golden_session.rftrace`), the stroke-bearing work the
 //!   quiet stream never reaches. The count may not grow past its
 //!   committed value.
+//! * `stroke_tick_allocs` — counts heap allocations inside every
+//!   `StageGraph::push_into` / `finish_into` call that emits a
+//!   `StrokeDetected` while a fresh graph replays the golden session: the
+//!   whole stroke-bearing tick, from the span hand-off through motion,
+//!   letter assembly and the grammar. Allocations per such call may not
+//!   grow past the committed value.
 //! * `reader_allocs` — counts heap allocations across
 //!   `Bench::record_session` of the golden session, hand and forearm
 //!   present: the simulated reader's power checks, inventory rounds and
 //!   observations. Allocations per read may not grow past the committed
 //!   value.
+//! * `tick_history` — how a push's cost grows with the buffered history:
+//!   ns per pushed report of the quiet stream over 25–27 s of history
+//!   against 3–5 s, fastest of several interleaved repetitions each. The
+//!   ratio cancels the host's speed; `bench-check.sh` caps it.
 //!
 //! Requires the `count-allocs` feature (a counting global allocator):
 //! `cargo run --release -p bench --features count-allocs --bin kernel_bench`
@@ -28,7 +38,7 @@
 use hand_kinematics::user::UserProfile;
 use rfid_gen2::report::{TagId, TagReport};
 use rfipad::{ArrayLayout, Calibration, PipelineEvent, Recognizer, RfipadConfig, StageGraph};
-use sigproc::kernel::{self, reference, Scratch};
+use sigproc::kernel::{self, reference};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -95,7 +105,7 @@ fn run_kernel_bench() -> String {
     let (lo, hi) = kernel::minmax(&data);
     let width = (hi - lo) / 256.0;
 
-    let mut scratch = Scratch::new();
+    let mut sort = Vec::new();
     let mut out = Vec::new();
     let mut bools = Vec::new();
     let mut hist = [0usize; 256];
@@ -136,17 +146,6 @@ fn run_kernel_bench() -> String {
     );
     bench_pair(
         &mut kernels,
-        "windowed_std",
-        || {
-            kernel::windowed_std_into(std::hint::black_box(&data), HALF, &mut out);
-            std::hint::black_box(out.len());
-        },
-        || {
-            std::hint::black_box(reference::windowed_std(std::hint::black_box(&data), HALF));
-        },
-    );
-    bench_pair(
-        &mut kernels,
         "windowed_rms",
         || {
             kernel::windowed_rms_into(std::hint::black_box(&data), HALF, &mut out);
@@ -158,20 +157,9 @@ fn run_kernel_bench() -> String {
     );
     bench_pair(
         &mut kernels,
-        "windowed_min",
-        || {
-            kernel::windowed_min_into(std::hint::black_box(&data), HALF, &mut out);
-            std::hint::black_box(out.len());
-        },
-        || {
-            std::hint::black_box(reference::windowed_min(std::hint::black_box(&data), HALF));
-        },
-    );
-    bench_pair(
-        &mut kernels,
         "median_filter",
         || {
-            kernel::median_filter_into(std::hint::black_box(&data), 3, &mut scratch.sort, &mut out);
+            kernel::median_filter_into(std::hint::black_box(&data), 3, &mut sort, &mut out);
             std::hint::black_box(out.len());
         },
         || {
@@ -343,6 +331,99 @@ fn run_stroke_alloc_gate() -> String {
     format!("{{ \"spans\": {n}, \"allocs\": {allocs}, \"allocs_per_span\": {per_span:.4} }}")
 }
 
+/// Counts allocations inside every `push_into` / `finish_into` call of a
+/// fresh `StageGraph` over the golden session that emits a
+/// `StrokeDetected`. One unmeasured replay runs first: it fills the
+/// template table every clone of the bench's recognizer shares, and sizes
+/// the reused event buffer.
+fn run_stroke_tick_alloc_gate() -> String {
+    let bench = experiments::golden::golden_bench();
+    let reports = experiments::serveload::golden_reports(&bench);
+    let graph = || {
+        StageGraph::builder()
+            .recognizer(bench.recognizer.clone())
+            .build()
+            .expect("stage graph")
+    };
+    let mut events = Vec::new();
+    let mut warm = graph();
+    warm.push_batch(&reports, &mut events);
+    warm.finish_into(&mut events);
+    let mut graph = graph();
+    let (mut calls, mut allocs) = (0u64, 0u64);
+    let mut count = |events: &mut Vec<PipelineEvent>, n: u64| {
+        if events
+            .iter()
+            .any(|e| matches!(e, PipelineEvent::StrokeDetected { .. }))
+        {
+            calls += 1;
+            allocs += n;
+        }
+        events.clear();
+    };
+    events.clear();
+    for &obs in &reports {
+        let before = bench::count_allocs::alloc_count();
+        graph.push_into(obs, &mut events);
+        count(&mut events, bench::count_allocs::alloc_count() - before);
+    }
+    let before = bench::count_allocs::alloc_count();
+    graph.finish_into(&mut events);
+    count(&mut events, bench::count_allocs::alloc_count() - before);
+    assert!(calls > 0, "the golden session holds strokes");
+    let per_call = allocs as f64 / calls as f64;
+    println!("stroke ticks: {allocs} allocations over {calls} calls ({per_call:.4}/call)");
+    format!("{{ \"calls\": {calls}, \"allocs\": {allocs}, \"allocs_per_call\": {per_call:.4} }}")
+}
+
+/// Repetitions of each `tick_history` measurement; the fastest counts.
+const HISTORY_REPS: usize = 1001;
+
+/// ns per pushed report while the quiet stream's history grows from
+/// `from_s` to `to_s` seconds, on a fresh graph first fed up to `from_s`.
+fn time_history_window(from_s: f64, to_s: f64) -> f64 {
+    let mut graph = quiet_graph();
+    let mut events = Vec::new();
+    // Steps are 50 ms apart.
+    let (first, last) = ((from_s * 20.0) as u64, (to_s * 20.0) as u64);
+    for j in 0..first {
+        push_step(&mut graph, &mut events, j);
+    }
+    let start = Instant::now();
+    for j in first..last {
+        push_step(&mut graph, &mut events, j);
+    }
+    let ns = start.elapsed().as_secs_f64() * 1e9 / ((last - first) * 3) as f64;
+    assert!(events.is_empty(), "quiet stream must stay quiet");
+    ns
+}
+
+/// Times pushes over a short and a long quiet history, interleaved so a
+/// host slowdown hits both, and reports the long/short ratio of the
+/// fastest repetitions. The long window ends before the first retention
+/// trim (about 35 s), so the history only grows inside it.
+fn run_tick_history() -> String {
+    const SHORT: (f64, f64) = (3.0, 5.0);
+    const LONG: (f64, f64) = (25.0, 27.0);
+    let (mut short, mut long) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..HISTORY_REPS {
+        short = short.min(time_history_window(SHORT.0, SHORT.1));
+        long = long.min(time_history_window(LONG.0, LONG.1));
+    }
+    let ratio = long / short;
+    println!(
+        "tick history: {short:.1} ns/report at {}-{} s, {long:.1} at {}-{} s \
+         (ratio {ratio:.3}, fastest of {HISTORY_REPS})",
+        SHORT.0, SHORT.1, LONG.0, LONG.1
+    );
+    format!(
+        "{{ \"reps\": {HISTORY_REPS}, \"short_history_s\": [{}, {}], \
+         \"long_history_s\": [{}, {}], \"short_ns_per_report\": {short:.1}, \
+         \"long_ns_per_report\": {long:.1}, \"ratio\": {ratio:.3} }}",
+        SHORT.0, SHORT.1, LONG.0, LONG.1
+    )
+}
+
 /// Counts allocations across `Bench::record_session` of the golden
 /// session. The bench is calibrated first, so the reader's metrics are
 /// already registered and the count covers only the recording.
@@ -367,18 +448,26 @@ fn main() {
     let alloc_entry = run_alloc_gate();
     println!("stroke allocation gate:");
     let stroke_entry = run_stroke_alloc_gate();
+    println!("stroke-tick allocation gate:");
+    let stroke_tick_entry = run_stroke_tick_alloc_gate();
     println!("reader allocation gate:");
     let reader_entry = run_reader_alloc_gate();
+    println!("tick cost against history:");
+    let history_entry = run_tick_history();
     experiments::benchjson::merge_entry("kernel_bench", &kernel_entry)
         .expect("merge kernel_bench into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("hot_path_allocs", &alloc_entry)
         .expect("merge hot_path_allocs into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("stroke_allocs", &stroke_entry)
         .expect("merge stroke_allocs into BENCH_pipeline.json");
+    experiments::benchjson::merge_entry("stroke_tick_allocs", &stroke_tick_entry)
+        .expect("merge stroke_tick_allocs into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("reader_allocs", &reader_entry)
         .expect("merge reader_allocs into BENCH_pipeline.json");
+    experiments::benchjson::merge_entry("tick_history", &history_entry)
+        .expect("merge tick_history into BENCH_pipeline.json");
     println!(
-        "merged kernel_bench + hot_path_allocs + stroke_allocs + reader_allocs \
-         into BENCH_pipeline.json"
+        "merged kernel_bench + hot_path_allocs + stroke_allocs + stroke_tick_allocs \
+         + reader_allocs + tick_history into BENCH_pipeline.json"
     );
 }

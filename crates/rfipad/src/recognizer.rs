@@ -333,26 +333,6 @@ impl Recognizer {
             .segment(&self.layout, streams, &self.calibration)
     }
 
-    /// Segments an already-built frame sequence with the calibrated
-    /// thresholds, reusing `scratch` and `out` so the online hot path
-    /// scores frames without allocating. Given the frames
-    /// [`segment`](Self::segment) would build internally, the result is
-    /// identical.
-    pub fn segment_frames_into(
-        &self,
-        frames: &sigproc::frames::FrameSeq,
-        scratch: &mut sigproc::kernel::Scratch,
-        out: &mut Segmentation,
-    ) {
-        self.segmenter.segment_frames_into(
-            frames,
-            self.calibration.activity_threshold(&self.config),
-            self.calibration.rms_level_threshold(&self.config),
-            scratch,
-            out,
-        )
-    }
-
     /// Per-stream noise floors in layout order — the `floors` argument the
     /// calibrated segmentation applies during framing.
     pub fn noise_floors(&self) -> Vec<f64> {

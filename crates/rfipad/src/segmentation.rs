@@ -12,7 +12,8 @@ use crate::config::RfipadConfig;
 use crate::layout::ArrayLayout;
 use crate::streams::TagStreams;
 use serde::{Deserialize, Serialize};
-use sigproc::frames::FrameSeq;
+use sigproc::frames::{Frame, FrameSeq};
+use sigproc::stats;
 
 /// A detected stroke span.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -141,105 +142,263 @@ impl Segmenter {
     /// Scores an already-built frame sequence into stroke spans — the
     /// Eq. 12 window test, erosion, bridging, and minimum-length filter.
     /// Identical to [`segment`](Self::segment) given the frames it would
-    /// build internally; the online pipeline uses this with frames cut
-    /// incrementally by `sigproc::frames::FrameBuilder`.
+    /// build internally. Runs a [`FrameScorer`] from empty, the scorer the
+    /// online segmentation stage keeps across ticks.
     pub fn segment_frames(
         &self,
         frame_seq: &FrameSeq,
         threshold: f64,
         rms_threshold: f64,
     ) -> Segmentation {
-        let mut scratch = sigproc::kernel::Scratch::new();
-        let mut out = Segmentation::default();
-        self.segment_frames_into(frame_seq, threshold, rms_threshold, &mut scratch, &mut out);
-        out
+        let mut scorer = FrameScorer::new(&self.config);
+        scorer.score(frame_seq, threshold, rms_threshold);
+        scorer.into_segmentation()
+    }
+}
+
+/// Bridge brief lulls: a hand changing direction mid-stroke can dip the
+/// window variance for a frame or two, which must not split the stroke.
+/// Real adjustment intervals are several frames long. Active runs at most
+/// this many quiet frames apart merge.
+const BRIDGE_FRAMES: usize = 2;
+
+/// The Eq. 11–12 scorer behind every segmentation: per-frame scores and
+/// the stroke spans they give, kept across calls so that scoring a frame
+/// sequence that shares a prefix with the previous one recomputes only
+/// what the changed frames reach.
+///
+/// [`Segmenter::segment_frames`] scores from an empty scorer; the online
+/// segmentation stage keeps one across frame ticks, where each tick's
+/// frames repeat the previous tick's settled prefix and differ only in the
+/// live tail (or re-anchor entirely after a history trim). Let `same` be
+/// the number of leading frames whose start and RMS bits match the stored
+/// ones, under the same thresholds and frame length. Then:
+///
+/// - a window std depends on the `2·half + 1` frames around it, so the
+///   stds before `same − half` stand;
+/// - erosion (and with it the raw activity flag) depends on the stds
+///   around it, so both stand before `same − 2·half`;
+/// - runs at most two quiet frames apart merge, so a run followed by
+///   three raw-quiet frames can be neither extended nor bridged by
+///   anything after them. Runs are re-merged, and the length filter
+///   re-applied, from the last such point at or before `same − 2·half`.
+///
+/// Beyond one bit comparison per stored frame, a call therefore rescores
+/// only the frames a change reaches (and re-merges the stroke in progress,
+/// if any), and its result is bit-identical to scoring the same frames from
+/// empty: every value it keeps was computed from the same inputs by the
+/// same code.
+#[derive(Debug, Clone)]
+pub struct FrameScorer {
+    /// Half-width of the centred Eq. 12 window, frames.
+    half: usize,
+    /// Shortest merged run kept as a stroke, frames.
+    min_stroke_frames: usize,
+    /// The variance threshold the stored scores were computed under.
+    threshold: f64,
+    /// The RMS-level threshold the stored scores were computed under.
+    rms_threshold: f64,
+    /// The frame length of the stored frames (span ends derive from it).
+    frame_len: f64,
+    /// Per frame: start time.
+    start: Vec<f64>,
+    /// Per frame: multi-tag RMS (Eq. 11).
+    rms: Vec<f64>,
+    /// Per frame: `std(rms)` of the window centred on it (Eq. 12).
+    window_std: Vec<f64>,
+    /// Per frame: active before bridging and the length filter (eroded
+    /// window std or own RMS above its threshold).
+    raw: Vec<bool>,
+    /// Merged runs long enough to be strokes, `[start, end)` frame
+    /// indices, in time order. A frame is active ([`FrameScore::active`])
+    /// when it is raw-active inside one.
+    runs: Vec<(usize, usize)>,
+    /// The stroke span of each run.
+    spans: Vec<StrokeSpan>,
+}
+
+impl FrameScorer {
+    /// An empty scorer for `config`'s window and minimum stroke length.
+    pub fn new(config: &RfipadConfig) -> Self {
+        Self {
+            half: config.window_frames / 2,
+            min_stroke_frames: config.min_stroke_frames,
+            threshold: f64::NAN,
+            rms_threshold: f64::NAN,
+            frame_len: f64::NAN,
+            start: Vec::new(),
+            rms: Vec::new(),
+            window_std: Vec::new(),
+            raw: Vec::new(),
+            runs: Vec::new(),
+            spans: Vec::new(),
+        }
     }
 
-    /// Like [`segment_frames`](Self::segment_frames), but reuses `scratch`
-    /// and `out` so the steady-state online pipeline scores frames without
-    /// heap allocations. The result is bit-identical to
-    /// [`segment_frames`](Self::segment_frames).
-    pub fn segment_frames_into(
-        &self,
-        frame_seq: &FrameSeq,
-        threshold: f64,
-        rms_threshold: f64,
-        scratch: &mut sigproc::kernel::Scratch,
-        out: &mut Segmentation,
-    ) {
+    /// Forgets every stored frame, keeping the allocations: the next
+    /// [`score`](Self::score) starts from empty.
+    pub fn clear(&mut self) {
+        self.start.clear();
+        self.rms.clear();
+        self.window_std.clear();
+        self.raw.clear();
+        self.runs.clear();
+        self.spans.clear();
+    }
+
+    /// Scores `frame_seq`: a frame is raw-active when every window
+    /// containing it exceeds `threshold` (Eq. 12 with erosion) or its own
+    /// RMS exceeds `rms_threshold`; raw runs at most two quiet frames
+    /// apart merge, and merged runs shorter than the minimum stroke length
+    /// are dropped. Reuses whatever the previous call left valid.
+    pub fn score(&mut self, frame_seq: &FrameSeq, threshold: f64, rms_threshold: f64) {
         let frames = frame_seq.frames();
         let n = frames.len();
-        let w = self.config.window_frames;
-        let half = w / 2;
+        let half = self.half;
+        // Every frame of a sequence shares one length, and every stored
+        // value derives from the thresholds: a change to either starts
+        // from empty.
+        let frame_len = frames.first().map_or(self.frame_len, |f| f.duration);
+        let same = if threshold.to_bits() == self.threshold.to_bits()
+            && rms_threshold.to_bits() == self.rms_threshold.to_bits()
+            && frame_len.to_bits() == self.frame_len.to_bits()
+        {
+            frames
+                .iter()
+                .zip(self.start.iter().zip(&self.rms))
+                .take_while(|(f, (&start, &rms))| {
+                    f.start.to_bits() == start.to_bits() && f.rms.to_bits() == rms.to_bits()
+                })
+                .count()
+        } else {
+            0
+        };
+        self.threshold = threshold;
+        self.rms_threshold = rms_threshold;
+        self.frame_len = frame_len;
+        let std_from = same.saturating_sub(half);
+        let raw_from = same.saturating_sub(2 * half);
+        let restart = restart_point(&self.raw[..raw_from]);
 
+        self.start.truncate(same);
+        self.rms.truncate(same);
+        self.window_std.truncate(std_from);
+        self.raw.truncate(raw_from);
+        let kept = self.runs.partition_point(|&(s, _)| s < restart);
+        self.runs.truncate(kept);
+        self.spans.truncate(kept);
+
+        for frame in &frames[same..] {
+            self.start.push(frame.start);
+            self.rms.push(frame.rms);
+        }
         // Per-frame score: std(rms) of the window centred on the frame
         // (shrinking at the edges).
-        frame_seq.rms_values_into(&mut scratch.a);
-        sigproc::kernel::windowed_std_into(&scratch.a, half, &mut scratch.b);
+        for i in std_from..n {
+            let (lo, hi) = (i.saturating_sub(half), (i + half + 1).min(n));
+            self.window_std.push(stats::std_dev(&self.rms[lo..hi]));
+        }
         // A window overlapping a stroke edge is active even though most of
         // its frames are quiet; to keep spans tight (and isolated one-frame
         // twitches from smearing into stroke-length spans) a frame counts
         // as active only when *every* window containing it is active —
         // erosion matching the earlier dilation.
-        sigproc::kernel::windowed_min_into(&scratch.b, half, &mut scratch.c);
-        out.threshold = threshold;
-        out.spans.clear();
-        out.frames.clear();
-        out.frames.reserve(n);
-        for (i, frame) in frames.iter().enumerate() {
-            out.frames.push(FrameScore {
-                time: frame.start,
-                rms: scratch.a[i],
-                window_std: scratch.b[i],
-                active: scratch.c[i] > threshold || scratch.a[i] > rms_threshold,
+        for i in raw_from..n {
+            let (lo, hi) = (i.saturating_sub(half), (i + half + 1).min(n));
+            let eroded = self.window_std[lo..hi]
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min);
+            self.raw
+                .push(eroded > threshold || self.rms[i] > rms_threshold);
+        }
+
+        // Merge runs of raw-active frames from the restart point, bridging
+        // brief lulls, and keep the merged runs long enough to be strokes.
+        let mut merged: Option<(usize, usize)> = None;
+        let mut i = restart;
+        while i < n {
+            if !self.raw[i] {
+                i += 1;
+                continue;
+            }
+            let s = i;
+            while i < n && self.raw[i] {
+                i += 1;
+            }
+            match &mut merged {
+                Some(run) if s - run.1 <= BRIDGE_FRAMES => run.1 = i,
+                _ => {
+                    if let Some(run) = merged.replace((s, i)) {
+                        self.close_run(run, frames);
+                    }
+                }
+            }
+        }
+        if let Some(run) = merged {
+            self.close_run(run, frames);
+        }
+    }
+
+    /// Keeps a merged run long enough to be a stroke, with its span.
+    fn close_run(&mut self, (s, e): (usize, usize), frames: &[Frame]) {
+        if e - s >= self.min_stroke_frames {
+            self.runs.push((s, e));
+            self.spans.push(StrokeSpan {
+                start: frames[s].start,
+                end: frames[e - 1].end(),
             });
         }
+    }
 
-        // Merge runs of active frames into raw spans ([start, end) frame
-        // indices).
-        scratch.runs.clear();
-        let mut run_start: Option<usize> = None;
-        for (i, score) in out.frames.iter().enumerate() {
-            match (score.active, run_start) {
-                (true, None) => run_start = Some(i),
-                (false, Some(s)) => {
-                    scratch.runs.push((s, i));
-                    run_start = None;
-                }
-                _ => {}
+    /// The stroke spans of the latest scored frames, in time order.
+    pub fn spans(&self) -> &[StrokeSpan] {
+        &self.spans
+    }
+
+    /// The latest result as a [`Segmentation`]: its spans plus a
+    /// [`FrameScore`] per frame. Frames of runs too short to be strokes
+    /// are inactive, for honesty in diagnostics.
+    pub fn into_segmentation(self) -> Segmentation {
+        let mut frames: Vec<FrameScore> = (0..self.start.len())
+            .map(|i| FrameScore {
+                time: self.start[i],
+                rms: self.rms[i],
+                window_std: self.window_std[i],
+                active: false,
+            })
+            .collect();
+        for &(s, e) in &self.runs {
+            for (score, &raw) in frames[s..e].iter_mut().zip(&self.raw[s..e]) {
+                score.active = raw;
             }
         }
-        if let Some(s) = run_start {
-            scratch.runs.push((s, n));
+        Segmentation {
+            spans: self.spans,
+            frames,
+            threshold: self.threshold,
         }
+    }
+}
 
-        // Bridge brief lulls: a hand changing direction mid-stroke can dip
-        // the window variance for a frame or two, which must not split the
-        // stroke. Real adjustment intervals are several frames long.
-        let bridge_frames = 2usize;
-        scratch.runs2.clear();
-        for &span in &scratch.runs {
-            match scratch.runs2.last_mut() {
-                Some(prev) if span.0 - prev.1 <= bridge_frames => prev.1 = span.1,
-                _ => scratch.runs2.push(span),
-            }
+/// The last frame index at or before `raw.len()` that no earlier run can
+/// reach: one preceded by `BRIDGE_FRAMES + 1` raw-quiet frames, or only by
+/// quiet frames.
+fn restart_point(raw: &[bool]) -> usize {
+    let mut p = raw.len();
+    loop {
+        let quiet = raw[..p]
+            .iter()
+            .rev()
+            .take(BRIDGE_FRAMES + 1)
+            .take_while(|&&active| !active)
+            .count();
+        if quiet == p.min(BRIDGE_FRAMES + 1) {
+            return p;
         }
-
-        // Drop bursts shorter than the minimum stroke length.
-        for &(s, e) in &scratch.runs2 {
-            if e - s >= self.config.min_stroke_frames {
-                out.spans.push(StrokeSpan {
-                    start: frames[s].start,
-                    end: frames[e - 1].end(),
-                });
-            } else {
-                // Too short: clear the activity flags for honesty in
-                // diagnostics.
-                for score in &mut out.frames[s..e] {
-                    score.active = false;
-                }
-            }
-        }
+        // The frame before the quiet stretch is active: no point after it
+        // and up to `p` has enough quiet frames before it.
+        p -= quiet + 1;
     }
 }
 
@@ -391,5 +550,165 @@ mod tests {
         let streams = two_stroke_streams();
         let seg = segmenter().segment_with_threshold(&layout(), &streams, 1e6);
         assert!(seg.spans.is_empty());
+    }
+
+    /// A frame sequence of `len`-second frames from `anchor`, one per
+    /// entry of `rms`, each frame's RMS exactly its entry (one stream, one
+    /// sample at the frame's midpoint).
+    fn frames_with_rms(anchor: f64, len: f64, rms: &[f64]) -> FrameSeq {
+        if rms.is_empty() {
+            return FrameSeq::default();
+        }
+        let series: sigproc::series::TimeSeries = rms
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| (anchor + (k as f64 + 0.5) * len, v))
+            .collect();
+        let end = anchor + (rms.len() as f64 - 0.5) * len;
+        let seq = FrameSeq::build(&[series], anchor, end, len);
+        assert_eq!(seq.len(), rms.len());
+        seq
+    }
+
+    /// Every stored value of a scorer, as bits.
+    fn scorer_bits(s: &FrameScorer) -> Vec<u64> {
+        let mut bits = vec![s.threshold.to_bits(), s.rms_threshold.to_bits()];
+        for column in [&s.start, &s.rms, &s.window_std] {
+            bits.push(column.len() as u64);
+            bits.extend(column.iter().map(|v| v.to_bits()));
+        }
+        bits.push(s.raw.len() as u64);
+        bits.extend(s.raw.iter().map(|&a| u64::from(a)));
+        for &(start, end) in &s.runs {
+            bits.extend([start as u64, end as u64]);
+        }
+        for span in &s.spans {
+            bits.extend([span.start.to_bits(), span.end.to_bits()]);
+        }
+        // The public result, every field of every frame score included.
+        let seg = s.clone().into_segmentation();
+        bits.push(seg.threshold.to_bits());
+        for f in &seg.frames {
+            bits.extend([
+                f.time.to_bits(),
+                f.rms.to_bits(),
+                f.window_std.to_bits(),
+                u64::from(f.active),
+            ]);
+        }
+        for span in &seg.spans {
+            bits.extend([span.start.to_bits(), span.end.to_bits()]);
+        }
+        bits
+    }
+
+    /// Frame RMS levels: quiet, moderate, loud. Against the thresholds
+    /// below, loud frames are active on their own and mixed windows by
+    /// their variance.
+    const LEVELS: [f64; 3] = [0.05, 1.0, 3.0];
+    /// (variance threshold, RMS-level threshold) pairs a run switches
+    /// between.
+    const THRESHOLDS: [(f64, f64); 3] = [(0.5, 2.0), (0.3, f64::INFINITY), (1.0, 1.5)];
+
+    #[test]
+    fn restart_point_needs_enough_quiet_frames() {
+        let (q, a) = (false, true);
+        assert_eq!(restart_point(&[]), 0);
+        assert_eq!(restart_point(&[q, q]), 2);
+        assert_eq!(restart_point(&[a, q, q]), 0);
+        assert_eq!(restart_point(&[a, q, q, q]), 4);
+        assert_eq!(restart_point(&[a, q, q, q, a, q]), 4);
+        assert_eq!(restart_point(&[q, q, q, a, a, q, q]), 3);
+    }
+
+    #[test]
+    fn streaming_scorer_bridges_and_filters_like_a_fresh_one() {
+        // Quiet, a run, a two-frame lull (bridged), a run, a long quiet
+        // stretch, a two-frame blip (too short), quiet, then a live tail
+        // revised from quiet to loud and back.
+        let q = LEVELS[0];
+        let l = LEVELS[2];
+        let mut rms = vec![q, q, q, q, l, l, l, q, q, l, l, q, q, q, q, q, q, l, l];
+        rms.extend([q; 8]);
+        let config = RfipadConfig::default();
+        let (t, r) = THRESHOLDS[0];
+        let mut streaming = FrameScorer::new(&config);
+        for n in 1..=rms.len() {
+            for tail in [l, q] {
+                let mut ticked = rms[..n].to_vec();
+                *ticked.last_mut().expect("n >= 1") = tail;
+                let frames = frames_with_rms(0.0, 0.1, &ticked);
+                streaming.score(&frames, t, r);
+                let mut fresh = FrameScorer::new(&config);
+                fresh.score(&frames, t, r);
+                assert_eq!(scorer_bits(&streaming), scorer_bits(&fresh), "tick {n}");
+            }
+            let frames = frames_with_rms(0.0, 0.1, &rms[..n]);
+            streaming.score(&frames, t, r);
+        }
+        let seg = streaming.into_segmentation();
+        // The lull is bridged into one span; the blip is dropped.
+        assert_eq!(seg.spans.len(), 1, "{:?}", seg.spans);
+        assert!(seg.frames[17..19].iter().all(|f| !f.active));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streaming_scorer_equals_scoring_from_empty(
+            window in 1usize..8,
+            min_stroke in 1usize..5,
+            ops in proptest::collection::vec(
+                (0u8..8, proptest::collection::vec(0usize..3, 1..9), 0.0f64..1.0),
+                1..40,
+            ),
+        ) {
+            let config = RfipadConfig {
+                window_frames: window,
+                min_stroke_frames: min_stroke,
+                ..RfipadConfig::default()
+            };
+            let len = config.frame_len_s;
+            let mut anchor = 0.0;
+            let mut rms: Vec<f64> = Vec::new();
+            let mut thresholds = THRESHOLDS[0];
+            let mut streaming = FrameScorer::new(&config);
+            for (tick, (op, levels, at)) in ops.iter().enumerate() {
+                let at_frame = (at * rms.len() as f64) as usize;
+                match op {
+                    // Revise the live tail.
+                    0 => {
+                        if let Some(last) = rms.last_mut() {
+                            *last = LEVELS[levels[0]];
+                        }
+                    }
+                    // Revise every frame from a random one on.
+                    1 => {
+                        for (v, &l) in rms[at_frame..].iter_mut().zip(levels.iter().cycle()) {
+                            *v = LEVELS[l];
+                        }
+                    }
+                    // Re-anchor: drop a prefix and restart the frame grid
+                    // where it ended, as a history trim does.
+                    2 => {
+                        rms.drain(..at_frame);
+                        anchor += at_frame as f64 * len;
+                    }
+                    3 => thresholds = THRESHOLDS[levels[0]],
+                    // Append frames.
+                    _ => rms.extend(levels.iter().map(|&l| LEVELS[l])),
+                }
+                let frames = frames_with_rms(anchor, len, &rms);
+                streaming.score(&frames, thresholds.0, thresholds.1);
+                let mut fresh = FrameScorer::new(&config);
+                fresh.score(&frames, thresholds.0, thresholds.1);
+                proptest::prop_assert_eq!(
+                    scorer_bits(&streaming),
+                    scorer_bits(&fresh),
+                    "tick {} op {}",
+                    tick,
+                    op
+                );
+            }
+        }
     }
 }

@@ -35,7 +35,7 @@
 
 use crate::error::RfipadError;
 use crate::recognizer::{RecognizedStroke, Recognizer};
-use crate::segmentation::StrokeSpan;
+use crate::segmentation::{FrameScorer, StrokeSpan};
 use crate::streams::{TagStreams, TagStreamsBuilder};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use obs::json::{self, JsonError, Value};
@@ -484,21 +484,19 @@ impl Stage for Framing {
 /// Stage 2: stroke segmentation over each frame tick (Eq. 11–12), plus
 /// span deduplication across ticks.
 ///
-/// Re-segmenting the whole buffered window every tick re-discovers old
-/// spans; `reported_spans` remembers what was already handed downstream
-/// (by span start, ±0.25 s) so each stroke is reported exactly once.
+/// Each tick's frames cover the whole buffered window, so segmenting them
+/// re-discovers old spans; `reported_spans` remembers what was already
+/// handed downstream (by span start, ±0.25 s) so each stroke is reported
+/// exactly once. The scores themselves are kept across ticks: a tick
+/// re-scores only the frames its new or revised frames reach.
 #[derive(Debug)]
 pub struct Segmentation {
     recognizer: Arc<Recognizer>,
     end_guard_s: f64,
     /// Spans already reported (by their start time), kept sorted.
     reported_spans: Vec<f64>,
-    /// The previous tick's segmentation, kept as the reusable output
-    /// buffer: each tick takes it, re-scores into it, and puts it back,
-    /// so steady-state scoring allocates nothing.
-    last: Option<crate::segmentation::Segmentation>,
-    /// Reusable intermediate buffers for the scoring kernels.
-    scratch: sigproc::kernel::Scratch,
+    /// The Eq. 12 scorer, holding the previous tick's frames and scores.
+    scorer: FrameScorer,
     /// The consumed tick's frame sequence, for the graph to hand back to
     /// [`Framing::recycle_frames`].
     spare_frames: Option<FrameSeq>,
@@ -509,11 +507,10 @@ impl Segmentation {
     /// span has ended.
     pub fn new(recognizer: Arc<Recognizer>, end_guard_s: f64) -> Self {
         Self {
+            scorer: FrameScorer::new(recognizer.config()),
             recognizer,
             end_guard_s,
             reported_spans: Vec::new(),
-            last: None,
-            scratch: sigproc::kernel::Scratch::new(),
             spare_frames: None,
         }
     }
@@ -576,9 +573,9 @@ impl Segmentation {
             return Err(checkpoint_err("reported spans must be finite and sorted"));
         }
         self.reported_spans = spans;
-        // The last segmentation is only a reusable buffer; the first tick
-        // after restore allocates a fresh one.
-        self.last = None;
+        // The scores are derived state: the first tick after a restore
+        // scores from empty.
+        self.scorer.clear();
         Ok(())
     }
 }
@@ -594,14 +591,17 @@ impl Stage for Segmentation {
             frames,
             streams,
         } = tick;
-        // Re-score into the previous tick's segmentation (its spans and
-        // frame-score vectors are exactly the right size next tick too).
-        let mut segmentation = self.last.take().unwrap_or_default();
-        self.recognizer
-            .segment_frames_into(&frames, &mut self.scratch, &mut segmentation);
+        let config = self.recognizer.config();
+        let calibration = self.recognizer.calibration();
+        self.scorer.score(
+            &frames,
+            calibration.activity_threshold(config),
+            calibration.rms_level_threshold(config),
+        );
         self.spare_frames = Some(frames);
         let mut spans = Vec::new();
-        for &span in &segmentation.spans {
+        for i in 0..self.scorer.spans().len() {
+            let span = self.scorer.spans()[i];
             let confirmed = now - span.end >= self.end_guard_s;
             if confirmed && !self.already_reported(span.start) {
                 self.mark_reported(span.start);
@@ -610,15 +610,15 @@ impl Stage for Segmentation {
         }
         // The idle gap that closes a letter is measured from the latest
         // *activity* — a stroke in progress (active frames not yet
-        // confirmed as a span) holds the letter open.
-        let last_activity = segmentation
-            .frames
-            .iter()
-            .rev()
-            .find(|f| f.active)
-            .map(|f| f.time + self.recognizer.config().frame_len_s)
-            .unwrap_or(f64::NEG_INFINITY);
-        self.last = Some(segmentation);
+        // confirmed as a span) holds the letter open. After the length
+        // filter the latest active frame is the last frame of the last
+        // span, and the span's end is that frame's start plus the frame
+        // length.
+        let last_activity = self
+            .scorer
+            .spans()
+            .last()
+            .map_or(f64::NEG_INFINITY, |span| span.end);
         // Emitted even with no new spans: the letter stage needs every
         // tick's clock and activity to decide the close.
         out.push(SpanBatch {

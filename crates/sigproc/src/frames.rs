@@ -17,16 +17,18 @@ use crate::stats;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
-/// Workspace-wide count of frames cut by [`FrameSeq::build`] and
-/// [`FrameBuilder::build`], registered in the process-global metric
-/// registry. The `Arc` is cached so steady-state framing costs one relaxed
-/// atomic add.
+/// Workspace-wide count of frames cut from per-tag streams, registered in
+/// the process-global metric registry: every frame of a
+/// [`FrameSeq::build`], and each frame a [`FrameBuilder`] settles — once,
+/// however many builds re-emit it. The `Arc` is cached so steady-state
+/// framing costs one relaxed atomic add.
 fn frames_built_counter() -> &'static Arc<obs::Counter> {
     static COUNTER: OnceLock<Arc<obs::Counter>> = OnceLock::new();
     COUNTER.get_or_init(|| {
         obs::registry().counter(
             "sigproc_frames_built_total",
-            "Fixed-duration frames cut from per-tag streams (Eq. 11 framing).",
+            "Fixed-duration frames cut from per-tag streams (Eq. 11 framing): \
+             each frame of a batch build, and each frame a streaming builder settles.",
             &[],
         )
     })
@@ -144,16 +146,7 @@ impl FrameSeq {
 
     /// The per-frame RMS values as a plain vector.
     pub fn rms_values(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.rms_values_into(&mut out);
-        out
-    }
-
-    /// Like [`rms_values`](Self::rms_values), but reuses `out`'s allocation.
-    pub fn rms_values_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.frames.len());
-        out.extend(self.frames.iter().map(|f| f.rms));
+        self.frames.iter().map(|f| f.rms).collect()
     }
 
     /// Groups consecutive frames into non-overlapping windows of `size`
@@ -392,17 +385,19 @@ impl FrameBuilder {
         // arrives at `t >= max_time` in a monotone feed, so a frame ending
         // at or before `max_time` is settled (membership needs
         // `t < f_start + frame_len`, the same rounded expression as here).
+        let settled = self.done.len();
         while self.frame_start(self.done.len()) + self.frame_len <= self.max_time {
             let frame = self.compute_frame(self.done.len());
             self.done.push(frame);
         }
+        frames_built_counter().add((self.done.len() - settled) as u64);
         out.frames.clear();
         out.frames.reserve(count);
-        out.frames.extend(self.done.iter().take(count).copied());
+        out.frames
+            .extend_from_slice(&self.done[..count.min(self.done.len())]);
         for k in out.frames.len()..count {
             out.frames.push(self.compute_frame(k));
         }
-        frames_built_counter().add(out.frames.len() as u64);
     }
 }
 

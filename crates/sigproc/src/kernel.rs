@@ -3,9 +3,9 @@
 //! Every kernel here is a tight loop over `&[f64]` (or `&[bool]`) that
 //! writes into caller-owned output buffers (`_into` variants) or returns
 //! scalars, so a steady-state caller that reuses its buffers performs zero
-//! heap allocations. The [`Scratch`] arena bundles the intermediate buffers
-//! a kernel chain needs; it is cleared between uses, never shrunk, so its
-//! capacity converges to the high-water mark of the workload.
+//! heap allocations. Output buffers are cleared between uses, never
+//! shrunk, so their capacity converges to the high-water mark of the
+//! workload.
 //!
 //! # Bit-identity contract
 //!
@@ -29,44 +29,6 @@
 //! Each kernel is paired with a naive scalar implementation in
 //! [`mod@reference`]; proptests assert bitwise agreement on NaN-free input, and
 //! the `kernel_bench` binary in the `bench` crate times old vs. new.
-
-/// Reusable buffers for kernel chains: plain growable vectors, cleared
-/// between uses but never freed, so steady-state reuse does not allocate.
-///
-/// Fields are public so callers can borrow several buffers disjointly in
-/// one expression (e.g. read `a` while writing `b`).
-#[derive(Debug, Clone, Default)]
-pub struct Scratch {
-    /// First general-purpose `f64` buffer of a kernel chain.
-    pub a: Vec<f64>,
-    /// Second general-purpose `f64` buffer.
-    pub b: Vec<f64>,
-    /// Third general-purpose `f64` buffer.
-    pub c: Vec<f64>,
-    /// Sort buffer for [`median_of_window`] / [`median_filter_into`].
-    pub sort: Vec<f64>,
-    /// `(start, end)` index-run buffer for run-merging passes.
-    pub runs: Vec<(usize, usize)>,
-    /// Second run buffer, for passes that rewrite [`Scratch::runs`].
-    pub runs2: Vec<(usize, usize)>,
-}
-
-impl Scratch {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empties every buffer, keeping the allocated capacity.
-    pub fn clear(&mut self) {
-        self.a.clear();
-        self.b.clear();
-        self.c.clear();
-        self.sort.clear();
-        self.runs.clear();
-        self.runs2.clear();
-    }
-}
 
 /// Fused sum and sum-of-squares over one pass.
 ///
@@ -123,19 +85,6 @@ pub fn moving_average_into(data: &[f64], half: usize, out: &mut Vec<f64>) {
     }
 }
 
-/// Standard deviation of the centered window `2*half + 1` around each
-/// element (shrinking at the edges), written into `out`.
-pub fn windowed_std_into(data: &[f64], half: usize, out: &mut Vec<f64>) {
-    out.clear();
-    let n = data.len();
-    out.reserve(n);
-    for i in 0..n {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(n);
-        out.push(crate::stats::std_dev(&data[lo..hi]));
-    }
-}
-
 /// RMS of the centered window `2*half + 1` around each element (shrinking
 /// at the edges), written into `out`.
 pub fn windowed_rms_into(data: &[f64], half: usize, out: &mut Vec<f64>) {
@@ -146,19 +95,6 @@ pub fn windowed_rms_into(data: &[f64], half: usize, out: &mut Vec<f64>) {
         let lo = i.saturating_sub(half);
         let hi = (i + half + 1).min(n);
         out.push(crate::stats::rms(&data[lo..hi]));
-    }
-}
-
-/// Minimum of the centered window `2*half + 1` around each element
-/// (shrinking at the edges), written into `out` — a grayscale erosion.
-pub fn windowed_min_into(data: &[f64], half: usize, out: &mut Vec<f64>) {
-    out.clear();
-    let n = data.len();
-    out.reserve(n);
-    for i in 0..n {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(n);
-        out.push(data[lo..hi].iter().cloned().fold(f64::INFINITY, f64::min));
     }
 }
 
@@ -446,18 +382,6 @@ pub mod reference {
         out
     }
 
-    /// Allocating windowed standard deviation (map-collect).
-    pub fn windowed_std(data: &[f64], half: usize) -> Vec<f64> {
-        let n = data.len();
-        (0..n)
-            .map(|i| {
-                let lo = i.saturating_sub(half);
-                let hi = (i + half + 1).min(n);
-                crate::stats::std_dev(&data[lo..hi])
-            })
-            .collect()
-    }
-
     /// Allocating windowed RMS (map-collect).
     pub fn windowed_rms(data: &[f64], half: usize) -> Vec<f64> {
         let n = data.len();
@@ -466,18 +390,6 @@ pub mod reference {
                 let lo = i.saturating_sub(half);
                 let hi = (i + half + 1).min(n);
                 crate::stats::rms(&data[lo..hi])
-            })
-            .collect()
-    }
-
-    /// Allocating windowed minimum (map-collect erosion).
-    pub fn windowed_min(data: &[f64], half: usize) -> Vec<f64> {
-        let n = data.len();
-        (0..n)
-            .map(|i| {
-                let lo = i.saturating_sub(half);
-                let hi = (i + half + 1).min(n);
-                data[lo..hi].iter().cloned().fold(f64::INFINITY, f64::min)
             })
             .collect()
     }
@@ -626,10 +538,6 @@ mod tests {
         assert!(out.is_empty());
         moving_average_into(&[5.0], 3, &mut out);
         assert_eq!(out, vec![5.0]);
-        windowed_std_into(&[], 2, &mut out);
-        assert!(out.is_empty());
-        windowed_min_into(&[4.0], 2, &mut out);
-        assert_eq!(out, vec![4.0]);
         let (mut t, mut v) = (Vec::new(), Vec::new());
         resample_linear_into(&[1.0], &[2.0], 0.1, &mut t, &mut v);
         assert!(t.is_empty() && v.is_empty());
@@ -643,17 +551,6 @@ mod tests {
         let mut sort = Vec::new();
         assert_eq!(median_of_window(&[3.0, 1.0, 2.0], &mut sort), 2.0);
         assert_eq!(median_of_window(&[4.0, 1.0, 2.0, 3.0], &mut sort), 2.5);
-    }
-
-    #[test]
-    fn scratch_clear_keeps_capacity() {
-        let mut s = Scratch::new();
-        s.a.extend_from_slice(&[1.0; 64]);
-        s.runs.push((1, 2));
-        let cap = s.a.capacity();
-        s.clear();
-        assert!(s.a.is_empty() && s.runs.is_empty());
-        assert_eq!(s.a.capacity(), cap);
     }
 
     #[test]
@@ -694,16 +591,6 @@ mod tests {
         }
 
         #[test]
-        fn windowed_std_matches_reference(
-            data in prop::collection::vec(-1e3f64..1e3, 0..100),
-            half in 0usize..8,
-        ) {
-            let mut out = Vec::new();
-            windowed_std_into(&data, half, &mut out);
-            prop_assert_eq!(bits(&out), bits(&reference::windowed_std(&data, half)));
-        }
-
-        #[test]
         fn windowed_rms_matches_reference(
             data in prop::collection::vec(-1e3f64..1e3, 0..100),
             half in 0usize..8,
@@ -711,16 +598,6 @@ mod tests {
             let mut out = Vec::new();
             windowed_rms_into(&data, half, &mut out);
             prop_assert_eq!(bits(&out), bits(&reference::windowed_rms(&data, half)));
-        }
-
-        #[test]
-        fn windowed_min_matches_reference(
-            data in prop::collection::vec(-1e3f64..1e3, 0..100),
-            half in 0usize..8,
-        ) {
-            let mut out = Vec::new();
-            windowed_min_into(&data, half, &mut out);
-            prop_assert_eq!(bits(&out), bits(&reference::windowed_min(&data, half)));
         }
 
         #[test]

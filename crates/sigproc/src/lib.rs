@@ -20,8 +20,7 @@
 //!   empirical CDFs;
 //! - [`kernel`] — allocation-free slice kernels under the above (fused
 //!   reductions, windowed statistics, resampling, histogramming, mask
-//!   moments) with a reusable [`kernel::Scratch`] arena and naive scalar
-//!   references for bit-identity testing.
+//!   moments) with naive scalar references for bit-identity testing.
 //!
 //! # Example
 //!

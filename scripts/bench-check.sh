@@ -10,8 +10,11 @@
 # and `incremental_framing` reports_per_s must stay within BENCH_TOLERANCE
 # (default 0.6) of the committed BENCH_pipeline.json, the quiet hot path
 # must not allocate, `stroke_allocs` may not exceed its committed
-# allocations per span and `reader_allocs` its committed allocations per
-# read. Parallel-speedup checks are skipped (not
+# allocations per span, `stroke_tick_allocs` its committed allocations per
+# stroke-bearing call and `reader_allocs` its committed allocations per
+# read, and `tick_history` (a push's cost at 25-27 s of buffered history
+# over its cost at 3-5 s) may not exceed 1.5. Parallel-speedup checks are
+# skipped (not
 # gated) on single-core machines, where "parallel" has nothing to win.
 # Criterion sample time is kept short via CRITERION_SAMPLE_MS so the pass
 # stays quick.
@@ -39,6 +42,7 @@ per_unit_allocs() {
   sed -n "s/^ *\"$1\":.*\"$2\": \([0-9.]*\).*/\1/p" | head -n 1
 }
 base_stroke_allocs=$(per_unit_allocs stroke_allocs allocs_per_span <<<"$baseline")
+base_stroke_tick_allocs=$(per_unit_allocs stroke_tick_allocs allocs_per_call <<<"$baseline")
 base_reader_allocs=$(per_unit_allocs reader_allocs allocs_per_read <<<"$baseline")
 
 echo "== format =="
@@ -82,10 +86,11 @@ cargo run --release -p experiments --bin engine_bench -- --sessions 8
 echo "== kernel microbench + allocation gates =="
 # Runs the sigproc kernel suite against the naive references, feeds a
 # quiet synthetic session through the pipeline, recognizes every span of
-# the golden session and records the golden session through the simulated
-# reader, all under a counting global allocator. Merges the kernel_bench,
-# hot_path_allocs, stroke_allocs and reader_allocs entries; all three
-# allocation counts are gated below.
+# the golden session, replays it through a fresh stage graph, records it
+# through the simulated reader, all under a counting global allocator, and
+# times pushes over a short and a long quiet history. Merges the
+# kernel_bench, hot_path_allocs, stroke_allocs, stroke_tick_allocs,
+# reader_allocs and tick_history entries; all are gated below.
 cargo run --release -p bench --features count-allocs --bin kernel_bench
 
 echo "== health/debug endpoint smoke (live engine) =="
@@ -299,9 +304,29 @@ gate_allocs() { # entry field unit baseline what
 # The quiet stream above never reaches the motion stage, so
 # recognize_span over the golden session's spans is counted separately.
 gate_allocs stroke_allocs allocs_per_span span "$base_stroke_allocs" recognize_span
+# A whole stroke-bearing tick adds the span hand-off, letter assembly and
+# the grammar: every graph call that emits a stroke, counted per call.
+gate_allocs stroke_tick_allocs allocs_per_call call "$base_stroke_tick_allocs" \
+  "a stroke-bearing StageGraph call"
 # Nor does any pipeline gate see the simulator: recording the golden
 # session through the reader is counted per read.
 gate_allocs reader_allocs allocs_per_read read "$base_reader_allocs" Bench::record_session
+
+# History gate: a tick re-scores only the frames it changed, so a push may
+# cost at most 1.5x more over 25-27 s of buffered history than over 3-5 s.
+# A ratio of two timings on one host cancels the host's speed.
+history_ratio=$(sed -n 's/^ *"tick_history":.*"ratio": \([0-9.]*\).*/\1/p' \
+  BENCH_pipeline.json | head -n 1)
+if [ -z "$history_ratio" ]; then
+  echo "bench-check: tick_history entry missing from BENCH_pipeline.json" >&2
+  exit 1
+fi
+awk -v r="$history_ratio" 'BEGIN { exit !(r <= 1.5) }' || {
+  echo "bench-check: a push over 25-27 s of history costs ${history_ratio}x" \
+    "one over 3-5 s (limit 1.5); per-tick work grows with the history" >&2
+  exit 1
+}
+echo "tick_history ratio ${history_ratio} (limit 1.5): OK"
 
 # Parallel-speedup sanity: only meaningful with more than one core.
 cores=$(sed -n 's/^ *"cores": \([0-9]*\),*/\1/p' BENCH_pipeline.json | head -n 1)
