@@ -146,17 +146,6 @@ fn run_kernel_bench() -> String {
     );
     bench_pair(
         &mut kernels,
-        "windowed_rms",
-        || {
-            kernel::windowed_rms_into(std::hint::black_box(&data), HALF, &mut out);
-            std::hint::black_box(out.len());
-        },
-        || {
-            std::hint::black_box(reference::windowed_rms(std::hint::black_box(&data), HALF));
-        },
-    );
-    bench_pair(
-        &mut kernels,
         "median_filter",
         || {
             kernel::median_filter_into(std::hint::black_box(&data), 3, &mut sort, &mut out);

@@ -35,8 +35,8 @@ fn main() {
 
     let mut points = Vec::new();
     let mut biases = Vec::new();
-    for (i, &id) in layout.tags().iter().enumerate() {
-        let b = cal.tag(id).expect("calibrated").deviation_bias;
+    for (i, tag) in cal.per_tag().iter().enumerate() {
+        let b = tag.deviation_bias;
         biases.push(b);
         points.push((i + 1, format!("{b:.4} rad")));
     }

@@ -37,10 +37,10 @@ fn main() {
 
     // (a) raw: no suppression (raw unwrapped phases, no weighting).
     let raw_streams = TagStreams::build(layout, None, &observations);
-    let img_raw = accumulative_image(layout, &raw_streams, None, span.0, span.1).unwrap();
+    let img_raw = accumulative_image(layout, &raw_streams, None, span.0, span.1);
     // (b) suppressed: Eq. 8 centring + Eq. 10 weighting + noise floor.
     let sup_streams = TagStreams::build(layout, Some(cal), &observations);
-    let img_sup = accumulative_image(layout, &sup_streams, Some(cal), span.0, span.1).unwrap();
+    let img_sup = accumulative_image(layout, &sup_streams, Some(cal), span.0, span.1);
     // (c) Otsu binarization of (b).
     let binary = img_sup.otsu_binarize();
 

@@ -12,7 +12,6 @@ use hand_kinematics::stroke::{PlacedStroke, Stroke, StrokeShape};
 use hand_kinematics::user::UserProfile;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rf_sim::tags::TagId;
 use rfipad::RfipadConfig;
 
 fn main() {
@@ -32,17 +31,17 @@ fn main() {
     let (t0, t1) = (session.strokes[0].start, session.strokes[0].end);
 
     // Tags at different relative positions to the sweep line.
+    let layout = bench.recognizer.layout();
     let samples = [
-        (TagId(10), "row 2, col 0 (on the path, start)"),
-        (TagId(12), "row 2, col 2 (on the path, centre)"),
-        (TagId(2), "row 0, col 2 (one row above path)"),
-        (TagId(22), "row 4, col 2 (two rows below path)"),
+        ((2, 0), "row 2, col 0 (on the path, start)"),
+        ((2, 2), "row 2, col 2 (on the path, centre)"),
+        ((0, 2), "row 0, col 2 (one row above path)"),
+        ((4, 2), "row 4, col 2 (two rows below path)"),
     ];
     let mut rows = Vec::new();
-    for (id, where_) in samples {
-        let Some(series) = streams.phase(id) else {
-            continue;
-        };
+    for ((r, c), where_) in samples {
+        let id = layout.at(r, c);
+        let series = &streams.phases()[r * layout.cols() + c];
         let (_, values) = series.window(t0, t1);
         if values.len() < 8 {
             continue;

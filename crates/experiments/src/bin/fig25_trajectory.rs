@@ -48,8 +48,7 @@ fn main() {
             Some(bench.recognizer.calibration()),
             stroke.span.start,
             stroke.span.end,
-        )
-        .expect("image");
+        );
         println!("RFIPad gray map:");
         print!("{}", img.to_ascii());
         println!("after Otsu:");

@@ -29,17 +29,17 @@ impl fmt::Display for TagId {
 
 /// A cheap multiplicative hasher for [`TagId`] keys.
 ///
-/// The reader's session flags and the recognizer's per-tag state (layout
-/// membership, calibration, unwrap state, stream series) are all probed
-/// once or more per read, and `std`'s default SipHash dominates each probe
-/// for a key that is just one `u64`. This hasher multiplies the id by
-/// 2⁶⁴/φ (Fibonacci hashing): one `wrapping_mul` spreads consecutive ids
-/// into well-separated buckets. Tag ids come from the deployment's own
+/// The reader's session flags and the recognizer's layout index are
+/// probed once or more per read, and `std`'s default SipHash dominates
+/// each probe for a key that is just one `u64`. This hasher multiplies the
+/// id by 2⁶⁴/φ (Fibonacci hashing): one `wrapping_mul` spreads consecutive
+/// ids into well-separated buckets. Tag ids come from the deployment's own
 /// tags, not from untrusted input, so HashDoS resistance buys nothing.
 ///
-/// Only lookups get faster. Nothing iterates these maps in an
-/// order-sensitive way, so every report and recognized letter is
-/// unchanged.
+/// A map's iteration order follows from this hasher and its insertion
+/// history, and one result depends on it: the recognizer's calibration
+/// sums its mean deviation bias over such a map, so a different hasher
+/// moves the last bits of every calibration.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TagIdHasher(u64);
 

@@ -18,7 +18,7 @@
 
 use crate::epc::Epc96;
 use crate::report::TagReport;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use obs::json::JsonError;
 use rf_sim::tags::TagId;
 use std::fmt;
@@ -133,9 +133,9 @@ fn report_from_json(line: &str) -> Result<TagReport, JsonError> {
     })
 }
 
-/// Encodes one report as a length-prefixed binary record.
-pub fn encode_binary_record(r: &TagReport) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(4 + BINARY_RECORD_LEN);
+/// Appends one report to `buf` as a length-prefixed binary record, so a
+/// caller encoding many records reuses one buffer.
+pub fn put_binary_record(buf: &mut Vec<u8>, r: &TagReport) {
     buf.put_u32(BINARY_RECORD_LEN as u32);
     buf.put_slice(r.epc.as_bytes());
     buf.put_u64(r.tag.0);
@@ -145,7 +145,6 @@ pub fn encode_binary_record(r: &TagReport) -> Vec<u8> {
     buf.put_u64(r.doppler_hz.to_bits());
     buf.put_u16(r.antenna_port);
     buf.put_u16(r.channel_index);
-    buf.to_vec()
 }
 
 /// Reads one length-prefixed binary record, or `None` at a clean
@@ -227,8 +226,11 @@ pub fn write_trace<W: Write>(
         }
         TraceFormat::Binary => {
             writer.write_all(&BINARY_MAGIC)?;
+            let mut record = Vec::with_capacity(4 + BINARY_RECORD_LEN);
             for r in reports {
-                writer.write_all(&encode_binary_record(r))?;
+                record.clear();
+                put_binary_record(&mut record, r);
+                writer.write_all(&record)?;
             }
         }
     }

@@ -34,7 +34,7 @@
 //! [`IngestClient::connect`] assumes TCP.
 
 use crate::report::{ReportBatch, TagReport};
-use crate::trace::{encode_binary_record, read_binary_record_into, TraceError, BINARY_RECORD_LEN};
+use crate::trace::{put_binary_record, read_binary_record_into, TraceError, BINARY_RECORD_LEN};
 use bytes::BufMut;
 use std::fmt;
 use std::io::{Read, Write};
@@ -334,7 +334,7 @@ pub fn encode_frame_v(frame: &Frame, version: u16) -> Vec<u8> {
             payload.put_u32(reports.len() as u32);
             payload.reserve(reports.len() * (4 + BINARY_RECORD_LEN));
             for r in reports {
-                payload.extend_from_slice(&encode_binary_record(r));
+                put_binary_record(&mut payload, r);
             }
             if traced {
                 put_trace(&mut payload, trace);

@@ -9,36 +9,23 @@
 //! location diversity.
 
 use crate::calibration::Calibration;
-use crate::error::RfipadError;
 use crate::layout::ArrayLayout;
 use crate::streams::TagStreams;
-use rfid_gen2::report::TagId;
 use sigproc::grid::GridImage;
+use sigproc::series::TimeSeries;
 
-/// Accumulative (weighted) phase difference for one tag over `[start, end)`.
-///
-/// Returns 0.0 for a tag with fewer than two samples in the span.
-pub fn accumulate_tag(streams: &TagStreams, id: TagId, start: f64, end: f64) -> f64 {
-    accumulate_tag_denoised(streams, id, start, end, 0.0)
-}
-
-/// Accumulative phase difference with the noise floor removed.
+/// Accumulative phase difference of one tag's phase series over
+/// `[start, end)`, with the noise floor of per-sample deviation
+/// `noise_sigma` removed (`0.0` keeps the raw sum).
 ///
 /// Measurement noise alone makes `Σ|Δθ|` grow linearly with the number of
 /// samples: for per-sample noise of deviation σ, each consecutive pair
 /// contributes `E|N(0,σ)−N(0,σ)| = 2σ/√π` in expectation. Subtracting that
 /// expectation (clamping at zero) leaves only motion-induced accumulation,
 /// sharpening the gray image's foreground/background contrast before Otsu.
-pub fn accumulate_tag_denoised(
-    streams: &TagStreams,
-    id: TagId,
-    start: f64,
-    end: f64,
-    noise_sigma: f64,
-) -> f64 {
-    let Some(series) = streams.phase(id) else {
-        return 0.0;
-    };
+///
+/// Returns 0.0 for a series with fewer than two samples in the span.
+pub fn accumulate_phase(series: &TimeSeries, start: f64, end: f64, noise_sigma: f64) -> f64 {
     let (_, values) = series.window(start, end);
     if values.len() < 2 {
         return 0.0;
@@ -54,40 +41,43 @@ pub fn accumulate_tag_denoised(
 ///
 /// With `calibration = Some(..)`, each tag's sum is multiplied by the
 /// Eq. 10 inverse weight `wᵢ⁻¹` (deviation-bias suppression). With `None`
-/// the raw sums are used — the paper's Fig. 7(a) baseline.
-///
-/// # Errors
-///
-/// Returns [`RfipadError::UnknownTag`] if the calibration is missing a
-/// layout tag.
+/// the raw sums are used — the paper's Fig. 7(a) baseline. Streams and
+/// calibration must belong to `layout`, as a [`crate::Recognizer`]'s do.
 pub fn accumulative_image(
     layout: &ArrayLayout,
     streams: &TagStreams,
     calibration: Option<&Calibration>,
     start: f64,
     end: f64,
-) -> Result<GridImage, RfipadError> {
+) -> GridImage {
     let mut img = GridImage::zeros(layout.rows(), layout.cols());
-    // `tags()` is row-major, so a tag's index in it is its cell's index.
-    for (&id, cell) in layout.tags().iter().zip(img.data_mut()) {
-        *cell = match calibration {
-            Some(cal) => {
+    // Streams are in layout order, which is row-major: a stream's index is
+    // its cell's index.
+    let cells = img.data_mut().iter_mut().zip(streams.phases());
+    match calibration {
+        Some(cal) => {
+            for ((cell, series), (tag, inverse_weight)) in
+                cells.zip(cal.per_tag().iter().zip(cal.inverse_weights()))
+            {
                 // Per-sample noise deviation of the suppressed stream is
                 // the tag's calibrated deviation bias.
-                let sigma = cal.tag(id)?.deviation_bias;
-                accumulate_tag_denoised(streams, id, start, end, sigma) * cal.inverse_weight(id)?
+                *cell = accumulate_phase(series, start, end, tag.deviation_bias) * inverse_weight;
             }
-            None => accumulate_tag(streams, id, start, end),
-        };
+        }
+        None => {
+            for (cell, series) in cells {
+                *cell = accumulate_phase(series, start, end, 0.0);
+            }
+        }
     }
-    Ok(img)
+    img
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RfipadConfig;
-    use rfid_gen2::report::TagReport;
+    use rfid_gen2::report::{TagId, TagReport};
     use std::f64::consts::TAU;
 
     fn layout() -> ArrayLayout {
@@ -114,7 +104,7 @@ mod tests {
     fn moving_tag_accumulates_most() {
         let observations = wiggle_observations();
         let streams = TagStreams::build(&layout(), None, &observations);
-        let img = accumulative_image(&layout(), &streams, None, 0.0, 3.0).unwrap();
+        let img = accumulative_image(&layout(), &streams, None, 0.0, 3.0);
         assert!(img.get(0, 1) > 10.0 * img.get(0, 0));
         assert!(img.get(0, 1) > 10.0 * img.get(0, 2));
     }
@@ -123,7 +113,7 @@ mod tests {
     fn empty_span_gives_zero_image() {
         let observations = wiggle_observations();
         let streams = TagStreams::build(&layout(), None, &observations);
-        let img = accumulative_image(&layout(), &streams, None, 10.0, 11.0).unwrap();
+        let img = accumulative_image(&layout(), &streams, None, 10.0, 11.0);
         assert!(img.data().iter().all(|&v| v == 0.0));
     }
 
@@ -131,7 +121,7 @@ mod tests {
     fn single_sample_accumulates_zero() {
         let observations = vec![obs(TagId(0), 0.0, 1.0)];
         let streams = TagStreams::build(&layout(), None, &observations);
-        assert_eq!(accumulate_tag(&streams, TagId(0), 0.0, 1.0), 0.0);
+        assert_eq!(accumulate_phase(&streams.phases()[0], 0.0, 1.0, 0.0), 0.0);
     }
 
     #[test]
@@ -158,8 +148,8 @@ mod tests {
             motion.push(obs(TagId(2), t + 0.02, 5.0 + 0.5 * (j as f64 * 0.9).sin()));
         }
         let streams = TagStreams::build(&layout(), Some(&cal), &motion);
-        let weighted = accumulative_image(&layout(), &streams, Some(&cal), 0.0, 3.0).unwrap();
-        let unweighted = accumulative_image(&layout(), &streams, None, 0.0, 3.0).unwrap();
+        let weighted = accumulative_image(&layout(), &streams, Some(&cal), 0.0, 3.0);
+        let unweighted = accumulative_image(&layout(), &streams, None, 0.0, 3.0);
         // Unweighted: both tags similar.
         let ratio_raw = unweighted.get(0, 0) / unweighted.get(0, 2);
         assert!((0.5..2.0).contains(&ratio_raw), "raw ratio {ratio_raw}");
@@ -172,7 +162,7 @@ mod tests {
     fn image_dimensions_follow_layout() {
         let observations = wiggle_observations();
         let streams = TagStreams::build(&layout(), None, &observations);
-        let img = accumulative_image(&layout(), &streams, None, 0.0, 3.0).unwrap();
+        let img = accumulative_image(&layout(), &streams, None, 0.0, 3.0);
         assert_eq!(img.rows(), 1);
         assert_eq!(img.cols(), 3);
     }

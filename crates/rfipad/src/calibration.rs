@@ -22,7 +22,6 @@ use serde::{Deserialize, Serialize};
 use sigproc::frames::FrameSeq;
 use sigproc::series::TimeSeries;
 use sigproc::stats;
-use std::collections::HashMap;
 use std::f64::consts::{PI, TAU};
 
 /// Minimum static samples per tag for a trustworthy calibration (the paper
@@ -79,10 +78,13 @@ pub struct TagCalibration {
     pub samples: usize,
 }
 
-/// The complete static calibration of a pad.
+/// The complete static calibration of a pad, per tag in layout order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Calibration {
-    per_tag: TagIdMap<TagId, TagCalibration>,
+    /// The layout's tag ids the calibration was taken on, in layout order.
+    tags: Vec<TagId>,
+    /// Per-tag statistics, in the same order.
+    per_tag: Vec<TagCalibration>,
     /// Mean deviation bias across the array (weighting normalizer).
     mean_bias: f64,
     /// Median `std(rms(w))` of static windows — the quiet-floor for Eq. 12.
@@ -110,52 +112,51 @@ impl Calibration {
         if observations.is_empty() {
             return Err(RfipadError::EmptyStream);
         }
-        let mut phases: HashMap<TagId, Vec<f64>> = HashMap::new();
-        let mut rss: HashMap<TagId, Vec<f64>> = HashMap::new();
+        let mut reads: Vec<Vec<&TagReport>> = vec![Vec::new(); layout.len()];
         for obs in observations {
-            if !layout.contains(obs.tag) {
-                return Err(RfipadError::UnknownTag(obs.tag));
-            }
-            phases.entry(obs.tag).or_default().push(obs.phase);
-            rss.entry(obs.tag).or_default().push(obs.rss_dbm);
+            let index = layout
+                .index(obs.tag)
+                .ok_or(RfipadError::UnknownTag(obs.tag))?;
+            reads[index].push(obs);
         }
 
-        let mut per_tag = TagIdMap::default();
-        per_tag.reserve(layout.len());
-        for &id in layout.tags() {
-            let tag_phases = phases.get(&id).map(Vec::as_slice).unwrap_or(&[]);
-            if tag_phases.len() < MIN_SAMPLES_PER_TAG {
+        let mut per_tag = Vec::with_capacity(layout.len());
+        for (&id, tag_reads) in layout.tags().iter().zip(&reads) {
+            if tag_reads.len() < MIN_SAMPLES_PER_TAG {
                 return Err(RfipadError::InsufficientCalibration {
                     tag: id,
-                    got: tag_phases.len(),
+                    got: tag_reads.len(),
                     need: MIN_SAMPLES_PER_TAG,
                 });
             }
-            per_tag.insert(
-                id,
-                TagCalibration {
-                    mean_phase: circular_mean(tag_phases),
-                    deviation_bias: circular_std(tag_phases).max(MIN_DEVIATION_BIAS),
-                    mean_rss: stats::mean(rss.get(&id).map(Vec::as_slice).unwrap_or(&[])),
-                    samples: tag_phases.len(),
-                },
-            );
+            let phases: Vec<f64> = tag_reads.iter().map(|o| o.phase).collect();
+            let rss: Vec<f64> = tag_reads.iter().map(|o| o.rss_dbm).collect();
+            per_tag.push(TagCalibration {
+                mean_phase: circular_mean(&phases),
+                deviation_bias: circular_std(&phases).max(MIN_DEVIATION_BIAS),
+                mean_rss: stats::mean(&rss),
+                samples: tag_reads.len(),
+            });
         }
-        let mean_bias = stats::mean(
-            &per_tag
-                .values()
-                .map(|c| c.deviation_bias)
-                .collect::<Vec<_>>(),
-        )
-        .max(1e-9);
+        // Summed in the iteration order of a `TagIdMap` filled in layout
+        // order, not in layout order: summing in layout order moves the
+        // last bits of the mean on most deployments, and with them every
+        // Eq. 10 weight and the pinned figures and traces.
+        let mut biases: TagIdMap<TagId, f64> = TagIdMap::default();
+        biases.reserve(layout.len());
+        for (&id, tag) in layout.tags().iter().zip(&per_tag) {
+            biases.insert(id, tag.deviation_bias);
+        }
+        let mean_bias = stats::mean(&biases.into_values().collect::<Vec<_>>()).max(1e-9);
 
         // Quiet-floor estimation: frame the *suppressed* static phases
         // exactly the way the segmenter will and record the typical
         // std(rms(w)).
         let (static_window_std, static_frame_rms) =
-            Self::compute_static_floors(layout, &per_tag, observations, config);
+            Self::compute_static_floors(&reads, &per_tag, observations, config);
 
         Ok(Self {
+            tags: layout.tags().to_vec(),
             per_tag,
             mean_bias,
             static_window_std,
@@ -164,19 +165,11 @@ impl Calibration {
     }
 
     fn compute_static_floors(
-        layout: &ArrayLayout,
-        per_tag: &TagIdMap<TagId, TagCalibration>,
+        reads: &[Vec<&TagReport>],
+        per_tag: &[TagCalibration],
         observations: &[TagReport],
         config: &RfipadConfig,
     ) -> (f64, f64) {
-        let mut streams: HashMap<TagId, TimeSeries> = HashMap::new();
-        for obs in observations {
-            let mean = per_tag[&obs.tag].mean_phase;
-            streams
-                .entry(obs.tag)
-                .or_default()
-                .push(obs.time, wrap_to_pi(obs.phase - mean));
-        }
         let start = observations
             .iter()
             .map(|o| o.time)
@@ -188,11 +181,15 @@ impl Calibration {
         if end - start < config.frame_len_s * config.window_frames as f64 {
             return (0.0, 0.0);
         }
-        let mut series: Vec<TimeSeries> = Vec::with_capacity(layout.len());
-        let mut floors: Vec<f64> = Vec::with_capacity(layout.len());
-        for id in layout.tags() {
-            series.push(streams.remove(id).unwrap_or_default());
-            floors.push(config.noise_floor_kappa * per_tag[id].deviation_bias);
+        let mut series: Vec<TimeSeries> = Vec::with_capacity(per_tag.len());
+        let mut floors: Vec<f64> = Vec::with_capacity(per_tag.len());
+        for (tag_reads, tag) in reads.iter().zip(per_tag) {
+            let mut stream = TimeSeries::default();
+            for obs in tag_reads {
+                stream.push(obs.time, wrap_to_pi(obs.phase - tag.mean_phase));
+            }
+            series.push(stream);
+            floors.push(config.noise_floor_kappa * tag.deviation_bias);
         }
         let frames =
             FrameSeq::build_with_floors(&series, Some(&floors), start, end, config.frame_len_s);
@@ -204,44 +201,26 @@ impl Calibration {
         (stats::median(&stds), stats::median(&frames.rms_values()))
     }
 
-    /// Per-tag statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfipadError::UnknownTag`] for tags outside the calibration.
-    pub fn tag(&self, id: TagId) -> Result<&TagCalibration, RfipadError> {
-        self.per_tag.get(&id).ok_or(RfipadError::UnknownTag(id))
+    /// The tag ids the calibration was taken on, in layout order.
+    pub fn tag_ids(&self) -> &[TagId] {
+        &self.tags
     }
 
-    /// θ̃ᵢ for a tag.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfipadError::UnknownTag`] for tags outside the calibration.
-    pub fn mean_phase(&self, id: TagId) -> Result<f64, RfipadError> {
-        self.tag(id).map(|c| c.mean_phase)
+    /// Per-tag statistics, in layout order.
+    pub fn per_tag(&self) -> &[TagCalibration] {
+        &self.per_tag
     }
 
-    /// The Eq. 9 weight `wᵢ = bᵢ / Σbⱼ` (up to the array-size constant we
-    /// report it relative to the mean bias: `wᵢ ∝ bᵢ / mean(b)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfipadError::UnknownTag`] for tags outside the calibration.
-    pub fn weight(&self, id: TagId) -> Result<f64, RfipadError> {
-        self.tag(id)
-            .map(|c| c.deviation_bias.max(0.1 * self.mean_bias) / self.mean_bias)
-    }
-
-    /// The Eq. 10 multiplier `wᵢ⁻¹`: tags with high deviation bias are
-    /// weakened, quiet tags boosted. Floored at 10% of the mean bias to
-    /// keep a near-perfect tag from dominating the image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfipadError::UnknownTag`] for tags outside the calibration.
-    pub fn inverse_weight(&self, id: TagId) -> Result<f64, RfipadError> {
-        self.weight(id).map(|w| 1.0 / w)
+    /// The Eq. 10 multipliers `wᵢ⁻¹` in layout order: tags with high
+    /// deviation bias are weakened, quiet tags boosted. The Eq. 9 weight
+    /// `wᵢ = bᵢ / Σbⱼ` is taken relative to the mean bias instead (the two
+    /// differ by the array-size constant), `wᵢ ∝ bᵢ / mean(b)`, and `bᵢ` is
+    /// floored at 10% of the mean bias to keep a near-perfect tag from
+    /// dominating the image.
+    pub fn inverse_weights(&self) -> impl Iterator<Item = f64> + '_ {
+        self.per_tag
+            .iter()
+            .map(|c| 1.0 / (c.deviation_bias.max(0.1 * self.mean_bias) / self.mean_bias))
     }
 
     /// The Eq. 12 activity threshold: `threshold_scale` × the static quiet
@@ -259,18 +238,10 @@ impl Calibration {
 
     /// Per-tag noise floors (κ · deviation bias) in layout order, for the
     /// excess-RMS framing.
-    pub fn noise_floors(&self, layout: &ArrayLayout, config: &RfipadConfig) -> Vec<f64> {
-        layout
-            .tags()
+    pub fn noise_floors(&self, config: &RfipadConfig) -> Vec<f64> {
+        self.per_tag
             .iter()
-            .map(|id| {
-                config.noise_floor_kappa
-                    * self
-                        .per_tag
-                        .get(id)
-                        .map(|c| c.deviation_bias)
-                        .unwrap_or(0.0)
-            })
+            .map(|c| config.noise_floor_kappa * c.deviation_bias)
             .collect()
     }
 
@@ -331,14 +302,17 @@ mod tests {
         obs.extend(static_obs(TagId(1), 4.0, 0.2, 40));
         let cal =
             Calibration::from_observations(&layout(), &obs, &RfipadConfig::default()).unwrap();
-        assert!((cal.mean_phase(TagId(0)).unwrap() - 1.0).abs() < 0.05);
-        assert!((cal.mean_phase(TagId(1)).unwrap() - 4.0).abs() < 0.15);
-        // Tag 1 jitters 10× more → larger bias, larger weight, smaller
-        // inverse weight.
-        let b0 = cal.tag(TagId(0)).unwrap().deviation_bias;
-        let b1 = cal.tag(TagId(1)).unwrap().deviation_bias;
+        assert_eq!(cal.tag_ids(), layout().tags());
+        let [t0, t1] = cal.per_tag() else {
+            panic!("two tags calibrated")
+        };
+        assert!((t0.mean_phase - 1.0).abs() < 0.05);
+        assert!((t1.mean_phase - 4.0).abs() < 0.15);
+        // Tag 1 jitters 10× more → larger bias, smaller inverse weight.
+        let (b0, b1) = (t0.deviation_bias, t1.deviation_bias);
         assert!(b1 > 3.0 * b0, "biases {b0} {b1}");
-        assert!(cal.inverse_weight(TagId(0)).unwrap() > cal.inverse_weight(TagId(1)).unwrap());
+        let w: Vec<f64> = cal.inverse_weights().collect();
+        assert!(w[0] > w[1], "inverse weights {w:?}");
     }
 
     #[test]

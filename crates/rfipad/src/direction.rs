@@ -102,8 +102,7 @@ impl DirectionEstimator {
         let mut out = Vec::new();
         let mut smoothed = Vec::new();
         for (r, c) in motion.mask.foreground() {
-            let id = layout.at(r, c);
-            let Some(series) = streams.rss(id) else {
+            let Some(series) = streams.rss_levels().get(r * layout.cols() + c) else {
                 continue;
             };
             // Pad the span slightly: the trough of an edge tag can sit right
@@ -145,8 +144,7 @@ impl DirectionEstimator {
     ) -> DirectionEstimate {
         let mut pseudo_troughs = Vec::new();
         for (r, c) in motion.mask.foreground() {
-            let id = layout.at(r, c);
-            let Some(series) = streams.phase(id) else {
+            let Some(series) = streams.phases().get(r * layout.cols() + c) else {
                 continue;
             };
             let (times, values) = series.window(start, end);

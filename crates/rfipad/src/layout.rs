@@ -1,6 +1,5 @@
 //! The logical tag-array layout: tag ids ↔ grid positions.
 
-use crate::error::RfipadError;
 use rfid_gen2::report::{TagId, TagIdMap};
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +12,7 @@ pub struct ArrayLayout {
     rows: usize,
     cols: usize,
     cells: Vec<TagId>,
-    index: TagIdMap<TagId, (usize, usize)>,
+    index: TagIdMap<TagId, usize>,
 }
 
 impl ArrayLayout {
@@ -29,7 +28,7 @@ impl ArrayLayout {
         let mut index = TagIdMap::default();
         index.reserve(cells.len());
         for (i, &id) in cells.iter().enumerate() {
-            let prev = index.insert(id, (i / cols, i % cols));
+            let prev = index.insert(id, i);
             assert!(prev.is_none(), "duplicate tag id {id}");
         }
         Self {
@@ -65,18 +64,6 @@ impl ArrayLayout {
         &self.cells
     }
 
-    /// Grid position of a tag.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfipadError::UnknownTag`] for ids outside the layout.
-    pub fn position(&self, id: TagId) -> Result<(usize, usize), RfipadError> {
-        self.index
-            .get(&id)
-            .copied()
-            .ok_or(RfipadError::UnknownTag(id))
-    }
-
     /// The tag at a grid cell.
     ///
     /// # Panics
@@ -87,16 +74,11 @@ impl ArrayLayout {
         self.cells[row * self.cols + col]
     }
 
-    /// Whether the layout contains a tag.
-    pub fn contains(&self, id: TagId) -> bool {
-        self.index.contains_key(&id)
-    }
-
-    /// Row-major index of a tag — its position in [`tags`](Self::tags) and
-    /// thus its stream index in `TagStreams::phase_series` order. `None`
-    /// for ids outside the layout.
-    pub fn stream_index(&self, id: TagId) -> Option<usize> {
-        self.index.get(&id).map(|&(r, c)| r * self.cols + c)
+    /// Row-major index of a tag: its place in [`tags`](Self::tags), hence
+    /// its cell's index and the index of its per-tag state everywhere
+    /// (streams, calibration, frames). `None` for ids outside the layout.
+    pub fn index(&self, id: TagId) -> Option<usize> {
+        self.index.get(&id).copied()
     }
 }
 
@@ -111,28 +93,22 @@ mod tests {
     #[test]
     fn positions_row_major() {
         let l = layout();
-        assert_eq!(l.position(TagId(0)).unwrap(), (0, 0));
-        assert_eq!(l.position(TagId(4)).unwrap(), (1, 1));
+        assert_eq!(l.index(TagId(0)), Some(0));
+        assert_eq!(l.index(TagId(4)), Some(4)); // row 1, col 1
         assert_eq!(l.at(1, 2), TagId(5));
     }
 
     #[test]
-    fn stream_index_matches_tags_order() {
+    fn index_matches_tags_order() {
         let l = layout();
         for (i, &id) in l.tags().iter().enumerate() {
-            assert_eq!(l.stream_index(id), Some(i));
+            assert_eq!(l.index(id), Some(i));
         }
-        assert_eq!(l.stream_index(TagId(99)), None);
     }
 
     #[test]
-    fn unknown_tag_errors() {
-        let l = layout();
-        assert_eq!(
-            l.position(TagId(99)),
-            Err(RfipadError::UnknownTag(TagId(99)))
-        );
-        assert!(!l.contains(TagId(99)));
+    fn unknown_tag_has_no_index() {
+        assert_eq!(layout().index(TagId(99)), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::segmentation::{Segmentation, Segmenter, StrokeSpan};
 use crate::stage::{PipelineEvent, StageGraph};
 use crate::streams::TagStreams;
 use hand_kinematics::stroke::Stroke;
-use rfid_gen2::report::TagReport;
+use rfid_gen2::report::{TagId, TagReport};
 use serde::{Deserialize, Serialize};
 
 /// One fully recognized stroke.
@@ -97,7 +97,8 @@ impl RecognizerBuilder {
     /// # Errors
     ///
     /// Returns [`RfipadError::InvalidConfig`] if layout or calibration is
-    /// missing, or if the configuration fails [`RfipadConfig::validate`].
+    /// missing, if the calibration was taken on another layout, or if the
+    /// configuration fails [`RfipadConfig::validate`].
     pub fn build(self) -> Result<Recognizer, RfipadError> {
         let layout = self.layout.ok_or_else(|| {
             RfipadError::invalid_field("RecognizerBuilder", "layout", "required but not set")
@@ -105,6 +106,24 @@ impl RecognizerBuilder {
         let calibration = self.calibration.ok_or_else(|| {
             RfipadError::invalid_field("RecognizerBuilder", "calibration", "required but not set")
         })?;
+        // Per-tag state is found by layout index, so a calibration of other
+        // tags (or of the same tags in another order) would silently lend
+        // one tag's statistics to another.
+        let (ours, theirs) = (layout.tags(), calibration.tag_ids());
+        if ours != theirs {
+            let i = ours.iter().zip(theirs).take_while(|(a, b)| a == b).count();
+            let at = |tags: &[TagId]| tags.get(i).map_or("no tag".into(), ToString::to_string);
+            return Err(RfipadError::invalid_field(
+                "RecognizerBuilder",
+                "calibration",
+                format!(
+                    "taken on another layout: index {i} holds {} in the calibration but {} \
+                     in the layout",
+                    at(theirs),
+                    at(ours)
+                ),
+            ));
+        }
         let config = self.config.unwrap_or_default();
         config.validate().map_err(|e| match e {
             RfipadError::InvalidConfig(msg) => {
@@ -184,7 +203,7 @@ impl Recognizer {
         span: StrokeSpan,
     ) -> Option<RecognizedStroke> {
         let cal = self.config.suppress_diversity.then_some(&self.calibration);
-        let image = accumulative_image(&self.layout, streams, cal, span.start, span.end).ok()?;
+        let image = accumulative_image(&self.layout, streams, cal, span.start, span.end);
         let mut motion = self.motion.recognize(&image)?;
 
         // Temporal path classification: intensity centroids of sub-spans
@@ -289,15 +308,13 @@ impl Recognizer {
         let cal = self.config.suppress_diversity.then_some(&self.calibration);
         let mut path = Vec::with_capacity(windows.len());
         for &(a, b) in windows {
-            let Ok(img) = accumulative_image(
+            let img = accumulative_image(
                 &self.layout,
                 streams,
                 cal,
                 span.start + a * duration,
                 span.start + b * duration,
-            ) else {
-                continue;
-            };
+            );
             let peak = sigproc::stats::max(img.data());
             if !peak.is_finite() || peak <= 0.0 {
                 continue;
@@ -329,14 +346,13 @@ impl Recognizer {
     /// recording — the segmentation the Fig. 9/22 diagnostics print and
     /// score.
     pub fn segment(&self, streams: &TagStreams) -> Segmentation {
-        self.segmenter
-            .segment(&self.layout, streams, &self.calibration)
+        self.segmenter.segment(streams, &self.calibration)
     }
 
     /// Per-stream noise floors in layout order — the `floors` argument the
     /// calibrated segmentation applies during framing.
     pub fn noise_floors(&self) -> Vec<f64> {
-        self.calibration.noise_floors(&self.layout, &self.config)
+        self.calibration.noise_floors(&self.config)
     }
 
     /// Recognizes a whole recording by replaying it through a
@@ -374,7 +390,6 @@ impl Recognizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_gen2::report::TagId;
     use std::f64::consts::TAU;
 
     fn layout() -> ArrayLayout {
@@ -499,6 +514,45 @@ mod tests {
             .build()
             .expect("default config valid");
         assert_eq!(built.config(), &RfipadConfig::default());
+    }
+
+    #[test]
+    fn builder_refuses_a_calibration_of_another_layout() {
+        let config = RfipadConfig::default();
+        let calibrate = |ids: std::ops::Range<u64>| {
+            let layout = ArrayLayout::new(1, 3, ids.clone().map(TagId).collect());
+            let reports: Vec<TagReport> = (0..40)
+                .flat_map(|j| {
+                    ids.clone()
+                        .map(move |id| obs(TagId(id), j as f64 * 0.05, 1.0, -45.0))
+                })
+                .collect();
+            let cal = Calibration::from_observations(&layout, &reports, &config).unwrap();
+            (layout, cal)
+        };
+        let (ours, _) = calibrate(0..3);
+        let (_, theirs) = calibrate(10..13);
+        let err = Recognizer::builder()
+            .layout(ours.clone())
+            .calibration(theirs)
+            .build()
+            .expect_err("a calibration of tags 10..13 cannot serve tags 0..3");
+        assert!(matches!(err, RfipadError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("tag-0010"), "{err}");
+        // The same tags in another order are refused too.
+        let swapped = ArrayLayout::new(1, 3, vec![TagId(0), TagId(2), TagId(1)]);
+        let (_, cal) = calibrate(0..3);
+        let err = Recognizer::builder()
+            .layout(swapped)
+            .calibration(cal.clone())
+            .build()
+            .expect_err("tags 1 and 2 swapped");
+        assert!(err.to_string().contains("index 1"), "{err}");
+        assert!(Recognizer::builder()
+            .layout(ours)
+            .calibration(cal)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::calibration::Calibration;
 use crate::config::RfipadConfig;
-use crate::layout::ArrayLayout;
 use crate::streams::TagStreams;
 use serde::{Deserialize, Serialize};
 use sigproc::frames::{Frame, FrameSeq};
@@ -73,16 +72,10 @@ impl Segmenter {
     }
 
     /// Segments the streams using the calibrated activity thresholds.
-    pub fn segment(
-        &self,
-        layout: &ArrayLayout,
-        streams: &TagStreams,
-        calibration: &Calibration,
-    ) -> Segmentation {
+    pub fn segment(&self, streams: &TagStreams, calibration: &Calibration) -> Segmentation {
         self.segment_inner(
-            layout,
             streams,
-            Some(calibration.noise_floors(layout, &self.config)),
+            Some(calibration.noise_floors(&self.config)),
             calibration.activity_threshold(&self.config),
             calibration.rms_level_threshold(&self.config),
         )
@@ -90,13 +83,8 @@ impl Segmenter {
 
     /// Segments with the variance criterion only (the paper's literal
     /// Eq. 12; ablations / tuning).
-    pub fn segment_with_threshold(
-        &self,
-        layout: &ArrayLayout,
-        streams: &TagStreams,
-        threshold: f64,
-    ) -> Segmentation {
-        self.segment_with_thresholds(layout, streams, threshold, f64::INFINITY)
+    pub fn segment_with_threshold(&self, streams: &TagStreams, threshold: f64) -> Segmentation {
+        self.segment_with_thresholds(streams, threshold, f64::INFINITY)
     }
 
     /// Segments with explicit variance and RMS-level thresholds. A frame is
@@ -105,17 +93,15 @@ impl Segmenter {
     /// the level threshold.
     pub fn segment_with_thresholds(
         &self,
-        layout: &ArrayLayout,
         streams: &TagStreams,
         threshold: f64,
         rms_threshold: f64,
     ) -> Segmentation {
-        self.segment_inner(layout, streams, None, threshold, rms_threshold)
+        self.segment_inner(streams, None, threshold, rms_threshold)
     }
 
     fn segment_inner(
         &self,
-        layout: &ArrayLayout,
         streams: &TagStreams,
         floors: Option<Vec<f64>>,
         threshold: f64,
@@ -128,9 +114,8 @@ impl Segmenter {
                 threshold,
             };
         };
-        let series = streams.phase_series(layout);
         let frame_seq = FrameSeq::build_with_floors(
-            &series,
+            streams.phases(),
             floors.as_deref(),
             start,
             end,
@@ -405,6 +390,7 @@ fn restart_point(raw: &[bool]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::ArrayLayout;
     use rfid_gen2::report::{TagId, TagReport};
     use std::f64::consts::TAU;
 
@@ -441,7 +427,7 @@ mod tests {
     #[test]
     fn two_strokes_found() {
         let streams = two_stroke_streams();
-        let seg = segmenter().segment_with_threshold(&layout(), &streams, 0.1);
+        let seg = segmenter().segment_with_threshold(&streams, 0.1);
         assert_eq!(seg.spans.len(), 2, "spans {:?}", seg.spans);
         let s0 = seg.spans[0];
         let s1 = seg.spans[1];
@@ -461,7 +447,7 @@ mod tests {
             }
         }
         let streams = TagStreams::build(&layout(), None, &observations);
-        let seg = segmenter().segment_with_threshold(&layout(), &streams, 0.1);
+        let seg = segmenter().segment_with_threshold(&streams, 0.1);
         assert!(seg.spans.is_empty(), "{:?}", seg.spans);
     }
 
@@ -478,14 +464,14 @@ mod tests {
             }
         }
         let streams = TagStreams::build(&layout(), None, &observations);
-        let seg = segmenter().segment_with_threshold(&layout(), &streams, 0.1);
+        let seg = segmenter().segment_with_threshold(&streams, 0.1);
         assert!(seg.spans.is_empty(), "{:?}", seg.spans);
     }
 
     #[test]
     fn frame_scores_cover_run_and_flag_activity() {
         let streams = two_stroke_streams();
-        let seg = segmenter().segment_with_threshold(&layout(), &streams, 0.1);
+        let seg = segmenter().segment_with_threshold(&streams, 0.1);
         assert!(!seg.frames.is_empty());
         // Scores rise during strokes.
         let active_std: f64 = seg
@@ -506,7 +492,7 @@ mod tests {
     #[test]
     fn empty_streams_give_empty_segmentation() {
         let streams = TagStreams::default();
-        let seg = segmenter().segment_with_threshold(&layout(), &streams, 0.1);
+        let seg = segmenter().segment_with_threshold(&streams, 0.1);
         assert!(seg.spans.is_empty());
         assert!(seg.frames.is_empty());
     }
@@ -533,10 +519,9 @@ mod tests {
     #[test]
     fn segment_frames_matches_segment_over_prebuilt_frames() {
         let streams = two_stroke_streams();
-        let layout = layout();
-        let seg = segmenter().segment_with_threshold(&layout, &streams, 0.1);
+        let seg = segmenter().segment_with_threshold(&streams, 0.1);
         let frame_seq = FrameSeq::build(
-            &streams.phase_series(&layout),
+            streams.phases(),
             streams.start().expect("nonempty"),
             streams.end().expect("nonempty"),
             RfipadConfig::default().frame_len_s,
@@ -548,7 +533,7 @@ mod tests {
     #[test]
     fn threshold_too_high_misses_strokes() {
         let streams = two_stroke_streams();
-        let seg = segmenter().segment_with_threshold(&layout(), &streams, 1e6);
+        let seg = segmenter().segment_with_threshold(&streams, 1e6);
         assert!(seg.spans.is_empty());
     }
 

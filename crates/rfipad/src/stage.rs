@@ -172,7 +172,7 @@ pub enum LetterOut {
 /// legitimately re-picks unwrap state and the Eq. 8 re-centring offsets
 /// at the new first sample, so patching the cache in place would
 /// diverge from a from-scratch build.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct StreamCache {
     streams: TagStreamsBuilder,
     /// Created at the first in-layout report; that report's time anchors
@@ -195,7 +195,10 @@ impl StreamCache {
 }
 
 /// Appends one (already clamped) report to the cache, mirroring what a
-/// batch rebuild over the buffer would accumulate for it.
+/// batch rebuild over the buffer would accumulate for it. This is the one
+/// place a report's tag is looked up: past it, every per-tag quantity is
+/// found by the tag's layout index. Reports of tags outside the layout
+/// stop here.
 fn cache_append(
     cache: &mut StreamCache,
     recognizer: &Recognizer,
@@ -203,9 +206,12 @@ fn cache_append(
     obs: &TagReport,
 ) {
     let layout = recognizer.layout();
-    if let Some((tag, t, v)) = cache
+    let Some(index) = layout.index(obs.tag) else {
+        return;
+    };
+    if let Some(value) = cache
         .streams
-        .push(layout, Some(recognizer.calibration()), obs)
+        .push(index, Some(recognizer.calibration()), obs)
     {
         let frames = match &mut cache.frames {
             Some(frames) => frames,
@@ -213,19 +219,18 @@ fn cache_append(
                 // A retired builder carries the right stream count,
                 // floors, and frame length; only the anchor moves.
                 Some(mut spare) => {
-                    spare.reset_anchor(t);
+                    spare.reset_anchor(obs.time);
                     spare
                 }
                 None => FrameBuilder::new(
                     layout.len(),
                     Some(noise_floors.to_vec()),
-                    t,
+                    obs.time,
                     recognizer.config().frame_len_s,
                 ),
             }),
         };
-        let idx = layout.stream_index(tag).expect("accepted tag in layout");
-        frames.push(idx, t, v);
+        frames.push(index, obs.time, value);
     }
 }
 
@@ -325,7 +330,11 @@ impl Framing {
         if self.cache.is_some() {
             return;
         }
-        let mut cache = self.spare_cache.take().unwrap_or_default();
+        let mut cache = self.spare_cache.take().unwrap_or_else(|| StreamCache {
+            streams: TagStreamsBuilder::new(self.recognizer.layout().len()),
+            frames: None,
+            spare: None,
+        });
         for obs in &self.buffer {
             cache_append(&mut cache, &self.recognizer, &self.noise_floors, obs);
         }
@@ -1495,7 +1504,7 @@ impl StageGraph {
             let end = fresh.end().expect("cache has samples");
             assert_eq!(frames.start(), start, "frame anchor diverged");
             let batch = FrameSeq::build_with_floors(
-                &fresh.phase_series(framing.recognizer.layout()),
+                fresh.phases(),
                 Some(&framing.noise_floors),
                 start,
                 end,

@@ -8,18 +8,20 @@
 
 use crate::calibration::{wrap_to_pi, Calibration};
 use crate::layout::ArrayLayout;
-use rfid_gen2::report::{TagId, TagIdMap, TagReport};
+use rfid_gen2::report::TagReport;
 use serde::{Deserialize, Serialize};
 use sigproc::series::TimeSeries;
 use sigproc::unwrap::StreamingUnwrapper;
 use std::f64::consts::TAU;
 use std::sync::Arc;
 
-/// Per-tag phase and RSS time series over one recording.
+/// Per-tag phase and RSS time series over one recording, in layout order:
+/// series *i* belongs to the tag whose [`ArrayLayout::index`] is *i*, and a
+/// tag never read has an empty series.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TagStreams {
-    phase: TagIdMap<TagId, TimeSeries>,
-    rss: TagIdMap<TagId, TimeSeries>,
+    phases: Vec<TimeSeries>,
+    rss: Vec<TimeSeries>,
     start: Option<f64>,
     end: Option<f64>,
 }
@@ -34,36 +36,31 @@ impl TagStreams {
     ///
     /// Reports for tags outside `layout` are ignored (a public-area
     /// reader hears unrelated tags too), as are reports whose phase or
-    /// RSS is not finite.
+    /// RSS is not finite. A calibration must have been taken on `layout`
+    /// (its [`Calibration::tag_ids`] equal to [`ArrayLayout::tags`]), as a
+    /// [`crate::Recognizer`]'s is.
     pub fn build<'a>(
         layout: &ArrayLayout,
         calibration: Option<&Calibration>,
         observations: impl IntoIterator<Item = &'a TagReport>,
     ) -> Self {
-        let mut builder = TagStreamsBuilder::new();
+        let mut builder = TagStreamsBuilder::new(layout.len());
         for obs in observations {
-            builder.push(layout, calibration, obs);
+            if let Some(index) = layout.index(obs.tag) {
+                builder.push(index, calibration, obs);
+            }
         }
         builder.into_streams()
     }
 
-    /// The suppressed (or raw) phase series of a tag, empty if never read.
-    pub fn phase(&self, id: TagId) -> Option<&TimeSeries> {
-        self.phase.get(&id)
+    /// The suppressed (or raw) phase series of every tag, in layout order.
+    pub fn phases(&self) -> &[TimeSeries] {
+        &self.phases
     }
 
-    /// The RSS series of a tag.
-    pub fn rss(&self, id: TagId) -> Option<&TimeSeries> {
-        self.rss.get(&id)
-    }
-
-    /// All phase series in layout order for a given layout.
-    pub fn phase_series(&self, layout: &ArrayLayout) -> Vec<TimeSeries> {
-        layout
-            .tags()
-            .iter()
-            .map(|id| self.phase.get(id).cloned().unwrap_or_default())
-            .collect()
+    /// The RSS series of every tag, in layout order.
+    pub fn rss_levels(&self) -> &[TimeSeries] {
+        &self.rss
     }
 
     /// Earliest observation time.
@@ -74,16 +71,6 @@ impl TagStreams {
     /// Latest observation time.
     pub fn end(&self) -> Option<f64> {
         self.end
-    }
-
-    /// Number of tags with at least one read.
-    pub fn tag_count(&self) -> usize {
-        self.phase.len()
-    }
-
-    /// Total reads across all tags.
-    pub fn total_reads(&self) -> usize {
-        self.phase.values().map(TimeSeries::len).sum()
     }
 }
 
@@ -103,11 +90,10 @@ impl TagStreams {
 /// snapshot at a tick without cloning the series. Pushes mutate in place
 /// via [`Arc::make_mut`] — O(1) while no snapshot is outstanding, a deep
 /// copy-on-write only if one is still held across a push.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TagStreamsBuilder {
-    // One map for all per-tag push state: a report costs a single probe
-    // here instead of one per field.
-    tags: TagIdMap<TagId, TagPushState>,
+    /// Per-tag push state, in layout order like the series it feeds.
+    tags: Vec<TagPushState>,
     streams: Arc<TagStreams>,
 }
 
@@ -120,32 +106,46 @@ struct TagPushState {
 }
 
 impl TagStreamsBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty builder for a layout of `tags` tags.
+    pub fn new(tags: usize) -> Self {
+        Self {
+            tags: vec![TagPushState::default(); tags],
+            streams: Arc::new(TagStreams {
+                phases: vec![TimeSeries::default(); tags],
+                rss: vec![TimeSeries::default(); tags],
+                start: None,
+                end: None,
+            }),
+        }
     }
 
-    /// Appends one report. Returns the `(tag, time, calibrated phase)`
-    /// sample that was appended, or `None` if the report was ignored: its
-    /// tag is outside `layout`, or its phase or RSS is not finite.
+    /// Appends one report of the tag at layout index `index`
+    /// ([`ArrayLayout::index`]). Returns the calibrated phase it appended,
+    /// or `None` if the report was ignored because its phase or RSS is not
+    /// finite.
     ///
-    /// `layout` and `calibration` must be the same on every push; they are
-    /// passed per call (rather than stored) so the builder can live beside
-    /// the recognizer that owns them.
+    /// `calibration` must be the same on every push; it is passed per call
+    /// (rather than stored) so the builder can live beside the recognizer
+    /// that owns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the builder's tag count, or the
+    /// calibration's.
     pub fn push(
         &mut self,
-        layout: &ArrayLayout,
+        index: usize,
         calibration: Option<&Calibration>,
         obs: &TagReport,
-    ) -> Option<(TagId, f64, f64)> {
-        if !(layout.contains(obs.tag) && obs.phase.is_finite() && obs.rss_dbm.is_finite()) {
+    ) -> Option<f64> {
+        if !(obs.phase.is_finite() && obs.rss_dbm.is_finite()) {
             return None;
         }
-        let state = self.tags.entry(obs.tag).or_default();
+        let state = &mut self.tags[index];
         let unwrapped = state.unwrapper.push(obs.phase);
         let value = match calibration {
             Some(cal) => {
-                let mean = cal.mean_phase(obs.tag).expect("layout tag calibrated");
+                let mean = cal.per_tag()[index].mean_phase;
                 // Re-centre: choose the 2π offset once (at the first
                 // sample) so the suppressed stream starts in (−π, π]
                 // and stays continuous afterwards.
@@ -158,32 +158,20 @@ impl TagStreamsBuilder {
             None => unwrapped,
         };
         let out = Arc::make_mut(&mut self.streams);
-        out.phase.entry(obs.tag).or_default().push(obs.time, value);
-        out.rss
-            .entry(obs.tag)
-            .or_default()
-            .push(obs.time, obs.rss_dbm);
+        out.phases[index].push(obs.time, value);
+        out.rss[index].push(obs.time, obs.rss_dbm);
         out.start = Some(out.start.map_or(obs.time, |s: f64| s.min(obs.time)));
         out.end = Some(out.end.map_or(obs.time, |e: f64| e.max(obs.time)));
-        Some((obs.tag, obs.time, value))
+        Some(value)
     }
 
-    /// Resets the builder to empty while keeping every allocation (hash-map
-    /// tables, per-tag series buffers) for reuse, so rebuilding over a
-    /// trimmed buffer avoids re-growing the same structures.
-    ///
-    /// Per-tag series entries are kept (emptied) rather than removed;
-    /// consumers walk tags in layout order and treat missing and empty
-    /// series alike. One observable difference: [`TagStreams::tag_count`]
-    /// still counts tags seen before the reset — use a fresh builder where
-    /// that distinction matters.
+    /// Resets the builder to empty while keeping every allocation (per-tag
+    /// series buffers) for reuse, so rebuilding over a trimmed buffer
+    /// avoids re-growing the same structures.
     pub fn clear(&mut self) {
-        self.tags.clear();
+        self.tags.fill(TagPushState::default());
         let streams = Arc::make_mut(&mut self.streams);
-        for series in streams.phase.values_mut() {
-            series.clear();
-        }
-        for series in streams.rss.values_mut() {
+        for series in streams.phases.iter_mut().chain(&mut streams.rss) {
             series.clear();
         }
         streams.start = None;
@@ -217,6 +205,7 @@ pub fn wrap_phase(p: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::config::RfipadConfig;
+    use rfid_gen2::report::TagId;
 
     fn layout() -> ArrayLayout {
         ArrayLayout::new(1, 2, vec![TagId(0), TagId(1)])
@@ -261,10 +250,10 @@ mod tests {
             })
             .collect();
         let streams = TagStreams::build(&layout(), Some(&cal), &observations);
-        for id in [TagId(0), TagId(1)] {
-            let series = streams.phase(id).expect("present");
+        for (i, series) in streams.phases().iter().enumerate() {
+            assert_eq!(series.len(), 20);
             for (_, v) in series.iter() {
-                assert!(v.abs() < 0.3, "suppressed value {v} for {id}");
+                assert!(v.abs() < 0.3, "suppressed value {v} for tag {i}");
             }
         }
     }
@@ -280,8 +269,8 @@ mod tests {
             })
             .collect();
         let streams = TagStreams::build(&layout(), None, &observations);
-        let m0 = streams.phase(TagId(0)).unwrap().values()[0];
-        let m1 = streams.phase(TagId(1)).unwrap().values()[0];
+        let m0 = streams.phases()[0].values()[0];
+        let m1 = streams.phases()[1].values()[0];
         assert!((m0 - m1).abs() > 1.0, "raw centres {m0} vs {m1}");
     }
 
@@ -294,7 +283,7 @@ mod tests {
             .chain((0..30).map(|j| obs(TagId(1), 4.5 + j as f64 * 0.01, 0.1)))
             .collect();
         let streams = TagStreams::build(&layout(), Some(&cal), &observations);
-        let series = streams.phase(TagId(0)).expect("present");
+        let series = &streams.phases()[0];
         // Continuous: no ±2π jumps between consecutive samples.
         for pair in series.values().windows(2) {
             assert!((pair[1] - pair[0]).abs() < 1.0);
@@ -308,8 +297,10 @@ mod tests {
     fn foreign_tags_ignored() {
         let observations = vec![obs(TagId(0), 0.0, 1.0), obs(TagId(77), 0.1, 2.0)];
         let streams = TagStreams::build(&layout(), None, &observations);
-        assert_eq!(streams.tag_count(), 1);
-        assert!(streams.phase(TagId(77)).is_none());
+        assert_eq!(streams.phases().len(), 2);
+        assert_eq!(streams.phases()[0].times(), &[0.0]);
+        assert!(streams.phases()[1].is_empty());
+        assert!(streams.rss_levels()[1].is_empty());
     }
 
     #[test]
@@ -322,14 +313,15 @@ mod tests {
         let streams = TagStreams::build(&layout(), None, &observations);
         assert_eq!(streams.start(), Some(1.0));
         assert_eq!(streams.end(), Some(2.0));
-        assert_eq!(streams.total_reads(), 3);
+        let reads: Vec<usize> = streams.phases().iter().map(TimeSeries::len).collect();
+        assert_eq!(reads, [2, 1]);
     }
 
     #[test]
     fn phase_series_in_layout_order_with_gaps() {
         let observations = vec![obs(TagId(1), 0.0, 1.0)];
         let streams = TagStreams::build(&layout(), None, &observations);
-        let series = streams.phase_series(&layout());
+        let series = streams.phases();
         assert_eq!(series.len(), 2);
         assert!(series[0].is_empty());
         assert_eq!(series[1].len(), 1);
@@ -348,16 +340,16 @@ mod tests {
             })
             .collect();
         let batch = TagStreams::build(&layout(), Some(&cal), &observations);
-        let mut builder = TagStreamsBuilder::new();
+        let mut builder = TagStreamsBuilder::new(2);
         for o in &observations {
-            let accepted = builder.push(&layout(), Some(&cal), o);
-            assert_eq!(accepted.is_some(), o.tag != TagId(99));
-            if let Some((tag, t, v)) = accepted {
-                assert_eq!(tag, o.tag);
-                assert_eq!(t, o.time);
-                let series = builder.streams().phase(tag).expect("just pushed");
-                assert_eq!(*series.values().last().expect("nonempty"), v);
-            }
+            let Some(index) = layout().index(o.tag) else {
+                assert_eq!(o.tag, TagId(99));
+                continue;
+            };
+            let v = builder.push(index, Some(&cal), o).expect("finite report");
+            let series = &builder.streams().phases()[index];
+            assert_eq!(series.times().last(), Some(&o.time));
+            assert_eq!(series.values().last(), Some(&v));
         }
         assert_eq!(builder.streams(), &batch);
         assert_eq!(builder.into_streams(), batch);
@@ -367,19 +359,19 @@ mod tests {
     fn shared_snapshot_survives_later_pushes() {
         // A snapshot held across a push sees the state at snapshot time;
         // the builder copies on write and keeps accumulating.
-        let mut builder = TagStreamsBuilder::new();
-        builder.push(&layout(), None, &obs(TagId(0), 0.0, 1.0));
+        let mut builder = TagStreamsBuilder::new(2);
+        builder.push(0, None, &obs(TagId(0), 0.0, 1.0));
         let snapshot = builder.shared_streams();
-        builder.push(&layout(), None, &obs(TagId(0), 1.0, 2.0));
-        assert_eq!(snapshot.total_reads(), 1);
-        assert_eq!(builder.streams().total_reads(), 2);
-        assert_eq!(builder.shared_streams().total_reads(), 2);
+        builder.push(0, None, &obs(TagId(0), 1.0, 2.0));
+        assert_eq!(snapshot.phases()[0].len(), 1);
+        assert_eq!(builder.streams().phases()[0].len(), 2);
+        assert_eq!(builder.shared_streams().phases()[0].len(), 2);
     }
 
     #[test]
     fn rss_stream_recorded() {
         let observations = vec![obs(TagId(0), 0.0, 1.0)];
         let streams = TagStreams::build(&layout(), None, &observations);
-        assert_eq!(streams.rss(TagId(0)).unwrap().values(), &[-45.0]);
+        assert_eq!(streams.rss_levels()[0].values(), &[-45.0]);
     }
 }

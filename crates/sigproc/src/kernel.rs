@@ -85,19 +85,6 @@ pub fn moving_average_into(data: &[f64], half: usize, out: &mut Vec<f64>) {
     }
 }
 
-/// RMS of the centered window `2*half + 1` around each element (shrinking
-/// at the edges), written into `out`.
-pub fn windowed_rms_into(data: &[f64], half: usize, out: &mut Vec<f64>) {
-    out.clear();
-    let n = data.len();
-    out.reserve(n);
-    for i in 0..n {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(n);
-        out.push(crate::stats::rms(&data[lo..hi]));
-    }
-}
-
 /// Median of one window using `sort` as reusable scratch. Returns 0.0 for
 /// an empty window.
 ///
@@ -382,18 +369,6 @@ pub mod reference {
         out
     }
 
-    /// Allocating windowed RMS (map-collect).
-    pub fn windowed_rms(data: &[f64], half: usize) -> Vec<f64> {
-        let n = data.len();
-        (0..n)
-            .map(|i| {
-                let lo = i.saturating_sub(half);
-                let hi = (i + half + 1).min(n);
-                crate::stats::rms(&data[lo..hi])
-            })
-            .collect()
-    }
-
     /// Allocating centered median filter (the original
     /// `filter::median_filter` body over `stats::median`).
     pub fn median_filter(data: &[f64], half: usize) -> Vec<f64> {
@@ -588,16 +563,6 @@ mod tests {
             let mut out = Vec::new();
             moving_average_into(&data, half, &mut out);
             prop_assert_eq!(bits(&out), bits(&reference::moving_average(&data, half)));
-        }
-
-        #[test]
-        fn windowed_rms_matches_reference(
-            data in prop::collection::vec(-1e3f64..1e3, 0..100),
-            half in 0usize..8,
-        ) {
-            let mut out = Vec::new();
-            windowed_rms_into(&data, half, &mut out);
-            prop_assert_eq!(bits(&out), bits(&reference::windowed_rms(&data, half)));
         }
 
         #[test]

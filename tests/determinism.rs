@@ -289,3 +289,38 @@ fn recordings_outside_the_golden_trace_are_pinned() {
     ];
     assert_eq!(actual, expected);
 }
+
+/// Pins the golden bench's calibration, every field in layout order, so a
+/// change to how per-tag statistics are stored or summed that moves a
+/// single bit fails here. `mean_bias` in particular is summed in a fixed
+/// order that layout order does not reproduce.
+#[test]
+fn golden_calibration_is_pinned() {
+    let bench = experiments::golden::golden_bench();
+    let cal = bench.recognizer.calibration();
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    assert_eq!(cal.tag_ids(), bench.deployment.layout.tags());
+    for tag in cal.per_tag() {
+        mix(tag.mean_phase.to_bits());
+        mix(tag.deviation_bias.to_bits());
+        mix(tag.mean_rss.to_bits());
+        mix(tag.samples as u64);
+    }
+    mix(cal.mean_bias().to_bits());
+    mix(cal.static_window_std().to_bits());
+    mix(cal.static_frame_rms().to_bits());
+    for floor in bench.recognizer.noise_floors() {
+        mix(floor.to_bits());
+    }
+    assert_eq!(
+        (hash, cal.mean_bias().to_bits()),
+        (0x665a_9f78_7d7b_355c, 0x3f96_ad02_0bd7_d817),
+        "{hash:#x} {:#x}",
+        cal.mean_bias().to_bits()
+    );
+}

@@ -51,6 +51,35 @@ fn foreign_tag_traffic_is_ignored() {
         clean.strokes[0].stroke, noisy.strokes[0].stroke,
         "foreign tags changed the verdict"
     );
+
+    // Foreign reports still advance the clock, trigger ticks, count toward
+    // retention and sit in the checkpointed buffer; they only never reach
+    // a stream. Pin what the graph emits and holds for the polluted stream.
+    let mut graph = session_pipeline(&bench.recognizer);
+    let mut events = Vec::new();
+    let half = polluted.len() / 2;
+    graph.push_batch(&polluted[..half], &mut events);
+    let checkpoint = fnv1a(graph.checkpoint().to_json().as_bytes());
+    graph.push_batch(&polluted[half..], &mut events);
+    graph.finish_into(&mut events);
+    normalize_events(&mut events);
+    let pinned = (
+        fnv1a(format!("{events:?}").as_bytes()),
+        graph.out_of_order_count(),
+        checkpoint,
+    );
+    assert_eq!(
+        pinned,
+        (0x8685_ffe5_b227_83f9, 0, 0xb709_68dc_b14a_b523),
+        "{pinned:#x?}"
+    );
+}
+
+/// FNV-1a 64 over bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 #[test]
