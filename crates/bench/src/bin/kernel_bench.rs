@@ -1,6 +1,6 @@
 //! Kernel microbenchmark + hot-path allocation gates.
 //!
-//! Six probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
+//! Seven probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
 //!
 //! * `kernel_bench` — per-kernel ns/element of the `sigproc::kernel`
 //!   slice kernels against their naive allocating references
@@ -8,9 +8,10 @@
 //!   allocation cost on purpose: that *is* the price the kernels remove.
 //! * `hot_path_allocs` — feeds a quiet synthetic session through
 //!   a `StageGraph` long enough to pass two retention-trim cycles (so
-//!   every recycled buffer reached its high-water capacity), then counts
-//!   heap allocations over a trim-free measurement window. Steady-state
-//!   per-tick processing must allocate exactly zero times.
+//!   every buffer a stage keeps, the shared frame sequence among them,
+//!   reached its high-water capacity), then counts heap allocations over
+//!   a trim-free measurement window. Steady-state per-tick processing
+//!   must allocate exactly zero times.
 //! * `stroke_allocs` — counts heap allocations across
 //!   `Recognizer::recognize_span` over every span of the golden session
 //!   (`tests/data/golden_session.rftrace`), the stroke-bearing work the
@@ -31,15 +32,25 @@
 //!   ns per pushed report of the quiet stream over 25–27 s of history
 //!   against 3–5 s, fastest of several interleaved repetitions each. The
 //!   ratio cancels the host's speed; `bench-check.sh` caps it.
+//! * `tick_frames` — the frames a framing tick hands segmentation that
+//!   the previous tick did not already hold unchanged
+//!   (`frames.len() − unchanged`), averaged over the ticks of the same two
+//!   history windows, with the quiet stream driven through the public
+//!   `Framing` stage. An exact count: `bench-check.sh` holds the 25–27 s
+//!   value to its committed one.
 //!
 //! Requires the `count-allocs` feature (a counting global allocator):
 //! `cargo run --release -p bench --features count-allocs --bin kernel_bench`
 
 use hand_kinematics::user::UserProfile;
 use rfid_gen2::report::{TagId, TagReport};
-use rfipad::{ArrayLayout, Calibration, PipelineEvent, Recognizer, RfipadConfig, StageGraph};
+use rfipad::stage::Framing;
+use rfipad::{
+    ArrayLayout, Calibration, PipelineEvent, Recognizer, RfipadConfig, Stage, StageGraph,
+};
 use sigproc::kernel::{self, reference};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Elements per kernel input — a few times larger than the pipeline's
@@ -257,13 +268,15 @@ fn quiet_graph() -> StageGraph {
 const WARMUP_STEPS: u64 = 820; // 41.0 s simulated
 const MEASURED_STEPS: u64 = 64; // 3.2 s more, ends before the ~45 s trim
 
+/// The quiet stream's report of tag `i` at step `j`.
+fn quiet_report(i: u64, j: u64) -> TagReport {
+    let t = j as f64 * 0.05 + i as f64 * 0.01;
+    TagReport::synthetic(TagId(i), t, 1.0 + i as f64, -45.0)
+}
+
 fn push_step(graph: &mut StageGraph, events: &mut Vec<PipelineEvent>, j: u64) {
     for i in 0..3u64 {
-        let t = j as f64 * 0.05 + i as f64 * 0.01;
-        graph.push_into(
-            TagReport::synthetic(TagId(i), t, 1.0 + i as f64, -45.0),
-            events,
-        );
+        graph.push_into(quiet_report(i, j), events);
     }
 }
 
@@ -368,6 +381,10 @@ fn run_stroke_tick_alloc_gate() -> String {
 /// Repetitions of each `tick_history` measurement; the fastest counts.
 const HISTORY_REPS: usize = 1001;
 
+/// The history windows of `tick_history` and `tick_frames`, seconds.
+const SHORT_HISTORY: (f64, f64) = (3.0, 5.0);
+const LONG_HISTORY: (f64, f64) = (25.0, 27.0);
+
 /// ns per pushed report while the quiet stream's history grows from
 /// `from_s` to `to_s` seconds, on a fresh graph first fed up to `from_s`.
 fn time_history_window(from_s: f64, to_s: f64) -> f64 {
@@ -392,24 +409,61 @@ fn time_history_window(from_s: f64, to_s: f64) -> f64 {
 /// fastest repetitions. The long window ends before the first retention
 /// trim (about 35 s), so the history only grows inside it.
 fn run_tick_history() -> String {
-    const SHORT: (f64, f64) = (3.0, 5.0);
-    const LONG: (f64, f64) = (25.0, 27.0);
     let (mut short, mut long) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..HISTORY_REPS {
-        short = short.min(time_history_window(SHORT.0, SHORT.1));
-        long = long.min(time_history_window(LONG.0, LONG.1));
+        short = short.min(time_history_window(SHORT_HISTORY.0, SHORT_HISTORY.1));
+        long = long.min(time_history_window(LONG_HISTORY.0, LONG_HISTORY.1));
     }
     let ratio = long / short;
     println!(
         "tick history: {short:.1} ns/report at {}-{} s, {long:.1} at {}-{} s \
          (ratio {ratio:.3}, fastest of {HISTORY_REPS})",
-        SHORT.0, SHORT.1, LONG.0, LONG.1
+        SHORT_HISTORY.0, SHORT_HISTORY.1, LONG_HISTORY.0, LONG_HISTORY.1
     );
     format!(
         "{{ \"reps\": {HISTORY_REPS}, \"short_history_s\": [{}, {}], \
          \"long_history_s\": [{}, {}], \"short_ns_per_report\": {short:.1}, \
          \"long_ns_per_report\": {long:.1}, \"ratio\": {ratio:.3} }}",
-        SHORT.0, SHORT.1, LONG.0, LONG.1
+        SHORT_HISTORY.0, SHORT_HISTORY.1, LONG_HISTORY.0, LONG_HISTORY.1
+    )
+}
+
+/// Mean `frames.len() − unchanged` over the framing ticks while the quiet
+/// stream's history grows from `from_s` to `to_s` seconds. The stream
+/// drives a `Framing` stage as the benchmark's chain does (the windows
+/// end before a retention trim), and each tick is dropped before the next
+/// push, as segmentation drops it.
+fn frames_per_tick(from_s: f64, to_s: f64) -> f64 {
+    let recognizer = quiet_graph().recognizer().clone();
+    let config = recognizer.config();
+    let end_guard_s = config.frame_len_s * config.window_frames as f64;
+    let mut framing = Framing::new(Arc::new(recognizer), 1.5, end_guard_s);
+    let mut ticks = Vec::new();
+    let (first, last) = ((from_s * 20.0) as u64, (to_s * 20.0) as u64);
+    let (mut count, mut frames) = (0, 0);
+    for j in 0..last {
+        for i in 0..3 {
+            framing.push(quiet_report(i, j), &mut ticks);
+            for tick in ticks.drain(..).filter(|_| j >= first) {
+                count += 1;
+                frames += tick.frames.len() - tick.unchanged;
+            }
+        }
+    }
+    frames as f64 / count as f64
+}
+
+fn run_tick_frames() -> String {
+    let short = frames_per_tick(SHORT_HISTORY.0, SHORT_HISTORY.1);
+    let long = frames_per_tick(LONG_HISTORY.0, LONG_HISTORY.1);
+    println!(
+        "tick frames: {short:.3} per tick at {}-{} s, {long:.3} at {}-{} s",
+        SHORT_HISTORY.0, SHORT_HISTORY.1, LONG_HISTORY.0, LONG_HISTORY.1
+    );
+    format!(
+        "{{ \"short_history_s\": [{}, {}], \"long_history_s\": [{}, {}], \
+         \"short_frames_per_tick\": {short:.3}, \"long_frames_per_tick\": {long:.3} }}",
+        SHORT_HISTORY.0, SHORT_HISTORY.1, LONG_HISTORY.0, LONG_HISTORY.1
     )
 }
 
@@ -443,6 +497,8 @@ fn main() {
     let reader_entry = run_reader_alloc_gate();
     println!("tick cost against history:");
     let history_entry = run_tick_history();
+    println!("frames per tick against history:");
+    let frames_entry = run_tick_frames();
     experiments::benchjson::merge_entry("kernel_bench", &kernel_entry)
         .expect("merge kernel_bench into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("hot_path_allocs", &alloc_entry)
@@ -455,8 +511,10 @@ fn main() {
         .expect("merge reader_allocs into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("tick_history", &history_entry)
         .expect("merge tick_history into BENCH_pipeline.json");
+    experiments::benchjson::merge_entry("tick_frames", &frames_entry)
+        .expect("merge tick_frames into BENCH_pipeline.json");
     println!(
         "merged kernel_bench + hot_path_allocs + stroke_allocs + stroke_tick_allocs \
-         + reader_allocs + tick_history into BENCH_pipeline.json"
+         + reader_allocs + tick_history + tick_frames into BENCH_pipeline.json"
     );
 }

@@ -17,6 +17,7 @@
 use crate::config::RfipadConfig;
 use crate::error::RfipadError;
 use crate::layout::ArrayLayout;
+use crate::stage::MAX_BUFFER_S;
 use rfid_gen2::report::{TagId, TagIdMap, TagReport};
 use serde::{Deserialize, Serialize};
 use sigproc::frames::FrameSeq;
@@ -97,11 +98,16 @@ pub struct Calibration {
 impl Calibration {
     /// Builds a calibration from observations recorded with no hand present.
     ///
+    /// Reports with a non-finite time, phase or RSS are skipped, as the
+    /// stage graph drops them at admission.
+    ///
     /// # Errors
     ///
     /// - [`RfipadError::EmptyStream`] if `observations` is empty;
     /// - [`RfipadError::UnknownTag`] if a report references a tag outside
     ///   the layout;
+    /// - [`RfipadError::InvalidConfig`] if two reads adjacent in time lie
+    ///   more than the 30 s retention window apart;
     /// - [`RfipadError::InsufficientCalibration`] if any layout tag has
     ///   fewer than [`MIN_SAMPLES_PER_TAG`] samples.
     pub fn from_observations(
@@ -112,12 +118,28 @@ impl Calibration {
         if observations.is_empty() {
             return Err(RfipadError::EmptyStream);
         }
+        let admitted = || {
+            observations
+                .iter()
+                .filter(|o| o.time.is_finite() && o.phase.is_finite() && o.rss_dbm.is_finite())
+        };
         let mut reads: Vec<Vec<&TagReport>> = vec![Vec::new(); layout.len()];
-        for obs in observations {
+        for obs in admitted() {
             let index = layout
                 .index(obs.tag)
                 .ok_or(RfipadError::UnknownTag(obs.tag))?;
             reads[index].push(obs);
+        }
+        // The static floors frame the whole recording, so a gap the stage
+        // graph would answer by restarting the stream would size the
+        // frames by the gap instead.
+        let mut times: Vec<f64> = admitted().map(|o| o.time).collect();
+        times.sort_by(f64::total_cmp);
+        if let Some(gap) = times.windows(2).find(|w| w[1] - w[0] > MAX_BUFFER_S) {
+            return Err(RfipadError::InvalidConfig(format!(
+                "calibration reads at {} s and {} s lie more than {MAX_BUFFER_S} s apart",
+                gap[0], gap[1]
+            )));
         }
 
         let mut per_tag = Vec::with_capacity(layout.len());
@@ -152,8 +174,10 @@ impl Calibration {
         // Quiet-floor estimation: frame the *suppressed* static phases
         // exactly the way the segmenter will and record the typical
         // std(rms(w)).
+        let start = admitted().map(|o| o.time).fold(f64::INFINITY, f64::min);
+        let end = admitted().map(|o| o.time).fold(f64::NEG_INFINITY, f64::max);
         let (static_window_std, static_frame_rms) =
-            Self::compute_static_floors(&reads, &per_tag, observations, config);
+            Self::compute_static_floors(&reads, &per_tag, start, end, config);
 
         Ok(Self {
             tags: layout.tags().to_vec(),
@@ -167,17 +191,10 @@ impl Calibration {
     fn compute_static_floors(
         reads: &[Vec<&TagReport>],
         per_tag: &[TagCalibration],
-        observations: &[TagReport],
+        start: f64,
+        end: f64,
         config: &RfipadConfig,
     ) -> (f64, f64) {
-        let start = observations
-            .iter()
-            .map(|o| o.time)
-            .fold(f64::INFINITY, f64::min);
-        let end = observations
-            .iter()
-            .map(|o| o.time)
-            .fold(f64::NEG_INFINITY, f64::max);
         if end - start < config.frame_len_s * config.window_frames as f64 {
             return (0.0, 0.0);
         }
@@ -344,6 +361,61 @@ mod tests {
                 need: 10
             })
         ));
+    }
+
+    #[test]
+    fn non_finite_reports_are_skipped() {
+        let mut clean = static_obs(TagId(0), 1.0, 0.02, 40);
+        clean.extend(static_obs(TagId(1), 4.0, 0.2, 40));
+        let config = RfipadConfig::default();
+        let expected = Calibration::from_observations(&layout(), &clean, &config).unwrap();
+        for poison in [
+            |o: &mut TagReport| o.phase = f64::NAN,
+            |o: &mut TagReport| o.rss_dbm = f64::NEG_INFINITY,
+            |o: &mut TagReport| o.time = f64::INFINITY,
+        ] {
+            let mut bad = clean[3];
+            poison(&mut bad);
+            let mut polluted = clean.clone();
+            polluted.insert(4, bad);
+            let cal = Calibration::from_observations(&layout(), &polluted, &config).unwrap();
+            assert_eq!(calibration_bits(&cal), calibration_bits(&expected));
+        }
+    }
+
+    /// Every value of a calibration, as bits.
+    fn calibration_bits(cal: &Calibration) -> Vec<u64> {
+        let mut bits = vec![
+            cal.mean_bias().to_bits(),
+            cal.static_window_std().to_bits(),
+            cal.static_frame_rms().to_bits(),
+        ];
+        for (id, tag) in cal.tag_ids().iter().zip(cal.per_tag()) {
+            bits.extend([
+                id.0,
+                tag.mean_phase.to_bits(),
+                tag.deviation_bias.to_bits(),
+                tag.mean_rss.to_bits(),
+                tag.samples as u64,
+            ]);
+        }
+        bits
+    }
+
+    #[test]
+    fn a_gap_past_the_retention_window_is_refused() {
+        let mut obs = static_obs(TagId(0), 1.0, 0.02, 40);
+        obs.extend(static_obs(TagId(1), 4.0, 0.2, 40));
+        obs.last_mut().expect("reads").time = 1e12;
+        assert!(matches!(
+            Calibration::from_observations(&layout(), &obs, &RfipadConfig::default()),
+            Err(RfipadError::InvalidConfig(_))
+        ));
+        // A pause just inside the window is no gap.
+        for (j, o) in obs.iter_mut().enumerate() {
+            o.time = (j % 40) as f64 * 0.05 + if j % 40 >= 20 { 29.0 } else { 0.0 };
+        }
+        assert!(Calibration::from_observations(&layout(), &obs, &RfipadConfig::default()).is_ok());
     }
 
     #[test]

@@ -136,8 +136,8 @@ impl Segmenter {
         rms_threshold: f64,
     ) -> Segmentation {
         let mut scorer = FrameScorer::new(&self.config);
-        scorer.score(frame_seq, threshold, rms_threshold);
-        scorer.into_segmentation()
+        scorer.score(frame_seq, 0, threshold, rms_threshold);
+        scorer.into_segmentation(frame_seq)
     }
 }
 
@@ -155,9 +155,11 @@ const BRIDGE_FRAMES: usize = 2;
 /// [`Segmenter::segment_frames`] scores from an empty scorer; the online
 /// segmentation stage keeps one across frame ticks, where each tick's
 /// frames repeat the previous tick's settled prefix and differ only in the
-/// live tail (or re-anchor entirely after a history trim). Let `same` be
-/// the number of leading frames whose start and RMS bits match the stored
-/// ones, under the same thresholds and frame length. Then:
+/// live tail (or re-anchor entirely after a history trim). The caller
+/// says how many leading frames are unchanged since the previous call
+/// (`FrameBuilder::advance` counts them); let `same` be that count,
+/// clamped to the frames held, under the same thresholds and frame
+/// length. Then:
 ///
 /// - a window std depends on the `2·half + 1` frames around it, so the
 ///   stds before `same − half` stand;
@@ -168,11 +170,11 @@ const BRIDGE_FRAMES: usize = 2;
 ///   anything after them. Runs are re-merged, and the length filter
 ///   re-applied, from the last such point at or before `same − 2·half`.
 ///
-/// Beyond one bit comparison per stored frame, a call therefore rescores
-/// only the frames a change reaches (and re-merges the stroke in progress,
-/// if any), and its result is bit-identical to scoring the same frames from
-/// empty: every value it keeps was computed from the same inputs by the
-/// same code.
+/// A call therefore rescores only the frames a change reaches (and
+/// re-merges the stroke in progress, if any). Its result is bit-identical
+/// to scoring the same frames from empty for any count at or below the
+/// true common prefix: every value it keeps was computed from the same
+/// inputs by the same code.
 #[derive(Debug, Clone)]
 pub struct FrameScorer {
     /// Half-width of the centred Eq. 12 window, frames.
@@ -183,12 +185,8 @@ pub struct FrameScorer {
     threshold: f64,
     /// The RMS-level threshold the stored scores were computed under.
     rms_threshold: f64,
-    /// The frame length of the stored frames (span ends derive from it).
+    /// The frame length of the scored frames (span ends derive from it).
     frame_len: f64,
-    /// Per frame: start time.
-    start: Vec<f64>,
-    /// Per frame: multi-tag RMS (Eq. 11).
-    rms: Vec<f64>,
     /// Per frame: `std(rms)` of the window centred on it (Eq. 12).
     window_std: Vec<f64>,
     /// Per frame: active before bridging and the length filter (eroded
@@ -211,8 +209,6 @@ impl FrameScorer {
             threshold: f64::NAN,
             rms_threshold: f64::NAN,
             frame_len: f64::NAN,
-            start: Vec::new(),
-            rms: Vec::new(),
             window_std: Vec::new(),
             raw: Vec::new(),
             runs: Vec::new(),
@@ -223,20 +219,27 @@ impl FrameScorer {
     /// Forgets every stored frame, keeping the allocations: the next
     /// [`score`](Self::score) starts from empty.
     pub fn clear(&mut self) {
-        self.start.clear();
-        self.rms.clear();
         self.window_std.clear();
         self.raw.clear();
         self.runs.clear();
         self.spans.clear();
     }
 
-    /// Scores `frame_seq`: a frame is raw-active when every window
-    /// containing it exceeds `threshold` (Eq. 12 with erosion) or its own
-    /// RMS exceeds `rms_threshold`; raw runs at most two quiet frames
-    /// apart merge, and merged runs shorter than the minimum stroke length
-    /// are dropped. Reuses whatever the previous call left valid.
-    pub fn score(&mut self, frame_seq: &FrameSeq, threshold: f64, rms_threshold: f64) {
+    /// Scores `frame_seq`, whose first `unchanged` frames equal those of
+    /// the previous call's sequence: a frame is raw-active when every
+    /// window containing it exceeds `threshold` (Eq. 12 with erosion) or
+    /// its own RMS exceeds `rms_threshold`; raw runs at most two quiet
+    /// frames apart merge, and merged runs shorter than the minimum stroke
+    /// length are dropped. Reuses whatever the previous call left valid;
+    /// `unchanged` is clamped to the frames held, so a cleared scorer
+    /// scores from empty.
+    pub fn score(
+        &mut self,
+        frame_seq: &FrameSeq,
+        unchanged: usize,
+        threshold: f64,
+        rms_threshold: f64,
+    ) {
         let frames = frame_seq.frames();
         let n = frames.len();
         let half = self.half;
@@ -248,13 +251,7 @@ impl FrameScorer {
             && rms_threshold.to_bits() == self.rms_threshold.to_bits()
             && frame_len.to_bits() == self.frame_len.to_bits()
         {
-            frames
-                .iter()
-                .zip(self.start.iter().zip(&self.rms))
-                .take_while(|(f, (&start, &rms))| {
-                    f.start.to_bits() == start.to_bits() && f.rms.to_bits() == rms.to_bits()
-                })
-                .count()
+            unchanged.min(self.raw.len()).min(n)
         } else {
             0
         };
@@ -265,37 +262,32 @@ impl FrameScorer {
         let raw_from = same.saturating_sub(2 * half);
         let restart = restart_point(&self.raw[..raw_from]);
 
-        self.start.truncate(same);
-        self.rms.truncate(same);
         self.window_std.truncate(std_from);
         self.raw.truncate(raw_from);
         let kept = self.runs.partition_point(|&(s, _)| s < restart);
         self.runs.truncate(kept);
         self.spans.truncate(kept);
 
-        for frame in &frames[same..] {
-            self.start.push(frame.start);
-            self.rms.push(frame.rms);
-        }
         // Per-frame score: std(rms) of the window centred on the frame
         // (shrinking at the edges).
         for i in std_from..n {
             let (lo, hi) = (i.saturating_sub(half), (i + half + 1).min(n));
-            self.window_std.push(stats::std_dev(&self.rms[lo..hi]));
+            let rms = frames[lo..hi].iter().map(|f| f.rms);
+            self.window_std.push(stats::variance_of(rms).sqrt());
         }
         // A window overlapping a stroke edge is active even though most of
         // its frames are quiet; to keep spans tight (and isolated one-frame
         // twitches from smearing into stroke-length spans) a frame counts
         // as active only when *every* window containing it is active —
         // erosion matching the earlier dilation.
-        for i in raw_from..n {
+        for (i, frame) in frames.iter().enumerate().skip(raw_from) {
             let (lo, hi) = (i.saturating_sub(half), (i + half + 1).min(n));
             let eroded = self.window_std[lo..hi]
                 .iter()
                 .copied()
                 .fold(f64::INFINITY, f64::min);
             self.raw
-                .push(eroded > threshold || self.rms[i] > rms_threshold);
+                .push(eroded > threshold || frame.rms > rms_threshold);
         }
 
         // Merge runs of raw-active frames from the restart point, bridging
@@ -341,15 +333,19 @@ impl FrameScorer {
         &self.spans
     }
 
-    /// The latest result as a [`Segmentation`]: its spans plus a
+    /// The latest result as a [`Segmentation`] of `frame_seq`, the
+    /// frames of the latest [`score`](Self::score): its spans plus a
     /// [`FrameScore`] per frame. Frames of runs too short to be strokes
     /// are inactive, for honesty in diagnostics.
-    pub fn into_segmentation(self) -> Segmentation {
-        let mut frames: Vec<FrameScore> = (0..self.start.len())
-            .map(|i| FrameScore {
-                time: self.start[i],
-                rms: self.rms[i],
-                window_std: self.window_std[i],
+    pub fn into_segmentation(self, frame_seq: &FrameSeq) -> Segmentation {
+        let mut frames: Vec<FrameScore> = frame_seq
+            .frames()
+            .iter()
+            .zip(&self.window_std)
+            .map(|(frame, &window_std)| FrameScore {
+                time: frame.start,
+                rms: frame.rms,
+                window_std,
                 active: false,
             })
             .collect();
@@ -555,13 +551,12 @@ mod tests {
         seq
     }
 
-    /// Every stored value of a scorer, as bits.
-    fn scorer_bits(s: &FrameScorer) -> Vec<u64> {
+    /// Every stored value of a scorer, as bits, and every value of its
+    /// result over `frames`, the frames it scored last.
+    fn scorer_bits(s: &FrameScorer, frames: &FrameSeq) -> Vec<u64> {
         let mut bits = vec![s.threshold.to_bits(), s.rms_threshold.to_bits()];
-        for column in [&s.start, &s.rms, &s.window_std] {
-            bits.push(column.len() as u64);
-            bits.extend(column.iter().map(|v| v.to_bits()));
-        }
+        bits.push(s.window_std.len() as u64);
+        bits.extend(s.window_std.iter().map(|v| v.to_bits()));
         bits.push(s.raw.len() as u64);
         bits.extend(s.raw.iter().map(|&a| u64::from(a)));
         for &(start, end) in &s.runs {
@@ -571,7 +566,7 @@ mod tests {
             bits.extend([span.start.to_bits(), span.end.to_bits()]);
         }
         // The public result, every field of every frame score included.
-        let seg = s.clone().into_segmentation();
+        let seg = s.clone().into_segmentation(frames);
         bits.push(seg.threshold.to_bits());
         for f in &seg.frames {
             bits.extend([
@@ -618,20 +613,26 @@ mod tests {
         let config = RfipadConfig::default();
         let (t, r) = THRESHOLDS[0];
         let mut streaming = FrameScorer::new(&config);
+        let mut frames = FrameSeq::default();
         for n in 1..=rms.len() {
+            // Every call below revises at most the last of its n frames.
             for tail in [l, q] {
                 let mut ticked = rms[..n].to_vec();
                 *ticked.last_mut().expect("n >= 1") = tail;
-                let frames = frames_with_rms(0.0, 0.1, &ticked);
-                streaming.score(&frames, t, r);
+                frames = frames_with_rms(0.0, 0.1, &ticked);
+                streaming.score(&frames, n - 1, t, r);
                 let mut fresh = FrameScorer::new(&config);
-                fresh.score(&frames, t, r);
-                assert_eq!(scorer_bits(&streaming), scorer_bits(&fresh), "tick {n}");
+                fresh.score(&frames, 0, t, r);
+                assert_eq!(
+                    scorer_bits(&streaming, &frames),
+                    scorer_bits(&fresh, &frames),
+                    "tick {n}"
+                );
             }
-            let frames = frames_with_rms(0.0, 0.1, &rms[..n]);
-            streaming.score(&frames, t, r);
+            frames = frames_with_rms(0.0, 0.1, &rms[..n]);
+            streaming.score(&frames, n - 1, t, r);
         }
-        let seg = streaming.into_segmentation();
+        let seg = streaming.into_segmentation(&frames);
         // The lull is bridged into one span; the blip is dropped.
         assert_eq!(seg.spans.len(), 1, "{:?}", seg.spans);
         assert!(seg.frames[17..19].iter().all(|f| !f.active));
@@ -659,36 +660,48 @@ mod tests {
             let mut streaming = FrameScorer::new(&config);
             for (tick, (op, levels, at)) in ops.iter().enumerate() {
                 let at_frame = (at * rms.len() as f64) as usize;
-                match op {
+                // The leading frames the op leaves unchanged, the count
+                // framing reports for it.
+                let unchanged = match op {
                     // Revise the live tail.
                     0 => {
                         if let Some(last) = rms.last_mut() {
                             *last = LEVELS[levels[0]];
                         }
+                        rms.len().saturating_sub(1)
                     }
                     // Revise every frame from a random one on.
                     1 => {
                         for (v, &l) in rms[at_frame..].iter_mut().zip(levels.iter().cycle()) {
                             *v = LEVELS[l];
                         }
+                        at_frame
                     }
                     // Re-anchor: drop a prefix and restart the frame grid
                     // where it ended, as a history trim does.
                     2 => {
                         rms.drain(..at_frame);
                         anchor += at_frame as f64 * len;
+                        0
                     }
-                    3 => thresholds = THRESHOLDS[levels[0]],
+                    3 => {
+                        thresholds = THRESHOLDS[levels[0]];
+                        rms.len()
+                    }
                     // Append frames.
-                    _ => rms.extend(levels.iter().map(|&l| LEVELS[l])),
-                }
+                    _ => {
+                        let old = rms.len();
+                        rms.extend(levels.iter().map(|&l| LEVELS[l]));
+                        old
+                    }
+                };
                 let frames = frames_with_rms(anchor, len, &rms);
-                streaming.score(&frames, thresholds.0, thresholds.1);
+                streaming.score(&frames, unchanged, thresholds.0, thresholds.1);
                 let mut fresh = FrameScorer::new(&config);
-                fresh.score(&frames, thresholds.0, thresholds.1);
+                fresh.score(&frames, 0, thresholds.0, thresholds.1);
                 proptest::prop_assert_eq!(
-                    scorer_bits(&streaming),
-                    scorer_bits(&fresh),
+                    scorer_bits(&streaming, &frames),
+                    scorer_bits(&fresh, &frames),
                     "tick {} op {}",
                     tick,
                     op

@@ -108,8 +108,13 @@ pub struct FrameTick {
     pub now: f64,
     /// Wall-clock start of the tick, for response-time accounting.
     pub started: Instant,
-    /// Per-frame RMS scores over the buffered history.
-    pub frames: FrameSeq,
+    /// Per-frame RMS scores over the buffered history. Shared with the
+    /// framing stage's frame builder: dropping the tick before the next
+    /// one lets the builder update the sequence in place.
+    pub frames: Arc<FrameSeq>,
+    /// How many leading frames equal the previous tick's, bit for bit
+    /// (0 after a trim re-anchored the frames).
+    pub unchanged: usize,
     /// Snapshot of the calibrated streams at this tick. Shared with the
     /// framing stage's incremental builder; dropping the tick after the
     /// cascade keeps later pushes copy-free.
@@ -166,31 +171,27 @@ pub enum LetterOut {
 }
 
 /// Incrementally maintained view of the buffered reports: calibrated
-/// per-tag streams plus the per-frame RMS accumulators over them. Kept
-/// in step with [`Framing`]'s buffer on every push and *dropped*
-/// whenever the buffer is trimmed — a rebuild from a shorter history
-/// legitimately re-picks unwrap state and the Eq. 8 re-centring offsets
-/// at the new first sample, so patching the cache in place would
-/// diverge from a from-scratch build.
+/// per-tag streams plus the per-frame RMS accumulators and frames over
+/// them. Kept in step with [`Framing`]'s buffer on every push and marked
+/// *stale* whenever the buffer is trimmed — a rebuild from a shorter
+/// history legitimately re-picks unwrap state and the Eq. 8 re-centring
+/// offsets at the new first sample, so patching the cache in place would
+/// diverge from a from-scratch build. The next tick clears it, keeping
+/// its allocations, and replays the buffer.
 #[derive(Debug)]
 struct StreamCache {
     streams: TagStreamsBuilder,
-    /// Created at the first in-layout report; that report's time anchors
-    /// frame 0, matching the batch build's `streams.start()`.
-    frames: Option<FrameBuilder>,
-    /// A retired frame builder kept for its allocations: the next rebuild
-    /// re-anchors it instead of constructing a fresh one.
-    spare: Option<FrameBuilder>,
+    /// Anchored at the cache's first sample: frame 0 starts there,
+    /// matching the batch build's `streams.start()`.
+    frames: FrameBuilder,
+    /// Whether a trim left the cache behind the buffer.
+    stale: bool,
 }
 
 impl StreamCache {
-    /// Empties the cache while keeping its allocations (stream series,
-    /// frame accumulators) for the next rebuild.
-    fn reset(&mut self) {
-        self.streams.clear();
-        if let Some(frames) = self.frames.take() {
-            self.spare = Some(frames);
-        }
+    /// Whether the frames are anchored: the cache holds a sample.
+    fn anchored(&self) -> bool {
+        self.streams.streams().start().is_some()
     }
 }
 
@@ -199,38 +200,19 @@ impl StreamCache {
 /// place a report's tag is looked up: past it, every per-tag quantity is
 /// found by the tag's layout index. Reports of tags outside the layout
 /// stop here.
-fn cache_append(
-    cache: &mut StreamCache,
-    recognizer: &Recognizer,
-    noise_floors: &[f64],
-    obs: &TagReport,
-) {
-    let layout = recognizer.layout();
-    let Some(index) = layout.index(obs.tag) else {
+fn cache_append(cache: &mut StreamCache, recognizer: &Recognizer, obs: &TagReport) {
+    let Some(index) = recognizer.layout().index(obs.tag) else {
         return;
     };
+    let first = !cache.anchored();
     if let Some(value) = cache
         .streams
         .push(index, Some(recognizer.calibration()), obs)
     {
-        let frames = match &mut cache.frames {
-            Some(frames) => frames,
-            frames @ None => frames.insert(match cache.spare.take() {
-                // A retired builder carries the right stream count,
-                // floors, and frame length; only the anchor moves.
-                Some(mut spare) => {
-                    spare.reset_anchor(obs.time);
-                    spare
-                }
-                None => FrameBuilder::new(
-                    layout.len(),
-                    Some(noise_floors.to_vec()),
-                    obs.time,
-                    recognizer.config().frame_len_s,
-                ),
-            }),
-        };
-        frames.push(index, obs.time, value);
+        if first {
+            cache.frames.reset_anchor(obs.time);
+        }
+        cache.frames.push(index, obs.time, value);
     }
 }
 
@@ -243,20 +225,12 @@ fn cache_append(
 #[derive(Debug)]
 pub struct Framing {
     recognizer: Arc<Recognizer>,
-    /// Per-stream noise floors in layout order (static per calibration).
-    noise_floors: Vec<f64>,
     letter_gap_s: f64,
     end_guard_s: f64,
     buffer: Vec<TagReport>,
-    /// Incremental streams + frames over `buffer`; `None` after a trim
+    /// Incremental streams + frames over `buffer`; stale after a trim
     /// until the next tick rebuilds it.
-    cache: Option<StreamCache>,
-    /// An invalidated cache kept for its allocations; the next rebuild
-    /// starts from it instead of a fresh [`StreamCache`].
-    spare_cache: Option<StreamCache>,
-    /// A consumed tick's frame sequence handed back by the graph; the
-    /// next tick builds into it instead of allocating.
-    spare_frames: Option<FrameSeq>,
+    cache: StreamCache,
     last_processed: f64,
     /// Start of the oldest pending stroke (set by the graph before each
     /// push): retention never cuts into an unclosed letter's history.
@@ -270,16 +244,24 @@ impl Framing {
     /// Creates the stage. `end_guard_s` is the silence that confirms a
     /// stroke's end; `letter_gap_s` the idle time that closes a letter.
     pub fn new(recognizer: Arc<Recognizer>, letter_gap_s: f64, end_guard_s: f64) -> Self {
-        let noise_floors = recognizer.noise_floors();
+        let tags = recognizer.layout().len();
+        let cache = StreamCache {
+            streams: TagStreamsBuilder::new(tags),
+            // Re-anchored at the first sample.
+            frames: FrameBuilder::new(
+                tags,
+                Some(recognizer.noise_floors()),
+                0.0,
+                recognizer.config().frame_len_s,
+            ),
+            stale: false,
+        };
         Self {
             recognizer,
-            noise_floors,
             letter_gap_s,
             end_guard_s,
             buffer: Vec::new(),
-            cache: None,
-            spare_cache: None,
-            spare_frames: None,
+            cache,
             last_processed: f64::NEG_INFINITY,
             hold_from: None,
             pending_trim: None,
@@ -302,62 +284,47 @@ impl Framing {
 
     /// Drops history at or before `letter_end` after a letter closed.
     /// The shortened history re-anchors stream centring, so the
-    /// incremental cache is dropped with it and rebuilt at the next
+    /// incremental cache goes stale with it and is rebuilt at the next
     /// tick.
     pub fn trim_after_letter(&mut self, letter_end: f64) {
         self.buffer.retain(|o| o.time > letter_end);
-        self.invalidate_cache();
+        self.cache.stale = true;
     }
 
-    /// Drops the incremental cache, parking it (emptied) as the spare so
-    /// the rebuild reuses its allocations.
-    fn invalidate_cache(&mut self) {
-        if let Some(mut cache) = self.cache.take() {
-            cache.reset();
-            self.spare_cache = Some(cache);
-        }
-    }
-
-    /// Hands a consumed tick's frame sequence back for reuse by the next
-    /// tick.
-    pub(crate) fn recycle_frames(&mut self, frames: FrameSeq) {
-        self.spare_frames = Some(frames);
-    }
-
-    /// Rebuilds the incremental cache from the buffer if a trim dropped
-    /// it, reusing the retired cache's allocations when one is parked.
-    fn ensure_cache(&mut self) {
-        if self.cache.is_some() {
+    /// Rebuilds a stale cache from the buffer, in place: the streams are
+    /// cleared, the frames emptied, and the buffer replayed.
+    fn refresh_cache(&mut self) {
+        let cache = &mut self.cache;
+        if !cache.stale {
             return;
         }
-        let mut cache = self.spare_cache.take().unwrap_or_else(|| StreamCache {
-            streams: TagStreamsBuilder::new(self.recognizer.layout().len()),
-            frames: None,
-            spare: None,
-        });
+        cache.stale = false;
+        cache.streams.clear();
+        let anchor = cache.frames.start();
+        cache.frames.reset_anchor(anchor);
         for obs in &self.buffer {
-            cache_append(&mut cache, &self.recognizer, &self.noise_floors, obs);
+            cache_append(cache, &self.recognizer, obs);
         }
-        self.cache = Some(cache);
     }
 
-    /// Cuts one processing tick at `now`: finalized frames plus a shared
-    /// stream snapshot. The tick's `started` stamp lets the graph time the
-    /// framing hop (the cache rebuild + frame cut) without a clock read
-    /// per report.
+    /// Cuts one processing tick at `now`: the frames, with how many of
+    /// them the previous tick already had, plus a shared stream snapshot.
+    /// The tick's `started` stamp lets the graph time the framing hop (the
+    /// cache rebuild + frame cut) without a clock read per report.
     fn tick(&mut self, now: f64, out: &mut Vec<FrameTick>) {
         let started = Instant::now();
-        self.ensure_cache();
-        let mut frames = self.spare_frames.take().unwrap_or_default();
-        let cache = self.cache.as_mut().expect("ensured above");
-        match (&mut cache.frames, cache.streams.streams().end()) {
-            (Some(builder), Some(end)) => builder.build_into(end, &mut frames),
-            _ => frames.clear(),
-        }
+        self.refresh_cache();
+        let cache = &mut self.cache;
+        let unchanged = cache
+            .streams
+            .streams()
+            .end()
+            .map_or(0, |end| cache.frames.advance(end));
         out.push(FrameTick {
             now,
             started,
-            frames,
+            frames: cache.frames.shared_frames(),
+            unchanged,
             streams: cache.streams.shared_streams(),
         });
     }
@@ -365,22 +332,22 @@ impl Framing {
     /// The stage's checkpoint state as a JSON object.
     fn state_json(&self) -> String {
         let buffer: Vec<String> = self.buffer.iter().map(report_to_json).collect();
-        // Diagnostics of the live frame accumulator, if one exists: the
-        // restore path rebuilds it from the buffer (deterministic, per
-        // the cache-matches-rebuild invariant) and verifies these bits.
-        let frames = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.frames.as_ref())
-            .map(|f| {
-                format!(
-                    "{{\"anchor_bits\":{},\"frame_len_bits\":{},\"max_time_bits\":{}}}",
-                    f.start().to_bits(),
-                    f.frame_len().to_bits(),
-                    f.max_time().to_bits()
-                )
-            })
-            .unwrap_or_else(|| "null".into());
+        // Diagnostics of the live frame accumulator, if the cache is fresh
+        // and anchored: the restore path rebuilds it from the buffer
+        // (deterministic, per the cache-matches-rebuild invariant) and
+        // verifies these bits.
+        let cache = &self.cache;
+        let frames = if !cache.stale && cache.anchored() {
+            let f = &cache.frames;
+            format!(
+                "{{\"anchor_bits\":{},\"frame_len_bits\":{},\"max_time_bits\":{}}}",
+                f.start().to_bits(),
+                f.frame_len().to_bits(),
+                f.max_time().to_bits()
+            )
+        } else {
+            "null".into()
+        };
         format!(
             "{{\"last_processed_bits\":{},\"buffer\":[{}],\"frames\":{}}}",
             self.last_processed.to_bits(),
@@ -414,7 +381,7 @@ impl Framing {
         }
         self.last_processed = bits(&last_processed)?;
         self.buffer = buffer;
-        self.invalidate_cache();
+        self.cache.stale = true;
         self.hold_from = None;
         self.pending_trim = None;
         if !frames.is_null() {
@@ -425,12 +392,12 @@ impl Framing {
             let [anchor, frame_len, max_time] =
                 frames.fields(["anchor_bits", "frame_len_bits", "max_time_bits"])?;
             let expected: [u64; 3] = [anchor.as_uint()?, frame_len.as_uint()?, max_time.as_uint()?];
-            self.ensure_cache();
+            self.refresh_cache();
+            let f = &self.cache.frames;
             let rebuilt = self
                 .cache
-                .as_ref()
-                .and_then(|c| c.frames.as_ref())
-                .map(|f| [f.start(), f.frame_len(), f.max_time()].map(f64::to_bits));
+                .anchored()
+                .then(|| [f.start(), f.frame_len(), f.max_time()].map(f64::to_bits));
             if rebuilt != Some(expected) {
                 return Err(checkpoint_err(
                     "rebuilt frame accumulator diverges from the checkpoint",
@@ -448,10 +415,10 @@ impl Stage for Framing {
     fn push(&mut self, obs: TagReport, out: &mut Vec<FrameTick>) {
         let now = obs.time;
         self.buffer.push(obs);
-        // Keep the incremental cache in step with the buffer. A cache
-        // dropped by a trim is rebuilt lazily at the next tick.
-        if let Some(cache) = self.cache.as_mut() {
-            cache_append(cache, &self.recognizer, &self.noise_floors, &obs);
+        // Keep the incremental cache in step with the buffer. A cache a
+        // trim left stale is rebuilt lazily at the next tick.
+        if !self.cache.stale {
+            cache_append(&mut self.cache, &self.recognizer, &obs);
         }
         // Bound the history: drop everything older than the retention
         // window, but never cut into a pending (unclosed) letter.
@@ -468,7 +435,7 @@ impl Stage for Framing {
         {
             self.buffer.retain(|o| o.time >= keep_from);
             self.pending_trim = Some(keep_from);
-            self.invalidate_cache();
+            self.cache.stale = true;
         }
         // Re-evaluate once per frame, not per read.
         if now - self.last_processed < self.recognizer.config().frame_len_s {
@@ -504,11 +471,8 @@ pub struct Segmentation {
     end_guard_s: f64,
     /// Spans already reported (by their start time), kept sorted.
     reported_spans: Vec<f64>,
-    /// The Eq. 12 scorer, holding the previous tick's frames and scores.
+    /// The Eq. 12 scorer, holding the previous tick's scores.
     scorer: FrameScorer,
-    /// The consumed tick's frame sequence, for the graph to hand back to
-    /// [`Framing::recycle_frames`].
-    spare_frames: Option<FrameSeq>,
 }
 
 impl Segmentation {
@@ -520,14 +484,7 @@ impl Segmentation {
             recognizer,
             end_guard_s,
             reported_spans: Vec::new(),
-            spare_frames: None,
         }
-    }
-
-    /// Takes the frame sequence consumed by the latest tick, if any, so
-    /// its allocation can be recycled upstream.
-    pub(crate) fn take_spare_frames(&mut self) -> Option<FrameSeq> {
-        self.spare_frames.take()
     }
 
     /// Drops dedup entries older than the retained history; spans there
@@ -598,16 +555,20 @@ impl Stage for Segmentation {
             now,
             started,
             frames,
+            unchanged,
             streams,
         } = tick;
         let config = self.recognizer.config();
         let calibration = self.recognizer.calibration();
         self.scorer.score(
             &frames,
+            unchanged,
             calibration.activity_threshold(config),
             calibration.rms_level_threshold(config),
         );
-        self.spare_frames = Some(frames);
+        // Dropped here, so the next tick's framing holds the only handle
+        // and updates the sequence in place.
+        drop(frames);
         let mut spans = Vec::new();
         for i in 0..self.scorer.spans().len() {
             let span = self.scorer.spans()[i];
@@ -1116,11 +1077,6 @@ impl StageGraph {
             self.record_stage_hop(1, started);
         }
         self.ticks = ticks;
-        // The segmentation stage is done with the tick's frame sequence;
-        // hand it back so the next tick builds into the same allocation.
-        if let Some(frames) = self.segmentation.take_spare_frames() {
-            self.framing.recycle_frames(frames);
-        }
         let mut spans = std::mem::take(&mut self.spans);
         for batch in spans.drain(..) {
             let started = sampled.then(Instant::now);
@@ -1454,9 +1410,10 @@ impl StageGraph {
         &self.framing.buffer
     }
 
-    /// Whether the framing stage currently holds an incremental cache.
-    pub(crate) fn cache_is_some(&self) -> bool {
-        self.framing.cache.is_some()
+    /// Whether the framing stage's incremental cache is in step with its
+    /// buffer (no trim since the last rebuild).
+    pub(crate) fn cache_is_fresh(&self) -> bool {
+        !self.framing.cache.stale
     }
 
     /// The letter stage's pending strokes (mutable, for fixtures).
@@ -1487,36 +1444,34 @@ impl StageGraph {
 
     /// Test oracle: the incrementally maintained cache must equal a
     /// from-scratch rebuild over the current buffer — streams *and*
-    /// frames, bit for bit. Rebuilds the cache first if a trim dropped
-    /// it.
+    /// frames, bit for bit. Rebuilds the cache first if a trim left it
+    /// stale.
     pub(crate) fn assert_cache_matches_rebuild(&mut self) {
-        self.framing.ensure_cache();
+        self.framing.refresh_cache();
         let framing = &self.framing;
-        let cache = framing.cache.as_ref().expect("just ensured");
+        let cache = &framing.cache;
         let fresh = framing.recognizer.streams(&framing.buffer);
         assert_eq!(
             cache.streams.streams(),
             &fresh,
             "cached streams diverged from a rebuild over the buffer"
         );
-        if let Some(frames) = cache.frames.as_ref() {
-            let start = fresh.start().expect("cache has samples");
-            let end = fresh.end().expect("cache has samples");
-            assert_eq!(frames.start(), start, "frame anchor diverged");
+        if let (Some(start), Some(end)) = (fresh.start(), fresh.end()) {
+            assert_eq!(cache.frames.start(), start, "frame anchor diverged");
             let batch = FrameSeq::build_with_floors(
                 fresh.phases(),
-                Some(&framing.noise_floors),
+                Some(&framing.recognizer.noise_floors()),
                 start,
                 end,
                 framing.recognizer.config().frame_len_s,
             );
+            let mut frames = cache.frames.clone();
+            frames.advance(end);
             assert_eq!(
-                frames.clone().build(end),
+                *frames.shared_frames(),
                 batch,
                 "cached frames diverged from a batch build"
             );
-        } else {
-            assert_eq!(fresh.start(), None, "frames missing despite samples");
         }
     }
 }
@@ -2009,16 +1964,19 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e, PipelineEvent::LetterRecognized { .. }))
             {
-                // The letter close trims the buffer and must drop the
-                // cache with it, in the same tick.
-                assert!(!g.cache_is_some(), "letter-close trim left a stale cache");
+                // The letter close trims the buffer and must mark the
+                // cache stale with it, in the same tick.
+                assert!(
+                    !g.cache_is_fresh(),
+                    "letter-close trim left the cache fresh"
+                );
                 letter_seen = true;
             }
         }
         assert!(letter_seen, "recording closes a letter mid-feed");
         // Later ticks rebuild the cache from the trimmed buffer and then
         // maintain it incrementally; it must match a rebuild exactly.
-        assert!(g.cache_is_some(), "cache not rebuilt after the letter");
+        assert!(g.cache_is_fresh(), "cache not rebuilt after the letter");
         g.assert_cache_matches_rebuild();
         // finish-then-resume: the flush and the resumed traffic keep the
         // cache in step with the buffer.
@@ -2091,6 +2049,19 @@ mod tests {
         normalize_events(&mut expected);
         normalize_events(&mut events);
         assert_eq!(events, expected);
+    }
+
+    #[test]
+    fn a_report_at_a_huge_time_completes() {
+        // At 1e23 s half an ulp of the time exceeds the 100 ms frame, so
+        // frame ends stop advancing past the newest sample; framing once
+        // settled frames until the allocator gave up.
+        let mut graph = quiet_graph(1.5);
+        let mut events = Vec::new();
+        graph.push_into(quiet_obs(0, 1e23), &mut events);
+        graph.finish_into(&mut events);
+        assert!(events.is_empty());
+        graph.assert_cache_matches_rebuild();
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 /// Workspace-wide count of frames cut from per-tag streams, registered in
 /// the process-global metric registry: every frame of a
 /// [`FrameSeq::build`], and each frame a [`FrameBuilder`] settles — once,
-/// however many builds re-emit it. The `Arc` is cached so steady-state
+/// however many advances keep it. The `Arc` is cached so steady-state
 /// framing costs one relaxed atomic add.
 fn frames_built_counter() -> &'static Arc<obs::Counter> {
     static COUNTER: OnceLock<Arc<obs::Counter>> = OnceLock::new();
@@ -138,12 +138,6 @@ impl FrameSeq {
         self.frames.is_empty()
     }
 
-    /// Removes all frames, keeping the allocated capacity (for use as a
-    /// reusable buffer with [`FrameBuilder::build_into`]).
-    pub fn clear(&mut self) {
-        self.frames.clear();
-    }
-
     /// The per-frame RMS values as a plain vector.
     pub fn rms_values(&self) -> Vec<f64> {
         self.frames.iter().map(|f| f.rms).collect()
@@ -162,8 +156,8 @@ impl FrameSeq {
 }
 
 /// Streaming counterpart of [`FrameSeq::build_with_floors`]: appending a
-/// sample is O(1), and [`build`](Self::build) emits the frame sequence
-/// without re-slicing any stream.
+/// sample is O(1), and [`advance`](Self::advance) brings one shared frame
+/// sequence up to date without re-slicing any stream.
 ///
 /// The output is **bit-identical** to a batch
 /// [`FrameSeq::build_with_floors`] over the same samples because the
@@ -173,11 +167,12 @@ impl FrameSeq {
 /// streams in the same index order.
 ///
 /// Frames whose end lies at or before the newest sample time can no longer
-/// receive samples (assuming non-decreasing push times); their `Frame` is
-/// computed once and cached, so a steady-state `push*`/`build` cycle costs
-/// O(new samples + live tail frames), not O(total frames). A push that does
-/// land in an already-finalized frame (out-of-order feed) simply drops the
-/// affected cache suffix and stays correct.
+/// receive samples (assuming non-decreasing push times): they are
+/// *settled*, computed once and kept in the sequence, so a steady-state
+/// `push*`/`advance` cycle costs O(new samples + live tail frames), not
+/// O(total frames). A push that does land in a settled frame (out-of-order
+/// feed) lowers the settled count to that frame and stays correct. The
+/// sequence is shared behind an `Arc` and updated in place.
 ///
 /// # Example
 ///
@@ -190,9 +185,11 @@ impl FrameSeq {
 /// for (t, v) in stream.iter() {
 ///     builder.push(0, t, v);
 /// }
-/// let streaming = builder.build(0.29);
+/// assert_eq!(builder.advance(0.29), 0);
 /// let batch = FrameSeq::build(&[stream], 0.0, 0.29, 0.1);
-/// assert_eq!(streaming, batch);
+/// assert_eq!(*builder.shared_frames(), batch);
+/// // Frames 0 and 1 end by the newest sample: settled, so they stand.
+/// assert_eq!(builder.advance(0.29), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrameBuilder {
@@ -207,8 +204,12 @@ pub struct FrameBuilder {
     acc_sum_sq: Vec<f64>,
     /// Per-frame, per-stream sample counts, same layout as `acc_sum_sq`.
     acc_count: Vec<usize>,
-    /// Finalized prefix of frames (no future sample can land in them).
-    done: Vec<Frame>,
+    /// The sequence of the latest [`advance`](Self::advance): the settled
+    /// prefix followed by the live tail.
+    frames: Arc<FrameSeq>,
+    /// How many leading frames of `frames` are settled and untouched by
+    /// any push since.
+    settled: usize,
     /// Newest sample time seen so far.
     max_time: f64,
 }
@@ -234,21 +235,24 @@ impl FrameBuilder {
             n_streams,
             acc_sum_sq: Vec::new(),
             acc_count: Vec::new(),
-            done: Vec::new(),
+            frames: Arc::default(),
+            settled: 0,
             max_time: f64::NEG_INFINITY,
         }
     }
 
     /// Rewinds the builder to an empty state with a new range `start`,
     /// keeping the stream count, floors, frame length, and — crucially —
-    /// the accumulator allocations. A retention trim that rebuilds its
-    /// framing cache can recycle a spare builder through this instead of
-    /// allocating a fresh one.
+    /// the accumulator and frame allocations. A retention trim that
+    /// rebuilds its framing cache re-anchors the builder through this
+    /// instead of allocating a fresh one. The next
+    /// [`advance`](Self::advance) reports no frame unchanged.
     pub fn reset_anchor(&mut self, start: f64) {
         self.start = start;
         self.acc_sum_sq.clear();
         self.acc_count.clear();
-        self.done.clear();
+        Arc::make_mut(&mut self.frames).frames.clear();
+        self.settled = 0;
         self.max_time = f64::NEG_INFINITY;
     }
 
@@ -322,9 +326,7 @@ impl FrameBuilder {
             k += 1;
         }
         if let Some(first) = first_touched {
-            if first < self.done.len() {
-                self.done.truncate(first);
-            }
+            self.settled = self.settled.min(first);
         }
         if t > self.max_time {
             self.max_time = t;
@@ -359,45 +361,50 @@ impl FrameBuilder {
         }
     }
 
-    /// Builds the frame sequence spanning `[start, end)`, bit-identical to
-    /// [`FrameSeq::build_with_floors`] over the same samples. May be called
-    /// repeatedly with a growing `end` as more samples arrive.
+    /// Brings the frame sequence up to `[start, end)`, bit-identical to
+    /// [`FrameSeq::build_with_floors`] over the same samples, and returns
+    /// how many leading frames are unchanged since the previous call: the
+    /// settled frames no push has touched since. May be called repeatedly
+    /// with a growing `end` as more samples arrive. A handle from
+    /// [`shared_frames`](Self::shared_frames) still held makes this copy
+    /// the sequence first.
     ///
     /// # Panics
     ///
     /// Panics if `end < start`.
-    pub fn build(&mut self, end: f64) -> FrameSeq {
-        let mut out = FrameSeq::default();
-        self.build_into(end, &mut out);
-        out
-    }
-
-    /// Like [`build`](Self::build), but reuses `out`'s allocation. The
-    /// result is bit-identical to [`build`](Self::build).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start`.
-    pub fn build_into(&mut self, end: f64, out: &mut FrameSeq) {
+    pub fn advance(&mut self, end: f64) -> usize {
         assert!(end >= self.start, "frame range end before start");
         let count = ((end - self.start) / self.frame_len).ceil() as usize;
-        // Finalize frames that can no longer change: every future sample
+        let unchanged = self.settled.min(count);
+        // Detach the frame vector so frames can be computed from `self`
+        // while it grows; under a sole handle nothing is copied.
+        let mut frames = std::mem::take(&mut Arc::make_mut(&mut self.frames).frames);
+        frames.truncate(unchanged);
+        // Settle frames that can no longer change: every future sample
         // arrives at `t >= max_time` in a monotone feed, so a frame ending
         // at or before `max_time` is settled (membership needs
         // `t < f_start + frame_len`, the same rounded expression as here).
-        let settled = self.done.len();
-        while self.frame_start(self.done.len()) + self.frame_len <= self.max_time {
-            let frame = self.compute_frame(self.done.len());
-            self.done.push(frame);
+        // Only frames of this sequence settle: once half an ulp of the
+        // timestamps exceeds the frame length, frame ends stop advancing
+        // and every later frame would pass the test.
+        while frames.len() < count
+            && self.frame_start(frames.len()) + self.frame_len <= self.max_time
+        {
+            frames.push(self.compute_frame(frames.len()));
         }
-        frames_built_counter().add((self.done.len() - settled) as u64);
-        out.frames.clear();
-        out.frames.reserve(count);
-        out.frames
-            .extend_from_slice(&self.done[..count.min(self.done.len())]);
-        for k in out.frames.len()..count {
-            out.frames.push(self.compute_frame(k));
-        }
+        frames_built_counter().add((frames.len() - unchanged) as u64);
+        self.settled = frames.len();
+        frames.extend((self.settled..count).map(|k| self.compute_frame(k)));
+        Arc::make_mut(&mut self.frames).frames = frames;
+        unchanged
+    }
+
+    /// A shared handle to the frame sequence as of the latest
+    /// [`advance`](Self::advance). Holding it across the next advance is
+    /// allowed but makes that advance copy the sequence; drop the handle
+    /// when done with it.
+    pub fn shared_frames(&self) -> Arc<FrameSeq> {
+        Arc::clone(&self.frames)
     }
 }
 
@@ -563,7 +570,8 @@ mod tests {
             FrameSeq::build_with_floors(&[a.clone(), b.clone()], Some(&floors), 0.0, 0.99, 0.1);
         let mut builder = FrameBuilder::new(2, Some(floors), 0.0, 0.1);
         push_interleaved(&mut builder, &[a, b]);
-        assert_eq!(builder.build(0.99), batch);
+        builder.advance(0.99);
+        assert_eq!(*builder.shared_frames(), batch);
     }
 
     #[test]
@@ -578,7 +586,8 @@ mod tests {
             fed.push(t, v);
             let end = t;
             let batch = FrameSeq::build(&[fed.clone()], 0.0, end, 0.1);
-            assert_eq!(builder.build(end), batch, "diverged at t={t}");
+            builder.advance(end);
+            assert_eq!(*builder.shared_frames(), batch, "diverged at t={t}");
         }
     }
 
@@ -587,14 +596,23 @@ mod tests {
         let mut builder = FrameBuilder::new(1, None, 0.0, 0.1);
         builder.push(0, 0.05, 1.0);
         builder.push(0, 0.95, 1.0);
-        let _ = builder.build(1.0); // finalizes the early frames
-        builder.push(0, 0.05, 3.0); // lands in finalized frame 0
+        assert_eq!(builder.advance(1.0), 0);
+        assert_eq!(builder.advance(1.0), 9, "frames ending by 0.95 s settled");
+        builder.push(0, 0.05, 3.0); // lands in settled frame 0
         let batch: TimeSeries = [(0.05, 1.0), (0.05, 3.0), (0.95, 1.0)]
             .into_iter()
             .collect();
         // Note the batch stream must accumulate in the builder's push order
         // within the frame for bit-identity; (1.0, 3.0) here.
-        assert_eq!(builder.build(1.0), FrameSeq::build(&[batch], 0.0, 1.0, 0.1));
+        assert_eq!(
+            builder.advance(1.0),
+            0,
+            "the revised frame is not unchanged"
+        );
+        assert_eq!(
+            *builder.shared_frames(),
+            FrameSeq::build(&[batch], 0.0, 1.0, 0.1)
+        );
     }
 
     #[test]
@@ -603,14 +621,53 @@ mod tests {
         builder.push(0, 0.5, 9.0);
         builder.push(0, 1.05, 2.0);
         let s: TimeSeries = [(0.5, 9.0), (1.05, 2.0)].into_iter().collect();
-        assert_eq!(builder.build(1.1), FrameSeq::build(&[s], 1.0, 1.1, 0.1));
+        builder.advance(1.1);
+        assert_eq!(
+            *builder.shared_frames(),
+            FrameSeq::build(&[s], 1.0, 1.1, 0.1)
+        );
     }
 
     #[test]
     fn builder_empty_build_spans_range() {
         let mut builder = FrameBuilder::new(2, None, 0.0, 0.1);
-        let fs = builder.build(0.55);
+        builder.advance(0.55);
+        let fs = builder.shared_frames();
         assert_eq!(fs.len(), 6);
         assert!(fs.frames().iter().all(|f| f.rms == 0.0 && f.samples == 0));
+    }
+
+    #[test]
+    fn builder_settles_no_frame_past_the_sequence() {
+        // At 1e23 s half an ulp of the time exceeds the frame length, so
+        // frame ends stop advancing and every frame ends "by" the newest
+        // sample. Settling must stop at the sequence's frame count.
+        let mut builder = FrameBuilder::new(1, None, 1e23, 0.1);
+        builder.push(0, 1e23, 1.0);
+        assert_eq!(builder.advance(1e23), 0);
+        assert!(builder.shared_frames().is_empty());
+        assert_eq!(builder.advance(1e23), 0);
+    }
+
+    #[test]
+    fn re_anchoring_or_a_held_handle_keeps_the_promise() {
+        let mut builder = FrameBuilder::new(1, None, 0.0, 0.1);
+        for k in 0..10 {
+            builder.push(0, k as f64 * 0.1 + 0.05, 1.0);
+        }
+        builder.advance(0.95);
+        // A handle held across an advance keeps its frames; the builder
+        // copies before it writes.
+        let held = builder.shared_frames();
+        let before = held.as_ref().clone();
+        builder.push(0, 0.97, 2.0);
+        assert_eq!(builder.advance(0.97), 9);
+        assert_eq!(*held, before);
+        assert_ne!(*builder.shared_frames(), before);
+        // A re-anchored builder reports nothing unchanged.
+        builder.reset_anchor(0.5);
+        builder.push(0, 0.55, 1.0);
+        assert_eq!(builder.advance(0.55), 0);
+        assert_eq!(builder.shared_frames().len(), 1);
     }
 }

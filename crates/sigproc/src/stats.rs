@@ -16,11 +16,19 @@ pub fn mean(data: &[f64]) -> f64 {
 
 /// Population variance of a slice. Returns 0.0 for fewer than two samples.
 pub fn variance(data: &[f64]) -> f64 {
-    if data.len() < 2 {
+    variance_of(data.iter().copied())
+}
+
+/// [`variance`] of values read through an iterator, walked twice in the
+/// same order, so the result is bit for bit the variance of a slice of
+/// them — for values that live in a field of each element.
+pub fn variance_of(values: impl ExactSizeIterator<Item = f64> + Clone) -> f64 {
+    let n = values.len();
+    if n < 2 {
         return 0.0;
     }
-    let m = mean(data);
-    data.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64
+    let m = values.clone().sum::<f64>() / n as f64;
+    values.map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64
 }
 
 /// Population standard deviation of a slice.

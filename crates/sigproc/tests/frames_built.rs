@@ -14,14 +14,14 @@ fn frames_built() -> u64 {
 
 #[test]
 fn a_build_per_sample_counts_each_settled_frame_once() {
-    // 3 s of one stream at 100 Hz, built after every sample: a tick per
+    // 3 s of one stream at 100 Hz, advanced after every sample: a tick per
     // report, the most a live feed asks of the builder.
     let series: TimeSeries = (0..300).map(|i| (i as f64 * 0.01, 1.0)).collect();
     let mut builder = FrameBuilder::new(1, None, 0.0, 0.1);
     let before = frames_built();
     for (t, v) in series.iter() {
         builder.push(0, t, v);
-        builder.build(t);
+        builder.advance(t);
     }
     let streamed = frames_built() - before;
 
@@ -31,7 +31,7 @@ fn a_build_per_sample_counts_each_settled_frame_once() {
     assert_eq!(frames_built() - before, batch.len() as u64);
 
     // The settled frames are those ending by the newest sample (2.99 s);
-    // the live tail frame is cut on every build but never settles.
+    // the live tail frame is cut on every advance but never settles.
     let settled = batch.frames().iter().filter(|f| f.end() <= 2.99).count();
     assert_eq!(settled, 29);
     assert_eq!(streamed, settled as u64);

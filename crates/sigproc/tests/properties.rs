@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sigproc::filter::moving_average;
-use sigproc::frames::{FrameBuilder, FrameSeq};
+use sigproc::frames::{Frame, FrameBuilder, FrameSeq};
 use sigproc::otsu::otsu_threshold;
 use sigproc::series::TimeSeries;
 use sigproc::stats::{self, Welford};
@@ -197,11 +197,83 @@ proptest! {
         for &(t, i, v) in &samples[..mid] {
             builder.push(i, t, v);
         }
-        let _ = builder.build(end); // intermediate build must not disturb the final one
+        builder.advance(end); // an intermediate advance must not disturb the final one
         for &(t, i, v) in &samples[mid..] {
             builder.push(i, t, v);
         }
-        prop_assert_eq!(builder.build(end), batch);
+        builder.advance(end);
+        prop_assert_eq!(&*builder.shared_frames(), &batch);
+    }
+
+    /// The count `FrameBuilder::advance` returns is a promise: across
+    /// random push/advance sequences the first *count* frames of each
+    /// sequence equal the previous sequence's bit for bit, and the whole
+    /// sequence equals a batch build over the samples pushed so far. Each
+    /// stream is fed in time order, but the streams interleave at random,
+    /// so a push often lands in a frame an earlier advance settled.
+    #[test]
+    fn frame_builder_reports_only_unchanged_frames(
+        specs in prop::collection::vec(
+            (
+                0.0f64..1.0,                                            // stream start offset
+                prop::collection::vec((0.0f64..0.15, -5.0f64..5.0), 0..40), // (dt, value) steps
+            ),
+            1..4,
+        ),
+        picks in prop::collection::vec((0usize..4, any::<bool>()), 0..160),
+        use_floors in any::<bool>(),
+        floor_seed in prop::collection::vec(-0.5f64..1.5, 3..4),
+        frame_len in 0.05f64..0.3,
+        start in 0.0f64..0.3,
+    ) {
+        let streams: Vec<Vec<(f64, f64)>> = specs
+            .iter()
+            .map(|(offset, steps)| {
+                let mut t = *offset;
+                steps
+                    .iter()
+                    .map(|&(dt, v)| {
+                        t += dt;
+                        (t - dt, v)
+                    })
+                    .collect()
+            })
+            .collect();
+        let floors: Option<Vec<f64>> =
+            use_floors.then(|| floor_seed[..streams.len()].to_vec());
+        let mut builder = FrameBuilder::new(streams.len(), floors.clone(), start, frame_len);
+        let mut fed = vec![TimeSeries::new(); streams.len()];
+        let mut next = vec![0usize; streams.len()];
+        let mut previous: Vec<Frame> = Vec::new();
+        let mut newest = start;
+        for &(pick, advance) in &picks {
+            // The picked stream's next sample, or the next stream's that
+            // has one left.
+            let Some(i) = (0..streams.len())
+                .map(|d| (pick + d) % streams.len())
+                .find(|&i| next[i] < streams[i].len())
+            else {
+                break;
+            };
+            let (t, v) = streams[i][next[i]];
+            next[i] += 1;
+            builder.push(i, t, v);
+            fed[i].push(t, v);
+            newest = newest.max(t);
+            if !advance {
+                continue;
+            }
+            let unchanged = builder.advance(newest);
+            let shared = builder.shared_frames();
+            let frames = shared.frames();
+            prop_assert!(unchanged <= previous.len().min(frames.len()));
+            for (k, (old, new)) in previous.iter().zip(frames).take(unchanged).enumerate() {
+                prop_assert_eq!(frame_bits(old), frame_bits(new), "frame {} of {}", k, unchanged);
+            }
+            let batch = FrameSeq::build_with_floors(&fed, floors.as_deref(), start, newest, frame_len);
+            prop_assert_eq!(&*builder.shared_frames(), &batch);
+            previous = frames.to_vec();
+        }
     }
 
     /// The cursor-sweep `resample_into` is bit-identical to a per-grid-point
@@ -241,4 +313,14 @@ proptest! {
         prop_assert!(p25 <= p50 + 1e-12);
         prop_assert!(p50 <= p75 + 1e-12);
     }
+}
+
+/// Every field of a frame, as bits.
+fn frame_bits(f: &Frame) -> [u64; 4] {
+    [
+        f.start.to_bits(),
+        f.duration.to_bits(),
+        f.rms.to_bits(),
+        f.samples as u64,
+    ]
 }

@@ -12,10 +12,11 @@
 # must not allocate, `stroke_allocs` may not exceed its committed
 # allocations per span, `stroke_tick_allocs` its committed allocations per
 # stroke-bearing call and `reader_allocs` its committed allocations per
-# read, and `tick_history` (a push's cost at 25-27 s of buffered history
-# over its cost at 3-5 s) may not exceed 1.5. Parallel-speedup checks are
-# skipped (not
-# gated) on single-core machines, where "parallel" has nothing to win.
+# read, `tick_frames` (frames a framing tick hands segmentation at 25-27 s
+# of buffered history) may not exceed its committed value, and
+# `tick_history` (a push's cost at 25-27 s of buffered history over its
+# cost at 3-5 s) may not exceed 1.5. Parallel-speedup checks are skipped
+# (not gated) on single-core machines, where "parallel" has nothing to win.
 # Criterion sample time is kept short via CRITERION_SAMPLE_MS so the pass
 # stays quick.
 
@@ -36,14 +37,16 @@ base_ingest=$(baseline_rps ingest_batch)
 base_framing=$(baseline_rps incremental_framing)
 base_serve=$(baseline_rps serve_loopback)
 
-# per_unit_allocs <entry> <field>: one entry's allocations per unit (span,
-# read), read from stdin; empty if the entry does not exist.
-per_unit_allocs() {
+# per_unit <entry> <field>: one entry's count per unit (allocations per
+# span or read, frames per tick), read from stdin; empty if the entry does
+# not exist.
+per_unit() {
   sed -n "s/^ *\"$1\":.*\"$2\": \([0-9.]*\).*/\1/p" | head -n 1
 }
-base_stroke_allocs=$(per_unit_allocs stroke_allocs allocs_per_span <<<"$baseline")
-base_stroke_tick_allocs=$(per_unit_allocs stroke_tick_allocs allocs_per_call <<<"$baseline")
-base_reader_allocs=$(per_unit_allocs reader_allocs allocs_per_read <<<"$baseline")
+base_stroke_allocs=$(per_unit stroke_allocs allocs_per_span <<<"$baseline")
+base_stroke_tick_allocs=$(per_unit stroke_tick_allocs allocs_per_call <<<"$baseline")
+base_reader_allocs=$(per_unit reader_allocs allocs_per_read <<<"$baseline")
+base_tick_frames=$(per_unit tick_frames long_frames_per_tick <<<"$baseline")
 
 echo "== format =="
 cargo fmt --check
@@ -88,9 +91,10 @@ echo "== kernel microbench + allocation gates =="
 # quiet synthetic session through the pipeline, recognizes every span of
 # the golden session, replays it through a fresh stage graph, records it
 # through the simulated reader, all under a counting global allocator, and
-# times pushes over a short and a long quiet history. Merges the
-# kernel_bench, hot_path_allocs, stroke_allocs, stroke_tick_allocs,
-# reader_allocs and tick_history entries; all are gated below.
+# times pushes over a short and a long quiet history and counts the frames
+# framing hands over per tick in both. Merges the kernel_bench,
+# hot_path_allocs, stroke_allocs, stroke_tick_allocs, reader_allocs,
+# tick_history and tick_frames entries; all are gated below.
 cargo run --release -p bench --features count-allocs --bin kernel_bench
 
 echo "== health/debug endpoint smoke (live engine) =="
@@ -282,10 +286,10 @@ if [ "$hot_allocs" -ne 0 ]; then
 fi
 echo "hot_path_allocs ${hot_allocs}: OK"
 
-# Per-unit allocation gates, each entry against its own committed value.
-gate_allocs() { # entry field unit baseline what
-  local entry=$1 field=$2 unit=$3 base=$4 what=$5 fresh
-  fresh=$(per_unit_allocs "$entry" "$field" <BENCH_pipeline.json)
+# Per-unit count gates, each entry against its own committed value.
+gate_count() { # entry field unit baseline what noun
+  local entry=$1 field=$2 unit=$3 base=$4 what=$5 noun=$6 fresh
+  fresh=$(per_unit "$entry" "$field" <BENCH_pipeline.json)
   if [ -z "$fresh" ]; then
     echo "bench-check: $entry entry missing from BENCH_pipeline.json" >&2
     exit 1
@@ -295,7 +299,7 @@ gate_allocs() { # entry field unit baseline what
     return
   fi
   awk -v f="$fresh" -v b="$base" 'BEGIN { exit !(f <= b) }' || {
-    echo "bench-check: $what made ${fresh} allocations per $unit," \
+    echo "bench-check: $what made ${fresh} $noun per $unit," \
       "above the committed ${base}" >&2
     exit 1
   }
@@ -303,14 +307,20 @@ gate_allocs() { # entry field unit baseline what
 }
 # The quiet stream above never reaches the motion stage, so
 # recognize_span over the golden session's spans is counted separately.
-gate_allocs stroke_allocs allocs_per_span span "$base_stroke_allocs" recognize_span
+gate_count stroke_allocs allocs_per_span span "$base_stroke_allocs" recognize_span allocations
 # A whole stroke-bearing tick adds the span hand-off, letter assembly and
 # the grammar: every graph call that emits a stroke, counted per call.
-gate_allocs stroke_tick_allocs allocs_per_call call "$base_stroke_tick_allocs" \
-  "a stroke-bearing StageGraph call"
+gate_count stroke_tick_allocs allocs_per_call call "$base_stroke_tick_allocs" \
+  "a stroke-bearing StageGraph call" allocations
 # Nor does any pipeline gate see the simulator: recording the golden
 # session through the reader is counted per read.
-gate_allocs reader_allocs allocs_per_read read "$base_reader_allocs" Bench::record_session
+gate_count reader_allocs allocs_per_read read "$base_reader_allocs" Bench::record_session \
+  allocations
+# Framing hands segmentation one shared frame sequence and the count of
+# frames unchanged since the previous tick, so the frames a tick changes
+# stay the live tail however long the history: an exact count, no clock.
+gate_count tick_frames long_frames_per_tick tick "$base_tick_frames" \
+  "framing over 25-27 s of history" "changed frames"
 
 # History gate: a tick re-scores only the frames it changed, so a push may
 # cost at most 1.5x more over 25-27 s of buffered history than over 3-5 s.

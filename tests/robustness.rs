@@ -6,9 +6,11 @@ use experiments::serveload::{serial_replay, session_pipeline};
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use hand_kinematics::user::UserProfile;
+use proptest::prelude::*;
 use rfid_gen2::report::{TagId, TagReport};
 use rfipad::engine::normalize_events;
 use rfipad::{PipelineEvent, Recognizer, RfipadConfig};
+use std::sync::OnceLock;
 
 fn bench() -> Bench {
     Bench::calibrate(
@@ -291,5 +293,71 @@ fn a_recording_after_a_time_jump_is_recognized_on_its_own() {
             })
             .collect();
         assert_eq!(letters, [Some(GOLDEN_LETTER)], "shifted by {shift} s");
+    }
+}
+
+/// Base times of the finite-stream property: the epoch, a Unix-era clock,
+/// and magnitudes where 100 ms frames fall below the timestamps' ulp.
+const BASES: [f64; 11] = [
+    0.0, 1e9, -1e9, 1e15, -1e15, 1e23, -1e23, 1e300, -1e300, -9e299, 1.5,
+];
+
+/// Magnitudes a report's phase or RSS is drawn at, up to `f64::MAX`.
+const SCALES: [f64; 6] = [1.0, std::f64::consts::TAU, 60.0, 1e12, 1e300, f64::MAX];
+
+/// The time step before a report: none, a small step back (the graph
+/// clamps it), an ordinary read interval, or a jump past the 30 s
+/// retention window (the graph restarts the stream).
+fn time_step(kind: usize, u: f64) -> f64 {
+    match kind {
+        0 => 0.0,
+        1 => -0.05 * u,
+        2 => 30.0 + 100.0 * u,
+        _ => 0.1 * u,
+    }
+}
+
+/// The golden bench's recognizer, built once for every case.
+fn shared_recognizer() -> &'static Recognizer {
+    static RECOGNIZER: OnceLock<Recognizer> = OnceLock::new();
+    RECOGNIZER.get_or_init(|| golden_bench().recognizer)
+}
+
+proptest! {
+    /// No finite input panics: any stream of finite reports, in-layout or
+    /// foreign, at any base time and with any step, can be pushed,
+    /// finished, checkpointed and restored into a fresh graph, which then
+    /// holds the same state.
+    #[test]
+    fn no_finite_stream_panics_and_every_checkpoint_restores(
+        base in (0usize..BASES.len(), 0.0f64..1.0),
+        reports in prop::collection::vec(
+            (
+                (0usize..16, 0.0f64..1.0),
+                0usize..30,
+                (0usize..SCALES.len(), -1.0f64..1.0),
+                (0usize..SCALES.len(), -1.0f64..1.0),
+            ),
+            1..160,
+        ),
+    ) {
+        let recognizer = shared_recognizer();
+        let tags = recognizer.layout().tags();
+        let mut graph = session_pipeline(recognizer);
+        let mut events = Vec::new();
+        let mut t = BASES[base.0] * (1.0 + base.1) + base.1;
+        for &((kind, u), tag, (phase_scale, phase), (rss_scale, rss)) in &reports {
+            t += time_step(kind, u);
+            let tag = tags.get(tag).copied().unwrap_or(TagId(1_000_000 + tag as u64));
+            let report =
+                TagReport::synthetic(tag, t, phase * SCALES[phase_scale], rss * SCALES[rss_scale]);
+            graph.push_into(report, &mut events);
+        }
+        graph.finish_into(&mut events);
+        let checkpoint = graph.checkpoint();
+        let mut restored = session_pipeline(recognizer);
+        let outcome = restored.restore_checkpoint(&checkpoint);
+        prop_assert!(outcome.is_ok(), "restore refused a live checkpoint: {:?}", outcome);
+        prop_assert_eq!(restored.checkpoint(), checkpoint);
     }
 }
