@@ -1,6 +1,6 @@
 //! Kernel microbenchmark + hot-path allocation gates.
 //!
-//! Seven probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
+//! Eight probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
 //!
 //! * `kernel_bench` — per-kernel ns/element of the `sigproc::kernel`
 //!   slice kernels against their naive allocating references
@@ -28,6 +28,12 @@
 //!   present: the simulated reader's power checks, inventory rounds and
 //!   observations. Allocations per read may not grow past the committed
 //!   value.
+//! * `codec_allocs` — counts heap allocations of the report record codec
+//!   on the golden session's reports: one `encode_frame_v` of a
+//!   64-report BATCH, one `decode_payload_v` of that frame, and every
+//!   `TraceSource::next_batch(64)` refill of the binary trace, read
+//!   through an 8 KiB `BufReader` into a reused batch. Each count may not
+//!   grow past its committed value.
 //! * `tick_history` — how a push's cost grows with the buffered history:
 //!   ns per pushed report of the quiet stream over 25–27 s of history
 //!   against 3–5 s, fastest of several interleaved repetitions each. The
@@ -43,7 +49,10 @@
 //! `cargo run --release -p bench --features count-allocs --bin kernel_bench`
 
 use hand_kinematics::user::UserProfile;
-use rfid_gen2::report::{TagId, TagReport};
+use rfid_gen2::report::{ReportBatch, TagId, TagReport};
+use rfid_gen2::source::{ReportSource, TraceSource};
+use rfid_gen2::trace::{write_trace, TraceFormat};
+use rfid_gen2::wire::{decode_payload_v, encode_frame_v, Frame, WIRE_VERSION};
 use rfipad::stage::Framing;
 use rfipad::{
     ArrayLayout, Calibration, PipelineEvent, Recognizer, RfipadConfig, Stage, StageGraph,
@@ -484,6 +493,59 @@ fn run_reader_alloc_gate() -> String {
     format!("{{ \"reads\": {reads}, \"allocs\": {allocs}, \"allocs_per_read\": {per_read:.4} }}")
 }
 
+/// Counts allocations of the record codec: encoding and decoding one
+/// 64-report BATCH frame, and refilling a reused batch from the binary
+/// golden trace until it ends. The decoded frame owns its session id and
+/// its reports, so decoding needs two allocations; encoding needs the
+/// frame's one buffer; a refill needs none.
+fn run_codec_alloc_gate() -> String {
+    const BATCH: usize = 64;
+    let bench = experiments::golden::golden_bench();
+    let reports = experiments::serveload::golden_reports(&bench);
+    let frame = Frame::Batch {
+        session: "pad-0".into(),
+        seq: 1,
+        reports: reports[..BATCH].to_vec(),
+        trace: None,
+    };
+    let before = bench::count_allocs::alloc_count();
+    let bytes = encode_frame_v(&frame, WIRE_VERSION);
+    let encode_allocs = bench::count_allocs::alloc_count() - before;
+    let before = bench::count_allocs::alloc_count();
+    let decoded = decode_payload_v(&bytes[4..], WIRE_VERSION).expect("the frame decodes");
+    let decode_allocs = bench::count_allocs::alloc_count() - before;
+    assert_eq!(decoded, frame);
+
+    let mut trace = Vec::new();
+    write_trace(&mut trace, TraceFormat::Binary, &reports).expect("in-memory write");
+    let mut source =
+        TraceSource::from_reader(std::io::BufReader::new(trace.as_slice())).expect("magic");
+    let mut batch = ReportBatch::with_capacity(BATCH);
+    let (mut refills, mut read) = (0, 0);
+    let before = bench::count_allocs::alloc_count();
+    loop {
+        batch.clear();
+        let n = source.next_batch(BATCH, &mut batch);
+        if n == 0 {
+            break;
+        }
+        refills += 1;
+        read += n;
+    }
+    let refill_allocs = bench::count_allocs::alloc_count() - before;
+    assert!(source.error().is_none(), "the golden trace decodes");
+    assert_eq!(read, reports.len());
+    println!(
+        "codec: {encode_allocs} allocations per {BATCH}-report BATCH encode, \
+         {decode_allocs} per decode, {refill_allocs} across {refills} trace refills"
+    );
+    format!(
+        "{{ \"batch_reports\": {BATCH}, \"encode_allocs\": {encode_allocs}, \
+         \"decode_allocs\": {decode_allocs}, \"refills\": {refills}, \
+         \"refill_allocs\": {refill_allocs} }}"
+    )
+}
+
 fn main() {
     println!("kernel microbenchmarks ({ELEMS} elems, half-window {HALF}):");
     let kernel_entry = run_kernel_bench();
@@ -495,6 +557,8 @@ fn main() {
     let stroke_tick_entry = run_stroke_tick_alloc_gate();
     println!("reader allocation gate:");
     let reader_entry = run_reader_alloc_gate();
+    println!("codec allocation gate:");
+    let codec_entry = run_codec_alloc_gate();
     println!("tick cost against history:");
     let history_entry = run_tick_history();
     println!("frames per tick against history:");
@@ -509,12 +573,14 @@ fn main() {
         .expect("merge stroke_tick_allocs into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("reader_allocs", &reader_entry)
         .expect("merge reader_allocs into BENCH_pipeline.json");
+    experiments::benchjson::merge_entry("codec_allocs", &codec_entry)
+        .expect("merge codec_allocs into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("tick_history", &history_entry)
         .expect("merge tick_history into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("tick_frames", &frames_entry)
         .expect("merge tick_frames into BENCH_pipeline.json");
     println!(
         "merged kernel_bench + hot_path_allocs + stroke_allocs + stroke_tick_allocs \
-         + reader_allocs + tick_history + tick_frames into BENCH_pipeline.json"
+         + reader_allocs + codec_allocs + tick_history + tick_frames into BENCH_pipeline.json"
     );
 }

@@ -75,8 +75,7 @@ fn time_trace_replay(bench: &Bench, encoded: &[u8], iters: u32) -> (f64, usize) 
     for _ in 0..iters {
         let mut source =
             TraceSource::from_reader(std::io::BufReader::new(encoded)).expect("readable trace");
-        let reports = source.collect_reports();
-        assert!(source.error().is_none(), "golden trace decodes");
+        let reports = source.try_collect_reports().expect("golden trace decodes");
         let result = bench.recognizer.recognize_session(&reports);
         std::hint::black_box(result.letter);
     }

@@ -19,9 +19,9 @@
 //! - [`report`] — [`report::TagReport`], the canonical reader-boundary
 //!   record the recognition stack consumes;
 //! - [`trace`] — record/replay serialization of report streams (JSON lines
-//!   and length-prefixed binary);
-//! - [`source`] — the [`source::ReportSource`] abstraction over live runs
-//!   and recorded traces;
+//!   and fixed-layout binary records);
+//! - [`source`] — the [`source::ReportSource`] a recorded trace is read
+//!   through;
 //! - [`wire`] — the RFIPad ingest protocol: versioned handshake,
 //!   session-multiplexed report-batch frames, and the client codec.
 //!
@@ -77,5 +77,5 @@ pub use link::{LinkParams, TagEncoding};
 pub use protocol::{Command, Reply, Session, TagFsm, TagState, Target};
 pub use reader::{Gen2Reader, ReaderConfig, ReaderRun};
 pub use report::{ReportBatch, TagReport, FIXED_CARRIER_CHANNEL};
-pub use source::{LiveSource, ReportSource, TraceSource};
+pub use source::{ReportSource, TraceSource};
 pub use trace::{TraceError, TraceFormat};

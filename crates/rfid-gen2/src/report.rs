@@ -6,9 +6,9 @@
 //! the reader's quantized phase/RSS/Doppler measurements, stamped with the
 //! antenna port and hop-channel index. [`TagReport`] is that record. The
 //! recognition stack (`rfipad`) is written entirely against it, so the same
-//! pipeline runs from live simulation ([`crate::source::LiveSource`]),
-//! recorded traces ([`crate::source::TraceSource`]), or a future hardware
-//! frontend.
+//! pipeline runs from live simulation ([`crate::reader::ReaderRun`]'s
+//! events), recorded traces ([`crate::source::TraceSource`]), or a future
+//! hardware frontend.
 //!
 //! [`TagId`] is re-exported here because the report stream is where the
 //! logical tag identity crosses the boundary (EPC ↔ id via [`Epc96`]);

@@ -8,9 +8,11 @@
 //!   to the recorded stream. The codec writes each line with `format!` and
 //!   reads it with the strict `obs::json` reader.
 //! - **Binary** (`.rftrace`): a 4-byte magic (`RFT1`) followed by
-//!   length-prefixed fixed-layout records (big-endian, floats as IEEE-754
-//!   bits via the vendored `bytes` buffers) — compact and exact by
-//!   construction.
+//!   fixed-layout 60-byte records: a big-endian `u32` length prefix,
+//!   always [`BINARY_RECORD_LEN`], then the fields, big-endian, floats as
+//!   IEEE-754 bits — compact and exact by construction. `encode_record`
+//!   and `decode_record` hold the layout; RFIW BATCH frames carry the same
+//!   records.
 //!
 //! Traces are read back through [`crate::source::TraceSource`], which
 //! autodetects the framing from the first byte, so replay tooling never
@@ -18,12 +20,11 @@
 
 use crate::epc::Epc96;
 use crate::report::TagReport;
-use bytes::{Buf, BufMut};
 use obs::json::JsonError;
 use rf_sim::tags::TagId;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufRead, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
 /// Magic bytes opening a binary trace file.
@@ -32,6 +33,10 @@ pub const BINARY_MAGIC: [u8; 4] = *b"RFT1";
 /// Byte length of one binary record body (EPC 12 + tag 8 + four f64 fields
 /// 32 + antenna 2 + channel 2).
 pub const BINARY_RECORD_LEN: usize = 12 + 8 + 4 * 8 + 2 + 2;
+
+/// Byte length of one whole binary record: the `u32` length prefix and
+/// the body.
+pub(crate) const RECORD_LEN: usize = 4 + BINARY_RECORD_LEN;
 
 /// On-disk framing of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,82 +138,104 @@ fn report_from_json(line: &str) -> Result<TagReport, JsonError> {
     })
 }
 
-/// Appends one report to `buf` as a length-prefixed binary record, so a
-/// caller encoding many records reuses one buffer.
-pub fn put_binary_record(buf: &mut Vec<u8>, r: &TagReport) {
-    buf.put_u32(BINARY_RECORD_LEN as u32);
-    buf.put_slice(r.epc.as_bytes());
-    buf.put_u64(r.tag.0);
-    buf.put_u64(r.time.to_bits());
-    buf.put_u64(r.phase.to_bits());
-    buf.put_u64(r.rss_dbm.to_bits());
-    buf.put_u64(r.doppler_hz.to_bits());
-    buf.put_u16(r.antenna_port);
-    buf.put_u16(r.channel_index);
+/// Encodes one report as a binary record: the length prefix, then the
+/// fields in DESIGN §13's byte order.
+pub(crate) fn encode_record(r: &TagReport) -> [u8; RECORD_LEN] {
+    let mut record = [0u8; RECORD_LEN];
+    record[..4].copy_from_slice(&(BINARY_RECORD_LEN as u32).to_be_bytes());
+    record[4..16].copy_from_slice(r.epc.as_bytes());
+    record[16..24].copy_from_slice(&r.tag.0.to_be_bytes());
+    record[24..32].copy_from_slice(&r.time.to_be_bytes());
+    record[32..40].copy_from_slice(&r.phase.to_be_bytes());
+    record[40..48].copy_from_slice(&r.rss_dbm.to_be_bytes());
+    record[48..56].copy_from_slice(&r.doppler_hz.to_be_bytes());
+    record[56..58].copy_from_slice(&r.antenna_port.to_be_bytes());
+    record[58..60].copy_from_slice(&r.channel_index.to_be_bytes());
+    record
 }
 
-/// Reads one length-prefixed binary record, or `None` at a clean
-/// end-of-stream. Decodes through a caller-owned scratch buffer, so a
-/// replay loop allocates once instead of per record.
-pub fn read_binary_record_into<R: Read>(
-    reader: &mut R,
-    scratch: &mut Vec<u8>,
-) -> Result<Option<TagReport>, TraceError> {
-    // Read the length prefix byte-wise: zero bytes is a clean end of
-    // stream, a *partial* prefix is a truncated frame and must surface as
-    // an error, not silently end the trace.
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < len_bytes.len() {
-        match reader.read(&mut len_bytes[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(TraceError::Malformed(format!(
-                    "truncated record length prefix ({filled} of 4 bytes)"
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_be_bytes(len_bytes) as usize;
+/// Decodes one binary record, checking its length prefix first.
+///
+/// # Errors
+///
+/// [`TraceError::Malformed`] if the prefix is not [`BINARY_RECORD_LEN`].
+pub(crate) fn decode_record(record: &[u8; RECORD_LEN]) -> Result<TagReport, TraceError> {
+    check_record_len(record)?;
+    let word = |at: usize| -> [u8; 8] { record[at..at + 8].try_into().expect("8 bytes") };
+    Ok(TagReport {
+        epc: Epc96::from_bytes(record[4..16].try_into().expect("12 bytes")),
+        tag: TagId(u64::from_be_bytes(word(16))),
+        time: f64::from_be_bytes(word(24)),
+        phase: f64::from_be_bytes(word(32)),
+        rss_dbm: f64::from_be_bytes(word(40)),
+        doppler_hz: f64::from_be_bytes(word(48)),
+        antenna_port: u16::from_be_bytes([record[56], record[57]]),
+        channel_index: u16::from_be_bytes([record[58], record[59]]),
+    })
+}
+
+/// Checks a record's length prefix; reads nothing past it.
+fn check_record_len(record: &[u8; RECORD_LEN]) -> Result<(), TraceError> {
+    let len = u32::from_be_bytes([record[0], record[1], record[2], record[3]]) as usize;
     if len != BINARY_RECORD_LEN {
         return Err(TraceError::Malformed(format!(
             "record length {len}, expected {BINARY_RECORD_LEN}"
         )));
     }
-    scratch.clear();
-    scratch.resize(len, 0);
-    // Same byte-wise discipline for the body: EOF after a valid length
-    // prefix is a truncated record, a typed decode fault — not a generic
-    // `UnexpectedEof` I/O error and never a silent end of stream.
-    let mut filled = 0usize;
-    while filled < len {
-        match reader.read(&mut scratch[filled..]) {
-            Ok(0) => {
-                return Err(TraceError::Malformed(format!(
-                    "truncated record body ({filled} of {len} bytes)"
-                )))
+    Ok(())
+}
+
+/// Reads the next binary record, or `None` at a clean end of stream.
+///
+/// A record held whole in the reader's buffer is decoded in place. One
+/// that straddles a refill is assembled on the stack, its length checked
+/// before its body is read. A stream that ends inside a record is a typed
+/// truncation error, never a silent end of the trace.
+pub(crate) fn read_record<R: BufRead>(reader: &mut R) -> Result<Option<TagReport>, TraceError> {
+    match reader.fill_buf() {
+        Ok(buf) => {
+            if let Some(record) = buf.first_chunk() {
+                let report = decode_record(record)?;
+                reader.consume(RECORD_LEN);
+                return Ok(Some(report));
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+        }
+        // The reads below retry an interrupted read.
+        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+        Err(e) => return Err(e.into()),
+    }
+    let mut record = [0u8; RECORD_LEN];
+    match read_up_to(reader, &mut record[..4])? {
+        0 => return Ok(None),
+        4 => check_record_len(&record)?,
+        got => {
+            return Err(TraceError::Malformed(format!(
+                "truncated record length prefix ({got} of 4 bytes)"
+            )))
         }
     }
-    let mut buf: &[u8] = scratch;
-    let mut epc = [0u8; 12];
-    buf.copy_to_slice(&mut epc);
-    Ok(Some(TagReport {
-        epc: Epc96::from_bytes(epc),
-        tag: TagId(buf.get_u64()),
-        time: f64::from_bits(buf.get_u64()),
-        phase: f64::from_bits(buf.get_u64()),
-        rss_dbm: f64::from_bits(buf.get_u64()),
-        doppler_hz: f64::from_bits(buf.get_u64()),
-        antenna_port: buf.get_u16(),
-        channel_index: buf.get_u16(),
-    }))
+    let got = read_up_to(reader, &mut record[4..])?;
+    if got < BINARY_RECORD_LEN {
+        return Err(TraceError::Malformed(format!(
+            "truncated record body ({got} of {BINARY_RECORD_LEN} bytes)"
+        )));
+    }
+    decode_record(&record).map(Some)
+}
+
+/// Reads until `buf` is full or the stream ends, retrying interrupted
+/// reads, and returns how many bytes it read.
+pub(crate) fn read_up_to(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
 }
 
 /// Writes a complete trace in the given framing.
@@ -226,11 +253,8 @@ pub fn write_trace<W: Write>(
         }
         TraceFormat::Binary => {
             writer.write_all(&BINARY_MAGIC)?;
-            let mut record = Vec::with_capacity(4 + BINARY_RECORD_LEN);
             for r in reports {
-                record.clear();
-                put_binary_record(&mut record, r);
-                writer.write_all(&record)?;
+                writer.write_all(&encode_record(r))?;
             }
         }
     }
@@ -264,10 +288,10 @@ pub fn detect_format(first_byte: u8) -> Result<TraceFormat, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{ReportSource, SourceError, TraceSource};
+    use crate::source::{ReportSource, TraceSource};
 
     /// Reads a whole trace the one way programs do.
-    fn read(bytes: &[u8]) -> Result<Vec<TagReport>, SourceError> {
+    fn read(bytes: &[u8]) -> Result<Vec<TagReport>, TraceError> {
         TraceSource::from_reader(bytes)?.try_collect_reports()
     }
 
@@ -330,24 +354,25 @@ mod tests {
     fn garbage_first_byte_rejected() {
         assert!(matches!(
             read(b"\x00\x01\x02"),
-            Err(SourceError::Trace(TraceError::Malformed(_)))
+            Err(TraceError::Malformed(_))
         ));
     }
 
     #[test]
-    fn read_binary_record_into_reuses_scratch() {
-        let reports = sample_reports();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, TraceFormat::Binary, &reports).unwrap();
-        let mut reader = &buf[4..]; // skip magic
-        let mut scratch = Vec::new();
-        let mut decoded = Vec::new();
-        while let Some(r) = read_binary_record_into(&mut reader, &mut scratch).unwrap() {
-            decoded.push(r);
-            assert_eq!(scratch.len(), BINARY_RECORD_LEN);
+    fn record_codec_round_trips_and_checks_the_length_first() {
+        for r in sample_reports() {
+            let record = encode_record(&r);
+            assert_eq!(&record[..4], &(BINARY_RECORD_LEN as u32).to_be_bytes());
+            assert_eq!(decode_record(&record).unwrap(), r);
         }
-        assert_eq!(decoded, reports);
-        assert!(scratch.capacity() >= BINARY_RECORD_LEN);
+        let mut record = encode_record(&sample_reports()[1]);
+        record[3] = 57;
+        match decode_record(&record) {
+            Err(TraceError::Malformed(reason)) => {
+                assert_eq!(reason, "record length 57, expected 56")
+            }
+            other => panic!("expected a length error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -362,7 +387,7 @@ mod tests {
     #[test]
     fn malformed_json_line_reports_line_number() {
         match read(b"{\"epc\":\"00\"}\n") {
-            Err(SourceError::Trace(TraceError::Parse { line, .. })) => assert_eq!(line, 1),
+            Err(TraceError::Parse { line, .. }) => assert_eq!(line, 1),
             other => panic!("expected parse error, got {other:?}"),
         }
         // Not JSON, though a comma splitter took them: NaN, a duplicated

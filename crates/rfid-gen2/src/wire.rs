@@ -34,8 +34,7 @@
 //! [`IngestClient::connect`] assumes TCP.
 
 use crate::report::{ReportBatch, TagReport};
-use crate::trace::{put_binary_record, read_binary_record_into, TraceError, BINARY_RECORD_LEN};
-use bytes::BufMut;
+use crate::trace::{decode_record, encode_record, read_up_to, TraceError, RECORD_LEN};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -276,8 +275,8 @@ const MAX_SESSION_LEN: usize = u16::MAX as usize;
 
 fn put_session(buf: &mut Vec<u8>, session: &str) {
     check_session(session).expect("session id fits its u16 length field");
-    buf.put_u16(session.len() as u16);
-    buf.put_slice(session.as_bytes());
+    buf.extend_from_slice(&(session.len() as u16).to_be_bytes());
+    buf.extend_from_slice(session.as_bytes());
 }
 
 /// Whether `session` fits a frame. [`IngestClient`] checks before it
@@ -295,11 +294,11 @@ fn check_session(session: &str) -> Result<(), WireError> {
 fn put_trace(buf: &mut Vec<u8>, trace: &Option<TraceContext>) {
     match trace {
         Some(ctx) => {
-            buf.put_u8(1);
-            buf.put_u64(ctx.trace);
-            buf.put_u64(ctx.parent_span);
+            buf.push(1);
+            buf.extend_from_slice(&ctx.trace.to_be_bytes());
+            buf.extend_from_slice(&ctx.parent_span.to_be_bytes());
         }
-        None => buf.put_u8(0),
+        None => buf.push(0),
     }
 }
 
@@ -313,31 +312,45 @@ fn put_trace(buf: &mut Vec<u8>, trace: &Option<TraceContext>) {
 /// a typed error before encoding.
 pub fn encode_frame_v(frame: &Frame, version: u16) -> Vec<u8> {
     let traced = version >= 2;
-    let mut payload = Vec::with_capacity(64);
-    payload.put_u8(frame.type_byte());
+    // The length prefix, type byte and fixed fields take at most 64 bytes;
+    // a frame adds its session id, records or message.
+    let variable = match frame {
+        Frame::Batch {
+            session, reports, ..
+        } => session.len() + reports.len() * RECORD_LEN,
+        Frame::Open { session, .. }
+        | Frame::Close { session }
+        | Frame::Ack { session, .. }
+        | Frame::Shed { session, .. }
+        | Frame::Closed { session, .. } => session.len(),
+        Frame::Error { message, .. } => message.len(),
+    };
+    let mut buf = Vec::with_capacity(64 + variable);
+    // The length prefix, filled in once the payload is written.
+    buf.extend_from_slice(&[0; 4]);
+    buf.push(frame.type_byte());
     match frame {
         Frame::Open { session, trace } => {
-            put_session(&mut payload, session);
+            put_session(&mut buf, session);
             if traced {
-                put_trace(&mut payload, trace);
+                put_trace(&mut buf, trace);
             }
         }
-        Frame::Close { session } => put_session(&mut payload, session),
+        Frame::Close { session } => put_session(&mut buf, session),
         Frame::Batch {
             session,
             seq,
             reports,
             trace,
         } => {
-            put_session(&mut payload, session);
-            payload.put_u32(*seq);
-            payload.put_u32(reports.len() as u32);
-            payload.reserve(reports.len() * (4 + BINARY_RECORD_LEN));
+            put_session(&mut buf, session);
+            buf.extend_from_slice(&seq.to_be_bytes());
+            buf.extend_from_slice(&(reports.len() as u32).to_be_bytes());
             for r in reports {
-                put_binary_record(&mut payload, r);
+                buf.extend_from_slice(&encode_record(r));
             }
             if traced {
-                put_trace(&mut payload, trace);
+                put_trace(&mut buf, trace);
             }
         }
         Frame::Ack {
@@ -345,9 +358,9 @@ pub fn encode_frame_v(frame: &Frame, version: u16) -> Vec<u8> {
             seq,
             accepted,
         } => {
-            put_session(&mut payload, session);
-            payload.put_u32(*seq);
-            payload.put_u64(*accepted);
+            put_session(&mut buf, session);
+            buf.extend_from_slice(&seq.to_be_bytes());
+            buf.extend_from_slice(&accepted.to_be_bytes());
         }
         Frame::Shed {
             session,
@@ -355,25 +368,25 @@ pub fn encode_frame_v(frame: &Frame, version: u16) -> Vec<u8> {
             accepted,
             dropped,
         } => {
-            put_session(&mut payload, session);
-            payload.put_u32(*seq);
-            payload.put_u64(*accepted);
-            payload.put_u64(*dropped);
+            put_session(&mut buf, session);
+            buf.extend_from_slice(&seq.to_be_bytes());
+            buf.extend_from_slice(&accepted.to_be_bytes());
+            buf.extend_from_slice(&dropped.to_be_bytes());
         }
         Frame::Closed { session, events } => {
-            put_session(&mut payload, session);
-            payload.put_u64(*events);
+            put_session(&mut buf, session);
+            buf.extend_from_slice(&events.to_be_bytes());
         }
         Frame::Error { code, message } => {
-            payload.put_u16(*code);
-            payload.put_u16(message.len().min(u16::MAX as usize) as u16);
-            payload.put_slice(&message.as_bytes()[..message.len().min(u16::MAX as usize)]);
+            let len = message.len().min(u16::MAX as usize);
+            buf.extend_from_slice(&code.to_be_bytes());
+            buf.extend_from_slice(&(len as u16).to_be_bytes());
+            buf.extend_from_slice(&message.as_bytes()[..len]);
         }
     }
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.put_u32(payload.len() as u32);
-    framed.extend_from_slice(&payload);
-    framed
+    let payload_len = (buf.len() - 4) as u32;
+    buf[..4].copy_from_slice(&payload_len.to_be_bytes());
+    buf
 }
 
 /// Checked cursor over a payload slice: every decode error is a typed
@@ -465,25 +478,22 @@ pub fn decode_payload_v(payload: &[u8], version: u16) -> Result<Frame, WireError
             // The body is taken, and so bounded by the payload, before
             // anything is allocated for `count` reports.
             let body_len = count
-                .checked_mul(4 + BINARY_RECORD_LEN)
+                .checked_mul(RECORD_LEN)
                 .ok_or_else(|| WireError::Malformed(format!("batch count {count} overflows")))?;
             let body = c.take(body_len, "batch records")?;
-            let mut reader: &[u8] = body;
-            let mut scratch = Vec::with_capacity(BINARY_RECORD_LEN);
             let mut reports = ReportBatch::with_capacity(count);
-            for i in 0..count {
-                match read_binary_record_into(&mut reader, &mut scratch) {
-                    Ok(Some(r)) => reports.push(r),
-                    Ok(None) => {
-                        return Err(WireError::Malformed(format!(
-                            "batch ended at record {i} of {count}"
-                        )))
-                    }
-                    Err(TraceError::Malformed(msg)) => {
-                        return Err(WireError::Malformed(format!("record {i}: {msg}")))
-                    }
-                    Err(e) => return Err(WireError::Malformed(format!("record {i}: {e}"))),
-                }
+            for (i, record) in body.chunks_exact(RECORD_LEN).enumerate() {
+                let record = record
+                    .try_into()
+                    .expect("chunks_exact yields whole records");
+                let report = decode_record(record).map_err(|e| {
+                    let reason = match e {
+                        TraceError::Malformed(reason) => reason,
+                        e => e.to_string(),
+                    };
+                    WireError::Malformed(format!("record {i}: {reason}"))
+                })?;
+                reports.push(report);
             }
             Frame::Batch {
                 session,
@@ -558,18 +568,13 @@ pub fn read_frame_v<R: Read>(
     version: u16,
 ) -> Result<Option<Frame>, WireError> {
     let mut prefix = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < prefix.len() {
-        match reader.read(&mut prefix[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(WireError::Malformed(format!(
-                    "truncated frame length prefix ({filled} of 4 bytes)"
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+    match read_up_to(reader, &mut prefix)? {
+        0 => return Ok(None),
+        4 => {}
+        got => {
+            return Err(WireError::Malformed(format!(
+                "truncated frame length prefix ({got} of 4 bytes)"
+            )))
         }
     }
     let len = u32::from_be_bytes(prefix) as usize;
@@ -577,18 +582,11 @@ pub fn read_frame_v<R: Read>(
         return Err(WireError::FrameTooLarge { len, max: max_len });
     }
     let mut payload = vec![0u8; len];
-    let mut filled = 0usize;
-    while filled < len {
-        match reader.read(&mut payload[filled..]) {
-            Ok(0) => {
-                return Err(WireError::Malformed(format!(
-                    "truncated frame payload ({filled} of {len} bytes)"
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+    let got = read_up_to(reader, &mut payload)?;
+    if got < len {
+        return Err(WireError::Malformed(format!(
+            "truncated frame payload ({got} of {len} bytes)"
+        )));
     }
     decode_payload_v(&payload, version).map(Some)
 }

@@ -5,8 +5,8 @@ use rf_sim::tags::TagId;
 use rfid_gen2::crc::{crc16, crc16_verify, crc5, crc5_verify};
 use rfid_gen2::epc::Epc96;
 use rfid_gen2::report::TagReport;
-use rfid_gen2::source::{ReportSource, SourceError, TraceSource};
-use rfid_gen2::trace::{write_trace, TraceFormat};
+use rfid_gen2::source::{ReportSource, TraceSource};
+use rfid_gen2::trace::{write_trace, TraceError, TraceFormat};
 use rfid_gen2::wire::{
     decode_payload_v, encode_frame_v, Frame, TraceContext, WireError, FRAME_ACK, FRAME_BATCH,
     FRAME_CLOSE, FRAME_CLOSED, FRAME_ERROR, FRAME_OPEN, FRAME_SHED,
@@ -178,10 +178,14 @@ fn decode_is_typed(payload: &[u8], version: u16) -> bool {
 }
 
 /// Whether reading `bytes` as a trace, the way every program reads one,
-/// yields reports or a typed trace error.
+/// yields reports or a typed decode error (in-memory bytes never fail
+/// with an I/O error).
 fn read_is_typed(bytes: &[u8]) -> bool {
     let read = TraceSource::from_reader(bytes).and_then(|mut s| s.try_collect_reports());
-    matches!(read, Ok(_) | Err(SourceError::Trace(_)))
+    matches!(
+        read,
+        Ok(_) | Err(TraceError::Parse { .. } | TraceError::Malformed(_))
+    )
 }
 
 proptest! {

@@ -130,6 +130,12 @@ impl Calibration {
                 .ok_or(RfipadError::UnknownTag(obs.tag))?;
             reads[index].push(obs);
         }
+        // A recording merged from two antennas or sources need not be in
+        // time order; the static floors push each tag's reads into a time
+        // series. Sorting ordered reads leaves them as they were.
+        for tag_reads in &mut reads {
+            tag_reads.sort_by(|a, b| a.time.total_cmp(&b.time));
+        }
         // The static floors frame the whole recording, so a gap the stage
         // graph would answer by restarting the stream would size the
         // frames by the gap instead.
@@ -400,6 +406,28 @@ mod tests {
             ]);
         }
         bits
+    }
+
+    #[test]
+    fn out_of_order_reads_calibrate_like_their_sorted_copy() {
+        let config = RfipadConfig::default();
+        // Tag 0's reads run from 1.95 s back to 0 s.
+        let mut reversed = static_obs(TagId(0), 1.0, 0.02, 40);
+        reversed.reverse();
+        reversed.extend(static_obs(TagId(1), 4.0, 0.2, 40));
+        // Two interleaved runs, one 29 s after the other, both backwards.
+        let mut interleaved = static_obs(TagId(0), 1.0, 0.02, 80);
+        for (j, o) in interleaved.iter_mut().enumerate() {
+            o.time = (79 - j) as f64 * 0.05 + if j % 2 == 0 { 29.0 } else { 0.0 };
+        }
+        interleaved.extend(static_obs(TagId(1), 4.0, 0.2, 40));
+        for obs in [reversed, interleaved] {
+            let mut sorted = obs.clone();
+            sorted.sort_by(|a, b| a.time.total_cmp(&b.time));
+            let cal = Calibration::from_observations(&layout(), &obs, &config).unwrap();
+            let expected = Calibration::from_observations(&layout(), &sorted, &config).unwrap();
+            assert_eq!(calibration_bits(&cal), calibration_bits(&expected));
+        }
     }
 
     #[test]

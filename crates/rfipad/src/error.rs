@@ -74,12 +74,6 @@ impl RfipadError {
 
 impl std::error::Error for RfipadError {}
 
-impl From<rfid_gen2::source::SourceError> for RfipadError {
-    fn from(e: rfid_gen2::source::SourceError) -> Self {
-        RfipadError::Source(e.to_string())
-    }
-}
-
 impl From<rfid_gen2::trace::TraceError> for RfipadError {
     fn from(e: rfid_gen2::trace::TraceError) -> Self {
         RfipadError::Source(e.to_string())

@@ -12,8 +12,10 @@
 # must not allocate, `stroke_allocs` may not exceed its committed
 # allocations per span, `stroke_tick_allocs` its committed allocations per
 # stroke-bearing call and `reader_allocs` its committed allocations per
-# read, `tick_frames` (frames a framing tick hands segmentation at 25-27 s
-# of buffered history) may not exceed its committed value, and
+# read, `codec_allocs` its committed allocations per BATCH encode, per
+# BATCH decode and across a trace's refills, `tick_frames` (frames a
+# framing tick hands segmentation at 25-27 s of buffered history) may not
+# exceed its committed value, and
 # `tick_history` (a push's cost at 25-27 s of buffered history over its
 # cost at 3-5 s) may not exceed 1.5. Parallel-speedup checks are skipped
 # (not gated) on single-core machines, where "parallel" has nothing to win.
@@ -47,6 +49,9 @@ base_stroke_allocs=$(per_unit stroke_allocs allocs_per_span <<<"$baseline")
 base_stroke_tick_allocs=$(per_unit stroke_tick_allocs allocs_per_call <<<"$baseline")
 base_reader_allocs=$(per_unit reader_allocs allocs_per_read <<<"$baseline")
 base_tick_frames=$(per_unit tick_frames long_frames_per_tick <<<"$baseline")
+base_codec_encode=$(per_unit codec_allocs encode_allocs <<<"$baseline")
+base_codec_decode=$(per_unit codec_allocs decode_allocs <<<"$baseline")
+base_codec_refill=$(per_unit codec_allocs refill_allocs <<<"$baseline")
 
 echo "== format =="
 cargo fmt --check
@@ -90,11 +95,12 @@ echo "== kernel microbench + allocation gates =="
 # Runs the sigproc kernel suite against the naive references, feeds a
 # quiet synthetic session through the pipeline, recognizes every span of
 # the golden session, replays it through a fresh stage graph, records it
-# through the simulated reader, all under a counting global allocator, and
-# times pushes over a short and a long quiet history and counts the frames
-# framing hands over per tick in both. Merges the kernel_bench,
+# through the simulated reader, encodes, decodes and reads its reports as
+# BATCH frames and a binary trace, all under a counting global allocator,
+# and times pushes over a short and a long quiet history and counts the
+# frames framing hands over per tick in both. Merges the kernel_bench,
 # hot_path_allocs, stroke_allocs, stroke_tick_allocs, reader_allocs,
-# tick_history and tick_frames entries; all are gated below.
+# codec_allocs, tick_history and tick_frames entries; all are gated below.
 cargo run --release -p bench --features count-allocs --bin kernel_bench
 
 echo "== health/debug endpoint smoke (live engine) =="
@@ -316,6 +322,15 @@ gate_count stroke_tick_allocs allocs_per_call call "$base_stroke_tick_allocs" \
 # session through the reader is counted per read.
 gate_count reader_allocs allocs_per_read read "$base_reader_allocs" Bench::record_session \
   allocations
+# The record codec: one buffer per encoded BATCH, the session id and the
+# report vector per decoded one, and nothing per trace refill, where each
+# record is decoded in place from the reader's buffer.
+gate_count codec_allocs encode_allocs frame "$base_codec_encode" \
+  "encode_frame_v of a 64-report BATCH" allocations
+gate_count codec_allocs decode_allocs frame "$base_codec_decode" \
+  "decode_payload_v of a 64-report BATCH" allocations
+gate_count codec_allocs refill_allocs trace "$base_codec_refill" \
+  "TraceSource::next_batch(64) over the golden trace" allocations
 # Framing hands segmentation one shared frame sequence and the count of
 # frames unchanged since the previous tick, so the frames a tick changes
 # stay the live tail however long the history: an exact count, no clock.

@@ -7,8 +7,8 @@
 //! simulator, the reader, or the trace codec fails these tests.
 
 use experiments::golden::{golden_bench, golden_trial};
-use rfid_gen2::report::TagReport;
-use rfid_gen2::source::{LiveSource, ReportSource, TraceSource};
+use rfid_gen2::report::{ReportBatch, TagReport};
+use rfid_gen2::source::{ReportSource, TraceSource};
 use rfid_gen2::trace::{write_trace, TraceFormat};
 use rfipad::{PipelineEvent, RecognizedStroke, Recognizer, StageGraph};
 
@@ -22,14 +22,10 @@ const GOLDEN_BINARY: &str = concat!(
 );
 
 fn load(path: &str) -> Vec<TagReport> {
-    let mut source = TraceSource::open(path).expect("golden trace opens");
-    let reports = source.collect_reports();
-    assert!(
-        source.error().is_none(),
-        "decode error: {:?}",
-        source.error()
-    );
-    reports
+    TraceSource::open(path)
+        .expect("golden trace opens")
+        .try_collect_reports()
+        .expect("golden trace decodes")
 }
 
 fn assert_reports_bit_identical(a: &[TagReport], b: &[TagReport]) {
@@ -147,12 +143,23 @@ fn replayed_trace_reproduces_online_pipeline() {
 
 #[test]
 fn trace_sources_stream_what_live_source_holds() {
+    // Refilled 64 reports at a time, the way the engine and the benchmark
+    // read a trace. The file reader's 8 KiB buffer splits a binary record
+    // across a refill about every 136 records.
     let bench = golden_bench();
     let live = golden_trial(&bench);
-    let from_live = LiveSource::new(live.reports.clone()).collect_reports();
-    assert_reports_bit_identical(&from_live, &live.reports);
     for path in [GOLDEN_JSONL, GOLDEN_BINARY] {
-        assert_reports_bit_identical(&load(path), &from_live);
+        let mut source = TraceSource::open(path).expect("golden trace opens");
+        let (mut batch, mut streamed) = (ReportBatch::new(), Vec::new());
+        loop {
+            batch.clear();
+            if source.next_batch(64, &mut batch) == 0 {
+                break;
+            }
+            streamed.extend_from_slice(&batch);
+        }
+        assert!(source.error().is_none(), "{:?}", source.error());
+        assert_reports_bit_identical(&streamed, &live.reports);
     }
 }
 
@@ -162,7 +169,6 @@ fn truncated_golden_trace_surfaces_one_typed_error_then_ends() {
     // prefix) must surface a typed truncation error exactly once and then
     // keep the iterator terminated — not yield a partial batch, not loop,
     // and not report a generic `UnexpectedEof` I/O error.
-    use rfid_gen2::source::SourceError;
     use rfid_gen2::trace::TraceError;
 
     let bytes = std::fs::read(GOLDEN_BINARY).expect("golden trace bytes");
@@ -172,7 +178,7 @@ fn truncated_golden_trace_surfaces_one_typed_error_then_ends() {
     let cut = bytes.len() - rfid_gen2::trace::BINARY_RECORD_LEN + 5;
     let mut source = TraceSource::from_reader(&bytes[..cut]).expect("header intact");
 
-    let mut batch = rfid_gen2::report::ReportBatch::new();
+    let mut batch = ReportBatch::new();
     let n = source.next_batch(usize::MAX, &mut batch);
     assert_eq!(
         n,
@@ -181,7 +187,7 @@ fn truncated_golden_trace_surfaces_one_typed_error_then_ends() {
     );
     assert_eq!(batch.len(), n);
     match source.error() {
-        Some(SourceError::Trace(TraceError::Malformed(reason))) => {
+        Some(TraceError::Malformed(reason)) => {
             assert!(reason.contains("truncated record body"), "{reason}");
         }
         other => panic!("expected a typed truncation error, got {other:?}"),
@@ -196,7 +202,7 @@ fn truncated_golden_trace_surfaces_one_typed_error_then_ends() {
 
     // A cut inside the 4-byte magic is typed too.
     match TraceSource::from_reader(&bytes[..3]) {
-        Err(SourceError::Trace(TraceError::Malformed(reason))) => {
+        Err(TraceError::Malformed(reason)) => {
             assert!(reason.contains("truncated magic"), "{reason}");
         }
         other => panic!("expected a typed magic error, got {other:?}"),
