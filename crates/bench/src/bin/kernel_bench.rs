@@ -1,6 +1,6 @@
 //! Kernel microbenchmark + hot-path allocation gates.
 //!
-//! Eight probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
+//! Nine probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
 //!
 //! * `kernel_bench` — per-kernel ns/element of the `sigproc::kernel`
 //!   slice kernels against their naive allocating references
@@ -11,7 +11,9 @@
 //!   every buffer a stage keeps, the shared frame sequence among them,
 //!   reached its high-water capacity), then counts heap allocations over
 //!   a trim-free measurement window. Steady-state per-tick processing
-//!   must allocate exactly zero times.
+//!   must allocate exactly zero times. A second window spans the next two
+//!   retention trims, which drop a prefix of every buffer in place: it
+//!   must allocate zero times too.
 //! * `stroke_allocs` — counts heap allocations across
 //!   `Recognizer::recognize_span` over every span of the golden session
 //!   (`tests/data/golden_session.rftrace`), the stroke-bearing work the
@@ -44,6 +46,12 @@
 //!   history windows, with the quiet stream driven through the public
 //!   `Framing` stage. An exact count: `bench-check.sh` holds the 25–27 s
 //!   value to its committed one.
+//! * `trim_frames` — frames built per retention trim of the quiet stream
+//!   driven through the public `Framing` stage between 30 and 56 s (trims
+//!   near 35, 40, 45, 50 and 55 s): the `sigproc_frames_built_total`
+//!   frames from the trimming push through the first tick at or after it,
+//!   that tick's own settled frame included. An exact count with no clock;
+//!   a trim that replays the buffer rebuilds some 300 frames.
 //!
 //! Requires the `count-allocs` feature (a counting global allocator):
 //! `cargo run --release -p bench --features count-allocs --bin kernel_bench`
@@ -276,6 +284,7 @@ fn quiet_graph() -> StageGraph {
 /// window then sits strictly between trims.
 const WARMUP_STEPS: u64 = 820; // 41.0 s simulated
 const MEASURED_STEPS: u64 = 64; // 3.2 s more, ends before the ~45 s trim
+const TRIM_STEPS: u64 = 160; // 8 s more, spans the ~45 s and ~50 s trims
 
 /// The quiet stream's report of tag `i` at step `j`.
 fn quiet_report(i: u64, j: u64) -> TagReport {
@@ -301,17 +310,25 @@ fn run_alloc_gate() -> String {
         push_step(&mut graph, &mut events, j);
     }
     let allocs = bench::count_allocs::alloc_count() - before;
+    let before = bench::count_allocs::alloc_count();
+    let trimmed = WARMUP_STEPS + MEASURED_STEPS;
+    for j in trimmed..trimmed + TRIM_STEPS {
+        push_step(&mut graph, &mut events, j);
+    }
+    let trim_allocs = bench::count_allocs::alloc_count() - before;
     assert!(events.is_empty(), "quiet stream must stay quiet");
     let pushes = MEASURED_STEPS * 3;
+    let trim_pushes = TRIM_STEPS * 3;
     let per_push = allocs as f64 / pushes as f64;
     println!(
         "hot path: {allocs} allocations over {pushes} pushes ({per_push:.4}/push) \
-         after {} warmup pushes",
+         after {} warmup pushes; {trim_allocs} over the next {trim_pushes}, two \
+         retention trims among them",
         WARMUP_STEPS * 3
     );
     format!(
         "{{ \"allocs\": {allocs}, \"pushes\": {pushes}, \"allocs_per_push\": {per_push:.4}, \
-         \"warmup_pushes\": {} }}",
+         \"warmup_pushes\": {}, \"trim_allocs\": {trim_allocs}, \"trim_pushes\": {trim_pushes} }}",
         WARMUP_STEPS * 3
     )
 }
@@ -462,6 +479,52 @@ fn frames_per_tick(from_s: f64, to_s: f64) -> f64 {
     frames as f64 / count as f64
 }
 
+/// The window of `trim_frames`, seconds of the quiet stream.
+const TRIM_WINDOW: (f64, f64) = (30.0, 56.0);
+
+/// Frames built per retention trim of the quiet stream inside
+/// [`TRIM_WINDOW`]: from the push that trimmed through the first tick at
+/// or after it, read from `sigproc_frames_built_total`. The stream drives
+/// a `Framing` stage alone, so nothing else builds frames meanwhile.
+fn run_trim_frames() -> String {
+    let built = obs::registry().counter("sigproc_frames_built_total", "", &[]);
+    let recognizer = quiet_graph().recognizer().clone();
+    let config = recognizer.config();
+    let end_guard_s = config.frame_len_s * config.window_frames as f64;
+    let mut framing = Framing::new(Arc::new(recognizer), 1.5, end_guard_s);
+    let mut ticks = Vec::new();
+    let (first, last) = ((TRIM_WINDOW.0 * 20.0) as u64, (TRIM_WINDOW.1 * 20.0) as u64);
+    let (mut trims, mut frames) = (0u64, 0u64);
+    // Counter reading at the start of an open trim's push, if one is open.
+    let mut open: Option<u64> = None;
+    for j in 0..last {
+        for i in 0..3 {
+            let before = built.get();
+            framing.push(quiet_report(i, j), &mut ticks);
+            if framing.take_trim().is_some() && j >= first {
+                trims += 1;
+                open = open.or(Some(before));
+            }
+            if !ticks.is_empty() {
+                if let Some(from) = open.take() {
+                    frames += built.get() - from;
+                }
+            }
+            ticks.clear();
+        }
+    }
+    assert!(trims > 0, "the window holds retention trims");
+    let per_trim = frames as f64 / trims as f64;
+    println!(
+        "trim frames: {per_trim:.3} per retention trim over {trims} trims at {}-{} s",
+        TRIM_WINDOW.0, TRIM_WINDOW.1
+    );
+    format!(
+        "{{ \"window_s\": [{}, {}], \"trims\": {trims}, \"frames_per_trim\": {per_trim:.3} }}",
+        TRIM_WINDOW.0, TRIM_WINDOW.1
+    )
+}
+
 fn run_tick_frames() -> String {
     let short = frames_per_tick(SHORT_HISTORY.0, SHORT_HISTORY.1);
     let long = frames_per_tick(LONG_HISTORY.0, LONG_HISTORY.1);
@@ -563,6 +626,8 @@ fn main() {
     let history_entry = run_tick_history();
     println!("frames per tick against history:");
     let frames_entry = run_tick_frames();
+    println!("frames per retention trim:");
+    let trim_entry = run_trim_frames();
     experiments::benchjson::merge_entry("kernel_bench", &kernel_entry)
         .expect("merge kernel_bench into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("hot_path_allocs", &alloc_entry)
@@ -579,8 +644,11 @@ fn main() {
         .expect("merge tick_history into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("tick_frames", &frames_entry)
         .expect("merge tick_frames into BENCH_pipeline.json");
+    experiments::benchjson::merge_entry("trim_frames", &trim_entry)
+        .expect("merge trim_frames into BENCH_pipeline.json");
     println!(
         "merged kernel_bench + hot_path_allocs + stroke_allocs + stroke_tick_allocs \
-         + reader_allocs + codec_allocs + tick_history + tick_frames into BENCH_pipeline.json"
+         + reader_allocs + codec_allocs + tick_history + tick_frames + trim_frames \
+         into BENCH_pipeline.json"
     );
 }

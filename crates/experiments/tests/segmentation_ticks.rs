@@ -8,15 +8,19 @@
 //! wires them (a retention trim drops stale span-dedup entries) and hash
 //! every `SpanBatch`'s spans and `last_activity` bits with FNV-1a 64. The
 //! whole-recording `Recognizer::segment` the Fig. 9/22 diagnostics print is
-//! hashed too, every `FrameScore` field included.
+//! hashed too, every `FrameScore` field included. A stage graph
+//! checkpointed right after each trim of the idle-spliced stream restores
+//! to the uninterrupted run.
 
 use experiments::golden::golden_bench;
 use experiments::serveload::golden_reports;
+use experiments::trial::Bench;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_gen2::report::TagReport;
+use rfipad::engine::normalize_events;
 use rfipad::stage::{Framing, Segmentation};
-use rfipad::{Recognizer, Stage};
+use rfipad::{PipelineCheckpoint, PipelineEvent, Recognizer, Stage, StageGraph};
 use std::sync::Arc;
 
 /// Seed of the no-hand reads spliced between the two golden copies.
@@ -135,10 +139,10 @@ fn golden_ticks_are_pinned() {
     );
 }
 
-#[test]
-fn idle_spliced_ticks_are_pinned() {
-    let bench = golden_bench();
-    let golden = golden_reports(&bench);
+/// The golden session, a stretch of no-hand reads, and the golden session
+/// again.
+fn idle_spliced_stream(bench: &Bench) -> Vec<TagReport> {
+    let golden = golden_reports(bench);
     let mut rng = StdRng::seed_from_u64(IDLE_SEED);
     let idle = bench
         .reader
@@ -147,12 +151,20 @@ fn idle_spliced_ticks_are_pinned() {
     let mut stream = golden.clone();
     splice(&mut stream, &idle);
     splice(&mut stream, &golden);
+    stream
+}
+
+#[test]
+fn idle_spliced_ticks_are_pinned() {
+    let bench = golden_bench();
+    let stream = idle_spliced_stream(&bench);
     let digest = tick_digest(&bench.recognizer, &stream);
-    // Four retention trims fire in the idle stretch.
+    // Four retention trims fire in the idle stretch. Each drops a prefix
+    // of the history; the frame grid stays where the stream began.
     assert_eq!(
         digest,
         TickDigest {
-            hash: 15_365_292_333_035_778_431,
+            hash: 7_924_433_684_908_291_595,
             ticks: 523,
             spans: 4,
             trims: 4,
@@ -180,6 +192,87 @@ fn golden_whole_recording_segmentation_is_pinned() {
     }
     assert_eq!(
         (hash.0, segmentation.frames.len(), segmentation.spans.len()),
-        (12_953_951_710_350_524_573, 68, 2)
+        (7_735_912_184_471_033_345, 68, 2)
     );
+}
+
+#[test]
+fn checkpoints_right_after_each_trim_restore_the_uninterrupted_stream() {
+    let bench = golden_bench();
+    let stream = idle_spliced_stream(&bench);
+    let graph = || {
+        StageGraph::builder()
+            .recognizer(bench.recognizer.clone())
+            .letter_gap_s(1.5)
+            .build()
+            .expect("valid gap")
+    };
+    // A twin framing stage, fed and trimmed as the graph's is, shows which
+    // push made a retention trim; the graph's events show letter closes.
+    let config = bench.recognizer.config();
+    let end_guard_s = config.frame_len_s * config.window_frames as f64;
+    let mut twin = Framing::new(Arc::new(bench.recognizer.clone()), 1.5, end_guard_s);
+    let mut ticks = Vec::new();
+    let mut pending: Vec<f64> = Vec::new();
+    let mut uninterrupted = graph();
+    let mut events = Vec::new();
+    // (reports fed, checkpoint wire, events emitted) right after each trim.
+    let mut cuts = Vec::new();
+    let (mut retention, mut closes) = (0, 0);
+    let mut last_time = f64::NEG_INFINITY;
+    for (i, &r) in stream.iter().enumerate() {
+        last_time = last_time.max(r.time);
+        let before = events.len();
+        twin.set_hold_anchor(pending.first().copied());
+        twin.push(
+            TagReport {
+                time: last_time,
+                ..r
+            },
+            &mut ticks,
+        );
+        ticks.clear();
+        let trimmed = twin.take_trim().is_some();
+        uninterrupted.push_into(r, &mut events);
+        let mut closed = false;
+        for event in &events[before..] {
+            match event {
+                PipelineEvent::StrokeDetected { stroke, .. } => pending.push(stroke.span.start),
+                PipelineEvent::LetterRecognized { strokes, .. } => {
+                    pending.clear();
+                    twin.trim_after_letter(strokes.last().expect("a closed letter").span.end);
+                    closed = true;
+                }
+            }
+        }
+        retention += usize::from(trimmed);
+        closes += usize::from(closed);
+        if trimmed || closed {
+            cuts.push((i + 1, uninterrupted.checkpoint().to_json(), events.len()));
+        }
+    }
+    // Closing the first letter trims the history the framing stage alone
+    // keeps, so the graph needs one retention trim fewer than
+    // `idle_spliced_ticks_are_pinned`; the second letter closes at finish.
+    assert_eq!((retention, closes), (3, 1));
+    uninterrupted.finish_into(&mut events);
+    let last = uninterrupted.checkpoint().to_json();
+    cuts.push((stream.len(), last.clone(), events.len()));
+    normalize_events(&mut events);
+    for (fed, wire, emitted) in cuts {
+        let checkpoint = PipelineCheckpoint::from_json(&wire).expect("wire form parses");
+        let mut resumed = graph();
+        resumed.restore_checkpoint(&checkpoint).expect("restore");
+        assert_eq!(resumed.checkpoint().to_json(), wire, "after {fed} reports");
+        let mut rest = Vec::new();
+        resumed.push_batch(&stream[fed..], &mut rest);
+        resumed.finish_into(&mut rest);
+        normalize_events(&mut rest);
+        assert_eq!(rest, events[emitted..], "resumed after {fed} reports");
+        assert_eq!(
+            resumed.checkpoint().to_json(),
+            last,
+            "resumed after {fed} reports"
+        );
+    }
 }

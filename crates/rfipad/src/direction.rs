@@ -68,7 +68,7 @@ impl DirectionEstimator {
         end: f64,
     ) -> DirectionEstimate {
         let mut troughs = self.collect_troughs(motion, layout, streams, start, end);
-        troughs.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
+        troughs.sort_by(|a, b| a.time.total_cmp(&b.time));
 
         let velocity = fit_velocity(&troughs);
         let reversed = if motion.shape.is_directional() {
@@ -166,7 +166,7 @@ impl DirectionEstimator {
                 });
             }
         }
-        pseudo_troughs.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite"));
+        pseudo_troughs.sort_by(|a, b| a.time.total_cmp(&b.time));
         let velocity = fit_velocity(&pseudo_troughs);
         let reversed = if motion.shape.is_directional() {
             let canonical = canonical_velocity(motion.shape);
@@ -336,6 +336,42 @@ mod tests {
         assert!(d.troughs.is_empty());
         assert_eq!(d.velocity, (0.0, 0.0));
         assert!(!d.stroke.reversed);
+    }
+
+    /// Streams whose every phase and RSS sits at ±`f64::MAX`: the
+    /// differences overflow, so activity weights and crossing times turn
+    /// NaN.
+    fn overflowing_streams() -> TagStreams {
+        let observations: Vec<TagReport> = (0..100)
+            .flat_map(|step| {
+                let t = step as f64 * 0.04;
+                let extreme = if step % 2 == 0 { f64::MAX } else { -f64::MAX };
+                (0..25).map(move |i| TagReport::synthetic(TagId(i), t, extreme, extreme))
+            })
+            .collect();
+        TagStreams::build(&layout(), None, &observations)
+    }
+
+    #[test]
+    fn rss_direction_survives_overflowing_streams() {
+        let est = DirectionEstimator::new(RfipadConfig::default());
+        let d = est.estimate(
+            &column_motion(),
+            &layout(),
+            &overflowing_streams(),
+            0.5,
+            3.0,
+        );
+        assert!(d.troughs.windows(2).all(|w| w[0].time <= w[1].time));
+    }
+
+    #[test]
+    fn phase_direction_survives_nan_crossing_times() {
+        let est = DirectionEstimator::new(RfipadConfig::default());
+        let streams = overflowing_streams();
+        let d = est.estimate_phase_based(&column_motion(), &layout(), &streams, 0.5, 3.0);
+        assert!(d.troughs.iter().all(|t| t.time.is_nan()), "{:?}", d.troughs);
+        assert_eq!(d.troughs.len(), 5);
     }
 
     #[test]

@@ -72,11 +72,10 @@ impl GrammarTree {
         match candidates.len() {
             0 => None,
             1 => Some(candidates[0]),
-            _ => candidates.iter().copied().min_by(|&a, &b| {
-                placement_cost(a, strokes)
-                    .partial_cmp(&placement_cost(b, strokes))
-                    .expect("finite costs")
-            }),
+            _ => candidates
+                .iter()
+                .copied()
+                .min_by(|&a, &b| placement_cost(a, strokes).total_cmp(&placement_cost(b, strokes))),
         }
     }
 
@@ -111,7 +110,7 @@ impl GrammarTree {
                     .collect();
                 Self::best_same_count(&subset).map(|(l, c)| (l, c + 0.5))
             })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(letter, _)| letter)
     }
 
@@ -141,7 +140,7 @@ impl GrammarTree {
                 let cost = placement_cost(letter, strokes) + SHAPE_PENALTY * mismatches as f64;
                 cost.is_finite().then_some((letter, cost))
             })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 
@@ -222,6 +221,28 @@ mod tests {
             let obs = ideal_observation(c).expect("letter");
             assert_eq!(tree.deduce(&obs), Some(c), "letter {c}");
         }
+    }
+
+    /// `D` observed with its bowl's centroid lost: both candidates of the
+    /// stroke sequence cost NaN.
+    fn d_without_a_centroid() -> Vec<ObservedStroke> {
+        let mut obs = ideal_observation('D').expect("letter");
+        obs[1].centroid = (f64::NAN, f64::NAN);
+        obs
+    }
+
+    #[test]
+    fn deduce_survives_nan_placement_costs() {
+        let letter = GrammarTree::standard().deduce(&d_without_a_centroid());
+        assert!(matches!(letter, Some('D' | 'P')), "{letter:?}");
+    }
+
+    #[test]
+    fn fuzzy_deduction_survives_nan_placement_costs() {
+        // Every same-count candidate costs NaN, so each is dropped; the
+        // leave-one-out pass still ranks one-stroke letters.
+        let letter = GrammarTree::standard().deduce_fuzzy(&d_without_a_centroid());
+        assert!(letter.is_some());
     }
 
     #[test]

@@ -277,7 +277,7 @@ pub fn classify_by_template(
             (shape, corr)
         })
         .filter(|(_, corr)| corr.is_finite())
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite correlations"))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 /// Canonical placements a shape's template is rasterized from (currently
@@ -735,6 +735,19 @@ mod tests {
         let img = GridImage::zeros(5, 5);
         let rec = MotionRecognizer::new(RfipadConfig::default());
         assert!(rec.recognize(&img).is_none());
+    }
+
+    #[test]
+    fn template_classification_survives_a_nan_cell() {
+        let mut img = GridImage::zeros(5, 5);
+        for r in 0..5 {
+            img.set(r, 2, 1.0);
+        }
+        img.set(0, 0, f64::NAN);
+        let mask = mask_from(&["..#..", "..#..", "..#..", "..#..", "..#.."]);
+        let templates = TemplateTable::default();
+        let best = classify_by_template(&img, &mask, &templates);
+        assert!(best.is_none_or(|(_, corr)| corr.is_finite()));
     }
 
     #[test]

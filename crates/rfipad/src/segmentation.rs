@@ -155,7 +155,8 @@ const BRIDGE_FRAMES: usize = 2;
 /// [`Segmenter::segment_frames`] scores from an empty scorer; the online
 /// segmentation stage keeps one across frame ticks, where each tick's
 /// frames repeat the previous tick's settled prefix and differ only in the
-/// live tail (or re-anchor entirely after a history trim). The caller
+/// live tail (or lose a prefix to a history trim, which moves every frame
+/// to a new index). The caller
 /// says how many leading frames are unchanged since the previous call
 /// (`FrameBuilder::advance` counts them); let `same` be that count,
 /// clamped to the frames held, under the same thresholds and frame
@@ -677,8 +678,8 @@ mod tests {
                         }
                         at_frame
                     }
-                    // Re-anchor: drop a prefix and restart the frame grid
-                    // where it ended, as a history trim does.
+                    // Drop a prefix: every frame moves to a new index, as
+                    // after a history trim.
                     2 => {
                         rms.drain(..at_frame);
                         anchor += at_frame as f64 * len;

@@ -113,7 +113,7 @@ pub struct FrameTick {
     /// one lets the builder update the sequence in place.
     pub frames: Arc<FrameSeq>,
     /// How many leading frames equal the previous tick's, bit for bit
-    /// (0 after a trim re-anchored the frames).
+    /// (0 after a trim dropped leading frames).
     pub unchanged: usize,
     /// Snapshot of the calibrated streams at this tick. Shared with the
     /// framing stage's incremental builder; dropping the tick after the
@@ -172,47 +172,97 @@ pub enum LetterOut {
 
 /// Incrementally maintained view of the buffered reports: calibrated
 /// per-tag streams plus the per-frame RMS accumulators and frames over
-/// them. Kept in step with [`Framing`]'s buffer on every push and marked
-/// *stale* whenever the buffer is trimmed — a rebuild from a shorter
-/// history legitimately re-picks unwrap state and the Eq. 8 re-centring
-/// offsets at the new first sample, so patching the cache in place would
-/// diverge from a from-scratch build. The next tick clears it, keeping
-/// its allocations, and replays the buffer.
+/// them, on the stream's one frame grid. The cache always equals, bit for
+/// bit, a fresh build of the buffer on the grid origin: the buffer's
+/// [`TagStreams`], framed from the origin by
+/// [`FrameSeq::build_with_floors`], less the frames before the first
+/// buffered sample's. A push appends to it; a retention or letter-close
+/// trim drops the same prefix from the buffer, the streams and the frames
+/// in place, recomputing only the frame the cut falls inside (and any tag
+/// a fresh build would re-centre differently).
 #[derive(Debug)]
 struct StreamCache {
     streams: TagStreamsBuilder,
-    /// Anchored at the cache's first sample: frame 0 starts there,
-    /// matching the batch build's `streams.start()`.
+    /// On the grid anchored at `origin`.
     frames: FrameBuilder,
-    /// Whether a trim left the cache behind the buffer.
-    stale: bool,
+    /// The stream's grid origin: its first in-layout report's time. Trims
+    /// keep it; only a restart of the stream forgets it.
+    origin: Option<f64>,
+    /// Per tag, how far the latest trim changed its series (scratch).
+    changed: Vec<f64>,
 }
 
 impl StreamCache {
-    /// Whether the frames are anchored: the cache holds a sample.
-    fn anchored(&self) -> bool {
-        self.streams.streams().start().is_some()
-    }
-}
-
-/// Appends one (already clamped) report to the cache, mirroring what a
-/// batch rebuild over the buffer would accumulate for it. This is the one
-/// place a report's tag is looked up: past it, every per-tag quantity is
-/// found by the tag's layout index. Reports of tags outside the layout
-/// stop here.
-fn cache_append(cache: &mut StreamCache, recognizer: &Recognizer, obs: &TagReport) {
-    let Some(index) = recognizer.layout().index(obs.tag) else {
-        return;
-    };
-    let first = !cache.anchored();
-    if let Some(value) = cache
-        .streams
-        .push(index, Some(recognizer.calibration()), obs)
-    {
-        if first {
-            cache.frames.reset_anchor(obs.time);
+    fn new(recognizer: &Recognizer) -> Self {
+        let tags = recognizer.layout().len();
+        Self {
+            streams: TagStreamsBuilder::new(tags),
+            // Re-anchored at the origin by the first sample.
+            frames: FrameBuilder::new(
+                tags,
+                Some(recognizer.noise_floors()),
+                0.0,
+                recognizer.config().frame_len_s,
+            ),
+            origin: None,
+            changed: vec![f64::NEG_INFINITY; tags],
         }
-        cache.frames.push(index, obs.time, value);
+    }
+
+    /// Empties the cache, keeping its allocations, on grid origin `origin`
+    /// (`None`: the next sample sets it).
+    fn reset(&mut self, origin: Option<f64>) {
+        self.streams.clear();
+        self.frames.reset_anchor(origin.unwrap_or(0.0));
+        self.origin = origin;
+    }
+
+    /// Appends one (already clamped) report, mirroring what a fresh build
+    /// over the buffer would accumulate for it. This is the one place a
+    /// report's tag is looked up: past it, every per-tag quantity is found
+    /// by the tag's layout index. Reports of tags outside the layout stop
+    /// here.
+    fn append(&mut self, recognizer: &Recognizer, obs: &TagReport) {
+        let Some(index) = recognizer.layout().index(obs.tag) else {
+            return;
+        };
+        let empty = self.streams.streams().start().is_none();
+        if let Some(value) = self
+            .streams
+            .push(index, Some(recognizer.calibration()), obs)
+        {
+            if empty {
+                // The stream's first sample sets the grid origin. In a
+                // cache a trim emptied, frames restart at the sample's
+                // own frame of the same grid.
+                let origin = *self.origin.get_or_insert(obs.time);
+                self.frames.reset_anchor(origin);
+                self.frames.drop_before(obs.time);
+            }
+            self.frames.push(index, obs.time, value);
+        }
+    }
+
+    /// Drops every sample whose time `dropped` accepts: a prefix, as the
+    /// trim of the time-ordered buffer that leaves `kept`.
+    fn trim(&mut self, recognizer: &Recognizer, kept: &[TagReport], dropped: impl Fn(f64) -> bool) {
+        self.streams.trim(
+            recognizer.calibration(),
+            recognizer.layout(),
+            kept,
+            dropped,
+            &mut self.changed,
+        );
+        let streams = self.streams.streams();
+        match streams.start() {
+            Some(first) => {
+                self.frames.drop_before(first);
+                for (index, series) in streams.phases().iter().enumerate() {
+                    self.frames.refill(index, series, self.changed[index]);
+                }
+            }
+            None => self.frames.reset_anchor(self.frames.start()),
+        }
     }
 }
 
@@ -228,8 +278,7 @@ pub struct Framing {
     letter_gap_s: f64,
     end_guard_s: f64,
     buffer: Vec<TagReport>,
-    /// Incremental streams + frames over `buffer`; stale after a trim
-    /// until the next tick rebuilds it.
+    /// Incremental streams + frames over `buffer`, always in step with it.
     cache: StreamCache,
     last_processed: f64,
     /// Start of the oldest pending stroke (set by the graph before each
@@ -244,18 +293,7 @@ impl Framing {
     /// Creates the stage. `end_guard_s` is the silence that confirms a
     /// stroke's end; `letter_gap_s` the idle time that closes a letter.
     pub fn new(recognizer: Arc<Recognizer>, letter_gap_s: f64, end_guard_s: f64) -> Self {
-        let tags = recognizer.layout().len();
-        let cache = StreamCache {
-            streams: TagStreamsBuilder::new(tags),
-            // Re-anchored at the first sample.
-            frames: FrameBuilder::new(
-                tags,
-                Some(recognizer.noise_floors()),
-                0.0,
-                recognizer.config().frame_len_s,
-            ),
-            stale: false,
-        };
+        let cache = StreamCache::new(&recognizer);
         Self {
             recognizer,
             letter_gap_s,
@@ -282,38 +320,34 @@ impl Framing {
         self.pending_trim.take()
     }
 
-    /// Drops history at or before `letter_end` after a letter closed.
-    /// The shortened history re-anchors stream centring, so the
-    /// incremental cache goes stale with it and is rebuilt at the next
-    /// tick.
+    /// Drops history at or before `letter_end` after a letter closed, from
+    /// the buffer and, in place, from the cache over it.
     pub fn trim_after_letter(&mut self, letter_end: f64) {
-        self.buffer.retain(|o| o.time > letter_end);
-        self.cache.stale = true;
+        self.trim(|t| t <= letter_end);
     }
 
-    /// Rebuilds a stale cache from the buffer, in place: the streams are
-    /// cleared, the frames emptied, and the buffer replayed.
-    fn refresh_cache(&mut self) {
-        let cache = &mut self.cache;
-        if !cache.stale {
-            return;
-        }
-        cache.stale = false;
-        cache.streams.clear();
-        let anchor = cache.frames.start();
-        cache.frames.reset_anchor(anchor);
-        for obs in &self.buffer {
-            cache_append(cache, &self.recognizer, obs);
-        }
+    /// Drops the buffered reports whose time `dropped` accepts (a prefix:
+    /// clamping keeps the buffer in time order) and the cache's samples
+    /// with them.
+    fn trim(&mut self, dropped: impl Fn(f64) -> bool + Copy) {
+        let n = self.buffer.partition_point(|o| dropped(o.time));
+        self.buffer.drain(..n);
+        self.cache.trim(&self.recognizer, &self.buffer, dropped);
+    }
+
+    /// Ends the stream: drops its history and its frame grid, so the next
+    /// report starts a stream on a grid of its own.
+    fn restart(&mut self) {
+        self.buffer.clear();
+        self.cache.reset(None);
     }
 
     /// Cuts one processing tick at `now`: the frames, with how many of
     /// them the previous tick already had, plus a shared stream snapshot.
     /// The tick's `started` stamp lets the graph time the framing hop (the
-    /// cache rebuild + frame cut) without a clock read per report.
+    /// frame cut) without a clock read per report.
     fn tick(&mut self, now: f64, out: &mut Vec<FrameTick>) {
         let started = Instant::now();
-        self.refresh_cache();
         let cache = &mut self.cache;
         let unchanged = cache
             .streams
@@ -332,21 +366,18 @@ impl Framing {
     /// The stage's checkpoint state as a JSON object.
     fn state_json(&self) -> String {
         let buffer: Vec<String> = self.buffer.iter().map(report_to_json).collect();
-        // Diagnostics of the live frame accumulator, if the cache is fresh
-        // and anchored: the restore path rebuilds it from the buffer
-        // (deterministic, per the cache-matches-rebuild invariant) and
-        // verifies these bits.
-        let cache = &self.cache;
-        let frames = if !cache.stale && cache.anchored() {
-            let f = &cache.frames;
-            format!(
+        // The stream's grid origin, which the restore path replays the
+        // buffer on (the cache equals that fresh build), plus diagnostics
+        // of the frame accumulator that it verifies the replay against.
+        let f = &self.cache.frames;
+        let frames = match self.cache.origin {
+            Some(origin) => format!(
                 "{{\"anchor_bits\":{},\"frame_len_bits\":{},\"max_time_bits\":{}}}",
-                f.start().to_bits(),
+                origin.to_bits(),
                 f.frame_len().to_bits(),
                 f.max_time().to_bits()
-            )
-        } else {
-            "null".into()
+            ),
+            None => "null".into(),
         };
         format!(
             "{{\"last_processed_bits\":{},\"buffer\":[{}],\"frames\":{}}}",
@@ -356,8 +387,9 @@ impl Framing {
         )
     }
 
-    /// Restores state written by [`Framing::state_json`].
-    fn restore(&mut self, state: Value<'_>) -> Result<(), RfipadError> {
+    /// Restores state written by [`Framing::state_json`], for a graph
+    /// whose admission gate stood at `last_time`.
+    fn restore(&mut self, state: Value<'_>, last_time: f64) -> Result<(), RfipadError> {
         let [last_processed, buffer, frames] =
             state.fields(["last_processed_bits", "buffer", "frames"])?;
         let buffer = buffer
@@ -379,26 +411,46 @@ impl Framing {
                  the retention window apart",
             ));
         }
+        let grid = if frames.is_null() {
+            None
+        } else {
+            let [origin, frame_len, max_time] =
+                frames.fields(["anchor_bits", "frame_len_bits", "max_time_bits"])?;
+            Some((bits(&origin)?, bits(&frame_len)?, bits(&max_time)?))
+        };
+        if let Some((origin, frame_len, _)) = grid {
+            // A live graph frames its stream on the recognizer's frame
+            // length from the stream's first in-layout report, so no such
+            // report precedes the origin, nor does the gate. Frame numbers
+            // up to the gate's stay exact in an f64 (below 2^52), and the
+            // frame accumulators hold frames from the first buffered one.
+            let len = self.recognizer.config().frame_len_s;
+            let layout = self.recognizer.layout();
+            if frame_len.to_bits() != len.to_bits()
+                || !origin.is_finite()
+                || !(0.0..(1u64 << 52) as f64).contains(&((last_time - origin) / len))
+                || buffer
+                    .iter()
+                    .any(|o| o.time < origin && layout.index(o.tag).is_some())
+            {
+                return Err(checkpoint_err(
+                    "frame grid origin does not fit the buffered stream",
+                ));
+            }
+        }
         self.last_processed = bits(&last_processed)?;
         self.buffer = buffer;
-        self.cache.stale = true;
         self.hold_from = None;
         self.pending_trim = None;
-        if !frames.is_null() {
-            // Rebuild the accumulator the next tick would build anyway
-            // and verify it against the checkpointed diagnostics — a
-            // cheap integrity check that the buffer round-tripped bit
-            // for bit.
-            let [anchor, frame_len, max_time] =
-                frames.fields(["anchor_bits", "frame_len_bits", "max_time_bits"])?;
-            let expected: [u64; 3] = [anchor.as_uint()?, frame_len.as_uint()?, max_time.as_uint()?];
-            self.refresh_cache();
-            let f = &self.cache.frames;
-            let rebuilt = self
-                .cache
-                .anchored()
-                .then(|| [f.start(), f.frame_len(), f.max_time()].map(f64::to_bits));
-            if rebuilt != Some(expected) {
+        // Replay the buffer once, on the checkpoint's grid origin, and
+        // verify the accumulator against its diagnostics: a cheap
+        // integrity check that the buffer round-tripped bit for bit.
+        self.cache.reset(grid.map(|(origin, ..)| origin));
+        for obs in &self.buffer {
+            self.cache.append(&self.recognizer, obs);
+        }
+        if let Some((_, _, max_time)) = grid {
+            if self.cache.frames.max_time().to_bits() != max_time.to_bits() {
                 return Err(checkpoint_err(
                     "rebuilt frame accumulator diverges from the checkpoint",
                 ));
@@ -415,11 +467,7 @@ impl Stage for Framing {
     fn push(&mut self, obs: TagReport, out: &mut Vec<FrameTick>) {
         let now = obs.time;
         self.buffer.push(obs);
-        // Keep the incremental cache in step with the buffer. A cache a
-        // trim left stale is rebuilt lazily at the next tick.
-        if !self.cache.stale {
-            cache_append(&mut self.cache, &self.recognizer, &obs);
-        }
+        self.cache.append(&self.recognizer, &obs);
         // Bound the history: drop everything older than the retention
         // window, but never cut into a pending (unclosed) letter.
         let keep_from = self
@@ -433,9 +481,8 @@ impl Stage for Framing {
             .map(|o| o.time < keep_from - 5.0)
             .unwrap_or(false)
         {
-            self.buffer.retain(|o| o.time >= keep_from);
+            self.trim(|t| t < keep_from);
             self.pending_trim = Some(keep_from);
-            self.cache.stale = true;
         }
         // Re-evaluate once per frame, not per read.
         if now - self.last_processed < self.recognizer.config().frame_len_s {
@@ -958,7 +1005,7 @@ impl StageGraph {
         // afresh from this report.
         if admitted && self.last_time.is_finite() && obs.time - self.last_time > MAX_BUFFER_S {
             self.finish_into(events);
-            self.framing.trim_after_letter(f64::INFINITY);
+            self.framing.restart();
             self.segmentation.clear_reported();
         }
         self.finished = false;
@@ -1166,7 +1213,7 @@ impl StageGraph {
         let [framing, segmentation, motion, letter, grammar] = doc.stages;
         let [] = motion.fields([])?;
         let [] = grammar.fields([])?;
-        self.framing.restore(framing)?;
+        self.framing.restore(framing, doc.last_time)?;
         self.segmentation.restore(segmentation)?;
         self.letter.restore(letter)?;
         // The newest buffered report is the one the gate last admitted. A
@@ -1410,12 +1457,6 @@ impl StageGraph {
         &self.framing.buffer
     }
 
-    /// Whether the framing stage's incremental cache is in step with its
-    /// buffer (no trim since the last rebuild).
-    pub(crate) fn cache_is_fresh(&self) -> bool {
-        !self.framing.cache.stale
-    }
-
     /// The letter stage's pending strokes (mutable, for fixtures).
     pub(crate) fn pending_strokes_mut(&mut self) -> &mut Vec<RecognizedStroke> {
         &mut self.letter.pending
@@ -1443,11 +1484,9 @@ impl StageGraph {
     }
 
     /// Test oracle: the incrementally maintained cache must equal a
-    /// from-scratch rebuild over the current buffer — streams *and*
-    /// frames, bit for bit. Rebuilds the cache first if a trim left it
-    /// stale.
-    pub(crate) fn assert_cache_matches_rebuild(&mut self) {
-        self.framing.refresh_cache();
+    /// fresh build over the current buffer on the stream's grid origin —
+    /// streams *and* frames, bit for bit.
+    pub(crate) fn assert_cache_matches_rebuild(&self) {
         let framing = &self.framing;
         let cache = &framing.cache;
         let fresh = framing.recognizer.streams(&framing.buffer);
@@ -1456,23 +1495,35 @@ impl StageGraph {
             &fresh,
             "cached streams diverged from a rebuild over the buffer"
         );
-        if let (Some(start), Some(end)) = (fresh.start(), fresh.end()) {
-            assert_eq!(cache.frames.start(), start, "frame anchor diverged");
-            let batch = FrameSeq::build_with_floors(
-                fresh.phases(),
-                Some(&framing.recognizer.noise_floors()),
-                start,
-                end,
-                framing.recognizer.config().frame_len_s,
-            );
-            let mut frames = cache.frames.clone();
-            frames.advance(end);
-            assert_eq!(
-                *frames.shared_frames(),
-                batch,
-                "cached frames diverged from a batch build"
-            );
-        }
+        let (Some(first), Some(end)) = (fresh.start(), fresh.end()) else {
+            return;
+        };
+        let origin = cache.origin.expect("a cache holding samples has an origin");
+        assert_eq!(
+            cache.frames.start(),
+            origin,
+            "frame grid moved off the origin"
+        );
+        let batch = FrameSeq::build_with_floors(
+            fresh.phases(),
+            Some(&framing.recognizer.noise_floors()),
+            origin,
+            end,
+            framing.recognizer.config().frame_len_s,
+        );
+        // The cache holds the grid from the first buffered sample's frame.
+        let from = batch
+            .frames()
+            .iter()
+            .position(|f| f.end() > first)
+            .unwrap_or(batch.len());
+        let mut frames = cache.frames.clone();
+        frames.advance(end);
+        assert_eq!(
+            frames.shared_frames().frames(),
+            &batch.frames()[from..],
+            "cached frames diverged from a batch build on the origin"
+        );
     }
 }
 
@@ -1784,10 +1835,15 @@ mod tests {
     #[test]
     fn restore_rejects_corrupted_stage_state() {
         let graph = driven_graph();
-        // Flip one bit of the framing buffer's first timestamp.
-        let first = graph.buffer()[0].time;
-        let flipped = f64::from_bits(first.to_bits() ^ 1);
-        let corrupted = replace_bits(&graph.checkpoint().to_json(), "time_bits", first, flipped);
+        // Flip one bit of the newest buffered report's tag: tag 2 becomes
+        // tag 3, outside the layout, so the replay's newest sample is no
+        // longer the one the frame diagnostics recorded.
+        let newest = graph.buffer().last().unwrap();
+        assert_eq!(newest.tag, TagId(2));
+        let json = graph.checkpoint().to_json();
+        let tag = format!("\"tag\":2,\"time_bits\":{}", newest.time.to_bits());
+        let corrupted = json.replacen(&tag, &tag.replacen(":2,", ":3,", 1), 1);
+        assert_ne!(corrupted, json);
         let checkpoint = PipelineCheckpoint::from_json(&corrupted).unwrap();
         let mut restored = quiet_graph(1.5);
         let err = restored.restore_checkpoint(&checkpoint).unwrap_err();
@@ -1964,19 +2020,15 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e, PipelineEvent::LetterRecognized { .. }))
             {
-                // The letter close trims the buffer and must mark the
-                // cache stale with it, in the same tick.
-                assert!(
-                    !g.cache_is_fresh(),
-                    "letter-close trim left the cache fresh"
-                );
+                // The letter close trims the buffer and the cache with it,
+                // in place, in the same tick.
+                g.assert_cache_matches_rebuild();
                 letter_seen = true;
             }
         }
         assert!(letter_seen, "recording closes a letter mid-feed");
-        // Later ticks rebuild the cache from the trimmed buffer and then
-        // maintain it incrementally; it must match a rebuild exactly.
-        assert!(g.cache_is_fresh(), "cache not rebuilt after the letter");
+        // Later ticks maintain the trimmed cache incrementally; it must
+        // match a rebuild exactly.
         g.assert_cache_matches_rebuild();
         // finish-then-resume: the flush and the resumed traffic keep the
         // cache in step with the buffer.
@@ -2145,6 +2197,87 @@ mod tests {
         }
         assert!(trims > 0, "run long enough to trim history");
         graph.assert_cache_matches_rebuild();
+    }
+
+    #[test]
+    fn a_false_unwrap_slip_does_not_outlive_a_retention_trim() {
+        // Tag 0 reads its calibrated phase, 1.0, until a glitch at 2 s jumps
+        // it by more than π: the unwrapper takes the jump for a wrap. The
+        // phase then drifts to 1.2 without one, which leaves the tag's
+        // stream 2π low, far outside (−π, π].
+        let phase = |t: f64| match t {
+            t if t < 2.0 => 1.0,
+            t if t < 3.0 => 4.3 - (t - 2.0) * 3.1,
+            _ => 1.2,
+        };
+        let mut graph = quiet_graph(1.5);
+        let mut step = 0u64;
+        // Until a retention trim cuts past the drift.
+        while graph.buffer().first().is_none_or(|o| o.time < 3.0) {
+            let t = step as f64 / 60.0;
+            let tag = step % 3;
+            let report = TagReport {
+                phase: if tag == 0 { phase(t) } else { 1.0 + tag as f64 },
+                ..quiet_obs(tag, t)
+            };
+            assert!(graph.push(report).is_empty());
+            if step == 600 {
+                let slipped = *graph.framing.cache.streams.streams().phases()[0]
+                    .values()
+                    .last()
+                    .unwrap();
+                assert!((slipped - (0.2 - TAU)).abs() < 1e-9, "{slipped}");
+            }
+            step += 1;
+        }
+        // A fresh build starts unwrapping at the first kept report, so the
+        // trim rewrites the tag: it starts in (−π, π] and stays at 0.2.
+        let values = graph.framing.cache.streams.streams().phases()[0].values();
+        assert!(values[0] > -std::f64::consts::PI && values[0] <= std::f64::consts::PI);
+        assert!(values.iter().all(|v| (v - 0.2).abs() < 1e-9));
+        graph.assert_cache_matches_rebuild();
+    }
+
+    proptest::proptest! {
+        /// However the phases wrap, slip by 2π or drift through whole
+        /// turns, the cache equals a fresh build on the grid origin right
+        /// after every retention or letter-close trim, and at the end.
+        #[test]
+        fn the_cache_equals_a_fresh_build_after_every_trim(
+            steps in proptest::collection::vec(
+                (0u64..3, 0.0f64..0.05, -1.0f64..1.0, 0usize..40),
+                2_500..2_600,
+            ),
+        ) {
+            let mut graph = quiet_graph(1.5);
+            let mut phases = [1.0, 2.0, 3.0];
+            let mut t = 0.0;
+            let mut first = None;
+            for (tag, dt, walk, jump) in steps {
+                t += dt;
+                // Tag 0 walks slowly, tag 1 drifts a turn every few
+                // seconds, tag 2 now and then jumps by more than π.
+                let step = match tag {
+                    0 => 0.05 * walk,
+                    1 => 0.02 + 0.05 * walk,
+                    _ if jump == 0 => 3.5 * walk.signum(),
+                    _ => 0.02 * walk,
+                };
+                let phase = &mut phases[tag as usize];
+                *phase = (*phase + step).rem_euclid(TAU);
+                graph.push(TagReport {
+                    phase: *phase,
+                    ..quiet_obs(tag, t)
+                });
+                let now_first = graph.buffer().first().map(|o| o.time.to_bits());
+                if now_first != first {
+                    graph.assert_cache_matches_rebuild();
+                    first = now_first;
+                }
+            }
+            graph.finish();
+            graph.assert_cache_matches_rebuild();
+        }
     }
 
     #[test]

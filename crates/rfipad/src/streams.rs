@@ -12,7 +12,7 @@ use rfid_gen2::report::TagReport;
 use serde::{Deserialize, Serialize};
 use sigproc::series::TimeSeries;
 use sigproc::unwrap::StreamingUnwrapper;
-use std::f64::consts::TAU;
+use std::f64::consts::{PI, TAU};
 use std::sync::Arc;
 
 /// Per-tag phase and RSS time series over one recording, in layout order:
@@ -76,15 +76,18 @@ impl TagStreams {
 
 /// Incremental counterpart of [`TagStreams::build`]: appends one report at
 /// a time while carrying the per-tag unwrap state and Eq. 8 re-centring
-/// offsets across pushes, so the accumulated [`TagStreams`] is identical to
+/// levels across pushes, so the accumulated [`TagStreams`] is identical to
 /// a one-shot batch build over the same reports in the same order.
 ///
 /// This is what lets the framing stage of a [`crate::StageGraph`] keep its
 /// streams cached between frame ticks instead of rebuilding them from the
-/// whole retained buffer. Note the offsets are chosen at each tag's *first*
-/// sample — rebuilding from a trimmed buffer may legitimately pick
-/// different offsets, which is why the stage invalidates (rather than
-/// patches) its cache on trims.
+/// whole retained buffer. A retention or letter-close trim drops a time
+/// prefix of every series in place ([`trim`](Self::trim)), and the builder
+/// still equals a batch build over the remaining reports: a suppressed
+/// value is `(phase − mean) + m·2π` with an integer `m`, which a build
+/// from a later first report reproduces whenever that report's value
+/// already lies in (−π, π].
+///
 /// The accumulated streams live behind an [`Arc`] so downstream consumers
 /// (the stage graph's tick payloads) can hold a cheap reference to the
 /// snapshot at a tick without cloning the series. Pushes mutate in place
@@ -97,12 +100,58 @@ pub struct TagStreamsBuilder {
     streams: Arc<TagStreams>,
 }
 
-/// Per-tag incremental state carried across pushes: the unwrap window and
-/// the Eq. 8 re-centring offset chosen at the tag's first sample.
+/// Per-tag incremental state carried across pushes: the unwrap window,
+/// the Eq. 8 re-centring level chosen at the tag's first sample, and the
+/// largest phase magnitude pushed since.
 #[derive(Debug, Clone, Default)]
 struct TagPushState {
     unwrapper: StreamingUnwrapper,
-    offset: Option<f64>,
+    level: Option<f64>,
+    max_phase: f64,
+}
+
+/// A trim keeps a tag's values when every phase it pushed is at most
+/// `EXACT_PHASE` in magnitude and its first kept value lies `LEVEL_MARGIN`
+/// inside (−π, π]. Rounding then moves no value by a tenth of the margin,
+/// so that value's 2π level is the only one in reach.
+const EXACT_PHASE: f64 = 1_048_576.0;
+const LEVEL_MARGIN: f64 = 1e-6;
+
+impl TagPushState {
+    /// Unwraps one reported phase and returns its value: Eq. 8 suppressed
+    /// when `mean` (the tag's calibrated phase) is given, the raw unwrapped
+    /// phase otherwise. The suppressed value is `(phase − mean) + m·2π`,
+    /// with `m` the unwrapper's whole turns less the tag's level, so it
+    /// depends on where the stream started only through that integer.
+    fn push(&mut self, phase: f64, mean: Option<f64>) -> f64 {
+        let unwrapped = self.unwrapper.push(phase);
+        self.max_phase = self.max_phase.max(phase.abs());
+        let Some(mean) = mean else {
+            return unwrapped;
+        };
+        let x = phase - mean;
+        // Re-centre: choose the level once (at the first sample, where the
+        // unwrapper has made no turn) so the suppressed stream starts in
+        // (−π, π] and stays continuous afterwards.
+        let level = *self.level.get_or_insert_with(|| centring_level(x));
+        x + (self.unwrapper.turns() as f64 - level) * TAU
+    }
+}
+
+/// The Eq. 8 level for a tag whose first sample, less its calibrated mean
+/// phase, is `x`: the whole number of turns `k` that brings `x − k·2π`
+/// into (−π, π]. An exact integer, so any first sample at the same level
+/// re-centres by the same multiple of 2π, bit for bit.
+fn centring_level(x: f64) -> f64 {
+    // `+ 0.0` keeps level 0 from coming out as −0.0 on a negative residue.
+    let mut level = ((x - wrap_to_pi(x)) / TAU).round() + 0.0;
+    // Rounding can leave x a few ulps outside the interval at its edges.
+    if x - level * TAU > PI {
+        level += 1.0;
+    } else if x - level * TAU <= -PI {
+        level -= 1.0;
+    }
+    level
 }
 
 impl TagStreamsBuilder {
@@ -141,22 +190,8 @@ impl TagStreamsBuilder {
         if !(obs.phase.is_finite() && obs.rss_dbm.is_finite()) {
             return None;
         }
-        let state = &mut self.tags[index];
-        let unwrapped = state.unwrapper.push(obs.phase);
-        let value = match calibration {
-            Some(cal) => {
-                let mean = cal.per_tag()[index].mean_phase;
-                // Re-centre: choose the 2π offset once (at the first
-                // sample) so the suppressed stream starts in (−π, π]
-                // and stays continuous afterwards.
-                let offset = *state.offset.get_or_insert_with(|| {
-                    let first = unwrapped - mean;
-                    first - wrap_to_pi(first)
-                });
-                unwrapped - mean - offset
-            }
-            None => unwrapped,
-        };
+        let mean = calibration.map(|cal| cal.per_tag()[index].mean_phase);
+        let value = self.tags[index].push(obs.phase, mean);
         let out = Arc::make_mut(&mut self.streams);
         out.phases[index].push(obs.time, value);
         out.rss[index].push(obs.time, obs.rss_dbm);
@@ -165,9 +200,76 @@ impl TagStreamsBuilder {
         Some(value)
     }
 
+    /// Drops every sample whose time `dropped` accepts, in place, from
+    /// streams built with `calibration` on `layout`. `dropped` must accept
+    /// a prefix of times (all times before a cut), as a trim of the
+    /// time-ordered report buffer does, and `kept` must be the reports that
+    /// remain, in push order. The builder then equals a batch build over
+    /// `kept`.
+    ///
+    /// A batch build starts each tag's unwrapping at its first kept report
+    /// and picks its level there. Its values equal the kept ones, bit for
+    /// bit, whenever the first kept value already lies in (−π, π]: the
+    /// same level less the turns made before the cut reproduces every
+    /// integer `m`. Otherwise — a false 2π unwrap step, or a drift past ±π,
+    /// neither of which may persist since Eq. 11 takes the RMS of the
+    /// values — the tag is replayed from `kept`.
+    ///
+    /// `changed[i]` receives how far tag *i*'s series changed: the time of
+    /// its newest dropped sample, [`f64::INFINITY`] if the values it kept
+    /// were rewritten, or [`f64::NEG_INFINITY`] if the trim left it as it
+    /// was — what [`sigproc::frames::FrameBuilder::refill`] takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `changed` is shorter than the builder's tag count.
+    pub fn trim(
+        &mut self,
+        calibration: &Calibration,
+        layout: &ArrayLayout,
+        kept: &[TagReport],
+        dropped: impl Fn(f64) -> bool,
+        changed: &mut [f64],
+    ) {
+        let out = Arc::make_mut(&mut self.streams);
+        let mut start: Option<f64> = None;
+        for (index, state) in self.tags.iter_mut().enumerate() {
+            let phases = &mut out.phases[index];
+            let n = phases.times().partition_point(|&t| dropped(t));
+            changed[index] = if n == 0 {
+                f64::NEG_INFINITY
+            } else {
+                phases.times()[n - 1]
+            };
+            phases.drain_front(n);
+            out.rss[index].drain_front(n);
+            let Some(&first) = phases.times().first() else {
+                *state = TagPushState::default();
+                continue;
+            };
+            start = Some(start.map_or(first, |s: f64| s.min(first)));
+            let value = phases.values()[0];
+            if n == 0 || (value.abs() <= PI - LEVEL_MARGIN && state.max_phase <= EXACT_PHASE) {
+                continue;
+            }
+            let mean = calibration.per_tag()[index].mean_phase;
+            *state = TagPushState::default();
+            let reads = kept.iter().filter(|o| {
+                layout.index(o.tag) == Some(index) && o.phase.is_finite() && o.rss_dbm.is_finite()
+            });
+            for (o, value) in reads.zip(phases.values_mut()) {
+                *value = state.push(o.phase, Some(mean));
+            }
+            changed[index] = f64::INFINITY;
+        }
+        out.start = start;
+        if start.is_none() {
+            out.end = None;
+        }
+    }
+
     /// Resets the builder to empty while keeping every allocation (per-tag
-    /// series buffers) for reuse, so rebuilding over a trimmed buffer
-    /// avoids re-growing the same structures.
+    /// series buffers) for reuse.
     pub fn clear(&mut self) {
         self.tags.fill(TagPushState::default());
         let streams = Arc::make_mut(&mut self.streams);
@@ -353,6 +455,57 @@ mod tests {
         }
         assert_eq!(builder.streams(), &batch);
         assert_eq!(builder.into_streams(), batch);
+    }
+
+    #[test]
+    fn centring_levels_are_whole_turns() {
+        // `x − wrap_to_pi(x)` leaves a residue that depends on x: −3.6e-16
+        // at x = −0.1, where level 0 must be exactly 0.
+        assert_eq!(centring_level(-0.1).to_bits(), 0.0f64.to_bits());
+        for i in -400..=400 {
+            let x = i as f64 * 0.0371 + (i as f64).sin() * 1e-3;
+            let level = centring_level(x);
+            assert_eq!(level, level.round(), "x = {x}");
+            let first = x - level * TAU;
+            assert!(first > -PI && first <= PI, "x = {x} starts at {first}");
+        }
+    }
+
+    #[test]
+    fn a_trimmed_builder_equals_a_batch_build_of_what_remains() {
+        let cal = calibration_with_means(0.05, 5.0);
+        // Tag 0 sits on the 0/2π boundary, so its unwrap correction flips;
+        // tag 1 drifts through half a turn, so its 2π level moves.
+        let observations: Vec<TagReport> = (0..200)
+            .flat_map(|j| {
+                let t = j as f64 * 0.05;
+                vec![
+                    obs(TagId(0), t, 0.05 + 0.2 * (j as f64 * 0.7).sin()),
+                    obs(TagId(1), t + 0.01, 5.0 + j as f64 * 0.03),
+                ]
+            })
+            .collect();
+        for cut in [0.0, 0.52, 1.0, 3.33, 7.5, 9.96, 20.0] {
+            let mut builder = TagStreamsBuilder::new(2);
+            for o in &observations {
+                builder.push(layout().index(o.tag).unwrap(), Some(&cal), o);
+            }
+            let mut changed = [0.0; 2];
+            let kept: Vec<TagReport> = observations
+                .iter()
+                .filter(|o| o.time >= cut)
+                .copied()
+                .collect();
+            builder.trim(&cal, &layout(), &kept, |t| t < cut, &mut changed);
+            assert_eq!(
+                builder.streams(),
+                &TagStreams::build(&layout(), Some(&cal), &kept),
+                "cut at {cut}"
+            );
+            if cut == 0.0 {
+                assert_eq!(changed, [f64::NEG_INFINITY; 2]);
+            }
+        }
     }
 
     #[test]

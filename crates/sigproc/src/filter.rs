@@ -127,7 +127,7 @@ pub fn find_troughs(data: &[f64], min_prominence: f64, min_separation: usize) ->
         .collect();
 
     // Enforce minimum separation, keeping deeper troughs.
-    troughs.sort_by(|a, b| a.value.partial_cmp(&b.value).expect("NaN in trough data"));
+    troughs.sort_by(|a, b| a.value.total_cmp(&b.value));
     let mut kept: Vec<Trough> = Vec::new();
     for t in troughs {
         if kept
@@ -144,11 +144,9 @@ pub fn find_troughs(data: &[f64], min_prominence: f64, min_separation: usize) ->
 /// Returns the single most prominent trough, if any trough exists at all
 /// (prominence threshold 0).
 pub fn deepest_trough(data: &[f64]) -> Option<Trough> {
-    find_troughs(data, 0.0, 0).into_iter().max_by(|a, b| {
-        a.prominence
-            .partial_cmp(&b.prominence)
-            .expect("NaN prominence")
-    })
+    find_troughs(data, 0.0, 0)
+        .into_iter()
+        .max_by(|a, b| a.prominence.total_cmp(&b.prominence))
 }
 
 /// Prominence of a minimum at `idx`: for each side, walk outward until the
@@ -198,6 +196,20 @@ fn prominence_at(data: &[f64], idx: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn troughs_next_to_nan_samples_are_still_found() {
+        let data = [3.0, 1.0, 3.0, f64::NAN, 3.0, 0.5, 3.0];
+        let troughs = find_troughs(&data, 0.0, 0);
+        let at: Vec<usize> = troughs.iter().map(|t| t.index).collect();
+        assert_eq!(at, [1, 5]);
+    }
+
+    #[test]
+    fn deepest_trough_tolerates_nan_samples() {
+        let data = [3.0, 1.0, 3.0, f64::NAN, 4.0, 0.5, 4.0];
+        assert_eq!(deepest_trough(&data).map(|t| t.index), Some(5));
+    }
 
     #[test]
     fn moving_average_identity_when_half_zero() {

@@ -174,6 +174,16 @@ impl FrameSeq {
 /// feed) lowers the settled count to that frame and stays correct. The
 /// sequence is shared behind an `Arc` and updated in place.
 ///
+/// Every frame lies on one grid, `start + k·frame_len`, for as long as the
+/// builder is not re-anchored. A cut of a time prefix off the history is
+/// made in place: [`drop_before`](Self::drop_before) drops the frames no
+/// remaining sample can fall in, and [`refill`](Self::refill) rebuilds
+/// only the accumulators the removed samples shared with remaining ones,
+/// whose frames the next advance recomputes. The sequence then equals a
+/// batch build on the same grid origin over
+/// the remaining samples, less the frames before the first remaining
+/// sample's frame.
+///
 /// # Example
 ///
 /// ```
@@ -197,19 +207,30 @@ pub struct FrameBuilder {
     frame_len: f64,
     floors: Option<Vec<f64>>,
     n_streams: usize,
+    /// Grid index of the first frame held: 0 until
+    /// [`drop_before`](Self::drop_before) drops a prefix.
+    first: usize,
     /// Per-frame, per-stream running sum of squared sample values, laid out
-    /// frame-major (`k * n_streams + stream`). A flat structure-of-arrays
-    /// instead of a `Vec` of per-frame structs so that opening a new frame
-    /// is an amortized `resize`, not two fresh allocations.
+    /// frame-major from frame `first` (`(k − first) * n_streams +
+    /// stream`). A flat structure-of-arrays instead of a `Vec` of
+    /// per-frame structs so that opening a new frame is an amortized
+    /// `resize`, not two fresh allocations.
     acc_sum_sq: Vec<f64>,
     /// Per-frame, per-stream sample counts, same layout as `acc_sum_sq`.
     acc_count: Vec<usize>,
     /// The sequence of the latest [`advance`](Self::advance): the settled
-    /// prefix followed by the live tail.
+    /// prefix followed by the live tail, from frame `first`.
     frames: Arc<FrameSeq>,
     /// How many leading frames of `frames` are settled and untouched by
     /// any push since.
     settled: usize,
+    /// How many leading frames of `frames` the next advance may report
+    /// unchanged, at most `settled`: 0 once a cut moved or revised them.
+    unchanged: usize,
+    /// How many leading frames of `frames` hold accumulators a
+    /// [`refill`](Self::refill) revised since the previous advance, which
+    /// recomputes the settled ones among them in place.
+    revised: usize,
     /// Newest sample time seen so far.
     max_time: f64,
 }
@@ -233,30 +254,39 @@ impl FrameBuilder {
             frame_len,
             floors,
             n_streams,
+            first: 0,
             acc_sum_sq: Vec::new(),
             acc_count: Vec::new(),
             frames: Arc::default(),
             settled: 0,
+            unchanged: 0,
+            revised: 0,
             max_time: f64::NEG_INFINITY,
         }
     }
 
-    /// Rewinds the builder to an empty state with a new range `start`,
+    /// Rewinds the builder to an empty state on a new grid origin `start`,
     /// keeping the stream count, floors, frame length, and — crucially —
-    /// the accumulator and frame allocations. A retention trim that
-    /// rebuilds its framing cache re-anchors the builder through this
-    /// instead of allocating a fresh one. The next
-    /// [`advance`](Self::advance) reports no frame unchanged.
+    /// the accumulator and frame allocations. The stage graph re-seats its
+    /// builder through this whenever its stream cache holds no sample, on
+    /// the stream's one grid origin, followed by a
+    /// [`drop_before`](Self::drop_before) the first sample, so frames start
+    /// at that sample's frame. The next [`advance`](Self::advance) reports
+    /// no frame unchanged.
     pub fn reset_anchor(&mut self, start: f64) {
         self.start = start;
+        self.first = 0;
         self.acc_sum_sq.clear();
         self.acc_count.clear();
         Arc::make_mut(&mut self.frames).frames.clear();
         self.settled = 0;
+        self.unchanged = 0;
+        self.revised = 0;
         self.max_time = f64::NEG_INFINITY;
     }
 
-    /// The frame range start passed to [`new`](Self::new).
+    /// The grid origin passed to [`new`](Self::new) or
+    /// [`reset_anchor`](Self::reset_anchor).
     pub fn start(&self) -> f64 {
         self.start
     }
@@ -275,24 +305,50 @@ impl FrameBuilder {
         self.max_time
     }
 
-    /// Start time of frame `k`, with the exact rounding the batch build
-    /// uses per frame.
+    /// Start time of grid frame `k`, with the exact rounding the batch
+    /// build uses per frame.
     fn frame_start(&self, k: usize) -> f64 {
         self.start + k as f64 * self.frame_len
     }
 
+    /// The lowest held frame whose end lies after `t` — the first frame a
+    /// sample at `t` can fall in — and the division estimate it was walked
+    /// down from.
+    fn frame_after(&self, t: f64) -> (usize, usize) {
+        let est = ((t - self.start) / self.frame_len) as usize;
+        let mut k = est.max(self.first);
+        while k > self.first && self.frame_start(k - 1) + self.frame_len > t {
+            k -= 1;
+        }
+        (k, est)
+    }
+
     /// Appends one sample of stream `stream` at time `t`. Samples before
-    /// `start` are ignored, exactly as they would fall outside every frame
-    /// of the batch build.
+    /// the first frame held (before `start`, unless a cut dropped frames)
+    /// are ignored, exactly as they would fall outside every frame of the
+    /// batch build.
     ///
     /// # Panics
     ///
     /// Panics if `stream` is out of range.
     pub fn push(&mut self, stream: usize, t: f64, v: f64) {
         assert!(stream < self.n_streams, "stream index out of range");
-        if t < self.start {
+        if t < self.frame_start(self.first) {
             return;
         }
+        if let Some(first) = self.accumulate(stream, t, v, usize::MAX) {
+            self.settled = self.settled.min(first);
+        }
+        if t > self.max_time {
+            self.max_time = t;
+        }
+    }
+
+    /// Adds sample `(t, v)` of stream `stream` to every held frame below
+    /// grid index `end` whose range contains `t`, growing the accumulators
+    /// as needed. Returns the first frame it touched, relative to the
+    /// first frame held.
+    fn accumulate(&mut self, stream: usize, t: f64, v: f64, end: usize) -> Option<usize> {
         // The batch build tests membership per frame k as
         // `f_start <= t < f_start + frame_len`, with `f_start = start +
         // k * frame_len` rounded independently per frame — so consecutive
@@ -301,45 +357,39 @@ impl FrameBuilder {
         // exactly: from the division estimate, walk down to the first frame
         // whose end lies after t, then accumulate into every frame whose
         // half-open range contains t.
-        let est = ((t - self.start) / self.frame_len) as usize;
-        let mut k = est;
-        while k > 0 && self.frame_start(k - 1) + self.frame_len > t {
-            k -= 1;
-        }
+        let (from, est) = self.frame_after(t);
         let mut first_touched = None;
         // In non-degenerate float ranges membership ends within a frame or
         // two of the estimate; the bound only guards against a frame_len
         // below the ulp of the timestamps, where frame starts stop
         // advancing.
-        while self.frame_start(k) <= t && k <= est + 2 {
-            if t < self.frame_start(k) + self.frame_len {
-                first_touched.get_or_insert(k);
-                let needed = (k + 1) * self.n_streams;
+        for k in from..est.saturating_add(3).min(end) {
+            let f_start = self.frame_start(k);
+            if f_start > t {
+                break;
+            }
+            if t < f_start + self.frame_len {
+                let j = k - self.first;
+                first_touched.get_or_insert(j);
+                let needed = (j + 1) * self.n_streams;
                 if self.acc_count.len() < needed {
                     self.acc_sum_sq.resize(needed, 0.0);
                     self.acc_count.resize(needed, 0);
                 }
-                let idx = k * self.n_streams + stream;
+                let idx = j * self.n_streams + stream;
                 self.acc_sum_sq[idx] += v * v;
                 self.acc_count[idx] += 1;
             }
-            k += 1;
         }
-        if let Some(first) = first_touched {
-            self.settled = self.settled.min(first);
-        }
-        if t > self.max_time {
-            self.max_time = t;
-        }
+        first_touched
     }
 
-    /// Emits frame `k` from the accumulators, mirroring the batch build's
-    /// stream-order walk (empty streams contribute nothing).
+    /// Emits grid frame `k` from the accumulators, mirroring the batch
+    /// build's stream-order walk (empty streams contribute nothing).
     fn compute_frame(&self, k: usize) -> Frame {
-        let f_start = self.start + k as f64 * self.frame_len;
         let mut rms_sum = 0.0;
         let mut samples = 0;
-        let base = k * self.n_streams;
+        let base = (k - self.first) * self.n_streams;
         if base < self.acc_count.len() {
             let counts = &self.acc_count[base..base + self.n_streams];
             let sums = &self.acc_sum_sq[base..base + self.n_streams];
@@ -354,7 +404,7 @@ impl FrameBuilder {
             }
         }
         Frame {
-            start: f_start,
+            start: self.frame_start(k),
             duration: self.frame_len,
             rms: rms_sum,
             samples,
@@ -362,10 +412,11 @@ impl FrameBuilder {
     }
 
     /// Brings the frame sequence up to `[start, end)`, bit-identical to
-    /// [`FrameSeq::build_with_floors`] over the same samples, and returns
-    /// how many leading frames are unchanged since the previous call: the
-    /// settled frames no push has touched since. May be called repeatedly
-    /// with a growing `end` as more samples arrive. A handle from
+    /// [`FrameSeq::build_with_floors`] over the same samples (from the
+    /// first frame held), and returns how many leading frames are
+    /// unchanged since the previous call: the settled frames no push or
+    /// cut has touched since. May be called repeatedly with a growing
+    /// `end` as more samples arrive. A handle from
     /// [`shared_frames`](Self::shared_frames) still held makes this copy
     /// the sequence first.
     ///
@@ -374,12 +425,18 @@ impl FrameBuilder {
     /// Panics if `end < start`.
     pub fn advance(&mut self, end: f64) -> usize {
         assert!(end >= self.start, "frame range end before start");
-        let count = ((end - self.start) / self.frame_len).ceil() as usize;
-        let unchanged = self.settled.min(count);
+        let count =
+            (((end - self.start) / self.frame_len).ceil() as usize).saturating_sub(self.first);
+        let unchanged = self.unchanged.min(self.settled).min(count);
         // Detach the frame vector so frames can be computed from `self`
         // while it grows; under a sole handle nothing is copied.
         let mut frames = std::mem::take(&mut Arc::make_mut(&mut self.frames).frames);
-        frames.truncate(unchanged);
+        let kept = self.settled.min(count);
+        frames.truncate(kept);
+        let revised = std::mem::take(&mut self.revised).min(kept);
+        for (j, frame) in frames[..revised].iter_mut().enumerate() {
+            *frame = self.compute_frame(self.first + j);
+        }
         // Settle frames that can no longer change: every future sample
         // arrives at `t >= max_time` in a monotone feed, so a frame ending
         // at or before `max_time` is settled (membership needs
@@ -388,15 +445,83 @@ impl FrameBuilder {
         // timestamps exceeds the frame length, frame ends stop advancing
         // and every later frame would pass the test.
         while frames.len() < count
-            && self.frame_start(frames.len()) + self.frame_len <= self.max_time
+            && self.frame_start(self.first + frames.len()) + self.frame_len <= self.max_time
         {
-            frames.push(self.compute_frame(frames.len()));
+            frames.push(self.compute_frame(self.first + frames.len()));
         }
-        frames_built_counter().add((frames.len() - unchanged) as u64);
+        frames_built_counter().add((revised + frames.len() - kept) as u64);
         self.settled = frames.len();
-        frames.extend((self.settled..count).map(|k| self.compute_frame(k)));
+        self.unchanged = self.settled;
+        frames.extend((self.settled..count).map(|j| self.compute_frame(self.first + j)));
         Arc::make_mut(&mut self.frames).frames = frames;
         unchanged
+    }
+
+    /// Drops every held frame that ends at or before `t`: the frames no
+    /// sample at or after `t` can fall in. Later samples before the first
+    /// frame kept are ignored, as samples before `start` are. The frames
+    /// kept keep their values — [`refill`](Self::refill) the streams whose
+    /// removed samples shared a frame with remaining ones — but the next
+    /// [`advance`](Self::advance) reports none of them unchanged: they
+    /// moved to the front of the sequence.
+    pub fn drop_before(&mut self, t: f64) {
+        let (k0, _) = self.frame_after(t);
+        let dropped = k0 - self.first;
+        if dropped == 0 {
+            return;
+        }
+        let cells = dropped
+            .saturating_mul(self.n_streams)
+            .min(self.acc_count.len());
+        self.acc_sum_sq.drain(..cells);
+        self.acc_count.drain(..cells);
+        let frames = &mut Arc::make_mut(&mut self.frames).frames;
+        frames.drain(..dropped.min(frames.len()));
+        self.settled = self.settled.saturating_sub(dropped);
+        self.revised = self.revised.saturating_sub(dropped);
+        self.unchanged = 0;
+        self.first = k0;
+    }
+
+    /// Rebuilds stream `stream`'s share of every held frame that starts at
+    /// or before `until` from `samples`, the stream's samples in time order
+    /// (those before the first frame held are ignored). After a cut removed
+    /// samples at or before `until` from the stream — or rewrote the values
+    /// of those it kept, with `until` infinite — the builder then holds
+    /// what one fed only the remaining samples would. The next
+    /// [`advance`](Self::advance) recomputes the settled frames among the
+    /// refilled ones in place, once however many streams were refilled,
+    /// and reports no frame unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is out of range.
+    pub fn refill(&mut self, stream: usize, samples: &TimeSeries, until: f64) {
+        assert!(stream < self.n_streams, "stream index out of range");
+        let held = self.acc_count.len() / self.n_streams;
+        let mut end = 0;
+        while end < held && self.frame_start(self.first + end) <= until {
+            end += 1;
+        }
+        if end == 0 {
+            return;
+        }
+        for j in 0..end {
+            self.acc_sum_sq[j * self.n_streams + stream] = 0.0;
+            self.acc_count[j * self.n_streams + stream] = 0;
+        }
+        let limit = self.first + end;
+        // Frame ends never decrease along the grid, so no sample at or
+        // past the last refilled frame's end belongs to a refilled frame.
+        let last_end = self.frame_start(limit - 1) + self.frame_len;
+        let first_start = self.frame_start(self.first);
+        for (t, v) in samples.iter().take_while(|&(t, _)| t < last_end) {
+            if t >= first_start {
+                self.accumulate(stream, t, v, limit);
+            }
+        }
+        self.revised = self.revised.max(end);
+        self.unchanged = 0;
     }
 
     /// A shared handle to the frame sequence as of the latest
@@ -647,6 +772,53 @@ mod tests {
         assert_eq!(builder.advance(1e23), 0);
         assert!(builder.shared_frames().is_empty());
         assert_eq!(builder.advance(1e23), 0);
+    }
+
+    #[test]
+    fn a_cut_keeps_the_grid_and_drops_a_prefix() {
+        // Two streams over 1 s, then a cut at 0.43 s: frames 0–3 go, frame
+        // 4 loses its samples before 0.43 s, and the rest stand.
+        let stream = |phase: f64| -> TimeSeries {
+            (0..100)
+                .map(|i| (i as f64 * 0.01, (i as f64 * phase).sin()))
+                .collect()
+        };
+        let streams = [stream(0.37), stream(0.53)];
+        let mut builder = FrameBuilder::new(2, Some(vec![0.1, 0.2]), 0.0, 0.1);
+        push_interleaved(&mut builder, &streams);
+        builder.advance(0.99);
+        let kept: Vec<TimeSeries> = streams
+            .iter()
+            .map(|s| s.iter().filter(|&(t, _)| t >= 0.43).collect())
+            .collect();
+        builder.drop_before(0.43);
+        for (i, s) in kept.iter().enumerate() {
+            builder.refill(i, s, 0.42);
+        }
+        assert_eq!(builder.advance(0.99), 0, "the frames moved");
+        let batch = FrameSeq::build_with_floors(&kept, Some(&[0.1, 0.2]), 0.0, 0.99, 0.1);
+        assert_eq!(builder.shared_frames().frames(), &batch.frames()[4..]);
+        // Later pushes land on the same grid.
+        builder.push(0, 1.05, 3.0);
+        builder.advance(1.05);
+        let last = *builder.shared_frames().frames().last().unwrap();
+        assert_eq!(last.start, 10.0 * 0.1);
+        assert_eq!(last.samples, 1);
+    }
+
+    #[test]
+    fn refilling_a_rewritten_stream_revises_every_frame_once() {
+        let s: TimeSeries = (0..50).map(|i| (i as f64 * 0.02, 1.0)).collect();
+        let mut builder = FrameBuilder::new(1, None, 0.0, 0.1);
+        push_interleaved(&mut builder, std::slice::from_ref(&s));
+        builder.advance(0.98);
+        let rewritten = s.map_values(|v| v + 2.0);
+        builder.refill(0, &rewritten, f64::INFINITY);
+        assert_eq!(builder.advance(0.98), 0);
+        assert_eq!(
+            *builder.shared_frames(),
+            FrameSeq::build(&[rewritten], 0.0, 0.98, 0.1)
+        );
     }
 
     #[test]

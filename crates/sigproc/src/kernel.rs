@@ -90,12 +90,8 @@ pub fn moving_average_into(data: &[f64], half: usize, out: &mut Vec<f64>) {
 ///
 /// The scratch is sorted with an in-place stable insertion sort — built
 /// for the short windows of [`median_filter_into`] — so the result matches
-/// [`crate::stats::median`] (stable `sort_by`) bit-for-bit without the
-/// temporary allocation of a merge sort.
-///
-/// # Panics
-///
-/// Panics if the window contains NaN.
+/// [`crate::stats::median`] (stable `sort_by`, [`f64::total_cmp`] order)
+/// bit-for-bit without the temporary allocation of a merge sort.
 pub fn median_of_window(window: &[f64], sort: &mut Vec<f64>) -> f64 {
     if window.is_empty() {
         return 0.0;
@@ -104,17 +100,9 @@ pub fn median_of_window(window: &[f64], sort: &mut Vec<f64>) -> f64 {
     sort.extend_from_slice(window);
     for i in 1..sort.len() {
         let mut j = i;
-        while j > 0 {
-            match sort[j - 1]
-                .partial_cmp(&sort[j])
-                .expect("NaN in median input")
-            {
-                std::cmp::Ordering::Greater => {
-                    sort.swap(j - 1, j);
-                    j -= 1;
-                }
-                _ => break,
-            }
+        while j > 0 && sort[j - 1].total_cmp(&sort[j]).is_gt() {
+            sort.swap(j - 1, j);
+            j -= 1;
         }
     }
     let n = sort.len();

@@ -53,6 +53,14 @@ impl TimeSeries {
         self.values.clear();
     }
 
+    /// Removes the first `n` samples (all of them if `n` exceeds the
+    /// length) in place, keeping the allocated capacity.
+    pub fn drain_front(&mut self, n: usize) {
+        let n = n.min(self.len());
+        self.times.drain(..n);
+        self.values.drain(..n);
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.times.len()
@@ -71,6 +79,11 @@ impl TimeSeries {
     /// Values slice.
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// Values slice, mutable; the timestamps stay as they are.
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
     }
 
     /// Iterates `(t, v)` pairs.

@@ -56,14 +56,14 @@ pub fn rms(data: &[f64]) -> f64 {
     (sumsq / data.len() as f64).sqrt()
 }
 
-/// Median of a slice (average of the two central elements for even length).
-/// Returns 0.0 for an empty slice.
+/// Median of a slice (average of the two central elements for even length),
+/// ranked by [`f64::total_cmp`]. Returns 0.0 for an empty slice.
 pub fn median(data: &[f64]) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
     let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     if n % 2 == 1 {
         sorted[n / 2]
@@ -72,18 +72,19 @@ pub fn median(data: &[f64]) -> f64 {
     }
 }
 
-/// Linear-interpolation percentile, `p` in `[0, 100]`.
+/// Linear-interpolation percentile, `p` in `[0, 100]`. Samples are ranked
+/// by [`f64::total_cmp`], so a NaN sorts past every number.
 ///
 /// # Panics
 ///
-/// Panics if `p` is outside `[0, 100]` or the input contains NaN.
+/// Panics if `p` is outside `[0, 100]`.
 pub fn percentile(data: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
     if data.is_empty() {
         return 0.0;
     }
     let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    sorted.sort_by(f64::total_cmp);
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -201,14 +202,10 @@ pub struct Ecdf {
 }
 
 impl Ecdf {
-    /// Builds an ECDF from samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sample is NaN.
+    /// Builds an ECDF from samples, ignoring NaN ones.
     pub fn new(mut samples: Vec<f64>) -> Self {
-        assert!(samples.iter().all(|v| !v.is_nan()), "NaN in ECDF input");
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN in ECDF input"));
+        samples.retain(|v| !v.is_nan());
+        samples.sort_by(f64::total_cmp);
         Self { sorted: samples }
     }
 
@@ -280,6 +277,26 @@ mod tests {
     fn median_odd_even() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+    }
+
+    #[test]
+    fn median_ranks_nan_past_every_number() {
+        assert_eq!(median(&[3.0, f64::NAN, 1.0]), 3.0);
+    }
+
+    #[test]
+    fn percentile_ranks_nan_past_every_number() {
+        let data = [2.0, f64::NAN, 1.0];
+        assert_eq!(percentile(&data, 0.0), 1.0);
+        assert_eq!(percentile(&data, 50.0), 2.0);
+        assert!(percentile(&data, 100.0).is_nan());
+    }
+
+    #[test]
+    fn ecdf_ignores_nan_samples() {
+        let cdf = Ecdf::new(vec![1.0, f64::NAN, 2.0]);
+        assert_eq!(cdf.eval(1.5), 0.5);
+        assert_eq!(cdf.eval(2.0), 1.0);
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub fn wrap_phase(phase: f64) -> f64 {
 pub struct StreamingUnwrapper {
     last_wrapped: Option<f64>,
     correction: f64,
+    turns: i64,
 }
 
 impl StreamingUnwrapper {
@@ -87,8 +88,10 @@ impl StreamingUnwrapper {
             let delta = wrapped - prev;
             if delta > PI {
                 self.correction -= TAU;
+                self.turns -= 1;
             } else if delta < -PI {
                 self.correction += TAU;
+                self.turns += 1;
             }
         }
         self.last_wrapped = Some(wrapped);
@@ -99,17 +102,34 @@ impl StreamingUnwrapper {
     pub fn reset(&mut self) {
         self.last_wrapped = None;
         self.correction = 0.0;
+        self.turns = 0;
     }
 
     /// The current accumulated 2π correction.
     pub fn correction(&self) -> f64 {
         self.correction
     }
+
+    /// The whole turns the current correction adds, as an exact count
+    /// (the correction is their sum of ±2π steps).
+    pub fn turns(&self) -> i64 {
+        self.turns
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn turns_count_the_correction() {
+        let mut u = StreamingUnwrapper::new();
+        for w in [6.0, 0.1, 6.2, 6.1, 0.2, 0.3, 6.25, 0.1] {
+            u.push(w);
+            assert_eq!(u.correction(), u.turns() as f64 * TAU);
+        }
+        assert_eq!(u.turns(), 1);
+    }
 
     #[test]
     fn empty_input() {

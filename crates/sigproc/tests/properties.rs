@@ -276,6 +276,107 @@ proptest! {
         }
     }
 
+    /// Cutting a time prefix off the history in place — `drop_before` the
+    /// first remaining sample, then `refill` each stream up to its newest
+    /// removed sample, or all of a stream whose kept values were rewritten
+    /// — leaves the frames a batch build on the same origin gives over the
+    /// remaining samples, from the first remaining sample's frame on, and
+    /// later pushes stay bit-identical to it. Frames the cut moved or
+    /// revised are not reported unchanged.
+    #[test]
+    fn frame_builder_cut_matches_batch_build_on_the_same_grid(
+        specs in prop::collection::vec(
+            (
+                0.0f64..1.0,                                            // stream start offset
+                prop::collection::vec((0.0f64..0.15, -5.0f64..5.0), 0..40), // (dt, value) steps
+            ),
+            1..4,
+        ),
+        use_floors in any::<bool>(),
+        floor_seed in prop::collection::vec(-0.5f64..1.5, 3..4),
+        frame_len in 0.05f64..0.3,
+        start in 0.0f64..0.3,
+        split in 0.0f64..1.0,
+        cut in 0.0f64..1.0,
+        rewrite in 0usize..5,
+    ) {
+        let streams: Vec<TimeSeries> = specs
+            .iter()
+            .map(|(offset, steps)| {
+                let mut t = start + *offset;
+                let mut ts = TimeSeries::new();
+                for &(dt, v) in steps {
+                    ts.push(t, v);
+                    t += dt;
+                }
+                ts
+            })
+            .collect();
+        let floors: Option<Vec<f64>> =
+            use_floors.then(|| floor_seed[..streams.len()].to_vec());
+        let mut samples: Vec<(f64, usize, f64)> = streams
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| s.iter().map(move |(t, v)| (t, i, v)))
+            .collect();
+        samples.sort_by(|a, b| a.0.total_cmp(&b.0));
+        prop_assume!(!samples.is_empty());
+        // Feed a prefix of the samples, cut below a time at or before the
+        // newest fed one, then feed the rest.
+        let fed = ((samples.len() as f64 * split) as usize).max(1);
+        let newest = samples[fed - 1].0;
+        let cut = start + (newest - start) * cut;
+        let mut builder = FrameBuilder::new(streams.len(), floors.clone(), start, frame_len);
+        for &(t, i, v) in &samples[..fed] {
+            builder.push(i, t, v);
+        }
+        builder.advance(newest);
+        let before = builder.shared_frames().frames().to_vec();
+        // What remains of the fed samples, and of every sample; one stream
+        // may have its kept values rewritten, as a re-centred tag's are.
+        let keep = |i: usize, (t, v): (f64, f64)| {
+            (t >= cut).then_some((t, if i == rewrite { v + 1.0 } else { v }))
+        };
+        let kept: Vec<TimeSeries> = (0..streams.len())
+            .map(|i| {
+                samples[..fed]
+                    .iter()
+                    .filter(|s| s.1 == i)
+                    .filter_map(|&(t, _, v)| keep(i, (t, v)))
+                    .collect()
+            })
+            .collect();
+        let Some(first) = kept.iter().filter_map(TimeSeries::start_time).reduce(f64::min) else {
+            return Ok(());
+        };
+        builder.drop_before(first);
+        for (i, s) in kept.iter().enumerate() {
+            let until = if i == rewrite {
+                f64::INFINITY
+            } else {
+                streams[i].iter().map(|(t, _)| t).filter(|&t| t < cut).fold(f64::NEG_INFINITY, f64::max)
+            };
+            builder.refill(i, s, until);
+        }
+        // The count the next advance reports is still a promise.
+        let unchanged = builder.advance(newest);
+        let after = builder.shared_frames();
+        prop_assert_eq!(&after.frames()[..unchanged], &before[..unchanged]);
+        drop(after);
+        for &(t, i, v) in &samples[fed..] {
+            builder.push(i, t, if i == rewrite { v + 1.0 } else { v });
+        }
+        let end = samples.last().expect("nonempty").0;
+        builder.advance(end);
+        let remaining: Vec<TimeSeries> = (0..streams.len())
+            .map(|i| streams[i].iter().filter_map(|s| keep(i, s)).collect())
+            .collect();
+        let batch = FrameSeq::build_with_floors(&remaining, floors.as_deref(), start, end, frame_len);
+        let from = batch.frames().iter().position(|f| f.end() > first).unwrap_or(batch.len());
+        let frames = builder.shared_frames();
+        prop_assert_eq!(frames.frames(), &batch.frames()[from..]);
+    }
+
     /// The cursor-sweep `resample_into` is bit-identical to a per-grid-point
     /// `interpolate` walk (the previous implementation).
     #[test]

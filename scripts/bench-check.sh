@@ -9,13 +9,15 @@
 # regression or allocation regression: the freshly measured `ingest_batch`
 # and `incremental_framing` reports_per_s must stay within BENCH_TOLERANCE
 # (default 0.6) of the committed BENCH_pipeline.json, the quiet hot path
-# must not allocate, `stroke_allocs` may not exceed its committed
+# must not allocate (nor may it across two retention trims more than its
+# committed count), `stroke_allocs` may not exceed its committed
 # allocations per span, `stroke_tick_allocs` its committed allocations per
 # stroke-bearing call and `reader_allocs` its committed allocations per
 # read, `codec_allocs` its committed allocations per BATCH encode, per
 # BATCH decode and across a trace's refills, `tick_frames` (frames a
-# framing tick hands segmentation at 25-27 s of buffered history) may not
-# exceed its committed value, and
+# framing tick hands segmentation at 25-27 s of buffered history) and
+# `trim_frames` (frames built per retention trim of the quiet stream) may
+# not exceed their committed values, and
 # `tick_history` (a push's cost at 25-27 s of buffered history over its
 # cost at 3-5 s) may not exceed 1.5. Parallel-speedup checks are skipped
 # (not gated) on single-core machines, where "parallel" has nothing to win.
@@ -49,6 +51,8 @@ base_stroke_allocs=$(per_unit stroke_allocs allocs_per_span <<<"$baseline")
 base_stroke_tick_allocs=$(per_unit stroke_tick_allocs allocs_per_call <<<"$baseline")
 base_reader_allocs=$(per_unit reader_allocs allocs_per_read <<<"$baseline")
 base_tick_frames=$(per_unit tick_frames long_frames_per_tick <<<"$baseline")
+base_trim_frames=$(per_unit trim_frames frames_per_trim <<<"$baseline")
+base_trim_allocs=$(per_unit hot_path_allocs trim_allocs <<<"$baseline")
 base_codec_encode=$(per_unit codec_allocs encode_allocs <<<"$baseline")
 base_codec_decode=$(per_unit codec_allocs decode_allocs <<<"$baseline")
 base_codec_refill=$(per_unit codec_allocs refill_allocs <<<"$baseline")
@@ -98,9 +102,10 @@ echo "== kernel microbench + allocation gates =="
 # through the simulated reader, encodes, decodes and reads its reports as
 # BATCH frames and a binary trace, all under a counting global allocator,
 # and times pushes over a short and a long quiet history and counts the
-# frames framing hands over per tick in both. Merges the kernel_bench,
-# hot_path_allocs, stroke_allocs, stroke_tick_allocs, reader_allocs,
-# codec_allocs, tick_history and tick_frames entries; all are gated below.
+# frames framing hands over per tick in both, and the frames a retention
+# trim builds. Merges the kernel_bench, hot_path_allocs, stroke_allocs,
+# stroke_tick_allocs, reader_allocs, codec_allocs, tick_history,
+# tick_frames and trim_frames entries; all are gated below.
 cargo run --release -p bench --features count-allocs --bin kernel_bench
 
 echo "== health/debug endpoint smoke (live engine) =="
@@ -336,6 +341,15 @@ gate_count codec_allocs refill_allocs trace "$base_codec_refill" \
 # stay the live tail however long the history: an exact count, no clock.
 gate_count tick_frames long_frames_per_tick tick "$base_tick_frames" \
   "framing over 25-27 s of history" "changed frames"
+# A retention trim drops a prefix of the history in place and recomputes
+# only the frame the cut falls inside, so the frames it builds (with its
+# tick's own settled frame) stay a couple, however long the history; a
+# trim that replays the buffer builds some 300. And the in-place drop
+# allocates nothing: the quiet hot path's second window spans two trims.
+gate_count trim_frames frames_per_trim trim "$base_trim_frames" \
+  "a retention trim of the quiet stream" "frames built"
+gate_count hot_path_allocs trim_allocs window "$base_trim_allocs" \
+  "the quiet hot path across two retention trims" allocations
 
 # History gate: a tick re-scores only the frames it changed, so a push may
 # cost at most 1.5x more over 25-27 s of buffered history than over 3-5 s.

@@ -170,7 +170,7 @@ fn checkpoint_bytes_are_pinned() {
     wire.push('\n');
     assert_eq!(
         (wire.len(), fnv1a64(wire.as_bytes())),
-        (4_756_885, 0xd35e_bd81_697b_e141)
+        (4_756_990, 0xc3c8_9b03_5d7d_47cf)
     );
 }
 
