@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the DSP kernels on the recognition hot path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sigproc::filter::{find_troughs, moving_average};
+use sigproc::filter::{find_troughs, moving_average_into};
 use sigproc::frames::FrameSeq;
 use sigproc::otsu::otsu_threshold;
 use sigproc::series::TimeSeries;
@@ -64,7 +64,11 @@ fn bench_troughs(c: &mut Criterion) {
     let signal = rss_signal(200);
     c.bench_function("find_troughs/200", |b| {
         b.iter_batched(
-            || moving_average(&signal, 2),
+            || {
+                let mut smoothed = Vec::new();
+                moving_average_into(&signal, 2, &mut smoothed);
+                smoothed
+            },
             |s| find_troughs(black_box(&s), 1.5, 3),
             BatchSize::SmallInput,
         )

@@ -1,11 +1,7 @@
-//! Kernel microbenchmark + hot-path allocation gates.
+//! Hot-path gates: allocation counts, frame counts and one cost ratio.
 //!
-//! Nine probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
+//! Eight probes, merged into `BENCH_pipeline.json` for `bench-check.sh`:
 //!
-//! * `kernel_bench` — per-kernel ns/element of the `sigproc::kernel`
-//!   slice kernels against their naive allocating references
-//!   (`sigproc::kernel::reference`). The reference timings include their
-//!   allocation cost on purpose: that *is* the price the kernels remove.
 //! * `hot_path_allocs` — feeds a quiet synthetic session through
 //!   a `StageGraph` long enough to pass two retention-trim cycles (so
 //!   every buffer a stage keeps, the shared frame sequence among them,
@@ -65,186 +61,8 @@ use rfipad::stage::Framing;
 use rfipad::{
     ArrayLayout, Calibration, PipelineEvent, Recognizer, RfipadConfig, Stage, StageGraph,
 };
-use sigproc::kernel::{self, reference};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Elements per kernel input — a few times larger than the pipeline's
-/// per-tick frame counts so per-call overhead amortizes away.
-const ELEMS: usize = 4096;
-
-/// Smoothing half-window used for the windowed kernels (the pipeline's
-/// `window_frames / 2` is 2–4 for the default configs).
-const HALF: usize = 4;
-
-/// Median-of-ns-per-call over `rounds` timing rounds of `iters` calls.
-fn time_ns_per_call(rounds: usize, iters: u32, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() * 1e9 / f64::from(iters)
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
-
-/// Deterministic smooth-plus-wiggle test signal (no `rand` in bin deps).
-fn signal(n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| (i as f64 * 0.37).sin() * 3.0 + (i as f64 * 0.011).cos())
-        .collect()
-}
-
-/// Times one kernel/reference pair and appends its JSON fragment.
-fn bench_pair(
-    json: &mut String,
-    name: &str,
-    mut kernel_call: impl FnMut(),
-    mut reference_call: impl FnMut(),
-) {
-    const ROUNDS: usize = 7;
-    const ITERS: u32 = 400;
-    // Warm both paths (page in code, size scratch buffers).
-    kernel_call();
-    reference_call();
-    let kernel_ns = time_ns_per_call(ROUNDS, ITERS, &mut kernel_call) / ELEMS as f64;
-    let reference_ns = time_ns_per_call(ROUNDS, ITERS, &mut reference_call) / ELEMS as f64;
-    let speedup = reference_ns / kernel_ns;
-    if !json.is_empty() {
-        json.push_str(", ");
-    }
-    write!(
-        json,
-        "\"{name}\": {{ \"kernel_ns_per_elem\": {kernel_ns:.3}, \
-         \"reference_ns_per_elem\": {reference_ns:.3}, \"speedup\": {speedup:.2} }}"
-    )
-    .expect("write to string");
-    println!("{name:>16}: {kernel_ns:7.3} ns/elem vs {reference_ns:7.3} ref ({speedup:.2}x)");
-}
-
-fn run_kernel_bench() -> String {
-    let data = signal(ELEMS);
-    let times: Vec<f64> = (0..ELEMS).map(|i| i as f64 * 0.01).collect();
-    let (lo, hi) = kernel::minmax(&data);
-    let width = (hi - lo) / 256.0;
-
-    let mut sort = Vec::new();
-    let mut out = Vec::new();
-    let mut bools = Vec::new();
-    let mut hist = [0usize; 256];
-    let mut out_times = Vec::new();
-    let mut out_values = Vec::new();
-    let mut kernels = String::new();
-
-    bench_pair(
-        &mut kernels,
-        "sum_sumsq",
-        || {
-            std::hint::black_box(kernel::sum_sumsq(std::hint::black_box(&data)));
-        },
-        || {
-            std::hint::black_box(reference::sum_sumsq(std::hint::black_box(&data)));
-        },
-    );
-    bench_pair(
-        &mut kernels,
-        "minmax",
-        || {
-            std::hint::black_box(kernel::minmax(std::hint::black_box(&data)));
-        },
-        || {
-            std::hint::black_box(reference::minmax(std::hint::black_box(&data)));
-        },
-    );
-    bench_pair(
-        &mut kernels,
-        "moving_average",
-        || {
-            kernel::moving_average_into(std::hint::black_box(&data), HALF, &mut out);
-            std::hint::black_box(out.len());
-        },
-        || {
-            std::hint::black_box(reference::moving_average(std::hint::black_box(&data), HALF));
-        },
-    );
-    bench_pair(
-        &mut kernels,
-        "median_filter",
-        || {
-            kernel::median_filter_into(std::hint::black_box(&data), 3, &mut sort, &mut out);
-            std::hint::black_box(out.len());
-        },
-        || {
-            std::hint::black_box(reference::median_filter(std::hint::black_box(&data), 3));
-        },
-    );
-    bench_pair(
-        &mut kernels,
-        "resample_linear",
-        || {
-            kernel::resample_linear_into(
-                std::hint::black_box(&times),
-                std::hint::black_box(&data),
-                0.004,
-                &mut out_times,
-                &mut out_values,
-            );
-            std::hint::black_box(out_values.len());
-        },
-        || {
-            std::hint::black_box(reference::resample_linear(
-                std::hint::black_box(&times),
-                std::hint::black_box(&data),
-                0.004,
-            ));
-        },
-    );
-    bench_pair(
-        &mut kernels,
-        "histogram",
-        || {
-            kernel::histogram_into(std::hint::black_box(&data), lo, width, &mut hist);
-            std::hint::black_box(hist[0]);
-        },
-        || {
-            std::hint::black_box(reference::histogram(
-                std::hint::black_box(&data),
-                lo,
-                width,
-                256,
-            ));
-        },
-    );
-    bench_pair(
-        &mut kernels,
-        "normalize_unit",
-        || {
-            kernel::normalize_unit_into(std::hint::black_box(&data), &mut out);
-            std::hint::black_box(out.len());
-        },
-        || {
-            std::hint::black_box(reference::normalize_unit(std::hint::black_box(&data)));
-        },
-    );
-    bench_pair(
-        &mut kernels,
-        "binarize",
-        || {
-            kernel::binarize_into(std::hint::black_box(&data), 0.5, &mut bools);
-            std::hint::black_box(bools.len());
-        },
-        || {
-            std::hint::black_box(reference::binarize(std::hint::black_box(&data), 0.5));
-        },
-    );
-
-    format!("{{ \"elems\": {ELEMS}, \"kernels\": {{ {kernels} }} }}")
-}
 
 /// A stage graph over a 1×3 pad with a synthetic static calibration — the
 /// quiet stream never produces events, so the measurement window
@@ -610,8 +428,6 @@ fn run_codec_alloc_gate() -> String {
 }
 
 fn main() {
-    println!("kernel microbenchmarks ({ELEMS} elems, half-window {HALF}):");
-    let kernel_entry = run_kernel_bench();
     println!("steady-state allocation gate:");
     let alloc_entry = run_alloc_gate();
     println!("stroke allocation gate:");
@@ -628,8 +444,6 @@ fn main() {
     let frames_entry = run_tick_frames();
     println!("frames per retention trim:");
     let trim_entry = run_trim_frames();
-    experiments::benchjson::merge_entry("kernel_bench", &kernel_entry)
-        .expect("merge kernel_bench into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("hot_path_allocs", &alloc_entry)
         .expect("merge hot_path_allocs into BENCH_pipeline.json");
     experiments::benchjson::merge_entry("stroke_allocs", &stroke_entry)
@@ -647,8 +461,7 @@ fn main() {
     experiments::benchjson::merge_entry("trim_frames", &trim_entry)
         .expect("merge trim_frames into BENCH_pipeline.json");
     println!(
-        "merged kernel_bench + hot_path_allocs + stroke_allocs + stroke_tick_allocs \
-         + reader_allocs + codec_allocs + tick_history + tick_frames + trim_frames \
-         into BENCH_pipeline.json"
+        "merged hot_path_allocs + stroke_allocs + stroke_tick_allocs + reader_allocs \
+         + codec_allocs + tick_history + tick_frames + trim_frames into BENCH_pipeline.json"
     );
 }

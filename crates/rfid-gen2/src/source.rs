@@ -431,7 +431,7 @@ mod tests {
         r.doppler_hz = longest;
         r.antenna_port = u16::MAX;
         r.channel_index = u16::MAX;
-        let line = encode_json_line(&r);
+        let line = encode_json_line(&r, 0).unwrap();
         assert!(
             line.len() > 1300 && line.len() < MAX_JSON_LINE_LEN,
             "{}",

@@ -6,7 +6,8 @@
 //!   greppable, diffable, and editable. Floats are printed with Rust's
 //!   shortest round-trip formatting, so a decoded trace is bit-identical
 //!   to the recorded stream. The codec writes each line with `format!` and
-//!   reads it with the strict `obs::json` reader.
+//!   reads it with the strict `obs::json` reader. JSON has no NaN or
+//!   infinity, so a report holding one is refused, not written.
 //! - **Binary** (`.rftrace`): a 4-byte magic (`RFT1`) followed by
 //!   fixed-layout 60-byte records: a big-endian `u32` length prefix,
 //!   always [`BINARY_RECORD_LEN`], then the fields, big-endian, floats as
@@ -71,6 +72,14 @@ pub enum TraceError {
     },
     /// A malformed binary record or header.
     Malformed(String),
+    /// A report JSON lines cannot hold: a float field that is NaN or
+    /// infinite. The binary framing holds any bits.
+    NonFinite {
+        /// The report's position in the written stream, from 0.
+        report: usize,
+        /// The field's JSON name.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -81,6 +90,10 @@ impl fmt::Display for TraceError {
                 write!(f, "trace parse error on line {line}: {reason}")
             }
             TraceError::Malformed(reason) => write!(f, "malformed binary trace: {reason}"),
+            TraceError::NonFinite { report, field } => write!(
+                f,
+                "report {report} has a non-finite {field}, which JSON lines cannot hold"
+            ),
         }
     }
 }
@@ -95,13 +108,28 @@ impl From<std::io::Error> for TraceError {
 
 /// Encodes one report as a JSON object (no trailing newline). Floats use
 /// Rust's shortest round-trip formatting, so decoding recovers the exact
-/// bits. Non-finite floats have no JSON form; record such reports in the
-/// binary framing.
-pub fn encode_json_line(r: &TagReport) -> String {
-    format!(
+/// bits. `report` is the report's position in the stream, named in the
+/// error.
+///
+/// # Errors
+///
+/// [`TraceError::NonFinite`] for the first float field that is NaN or
+/// infinite: JSON has no form for it, so no line is produced. Record such
+/// reports in the binary framing.
+pub fn encode_json_line(r: &TagReport, report: usize) -> Result<String, TraceError> {
+    let floats = [
+        ("time", r.time),
+        ("phase", r.phase),
+        ("rss_dbm", r.rss_dbm),
+        ("doppler_hz", r.doppler_hz),
+    ];
+    if let Some(&(field, _)) = floats.iter().find(|(_, v)| !v.is_finite()) {
+        return Err(TraceError::NonFinite { report, field });
+    }
+    Ok(format!(
         "{{\"epc\":\"{}\",\"tag\":{},\"time\":{},\"phase\":{},\"rss_dbm\":{},\"doppler_hz\":{},\"antenna_port\":{},\"channel_index\":{}}}",
         r.epc.to_hex(), r.tag.0, r.time, r.phase, r.rss_dbm, r.doppler_hz, r.antenna_port, r.channel_index
-    )
+    ))
 }
 
 /// Decodes one JSON trace line (field order independent, every field
@@ -239,6 +267,12 @@ pub(crate) fn read_up_to(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Res
 }
 
 /// Writes a complete trace in the given framing.
+///
+/// # Errors
+///
+/// An I/O failure, or in JSON lines [`TraceError::NonFinite`] for the
+/// first report with a NaN or infinite float; the reports before it are
+/// written, it and those after it are not.
 pub fn write_trace<W: Write>(
     writer: &mut W,
     format: TraceFormat,
@@ -246,8 +280,8 @@ pub fn write_trace<W: Write>(
 ) -> Result<(), TraceError> {
     match format {
         TraceFormat::JsonLines => {
-            for r in reports {
-                writer.write_all(encode_json_line(r).as_bytes())?;
+            for (i, r) in reports.iter().enumerate() {
+                writer.write_all(encode_json_line(r, i)?.as_bytes())?;
                 writer.write_all(b"\n")?;
             }
         }
@@ -392,7 +426,7 @@ mod tests {
         }
         // Not JSON, though a comma splitter took them: NaN, a duplicated
         // field, and a leading `+`.
-        let line = encode_json_line(&TagReport::synthetic(TagId(3), 1.5, 2.0, -44.0));
+        let line = encode_json_line(&TagReport::synthetic(TagId(3), 1.5, 2.0, -44.0), 0).unwrap();
         for bad in [
             line.replacen("\"time\":1.5", "\"time\":NaN", 1),
             line.replacen("\"tag\":3", "\"tag\":3,\"tag\":4", 1),
@@ -406,7 +440,7 @@ mod tests {
     #[test]
     fn field_order_does_not_matter() {
         let r = TagReport::synthetic(TagId(3), 1.5, 2.0, -44.0);
-        let line = encode_json_line(&r);
+        let line = encode_json_line(&r, 0).unwrap();
         // Reverse the field order by hand.
         let body = line
             .trim_start_matches('{')
@@ -423,10 +457,48 @@ mod tests {
     fn extreme_floats_survive_json() {
         let mut r = TagReport::synthetic(TagId(1), 0.1 + 0.2, 1e-15, -45.0);
         r.doppler_hz = -0.0;
-        let line = encode_json_line(&r);
+        let line = encode_json_line(&r, 0).unwrap();
         let dec = decode_json_line(&line, 1).unwrap();
         assert_eq!(dec.time.to_bits(), r.time.to_bits());
         assert_eq!(dec.phase.to_bits(), r.phase.to_bits());
         assert_eq!(dec.doppler_hz.to_bits(), r.doppler_hz.to_bits());
+    }
+
+    #[test]
+    fn non_finite_floats_are_refused_in_json_lines_and_kept_in_binary() {
+        let reports = sample_reports();
+        for field in ["time", "phase", "rss_dbm", "doppler_hz"] {
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let mut hostile = reports.clone();
+                let r = &mut hostile[2];
+                *match field {
+                    "time" => &mut r.time,
+                    "phase" => &mut r.phase,
+                    "rss_dbm" => &mut r.rss_dbm,
+                    _ => &mut r.doppler_hz,
+                } = bad;
+                let mut buf = Vec::new();
+                match write_trace(&mut buf, TraceFormat::JsonLines, &hostile) {
+                    Err(TraceError::NonFinite {
+                        report: 2,
+                        field: f,
+                    }) => assert_eq!(f, field),
+                    other => panic!("{field} = {bad}: expected a refusal, got {other:?}"),
+                }
+                // The reports before it are whole lines; its line is not written.
+                assert_eq!(read(&buf).unwrap(), reports[..2]);
+
+                let mut buf = Vec::new();
+                write_trace(&mut buf, TraceFormat::Binary, &hostile).unwrap();
+                let decoded = read(&buf).unwrap();
+                let bits =
+                    |r: &TagReport| [r.time, r.phase, r.rss_dbm, r.doppler_hz].map(f64::to_bits);
+                assert_eq!(
+                    decoded.iter().map(bits).collect::<Vec<_>>(),
+                    hostile.iter().map(bits).collect::<Vec<_>>(),
+                    "{field} = {bad}"
+                );
+            }
+        }
     }
 }

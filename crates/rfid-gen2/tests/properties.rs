@@ -60,8 +60,11 @@ proptest! {
         prop_assert_eq!(Epc96::for_tag(TagId(id)).to_tag(), Some(TagId(id)));
     }
 
-    /// Both trace framings round-trip any report stream bit-exactly —
-    /// including float bit patterns.
+    /// Both trace framings round-trip a report stream bit-exactly. The
+    /// vendored `any::<f64>()` draws only finite values (within ±1e6), so
+    /// this never meets NaN or an infinity: the trace module's unit tests
+    /// cover those (JSON lines refuses them, the binary framing keeps
+    /// their bits).
     #[test]
     fn trace_round_trip_bit_exact(
         reads in prop::collection::vec(
@@ -73,8 +76,9 @@ proptest! {
         let reports: Vec<TagReport> = reads
             .iter()
             .copied()
-            // NaN breaks PartialEq, not the codec; keep comparisons meaningful.
-            .filter(|r| !r.1.is_nan() && !r.2.is_nan() && !r.3.is_nan() && !r.4.is_nan())
+            // JSON lines refuses non-finite floats, and NaN breaks
+            // PartialEq; should the strategy ever draw one, skip it.
+            .filter(|r| [r.1, r.2, r.3, r.4].iter().all(|v| v.is_finite()))
             .map(report_from)
             .collect();
         for format in [TraceFormat::JsonLines, TraceFormat::Binary] {

@@ -216,10 +216,11 @@ impl Calibration {
         }
         let frames =
             FrameSeq::build_with_floors(&series, Some(&floors), start, end, config.frame_len_s);
+        // Eq. 12's `std(rms(w))` of each run of `window_frames` frames.
         let stds: Vec<f64> = frames
-            .windows(config.window_frames)
-            .iter()
-            .map(|w| w.rms_std())
+            .frames()
+            .chunks(config.window_frames)
+            .map(|w| stats::variance_of(w.iter().map(|f| f.rms)).sqrt())
             .collect();
         (stats::median(&stds), stats::median(&frames.rms_values()))
     }

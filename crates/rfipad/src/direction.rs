@@ -17,8 +17,7 @@ use crate::motion::RecognizedMotion;
 use crate::streams::TagStreams;
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use serde::{Deserialize, Serialize};
-use sigproc::filter::deepest_trough;
-use sigproc::kernel::moving_average_into;
+use sigproc::filter::{deepest_trough, moving_average_into};
 
 /// A per-tag trough observation: when the hand crossed the tag.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -73,12 +73,12 @@ impl MotionRecognizer {
         let shape = classify_by_template(image, &component, &self.templates)
             .map(|(s, _)| s)
             .or_else(|| classify_weighted(image, &component))?;
-        let moments = component.moments()?;
+        let centroid = component.centroid()?;
         let bbox = component.bounding_box()?;
         Some(RecognizedMotion {
             shape,
             mask: component,
-            centroid: moments.centroid,
+            centroid,
             bbox,
         })
     }

@@ -899,7 +899,8 @@ impl StageGraphBuilder {
 /// The five-stage online recognition cascade, wired in order.
 ///
 /// Owns report admission (stale times clamped, non-finite reports
-/// dropped, a jump past the retention window restarts the stream),
+/// dropped, a jump of more than the retention window either way restarts
+/// the stream),
 /// drives each stage under its `rfipad_hop_seconds{hop="stage:<name>"}`
 /// histogram, routes the letter-close feedback (history trim + dedup
 /// reset) back upstream, and writes and reads the checkpoints. Every
@@ -979,11 +980,12 @@ impl StageGraph {
     /// report with a non-finite time, phase or RSS is dropped and counted
     /// there. Feeding after [`StageGraph::finish`] resumes the stream.
     ///
-    /// A report more than the 30 s retention window past the newest one
-    /// (a reader restarted on a new clock, or a hostile client) starts a
-    /// new stream: the graph first flushes the old one exactly as
-    /// [`StageGraph::finish`] would, appending its events, and drops its
-    /// history.
+    /// A report more than the 30 s retention window away from the newest
+    /// one, later or earlier (a reader restarted on a new clock, or a
+    /// hostile client), starts a new stream: the graph first flushes the
+    /// old one exactly as [`StageGraph::finish`] would, appending its
+    /// events, and drops its history and its newest time, so the report
+    /// is not clamped to the old clock.
     pub fn push(&mut self, obs: TagReport) -> Vec<PipelineEvent> {
         let mut events = Vec::new();
         self.push_into(obs, &mut events);
@@ -1001,12 +1003,18 @@ impl StageGraph {
         let admitted = obs.time.is_finite() && obs.phase.is_finite() && obs.rss_dbm.is_finite();
         // A report far past the retention window shares no frame with the
         // history, and framing both would size the frame accumulators by
-        // the gap. End the old stream as `finish_into` does and start
-        // afresh from this report.
-        if admitted && self.last_time.is_finite() && obs.time - self.last_time > MAX_BUFFER_S {
+        // the gap; one far before it is a clock that restarted, which
+        // clamping would pin to the old clock until it caught up. End the
+        // old stream as `finish_into` does and start afresh from this
+        // report.
+        if admitted
+            && self.last_time.is_finite()
+            && (obs.time - self.last_time).abs() > MAX_BUFFER_S
+        {
             self.finish_into(events);
             self.framing.restart();
             self.segmentation.clear_reported();
+            self.last_time = f64::NEG_INFINITY;
         }
         self.finished = false;
         let metrics = crate::telemetry::stage_metrics();

@@ -5,59 +5,35 @@
 //! is noisy and quantized, so troughs are found on a smoothed copy and then
 //! validated by their prominence.
 
-use serde::{Deserialize, Serialize};
-
-/// Centered moving-average filter with window `2*half + 1`, shrinking the
-/// window at the edges. `half == 0` returns the input unchanged.
+/// Centered moving average with window `2*half + 1`, shrinking at the
+/// edges, written into `out` (cleared first, its capacity kept).
+/// `half == 0` copies the input. Each window is summed on its own in
+/// element order; a sliding-sum recurrence would round differently.
 ///
 /// # Example
 ///
 /// ```
-/// use sigproc::filter::moving_average;
+/// use sigproc::filter::moving_average_into;
 ///
-/// let smoothed = moving_average(&[0.0, 10.0, 0.0], 1);
+/// let mut smoothed = Vec::new();
+/// moving_average_into(&[0.0, 10.0, 0.0], 1, &mut smoothed);
 /// assert!((smoothed[1] - 10.0 / 3.0).abs() < 1e-12);
 /// ```
-pub fn moving_average(data: &[f64], half: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    crate::kernel::moving_average_into(data, half, &mut out);
-    out
-}
-
-/// Centered median filter with window `2*half + 1`, shrinking at the edges.
-/// Robust to the impulse noise of quantized RSS readings.
-///
-/// Thin wrapper over [`crate::kernel::median_filter_into`]; callers on a
-/// hot path should use that directly with reusable buffers.
-pub fn median_filter(data: &[f64], half: usize) -> Vec<f64> {
-    let mut sort = Vec::new();
-    let mut out = Vec::new();
-    crate::kernel::median_filter_into(data, half, &mut sort, &mut out);
-    out
-}
-
-/// First-order exponential smoothing: `y[i] = α·x[i] + (1-α)·y[i-1]`.
-///
-/// # Panics
-///
-/// Panics if `alpha` is not in `(0, 1]`.
-pub fn exponential_smooth(data: &[f64], alpha: f64) -> Vec<f64> {
-    assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-    let mut out = Vec::with_capacity(data.len());
-    let mut prev = None;
-    for &x in data {
-        let y = match prev {
-            None => x,
-            Some(p) => alpha * x + (1.0 - alpha) * p,
-        };
-        out.push(y);
-        prev = Some(y);
+pub fn moving_average_into(data: &[f64], half: usize, out: &mut Vec<f64>) {
+    out.clear();
+    if half == 0 {
+        out.extend_from_slice(data);
+        return;
     }
-    out
+    let n = data.len();
+    out.extend((0..n).map(|i| {
+        let window = &data[i.saturating_sub(half)..(i + half + 1).min(n)];
+        window.iter().sum::<f64>() / window.len() as f64
+    }));
 }
 
 /// A detected local minimum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trough {
     /// Index of the minimum in the input slice.
     pub index: usize,
@@ -211,10 +187,18 @@ mod tests {
         assert_eq!(deepest_trough(&data).map(|t| t.index), Some(5));
     }
 
+    fn moving_average(data: &[f64], half: usize) -> Vec<f64> {
+        let mut out = vec![99.0; 8]; // stale content must be cleared
+        moving_average_into(data, half, &mut out);
+        out
+    }
+
     #[test]
     fn moving_average_identity_when_half_zero() {
         let d = [1.0, 2.0, 3.0];
         assert_eq!(moving_average(&d, 0), d.to_vec());
+        assert!(moving_average(&[], 3).is_empty());
+        assert_eq!(moving_average(&[5.0], 3), [5.0]);
     }
 
     #[test]
@@ -232,25 +216,6 @@ mod tests {
         assert!(moving_average(&d, 3)
             .iter()
             .all(|&v| (v - 4.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn median_filter_removes_impulse() {
-        let d = [1.0, 1.0, 100.0, 1.0, 1.0];
-        let s = median_filter(&d, 1);
-        assert_eq!(s[2], 1.0);
-    }
-
-    #[test]
-    fn exponential_smooth_alpha_one_is_identity() {
-        let d = [3.0, 1.0, 4.0];
-        assert_eq!(exponential_smooth(&d, 1.0), d.to_vec());
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0, 1]")]
-    fn exponential_smooth_rejects_zero_alpha() {
-        exponential_smooth(&[1.0], 0.0);
     }
 
     #[test]

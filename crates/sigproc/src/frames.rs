@@ -1,4 +1,4 @@
-//! Fixed-duration framing and windowing of multi-stream signals.
+//! Fixed-duration framing of multi-stream signals.
 //!
 //! The RFIPad paper (§III-C1) mitigates the uneven sampling of tag reads by
 //! cutting the per-tag phase streams into non-overlapping 100 ms *frames*,
@@ -10,11 +10,11 @@
 //!
 //! and then grouping several successive frames into a *window* (default
 //! 0.5 s = 5 frames) whose `std(rms(w))` is compared against a threshold
-//! (Eq. 12) to decide whether a stroke is in progress.
+//! (Eq. 12) to decide whether a stroke is in progress. This module cuts the
+//! frames; callers take each window's std with [`stats::variance_of`].
 
 use crate::series::TimeSeries;
 use crate::stats;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Workspace-wide count of frames cut from per-tag streams, registered in
@@ -35,7 +35,7 @@ fn frames_built_counter() -> &'static Arc<obs::Counter> {
 }
 
 /// One fixed-duration frame aggregating all streams.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frame {
     /// Frame start time in seconds.
     pub start: f64,
@@ -55,7 +55,7 @@ impl Frame {
 }
 
 /// A sequence of equally long, non-overlapping frames.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameSeq {
     frames: Vec<Frame>,
 }
@@ -141,17 +141,6 @@ impl FrameSeq {
     /// The per-frame RMS values as a plain vector.
     pub fn rms_values(&self) -> Vec<f64> {
         self.frames.iter().map(|f| f.rms).collect()
-    }
-
-    /// Groups consecutive frames into non-overlapping windows of `size`
-    /// frames (the paper's default is 5 frames = 0.5 s). A trailing partial
-    /// window is kept if it has at least one frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    pub fn windows(&self, size: usize) -> Vec<Window> {
-        self.frames.chunks(size).map(Window::from_frames).collect()
     }
 }
 
@@ -533,45 +522,19 @@ impl FrameBuilder {
     }
 }
 
-/// A group of successive frames treated as one unit for stroke detection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Window {
-    /// Window start time in seconds.
-    pub start: f64,
-    /// Window end time in seconds.
-    pub end: f64,
-    /// RMS of each member frame.
-    pub frame_rms: Vec<f64>,
-}
-
-impl Window {
-    /// Builds a window from a non-empty run of frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames` is empty.
-    pub fn from_frames(frames: &[Frame]) -> Self {
-        assert!(!frames.is_empty(), "window needs at least one frame");
-        Self {
-            start: frames[0].start,
-            end: frames.last().expect("nonempty").end(),
-            frame_rms: frames.iter().map(|f| f.rms).collect(),
-        }
-    }
-
-    /// Standard deviation of the member frames' RMS — the paper's
-    /// `std(rms(w))` (left side of Eq. 12).
-    pub fn rms_std(&self) -> f64 {
-        stats::std_dev(&self.frame_rms)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn constant_stream(value: f64, n: usize, dt: f64) -> TimeSeries {
         (0..n).map(|i| (i as f64 * dt, value)).collect()
+    }
+
+    /// `std(rms(w))` of each window of `size` frames (Eq. 12).
+    fn window_stds(fs: &FrameSeq, size: usize) -> impl Iterator<Item = f64> + '_ {
+        fs.frames()
+            .chunks(size)
+            .map(|w| stats::variance_of(w.iter().map(|f| f.rms)).sqrt())
     }
 
     #[test]
@@ -616,31 +579,10 @@ mod tests {
     }
 
     #[test]
-    fn windows_nonoverlapping_partition() {
-        let s = constant_stream(1.0, 100, 0.01);
-        let fs = FrameSeq::build(&[s], 0.0, 1.0, 0.1);
-        let ws = fs.windows(5);
-        assert_eq!(ws.len(), 2);
-        assert_eq!(ws[0].frame_rms.len(), 5);
-        assert!((ws[0].end - ws[1].start).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trailing_partial_window_kept() {
-        let s = constant_stream(1.0, 100, 0.01);
-        let fs = FrameSeq::build(&[s], 0.0, 1.0, 0.1);
-        let ws = fs.windows(3); // 10 frames -> 3+3+3+1
-        assert_eq!(ws.len(), 4);
-        assert_eq!(ws[3].frame_rms.len(), 1);
-    }
-
-    #[test]
     fn constant_window_is_inactive() {
         let s = constant_stream(5.0, 100, 0.01);
         let fs = FrameSeq::build(&[s], 0.0, 1.0, 0.1);
-        for w in fs.windows(5) {
-            assert!(w.rms_std() < 1e-9);
-        }
+        assert!(window_stds(&fs, 5).all(|std| std < 1e-9));
     }
 
     #[test]
@@ -657,8 +599,7 @@ mod tests {
             s.push(t, v);
         }
         let fs = FrameSeq::build(&[s], 0.0, 1.0, 0.1);
-        let ws = fs.windows(5);
-        assert!(ws.iter().any(|w| w.rms_std() > 0.5));
+        assert!(window_stds(&fs, 5).any(|std| std > 0.5));
     }
 
     #[test]
@@ -812,7 +753,7 @@ mod tests {
         let mut builder = FrameBuilder::new(1, None, 0.0, 0.1);
         push_interleaved(&mut builder, std::slice::from_ref(&s));
         builder.advance(0.98);
-        let rewritten = s.map_values(|v| v + 2.0);
+        let rewritten: TimeSeries = s.iter().map(|(t, v)| (t, v + 2.0)).collect();
         builder.refill(0, &rewritten, f64::INFINITY);
         assert_eq!(builder.advance(0.98), 0);
         assert_eq!(

@@ -4,11 +4,10 @@
 //! tag array as an `R×C` gray-scale image, binarizes it with Otsu's method,
 //! and recognizes the hand motion from the shape of the `1` pixels. These
 //! types provide that image representation plus the shape features the
-//! recognizer consumes: connected components, centroids, second moments /
-//! principal axis, and bounding boxes.
+//! recognizer consumes: connected components, the centroid, and bounding
+//! boxes.
 
-use crate::otsu;
-use serde::{Deserialize, Serialize};
+use crate::{otsu, stats};
 
 /// A row-major gray-scale image over an `rows × cols` grid.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// img.set(2, 3, 7.5);
 /// assert_eq!(img.get(2, 3), 7.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridImage {
     rows: usize,
     cols: usize,
@@ -99,8 +98,13 @@ impl GridImage {
     /// Rescales pixel values linearly to `[0, 1]`. A constant image maps to
     /// all zeros.
     pub fn normalized(&self) -> GridImage {
-        let mut data = Vec::new();
-        crate::kernel::normalize_unit_into(&self.data, &mut data);
+        let (lo, hi) = (stats::min(&self.data), stats::max(&self.data));
+        let span = hi - lo;
+        let data = if span < 1e-15 {
+            vec![0.0; self.data.len()]
+        } else {
+            self.data.iter().map(|&v| (v - lo) / span).collect()
+        };
         GridImage {
             rows: self.rows,
             cols: self.cols,
@@ -120,12 +124,10 @@ impl GridImage {
 
     /// Binarizes with a fixed threshold: foreground where `value > thresh`.
     pub fn binarize(&self, thresh: f64) -> BinaryGrid {
-        let mut mask = Vec::new();
-        crate::kernel::binarize_into(&self.data, thresh, &mut mask);
         BinaryGrid {
             rows: self.rows,
             cols: self.cols,
-            mask,
+            mask: self.data.iter().map(|&v| v > thresh).collect(),
         }
     }
 
@@ -147,56 +149,11 @@ impl GridImage {
 }
 
 /// A boolean foreground mask over an `rows × cols` grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryGrid {
     rows: usize,
     cols: usize,
     mask: Vec<bool>,
-}
-
-/// Centroid and second-moment shape features of a set of foreground pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShapeMoments {
-    /// Number of foreground pixels.
-    pub area: usize,
-    /// Centroid `(row, col)` in pixel coordinates.
-    pub centroid: (f64, f64),
-    /// Central second moment µ_rr (variance of row coordinates).
-    pub mu_rr: f64,
-    /// Central second moment µ_cc (variance of column coordinates).
-    pub mu_cc: f64,
-    /// Central mixed moment µ_rc.
-    pub mu_rc: f64,
-}
-
-impl ShapeMoments {
-    /// Orientation of the principal axis in radians, measured from the
-    /// +column (horizontal) axis toward +row, in `(-π/2, π/2]`.
-    ///
-    /// Returns 0.0 for isotropic or single-pixel shapes.
-    pub fn orientation(&self) -> f64 {
-        crate::kernel::principal_orientation(self.mu_rr, self.mu_cc, self.mu_rc)
-    }
-
-    /// Elongation ratio: major-axis variance over minor-axis variance
-    /// (≥ 1.0). Returns `f64::INFINITY` for perfectly linear shapes and 1.0
-    /// for isotropic ones.
-    pub fn elongation(&self) -> f64 {
-        let tr = self.mu_rr + self.mu_cc;
-        let det = self.mu_rr * self.mu_cc - self.mu_rc * self.mu_rc;
-        let disc = (tr * tr - 4.0 * det).max(0.0).sqrt();
-        let l_major = 0.5 * (tr + disc);
-        let l_minor = 0.5 * (tr - disc);
-        if l_minor < 1e-12 {
-            if l_major < 1e-12 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            l_major / l_minor
-        }
-    }
 }
 
 impl BinaryGrid {
@@ -293,17 +250,22 @@ impl BinaryGrid {
         bbox
     }
 
-    /// Centroid and second-moment features of the foreground, or `None` if
-    /// the mask is empty.
-    pub fn moments(&self) -> Option<ShapeMoments> {
-        let m = crate::kernel::mask_moments(&self.mask, self.cols)?;
-        Some(ShapeMoments {
-            area: m.area,
-            centroid: m.centroid,
-            mu_rr: m.mu_rr,
-            mu_cc: m.mu_cc,
-            mu_rc: m.mu_rc,
-        })
+    /// Centroid `(row, col)` of the foreground in pixel coordinates, or
+    /// `None` if the mask is empty. One row-major sweep, without
+    /// materializing the foreground coordinate list.
+    pub fn centroid(&self) -> Option<(f64, f64)> {
+        let mut n = 0usize;
+        let (mut sum_r, mut sum_c) = (0.0, 0.0);
+        for (r, row) in self.mask.chunks_exact(self.cols).enumerate() {
+            for (c, &on) in row.iter().enumerate() {
+                if on {
+                    n += 1;
+                    sum_r += r as f64;
+                    sum_c += c as f64;
+                }
+            }
+        }
+        (n > 0).then(|| (sum_r / n as f64, sum_c / n as f64))
     }
 
     /// 8-connected components of the foreground, each a list of `(row, col)`
@@ -436,51 +398,28 @@ mod tests {
     }
 
     #[test]
-    fn column_moments_are_vertical() {
-        let m = column_mask().moments().expect("foreground");
-        assert_eq!(m.area, 5);
-        assert!((m.centroid.1 - 2.0).abs() < 1e-12);
-        assert!(m.mu_rr > m.mu_cc);
-        // Vertical line: orientation ±π/2 from horizontal axis.
-        assert!((m.orientation().abs() - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
-        assert!(m.elongation().is_infinite());
-    }
-
-    #[test]
-    fn row_moments_are_horizontal() {
+    fn column_centroid_is_on_the_column() {
+        assert_eq!(column_mask().centroid(), Some((2.0, 2.0)));
         let mut g = BinaryGrid::empty(5, 5);
-        for c in 0..5 {
-            g.set(2, c, true);
+        for c in 1..5 {
+            g.set(0, c, true);
         }
-        let m = g.moments().expect("foreground");
-        assert!(m.mu_cc > m.mu_rr);
-        assert!(m.orientation().abs() < 1e-9);
-    }
-
-    #[test]
-    fn diagonal_orientation_is_45_degrees() {
-        let mut g = BinaryGrid::empty(5, 5);
-        for i in 0..5 {
-            g.set(i, i, true);
-        }
-        let m = g.moments().expect("foreground");
-        assert!((m.orientation() - std::f64::consts::FRAC_PI_4).abs() < 1e-9);
+        assert_eq!(g.centroid(), Some((0.0, 2.5)));
     }
 
     #[test]
     fn single_pixel_shape() {
         let mut g = BinaryGrid::empty(5, 5);
         g.set(3, 1, true);
-        let m = g.moments().expect("foreground");
-        assert_eq!(m.area, 1);
-        assert_eq!(m.centroid, (3.0, 1.0));
-        assert_eq!(m.elongation(), 1.0);
+        assert_eq!(g.area(), 1);
+        assert_eq!(g.centroid(), Some((3.0, 1.0)));
+        assert_eq!(g.bounding_box(), Some((3, 1, 3, 1)));
     }
 
     #[test]
     fn empty_mask_has_no_moments_or_bbox() {
         let g = BinaryGrid::empty(4, 4);
-        assert!(g.moments().is_none());
+        assert!(g.centroid().is_none());
         assert!(g.bounding_box().is_none());
         assert_eq!(g.area(), 0);
     }

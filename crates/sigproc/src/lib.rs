@@ -1,26 +1,20 @@
 //! Signal-processing primitives for RF sensing pipelines.
 //!
-//! This crate collects the deterministic, dependency-free DSP building blocks
-//! that the RFIPad recognition pipeline (and its experiment harness) are built
-//! from:
+//! This crate collects the deterministic DSP building blocks that the RFIPad
+//! recognition pipeline (and its experiment harness) are built from:
 //!
 //! - [`unwrap`] — phase de-periodicity (unwrapping) for values reported
 //!   modulo 2π, both batch and streaming;
-//! - [`series`] — irregularly-sampled time series with resampling and
-//!   time-window slicing;
-//! - [`frames`] — fixed-duration framing, per-frame RMS (paper Eq. 11), and
-//!   windows of frames (paper Eq. 12);
+//! - [`series`] — irregularly-sampled time series with time-window slicing;
+//! - [`frames`] — fixed-duration framing and per-frame RMS (paper Eq. 11),
+//!   batch and streaming;
 //! - [`otsu`] — Otsu's clustering-based threshold selection for gray-scale
 //!   data;
 //! - [`grid`] — small 2-D gray / binary images laid over a tag array, with
-//!   connected components and shape moments;
-//! - [`filter`] — moving-average and median filters, trough (local-minimum)
+//!   connected components and the foreground centroid;
+//! - [`filter`] — moving-average smoothing and trough (local-minimum)
 //!   detection;
-//! - [`stats`] — summary statistics, online (Welford) accumulation, and
-//!   empirical CDFs;
-//! - [`kernel`] — allocation-free slice kernels under the above (fused
-//!   reductions, windowed statistics, resampling, histogramming, mask
-//!   moments) with naive scalar references for bit-identity testing.
+//! - [`stats`] — summary statistics and empirical CDFs.
 //!
 //! # Example
 //!
@@ -43,13 +37,12 @@
 pub mod filter;
 pub mod frames;
 pub mod grid;
-pub mod kernel;
 pub mod otsu;
 pub mod series;
 pub mod stats;
 pub mod unwrap;
 
-pub use frames::{Frame, FrameSeq, Window};
+pub use frames::{Frame, FrameSeq};
 pub use grid::{BinaryGrid, GridImage};
 pub use otsu::otsu_threshold;
 pub use series::TimeSeries;

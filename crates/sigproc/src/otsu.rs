@@ -33,13 +33,17 @@ pub fn otsu_threshold(data: &[f64]) -> Option<f64> {
     if data.is_empty() {
         return None;
     }
-    let (lo, hi) = crate::kernel::minmax(data);
+    let (lo, hi) = (crate::stats::min(data), crate::stats::max(data));
     if !(hi - lo).is_finite() || (hi - lo) < 1e-12 {
         return None;
     }
     let width = (hi - lo) / OTSU_BINS as f64;
     let mut hist = [0usize; OTSU_BINS];
-    crate::kernel::histogram_into(data, lo, width, &mut hist);
+    for &v in data {
+        // A NaN casts to bin 0; the maximum falls one past the last bin
+        // and is clamped back into it.
+        hist[(((v - lo) / width) as usize).min(OTSU_BINS - 1)] += 1;
+    }
     let bin_index = otsu_threshold_histogram(&hist)?;
     // Upper edge of the selected bin: foreground is strictly above.
     Some(lo + (bin_index as f64 + 1.0) * width)
@@ -100,12 +104,10 @@ pub fn otsu_threshold_histogram(hist: &[usize]) -> Option<usize> {
 /// If no threshold exists (uniform or empty data), every element maps to
 /// `false` — a uniform image contains no foreground.
 pub fn otsu_binarize(data: &[f64]) -> Vec<bool> {
-    let mut mask = Vec::new();
     match otsu_threshold(data) {
-        Some(t) => crate::kernel::binarize_into(data, t, &mut mask),
-        None => mask.resize(data.len(), false),
+        Some(t) => data.iter().map(|&v| v > t).collect(),
+        None => vec![false; data.len()],
     }
-    mask
 }
 
 #[cfg(test)]

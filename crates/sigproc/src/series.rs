@@ -2,10 +2,8 @@
 //!
 //! RFID tag reads arrive whenever the Gen2 inventory happens to single out a
 //! tag, so per-tag phase/RSS streams are *not* uniformly sampled. The paper
-//! mitigates this by framing (see [`crate::frames`]); for analyses that need
-//! uniform sampling this module provides linear-interpolation resampling.
-
-use serde::{Deserialize, Serialize};
+//! mitigates this by framing (see [`crate::frames`]), which reads each
+//! stream through time windows.
 
 /// A time-ordered sequence of `(timestamp seconds, value)` samples.
 ///
@@ -19,9 +17,9 @@ use serde::{Deserialize, Serialize};
 /// let mut ts = TimeSeries::new();
 /// ts.push(0.0, 1.0);
 /// ts.push(1.0, 3.0);
-/// assert_eq!(ts.interpolate(0.5), Some(2.0));
+/// assert_eq!(ts.window(0.5, 2.0), (&[1.0][..], &[3.0][..]));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     times: Vec<f64>,
     values: Vec<f64>,
@@ -46,8 +44,7 @@ impl TimeSeries {
         self.values.push(v);
     }
 
-    /// Removes all samples, keeping the allocated capacity (for use as a
-    /// reusable scratch buffer with the `_into` methods).
+    /// Removes all samples, keeping the allocated capacity.
     pub fn clear(&mut self) {
         self.times.clear();
         self.values.clear();
@@ -91,77 +88,6 @@ impl TimeSeries {
         self.times.iter().copied().zip(self.values.iter().copied())
     }
 
-    /// First timestamp, if any.
-    pub fn start_time(&self) -> Option<f64> {
-        self.times.first().copied()
-    }
-
-    /// Last timestamp, if any.
-    pub fn end_time(&self) -> Option<f64> {
-        self.times.last().copied()
-    }
-
-    /// Total time span in seconds (0.0 if fewer than two samples).
-    pub fn duration(&self) -> f64 {
-        match (self.start_time(), self.end_time()) {
-            (Some(a), Some(b)) => b - a,
-            _ => 0.0,
-        }
-    }
-
-    /// Linear interpolation at time `t`.
-    ///
-    /// Returns `None` outside the sampled span or for an empty series.
-    /// At an exact sample time, returns that sample.
-    pub fn interpolate(&self, t: f64) -> Option<f64> {
-        if self.times.is_empty() || t < self.times[0] || t > *self.times.last().expect("nonempty") {
-            return None;
-        }
-        let idx = self.times.partition_point(|&x| x < t);
-        if idx < self.times.len() && self.times[idx] == t {
-            return Some(self.values[idx]);
-        }
-        // t lies strictly between times[idx-1] and times[idx].
-        let (t0, t1) = (self.times[idx - 1], self.times[idx]);
-        let (v0, v1) = (self.values[idx - 1], self.values[idx]);
-        if t1 == t0 {
-            return Some(v1);
-        }
-        let frac = (t - t0) / (t1 - t0);
-        Some(v0 + frac * (v1 - v0))
-    }
-
-    /// Resamples to a uniform grid with spacing `dt`, via linear interpolation.
-    ///
-    /// Returns an empty series when this series has fewer than two samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt <= 0`.
-    pub fn resample(&self, dt: f64) -> TimeSeries {
-        let mut out = TimeSeries::new();
-        self.resample_into(dt, &mut out);
-        out
-    }
-
-    /// Like [`resample`](Self::resample), but reuses `out`'s allocation and
-    /// sweeps a single cursor over the samples — O(n + m) for n samples and
-    /// m grid points instead of a binary search per grid point. The output
-    /// is bit-identical to [`resample`](Self::resample).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt <= 0`.
-    pub fn resample_into(&self, dt: f64, out: &mut TimeSeries) {
-        crate::kernel::resample_linear_into(
-            &self.times,
-            &self.values,
-            dt,
-            &mut out.times,
-            &mut out.values,
-        );
-    }
-
     /// Borrows the `(times, values)` of the samples with `start <= t < end`.
     ///
     /// The window is empty when `start >= end` or either bound is NaN.
@@ -175,36 +101,6 @@ impl TimeSeries {
             (0, 0)
         };
         (&self.times[lo..hi], &self.values[lo..hi])
-    }
-
-    /// Applies a function to every value, keeping timestamps.
-    pub fn map_values(&self, f: impl Fn(f64) -> f64) -> TimeSeries {
-        TimeSeries {
-            times: self.times.clone(),
-            values: self.values.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Consecutive differences of the values: `v[i+1] - v[i]`, timestamped at
-    /// the later sample. Empty if fewer than two samples.
-    pub fn diff(&self) -> TimeSeries {
-        let mut out = TimeSeries::new();
-        self.diff_into(&mut out);
-        out
-    }
-
-    /// Like [`diff`](Self::diff), but reuses `out`'s allocation.
-    pub fn diff_into(&self, out: &mut TimeSeries) {
-        out.clear();
-        if self.times.len() < 2 {
-            return;
-        }
-        out.times.reserve(self.times.len() - 1);
-        out.values.reserve(self.times.len() - 1);
-        for i in 1..self.times.len() {
-            out.times.push(self.times[i]);
-            out.values.push(self.values[i] - self.values[i - 1]);
-        }
     }
 }
 
@@ -239,8 +135,8 @@ mod tests {
         let ts = ramp();
         assert_eq!(ts.len(), 11);
         assert!(!ts.is_empty());
-        assert_eq!(ts.start_time(), Some(0.0));
-        assert!((ts.duration() - 1.0).abs() < 1e-12);
+        assert_eq!(ts.times()[0], 0.0);
+        assert_eq!(ts.values()[10], 10.0);
     }
 
     #[test]
@@ -252,92 +148,12 @@ mod tests {
     }
 
     #[test]
-    fn interpolate_exact_and_between() {
-        let ts = ramp();
-        assert_eq!(ts.interpolate(0.2), Some(2.0));
-        let v = ts.interpolate(0.25).expect("in range");
-        assert!((v - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn interpolate_out_of_range_is_none() {
-        let ts = ramp();
-        assert_eq!(ts.interpolate(-0.1), None);
-        assert_eq!(ts.interpolate(1.1), None);
-        assert_eq!(TimeSeries::new().interpolate(0.0), None);
-    }
-
-    #[test]
-    fn resample_uniform() {
-        let ts = ramp();
-        let r = ts.resample(0.05);
-        assert!(r.len() >= 20);
-        for (t, v) in r.iter() {
-            assert!((v - t * 10.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn resample_too_short_is_empty() {
-        let mut ts = TimeSeries::new();
-        ts.push(0.0, 1.0);
-        assert!(ts.resample(0.1).is_empty());
-    }
-
-    #[test]
     fn window_half_open() {
         let ts = ramp();
         let (times, values) = ts.window(0.2, 0.5);
         assert_eq!(times.len(), 3); // samples at 0.2, 0.3, 0.4
         assert_eq!(values, &[2.0, 3.0, 4.0]);
         assert_eq!(ts.window(0.5, 0.2), (&[][..], &[][..]));
-    }
-
-    #[test]
-    fn diff_of_ramp_is_constant() {
-        let ts = ramp();
-        let d = ts.diff();
-        assert_eq!(d.len(), 10);
-        for (_, v) in d.iter() {
-            assert!((v - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn map_values_preserves_times() {
-        let ts = ramp();
-        let m = ts.map_values(|v| v * 2.0);
-        assert_eq!(m.times(), ts.times());
-        assert_eq!(m.values()[5], 10.0);
-    }
-
-    #[test]
-    fn resample_into_reuses_buffer_and_matches_resample() {
-        let ts = ramp();
-        let mut out = TimeSeries::new();
-        out.push(99.0, 99.0); // stale content must be cleared
-        ts.resample_into(0.07, &mut out);
-        assert_eq!(out, ts.resample(0.07));
-    }
-
-    #[test]
-    fn resample_into_handles_duplicate_times() {
-        let ts: TimeSeries = [(0.0, 1.0), (0.5, 2.0), (0.5, 4.0), (1.0, 3.0)]
-            .into_iter()
-            .collect();
-        let mut out = TimeSeries::new();
-        ts.resample_into(0.25, &mut out);
-        assert_eq!(out, ts.resample(0.25));
-    }
-
-    #[test]
-    fn diff_into_matches_diff() {
-        let ts = ramp();
-        let mut out = TimeSeries::new();
-        ts.diff_into(&mut out);
-        assert_eq!(out, ts.diff());
-        TimeSeries::new().diff_into(&mut out);
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -355,8 +171,7 @@ mod tests {
         ts.push(1.0, 1.0);
         ts.push(1.0, 2.0);
         assert_eq!(ts.len(), 2);
-        // Interpolation at the duplicated instant returns a defined value.
-        let v = ts.interpolate(1.0).expect("in range");
-        assert!(v == 1.0 || v == 2.0);
+        // A window over the duplicated instant holds both, in push order.
+        assert_eq!(ts.window(1.0, 1.5).1, &[1.0, 2.0]);
     }
 }

@@ -1,6 +1,4 @@
-//! Summary statistics, online accumulation, and empirical CDFs.
-
-use serde::{Deserialize, Serialize};
+//! Summary statistics and empirical CDFs.
 
 /// Arithmetic mean of a slice. Returns 0.0 for an empty slice.
 ///
@@ -50,10 +48,7 @@ pub fn rms(data: &[f64]) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    // The fused kernel accumulates squares in element order, so this is
-    // bit-identical to the map-sum it replaces.
-    let (_, sumsq) = crate::kernel::sum_sumsq(data);
-    (sumsq / data.len() as f64).sqrt()
+    (data.iter().map(|&x| x * x).sum::<f64>() / data.len() as f64).sqrt()
 }
 
 /// Median of a slice (average of the two central elements for even length),
@@ -108,82 +103,6 @@ pub fn max(data: &[f64]) -> f64 {
         .fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Numerically stable online mean/variance accumulator (Welford's method).
-///
-/// # Example
-///
-/// ```
-/// use sigproc::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     w.push(x);
-/// }
-/// assert!((w.mean() - 5.0).abs() < 1e-12);
-/// assert!((w.population_std_dev() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples pushed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Running mean (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0.0 with fewer than two samples).
-    pub fn population_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-    }
-}
-
 /// Empirical cumulative distribution function over a fixed sample set.
 ///
 /// # Example
@@ -196,7 +115,7 @@ impl Welford {
 /// assert_eq!(cdf.eval(0.0), 0.0);
 /// assert_eq!(cdf.eval(10.0), 1.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -228,27 +147,6 @@ impl Ecdf {
         assert!(!self.sorted.is_empty(), "quantile of empty ECDF");
         let idx = ((q * self.sorted.len() as f64).ceil() as usize).max(1) - 1;
         self.sorted[idx.min(self.sorted.len() - 1)]
-    }
-
-    /// The underlying sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Evaluates the CDF at evenly spaced points, returning `(x, F(x))` pairs
-    /// suitable for plotting (as in the paper's Fig. 21).
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("nonempty");
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points.max(2) - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
     }
 }
 
@@ -319,33 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn welford_matches_batch() {
-        let data: Vec<f64> = (0..1000).map(|i| ((i * 31) % 97) as f64 * 0.37).collect();
-        let mut w = Welford::new();
-        for &x in &data {
-            w.push(x);
-        }
-        assert!((w.mean() - mean(&data)).abs() < 1e-9);
-        assert!((w.population_variance() - variance(&data)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn welford_merge_matches_sequential() {
-        let a: Vec<f64> = (0..100).map(|i| i as f64 * 0.5).collect();
-        let b: Vec<f64> = (0..50).map(|i| 100.0 - i as f64).collect();
-        let mut wa = Welford::new();
-        a.iter().for_each(|&x| wa.push(x));
-        let mut wb = Welford::new();
-        b.iter().for_each(|&x| wb.push(x));
-        let mut seq = Welford::new();
-        a.iter().chain(&b).for_each(|&x| seq.push(x));
-        wa.merge(&wb);
-        assert_eq!(wa.count(), seq.count());
-        assert!((wa.mean() - seq.mean()).abs() < 1e-9);
-        assert!((wa.population_variance() - seq.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn ecdf_step_behaviour() {
         let cdf = Ecdf::new(vec![1.0, 1.0, 2.0]);
         assert!((cdf.eval(1.0) - 2.0 / 3.0).abs() < 1e-12);
@@ -359,16 +230,6 @@ mod tests {
         assert_eq!(cdf.quantile(0.2), 1.0);
         assert_eq!(cdf.quantile(0.9), 5.0);
         assert_eq!(cdf.quantile(1.0), 5.0);
-    }
-
-    #[test]
-    fn ecdf_curve_is_monotone() {
-        let cdf = Ecdf::new((0..50).map(|i| (i as f64 * 13.7) % 11.0).collect());
-        let curve = cdf.curve(40);
-        for pair in curve.windows(2) {
-            assert!(pair[1].1 >= pair[0].1);
-        }
-        assert_eq!(curve.last().map(|p| p.1), Some(1.0));
     }
 
     #[test]

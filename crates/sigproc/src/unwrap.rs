@@ -98,18 +98,6 @@ impl StreamingUnwrapper {
         wrapped + self.correction
     }
 
-    /// Forgets all history, as if freshly constructed.
-    pub fn reset(&mut self) {
-        self.last_wrapped = None;
-        self.correction = 0.0;
-        self.turns = 0;
-    }
-
-    /// The current accumulated 2π correction.
-    pub fn correction(&self) -> f64 {
-        self.correction
-    }
-
     /// The whole turns the current correction adds, as an exact count
     /// (the correction is their sum of ±2π steps).
     pub fn turns(&self) -> i64 {
@@ -126,7 +114,7 @@ mod tests {
         let mut u = StreamingUnwrapper::new();
         for w in [6.0, 0.1, 6.2, 6.1, 0.2, 0.3, 6.25, 0.1] {
             u.push(w);
-            assert_eq!(u.correction(), u.turns() as f64 * TAU);
+            assert_eq!(u.correction, u.turns() as f64 * TAU);
         }
         assert_eq!(u.turns(), 1);
     }
@@ -202,17 +190,6 @@ mod tests {
         let mut s = StreamingUnwrapper::new();
         let streamed: Vec<f64> = wrapped.iter().map(|&w| s.push(w)).collect();
         assert_eq!(batch, streamed);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = StreamingUnwrapper::new();
-        s.push(6.0);
-        s.push(0.1);
-        assert!(s.correction() > 0.0);
-        s.reset();
-        assert_eq!(s.correction(), 0.0);
-        assert_eq!(s.push(3.0), 3.0);
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn every_json_writer_output_parses_strictly() {
         ("PipelineCheckpoint::to_json", checkpoint.to_json()),
         (
             "encode_json_line",
-            rfid_gen2::trace::encode_json_line(&trial.reports[0]),
+            rfid_gen2::trace::encode_json_line(&trial.reports[0], 0).expect("finite report"),
         ),
     ] {
         if let Err(e) = obs::json::parse(&document) {

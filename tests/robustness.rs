@@ -1,5 +1,6 @@
 //! Failure injection: the recognizer facing degraded deployments —
-//! unreadable tags, foreign tag traffic, low power, partial streams.
+//! unreadable tags, foreign tag traffic, low power, partial streams,
+//! hostile report values and reader clock jumps.
 
 use experiments::golden::{golden_bench, golden_trial, GOLDEN_LETTER};
 use experiments::serveload::{serial_replay, session_pipeline};
@@ -8,6 +9,7 @@ use hand_kinematics::stroke::{Stroke, StrokeShape};
 use hand_kinematics::user::UserProfile;
 use proptest::prelude::*;
 use rfid_gen2::report::{TagId, TagReport};
+use rfid_gen2::wire::{decode_payload_v, encode_frame_v, Frame, WIRE_VERSION};
 use rfipad::engine::normalize_events;
 use rfipad::{PipelineEvent, Recognizer, RfipadConfig};
 use std::sync::OnceLock;
@@ -241,6 +243,62 @@ fn golden_prefixes(recognizer: &Recognizer, reports: &[TagReport]) -> [usize; 2]
 }
 
 #[test]
+fn non_finite_doppler_changes_nothing() {
+    // Recognition never reads Doppler, and the wire carries its raw bits:
+    // a reader that reports NaN or an infinity there must see the clean
+    // session's events, across a checkpoint too, and get its bits back.
+    let bench = golden_bench();
+    let reports = golden_trial(&bench).reports;
+    let clean = serial_replay(&bench.recognizer, &reports);
+    assert!(!clean.is_empty());
+    let [_, pending] = golden_prefixes(&bench.recognizer, &reports);
+    for doppler_hz in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let hostile: Vec<TagReport> = reports
+            .iter()
+            .map(|r| TagReport { doppler_hz, ..*r })
+            .collect();
+        assert_eq!(
+            serial_replay(&bench.recognizer, &hostile),
+            clean,
+            "doppler {doppler_hz}"
+        );
+
+        // A checkpoint taken while a letter is pending restores and
+        // finishes the session as if never interrupted.
+        let mut graph = session_pipeline(&bench.recognizer);
+        let mut events = Vec::new();
+        graph.push_batch(&hostile[..pending], &mut events);
+        let mut restored = session_pipeline(&bench.recognizer);
+        restored
+            .restore_checkpoint(&graph.checkpoint())
+            .expect("a live checkpoint restores");
+        restored.push_batch(&hostile[pending..], &mut events);
+        restored.finish_into(&mut events);
+        normalize_events(&mut events);
+        assert_eq!(events, clean, "doppler {doppler_hz} across a checkpoint");
+
+        // A 64-report BATCH carries the Doppler bits unchanged.
+        let frame = Frame::Batch {
+            session: "pad-0".into(),
+            seq: 1,
+            reports: hostile[..64].to_vec(),
+            trace: None,
+        };
+        let bytes = encode_frame_v(&frame, WIRE_VERSION);
+        let Ok(Frame::Batch {
+            reports: decoded, ..
+        }) = decode_payload_v(&bytes[4..], WIRE_VERSION)
+        else {
+            panic!("doppler {doppler_hz}: the BATCH does not decode");
+        };
+        assert_eq!(decoded.len(), 64);
+        for r in &decoded {
+            assert_eq!(r.doppler_hz.to_bits(), doppler_hz.to_bits());
+        }
+    }
+}
+
+#[test]
 fn a_report_far_in_the_future_restarts_the_stream() {
     // Framing a report 1e12 s past the history used to size the frame
     // accumulators by the gap and abort the process on the allocation.
@@ -285,14 +343,47 @@ fn a_recording_after_a_time_jump_is_recognized_on_its_own() {
             time: r.time + shift,
             ..*r
         }));
-        let letters: Vec<Option<char>> = serial_replay(&bench.recognizer, &stream)
-            .into_iter()
-            .filter_map(|e| match e {
-                PipelineEvent::LetterRecognized { letter, .. } => Some(letter),
-                PipelineEvent::StrokeDetected { .. } => None,
+        assert_eq!(
+            letters_of(&bench.recognizer, &stream),
+            [Some(GOLDEN_LETTER)],
+            "shifted by {shift} s"
+        );
+    }
+}
+
+/// The letters a serial replay of `stream` recognizes, in order.
+fn letters_of(recognizer: &Recognizer, stream: &[TagReport]) -> Vec<Option<char>> {
+    serial_replay(recognizer, stream)
+        .into_iter()
+        .filter_map(|e| match e {
+            PipelineEvent::LetterRecognized { letter, .. } => Some(letter),
+            PipelineEvent::StrokeDetected { .. } => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_reader_clock_reset_restarts_the_stream() {
+    // A reader that restarts onto an earlier clock: the golden session
+    // recorded late, then again on its own clock. Clamping the second
+    // recording to the first one's newest time would leave framing without
+    // a tick until the new clock caught up, losing the second letter.
+    let bench = golden_bench();
+    let reports = golden_trial(&bench).reports;
+    for shift in [100.0, 1e4] {
+        let mut stream: Vec<TagReport> = reports
+            .iter()
+            .map(|r| TagReport {
+                time: r.time + shift,
+                ..*r
             })
             .collect();
-        assert_eq!(letters, [Some(GOLDEN_LETTER)], "shifted by {shift} s");
+        stream.extend_from_slice(&reports);
+        assert_eq!(
+            letters_of(&bench.recognizer, &stream),
+            [Some(GOLDEN_LETTER); 2],
+            "clock reset by {shift} s"
+        );
     }
 }
 
