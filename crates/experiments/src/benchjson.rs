@@ -3,10 +3,9 @@
 //! The perf-trajectory file is written wholesale by `bench_pipeline` and
 //! then enriched by probes that each own one top-level key
 //! (`engine_bench` → `ingest_batch`, `trace_tool stats --bench` →
-//! `telemetry_overhead`). Because the vendored serde is a no-op shim, the
-//! merge is textual: the file is kept one top-level key per line, and
-//! [`merge_entry`] replaces that key's line while leaving every other
-//! probe's line untouched.
+//! `telemetry_overhead`). The merge is textual: the file is kept one
+//! top-level key per line, and [`merge_entry`] replaces that key's line
+//! while leaving every other probe's line untouched.
 
 use std::io;
 use std::path::Path;

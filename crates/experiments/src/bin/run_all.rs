@@ -9,9 +9,9 @@
 //! summary is identical to a serial pass — only the wall clock changes.
 //! `--jobs 0` picks the machine's available parallelism.
 
+use experiments::fanout;
+use std::io::Write;
 use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 const EXPERIMENTS: &[(&str, Option<&str>)] = &[
     ("fig02_observations", None),
@@ -123,39 +123,20 @@ fn main() {
         );
     }
 
-    // Fan the roster out over `jobs` workers via an atomic cursor and store
-    // results by roster index so the report order never depends on timing.
-    let slots: Vec<Mutex<Option<Outcome>>> = EXPERIMENTS.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((name, reps)) = EXPERIMENTS.get(i) else {
-                    break;
-                };
-                if jobs == 1 {
-                    print!("running {name:<24} … ");
-                    use std::io::Write;
-                    let _ = std::io::stdout().flush();
-                }
-                let outcome = run_one(name, *reps, quick);
-                if jobs == 1 {
-                    println!("{}", if outcome.ok { "ok" } else { "FAILED" });
-                }
-                *slots[i].lock().expect("slot lock") = Some(outcome);
-            });
+    // Results come back in roster order, so the report order never
+    // depends on timing. One worker runs the roster in order on this
+    // thread, printing as it goes.
+    let outcomes = fanout::map_ordered(EXPERIMENTS, jobs, |&(name, reps)| {
+        if jobs == 1 {
+            print!("running {name:<24} … ");
+            let _ = std::io::stdout().flush();
         }
+        let outcome = run_one(name, reps, quick);
+        if jobs == 1 {
+            println!("{}", if outcome.ok { "ok" } else { "FAILED" });
+        }
+        outcome
     });
-
-    let outcomes: Vec<Outcome> = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot lock")
-                .expect("worker filled slot")
-        })
-        .collect();
 
     if jobs > 1 {
         for o in &outcomes {

@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod benchjson;
+pub mod fanout;
 pub mod golden;
 pub mod multiplex;
 pub mod report;

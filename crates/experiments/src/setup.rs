@@ -10,10 +10,9 @@ use rf_sim::scene::{Scene, SceneConfig};
 use rf_sim::tags::{TagArray, TagModel};
 use rf_sim::units::{Dbi, Dbm};
 use rfipad::ArrayLayout;
-use serde::{Deserialize, Serialize};
 
 /// Where the reader antenna sits relative to the tag plate (paper Fig. 14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AntennaPlacement {
     /// On the ceiling, same side as the user's hand: hand and arm cross the
     /// reader–tag line-of-sight paths.
@@ -26,7 +25,7 @@ pub enum AntennaPlacement {
 /// A complete deployment specification. `Default` reproduces the paper's
 /// reference setup: NLOS, 32 cm, 0° tilt, 30 dBm, Impinj-style Type B tags,
 /// lab location 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentSpec {
     /// Antenna placement (LOS/NLOS).
     pub placement: AntennaPlacement,

@@ -1,6 +1,7 @@
 //! Trial runner: calibrate a deployment, write strokes/letters over it, and
 //! score the recognizer — the machinery behind every table and figure.
 
+use crate::fanout;
 use crate::setup::Deployment;
 use hand_kinematics::stroke::Stroke;
 use hand_kinematics::trajectory::HandTarget;
@@ -8,12 +9,10 @@ use hand_kinematics::user::UserProfile;
 use hand_kinematics::writer::{Writer, WritingSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use rf_sim::targets::MovingTarget;
 use rfid_gen2::reader::{Gen2Reader, ReaderConfig};
 use rfid_gen2::report::TagReport;
 use rfipad::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Seconds of static recording used for calibration (the paper samples each
@@ -160,23 +159,23 @@ impl Bench {
         jobs: &[(Stroke, u64)],
         user: &UserProfile,
     ) -> Vec<StrokeTrial> {
-        jobs.par_iter()
-            .map(|&(stroke, seed)| self.run_stroke_trial(stroke, user, seed))
-            .collect()
+        fanout::map_ordered(jobs, fanout::env_threads(), |&(stroke, seed)| {
+            self.run_stroke_trial(stroke, user, seed)
+        })
     }
 
     /// Runs a list of `(letter, seed)` jobs across worker threads and
     /// returns the trials in input order. Same determinism contract as
     /// [`Bench::run_stroke_trials`].
     pub fn run_letter_trials(&self, jobs: &[(char, u64)], user: &UserProfile) -> Vec<LetterTrial> {
-        jobs.par_iter()
-            .map(|&(letter, seed)| self.run_letter_trial(letter, user, seed))
-            .collect()
+        fanout::map_ordered(jobs, fanout::env_threads(), |&(letter, seed)| {
+            self.run_letter_trial(letter, user, seed)
+        })
     }
 }
 
 /// Outcome of one stroke trial.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrokeTrial {
     /// The stroke that was written.
     pub truth: Stroke,
@@ -212,7 +211,7 @@ impl StrokeTrial {
 }
 
 /// Outcome of one letter trial.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LetterTrial {
     /// The letter that was written.
     pub truth: char,
@@ -279,7 +278,7 @@ fn overlap(span: StrokeSpan, start: f64, end: f64) -> f64 {
 
 /// Aggregate result of a batch of motion trials (the unit most evaluation
 /// figures are built from).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MotionBatch {
     /// Trials run.
     pub trials: usize,

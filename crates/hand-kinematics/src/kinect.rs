@@ -10,10 +10,9 @@ use crate::trajectory::Trajectory;
 use rand::Rng;
 use rf_sim::geometry::Vec3;
 use rf_sim::noise::gaussian;
-use serde::{Deserialize, Serialize};
 
 /// Kinect skeletal-tracking model: sampling rate and joint noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KinectTracker {
     /// Skeleton frames per second (Kinect v1/v2: 30 Hz).
     pub rate_hz: f64,
@@ -32,7 +31,7 @@ impl Default for KinectTracker {
 }
 
 /// One skeletal hand-joint sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkeletalSample {
     /// Frame timestamp in seconds.
     pub time: f64,

@@ -2,13 +2,12 @@
 
 use rf_sim::geometry::Vec3;
 use rf_sim::tags::TagArray;
-use serde::{Deserialize, Serialize};
 
 /// The writing surface: a rectangle in the `z = 0` plane that normalized
 /// `(row, col)` coordinates map onto, plus the height at which the hand
 /// writes (the paper's prototype works best within 5 cm of the plate,
 /// §VI).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PadFrame {
     /// World position of the pad's top-left corner (row 0, col 0).
     pub top_left: Vec3,

@@ -5,11 +5,10 @@
 //! drawn in two directions, giving the 13 strokes the evaluation exercises
 //! (motion #1 = click, #2–#7 = the six shapes, each bidirectional).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The geometric shape of a stroke, ignoring travel direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StrokeShape {
     /// A push toward one tag ("click", motion #1).
     Click,
@@ -82,7 +81,7 @@ impl fmt::Display for StrokeShape {
 /// Canonical directions: `−` left→right, `|` top→bottom, `/` bottom-left →
 /// top-right, `\` top-left → bottom-right, `⊂` top-end → bottom-end, `⊃`
 /// top-end → bottom-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Stroke {
     /// Geometric shape.
     pub shape: StrokeShape,
@@ -142,7 +141,7 @@ impl fmt::Display for Stroke {
 ///
 /// Pad coordinates are `(row, col)` fractions in `[0, 1]`: row 0 is the top
 /// edge, col 0 the left edge (matching the tag-array layout in `rf-sim`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacedStroke {
     /// The directed stroke.
     pub stroke: Stroke,

@@ -8,7 +8,6 @@
 
 use rf_sim::geometry::Vec3;
 use rf_sim::targets::{MovingTarget, TargetSample};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Minimum-jerk progress function: fraction of path completed at normalized
@@ -26,7 +25,7 @@ pub fn min_jerk(tau: f64) -> f64 {
 }
 
 /// Velocity profile of a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VelocityProfile {
     /// Bell-shaped minimum-jerk speed — point-to-point *reaching* movements
     /// (approach, raise, reposition).
@@ -60,7 +59,7 @@ pub fn trapezoid(tau: f64) -> f64 {
 
 /// One timed segment of a trajectory: a spatial poly-line traversed with
 /// the segment's velocity profile over `[t_start, t_end]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Segment {
     t_start: f64,
     t_end: f64,
@@ -123,7 +122,7 @@ impl Segment {
 
 /// A hand trajectory: a sequence of timed segments. The hand is absent
 /// before the first segment and after the last.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trajectory {
     segments: Vec<Segment>,
 }
@@ -247,7 +246,7 @@ impl Trajectory {
 /// The trajectory is held behind an [`Arc`], so building the usual
 /// hand + forearm target pair from one session shares a single trajectory
 /// allocation instead of deep-copying the segment list per target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HandTarget {
     trajectory: Arc<Trajectory>,
     rcs_m2: f64,

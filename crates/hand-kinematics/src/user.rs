@@ -8,10 +8,9 @@
 //! the scattering cross-sections of hand and forearm.
 
 use rf_sim::geometry::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Parameters describing one writer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     /// Display name ("volunteer 1" …).
     pub name: String,

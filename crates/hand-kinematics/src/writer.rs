@@ -14,11 +14,10 @@ use crate::user::UserProfile;
 use rand::Rng;
 use rf_sim::geometry::Vec3;
 use rf_sim::noise::gaussian;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Ground truth for one drawn stroke.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WrittenStroke {
     /// What was drawn.
     pub stroke: Stroke,
@@ -31,7 +30,7 @@ pub struct WrittenStroke {
 }
 
 /// One complete writing session: the hand trajectory plus ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WritingSession {
     /// The full hand trajectory (approach, strokes, adjustments, retreat).
     /// Shared behind an [`Arc`] so the hand and forearm scene targets (and

@@ -5,9 +5,8 @@
 //! `\"`, `\n`), histograms expanded into cumulative `_bucket{le="..."}`
 //! series plus `_sum` and `_count`. The JSON sink carries the same data
 //! plus the exact-percentile fields (p50/p90/p99/max) that the text format
-//! has no standard slot for. The serde stand-in under `vendor/` cannot
-//! serialize, so both renderings are hand-rolled here (the same approach
-//! `rfid_gen2::trace` takes for trace files).
+//! has no standard slot for. Both renderings are hand-rolled here, as
+//! `rfid_gen2::trace` does for trace files.
 
 use crate::json;
 use crate::registry::{valid_label_name, valid_metric_name, Metric, Registry};

@@ -10,7 +10,6 @@
 
 use crate::geometry::Vec3;
 use crate::units::{Dbi, Meters};
-use serde::{Deserialize, Serialize};
 
 /// Gain floor applied outside the main lobe, dB below peak.
 const SIDELOBE_FLOOR_DB: f64 = -20.0;
@@ -34,7 +33,7 @@ const SIDELOBE_FLOOR_DB: f64 = -20.0;
 /// let g = ant.gain_toward(Vec3::new(0.0, 0.0, 0.0));
 /// assert!((g.value() - 8.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReaderAntenna {
     position: Vec3,
     boresight: Vec3,

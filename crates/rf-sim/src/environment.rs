@@ -12,11 +12,10 @@
 //! presets.
 
 use crate::geometry::{Complex, Vec3};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
 
 /// A static point scatterer (wall section, table edge, cabinet…).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scatterer {
     /// Position in metres.
     pub position: Vec3,
@@ -25,7 +24,7 @@ pub struct Scatterer {
 }
 
 /// The static RF environment around the tag plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     name: String,
     scatterers: Vec<Scatterer>,

@@ -6,11 +6,10 @@
 //! plane toward the user's hand. The reader antenna sits at positive or
 //! negative `z` depending on the LOS / NLOS scenario.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A point or displacement in 3-D space (metres).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// Lateral coordinate (array columns).
     pub x: f64,
@@ -129,7 +128,7 @@ impl Neg for Vec3 {
 ///
 /// Kept minimal on purpose — the channel model only needs addition,
 /// multiplication, magnitude, and argument.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

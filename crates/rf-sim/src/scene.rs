@@ -39,7 +39,6 @@ use crate::tags::{Tag, TagId};
 use crate::targets::{MovingTarget, TargetSample};
 use crate::units::{Db, Dbm, Hertz, Meters, CARRIER_FREQUENCY};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
 
 /// A frequency-hopping plan: regulatory domains like the FCC's 902–928 MHz
@@ -48,7 +47,7 @@ use std::f64::consts::{PI, TAU};
 /// sensing unless the pipeline tracks channels. The paper's prototype runs
 /// on the fixed 922.38 MHz channel of the Chinese band; this plan lets
 /// experiments show what hopping would do.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HoppingPlan {
     /// Channel centre frequencies in Hz.
     pub channels: Vec<f64>,
@@ -93,7 +92,7 @@ impl HoppingPlan {
 }
 
 /// Tunable scene parameters (defaults follow the paper's prototype).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneConfig {
     /// Reader transmit power (paper default 30 dBm; regulations cap
     /// commercial readers at 32.5 dBm).
@@ -169,7 +168,7 @@ impl Default for SceneConfig {
 }
 
 /// One reported tag read: what an EPC Gen2 reader exposes per inventory hit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TagObservation {
     /// Which tag responded.
     pub tag: TagId,

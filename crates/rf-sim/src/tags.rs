@@ -9,16 +9,13 @@
 
 use crate::geometry::Vec3;
 use crate::units::Dbm;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A stable identifier for a simulated tag. Maps 1:1 to an EPC in the
 /// `rfid-gen2` crate.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TagId(pub u64);
 
 impl fmt::Display for TagId {
@@ -69,7 +66,7 @@ impl Hasher for TagIdHasher {
 pub type TagIdMap<K, V> = HashMap<K, V, BuildHasherDefault<TagIdHasher>>;
 
 /// The four commercial tag designs evaluated in the paper's Fig. 12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TagModel {
     /// Large dipole design (e.g. Alien "Squiggle"-class): big antenna, large
     /// RCS, strong neighbour shadowing.
@@ -156,7 +153,7 @@ impl fmt::Display for TagModel {
 /// two close tags facing the *same* way shadow each other strongly, while
 /// *opposite* facing nearly removes the interference — hence the deployment
 /// guideline to alternate facings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Facing {
     /// Antenna faces +z (toward the hand / reader in LOS).
     Front,
@@ -175,7 +172,7 @@ impl Facing {
 }
 
 /// One physical tag placed in the scene.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tag {
     /// Stable identifier.
     pub id: TagId,
@@ -210,7 +207,7 @@ impl Tag {
 /// `(c·spacing, -r·spacing, 0)` relative to the top-left tag, so row 0 is the
 /// top of the pad and rows grow downward like image coordinates. Facings
 /// alternate in a checkerboard, per the paper's deployment guideline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TagArray {
     rows: usize,
     cols: usize,

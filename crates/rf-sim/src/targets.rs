@@ -7,10 +7,9 @@
 //! and is sampled by the scene once per observation.
 
 use crate::geometry::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// State of a moving scatterer at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetSample {
     /// Centre position in metres.
     pub position: Vec3,
@@ -37,7 +36,7 @@ pub trait MovingTarget {
 
 /// A target fixed in place — useful for tests and static-obstruction
 /// studies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticTarget {
     /// The constant sample returned at every instant.
     pub sample: TargetSample,

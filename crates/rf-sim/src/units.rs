@@ -5,7 +5,6 @@
 //! confused at compile time (paper parameters: 922.38 MHz carrier, 30 dBm TX
 //! power, 8 dBi antenna gain).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -15,7 +14,7 @@ pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 macro_rules! scalar_unit {
     ($(#[$meta:meta])* $name:ident, $suffix:expr) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {

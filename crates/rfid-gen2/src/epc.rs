@@ -1,13 +1,11 @@
-//! EPC-96 identifiers and the protocol-control word.
+//! EPC-96 identifiers.
 
-use crate::crc::crc16;
 use rf_sim::tags::TagId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 96-bit Electronic Product Code, the identifier a Gen2 tag backscatters
 /// during inventory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Epc96([u8; 12]);
 
 impl Epc96 {
@@ -52,12 +50,6 @@ impl Epc96 {
         Some(TagId(u64::from_be_bytes(id)))
     }
 
-    /// The protocol-control word a tag transmits ahead of its EPC: EPC
-    /// length in words (6 for EPC-96) in the top 5 bits.
-    pub fn pc_word(&self) -> u16 {
-        6 << 11
-    }
-
     /// The 24 lowercase hex digits of the EPC, as traces and checkpoints
     /// store it.
     pub fn to_hex(&self) -> String {
@@ -74,14 +66,6 @@ impl Epc96 {
             *b = u8::from_str_radix(std::str::from_utf8(pair).ok()?, 16).ok()?;
         }
         Some(Self(bytes))
-    }
-
-    /// The CRC-16 a tag appends to `PC + EPC` in its reply.
-    pub fn reply_crc(&self) -> u16 {
-        let mut frame = Vec::with_capacity(14);
-        frame.extend_from_slice(&self.pc_word().to_be_bytes());
-        frame.extend_from_slice(&self.0);
-        crc16(&frame)
     }
 }
 
@@ -125,19 +109,6 @@ mod tests {
     fn distinct_tags_distinct_epcs() {
         let a = Epc96::for_tag(TagId(1));
         let b = Epc96::for_tag(TagId(2));
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn pc_word_encodes_six_words() {
-        let epc = Epc96::for_tag(TagId(0));
-        assert_eq!(epc.pc_word() >> 11, 6);
-    }
-
-    #[test]
-    fn reply_crc_changes_with_epc() {
-        let a = Epc96::for_tag(TagId(1)).reply_crc();
-        let b = Epc96::for_tag(TagId(2)).reply_crc();
         assert_ne!(a, b);
     }
 

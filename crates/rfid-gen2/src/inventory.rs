@@ -18,10 +18,9 @@
 use crate::link::LinkParams;
 use rand::Rng;
 use rf_sim::tags::{TagId, TagIdMap};
-use serde::{Deserialize, Serialize};
 
 /// Gen2 inventoried-flag values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Flag {
     /// Session flag A (the power-up default).
     A,
@@ -40,7 +39,7 @@ impl Flag {
 }
 
 /// How the reader targets session flags across rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SearchMode {
     /// Alternate the targeted flag every round — tags are re-read
     /// continuously. The right mode for RFIPad-style monitoring.
@@ -51,7 +50,7 @@ pub enum SearchMode {
 }
 
 /// The floating-point Q-adaptation algorithm from the Gen2 specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QAlgorithm {
     qfp: f64,
     c: f64,
@@ -103,7 +102,7 @@ impl QAlgorithm {
 }
 
 /// Outcome of a single slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotOutcome {
     /// No tag replied.
     Empty,
@@ -114,7 +113,7 @@ pub enum SlotOutcome {
 }
 
 /// Counters describing an inventory run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InventoryStats {
     /// Inventory rounds started.
     pub rounds: u64,
@@ -339,6 +338,26 @@ mod tests {
     fn flag_flips() {
         assert_eq!(Flag::A.flipped(), Flag::B);
         assert_eq!(Flag::B.flipped().flipped(), Flag::B);
+    }
+
+    #[test]
+    fn small_q_collides_and_large_q_idles_until_q_adapts() {
+        let link = LinkParams::dense_reader_m4();
+        let mut rng = StdRng::seed_from_u64(11);
+        // 20 tags drawing from 2 slots: a third of the slots or more
+        // collide, so Q rises.
+        let mut crowded = Inventory::new(link, 1, SearchMode::DualTarget, 0.0);
+        crowded.run(0.05, &mut rng, population(20), |_id, _t| {});
+        let stats = *crowded.stats();
+        assert!(stats.collisions * 3 >= stats.slots, "{stats:?}");
+        assert!(crowded.q.q() > 1, "Q stayed at {}", crowded.q.q());
+        // 2 tags drawing from 128 slots: three quarters of the slots or
+        // more are empty, so Q falls.
+        let mut sparse = Inventory::new(link, 7, SearchMode::DualTarget, 0.0);
+        sparse.run(0.05, &mut rng, population(2), |_id, _t| {});
+        let stats = *sparse.stats();
+        assert!(stats.empties * 4 >= stats.slots * 3, "{stats:?}");
+        assert!(sparse.q.q() < 7, "Q stayed at {}", sparse.q.q());
     }
 
     #[test]

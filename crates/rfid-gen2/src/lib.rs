@@ -1,19 +1,14 @@
 //! EPC Class-1 Generation-2 UHF RFID reader simulator.
 //!
 //! This crate stands in for the paper's Impinj Speedway R420 + Octane SDK
-//! stack. It layers a faithful medium-access model on top of the physics in
-//! [`rf_sim`]:
+//! stack. It layers a slot-level medium-access model on top of the physics
+//! in [`rf_sim`]:
 //!
-//! - [`crc`] — the Gen2 CRC-5 and CRC-16;
-//! - [`epc`] — EPC-96 identifiers with PC word and reply CRC;
+//! - [`epc`] — EPC-96 identifiers minted from simulated tag ids;
 //! - [`link`] — FM0/Miller link timing, from which per-tag read rates (and
 //!   the paper's undersampling-at-speed limitation) follow;
-//! - [`protocol`] — bit-level command encodings (Query/ACK/… with CRC-5)
-//!   and the tag inventory state machine (Ready → Arbitrate → Reply →
-//!   Acknowledged);
 //! - [`inventory`] — slotted-ALOHA rounds with the floating-point
-//!   Q-algorithm and A/B session flags (the fast slot-level model the
-//!   reader facade runs);
+//!   Q-algorithm and A/B session flags, timed by [`link`];
 //! - [`reader`] — the reader facade producing timestamped
 //!   EPC/phase/RSS/Doppler reports from a scene;
 //! - [`report`] — [`report::TagReport`], the canonical reader-boundary
@@ -59,11 +54,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod crc;
 pub mod epc;
 pub mod inventory;
 pub mod link;
-pub mod protocol;
 pub mod reader;
 pub mod report;
 pub mod source;
@@ -74,7 +67,6 @@ pub mod wire;
 pub use epc::Epc96;
 pub use inventory::{Flag, InventoryStats, QAlgorithm, SearchMode, SlotOutcome};
 pub use link::{LinkParams, TagEncoding};
-pub use protocol::{Command, Reply, Session, TagFsm, TagState, Target};
 pub use reader::{Gen2Reader, ReaderConfig, ReaderRun};
 pub use report::{ReportBatch, TagReport, FIXED_CARRIER_CHANNEL};
 pub use source::{ReportSource, TraceSource};

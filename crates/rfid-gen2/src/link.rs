@@ -7,11 +7,9 @@
 //! direct consequence of these numbers, so the simulator models them
 //! explicitly.
 
-use serde::{Deserialize, Serialize};
-
 /// Tag-to-reader modulation: FM0 baseband or Miller-modulated subcarrier.
 /// Higher Miller factors are more robust but proportionally slower.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TagEncoding {
     /// FM0 baseband: 1 symbol per bit — fastest, least robust.
     Fm0,
@@ -44,7 +42,7 @@ impl TagEncoding {
 }
 
 /// Physical-layer parameters of one reader session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Reference interval Tari in seconds (6.25, 12.5 or 25 µs).
     pub tari_s: f64,

@@ -15,10 +15,9 @@ use rand::Rng;
 use rf_sim::scene::Scene;
 use rf_sim::tags::TagId;
 use rf_sim::targets::MovingTarget;
-use serde::{Deserialize, Serialize};
 
 /// Reader configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReaderConfig {
     /// Physical-layer profile.
     pub link: LinkParams,
@@ -47,7 +46,7 @@ impl Default for ReaderConfig {
 }
 
 /// The result of a reader run: the report stream plus MAC statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReaderRun {
     /// All tag reports in time order.
     pub events: Vec<TagReport>,

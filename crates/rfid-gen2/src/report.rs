@@ -18,7 +18,6 @@
 
 use crate::epc::Epc96;
 use rf_sim::scene::TagObservation;
-use serde::{Deserialize, Serialize};
 
 pub use rf_sim::noise::PHASE_STEP;
 pub use rf_sim::tags::{TagId, TagIdHasher, TagIdMap};
@@ -30,7 +29,7 @@ pub const FIXED_CARRIER_CHANNEL: u16 = 0;
 
 /// One tag report, as an LLRP client receives it: the complete boundary
 /// record between the reader and the recognition stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TagReport {
     /// The backscattered EPC.
     pub epc: Epc96,

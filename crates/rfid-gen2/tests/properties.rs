@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use rf_sim::tags::TagId;
-use rfid_gen2::crc::{crc16, crc16_verify, crc5, crc5_verify};
 use rfid_gen2::epc::Epc96;
 use rfid_gen2::report::TagReport;
 use rfid_gen2::source::{ReportSource, TraceSource};
@@ -30,30 +29,6 @@ fn report_from(
 }
 
 proptest! {
-    /// CRC-16 verifies its own output and rejects any single-bit flip.
-    #[test]
-    fn crc16_round_trip_and_flip(data in prop::collection::vec(any::<u8>(), 1..64), flip in 0usize..512) {
-        let crc = crc16(&data);
-        prop_assert!(crc16_verify(&data, crc));
-        let byte = (flip / 8) % data.len();
-        let bit = flip % 8;
-        let mut corrupted = data.clone();
-        corrupted[byte] ^= 1 << bit;
-        prop_assert!(!crc16_verify(&corrupted, crc));
-    }
-
-    /// CRC-5 stays in range and rejects single-bit flips.
-    #[test]
-    fn crc5_round_trip_and_flip(bits in prop::collection::vec(any::<bool>(), 1..64), flip in 0usize..64) {
-        let crc = crc5(&bits);
-        prop_assert!(crc < 32);
-        prop_assert!(crc5_verify(&bits, crc));
-        let idx = flip % bits.len();
-        let mut corrupted = bits.clone();
-        corrupted[idx] = !corrupted[idx];
-        prop_assert!(!crc5_verify(&corrupted, crc));
-    }
-
     /// EPC minting round-trips every tag id.
     #[test]
     fn epc_round_trip(id in any::<u64>()) {

@@ -19,7 +19,6 @@ use crate::error::RfipadError;
 use crate::layout::ArrayLayout;
 use crate::stage::MAX_BUFFER_S;
 use rfid_gen2::report::{TagId, TagIdMap, TagReport};
-use serde::{Deserialize, Serialize};
 use sigproc::frames::FrameSeq;
 use sigproc::series::TimeSeries;
 use sigproc::stats;
@@ -67,7 +66,7 @@ fn circular_std(phases: &[f64]) -> f64 {
 }
 
 /// Per-tag static statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TagCalibration {
     /// Circular mean static phase θ̃ᵢ (Eq. 6).
     pub mean_phase: f64,
@@ -80,7 +79,7 @@ pub struct TagCalibration {
 }
 
 /// The complete static calibration of a pad, per tag in layout order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// The layout's tag ids the calibration was taken on, in layout order.
     tags: Vec<TagId>,

@@ -1,7 +1,6 @@
 //! Pipeline configuration.
 
 use crate::error::RfipadError;
-use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of the RFIPad pipeline. Defaults follow the paper:
 /// 100 ms frames, 5-frame (0.5 s) windows, diversity suppression on, and
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// The struct is `#[non_exhaustive]`: downstream code starts from
 /// [`RfipadConfig::default`] and overrides fields by assignment, so new
 /// knobs can land without breaking callers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct RfipadConfig {
     /// Frame length in seconds (paper: 100 ms).

@@ -16,11 +16,10 @@ use crate::layout::ArrayLayout;
 use crate::motion::RecognizedMotion;
 use crate::streams::TagStreams;
 use hand_kinematics::stroke::{Stroke, StrokeShape};
-use serde::{Deserialize, Serialize};
 use sigproc::filter::{deepest_trough, moving_average_into};
 
 /// A per-tag trough observation: when the hand crossed the tag.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TagTrough {
     /// Grid cell of the tag.
     pub cell: (usize, usize),
@@ -31,7 +30,7 @@ pub struct TagTrough {
 }
 
 /// Direction estimation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DirectionEstimate {
     /// The completed stroke (shape + direction).
     pub stroke: Stroke,

@@ -9,12 +9,11 @@
 
 use hand_kinematics::letters;
 use hand_kinematics::stroke::{Stroke, StrokeShape};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A stroke as the recognizer observed it: shape + direction + geometry in
 /// normalized pad coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedStroke {
     /// The recognized directed stroke.
     pub stroke: Stroke,

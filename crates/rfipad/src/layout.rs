@@ -1,13 +1,12 @@
 //! The logical tag-array layout: tag ids ↔ grid positions.
 
 use rfid_gen2::report::{TagId, TagIdMap};
-use serde::{Deserialize, Serialize};
 
 /// The recognizer's view of the tag plate: which tag sits at which grid
 /// cell. Purely logical (ids and grid positions only) so the pipeline can
 /// run from recorded LLRP streams without a simulator present; deployments
 /// that do simulate build one from the physical array's row-major ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayLayout {
     rows: usize,
     cols: usize,

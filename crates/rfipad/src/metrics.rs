@@ -2,12 +2,11 @@
 //! segmentation insertion/underfill rates of the paper's Fig. 22.
 
 use crate::segmentation::StrokeSpan;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A confusion matrix over string labels.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     counts: BTreeMap<(String, String), u64>,
 }
@@ -111,7 +110,7 @@ impl fmt::Display for ConfusionMatrix {
 }
 
 /// Binary detection counters (for FPR / FNR experiments, Fig. 17/19).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectionCounts {
     /// Motions present and correctly detected.
     pub true_positives: u64,
@@ -157,7 +156,7 @@ impl DetectionCounts {
 
 /// Matching of detected spans against ground-truth stroke intervals for one
 /// session.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentationOutcome {
     /// True strokes matched by a detected span.
     pub matched: usize,

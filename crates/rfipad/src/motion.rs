@@ -14,7 +14,6 @@
 
 use crate::config::RfipadConfig;
 use hand_kinematics::stroke::{default_placement, Stroke, StrokeShape};
-use serde::{Deserialize, Serialize};
 use sigproc::grid::{BinaryGrid, GridImage};
 use std::collections::HashMap;
 use std::f64::consts::{FRAC_PI_8, PI};
@@ -26,7 +25,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 const ARC_BULGE_THRESHOLD: f64 = 0.38;
 
 /// A recognized motion: the shape plus the image evidence it came from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecognizedMotion {
     /// The classified shape.
     pub shape: StrokeShape,
@@ -288,7 +287,7 @@ fn template_variants(shape: StrokeShape) -> [hand_kinematics::stroke::PlacedStro
 
 /// One observed point of the temporal hand path: where the intensity
 /// centroid sat at a given fraction of the stroke span.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathSample {
     /// Fraction of the stroke span (0 = start, 1 = end).
     pub frac: f64,

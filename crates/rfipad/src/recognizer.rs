@@ -13,10 +13,9 @@ use crate::stage::{PipelineEvent, StageGraph};
 use crate::streams::TagStreams;
 use hand_kinematics::stroke::Stroke;
 use rfid_gen2::report::{TagId, TagReport};
-use serde::{Deserialize, Serialize};
 
 /// One fully recognized stroke.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecognizedStroke {
     /// Shape + direction.
     pub stroke: Stroke,
@@ -43,7 +42,7 @@ impl RecognizedStroke {
 
 /// Result of recognizing one recording
 /// ([`Recognizer::recognize_session`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionResult {
     /// Recognized strokes in time order.
     pub strokes: Vec<RecognizedStroke>,

@@ -10,12 +10,11 @@
 use crate::calibration::Calibration;
 use crate::config::RfipadConfig;
 use crate::streams::TagStreams;
-use serde::{Deserialize, Serialize};
 use sigproc::frames::{Frame, FrameSeq};
 use sigproc::stats;
 
 /// A detected stroke span.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrokeSpan {
     /// Span start time (s).
     pub start: f64,
@@ -36,7 +35,7 @@ impl StrokeSpan {
 }
 
 /// Per-frame segmentation diagnostics (the paper's Fig. 9 panels).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameScore {
     /// Frame start time.
     pub time: f64,
@@ -49,7 +48,7 @@ pub struct FrameScore {
 }
 
 /// Segmentation result: spans plus diagnostics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Segmentation {
     /// Detected stroke spans in time order.
     pub spans: Vec<StrokeSpan>,

@@ -289,6 +289,8 @@ struct ServerShared {
     sink: Arc<dyn EventSink>,
     stop: AtomicBool,
     next_conn: AtomicU64,
+    /// Connection threads not yet seen finished; each accept drops the
+    /// finished ones and shutdown joins the rest.
     conns: Mutex<Vec<JoinHandle<()>>>,
     read_timeout: Duration,
     idle_disconnect: Duration,
@@ -377,11 +379,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                         serve_metrics().connections_closed.inc();
                     })
                     .expect("spawn ingest connection thread");
-                shared
-                    .conns
-                    .lock()
-                    .expect("conn list poisoned")
-                    .push(handle);
+                let mut conns = shared.conns.lock().expect("conn list poisoned");
+                // Dropping a finished thread's handle frees it, so the list
+                // holds the live connections, not every one ever served.
+                conns.retain(|conn| !conn.is_finished());
+                conns.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
@@ -1177,6 +1179,31 @@ mod tests {
         assert!(
             matches!(frame, Frame::Error { code, .. } if code == ERR_MALFORMED),
             "{frame:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn finished_connections_are_not_held_until_shutdown() {
+        let (server, _engine) = server_with(Arc::new(DiscardSink));
+        let live = |server: &IngestServer| {
+            let conns = server.shared.conns.lock().expect("conn list");
+            conns.iter().filter(|conn| !conn.is_finished()).count()
+        };
+        for _ in 0..20 {
+            drop(IngestClient::connect(server.local_addr()).expect("connect"));
+            // Let the server see the hang-up, so connections never overlap
+            // by more than the one just accepted.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while live(&server) > 0 {
+                assert!(Instant::now() < deadline, "connection never ended");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let held = server.shared.conns.lock().expect("conn list").len();
+        assert!(
+            held <= 2,
+            "{held} connection threads held after 20 sequential connections"
         );
         server.shutdown();
     }

@@ -41,14 +41,13 @@ use hand_kinematics::stroke::{Stroke, StrokeShape};
 use obs::json::{self, JsonError, Value};
 use rfid_gen2::epc::Epc96;
 use rfid_gen2::report::{TagId, TagReport};
-use serde::{Deserialize, Serialize};
 use sigproc::frames::{FrameBuilder, FrameSeq};
 use sigproc::grid::BinaryGrid;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// An event emitted by a [`StageGraph`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PipelineEvent {
     /// A stroke completed and was recognized.
     StrokeDetected {

@@ -9,7 +9,6 @@
 use crate::calibration::{wrap_to_pi, Calibration};
 use crate::layout::ArrayLayout;
 use rfid_gen2::report::TagReport;
-use serde::{Deserialize, Serialize};
 use sigproc::series::TimeSeries;
 use sigproc::unwrap::StreamingUnwrapper;
 use std::f64::consts::{PI, TAU};
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// Per-tag phase and RSS time series over one recording, in layout order:
 /// series *i* belongs to the tag whose [`ArrayLayout::index`] is *i*, and a
 /// tag never read has an empty series.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TagStreams {
     phases: Vec<TimeSeries>,
     rss: Vec<TimeSeries>,

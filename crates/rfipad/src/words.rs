@@ -8,8 +8,6 @@
 //! used, and a natural fit here because the per-letter error patterns are
 //! known to be confusions, insertions, or deletions.
 
-use serde::{Deserialize, Serialize};
-
 /// Levenshtein distance between two ASCII-uppercase words.
 ///
 /// ```
@@ -36,7 +34,7 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 /// A decoded word with its correction provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedWord {
     /// The raw letter sequence as recognized (`?` for unrecognized
     /// letters).

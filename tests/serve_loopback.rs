@@ -14,6 +14,7 @@ use rfid_gen2::wire::{decode_payload_v, encode_frame_v, Frame, IngestClient, Tra
 use rfipad::engine::{normalize_events, Backpressure, Engine};
 use rfipad::serve::{CollectingSink, EventSink, IngestServer};
 use rfipad::{PipelineEvent, Recognizer};
+use std::io::Write;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -175,6 +176,59 @@ fn backpressure_surfaces_as_typed_shed_deliveries() {
     client.close("pad").expect("close pad");
     client.close("busy").expect("close busy");
     server.shutdown();
+}
+
+#[test]
+fn a_partial_batch_is_discarded_when_the_reader_drops_mid_frame() {
+    // A reader that dies inside a frame: 14 of the golden trace's 21
+    // BATCHes are acked, half of the 15th frame is written, and the socket
+    // drops. The session must close on exactly the acked reports.
+    let (reports, recognizer, _) = fixture();
+    let acked = 14 * 64;
+    let expected = serial_replay(recognizer, &reports[..acked]);
+    assert_ne!(
+        serial_replay(recognizer, &reports[..acked + 64]),
+        expected,
+        "the 15th batch must change the events, or this test shows nothing"
+    );
+    let sink = Arc::new(CollectingSink::new());
+    let recognizer = recognizer.clone();
+    let server = IngestServer::builder()
+        .engine(Arc::new(
+            Engine::builder().workers(1).build().expect("engine"),
+        ))
+        .pipeline_factory(move |_| Ok(session_pipeline(&recognizer)))
+        .event_sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .read_timeout(Duration::from_millis(5))
+        .build()
+        .expect("server");
+    let mut client = IngestClient::connect(server.local_addr()).expect("connect");
+    client.open("pad").expect("open");
+    let batches: Vec<&[TagReport]> = reports.chunks(64).collect();
+    assert_eq!(batches.len(), 21);
+    for (seq, batch) in (1..).zip(&batches[..14]) {
+        let delivery = client.send_batch("pad", seq, batch.to_vec()).expect("send");
+        assert_eq!(delivery.accepted, 64);
+    }
+    let frame = Frame::Batch {
+        session: "pad".into(),
+        seq: 15,
+        reports: batches[14].to_vec(),
+        trace: None,
+    };
+    let bytes = encode_frame_v(&frame, client.negotiated_version());
+    client
+        .stream()
+        .write_all(&bytes[..bytes.len() / 2])
+        .expect("write half a frame");
+    drop(client);
+    server.shutdown();
+    let mut collected = sink.take();
+    assert_eq!(collected.len(), 1, "one session drained");
+    let (key, mut events) = collected.drain().next().expect("one session");
+    assert!(key.ends_with("#pad"), "{key}");
+    normalize_events(&mut events);
+    assert_eq!(events, expected);
 }
 
 /// FNV-1a, 64-bit, over a byte string.
