@@ -1,8 +1,8 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! diversity suppression on/off, Otsu vs fixed threshold, segmentation
-//! window size, and phase- vs RSS-based direction. Each ablation reports
-//! *accuracy* through a fixed trial set (Criterion measures the runtime;
-//! the accuracy deltas print once at setup).
+//! diversity suppression on/off and segmentation window size (the
+//! `ablation_direction` experiment covers phase- vs RSS-based direction).
+//! Each ablation reports *accuracy* through a fixed trial set (Criterion
+//! measures the runtime; the accuracy deltas print once at setup).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use experiments::{Bench, Deployment, DeploymentSpec};
@@ -41,12 +41,6 @@ fn report_accuracy_deltas() {
         println!(
             "  w/o diversity suppr.: {:.3}",
             accuracy_of(base.without_suppression(), 3)
-        );
-        let mut fixed_threshold = RfipadConfig::default();
-        fixed_threshold.use_otsu = false;
-        println!(
-            "  fixed threshold 0.5:  {:.3}",
-            accuracy_of(fixed_threshold, 3)
         );
         let mut window3 = RfipadConfig::default();
         window3.window_frames = 3;

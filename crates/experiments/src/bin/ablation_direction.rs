@@ -9,14 +9,13 @@ use experiments::report::{print_table, rate};
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::Stroke;
 use hand_kinematics::user::UserProfile;
-use rfipad::RfipadConfig;
+use rfipad::{direction, RfipadConfig};
 
 fn main() {
     let reps: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(20);
-    let estimator = rfipad::direction::DirectionEstimator::new(RfipadConfig::default());
     let user = UserProfile::average();
 
     for location in [1usize, 4] {
@@ -61,14 +60,14 @@ fn main() {
                 let span = detected.span;
                 let mut motion = detected.motion.clone();
                 motion.shape = stroke.shape;
-                let rss = estimator.estimate(
+                let rss = direction::estimate(
                     &motion,
                     &bench.deployment.layout,
                     &streams,
                     span.start,
                     span.end,
                 );
-                let phase = estimator.estimate_phase_based(
+                let phase = direction::estimate_phase_based(
                     &motion,
                     &bench.deployment.layout,
                     &streams,

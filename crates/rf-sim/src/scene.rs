@@ -91,33 +91,53 @@ impl HoppingPlan {
     }
 }
 
-/// Tunable scene parameters (defaults follow the paper's prototype).
+/// Combined reader TX+RX circuit phase rotation θ_T + θ_R (radians).
+/// Constant per reader; cancelled by RFIPad's diversity suppression.
+pub const READER_CIRCUIT_PHASE: f64 = 0.8;
+
+/// Peak attenuation when a target sits exactly on a reader–tag line of
+/// sight (dB).
+pub const OBSTRUCTION_MAX_DB: f64 = 6.0;
+
+/// Cap on the relative amplitude of any single reflection path.
+pub const REFLECTION_CAP: f64 = 2.0;
+
+/// Coefficient of the margin-dependent IC noise: a passive tag running
+/// near its sensitivity threshold modulates with compressed depth and
+/// jittery phase. The added σ (rad; eight times that in dB of RSS) is
+/// `min(coeff · exp(−(margin − 2 dB)/4), 0.4)`.
+pub const POWER_NOISE_COEFF: f64 = 0.08;
+
+/// Gain of *motion-coupled* multipath noise: a hand moving anywhere near
+/// the pad scatters energy off nearby walls and furniture into every tag's
+/// channel, adding phase jitter proportional to the tag's local multipath
+/// energy. This is what degrades rich-multipath rooms during writing (the
+/// paper's location 4) even though their static floor is quiet — and what
+/// the deviation-bias weighting compensates, since the same tags that
+/// jitter most statically sit closest to the reflectors.
+pub const MOTION_MULTIPATH_GAIN: f64 = 0.06;
+
+/// Peak one-way detuning/absorption loss (dB) a target inflicts on a tag
+/// it hovers directly over. A hand is a lossy dielectric: besides
+/// reflecting, it detunes the tag antenna, producing the distinct RSS
+/// trough RFIPad's direction estimator relies on (§III-B).
+pub const TARGET_DETUNING_DB: f64 = 8.0;
+
+/// Distance scale (m) of the detuning effect.
+pub const DETUNING_SCALE_M: f64 = 0.04;
+
+/// The scene parameters a run may vary (defaults follow the paper's
+/// prototype). The rest of the channel model is fixed: the carrier is
+/// [`CARRIER_FREQUENCY`], neighbouring array tags always shadow each other
+/// (the §IV-B effect), and the constants above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SceneConfig {
     /// Reader transmit power (paper default 30 dBm; regulations cap
     /// commercial readers at 32.5 dBm).
     pub tx_power: Dbm,
-    /// Carrier frequency (922.38 MHz in the prototype).
-    pub frequency: Hertz,
-    /// Combined reader TX+RX circuit phase rotation θ_T + θ_R (radians).
-    /// Constant per reader; cancelled by RFIPad's diversity suppression.
-    pub reader_circuit_phase: f64,
-    /// Peak attenuation when a target sits exactly on a reader–tag line of
-    /// sight (dB).
-    pub obstruction_max_db: f64,
-    /// Cap on the relative amplitude of any single reflection path.
-    pub reflection_cap: f64,
-    /// Whether neighbouring array tags shadow each other (the §IV-B effect).
-    pub intra_array_coupling: bool,
     /// Optional frequency-hopping plan; `None` = fixed carrier (the
     /// paper's deployment).
     pub hopping: Option<HoppingPlan>,
-    /// Phase shift (radians per dB of one-way obstruction) the diffracted
-    /// direct path picks up when a target blocks it — knife-edge
-    /// diffraction shifts phase as well as amplitude. This is what lets
-    /// the ceiling-mounted (LOS) deployment sense motion at all: the hand
-    /// crossing a reader–tag path modulates that tag's phase.
-    pub obstruction_phase_rad_per_db: f64,
     /// Fixed forward-link system losses (dB): polarization mismatch, tag
     /// impedance/orientation mismatch, and (in NLOS) board attenuation.
     /// Free-space Friis alone leaves passive tags with ≈30 dB of margin at
@@ -125,44 +145,14 @@ pub struct SceneConfig {
     /// deployments lose 12–18 dB to these effects, which is exactly why
     /// the paper's power and distance sweeps (Fig. 17/19) have teeth.
     pub system_loss_db: f64,
-    /// Coefficient of the margin-dependent IC noise: a passive tag running
-    /// near its sensitivity threshold modulates with compressed depth and
-    /// jittery phase. Noise σ = coeff · exp(−(margin−2 dB)/3).
-    pub power_noise_coeff: f64,
-    /// Gain of *motion-coupled* multipath noise: a hand moving anywhere
-    /// near the pad scatters energy off nearby walls and furniture into
-    /// every tag's channel, adding phase jitter proportional to the tag's
-    /// local multipath energy. This is what degrades rich-multipath rooms
-    /// during writing (the paper's location 4) even though their static
-    /// floor is quiet — and what the deviation-bias weighting compensates,
-    /// since the same tags that jitter most statically sit closest to the
-    /// reflectors.
-    pub motion_multipath_gain: f64,
-    /// Peak one-way detuning/absorption loss (dB) a target inflicts on a
-    /// tag it hovers directly over. A hand is a lossy dielectric: besides
-    /// reflecting, it detunes the tag antenna, producing the distinct RSS
-    /// trough RFIPad's direction estimator relies on (§III-B).
-    pub target_detuning_db: f64,
-    /// Distance scale (m) of the detuning effect.
-    pub detuning_scale_m: f64,
 }
 
 impl Default for SceneConfig {
     fn default() -> Self {
         Self {
             tx_power: Dbm(30.0),
-            frequency: CARRIER_FREQUENCY,
-            reader_circuit_phase: 0.8,
-            obstruction_max_db: 6.0,
-            obstruction_phase_rad_per_db: 0.0,
-            motion_multipath_gain: 0.06,
-            system_loss_db: 8.0,
-            power_noise_coeff: 0.08,
-            reflection_cap: 2.0,
-            intra_array_coupling: true,
             hopping: None,
-            target_detuning_db: 8.0,
-            detuning_scale_m: 0.04,
+            system_loss_db: 8.0,
         }
     }
 }
@@ -196,8 +186,8 @@ struct ChannelStatics {
     /// Radar-equation backscatter power (dBm) at zero extra loss;
     /// per-observation losses subtract `2·extra` from it.
     base_backscatter_dbm: f64,
-    /// `4πd/λ + θ_T + θ_R + θ_tag` (rad): the reported phase minus the
-    /// target-induced diffraction shift.
+    /// `4πd/λ + θ_T + θ_R + θ_tag` (rad): the geometric phase of the
+    /// direct path.
     phi_static: f64,
 }
 
@@ -316,19 +306,16 @@ impl Scene {
         config: SceneConfig,
     ) -> Self {
         assert!(!tags.is_empty(), "scene needs at least one tag");
-        let lambda = config.frequency.wavelength();
-        let static_shadow_db = if config.intra_array_coupling {
-            tags.iter()
-                .map(|tag| {
-                    tags.iter()
-                        .filter(|other| other.id != tag.id)
-                        .map(|other| coupling::pair_shadow_db(other, tag, lambda).value())
-                        .sum()
-                })
-                .collect()
-        } else {
-            vec![0.0; tags.len()]
-        };
+        let lambda = CARRIER_FREQUENCY.wavelength();
+        let static_shadow_db = tags
+            .iter()
+            .map(|tag| {
+                tags.iter()
+                    .filter(|other| other.id != tag.id)
+                    .map(|other| coupling::pair_shadow_db(other, tag, lambda).value())
+                    .sum()
+            })
+            .collect();
         let mut scene = Self {
             antenna,
             tags,
@@ -374,10 +361,6 @@ impl Scene {
         self.rebuild_cache();
     }
 
-    fn wavelength(&self) -> Meters {
-        self.config.frequency.wavelength()
-    }
-
     fn tag_index(&self, id: TagId) -> Option<usize> {
         self.tags.iter().position(|t| t.id == id)
     }
@@ -395,8 +378,8 @@ impl Scene {
         let tag = &self.tags[index];
         let link = self.link_statics_for(tag, self.static_shadow_db[index]);
         let mut channels = vec![(
-            self.config.frequency.value().to_bits(),
-            self.channel_statics_for(tag, self.config.frequency),
+            CARRIER_FREQUENCY.value().to_bits(),
+            self.channel_statics_for(tag, CARRIER_FREQUENCY),
         )];
         if let Some(plan) = &self.config.hopping {
             for &hz in &plan.channels {
@@ -419,7 +402,7 @@ impl Scene {
                 self.antenna.gain_toward(tag.position),
                 crate::units::Dbi(tag.model.gain_toward_dbi(self.incidence_angle(tag))),
                 Meters(d_rt_m),
-                self.wavelength(),
+                CARRIER_FREQUENCY.wavelength(),
                 Db(0.0),
             )
             .value(),
@@ -457,8 +440,7 @@ impl Scene {
             Db(0.0),
         )
         .value();
-        let phi_static =
-            TAU * 2.0 * d_rt / lambda_m + self.config.reader_circuit_phase + tag.theta_tag;
+        let phi_static = TAU * 2.0 * d_rt / lambda_m + READER_CIRCUIT_PHASE + tag.theta_tag;
         ChannelStatics {
             lambda_m,
             f_static,
@@ -492,40 +474,29 @@ impl Scene {
         )
     }
 
-    /// Target-dependent one-way losses: returns `(extra, obstruction)` in
-    /// dB, where `extra` is the full one-way loss beyond free space (static
-    /// shadowing + obstruction + near-contact detuning) and `obstruction`
-    /// is the blockage-only sum, which also shifts the diffracted path's
-    /// phase. Computed once per observation and shared by the forward-link
-    /// gate, the IC margin, and the response amplitude/phase.
-    fn target_losses(
-        &self,
-        tag: &Tag,
-        static_loss_db: f64,
-        targets: &[TargetSample],
-    ) -> (f64, f64) {
+    /// Target-dependent one-way loss in dB: the full one-way loss beyond
+    /// free space (static shadowing + obstruction + near-contact
+    /// detuning). Computed once per observation and shared by the
+    /// forward-link gate, the IC margin, and the response amplitude.
+    fn target_losses(&self, tag: &Tag, static_loss_db: f64, targets: &[TargetSample]) -> f64 {
         let mut loss = static_loss_db;
-        let mut obstruction = 0.0;
         for target in targets {
             // The effective blocking width is bounded by the first Fresnel
             // zone (≈ 9 cm here): parts of a large target beyond it do not
             // shadow the link even though they scatter.
-            let obst = coupling::obstruction_db(
+            loss += coupling::obstruction_db(
                 target.position,
                 target.radius().clamp(0.03, 0.09),
                 self.antenna.position(),
                 tag.position,
-                self.config.obstruction_max_db,
+                OBSTRUCTION_MAX_DB,
             )
             .value();
-            loss += obst;
-            obstruction += obst;
             // Near-contact detuning: a lossy target hovering over the tag.
             let d = target.position.distance(tag.position);
-            loss +=
-                self.config.target_detuning_db / (1.0 + (d / self.config.detuning_scale_m).powi(4));
+            loss += TARGET_DETUNING_DB / (1.0 + (d / DETUNING_SCALE_M).powi(4));
         }
-        (loss, obstruction)
+        loss
     }
 
     /// Power incident on the tag's IC, after gains, path loss, shadowing,
@@ -539,7 +510,7 @@ impl Scene {
             Some(index) => self.cache[index].link,
             None => self.link_statics_for(tag, 0.0),
         };
-        let (extra, _) = self.target_losses(tag, link.static_loss_db, targets);
+        let extra = self.target_losses(tag, link.static_loss_db, targets);
         Dbm(link.base_forward_dbm - extra)
     }
 
@@ -566,7 +537,7 @@ impl Scene {
         let samples = TargetSamples::at(targets, t);
         for (tag, cache) in self.tags.iter().zip(&self.cache) {
             let link = &cache.link;
-            let (extra, _) = self.target_losses(tag, link.static_loss_db, &samples);
+            let extra = self.target_losses(tag, link.static_loss_db, &samples);
             if link.base_forward_dbm - extra >= tag.model.sensitivity().value() {
                 out.push(tag.id);
             }
@@ -588,7 +559,7 @@ impl Scene {
     pub fn frequency_at(&self, t: f64) -> Hertz {
         match &self.config.hopping {
             Some(plan) => Hertz(plan.channel_at(t)),
-            None => self.config.frequency,
+            None => CARRIER_FREQUENCY,
         }
     }
 
@@ -600,16 +571,17 @@ impl Scene {
                 self.channel_statics_for(tag, self.frequency_at(t)),
             ),
         };
-        let (extra, obstruction) = self.target_losses(tag, link.static_loss_db, samples);
-        self.response_from_statics(tag, &link, &statics, samples, extra, obstruction)
+        let extra = self.target_losses(tag, link.static_loss_db, samples);
+        self.response_from_statics(tag, &link, &statics, samples, extra)
     }
 
     /// The target-dependent tail of the channel response: folds the moving
     /// targets' reflection paths and cross terms into the cached static
     /// field factor, then applies the (precomputed) radar-equation amplitude
-    /// and geometric phase. `extra_db`/`obstruction_db` come from
-    /// [`Scene::target_losses`] so one loss evaluation serves the forward
-    /// gate, the margin, and this response.
+    /// and geometric phase. `extra_db` comes from [`Scene::target_losses`]
+    /// so one loss evaluation serves the forward gate, the margin, and this
+    /// response. A target blocking the direct path attenuates it but does
+    /// not shift its phase: the model has no diffraction-phase term.
     fn response_from_statics(
         &self,
         tag: &Tag,
@@ -617,7 +589,6 @@ impl Scene {
         statics: &ChannelStatics,
         samples: &[TargetSample],
         extra_db: f64,
-        obstruction_db: f64,
     ) -> Complex {
         let lambda_m = statics.lambda_m;
         let ant = self.antenna.position();
@@ -634,7 +605,7 @@ impl Scene {
                 d_r_target,
                 d_target_t,
                 target.rcs_m2,
-                self.config.reflection_cap,
+                REFLECTION_CAP,
             );
             let excess = TAU * (d_r_target + d_target_t - d_rt) / lambda_m;
             f = f + Complex::from_polar(rho, -excess);
@@ -646,18 +617,14 @@ impl Scene {
                 let d_st = s.position.distance(tag.position).max(1e-3);
                 let s_aperture = (s.rcs_m2 / (4.0 * PI)).sqrt();
                 let amp = (d_rt * t_aperture * s_aperture / (d_r_target.max(1e-3) * d_ts * d_st))
-                    .min(self.config.reflection_cap);
+                    .min(REFLECTION_CAP);
                 let excess = TAU * (d_r_target + d_ts + d_st - d_rt) / lambda_m;
                 f = f + Complex::from_polar(amp, -excess);
             }
         }
 
         let amplitude = 10f64.powf((statics.base_backscatter_dbm - 2.0 * extra_db) / 20.0);
-        // Knife-edge diffraction: a target blocking the direct path shifts
-        // its phase in proportion to the blockage depth (applied two-way).
-        let phi_geo =
-            statics.phi_static + 2.0 * self.config.obstruction_phase_rad_per_db * obstruction_db;
-        Complex::from_polar(amplitude, -phi_geo) * f * f
+        Complex::from_polar(amplitude, -statics.phi_static) * f * f
     }
 
     /// Observes one tag at time `t`: the full measurement including noise
@@ -702,28 +669,20 @@ impl Scene {
         let samples = TargetSamples::at(targets, t);
         // One loss evaluation feeds the forward-link gate, the response
         // amplitude/phase, and the IC margin below.
-        let (extra, obstruction) = self.target_losses(tag, link.static_loss_db, &samples);
+        let extra = self.target_losses(tag, link.static_loss_db, &samples);
         let forward_dbm = link.base_forward_dbm - extra;
         if forward_dbm < tag.model.sensitivity().value() {
             return None;
         }
-        let h = self.response_from_statics(tag, &link, &statics, &samples, extra, obstruction);
+        let h = self.response_from_statics(tag, &link, &statics, &samples, extra);
 
         // Doppler: finite difference of the noiseless reported phase
         // (within one dwell, so hops do not alias into Doppler). The two
         // endpoints share the cached statics; only the target terms move.
         const DOPPLER_DT: f64 = 1e-3;
         let samples_next = TargetSamples::at(targets, t + DOPPLER_DT);
-        let (extra_next, obstruction_next) =
-            self.target_losses(tag, link.static_loss_db, &samples_next);
-        let h_next = self.response_from_statics(
-            tag,
-            &link,
-            &statics,
-            &samples_next,
-            extra_next,
-            obstruction_next,
-        );
+        let extra_next = self.target_losses(tag, link.static_loss_db, &samples_next);
+        let h_next = self.response_from_statics(tag, &link, &statics, &samples_next, extra_next);
         let dphi = wrap_to_pi((-h_next.arg()) - (-h.arg()));
         let doppler =
             dphi / (TAU * DOPPLER_DT) + noise::gaussian(rng, 0.0, self.doppler_noise_sigma());
@@ -737,12 +696,11 @@ impl Scene {
                 1.0 / (1.0 + (d / 0.25).powi(2))
             })
             .sum();
-        let motion_noise =
-            self.config.motion_multipath_gain * link.multipath_energy * presence.min(1.5);
+        let motion_noise = MOTION_MULTIPATH_GAIN * link.multipath_energy * presence.min(1.5);
         // IC operating-point noise: a tag fed barely above its sensitivity
         // modulates with compressed depth and jittery phase.
         let margin = forward_dbm - tag.model.sensitivity().value();
-        let power_noise = (self.config.power_noise_coeff * (-(margin - 2.0) / 4.0).exp()).min(0.4);
+        let power_noise = (POWER_NOISE_COEFF * (-(margin - 2.0) / 4.0).exp()).min(0.4);
         // Both σs scale with the reader range (see `link_statics_for`).
         let phase_sigma = (link.phase_noise_sigma + motion_noise) * link.range_factor + power_noise;
         let rss_sigma =

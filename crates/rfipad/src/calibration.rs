@@ -34,6 +34,28 @@ pub const MIN_SAMPLES_PER_TAG: usize = 10;
 /// would turn floating-point dust into enormous weight swings.
 pub const MIN_DEVIATION_BIAS: f64 = rfid_gen2::report::PHASE_STEP;
 
+/// Multiplier on the calibrated static `std(rms(w))` level that gives the
+/// stroke-activity threshold `thre` of Eq. 12.
+pub const THRESHOLD_SCALE: f64 = 3.0;
+
+/// Absolute floor of the Eq. 12 activity threshold (radians-RMS units),
+/// protecting against a perfectly quiet calibration.
+pub const THRESHOLD_FLOOR: f64 = 0.05;
+
+/// Multiplier on the calibrated static frame-RMS level: frames whose
+/// multi-tag RMS exceeds it count as active even when the window variance
+/// criterion (Eq. 12) is blind, e.g. a hand moving with steady influence.
+pub const RMS_LEVEL_SCALE: f64 = 2.5;
+
+/// Absolute floor of the RMS-level threshold (excess-RMS units). The
+/// excess RMS of a quiet pad is ≈0 in any environment, so the floor sets
+/// the minimum signal a stroke must inject.
+pub const RMS_LEVEL_FLOOR: f64 = 0.9;
+
+/// Multiplier κ on each tag's deviation bias when subtracting the per-tag
+/// noise floor from frame RMS (excess-RMS segmentation).
+pub const NOISE_FLOOR_KAPPA: f64 = 1.3;
+
 /// Wraps a phase difference into `(-π, π]`.
 pub fn wrap_to_pi(phase: f64) -> f64 {
     let mut p = phase.rem_euclid(TAU);
@@ -102,6 +124,8 @@ impl Calibration {
     ///
     /// # Errors
     ///
+    /// - [`RfipadError::InvalidConfig`] if `config` fails
+    ///   [`RfipadConfig::validate`];
     /// - [`RfipadError::EmptyStream`] if `observations` is empty;
     /// - [`RfipadError::UnknownTag`] if a report references a tag outside
     ///   the layout;
@@ -114,6 +138,7 @@ impl Calibration {
         observations: &[TagReport],
         config: &RfipadConfig,
     ) -> Result<Self, RfipadError> {
+        config.validate()?;
         if observations.is_empty() {
             return Err(RfipadError::EmptyStream);
         }
@@ -211,7 +236,7 @@ impl Calibration {
                 stream.push(obs.time, wrap_to_pi(obs.phase - tag.mean_phase));
             }
             series.push(stream);
-            floors.push(config.noise_floor_kappa * tag.deviation_bias);
+            floors.push(NOISE_FLOOR_KAPPA * tag.deviation_bias);
         }
         let frames =
             FrameSeq::build_with_floors(&series, Some(&floors), start, end, config.frame_len_s);
@@ -246,25 +271,25 @@ impl Calibration {
             .map(|c| 1.0 / (c.deviation_bias.max(0.1 * self.mean_bias) / self.mean_bias))
     }
 
-    /// The Eq. 12 activity threshold: `threshold_scale` × the static quiet
-    /// floor, but no lower than `threshold_floor`.
-    pub fn activity_threshold(&self, config: &RfipadConfig) -> f64 {
-        (config.threshold_scale * self.static_window_std).max(config.threshold_floor)
+    /// The Eq. 12 activity threshold: [`THRESHOLD_SCALE`] × the static
+    /// quiet floor, but no lower than [`THRESHOLD_FLOOR`].
+    pub fn activity_threshold(&self) -> f64 {
+        (THRESHOLD_SCALE * self.static_window_std).max(THRESHOLD_FLOOR)
     }
 
     /// The RMS-level activity threshold complementing Eq. 12:
-    /// `rms_level_scale` × the static excess-RMS floor, but at least
-    /// `rms_level_floor`.
-    pub fn rms_level_threshold(&self, config: &RfipadConfig) -> f64 {
-        (config.rms_level_scale * self.static_frame_rms).max(config.rms_level_floor)
+    /// [`RMS_LEVEL_SCALE`] × the static excess-RMS floor, but at least
+    /// [`RMS_LEVEL_FLOOR`].
+    pub fn rms_level_threshold(&self) -> f64 {
+        (RMS_LEVEL_SCALE * self.static_frame_rms).max(RMS_LEVEL_FLOOR)
     }
 
     /// Per-tag noise floors (κ · deviation bias) in layout order, for the
     /// excess-RMS framing.
-    pub fn noise_floors(&self, config: &RfipadConfig) -> Vec<f64> {
+    pub fn noise_floors(&self) -> Vec<f64> {
         self.per_tag
             .iter()
-            .map(|c| config.noise_floor_kappa * c.deviation_bias)
+            .map(|c| NOISE_FLOOR_KAPPA * c.deviation_bias)
             .collect()
     }
 
@@ -344,6 +369,34 @@ mod tests {
             Calibration::from_observations(&layout(), &[], &RfipadConfig::default()),
             Err(RfipadError::EmptyStream)
         );
+    }
+
+    #[test]
+    fn an_invalid_config_is_refused() {
+        let mut obs = static_obs(TagId(0), 1.0, 0.02, 40);
+        obs.extend(static_obs(TagId(1), 4.0, 0.2, 40));
+        for config in [
+            RfipadConfig {
+                frame_len_s: f64::NAN,
+                ..RfipadConfig::default()
+            },
+            RfipadConfig {
+                frame_len_s: f64::INFINITY,
+                ..RfipadConfig::default()
+            },
+            RfipadConfig {
+                window_frames: 0,
+                ..RfipadConfig::default()
+            },
+        ] {
+            assert!(
+                matches!(
+                    Calibration::from_observations(&layout(), &obs, &config),
+                    Err(RfipadError::InvalidConfig(_))
+                ),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]
@@ -450,9 +503,9 @@ mod tests {
     fn activity_threshold_respects_floor() {
         let mut obs = static_obs(TagId(0), 1.0, 1e-6, 40);
         obs.extend(static_obs(TagId(1), 2.0, 1e-6, 40));
-        let config = RfipadConfig::default();
-        let cal = Calibration::from_observations(&layout(), &obs, &config).unwrap();
-        assert!(cal.activity_threshold(&config) >= config.threshold_floor);
+        let cal =
+            Calibration::from_observations(&layout(), &obs, &RfipadConfig::default()).unwrap();
+        assert!(cal.activity_threshold() >= THRESHOLD_FLOOR);
     }
 
     #[test]
@@ -468,7 +521,7 @@ mod tests {
             obs.extend(static_obs(TagId(1), 2.0, 0.4, 60));
             Calibration::from_observations(&layout(), &obs, &config).unwrap()
         };
-        assert!(noisy.activity_threshold(&config) >= quiet.activity_threshold(&config));
+        assert!(noisy.activity_threshold() >= quiet.activity_threshold());
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! tag positions against trough time and compare the fitted travel vector
 //! with the shape's canonical direction.
 
-use crate::config::RfipadConfig;
 use crate::layout::ArrayLayout;
 use crate::motion::RecognizedMotion;
 use crate::streams::TagStreams;
@@ -41,147 +40,112 @@ pub struct DirectionEstimate {
     pub velocity: (f64, f64),
 }
 
-/// Estimates stroke direction from RSS troughs.
-#[derive(Debug, Clone, Default)]
-pub struct DirectionEstimator {
-    config: RfipadConfig,
-}
+/// Half-window (samples) of the moving-average smoother applied to RSS
+/// before trough detection.
+pub const TROUGH_SMOOTH_HALF: usize = 2;
 
-impl DirectionEstimator {
-    /// Creates an estimator.
-    pub fn new(config: RfipadConfig) -> Self {
-        Self { config }
-    }
+/// Minimum RSS trough prominence (dB) for a tag's trough to count.
+pub const TROUGH_MIN_PROMINENCE_DB: f64 = 1.5;
 
-    /// Estimates the direction of a recognized motion over `[start, end)`.
-    ///
-    /// Falls back to the canonical direction (not reversed) when fewer than
-    /// two usable troughs exist (e.g. a click, or too few reads).
-    pub fn estimate(
-        &self,
-        motion: &RecognizedMotion,
-        layout: &ArrayLayout,
-        streams: &TagStreams,
-        start: f64,
-        end: f64,
-    ) -> DirectionEstimate {
-        let mut troughs = self.collect_troughs(motion, layout, streams, start, end);
-        troughs.sort_by(|a, b| a.time.total_cmp(&b.time));
-
-        let velocity = fit_velocity(&troughs);
-        let reversed = if motion.shape.is_directional() {
-            let canonical = canonical_velocity(motion.shape);
-            let dot = velocity.0 * canonical.0 + velocity.1 * canonical.1;
-            dot < 0.0
-        } else {
-            false
+/// Estimates the direction of a recognized motion over `[start, end)`
+/// from the RSS troughs of its foreground tags.
+///
+/// Falls back to the canonical direction (not reversed) when fewer than
+/// two usable troughs exist (e.g. a click, or too few reads).
+pub fn estimate(
+    motion: &RecognizedMotion,
+    layout: &ArrayLayout,
+    streams: &TagStreams,
+    start: f64,
+    end: f64,
+) -> DirectionEstimate {
+    // Stage 1: the most prominent RSS trough of every foreground tag.
+    let mut troughs = Vec::new();
+    let mut smoothed = Vec::new();
+    for (r, c) in motion.mask.foreground() {
+        let Some(series) = streams.rss_levels().get(r * layout.cols() + c) else {
+            continue;
         };
-        let stroke = if reversed {
-            Stroke::reversed(motion.shape)
-        } else {
-            Stroke::new(motion.shape)
-        };
-        DirectionEstimate {
-            stroke,
-            troughs,
-            velocity,
+        // Pad the span slightly: the trough of an edge tag can sit right
+        // at the segment boundary.
+        let pad = 0.2;
+        let (times, values) = series.window(start - pad, end + pad);
+        if values.len() < 5 {
+            continue;
         }
-    }
-
-    /// Stage 1: the most prominent RSS trough of every foreground tag.
-    fn collect_troughs(
-        &self,
-        motion: &RecognizedMotion,
-        layout: &ArrayLayout,
-        streams: &TagStreams,
-        start: f64,
-        end: f64,
-    ) -> Vec<TagTrough> {
-        let mut out = Vec::new();
-        let mut smoothed = Vec::new();
-        for (r, c) in motion.mask.foreground() {
-            let Some(series) = streams.rss_levels().get(r * layout.cols() + c) else {
-                continue;
-            };
-            // Pad the span slightly: the trough of an edge tag can sit right
-            // at the segment boundary.
-            let pad = 0.2;
-            let (times, values) = series.window(start - pad, end + pad);
-            if values.len() < 5 {
-                continue;
-            }
-            moving_average_into(values, self.config.trough_smooth_half, &mut smoothed);
-            if let Some(trough) = deepest_trough(&smoothed) {
-                if trough.prominence >= self.config.trough_min_prominence_db {
-                    out.push(TagTrough {
-                        cell: (r, c),
-                        time: times[trough.index],
-                        prominence_db: trough.prominence,
-                    });
-                }
-            }
-        }
-        out
-    }
-}
-
-impl DirectionEstimator {
-    /// Phase-based direction baseline (the alternative §III-B argues
-    /// *against*): each foreground tag's crossing time is estimated as the
-    /// |Δphase|-weighted mean time of its phase activity, and the travel
-    /// vector is regressed from those times. Phase trends are inconsistent
-    /// across tags (Fig. 8), so this is less reliable than the RSS troughs
-    /// — the ablation experiment quantifies by how much.
-    pub fn estimate_phase_based(
-        &self,
-        motion: &RecognizedMotion,
-        layout: &ArrayLayout,
-        streams: &TagStreams,
-        start: f64,
-        end: f64,
-    ) -> DirectionEstimate {
-        let mut pseudo_troughs = Vec::new();
-        for (r, c) in motion.mask.foreground() {
-            let Some(series) = streams.phases().get(r * layout.cols() + c) else {
-                continue;
-            };
-            let (times, values) = series.window(start, end);
-            if values.len() < 3 {
-                continue;
-            }
-            let mut weight = 0.0;
-            let mut weighted_time = 0.0;
-            for j in 1..values.len() {
-                let delta = (values[j] - values[j - 1]).abs();
-                weight += delta;
-                weighted_time += delta * 0.5 * (times[j] + times[j - 1]);
-            }
-            if weight > 1e-9 {
-                pseudo_troughs.push(TagTrough {
+        moving_average_into(values, TROUGH_SMOOTH_HALF, &mut smoothed);
+        if let Some(trough) = deepest_trough(&smoothed) {
+            if trough.prominence >= TROUGH_MIN_PROMINENCE_DB {
+                troughs.push(TagTrough {
                     cell: (r, c),
-                    time: weighted_time / weight,
-                    prominence_db: weight,
+                    time: times[trough.index],
+                    prominence_db: trough.prominence,
                 });
             }
         }
-        pseudo_troughs.sort_by(|a, b| a.time.total_cmp(&b.time));
-        let velocity = fit_velocity(&pseudo_troughs);
-        let reversed = if motion.shape.is_directional() {
-            let canonical = canonical_velocity(motion.shape);
-            velocity.0 * canonical.0 + velocity.1 * canonical.1 < 0.0
-        } else {
-            false
+    }
+    // Stage 2: the travel vector across them.
+    from_crossings(motion.shape, troughs)
+}
+
+/// Phase-based direction baseline (the alternative §III-B argues
+/// *against*): each foreground tag's crossing time is estimated as the
+/// |Δphase|-weighted mean time of its phase activity, and the travel
+/// vector is regressed from those times. Phase trends are inconsistent
+/// across tags (Fig. 8), so this is less reliable than the RSS troughs
+/// — the ablation experiment quantifies by how much.
+pub fn estimate_phase_based(
+    motion: &RecognizedMotion,
+    layout: &ArrayLayout,
+    streams: &TagStreams,
+    start: f64,
+    end: f64,
+) -> DirectionEstimate {
+    let mut pseudo_troughs = Vec::new();
+    for (r, c) in motion.mask.foreground() {
+        let Some(series) = streams.phases().get(r * layout.cols() + c) else {
+            continue;
         };
-        let stroke = if reversed {
-            Stroke::reversed(motion.shape)
-        } else {
-            Stroke::new(motion.shape)
-        };
-        DirectionEstimate {
-            stroke,
-            troughs: pseudo_troughs,
-            velocity,
+        let (times, values) = series.window(start, end);
+        if values.len() < 3 {
+            continue;
         }
+        let mut weight = 0.0;
+        let mut weighted_time = 0.0;
+        for j in 1..values.len() {
+            let delta = (values[j] - values[j - 1]).abs();
+            weight += delta;
+            weighted_time += delta * 0.5 * (times[j] + times[j - 1]);
+        }
+        if weight > 1e-9 {
+            pseudo_troughs.push(TagTrough {
+                cell: (r, c),
+                time: weighted_time / weight,
+                prominence_db: weight,
+            });
+        }
+    }
+    from_crossings(motion.shape, pseudo_troughs)
+}
+
+/// Orders per-tag crossings by time, fits the travel vector across them
+/// and reverses a directional `shape` whose travel runs against its
+/// canonical direction.
+fn from_crossings(shape: StrokeShape, mut troughs: Vec<TagTrough>) -> DirectionEstimate {
+    troughs.sort_by(|a, b| a.time.total_cmp(&b.time));
+    let velocity = fit_velocity(&troughs);
+    let canonical = canonical_velocity(shape);
+    let reversed =
+        shape.is_directional() && velocity.0 * canonical.0 + velocity.1 * canonical.1 < 0.0;
+    let stroke = if reversed {
+        Stroke::reversed(shape)
+    } else {
+        Stroke::new(shape)
+    };
+    DirectionEstimate {
+        stroke,
+        troughs,
+        velocity,
     }
 }
 
@@ -273,8 +237,7 @@ mod tests {
     #[test]
     fn downward_sweep_is_canonical() {
         let streams = sweeping_streams(false);
-        let est = DirectionEstimator::new(RfipadConfig::default());
-        let d = est.estimate(&column_motion(), &layout(), &streams, 0.5, 3.0);
+        let d = estimate(&column_motion(), &layout(), &streams, 0.5, 3.0);
         assert_eq!(d.stroke, Stroke::new(StrokeShape::VLine));
         assert!(d.velocity.0 > 0.5, "row velocity {:?}", d.velocity);
         assert_eq!(d.troughs.len(), 5);
@@ -283,8 +246,7 @@ mod tests {
     #[test]
     fn upward_sweep_is_reversed() {
         let streams = sweeping_streams(true);
-        let est = DirectionEstimator::new(RfipadConfig::default());
-        let d = est.estimate(&column_motion(), &layout(), &streams, 0.5, 3.0);
+        let d = estimate(&column_motion(), &layout(), &streams, 0.5, 3.0);
         assert_eq!(d.stroke, Stroke::reversed(StrokeShape::VLine));
         assert!(d.velocity.0 < -0.5);
     }
@@ -292,8 +254,7 @@ mod tests {
     #[test]
     fn troughs_ordered_by_time() {
         let streams = sweeping_streams(false);
-        let est = DirectionEstimator::new(RfipadConfig::default());
-        let d = est.estimate(&column_motion(), &layout(), &streams, 0.5, 3.0);
+        let d = estimate(&column_motion(), &layout(), &streams, 0.5, 3.0);
         for pair in d.troughs.windows(2) {
             assert!(pair[0].time <= pair[1].time);
         }
@@ -313,8 +274,7 @@ mod tests {
             centroid: (2.0, 2.0),
             bbox: (2, 2, 2, 2),
         };
-        let est = DirectionEstimator::new(RfipadConfig::default());
-        let d = est.estimate(&motion, &layout(), &streams, 0.5, 3.0);
+        let d = estimate(&motion, &layout(), &streams, 0.5, 3.0);
         assert!(!d.stroke.reversed);
     }
 
@@ -329,8 +289,7 @@ mod tests {
             })
             .collect();
         let streams = TagStreams::build(&l, None, &observations);
-        let est = DirectionEstimator::new(RfipadConfig::default());
-        let d = est.estimate(&column_motion(), &l, &streams, 0.5, 3.0);
+        let d = estimate(&column_motion(), &l, &streams, 0.5, 3.0);
         assert!(d.troughs.is_empty());
         assert_eq!(d.velocity, (0.0, 0.0));
         assert!(!d.stroke.reversed);
@@ -352,8 +311,7 @@ mod tests {
 
     #[test]
     fn rss_direction_survives_overflowing_streams() {
-        let est = DirectionEstimator::new(RfipadConfig::default());
-        let d = est.estimate(
+        let d = estimate(
             &column_motion(),
             &layout(),
             &overflowing_streams(),
@@ -365,9 +323,8 @@ mod tests {
 
     #[test]
     fn phase_direction_survives_nan_crossing_times() {
-        let est = DirectionEstimator::new(RfipadConfig::default());
         let streams = overflowing_streams();
-        let d = est.estimate_phase_based(&column_motion(), &layout(), &streams, 0.5, 3.0);
+        let d = estimate_phase_based(&column_motion(), &layout(), &streams, 0.5, 3.0);
         assert!(d.troughs.iter().all(|t| t.time.is_nan()), "{:?}", d.troughs);
         assert_eq!(d.troughs.len(), 5);
     }

@@ -8,17 +8,16 @@
 //! training-free (templates are pure geometry) and robust to the per-tag
 //! fading that leaves parts of a stroke faint. Templates depend only on
 //! shape, extent and grid size, so a [`TemplateTable`] draws each once and
-//! serves it to every later stroke. A moments/chord-residual
-//! decision tree ([`classify_mask`]) remains as the fallback for images
-//! with degenerate extents.
+//! serves it to every later stroke. An intensity-weighted
+//! moments/chord-residual decision tree ([`classify_weighted`]) remains as
+//! the fallback for images with degenerate extents.
 
-use crate::config::RfipadConfig;
-use hand_kinematics::stroke::{default_placement, Stroke, StrokeShape};
+use hand_kinematics::stroke::{default_placement, PlacedStroke, Stroke, StrokeShape};
 use sigproc::grid::{BinaryGrid, GridImage};
 use std::collections::HashMap;
 use std::f64::consts::{FRAC_PI_8, PI};
 use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock};
 
 /// Minimum mean chord residual (grid cells) of the middle section for a
 /// component to classify as an arc.
@@ -37,50 +36,29 @@ pub struct RecognizedMotion {
     pub bbox: (usize, usize, usize, usize),
 }
 
-/// Classifies accumulative phase-difference images into motions.
-#[derive(Debug, Clone, Default)]
-pub struct MotionRecognizer {
-    config: RfipadConfig,
-    /// Shared by every clone: a recognizer cloned per session or per
-    /// worker serves the templates the original already drew.
-    pub(crate) templates: Arc<TemplateTable>,
-}
-
-impl MotionRecognizer {
-    /// Creates a recognizer with the given configuration.
-    pub fn new(config: RfipadConfig) -> Self {
-        Self {
-            config,
-            templates: Arc::default(),
-        }
+/// Recognizes the motion in an accumulative phase-difference image:
+/// Otsu binarization, the largest connected component, then template
+/// classification against `templates` (which draws any template it
+/// lacks), falling back to [`classify_weighted`].
+///
+/// Returns `None` when the image has no classifiable foreground (flat
+/// image, or foreground vanished after component filtering).
+pub fn recognize(image: &GridImage, templates: &TemplateTable) -> Option<RecognizedMotion> {
+    let component = image.otsu_binarize().largest_component();
+    if component.area() == 0 {
+        return None;
     }
-
-    /// Recognizes the motion in an accumulative phase-difference image.
-    ///
-    /// Returns `None` when the image has no classifiable foreground (flat
-    /// image, or foreground vanished after component filtering).
-    pub fn recognize(&self, image: &GridImage) -> Option<RecognizedMotion> {
-        let mask = if self.config.use_otsu {
-            image.otsu_binarize()
-        } else {
-            image.normalized().binarize(self.config.fixed_threshold)
-        };
-        let component = mask.largest_component();
-        if component.area() == 0 {
-            return None;
-        }
-        let shape = classify_by_template(image, &component, &self.templates)
-            .map(|(s, _)| s)
-            .or_else(|| classify_weighted(image, &component))?;
-        let centroid = component.centroid()?;
-        let bbox = component.bounding_box()?;
-        Some(RecognizedMotion {
-            shape,
-            mask: component,
-            centroid,
-            bbox,
-        })
-    }
+    let shape = classify_by_template(image, &component, templates)
+        .map(|(s, _)| s)
+        .or_else(|| classify_weighted(image, &component))?;
+    let centroid = component.centroid()?;
+    let bbox = component.bounding_box()?;
+    Some(RecognizedMotion {
+        shape,
+        mask: component,
+        centroid,
+        bbox,
+    })
 }
 
 /// Gaussian splat radius (cells) used when rasterizing shape templates —
@@ -122,9 +100,8 @@ impl TemplateTable {
             .len()
     }
 
-    /// Runs `f` on the cells of `shape`'s template fitted into `region` of
-    /// a `rows × cols` grid: one row-major template per entry of
-    /// [`template_variants`], back to back. Draws them on first use.
+    /// Runs `f` on the row-major cells of `shape`'s template fitted into
+    /// `region` of a `rows × cols` grid. Draws it on first use.
     fn with_cells<R>(
         &self,
         shape: StrokeShape,
@@ -146,14 +123,10 @@ impl TemplateTable {
         {
             return f(cells);
         }
-        let variants = template_variants(shape);
-        let mut drawn = Vec::with_capacity(variants.len() * rows * cols);
-        for placement in &variants {
-            drawn.extend_from_slice(placement_template(placement, region, rows, cols).data());
-        }
+        let drawn = placement_template(&default_placement(Stroke::new(shape)), region, rows, cols);
         // A racing thread may have drawn the same cells; either copy serves.
         let mut table = self.cells.write().unwrap_or_else(PoisonError::into_inner);
-        f(table.entry(key).or_insert_with(|| drawn.into_boxed_slice()))
+        f(table.entry(key).or_insert_with(|| drawn.data().into()))
     }
 }
 
@@ -267,22 +240,13 @@ pub fn classify_by_template(
     candidates
         .into_iter()
         .map(|shape| {
-            let corr = templates.with_cells(shape, region, dims, |cells| {
-                cells
-                    .chunks_exact(image.data().len())
-                    .map(|template| pearson_correlation(image.data(), template))
-                    .fold(f64::NEG_INFINITY, f64::max)
+            let corr = templates.with_cells(shape, region, dims, |template| {
+                pearson_correlation(image.data(), template)
             });
             (shape, corr)
         })
         .filter(|(_, corr)| corr.is_finite())
         .max_by(|a, b| a.1.total_cmp(&b.1))
-}
-
-/// Canonical placements a shape's template is rasterized from (currently
-/// one per shape; the region mapping adapts it to the observed extent).
-fn template_variants(shape: StrokeShape) -> [hand_kinematics::stroke::PlacedStroke; 1] {
-    [default_placement(Stroke::new(shape))]
 }
 
 /// One observed point of the temporal hand path: where the intensity
@@ -297,9 +261,10 @@ pub struct PathSample {
 
 /// Rasterizes a placed stroke's path into the given region as a sum of
 /// Gaussian splats. The only template rasterizer: [`TemplateTable`] calls
-/// it to fill each entry.
+/// it to fill each entry from the shape's canonical placement (the region
+/// mapping adapts it to the observed extent).
 fn placement_template(
-    placement: &hand_kinematics::stroke::PlacedStroke,
+    placement: &PlacedStroke,
     region: Region,
     rows: usize,
     cols: usize,
@@ -485,16 +450,6 @@ fn pearson_correlation(a: &[f64], b: &[f64]) -> f64 {
     cov / (var_a * var_b).sqrt()
 }
 
-/// Classifies a clean foreground mask into a stroke shape, weighting every
-/// cell equally. Tests and the no-image path use this; the recognizer
-/// itself uses [`classify_weighted`], which exploits the gray image's
-/// sub-cell resolution.
-pub fn classify_mask(mask: &BinaryGrid) -> Option<StrokeShape> {
-    let weights: Vec<((usize, usize), f64)> =
-        mask.foreground().into_iter().map(|c| (c, 1.0)).collect();
-    classify_cells(mask, &weights)
-}
-
 /// Classifies a foreground mask using the gray image's intensities as cell
 /// weights. Intensity-weighted geometry resolves shapes at sub-cell
 /// accuracy — on a 5×5 pad a bowl's bulge is often less than one whole
@@ -656,62 +611,70 @@ mod tests {
         BinaryGrid::from_mask(r, c, mask)
     }
 
+    /// Classifies `mask` over a unit-intensity image: every foreground
+    /// cell weighs 1.0.
+    fn classify_unit(mask: &BinaryGrid) -> Option<StrokeShape> {
+        let cells = mask.rows() * mask.cols();
+        let ones = GridImage::from_data(mask.rows(), mask.cols(), vec![1.0; cells]);
+        classify_weighted(&ones, mask)
+    }
+
     #[test]
     fn vertical_line_classified() {
         let m = mask_from(&["..#..", "..#..", "..#..", "..#..", "..#.."]);
-        assert_eq!(classify_mask(&m), Some(StrokeShape::VLine));
+        assert_eq!(classify_unit(&m), Some(StrokeShape::VLine));
     }
 
     #[test]
     fn horizontal_line_classified() {
         let m = mask_from(&[".....", ".....", "#####", ".....", "....."]);
-        assert_eq!(classify_mask(&m), Some(StrokeShape::HLine));
+        assert_eq!(classify_unit(&m), Some(StrokeShape::HLine));
     }
 
     #[test]
     fn backslash_classified() {
         let m = mask_from(&["#....", ".#...", "..#..", "...#.", "....#"]);
-        assert_eq!(classify_mask(&m), Some(StrokeShape::Backslash));
+        assert_eq!(classify_unit(&m), Some(StrokeShape::Backslash));
     }
 
     #[test]
     fn slash_classified() {
         let m = mask_from(&["....#", "...#.", "..#..", ".#...", "#...."]);
-        assert_eq!(classify_mask(&m), Some(StrokeShape::Slash));
+        assert_eq!(classify_unit(&m), Some(StrokeShape::Slash));
     }
 
     #[test]
     fn click_classified() {
         let m = mask_from(&[".....", ".....", "..#..", ".....", "....."]);
-        assert_eq!(classify_mask(&m), Some(StrokeShape::Click));
+        assert_eq!(classify_unit(&m), Some(StrokeShape::Click));
         let blob = mask_from(&[".....", ".##..", ".##..", ".....", "....."]);
-        assert_eq!(classify_mask(&blob), Some(StrokeShape::Click));
+        assert_eq!(classify_unit(&blob), Some(StrokeShape::Click));
     }
 
     #[test]
     fn arc_left_classified() {
         // A "C": openings to the right, bulge to the left.
         let m = mask_from(&["..##.", ".#...", ".#...", ".#...", "..##."]);
-        assert_eq!(classify_mask(&m), Some(StrokeShape::ArcLeft));
+        assert_eq!(classify_unit(&m), Some(StrokeShape::ArcLeft));
     }
 
     #[test]
     fn arc_right_classified() {
         let m = mask_from(&[".##..", "...#.", "...#.", "...#.", ".##.."]);
-        assert_eq!(classify_mask(&m), Some(StrokeShape::ArcRight));
+        assert_eq!(classify_unit(&m), Some(StrokeShape::ArcRight));
     }
 
     #[test]
     fn thick_vertical_line_still_a_line() {
         // Two-column-wide bar: elongated, no bulge.
         let m = mask_from(&[".##..", ".##..", ".##..", ".##..", ".##.."]);
-        assert_eq!(classify_mask(&m), Some(StrokeShape::VLine));
+        assert_eq!(classify_unit(&m), Some(StrokeShape::VLine));
     }
 
     #[test]
     fn empty_mask_unclassifiable() {
         let m = BinaryGrid::empty(5, 5);
-        assert_eq!(classify_mask(&m), None);
+        assert_eq!(classify_unit(&m), None);
     }
 
     #[test]
@@ -723,8 +686,7 @@ mod tests {
             img.set(r, 2, 8.0 + r as f64 * 0.1);
         }
         img.set(0, 4, 4.0); // mid-level outlier
-        let rec = MotionRecognizer::new(RfipadConfig::default());
-        let motion = rec.recognize(&img).expect("foreground");
+        let motion = recognize(&img, &TemplateTable::default()).expect("foreground");
         assert_eq!(motion.shape, StrokeShape::VLine);
         assert!((motion.centroid.1 - 2.0).abs() < 0.5);
     }
@@ -732,8 +694,7 @@ mod tests {
     #[test]
     fn recognizer_handles_flat_image() {
         let img = GridImage::zeros(5, 5);
-        let rec = MotionRecognizer::new(RfipadConfig::default());
-        assert!(rec.recognize(&img).is_none());
+        assert!(recognize(&img, &TemplateTable::default()).is_none());
     }
 
     #[test]
@@ -750,21 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_threshold_mode() {
-        let mut img = GridImage::zeros(5, 5);
-        for c in 0..5 {
-            img.set(2, c, 10.0);
-        }
-        let config = RfipadConfig {
-            use_otsu: false,
-            fixed_threshold: 0.5,
-            ..RfipadConfig::default()
-        };
-        let rec = MotionRecognizer::new(config);
-        assert_eq!(rec.recognize(&img).expect("fg").shape, StrokeShape::HLine);
-    }
-
-    #[test]
     fn memoized_templates_match_a_fresh_rasterization() {
         let table = TemplateTable::default();
         let mut regions = 0;
@@ -773,10 +719,11 @@ mod tests {
                 for (min_r, max_r) in (0..rows).flat_map(|a| (a..rows).map(move |b| (a, b))) {
                     for (min_c, max_c) in (0..cols).flat_map(|a| (a..cols).map(move |b| (a, b))) {
                         let region = (min_r, min_c, max_r, max_c);
-                        let fresh: Vec<u64> = template_variants(shape)
+                        let placement = default_placement(Stroke::new(shape));
+                        let fresh: Vec<u64> = placement_template(&placement, region, rows, cols)
+                            .data()
                             .iter()
-                            .flat_map(|p| placement_template(p, region, rows, cols).data().to_vec())
-                            .map(f64::to_bits)
+                            .map(|v| v.to_bits())
                             .collect();
                         // The first call draws the entry, the second serves it.
                         for _ in 0..2 {
@@ -804,7 +751,7 @@ mod tests {
         let m = mask_from(&[".....", "#...#", "#...#", ".#.#.", "..#.."]);
         // Height 4, width 5 → horizontal major axis; bulge downward
         // (positive row residual in the middle columns).
-        assert_eq!(classify_mask(&m), Some(StrokeShape::ArcLeft));
+        assert_eq!(classify_unit(&m), Some(StrokeShape::ArcLeft));
     }
 }
 

@@ -3,16 +3,18 @@
 use crate::accumulate::accumulative_image;
 use crate::calibration::Calibration;
 use crate::config::RfipadConfig;
-use crate::direction::DirectionEstimator;
+use crate::direction;
 use crate::error::RfipadError;
 use crate::grammar::{GrammarTree, ObservedStroke};
 use crate::layout::ArrayLayout;
-use crate::motion::{MotionRecognizer, RecognizedMotion};
-use crate::segmentation::{Segmentation, Segmenter, StrokeSpan};
+use crate::motion::{self, RecognizedMotion, TemplateTable};
+use crate::segmentation::{FrameScorer, Segmentation, StrokeSpan};
 use crate::stage::{PipelineEvent, StageGraph};
 use crate::streams::TagStreams;
 use hand_kinematics::stroke::Stroke;
 use rfid_gen2::report::{TagId, TagReport};
+use sigproc::frames::FrameSeq;
+use std::sync::Arc;
 
 /// One fully recognized stroke.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,9 +133,7 @@ impl RecognizerBuilder {
             other => other,
         })?;
         Ok(Recognizer {
-            motion: MotionRecognizer::new(config.clone()),
-            direction: DirectionEstimator::new(config.clone()),
-            segmenter: Segmenter::new(config.clone()),
+            templates: Arc::default(),
             grammar: GrammarTree::standard(),
             layout,
             calibration,
@@ -148,9 +148,9 @@ pub struct Recognizer {
     layout: ArrayLayout,
     calibration: Calibration,
     config: RfipadConfig,
-    motion: MotionRecognizer,
-    direction: DirectionEstimator,
-    segmenter: Segmenter,
+    /// Shared by every clone: a recognizer cloned per session or per
+    /// worker serves the templates the original already drew.
+    templates: Arc<TemplateTable>,
     grammar: GrammarTree,
 }
 
@@ -203,7 +203,7 @@ impl Recognizer {
     ) -> Option<RecognizedStroke> {
         let cal = self.config.suppress_diversity.then_some(&self.calibration);
         let image = accumulative_image(&self.layout, streams, cal, span.start, span.end);
-        let mut motion = self.motion.recognize(&image)?;
+        let mut motion = motion::recognize(&image, &self.templates)?;
 
         // Temporal path classification: intensity centroids of sub-spans
         // trace the pen at sub-cell accuracy. A genuinely compact image is
@@ -225,7 +225,7 @@ impl Recognizer {
         let path_hint = if compact_click {
             None
         } else {
-            crate::motion::classify_path(&path_points)
+            motion::classify_path(&path_points)
         };
         let path_reversed = match path_hint {
             Some((shape, reversed)) => {
@@ -243,9 +243,7 @@ impl Recognizer {
             None => false,
         };
 
-        let direction =
-            self.direction
-                .estimate(&motion, &self.layout, streams, span.start, span.end);
+        let direction = direction::estimate(&motion, &self.layout, streams, span.start, span.end);
         // Click promotion: a push toward one tag detunes exactly that tag
         // (one deep RSS trough) and lights a compact region; a sweep
         // crosses several tags and troughs each in turn. This signature is
@@ -279,11 +277,7 @@ impl Recognizer {
     /// Intensity centroids of overlapping sub-spans of `span`: a coarse
     /// trace of the hand path over the pad, tagged with span fractions.
     /// Also the basis of the paper's Fig. 25 trajectory comparison.
-    pub fn span_path(
-        &self,
-        streams: &TagStreams,
-        span: StrokeSpan,
-    ) -> Vec<crate::motion::PathSample> {
+    pub fn span_path(&self, streams: &TagStreams, span: StrokeSpan) -> Vec<motion::PathSample> {
         // Each sub-window needs ≥ ~0.35 s so every tag gets a few reads at
         // Gen2 rates; shorter strokes get fewer, wider windows. Fewer than
         // three windows means no usable path — the caller falls back to
@@ -332,7 +326,7 @@ impl Recognizer {
                 }
             }
             if total > 0.0 {
-                path.push(crate::motion::PathSample {
+                path.push(motion::PathSample {
                     frac: 0.5 * (a + b),
                     point: (wr / total, wc / total),
                 });
@@ -343,15 +337,35 @@ impl Recognizer {
 
     /// Segments already-built streams in one pass over the whole
     /// recording — the segmentation the Fig. 9/22 diagnostics print and
-    /// score.
+    /// score. Frames the streams with the calibrated noise floors and
+    /// scores them from an empty [`FrameScorer`], the scorer the online
+    /// segmentation stage keeps across ticks, under the calibrated
+    /// thresholds.
     pub fn segment(&self, streams: &TagStreams) -> Segmentation {
-        self.segmenter.segment(streams, &self.calibration)
+        let frames = match (streams.start(), streams.end()) {
+            (Some(start), Some(end)) => FrameSeq::build_with_floors(
+                streams.phases(),
+                Some(&self.noise_floors()),
+                start,
+                end,
+                self.config.frame_len_s,
+            ),
+            _ => FrameSeq::default(),
+        };
+        let mut scorer = FrameScorer::new(&self.config);
+        scorer.score(
+            &frames,
+            0,
+            self.calibration.activity_threshold(),
+            self.calibration.rms_level_threshold(),
+        );
+        scorer.into_segmentation(&frames)
     }
 
     /// Per-stream noise floors in layout order — the `floors` argument the
     /// calibrated segmentation applies during framing.
     pub fn noise_floors(&self) -> Vec<f64> {
-        self.calibration.noise_floors(&self.config)
+        self.calibration.noise_floors()
     }
 
     /// Recognizes a whole recording by replaying it through a
@@ -486,16 +500,34 @@ mod tests {
     #[test]
     fn invalid_config_rejected() {
         let rec = recognizer();
-        let bad = RfipadConfig {
-            frame_len_s: -1.0,
-            ..RfipadConfig::default()
-        };
-        assert!(Recognizer::builder()
-            .layout(rec.layout().clone())
-            .calibration(rec.calibration().clone())
-            .config(bad)
-            .build()
-            .is_err());
+        for config in [
+            RfipadConfig {
+                frame_len_s: -1.0,
+                ..RfipadConfig::default()
+            },
+            RfipadConfig {
+                frame_len_s: f64::NAN,
+                ..RfipadConfig::default()
+            },
+            RfipadConfig {
+                frame_len_s: f64::INFINITY,
+                ..RfipadConfig::default()
+            },
+            RfipadConfig {
+                window_frames: 0,
+                ..RfipadConfig::default()
+            },
+        ] {
+            let built = Recognizer::builder()
+                .layout(rec.layout().clone())
+                .calibration(rec.calibration().clone())
+                .config(config.clone())
+                .build();
+            assert!(
+                matches!(built, Err(RfipadError::InvalidConfig(_))),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]
@@ -573,15 +605,12 @@ mod tests {
         let streams = rec.streams(&column_sweep_recording());
         let span = rec.segment(&streams).spans[0];
         let original = rec.recognize_span(&streams, span);
-        let drawn = rec.motion.templates.len();
+        let drawn = rec.templates.len();
         assert!(drawn > 0, "recognition draws templates");
         let clone = rec.clone();
-        assert!(std::sync::Arc::ptr_eq(
-            &rec.motion.templates,
-            &clone.motion.templates
-        ));
+        assert!(Arc::ptr_eq(&rec.templates, &clone.templates));
         assert_eq!(clone.recognize_span(&streams, span), original);
-        assert_eq!(clone.motion.templates.len(), drawn, "the clone redrew");
+        assert_eq!(clone.templates.len(), drawn, "the clone redrew");
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! `std(rms(w))` exceeds a threshold (Eq. 12). Runs of active frames become
 //! stroke spans.
 
-use crate::calibration::Calibration;
 use crate::config::RfipadConfig;
-use crate::streams::TagStreams;
 use sigproc::frames::{Frame, FrameSeq};
 use sigproc::stats;
 
@@ -58,87 +56,10 @@ pub struct Segmentation {
     pub threshold: f64,
 }
 
-/// Splits continuous streams into stroke spans.
-#[derive(Debug, Clone, Default)]
-pub struct Segmenter {
-    config: RfipadConfig,
-}
-
-impl Segmenter {
-    /// Creates a segmenter.
-    pub fn new(config: RfipadConfig) -> Self {
-        Self { config }
-    }
-
-    /// Segments the streams using the calibrated activity thresholds.
-    pub fn segment(&self, streams: &TagStreams, calibration: &Calibration) -> Segmentation {
-        self.segment_inner(
-            streams,
-            Some(calibration.noise_floors(&self.config)),
-            calibration.activity_threshold(&self.config),
-            calibration.rms_level_threshold(&self.config),
-        )
-    }
-
-    /// Segments with the variance criterion only (the paper's literal
-    /// Eq. 12; ablations / tuning).
-    pub fn segment_with_threshold(&self, streams: &TagStreams, threshold: f64) -> Segmentation {
-        self.segment_with_thresholds(streams, threshold, f64::INFINITY)
-    }
-
-    /// Segments with explicit variance and RMS-level thresholds. A frame is
-    /// active when every window containing it exceeds the variance
-    /// threshold (Eq. 12 with erosion) *or* its own multi-tag RMS exceeds
-    /// the level threshold.
-    pub fn segment_with_thresholds(
-        &self,
-        streams: &TagStreams,
-        threshold: f64,
-        rms_threshold: f64,
-    ) -> Segmentation {
-        self.segment_inner(streams, None, threshold, rms_threshold)
-    }
-
-    fn segment_inner(
-        &self,
-        streams: &TagStreams,
-        floors: Option<Vec<f64>>,
-        threshold: f64,
-        rms_threshold: f64,
-    ) -> Segmentation {
-        let (Some(start), Some(end)) = (streams.start(), streams.end()) else {
-            return Segmentation {
-                spans: Vec::new(),
-                frames: Vec::new(),
-                threshold,
-            };
-        };
-        let frame_seq = FrameSeq::build_with_floors(
-            streams.phases(),
-            floors.as_deref(),
-            start,
-            end,
-            self.config.frame_len_s,
-        );
-        self.segment_frames(&frame_seq, threshold, rms_threshold)
-    }
-
-    /// Scores an already-built frame sequence into stroke spans — the
-    /// Eq. 12 window test, erosion, bridging, and minimum-length filter.
-    /// Identical to [`segment`](Self::segment) given the frames it would
-    /// build internally. Runs a [`FrameScorer`] from empty, the scorer the
-    /// online segmentation stage keeps across ticks.
-    pub fn segment_frames(
-        &self,
-        frame_seq: &FrameSeq,
-        threshold: f64,
-        rms_threshold: f64,
-    ) -> Segmentation {
-        let mut scorer = FrameScorer::new(&self.config);
-        scorer.score(frame_seq, 0, threshold, rms_threshold);
-        scorer.into_segmentation(frame_seq)
-    }
-}
+/// Shortest merged run of active frames kept as a stroke: 3 frames =
+/// 0.3 s at the paper's frame length, just under the fastest plausible
+/// stroke. Shorter bursts are discarded as noise.
+pub const MIN_STROKE_FRAMES: usize = 3;
 
 /// Bridge brief lulls: a hand changing direction mid-stroke can dip the
 /// window variance for a frame or two, which must not split the stroke.
@@ -151,8 +72,9 @@ const BRIDGE_FRAMES: usize = 2;
 /// sequence that shares a prefix with the previous one recomputes only
 /// what the changed frames reach.
 ///
-/// [`Segmenter::segment_frames`] scores from an empty scorer; the online
-/// segmentation stage keeps one across frame ticks, where each tick's
+/// [`Recognizer::segment`](crate::Recognizer::segment) scores from an
+/// empty scorer; the online segmentation stage keeps one across frame
+/// ticks, where each tick's
 /// frames repeat the previous tick's settled prefix and differ only in the
 /// live tail (or lose a prefix to a history trim, which moves every frame
 /// to a new index). The caller
@@ -179,8 +101,6 @@ const BRIDGE_FRAMES: usize = 2;
 pub struct FrameScorer {
     /// Half-width of the centred Eq. 12 window, frames.
     half: usize,
-    /// Shortest merged run kept as a stroke, frames.
-    min_stroke_frames: usize,
     /// The variance threshold the stored scores were computed under.
     threshold: f64,
     /// The RMS-level threshold the stored scores were computed under.
@@ -201,11 +121,10 @@ pub struct FrameScorer {
 }
 
 impl FrameScorer {
-    /// An empty scorer for `config`'s window and minimum stroke length.
+    /// An empty scorer for `config`'s window.
     pub fn new(config: &RfipadConfig) -> Self {
         Self {
             half: config.window_frames / 2,
-            min_stroke_frames: config.min_stroke_frames,
             threshold: f64::NAN,
             rms_threshold: f64::NAN,
             frame_len: f64::NAN,
@@ -319,7 +238,7 @@ impl FrameScorer {
 
     /// Keeps a merged run long enough to be a stroke, with its span.
     fn close_run(&mut self, (s, e): (usize, usize), frames: &[Frame]) {
-        if e - s >= self.min_stroke_frames {
+        if e - s >= MIN_STROKE_FRAMES {
             self.runs.push((s, e));
             self.spans.push(StrokeSpan {
                 start: frames[s].start,
@@ -387,6 +306,7 @@ fn restart_point(raw: &[bool]) -> usize {
 mod tests {
     use super::*;
     use crate::layout::ArrayLayout;
+    use crate::streams::TagStreams;
     use rfid_gen2::report::{TagId, TagReport};
     use std::f64::consts::TAU;
 
@@ -416,14 +336,25 @@ mod tests {
         TagStreams::build(&layout(), None, &observations)
     }
 
-    fn segmenter() -> Segmenter {
-        Segmenter::new(RfipadConfig::default())
+    /// Scores `streams`' unfloored frames from an empty scorer with the
+    /// variance criterion only (the paper's literal Eq. 12).
+    fn segment(streams: &TagStreams, threshold: f64) -> Segmentation {
+        let config = RfipadConfig::default();
+        let frames = match (streams.start(), streams.end()) {
+            (Some(start), Some(end)) => {
+                FrameSeq::build(streams.phases(), start, end, config.frame_len_s)
+            }
+            _ => FrameSeq::default(),
+        };
+        let mut scorer = FrameScorer::new(&config);
+        scorer.score(&frames, 0, threshold, f64::INFINITY);
+        scorer.into_segmentation(&frames)
     }
 
     #[test]
     fn two_strokes_found() {
         let streams = two_stroke_streams();
-        let seg = segmenter().segment_with_threshold(&streams, 0.1);
+        let seg = segment(&streams, 0.1);
         assert_eq!(seg.spans.len(), 2, "spans {:?}", seg.spans);
         let s0 = seg.spans[0];
         let s1 = seg.spans[1];
@@ -443,7 +374,7 @@ mod tests {
             }
         }
         let streams = TagStreams::build(&layout(), None, &observations);
-        let seg = segmenter().segment_with_threshold(&streams, 0.1);
+        let seg = segment(&streams, 0.1);
         assert!(seg.spans.is_empty(), "{:?}", seg.spans);
     }
 
@@ -460,14 +391,14 @@ mod tests {
             }
         }
         let streams = TagStreams::build(&layout(), None, &observations);
-        let seg = segmenter().segment_with_threshold(&streams, 0.1);
+        let seg = segment(&streams, 0.1);
         assert!(seg.spans.is_empty(), "{:?}", seg.spans);
     }
 
     #[test]
     fn frame_scores_cover_run_and_flag_activity() {
         let streams = two_stroke_streams();
-        let seg = segmenter().segment_with_threshold(&streams, 0.1);
+        let seg = segment(&streams, 0.1);
         assert!(!seg.frames.is_empty());
         // Scores rise during strokes.
         let active_std: f64 = seg
@@ -488,7 +419,7 @@ mod tests {
     #[test]
     fn empty_streams_give_empty_segmentation() {
         let streams = TagStreams::default();
-        let seg = segmenter().segment_with_threshold(&streams, 0.1);
+        let seg = segment(&streams, 0.1);
         assert!(seg.spans.is_empty());
         assert!(seg.frames.is_empty());
     }
@@ -513,23 +444,9 @@ mod tests {
     }
 
     #[test]
-    fn segment_frames_matches_segment_over_prebuilt_frames() {
-        let streams = two_stroke_streams();
-        let seg = segmenter().segment_with_threshold(&streams, 0.1);
-        let frame_seq = FrameSeq::build(
-            streams.phases(),
-            streams.start().expect("nonempty"),
-            streams.end().expect("nonempty"),
-            RfipadConfig::default().frame_len_s,
-        );
-        let pre = segmenter().segment_frames(&frame_seq, 0.1, f64::INFINITY);
-        assert_eq!(pre, seg);
-    }
-
-    #[test]
     fn threshold_too_high_misses_strokes() {
         let streams = two_stroke_streams();
-        let seg = segmenter().segment_with_threshold(&streams, 1e6);
+        let seg = segment(&streams, 1e6);
         assert!(seg.spans.is_empty());
     }
 
@@ -642,7 +559,6 @@ mod tests {
         #[test]
         fn streaming_scorer_equals_scoring_from_empty(
             window in 1usize..8,
-            min_stroke in 1usize..5,
             ops in proptest::collection::vec(
                 (0u8..8, proptest::collection::vec(0usize..3, 1..9), 0.0f64..1.0),
                 1..40,
@@ -650,7 +566,6 @@ mod tests {
         ) {
             let config = RfipadConfig {
                 window_frames: window,
-                min_stroke_frames: min_stroke,
                 ..RfipadConfig::default()
             };
             let len = config.frame_len_s;

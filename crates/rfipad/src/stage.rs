@@ -604,13 +604,12 @@ impl Stage for Segmentation {
             unchanged,
             streams,
         } = tick;
-        let config = self.recognizer.config();
         let calibration = self.recognizer.calibration();
         self.scorer.score(
             &frames,
             unchanged,
-            calibration.activity_threshold(config),
-            calibration.rms_level_threshold(config),
+            calibration.activity_threshold(),
+            calibration.rms_level_threshold(),
         );
         // Dropped here, so the next tick's framing holds the only handle
         // and updates the sequence in place.

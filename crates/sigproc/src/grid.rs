@@ -122,15 +122,6 @@ impl GridImage {
         }
     }
 
-    /// Binarizes with a fixed threshold: foreground where `value > thresh`.
-    pub fn binarize(&self, thresh: f64) -> BinaryGrid {
-        BinaryGrid {
-            rows: self.rows,
-            cols: self.cols,
-            mask: self.data.iter().map(|&v| v > thresh).collect(),
-        }
-    }
-
     /// Renders the image as an ASCII intensity map (for experiment output).
     pub fn to_ascii(&self) -> String {
         const RAMP: &[u8] = b" .:-=+*#%@";

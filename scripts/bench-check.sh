@@ -85,9 +85,11 @@ echo "== benchmark harness (builds against the workspace crates) =="
 # testing it here keeps API refactors from silently breaking the benchmark.
 CARGO_TARGET_DIR=target/rfibench cargo test --release --offline --locked --manifest-path rfibench/Cargo.toml
 
-echo "== quick criterion pass (observe cache + pipeline) =="
+echo "== quick criterion pass (observe cache + pipeline + ablations) =="
 CRITERION_SAMPLE_MS=${CRITERION_SAMPLE_MS:-150} cargo bench -p bench --bench observe_cache
 CRITERION_SAMPLE_MS=${CRITERION_SAMPLE_MS:-150} cargo bench -p bench --bench pipeline
+# The one caller outside the tests that sweeps `window_frames`.
+CRITERION_SAMPLE_MS=${CRITERION_SAMPLE_MS:-150} cargo bench -p bench --bench ablations
 
 echo "== perf trajectory -> BENCH_pipeline.json =="
 cargo run --release -p experiments --bin bench_pipeline -- "${1:-}"
