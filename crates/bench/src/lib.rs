@@ -1,8 +1,10 @@
-//! Benchmark-only crate: see the `benches/` directory for the Criterion
-//! suites (DSP kernels, pipeline, Gen2 inventory, ablations, figure
-//! machinery). The library target exists only to anchor the bench targets
-//! and, behind the `count-allocs` feature, to install the counting global
-//! allocator the `kernel_bench` binary uses for its allocation gate.
+//! Home of the `kernel_bench` binary, the hot-path gates
+//! `scripts/bench-check.sh` holds to their committed values: exact
+//! allocation and work counts, plus the `tick_history` ratio of two
+//! timings taken in one process. Speed claims come from `rfibench`, not
+//! from here. The library target exists only to install, behind the
+//! `count-allocs` feature, the counting global allocator `kernel_bench`
+//! counts with.
 
 /// Heap-allocation counting for the `hot_path_allocs` regression gate.
 ///

@@ -1,11 +1,13 @@
 //! Line-oriented merge for `BENCH_pipeline.json`.
 //!
-//! The perf-trajectory file is written wholesale by `bench_pipeline` and
-//! then enriched by probes that each own one top-level key
-//! (`engine_bench` → `ingest_batch`, `trace_tool stats --bench` →
-//! `telemetry_overhead`). The merge is textual: the file is kept one
+//! Each probe owns top-level keys of the file and merges them in:
+//! `kernel_bench` its allocation and work gates (`hot_path_allocs`,
+//! `tick_frames`, …), `load_gen` `serve_loopback` and
+//! `serve_e2e_latency`, and `trace_tool stats --bench`
+//! `telemetry_overhead`. The merge is textual: the file is kept one
 //! top-level key per line, and [`merge_entry`] replaces that key's line
-//! while leaving every other probe's line untouched.
+//! while leaving every other probe's line untouched. Every merge rewrites
+//! the separators, so the file is always strict JSON.
 
 use std::io;
 use std::path::Path;
@@ -13,36 +15,30 @@ use std::path::Path;
 /// The perf-trajectory file all probes share.
 pub const BENCH_PATH: &str = "BENCH_pipeline.json";
 
-/// Merges `"key": entry,` into the JSON object at `path`, replacing any
-/// previous line for `key` and preserving all other lines. Creates the
-/// file as `{ "key": entry }` when it does not exist.
+/// Merges `"key": entry` into the JSON object at `path` as its first
+/// member, replacing any previous line for `key` and preserving all other
+/// lines. Creates the file as `{ "key": entry }` when it does not exist.
 ///
 /// # Errors
 ///
 /// Propagates the underlying filesystem errors.
 pub fn merge_entry_at(path: &Path, key: &str, entry: &str) -> io::Result<()> {
-    let line = format!("  \"{key}\": {entry},");
-    let marker = format!("\"{key}\"");
-    let merged = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let mut lines: Vec<String> = existing
-                .lines()
-                .filter(|l| !l.trim_start().starts_with(&marker))
-                .map(String::from)
-                .collect();
-            let at = if lines.first().map(|l| l.trim() == "{").unwrap_or(false) {
-                1
-            } else {
-                lines.insert(0, "{".into());
-                lines.push("}".into());
-                1
-            };
-            lines.insert(at, line);
-            lines.join("\n") + "\n"
-        }
-        Err(_) => format!("{{\n{}\n}}\n", line.trim_end_matches(',')),
+    let existing = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e),
     };
-    std::fs::write(path, merged)
+    let marker = format!("\"{key}\"");
+    let mut members = vec![format!("  \"{key}\": {entry}")];
+    members.extend(
+        existing
+            .lines()
+            .map(|l| l.trim_end().trim_end_matches(','))
+            .filter(|l| !matches!(l.trim(), "" | "{" | "}"))
+            .filter(|l| !l.trim_start().starts_with(&marker))
+            .map(String::from),
+    );
+    std::fs::write(path, format!("{{\n{}\n}}\n", members.join(",\n")))
 }
 
 /// [`merge_entry_at`] against [`BENCH_PATH`] in the current directory.
@@ -77,6 +73,13 @@ mod tests {
         assert!(text.contains("\"y\": 2"));
         assert!(text.starts_with("{\n"));
         assert!(text.trim_end().ends_with('}'));
+        // Re-merging a key must leave no separator behind: the file stays
+        // strict JSON, newest key first.
+        let members = obs::json::parse(&text)
+            .and_then(|v| v.into_object())
+            .unwrap_or_else(|e| panic!("merged file is not strict JSON: {e}\n{text}"));
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_ref()).collect();
+        assert_eq!(keys, ["alpha", "beta"]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -89,6 +92,7 @@ mod tests {
         assert!(text.starts_with("{\n"));
         assert!(text.contains("\"legacy\": 1"));
         assert!(text.contains("\"fresh\": 2"));
+        obs::json::parse(&text).expect("wrapped file is strict JSON");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -66,4 +66,28 @@ mod tests {
         }
         assert!(map_ordered(&[] as &[u64], 4, |&x| x).is_empty());
     }
+
+    /// Four jobs on four workers are all in flight at once: each waits
+    /// until the other three have started. Run one after another, the
+    /// first would wait alone until the shared 10 s deadline.
+    #[test]
+    fn runs_threads_jobs_at_once() {
+        use std::sync::Condvar;
+        use std::time::{Duration, Instant};
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let started = Mutex::new(0usize);
+        let all_started = Condvar::new();
+        let met = map_ordered(&[(); 4], 4, |_| {
+            let mut n = started.lock().expect("lock");
+            *n += 1;
+            all_started.notify_all();
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let (_n, timeout) = all_started
+                .wait_timeout_while(n, wait, |n| *n < 4)
+                .expect("lock");
+            !timeout.timed_out()
+        });
+        assert_eq!(met, [true; 4], "the four jobs never ran at once");
+    }
 }

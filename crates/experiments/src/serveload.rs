@@ -8,6 +8,12 @@
 //! transparent transport. Both the `load_gen` binary (which merges the
 //! `serve_loopback` entry into `BENCH_pipeline.json`) and the
 //! `serve_loopback` integration test drive it.
+//!
+//! The module also holds the replay helpers other callers share:
+//! [`golden_reports`] (the golden session's reports), [`session_pipeline`]
+//! (the stage graph every replay uses) and the reference
+//! [`serial_replay`]. `kernel_bench`, `trace_tool`, `fig24_latency`, the
+//! integration tests and `rfibench` call them.
 
 use rfid_gen2::report::TagReport;
 use rfid_gen2::source::{ReportSource, TraceSource};

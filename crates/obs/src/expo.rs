@@ -339,7 +339,7 @@ fn parse_sample(line: &str) -> Result<(String, &str), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::DEFAULT_DURATION_BOUNDS_US;
+    use crate::metrics::DEFAULT_DURATION_BOUNDS_NS;
 
     fn sample_registry() -> Registry {
         let r = Registry::new();
@@ -348,10 +348,10 @@ mod tests {
         r.gauge("queue_depth", "Depth.", &[("session", "kiosk-1")])
             .set(3);
         r.histogram(
-            "stage_duration_us",
+            "stage_duration_ns",
             "Stage time.",
             &[("stage", "framing")],
-            DEFAULT_DURATION_BOUNDS_US,
+            DEFAULT_DURATION_BOUNDS_NS,
         )
         .record(42);
         r
@@ -361,12 +361,12 @@ mod tests {
     fn prometheus_rendering_validates() {
         let text = sample_registry().render_prometheus();
         assert!(text.contains("# HELP reads_total Total reads."));
-        assert!(text.contains("# TYPE stage_duration_us histogram"));
+        assert!(text.contains("# TYPE stage_duration_ns histogram"));
         assert!(text.contains("reads_total{source=\"live\"} 7"));
-        assert!(text.contains("stage_duration_us_bucket{stage=\"framing\",le=\"50\"} 1"));
-        assert!(text.contains("stage_duration_us_bucket{stage=\"framing\",le=\"+Inf\"} 1"));
-        assert!(text.contains("stage_duration_us_sum{stage=\"framing\"} 42"));
-        assert!(text.contains("stage_duration_us_count{stage=\"framing\"} 1"));
+        assert!(text.contains("stage_duration_ns_bucket{stage=\"framing\",le=\"50\"} 1"));
+        assert!(text.contains("stage_duration_ns_bucket{stage=\"framing\",le=\"+Inf\"} 1"));
+        assert!(text.contains("stage_duration_ns_sum{stage=\"framing\"} 42"));
+        assert!(text.contains("stage_duration_ns_count{stage=\"framing\"} 1"));
         validate(&text).expect("well-formed");
     }
 

@@ -16,8 +16,8 @@
 //!   [`debug!`]/[`trace!`] macros with `key = value` structured fields,
 //!   filtered by the `RFIPAD_LOG` environment variable. A disabled level
 //!   costs one relaxed atomic load and a branch — no formatting.
-//! - **Spans** ([`Histogram::start_span`] / [`span!`]): scoped timers that
-//!   record elapsed microseconds into a stage histogram on drop.
+//! - **Timing** ([`Histogram::record_duration_ns`]): read the clock around
+//!   the work and record the elapsed nanoseconds into a histogram.
 //! - **Journal** ([`logging::journal_snapshot`]): a bounded ring buffer of
 //!   recent log events for post-mortem dumps.
 //! - **Exposition** ([`expo`]): Prometheus-style text and JSON renderings
@@ -45,13 +45,15 @@
 //! reads.add(3);
 //!
 //! let stage = obs::registry().histogram(
-//!     "demo_stage_duration_us",
-//!     "Stage wall time in microseconds.",
+//!     "demo_stage_duration_ns",
+//!     "Stage wall time in nanoseconds.",
 //!     &[("stage", "framing")],
-//!     obs::metrics::DEFAULT_DURATION_BOUNDS_US,
+//!     obs::metrics::DEFAULT_DURATION_BOUNDS_NS,
 //! );
-//! {
-//!     let _span = obs::span!(stage); // records on scope exit
+//! // Optional timing reads the clock only while telemetry is on.
+//! if let Some(t0) = obs::telemetry_on().then(std::time::Instant::now) {
+//!     // ... the stage's work ...
+//!     stage.record_duration_ns(t0.elapsed());
 //! }
 //! obs::info!("demo finished"; reads = reads.get());
 //! let text = obs::registry().render_prometheus();
@@ -61,7 +63,8 @@
 //!
 //! Everything here is deliberately off the data path: recording a metric
 //! never blocks, logging below the active level never formats, and with
-//! `RFIPAD_LOG=off` span timers do not even read the clock.
+//! `RFIPAD_LOG=off` timing guarded by [`telemetry_on`] does not even read
+//! the clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,7 +79,7 @@ pub mod serve;
 pub mod trace;
 
 pub use logging::{emit, enabled, max_level, set_level, telemetry_on, Level};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, SpanGuard};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{registry, MetricKind, Registry};
 
 /// Logs at an explicit [`Level`] with optional structured fields.
@@ -121,16 +124,3 @@ macro_rules! debug { ($($t:tt)*) => { $crate::log!($crate::Level::Debug, $($t)*)
 /// Logs a trace message (hidden unless `RFIPAD_LOG=trace`).
 #[macro_export]
 macro_rules! trace { ($($t:tt)*) => { $crate::log!($crate::Level::Trace, $($t)*) }; }
-
-/// Starts a scoped timer recording into the given [`Histogram`] when the
-/// returned guard drops. Bind it: `let _span = obs::span!(hist);`.
-///
-/// Accepts anything that derefs to a [`Histogram`] (`Arc<Histogram>`, a
-/// reference, a field). With telemetry off (`RFIPAD_LOG=off`) the guard is
-/// inert and the clock is never read.
-#[macro_export]
-macro_rules! span {
-    ($hist:expr) => {
-        $crate::Histogram::start_span(&$hist)
-    };
-}

@@ -8,7 +8,6 @@
 //! which is harmless for monitoring.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -74,23 +73,16 @@ impl Gauge {
     }
 }
 
-/// Fixed log-spaced bucket bounds suited to stage durations in
-/// microseconds: 5 µs – 1 s.
-pub const DEFAULT_DURATION_BOUNDS_US: &[u64] = &[
-    5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
-    500_000, 1_000_000,
-];
-
-/// Fixed log-spaced bucket bounds for sub-microsecond latencies in
-/// nanoseconds: 50 ns – 10 ms. Queue pushes routinely finish in a few
-/// hundred nanoseconds, which the microsecond bounds flatten to zero.
+/// Fixed log-spaced bucket bounds for durations in nanoseconds:
+/// 50 ns – 10 ms. Queue pushes routinely finish in a few hundred
+/// nanoseconds, which microsecond resolution would flatten to zero.
 pub const DEFAULT_DURATION_BOUNDS_NS: &[u64] = &[
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
     1_000_000, 2_500_000, 5_000_000, 10_000_000,
 ];
 
-/// How many raw samples a histogram retains for exact percentiles. Matches
-/// the engine's historical `LatencyRecorder` window.
+/// How many raw samples a histogram retains for exact percentiles: the
+/// window behind each engine session's push-latency percentiles.
 pub const SAMPLE_WINDOW: usize = 4096;
 
 /// A fixed-bucket histogram with an exact-percentile sample window.
@@ -154,27 +146,14 @@ impl Histogram {
         self.window[slot].store(value, Ordering::Relaxed);
     }
 
-    /// Records a [`std::time::Duration`] in whole microseconds (saturating).
-    #[inline]
-    pub fn record_duration(&self, elapsed: std::time::Duration) {
-        self.record(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
     /// Records a [`std::time::Duration`] in whole nanoseconds (saturating)
-    /// — pair with [`DEFAULT_DURATION_BOUNDS_NS`] for sub-microsecond
-    /// latencies that the microsecond resolution would flatten to zero.
+    /// — pair with [`DEFAULT_DURATION_BOUNDS_NS`]. The one way to time
+    /// into a histogram: read the clock around the work, guarded by
+    /// [`crate::telemetry_on`] where the timing is optional, and record the
+    /// elapsed time.
     #[inline]
     pub fn record_duration_ns(&self, elapsed: std::time::Duration) {
         self.record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Starts a scoped timer that records elapsed microseconds on drop.
-    /// Inert (clock never read) when telemetry is off — see
-    /// [`crate::telemetry_on`].
-    pub fn start_span(&self) -> SpanGuard<'_> {
-        SpanGuard {
-            hist: crate::telemetry_on().then(|| (self, Instant::now())),
-        }
     }
 
     /// Total observations ever recorded.
@@ -238,22 +217,6 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(f64, u64)>,
 }
 
-/// Scoped timer returned by [`Histogram::start_span`]; records the elapsed
-/// microseconds into the histogram when dropped.
-#[derive(Debug)]
-#[must_use = "bind the span guard to a variable; dropping it immediately records ~0"]
-pub struct SpanGuard<'a> {
-    hist: Option<(&'a Histogram, Instant)>,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some((hist, start)) = self.hist.take() {
-            hist.record_duration(start.elapsed());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,7 +250,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_snapshot_is_zeroed() {
-        let h = Histogram::new(DEFAULT_DURATION_BOUNDS_US);
+        let h = Histogram::new(DEFAULT_DURATION_BOUNDS_NS);
         let snap = h.snapshot();
         assert_eq!(snap.count, 0);
         assert_eq!((snap.p50, snap.p90, snap.p99, snap.max), (0, 0, 0, 0));
@@ -314,23 +277,5 @@ mod tests {
         assert_eq!(snap.count, 2 * SAMPLE_WINDOW as u64);
         assert_eq!(snap.p50, 500);
         assert_eq!(snap.max, 500);
-    }
-
-    #[test]
-    fn span_guard_records_once() {
-        let restore = crate::max_level();
-        crate::set_level(crate::Level::Info);
-        let h = Histogram::new(&[1_000_000]);
-        {
-            let _span = h.start_span();
-        }
-        assert_eq!(h.count(), 1);
-        // Telemetry off: the guard is inert.
-        crate::set_level(crate::Level::Off);
-        {
-            let _span = h.start_span();
-        }
-        assert_eq!(h.count(), 1);
-        crate::set_level(restore);
     }
 }

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// The reference percentile definition the histogram window must match:
-/// sort and pick `round((len - 1) * p)` — the same formula the engine's
-/// original `LatencyRecorder` used.
+/// sort and pick `round((len - 1) * p)`, the formula behind every engine
+/// session's push-latency percentiles.
 fn reference_percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;

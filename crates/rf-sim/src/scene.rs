@@ -20,9 +20,8 @@
 //! internal `StaticChannelCache`), along with each tag's static noise
 //! terms. `observe` then only evaluates the moving targets' reflection
 //! paths and the noise draws, which is what makes large experiment batches
-//! affordable. [`Scene::observe_uncached`] recomputes everything from
-//! scratch and is bit-identical by construction; tests hold the two
-//! against each other.
+//! affordable. A test-only from-scratch path recomputes everything and is
+//! bit-identical by construction; tests hold the two against each other.
 //!
 //! The reader asks which tags are powered far more often than it observes
 //! one: [`Scene::readable_tags_into`] answers for the whole plate from one
@@ -643,9 +642,10 @@ impl Scene {
     /// Like [`Scene::observe`] but recomputes every static channel term from
     /// scratch instead of reading the per-channel cache. The two paths run
     /// identical arithmetic, so with equal RNG states they produce
-    /// bit-identical observations — this method exists so tests (and anyone
-    /// auditing the cache) can prove that.
-    pub fn observe_uncached<R: Rng + ?Sized>(
+    /// bit-identical observations: the reference `cache_tests` hold the
+    /// cache against.
+    #[cfg(test)]
+    fn observe_uncached<R: Rng + ?Sized>(
         &self,
         id: TagId,
         t: f64,

@@ -44,7 +44,7 @@ pub const THRESHOLD_FLOOR: f64 = 0.05;
 
 /// Multiplier on the calibrated static frame-RMS level: frames whose
 /// multi-tag RMS exceeds it count as active even when the window variance
-/// criterion (Eq. 12) is blind, e.g. a hand moving with steady influence.
+/// test (Eq. 12) is blind, e.g. a hand moving with steady influence.
 pub const RMS_LEVEL_SCALE: f64 = 2.5;
 
 /// Absolute floor of the RMS-level threshold (excess-RMS units). The
@@ -112,7 +112,7 @@ pub struct Calibration {
     /// Median `std(rms(w))` of static windows — the quiet-floor for Eq. 12.
     static_window_std: f64,
     /// Median per-frame multi-tag RMS of the static recording — the
-    /// quiet-floor for the RMS-level criterion.
+    /// quiet-floor for the RMS-level test.
     static_frame_rms: f64,
 }
 

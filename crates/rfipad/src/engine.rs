@@ -230,42 +230,6 @@ struct Counters {
     events_out: AtomicU64,
 }
 
-/// Per-session push-latency window, backed by the shared observability
-/// histogram: an *unregistered* [`obs::Histogram`] keeps the exact
-/// per-session percentile window (same sliding window and percentile
-/// formula as before the obs migration), while the process-global
-/// `rfipad_engine_push_latency_ns` family aggregates across sessions.
-///
-/// Latencies are recorded in *nanoseconds*: single-report pushes routinely
-/// finish in a few hundred nanoseconds, which microsecond resolution
-/// flattened to a meaningless `p50 = 0`.
-#[derive(Debug)]
-struct LatencyRecorder {
-    hist: obs::Histogram,
-}
-
-impl LatencyRecorder {
-    fn new() -> Self {
-        Self {
-            hist: obs::Histogram::new(obs::metrics::DEFAULT_DURATION_BOUNDS_NS),
-        }
-    }
-
-    fn record(&self, elapsed: Duration) {
-        self.hist.record_duration_ns(elapsed);
-    }
-
-    fn snapshot(&self) -> LatencySnapshot {
-        let snap = self.hist.snapshot();
-        LatencySnapshot {
-            count: snap.count,
-            p50_ns: snap.p50,
-            p99_ns: snap.p99,
-            max_ns: snap.max,
-        }
-    }
-}
-
 /// Percentiles over the most recent push latencies of a session
 /// (nanoseconds, over a sliding window of the last 4096 pushes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,11 +244,26 @@ pub struct LatencySnapshot {
     pub max_ns: u64,
 }
 
+impl LatencySnapshot {
+    fn of(hist: &obs::Histogram) -> Self {
+        let snap = hist.snapshot();
+        Self {
+            count: snap.count,
+            p50_ns: snap.p50,
+            p99_ns: snap.p99,
+            max_ns: snap.max,
+        }
+    }
+}
+
 /// Mutable per-session state, only ever touched under its mutex.
 struct SessionState {
     graph: StageGraph,
     events: Vec<PipelineEvent>,
-    latency: LatencyRecorder,
+    /// Push latencies in nanoseconds: an *unregistered* histogram keeps
+    /// this session's exact percentile window, while the process-global
+    /// `rfipad_engine_push_latency_ns` family aggregates across sessions.
+    latency: obs::Histogram,
     /// Event scratch reused across drains, so the worker hands events to
     /// the graph's `push_batch` without allocating per batch.
     scratch: Vec<PipelineEvent>,
@@ -384,7 +363,7 @@ fn drain_session(shared: &Shared, sess: &SessionInner) {
         graph.push_batch(&item.batch, scratch);
         state.processed += n_in;
         let elapsed = t0.elapsed();
-        state.latency.record(elapsed);
+        state.latency.record_duration_ns(elapsed);
         em.push_latency.record_duration_ns(elapsed);
         let n = state.scratch.len() as u64;
         sess.counters.events_out.fetch_add(n, Ordering::Relaxed);
@@ -586,7 +565,7 @@ impl Engine {
             state: Mutex::new(SessionState {
                 graph,
                 events: Vec::new(),
-                latency: LatencyRecorder::new(),
+                latency: obs::Histogram::new(obs::metrics::DEFAULT_DURATION_BOUNDS_NS),
                 scratch: Vec::new(),
                 processed: 0,
             }),
@@ -927,7 +906,7 @@ fn session_stats(sess: &SessionInner) -> SessionStats {
         out_of_order: state.graph.out_of_order_count(),
         pending_events: state.events.len(),
         queue_depth: sess.queue_rx.len(),
-        push_latency: state.latency.snapshot(),
+        push_latency: LatencySnapshot::of(&state.latency),
         closed: sess.closed.load(Ordering::SeqCst),
     }
 }
@@ -1686,12 +1665,12 @@ mod tests {
 
     #[test]
     fn latency_recorder_percentiles_are_ordered() {
-        let rec = LatencyRecorder::new();
-        assert_eq!(rec.snapshot().count, 0);
+        let rec = obs::Histogram::new(obs::metrics::DEFAULT_DURATION_BOUNDS_NS);
+        assert_eq!(LatencySnapshot::of(&rec).count, 0);
         for us in [5u64, 1, 9, 3, 7, 2, 8, 4, 6, 100] {
-            rec.record(Duration::from_micros(us));
+            rec.record_duration_ns(Duration::from_micros(us));
         }
-        let snap = rec.snapshot();
+        let snap = LatencySnapshot::of(&rec);
         assert_eq!(snap.count, 10);
         assert_eq!(snap.max_ns, 100_000);
         assert!(snap.p50_ns <= snap.p99_ns);

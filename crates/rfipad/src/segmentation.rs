@@ -337,7 +337,7 @@ mod tests {
     }
 
     /// Scores `streams`' unfloored frames from an empty scorer with the
-    /// variance criterion only (the paper's literal Eq. 12).
+    /// variance test only (the paper's literal Eq. 12).
     fn segment(streams: &TagStreams, threshold: f64) -> Segmentation {
         let config = RfipadConfig::default();
         let frames = match (streams.start(), streams.end()) {

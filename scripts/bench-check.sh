@@ -1,52 +1,45 @@
 #!/usr/bin/env bash
-# Perf gate: build, test, quick-bench, and refresh BENCH_pipeline.json.
+# Build, lint, test, run every smoke, refresh BENCH_pipeline.json, and
+# hold each gated entry to its committed value.
 #
-# Usage: scripts/bench-check.sh [--run-all]
-#   --run-all   also time the full `run_all quick` roster serial vs parallel
-#               (slower; produces the run_all_quick entry in the JSON)
+# Usage: scripts/bench-check.sh
 #
-# Fails on any build error, example or test failure, bench panic, throughput
-# regression or allocation regression: the freshly measured `ingest_batch`
-# and `incremental_framing` reports_per_s (and `serve_loopback`'s, on more
-# than one core) must stay at or above 0.6 of the committed
-# BENCH_pipeline.json, the quiet hot path must not allocate (nor may it
-# across two retention trims more than its committed count),
-# `stroke_allocs` may not exceed its committed allocations per span,
-# `stroke_tick_allocs` its committed allocations per stroke-bearing call
-# and `reader_allocs` its committed allocations per read, `codec_allocs`
-# its committed allocations per BATCH encode, per BATCH decode and across
-# a trace's refills, `tick_frames` (frames a framing tick hands
-# segmentation at 25-27 s of buffered history) and `trim_frames` (frames
-# built per retention trim of the quiet stream) may not exceed their
-# committed values, and `tick_history` (a push's cost at 25-27 s of
-# buffered history over its cost at 3-5 s) may not exceed 1.5.
-# Parallel-speedup checks are skipped (not gated) on single-core machines,
-# where "parallel" has nothing to win. Criterion sample time is kept short
-# via CRITERION_SAMPLE_MS so the pass stays quick.
+# Fails on a format, lint or rustdoc warning, a build error, an example,
+# test or rfibench test failure, a smoke that diverges from its reference,
+# and on any of these gates:
+#   - hot_path_allocs: the quiet stage-graph hot path allocates 0 times,
+#     and across two retention trims (trim_allocs) no more than committed;
+#   - stroke_allocs (per span), stroke_tick_allocs (per stroke-bearing
+#     call), reader_allocs (per read) and codec_allocs (per BATCH encode,
+#     per BATCH decode, across a trace's refills): at most committed;
+#   - tick_frames (frames a framing tick hands segmentation at 25-27 s of
+#     history) and trim_frames (frames built per retention trim of the
+#     quiet stream): at most committed;
+#   - tick_history (a push's cost at 25-27 s of history over its cost at
+#     3-5 s, timed in one process): at most 1.5;
+#   - telemetry_overhead: an instrumented golden-trace replay costs at
+#     most 3% over one with telemetry off;
+#   - serve_loopback: reports_per_s at least 0.6 of committed, on more
+#     than one core (the cores load_gen records in its own entry).
+# All but the last two are exact counts or a ratio, so the host's speed
+# does not move them. Speed claims come from rfibench's alternating
+# parent/change runs (rfibench/README.md), not from this script.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Baselines must be read before the benches rewrite BENCH_pipeline.json.
+# Baselines must be read before the probes rewrite BENCH_pipeline.json.
 # Prefer the committed copy; fall back to the working tree for trees
 # without git history.
 baseline=$(git show HEAD:BENCH_pipeline.json 2>/dev/null || cat BENCH_pipeline.json 2>/dev/null || true)
 
-# baseline_rps <key>: the committed reports_per_s for one top-level entry
-# (the file is one entry per line), empty if the entry does not exist yet.
-baseline_rps() {
-  sed -n "s/^ *\"$1\":.*\"reports_per_s\": \([0-9]*\).*/\1/p" <<<"$baseline" | head -n 1
-}
-base_ingest=$(baseline_rps ingest_batch)
-base_framing=$(baseline_rps incremental_framing)
-base_serve=$(baseline_rps serve_loopback)
-
-# per_unit <entry> <field>: one entry's count per unit (allocations per
-# span or read, frames per tick), read from stdin; empty if the entry does
+# per_unit <entry> <field>: one numeric field of one top-level entry (the
+# file is one entry per line), read from stdin; empty if the entry does
 # not exist.
 per_unit() {
   sed -n "s/^ *\"$1\":.*\"$2\": \([0-9.]*\).*/\1/p" | head -n 1
 }
+base_serve=$(per_unit serve_loopback reports_per_s <<<"$baseline")
 base_stroke_allocs=$(per_unit stroke_allocs allocs_per_span <<<"$baseline")
 base_stroke_tick_allocs=$(per_unit stroke_tick_allocs allocs_per_call <<<"$baseline")
 base_reader_allocs=$(per_unit reader_allocs allocs_per_read <<<"$baseline")
@@ -84,18 +77,6 @@ echo "== benchmark harness (builds against the workspace crates) =="
 # rfibench is a package of its own outside the workspace; building and
 # testing it here keeps API refactors from silently breaking the benchmark.
 CARGO_TARGET_DIR=target/rfibench cargo test --release --offline --locked --manifest-path rfibench/Cargo.toml
-
-echo "== quick criterion pass (observe cache + pipeline + ablations) =="
-CRITERION_SAMPLE_MS=${CRITERION_SAMPLE_MS:-150} cargo bench -p bench --bench observe_cache
-CRITERION_SAMPLE_MS=${CRITERION_SAMPLE_MS:-150} cargo bench -p bench --bench pipeline
-# The one caller outside the tests that sweeps `window_frames`.
-CRITERION_SAMPLE_MS=${CRITERION_SAMPLE_MS:-150} cargo bench -p bench --bench ablations
-
-echo "== perf trajectory -> BENCH_pipeline.json =="
-cargo run --release -p experiments --bin bench_pipeline -- "${1:-}"
-
-echo "== multi-session engine smoke (8 golden-trace replays) =="
-cargo run --release -p experiments --bin engine_bench -- --sessions 8
 
 echo "== allocation and work gates (kernel_bench) =="
 # Feeds a quiet synthetic session through the pipeline, recognizes every
@@ -225,60 +206,7 @@ echo "== checkpoint/restore smoke (mid-trace migration) =="
 cargo run --release -p experiments --bin trace_tool -- \
   checkpoint tests/data/golden_session.rftrace
 
-echo "== throughput regression gates =="
-# Fresh values from the file the benches just rewrote.
-fresh_rps() {
-  sed -n "s/^ *\"$1\":.*\"reports_per_s\": \([0-9]*\).*/\1/p" BENCH_pipeline.json | head -n 1
-}
-# One fixed fraction of the committed value; changing it takes a diff.
-tolerance=0.6
-gate_rps() { # name fresh baseline
-  local name=$1 fresh=$2 base=$3
-  if [ -z "$fresh" ]; then
-    echo "bench-check: $name entry missing from BENCH_pipeline.json" >&2
-    exit 1
-  fi
-  if [ -z "$base" ]; then
-    echo "$name: ${fresh} reports/s (no committed baseline; gate skipped)"
-    return
-  fi
-  local floor
-  floor=$(awk -v b="$base" -v t="$tolerance" 'BEGIN { printf "%d", b * t }')
-  if [ "$fresh" -lt "$floor" ]; then
-    echo "bench-check: $name regressed to ${fresh} reports/s" \
-      "(committed ${base}, floor ${floor} at tolerance ${tolerance})" >&2
-    exit 1
-  fi
-  echo "$name: ${fresh} reports/s (committed ${base}, floor ${floor}): OK"
-}
-gate_rps ingest_batch "$(fresh_rps ingest_batch)" "$base_ingest"
-gate_rps incremental_framing "$(fresh_rps incremental_framing)" "$base_framing"
-
-# Batched ingest must report real push latencies: close_with_stats captures
-# the session counters after the worker drains, so a zero p50 means the
-# recorder (or its final read) regressed.
-ingest_p50=$(sed -n 's/^ *"ingest_batch":.*"push_p50_ns": \([0-9]*\).*/\1/p' \
-  BENCH_pipeline.json | head -n 1)
-if [ "${ingest_p50:-0}" -le 0 ]; then
-  echo "bench-check: ingest_batch push_p50_ns is ${ingest_p50:-missing};" \
-    "batched replays must record per-batch push latency" >&2
-  exit 1
-fi
-echo "ingest_batch push_p50_ns ${ingest_p50}: OK"
-
-# Absolute framing floor: incremental_framing must stay at >= 1.2x the
-# throughput committed before framing kept flat, reused accumulators (the
-# constant below), whatever its committed value is now.
-framing_base=4105290
-framing_floor=$(awk -v b="$framing_base" 'BEGIN { printf "%d", b * 1.2 }')
-fresh_framing=$(fresh_rps incremental_framing)
-if [ "${fresh_framing:-0}" -lt "$framing_floor" ]; then
-  echo "bench-check: incremental_framing ${fresh_framing:-0} reports/s is below" \
-    "the absolute floor ${framing_floor} (1.2x ${framing_base})" >&2
-  exit 1
-fi
-echo "incremental_framing absolute floor ${framing_floor} (1.2x ${framing_base}): OK"
-
+echo "== allocation, work and serve gates =="
 # Zero-allocation gate: steady-state per-tick processing must not touch
 # the heap. Any nonzero count means a recycled buffer or scratch arena
 # stopped being reused.
@@ -365,27 +293,31 @@ awk -v r="$history_ratio" 'BEGIN { exit !(r <= 1.5) }' || {
 }
 echo "tick_history ratio ${history_ratio} (limit 1.5): OK"
 
-# Parallel-speedup sanity: only meaningful with more than one core.
-cores=$(sed -n 's/^ *"cores": \([0-9]*\),*/\1/p' BENCH_pipeline.json | head -n 1)
-if [ "${cores:-1}" -le 1 ]; then
-  echo "parallel-speedup checks skipped: cores=${cores:-1}"
-else
-  speedup=$(sed -n 's/^ *"stroke_batch_13":.*"speedup": \([0-9.]*\).*/\1/p' BENCH_pipeline.json | head -n 1)
-  awk -v s="${speedup:-0}" 'BEGIN { exit !(s >= 1.0) }' || {
-    echo "bench-check: stroke_batch_13 parallel speedup ${speedup} < 1.0 on ${cores} cores" >&2
-    exit 1
-  }
-  echo "stroke_batch_13 parallel speedup ${speedup} on ${cores} cores: OK"
+# Serve throughput gate: the loopback replay must hold 0.6 of its
+# committed reports_per_s, one fixed fraction (changing it takes a diff).
+# Skipped on one core, where client threads, connection threads and engine
+# workers all contend for the same CPU and the number measures the
+# scheduler, not the server. The core count is the one load_gen recorded
+# in the entry it just wrote.
+serve_cores=$(per_unit serve_loopback cores <BENCH_pipeline.json)
+fresh_serve=$(per_unit serve_loopback reports_per_s <BENCH_pipeline.json)
+if [ -z "$fresh_serve" ]; then
+  echo "bench-check: serve_loopback entry missing from BENCH_pipeline.json" >&2
+  exit 1
 fi
-
-# Serve throughput gate: the loopback replay must hold its committed
-# reports_per_s. Skipped on one core, where client threads, connection
-# threads, and engine workers all contend for the same CPU and the
-# number measures the scheduler, not the server.
-if [ "${cores:-1}" -le 1 ]; then
-  echo "serve_loopback throughput gate skipped: cores=${cores:-1}"
+if [ "${serve_cores:-1}" -le 1 ]; then
+  echo "serve_loopback throughput gate skipped: cores=${serve_cores:-1}"
+elif [ -z "$base_serve" ]; then
+  echo "serve_loopback: ${fresh_serve} reports/s (no committed baseline; gate skipped)"
 else
-  gate_rps serve_loopback "$(fresh_rps serve_loopback)" "$base_serve"
+  serve_floor=$(awk -v b="$base_serve" 'BEGIN { printf "%d", b * 0.6 }')
+  if [ "$fresh_serve" -lt "$serve_floor" ]; then
+    echo "bench-check: serve_loopback regressed to ${fresh_serve} reports/s" \
+      "(committed ${base_serve}, floor ${serve_floor} at 0.6) on ${serve_cores} cores" >&2
+    exit 1
+  fi
+  echo "serve_loopback: ${fresh_serve} reports/s (committed ${base_serve}," \
+    "floor ${serve_floor}) on ${serve_cores} cores: OK"
 fi
 
 echo "bench-check: OK"

@@ -32,7 +32,7 @@ fn fixture() -> &'static (Arc<Vec<TagReport>>, Recognizer, Vec<PipelineEvent>) {
 }
 
 /// The in-process reference the wire must match: the golden trace pushed
-/// through an engine session in batches, exactly as `engine_bench` does.
+/// through one engine session in `ingest_batch` batches, then closed.
 fn in_process_batched_replay(
     recognizer: &Recognizer,
     reports: &[TagReport],
