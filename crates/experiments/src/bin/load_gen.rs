@@ -8,22 +8,23 @@
 //! `BENCH_pipeline.json` next to the other perf-trajectory probes.
 //!
 //! Usage: `cargo run --release -p experiments --bin load_gen [-- \
-//!   --connections N] [--sessions N] [--batch N] [--jobs N] [--capacity N] \
-//!   [--metrics-addr HOST:PORT] [--hold SECS]`
+//!   --connections N] [--sessions N] [--metrics-addr HOST:PORT] [--hold SECS]`
 //!
 //! `--metrics-addr` serves the engine's metrics/health/debug endpoint for
 //! the replay's duration, and `--hold` keeps the process (and endpoint)
 //! alive after the drain so external probes — `bench-check.sh` smoke-curls
 //! `/healthz`, `/readyz` and `/debug/journal` — hit a live engine.
 //!
-//! Defaults: 4 connections × 2 sessions, 64-report batches, one engine
-//! worker per core, 1024-item queues. The golden trace is read from
+//! Defaults: 4 connections × 2 sessions. Every run sends
+//! `DEFAULT_INGEST_BATCH`-report batches to an engine with its default
+//! workers (one per core) and queue capacity. The golden trace is read from
 //! `tests/data/golden_session.rftrace` when run from the repo root; a
 //! missing trace falls back to re-recording the golden session live
 //! (bit-identical by construction — it is seeded).
 
 use experiments::golden::{golden_bench, GOLDEN_LETTER};
 use experiments::serveload::{golden_reports, replay_over_loopback, serial_replay, LoopbackConfig};
+use rfipad::engine::DEFAULT_INGEST_BATCH;
 use rfipad::PipelineEvent;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -41,9 +42,6 @@ fn parse_args() -> Result<LoopbackConfig, String> {
         match flag.as_str() {
             "--connections" => cfg.connections = grab("--connections")?,
             "--sessions" => cfg.sessions_per_connection = grab("--sessions")?,
-            "--batch" => cfg.batch = grab("--batch")?,
-            "--jobs" => cfg.jobs = grab("--jobs")?,
-            "--capacity" => cfg.capacity = grab("--capacity")?,
             "--metrics-addr" => {
                 cfg.metrics_addr = Some(
                     it.next()
@@ -60,8 +58,8 @@ fn parse_args() -> Result<LoopbackConfig, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if cfg.connections == 0 || cfg.sessions_per_connection == 0 || cfg.batch == 0 {
-        return Err("--connections, --sessions and --batch must be at least 1".into());
+    if cfg.connections == 0 || cfg.sessions_per_connection == 0 {
+        return Err("--connections and --sessions must be at least 1".into());
     }
     Ok(cfg)
 }
@@ -90,7 +88,7 @@ fn run() -> Result<(), String> {
     }
 
     obs::info!("replaying over loopback"; connections = cfg.connections,
-        sessions_per_connection = cfg.sessions_per_connection, batch = cfg.batch,
+        sessions_per_connection = cfg.sessions_per_connection, batch = DEFAULT_INGEST_BATCH,
         reports = reports.len());
     let run = replay_over_loopback(&bench.recognizer, &reports, &expected, &cfg)?;
     println!(
@@ -107,7 +105,7 @@ fn run() -> Result<(), String> {
         cfg.connections,
         cfg.sessions_per_connection,
         run.workers,
-        cfg.batch,
+        DEFAULT_INGEST_BATCH,
         reports.len(),
         run.wall_s,
         run.reports_per_s,

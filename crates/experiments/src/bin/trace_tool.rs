@@ -1,16 +1,15 @@
 //! Record, inspect, and replay reader-report traces.
 //!
 //! A trace is the report stream a reader hands the recognizer — the exact
-//! boundary `rfid_gen2::report::TagReport` defines — captured to disk in
-//! either JSON-lines (`.jsonl`, greppable) or length-prefixed binary
-//! (`.rftrace`, compact) framing. Because every simulated session is
-//! seeded, a replayed trace reproduces the live recognition bit for bit;
-//! `replay` checks exactly that.
+//! boundary `rfid_gen2::report::TagReport` defines — captured to disk as
+//! length-prefixed binary records (`.rftrace`). Because every simulated
+//! session is seeded, a replayed trace reproduces the live recognition bit
+//! for bit; `replay` checks exactly that.
 //!
 //! Usage:
 //!
 //! ```text
-//! trace_tool record <out.jsonl|out.rftrace> [letter]
+//! trace_tool record <out.rftrace> [letter]
 //! trace_tool inspect <trace>
 //! trace_tool replay <trace>
 //! trace_tool stats <trace> [--bench]
@@ -18,9 +17,8 @@
 //! trace_tool spans <dump.json>
 //! ```
 //!
-//! `record` simulates the golden session (or one writing `letter`) on the
-//! golden bench and writes the trace; the framing is picked from the file
-//! extension (`.jsonl` → JSON lines, anything else → binary). `inspect`
+//! `record` simulates the golden session (or one writing `letter`, a single
+//! ASCII letter) on the golden bench and writes the trace. `inspect`
 //! prints a summary without recognizing. `replay` feeds the trace through
 //! the recognizer of a freshly rebuilt golden bench and prints what it
 //! sees. `stats` replays the trace through the instrumented recognizer
@@ -48,7 +46,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: trace_tool record <out.jsonl|out.rftrace> [letter]");
+    eprintln!("usage: trace_tool record <out.rftrace> [letter]");
     eprintln!("       trace_tool inspect <trace>");
     eprintln!("       trace_tool replay <trace>");
     eprintln!("       trace_tool stats <trace> [--bench]");
@@ -66,21 +64,15 @@ fn read_trace(path: &str) -> Result<Vec<TagReport>, RfipadError> {
 }
 
 fn record(out: &str, letter: char) -> Result<(), RfipadError> {
-    let format = if out.ends_with(".jsonl") {
-        TraceFormat::JsonLines
-    } else {
-        TraceFormat::Binary
-    };
     obs::info!("calibrating golden bench");
     let bench = golden_bench();
     obs::info!("recording letter"; letter = letter, seed = GOLDEN_TRIAL_SEED);
     let trial = bench.run_letter_trial(letter, &UserProfile::average(), GOLDEN_TRIAL_SEED);
-    write_trace_file(out, format, &trial.reports)
+    write_trace_file(out, TraceFormat::Binary, &trial.reports)
         .map_err(|e| RfipadError::Source(format!("{out}: {e}")))?;
     println!(
-        "wrote {} reports to {out} ({:?}); live recognition: {:?}",
+        "wrote {} reports to {out}; live recognition: {:?}",
         trial.reports.len(),
-        format,
         trial.result.letter
     );
     Ok(())
@@ -348,8 +340,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
         [cmd, out] if cmd == "record" => record(out, GOLDEN_LETTER),
-        [cmd, out, letter] if cmd == "record" => match letter.chars().next() {
-            Some(c) if letter.chars().count() == 1 => record(out, c.to_ascii_uppercase()),
+        [cmd, out, letter] if cmd == "record" => match letter.as_bytes() {
+            &[c] if c.is_ascii_alphabetic() => record(out, char::from(c.to_ascii_uppercase())),
             _ => return usage(),
         },
         [cmd, path] if cmd == "inspect" => inspect(path),

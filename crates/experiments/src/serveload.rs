@@ -18,7 +18,7 @@
 use rfid_gen2::report::TagReport;
 use rfid_gen2::source::{ReportSource, TraceSource};
 use rfid_gen2::wire::IngestClient;
-use rfipad::engine::{normalize_events, Backpressure, Engine};
+use rfipad::engine::{normalize_events, Backpressure, Engine, DEFAULT_INGEST_BATCH};
 use rfipad::serve::{CollectingSink, EventSink, IngestServer};
 use rfipad::{PipelineEvent, Recognizer, StageGraph};
 use std::sync::Arc;
@@ -34,12 +34,6 @@ pub struct LoopbackConfig {
     pub connections: usize,
     /// Sessions multiplexed on each connection.
     pub sessions_per_connection: usize,
-    /// Reports per BATCH frame.
-    pub batch: usize,
-    /// Engine worker threads (0 = one per core).
-    pub jobs: usize,
-    /// Engine per-session queue capacity.
-    pub capacity: usize,
     /// When set, the engine serves its metrics/health/debug endpoint
     /// here for the replay's duration (e.g. `127.0.0.1:7939`).
     pub metrics_addr: Option<String>,
@@ -53,9 +47,6 @@ impl Default for LoopbackConfig {
         Self {
             connections: 4,
             sessions_per_connection: 2,
-            batch: 64,
-            jobs: 0,
-            capacity: 1024,
             metrics_addr: None,
             hold_s: 0.0,
         }
@@ -147,13 +138,10 @@ pub fn replay_over_loopback(
     expected: &[PipelineEvent],
     cfg: &LoopbackConfig,
 ) -> Result<LoopbackRun, String> {
-    if cfg.connections == 0 || cfg.sessions_per_connection == 0 || cfg.batch == 0 {
-        return Err("connections, sessions and batch must all be at least 1".into());
+    if cfg.connections == 0 || cfg.sessions_per_connection == 0 {
+        return Err("connections and sessions must both be at least 1".into());
     }
-    let mut builder = Engine::builder()
-        .workers(cfg.jobs)
-        .queue_capacity(cfg.capacity)
-        .backpressure(Backpressure::Block);
+    let mut builder = Engine::builder().backpressure(Backpressure::Block);
     if let Some(addr) = &cfg.metrics_addr {
         builder = builder.metrics_addr(addr.clone());
     }
@@ -174,7 +162,6 @@ pub fn replay_over_loopback(
         .map(|c| {
             let reports = Arc::clone(reports);
             let sessions = cfg.sessions_per_connection;
-            let batch = cfg.batch;
             std::thread::spawn(move || -> Result<(), String> {
                 let mut client = IngestClient::connect(addr).map_err(|e| e.to_string())?;
                 let ids: Vec<String> = (0..sessions).map(|s| format!("pad-{s}")).collect();
@@ -185,7 +172,7 @@ pub fn replay_over_loopback(
                 // sessions: genuine frame-level multiplexing, not one
                 // session after another.
                 let mut seq = 0u32;
-                for chunk in reports.chunks(batch) {
+                for chunk in reports.chunks(DEFAULT_INGEST_BATCH) {
                     for id in &ids {
                         seq += 1;
                         let delivery = client

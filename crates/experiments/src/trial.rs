@@ -238,14 +238,11 @@ impl LetterTrial {
             .collect()
     }
 
-    /// Segmentation outcome against ground truth, scored over
-    /// `recognizer`'s segmentation of the whole recording.
-    pub fn segmentation_outcome(
-        &self,
-        recognizer: &Recognizer,
-    ) -> rfipad::metrics::SegmentationOutcome {
-        let segmentation = recognizer.segment(&recognizer.streams(&self.reports));
-        rfipad::metrics::score_segmentation(&segmentation.spans, &self.truth_spans())
+    /// Segmentation outcome against ground truth, scored over the spans of
+    /// every stroke the recognition emitted, across letter closes.
+    pub fn segmentation_outcome(&self) -> rfipad::metrics::SegmentationOutcome {
+        let spans: Vec<StrokeSpan> = self.result.strokes.iter().map(|s| s.span).collect();
+        rfipad::metrics::score_segmentation(&spans, &self.truth_spans())
     }
 
     /// Fraction of ground-truth strokes whose recognized shape matches.

@@ -35,10 +35,12 @@ pub struct UserProfile {
     /// edge, so the arm trails toward −y and slightly above).
     pub arm_offset: Vec3,
     /// Probability that a between-stroke adjustment is *sloppy*: the hand
-    /// hesitates and dips back toward the plate mid-pause, the behaviour
-    /// behind the paper's segmentation insertions (Fig. 22). Defaults to
-    /// zero — the simulated writers pause cleanly — and can be raised to
-    /// study insertion-robustness.
+    /// hesitates and dips back toward the plate mid-pause. The paper blames
+    /// such hesitation for its segmentation insertions (Fig. 22), but here
+    /// the dip keeps the pad active through the pause, so segmentation
+    /// merges the strokes on either side into one span and inserts none
+    /// (EXPERIMENTS.md, Fig. 22). Defaults to zero — the simulated writers
+    /// pause cleanly.
     pub sloppy_adjust_prob: f64,
 }
 

@@ -139,7 +139,7 @@ impl Writer {
             if i + 1 < placements.len() {
                 // Adjustment interval: raise, glide to the next stroke's
                 // start, lower. Occasionally the writer is sloppy and
-                // glides low — the source of segmentation insertions.
+                // glides low, which merges the strokes on either side.
                 let next = placements[i + 1].from;
                 let pause = self.adjustment_duration();
                 let sloppy = rng.random::<f64>() < self.user.sloppy_adjust_prob;
@@ -224,9 +224,10 @@ impl Writer {
     }
 
     /// A *sloppy* adjustment: the hand is raised but hesitates mid-pause,
-    /// dipping back toward the plate before continuing — the brief burst of
-    /// activity that produces the paper's segmentation insertions
-    /// (Fig. 22).
+    /// dipping back toward the plate before continuing. The burst of
+    /// activity bridges the pause, so segmentation merges the strokes on
+    /// either side; it does not produce the insertions of the paper's
+    /// Fig. 22.
     fn push_sloppy_adjustment(
         &self,
         traj: &mut Trajectory,

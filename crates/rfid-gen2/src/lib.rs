@@ -13,8 +13,8 @@
 //!   EPC/phase/RSS/Doppler reports from a scene;
 //! - [`report`] — [`report::TagReport`], the canonical reader-boundary
 //!   record the recognition stack consumes;
-//! - [`trace`] — record/replay serialization of report streams (JSON lines
-//!   and fixed-layout binary records);
+//! - [`trace`] — record/replay serialization of report streams as
+//!   fixed-layout binary records;
 //! - [`source`] — the [`source::ReportSource`] a recorded trace is read
 //!   through;
 //! - [`wire`] — the RFIPad ingest protocol: versioned handshake,

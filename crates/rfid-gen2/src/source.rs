@@ -3,18 +3,10 @@
 //! [`TraceSource`] streams them from a trace.
 
 use crate::report::{ReportBatch, TagReport};
-use crate::trace::{
-    decode_json_line, detect_format, read_record, read_up_to, TraceError, TraceFormat, BINARY_MAGIC,
-};
+use crate::trace::{read_record, read_up_to, TraceError, BINARY_MAGIC};
 use std::fs::File;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
-
-/// Longest JSON trace line accepted, newline excluded. The longest line
-/// [`crate::trace::encode_json_line`] writes is about 1.5 KB (four
-/// 327-character subnormal floats); a longer line is refused before more
-/// than this much of it is read.
-const MAX_JSON_LINE_LEN: usize = 4096;
 
 /// A pull-based stream of tag reports.
 ///
@@ -54,38 +46,14 @@ pub trait ReportSource {
     }
 }
 
-enum TraceStream<R: BufRead> {
-    Json {
-        reader: R,
-        line_no: usize,
-    },
-    Binary(R),
-    /// An error ended the stream and the reader is dropped.
-    Ended,
-}
-
-impl<R: BufRead> std::fmt::Debug for TraceStream<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceStream::Json { line_no, .. } => {
-                f.debug_struct("Json").field("line_no", line_no).finish()
-            }
-            TraceStream::Binary(_) => f.write_str("Binary"),
-            TraceStream::Ended => f.write_str("Ended"),
-        }
-    }
-}
-
-/// A source that streams reports from a recorded trace, autodetecting the
-/// framing (JSON lines or binary) from the first byte. Binary records are
-/// decoded in place from the reader's buffer and JSON lines are bounded,
-/// so arbitrarily long traces replay in constant memory.
+/// A source that streams reports from a recorded trace. Records are
+/// decoded in place from the reader's buffer, so arbitrarily long traces
+/// replay in constant memory.
 #[derive(Debug)]
 pub struct TraceSource<R: BufRead = BufReader<File>> {
-    stream: TraceStream<R>,
+    // `None` once the stream has ended on an error, or for an empty trace.
+    reader: Option<R>,
     error: Option<TraceError>,
-    // The JSON line being decoded, reused across lines.
-    line: Vec<u8>,
 }
 
 impl TraceSource<BufReader<File>> {
@@ -97,71 +65,39 @@ impl TraceSource<BufReader<File>> {
 
 impl<R: BufRead> TraceSource<R> {
     /// Starts streaming from any buffered reader positioned at the start of
-    /// a trace.
+    /// a trace. An empty input is an empty trace; any other input must open
+    /// with [`BINARY_MAGIC`], and is refused after at most its first four
+    /// bytes are read.
     pub fn from_reader(mut reader: R) -> Result<Self, TraceError> {
-        let stream = match reader.fill_buf()?.first() {
-            // Empty trace: either framing decodes to zero reports.
-            None => TraceStream::Binary(reader),
-            Some(&first) => match detect_format(first)? {
-                TraceFormat::JsonLines => TraceStream::Json { reader, line_no: 0 },
-                TraceFormat::Binary => {
-                    // A trace that ends inside the magic is a truncated
-                    // file, a typed decode fault — not a generic
-                    // `UnexpectedEof`.
-                    let mut magic = [0u8; 4];
-                    let got = read_up_to(&mut reader, &mut magic)?;
-                    if got < magic.len() {
-                        return Err(TraceError::Malformed(format!(
-                            "truncated magic ({got} of 4 bytes)"
-                        )));
-                    }
-                    if magic != BINARY_MAGIC {
-                        return Err(TraceError::Malformed(format!("bad magic {magic:02x?}")));
-                    }
-                    TraceStream::Binary(reader)
-                }
-            },
+        let mut magic = [0u8; 4];
+        let got = read_up_to(&mut reader, &mut magic)?;
+        if magic[..got] != BINARY_MAGIC[..got] {
+            return Err(TraceError::Malformed(format!(
+                "bad magic {:02x?}",
+                &magic[..got]
+            )));
+        }
+        let reader = match got {
+            0 => None,
+            4 => Some(reader),
+            // A trace that ends inside the magic is a truncated file, a
+            // typed decode fault — not a generic `UnexpectedEof`.
+            _ => {
+                return Err(TraceError::Malformed(format!(
+                    "truncated magic ({got} of 4 bytes)"
+                )))
+            }
         };
         Ok(Self {
-            stream,
+            reader,
             error: None,
-            line: Vec::new(),
         })
     }
 
     fn next_inner(&mut self) -> Result<Option<TagReport>, TraceError> {
-        match &mut self.stream {
-            TraceStream::Json { reader, line_no } => loop {
-                self.line.clear();
-                let limit = MAX_JSON_LINE_LEN as u64 + 1;
-                if reader
-                    .by_ref()
-                    .take(limit)
-                    .read_until(b'\n', &mut self.line)?
-                    == 0
-                {
-                    return Ok(None);
-                }
-                *line_no += 1;
-                let parse_error = |reason: String| TraceError::Parse {
-                    line: *line_no,
-                    reason,
-                };
-                let text = self.line.strip_suffix(b"\n").unwrap_or(&self.line);
-                if text.len() > MAX_JSON_LINE_LEN {
-                    return Err(parse_error(format!(
-                        "line longer than {MAX_JSON_LINE_LEN} bytes"
-                    )));
-                }
-                let text = std::str::from_utf8(text)
-                    .map_err(|e| parse_error(format!("line is not UTF-8: {e}")))?;
-                if text.trim().is_empty() {
-                    continue;
-                }
-                return decode_json_line(text, *line_no).map(Some);
-            },
-            TraceStream::Binary(reader) => read_record(reader),
-            TraceStream::Ended => Ok(None),
+        match &mut self.reader {
+            Some(reader) => read_record(reader),
+            None => Ok(None),
         }
     }
 
@@ -169,7 +105,7 @@ impl<R: BufRead> TraceSource<R> {
     fn end(&mut self, e: TraceError) {
         crate::telemetry::reader_metrics().decode_errors.inc();
         obs::warn!("trace decode error terminated the stream: {e}");
-        self.stream = TraceStream::Ended;
+        self.reader = None;
         self.error = Some(e);
     }
 }
@@ -213,25 +149,14 @@ impl<R: BufRead> ReportSource for TraceSource<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{encode_json_line, write_trace, BINARY_RECORD_LEN, RECORD_LEN};
+    use crate::trace::{write_trace, TraceFormat, BINARY_RECORD_LEN, RECORD_LEN};
     use rf_sim::tags::TagId;
+    use std::io::Read;
 
     fn sample() -> Vec<TagReport> {
         (0..5)
             .map(|i| TagReport::synthetic(TagId(i), i as f64 * 0.1, 1.0 + i as f64, -45.0))
             .collect()
-    }
-
-    #[test]
-    fn trace_source_streams_both_framings() {
-        let reports = sample();
-        for format in [TraceFormat::JsonLines, TraceFormat::Binary] {
-            let mut buf = Vec::new();
-            write_trace(&mut buf, format, &reports).unwrap();
-            let mut src = TraceSource::from_reader(buf.as_slice()).unwrap();
-            assert_eq!(src.try_collect_reports().unwrap(), reports);
-            assert!(src.error().is_none());
-        }
     }
 
     fn drain_batched(src: &mut impl ReportSource, max: usize) -> Vec<TagReport> {
@@ -249,20 +174,14 @@ mod tests {
     }
 
     #[test]
-    fn next_batch_matches_serial_for_both_framings() {
+    fn next_batch_matches_serial() {
         let reports = sample();
-        for format in [TraceFormat::JsonLines, TraceFormat::Binary] {
-            for max in [1, 2, 5, 64] {
-                let mut buf = Vec::new();
-                write_trace(&mut buf, format, &reports).unwrap();
-                let mut src = TraceSource::from_reader(buf.as_slice()).unwrap();
-                assert_eq!(
-                    drain_batched(&mut src, max),
-                    reports,
-                    "{format:?} max={max}"
-                );
-                assert!(src.error().is_none());
-            }
+        let mut buf = Vec::new();
+        write_trace(&mut buf, TraceFormat::Binary, &reports).unwrap();
+        for max in [1, 2, 5, 64, usize::MAX] {
+            let mut src = TraceSource::from_reader(buf.as_slice()).unwrap();
+            assert_eq!(drain_batched(&mut src, max), reports, "max={max}");
+            assert!(src.error().is_none());
         }
     }
 
@@ -404,47 +323,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupt_json_line_is_typed_with_line_number() {
-        let reports = sample();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, TraceFormat::JsonLines, &reports).unwrap();
-        buf.extend_from_slice(b"{\"epc\":\"nope\"}\n");
-        let mut src = TraceSource::from_reader(buf.as_slice()).unwrap();
-        let mut drained = Vec::new();
-        src.next_batch(usize::MAX, &mut drained);
-        assert_eq!(drained, reports, "well-formed prefix still decodes");
-        match src.take_error() {
-            Some(TraceError::Parse { line, .. }) => {
-                assert_eq!(line, reports.len() + 1);
-            }
-            other => panic!("expected parse error with line number, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn the_longest_json_line_the_encoder_writes_decodes() {
-        // The longest `Display` form of an f64: a negative subnormal.
-        let longest = -f64::from_bits(1);
-        assert_eq!(longest.to_string().len(), 327);
-        let mut r = TagReport::synthetic(TagId(u64::MAX), longest, longest, longest);
-        r.doppler_hz = longest;
-        r.antenna_port = u16::MAX;
-        r.channel_index = u16::MAX;
-        let line = encode_json_line(&r, 0).unwrap();
-        assert!(
-            line.len() > 1300 && line.len() < MAX_JSON_LINE_LEN,
-            "{}",
-            line.len()
-        );
-        let text = format!("{line}\n");
-        let mut src = TraceSource::from_reader(text.as_bytes()).unwrap();
-        let read = src.try_collect_reports().unwrap();
-        assert_eq!(read.len(), 1);
-        assert_eq!(read[0].time.to_bits(), longest.to_bits());
-        assert_eq!(read[0].doppler_hz.to_bits(), longest.to_bits());
-    }
-
     /// A reader of `{` and then spaces without end, counting what it hands
     /// out.
     struct EndlessLine {
@@ -464,19 +342,17 @@ mod tests {
     }
 
     #[test]
-    fn an_overlong_json_line_is_refused_after_a_bounded_read() {
+    fn a_stream_without_the_magic_is_refused_after_one_buffer_fill() {
         let mut reader = BufReader::new(EndlessLine { read: 0 });
-        let mut src = TraceSource::from_reader(&mut reader).unwrap();
-        assert!(src.next_report().is_none());
-        match src.take_error() {
-            Some(TraceError::Parse { line: 1, reason }) => {
-                assert!(reason.contains("longer than 4096 bytes"), "{reason}")
+        let capacity = reader.capacity();
+        match TraceSource::from_reader(&mut reader) {
+            Err(TraceError::Malformed(reason)) => {
+                assert_eq!(reason, "bad magic [7b, 20, 20, 20]")
             }
-            other => panic!("expected an over-long line error, got {other:?}"),
+            other => panic!("expected a bad-magic error, got {:?}", other.map(|_| ())),
         }
-        drop(src);
         let read = reader.get_ref().read;
-        assert!(read <= MAX_JSON_LINE_LEN + 1 + 8192, "read {read} bytes");
+        assert!(read <= capacity, "read {read} bytes");
     }
 
     #[test]

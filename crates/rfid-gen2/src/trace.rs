@@ -1,27 +1,16 @@
 //! Trace record/replay: serializing the report stream to disk and back.
 //!
-//! Two framings of the same [`TagReport`] stream:
+//! A trace is a 4-byte magic (`RFT1`) followed by fixed-layout 60-byte
+//! records: a big-endian `u32` length prefix, always [`BINARY_RECORD_LEN`],
+//! then the fields, big-endian, floats as IEEE-754 bits — compact and
+//! exact by construction, NaN and infinities included. `encode_record` and
+//! `decode_record` hold the layout; RFIW BATCH frames carry the same
+//! records.
 //!
-//! - **JSON lines** (`.jsonl`): one self-describing JSON object per line —
-//!   greppable, diffable, and editable. Floats are printed with Rust's
-//!   shortest round-trip formatting, so a decoded trace is bit-identical
-//!   to the recorded stream. The codec writes each line with `format!` and
-//!   reads it with the strict `obs::json` reader. JSON has no NaN or
-//!   infinity, so a report holding one is refused, not written.
-//! - **Binary** (`.rftrace`): a 4-byte magic (`RFT1`) followed by
-//!   fixed-layout 60-byte records: a big-endian `u32` length prefix,
-//!   always [`BINARY_RECORD_LEN`], then the fields, big-endian, floats as
-//!   IEEE-754 bits — compact and exact by construction. `encode_record`
-//!   and `decode_record` hold the layout; RFIW BATCH frames carry the same
-//!   records.
-//!
-//! Traces are read back through [`crate::source::TraceSource`], which
-//! autodetects the framing from the first byte, so replay tooling never
-//! needs to be told which flavour a file is.
+//! Traces are read back through [`crate::source::TraceSource`].
 
 use crate::epc::Epc96;
 use crate::report::TagReport;
-use obs::json::JsonError;
 use rf_sim::tags::TagId;
 use std::fmt;
 use std::fs::File;
@@ -39,23 +28,13 @@ pub const BINARY_RECORD_LEN: usize = 12 + 8 + 4 * 8 + 2 + 2;
 /// the body.
 pub(crate) const RECORD_LEN: usize = 4 + BINARY_RECORD_LEN;
 
-/// On-disk framing of a trace.
+/// On-disk framing of a trace. There is one; the type and
+/// [`write_trace`]'s `format` parameter remain only because the benchmark
+/// crate names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// One JSON object per line.
-    JsonLines,
     /// Magic header plus length-prefixed fixed-layout records.
     Binary,
-}
-
-impl TraceFormat {
-    /// Conventional file extension for the framing.
-    pub fn extension(self) -> &'static str {
-        match self {
-            TraceFormat::JsonLines => "jsonl",
-            TraceFormat::Binary => "rftrace",
-        }
-    }
 }
 
 /// Errors produced while reading or writing traces.
@@ -63,37 +42,15 @@ impl TraceFormat {
 pub enum TraceError {
     /// An underlying I/O failure.
     Io(std::io::Error),
-    /// A malformed JSON line (1-based line number and reason).
-    Parse {
-        /// Line number the error was found on.
-        line: usize,
-        /// What was wrong.
-        reason: String,
-    },
     /// A malformed binary record or header.
     Malformed(String),
-    /// A report JSON lines cannot hold: a float field that is NaN or
-    /// infinite. The binary framing holds any bits.
-    NonFinite {
-        /// The report's position in the written stream, from 0.
-        report: usize,
-        /// The field's JSON name.
-        field: &'static str,
-    },
 }
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "trace I/O error: {e}"),
-            TraceError::Parse { line, reason } => {
-                write!(f, "trace parse error on line {line}: {reason}")
-            }
             TraceError::Malformed(reason) => write!(f, "malformed binary trace: {reason}"),
-            TraceError::NonFinite { report, field } => write!(
-                f,
-                "report {report} has a non-finite {field}, which JSON lines cannot hold"
-            ),
         }
     }
 }
@@ -104,66 +61,6 @@ impl From<std::io::Error> for TraceError {
     fn from(e: std::io::Error) -> Self {
         TraceError::Io(e)
     }
-}
-
-/// Encodes one report as a JSON object (no trailing newline). Floats use
-/// Rust's shortest round-trip formatting, so decoding recovers the exact
-/// bits. `report` is the report's position in the stream, named in the
-/// error.
-///
-/// # Errors
-///
-/// [`TraceError::NonFinite`] for the first float field that is NaN or
-/// infinite: JSON has no form for it, so no line is produced. Record such
-/// reports in the binary framing.
-pub fn encode_json_line(r: &TagReport, report: usize) -> Result<String, TraceError> {
-    let floats = [
-        ("time", r.time),
-        ("phase", r.phase),
-        ("rss_dbm", r.rss_dbm),
-        ("doppler_hz", r.doppler_hz),
-    ];
-    if let Some(&(field, _)) = floats.iter().find(|(_, v)| !v.is_finite()) {
-        return Err(TraceError::NonFinite { report, field });
-    }
-    Ok(format!(
-        "{{\"epc\":\"{}\",\"tag\":{},\"time\":{},\"phase\":{},\"rss_dbm\":{},\"doppler_hz\":{},\"antenna_port\":{},\"channel_index\":{}}}",
-        r.epc.to_hex(), r.tag.0, r.time, r.phase, r.rss_dbm, r.doppler_hz, r.antenna_port, r.channel_index
-    ))
-}
-
-/// Decodes one JSON trace line (field order independent, every field
-/// required, nothing else allowed). `line_no` is the 1-based line number
-/// used in error messages.
-pub fn decode_json_line(line: &str, line_no: usize) -> Result<TagReport, TraceError> {
-    report_from_json(line).map_err(|e| TraceError::Parse {
-        line: line_no,
-        reason: e.to_string(),
-    })
-}
-
-fn report_from_json(line: &str) -> Result<TagReport, JsonError> {
-    let [epc, tag, time, phase, rss_dbm, doppler_hz, antenna_port, channel_index] =
-        obs::json::parse(line)?.fields([
-            "epc",
-            "tag",
-            "time",
-            "phase",
-            "rss_dbm",
-            "doppler_hz",
-            "antenna_port",
-            "channel_index",
-        ])?;
-    Ok(TagReport {
-        epc: Epc96::from_hex(epc.as_str()?).ok_or_else(|| epc.error("expected 24 hex digits"))?,
-        tag: TagId(tag.as_uint()?),
-        time: time.as_f64()?,
-        phase: phase.as_f64()?,
-        rss_dbm: rss_dbm.as_f64()?,
-        doppler_hz: doppler_hz.as_f64()?,
-        antenna_port: antenna_port.as_uint()?,
-        channel_index: channel_index.as_uint()?,
-    })
 }
 
 /// Encodes one report as a binary record: the length prefix, then the
@@ -266,36 +163,25 @@ pub(crate) fn read_up_to(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Res
     Ok(filled)
 }
 
-/// Writes a complete trace in the given framing.
+/// Writes a complete trace.
 ///
 /// # Errors
 ///
-/// An I/O failure, or in JSON lines [`TraceError::NonFinite`] for the
-/// first report with a NaN or infinite float; the reports before it are
-/// written, it and those after it are not.
+/// An I/O failure.
 pub fn write_trace<W: Write>(
     writer: &mut W,
     format: TraceFormat,
     reports: &[TagReport],
 ) -> Result<(), TraceError> {
-    match format {
-        TraceFormat::JsonLines => {
-            for (i, r) in reports.iter().enumerate() {
-                writer.write_all(encode_json_line(r, i)?.as_bytes())?;
-                writer.write_all(b"\n")?;
-            }
-        }
-        TraceFormat::Binary => {
-            writer.write_all(&BINARY_MAGIC)?;
-            for r in reports {
-                writer.write_all(&encode_record(r))?;
-            }
-        }
+    let TraceFormat::Binary = format;
+    writer.write_all(&BINARY_MAGIC)?;
+    for r in reports {
+        writer.write_all(&encode_record(r))?;
     }
     Ok(())
 }
 
-/// Writes a complete trace file in the given framing.
+/// Writes a complete trace file.
 pub fn write_trace_file(
     path: impl AsRef<Path>,
     format: TraceFormat,
@@ -305,18 +191,6 @@ pub fn write_trace_file(
     write_trace(&mut writer, format, reports)?;
     writer.flush()?;
     Ok(())
-}
-
-/// Detects the framing from the first byte of a stream: `{` opens a JSON
-/// line, `R` opens the binary magic.
-pub fn detect_format(first_byte: u8) -> Result<TraceFormat, TraceError> {
-    match first_byte {
-        b'{' => Ok(TraceFormat::JsonLines),
-        b'R' => Ok(TraceFormat::Binary),
-        other => Err(TraceError::Malformed(format!(
-            "unrecognized first byte 0x{other:02x} (neither JSON-lines nor binary trace)"
-        ))),
-    }
 }
 
 #[cfg(test)]
@@ -345,20 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_round_trip_is_bit_exact() {
-        let reports = sample_reports();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, TraceFormat::JsonLines, &reports).unwrap();
-        let decoded = read(&buf).unwrap();
-        assert_eq!(decoded.len(), reports.len());
-        for (orig, dec) in reports.iter().zip(&decoded) {
-            assert_eq!(orig, dec);
-            assert_eq!(orig.time.to_bits(), dec.time.to_bits());
-            assert_eq!(orig.phase.to_bits(), dec.phase.to_bits());
-        }
-    }
-
-    #[test]
     fn binary_round_trip_is_bit_exact() {
         let reports = sample_reports();
         let mut buf = Vec::new();
@@ -367,16 +227,6 @@ mod tests {
         assert_eq!(buf.len(), 4 + reports.len() * (4 + BINARY_RECORD_LEN));
         let decoded = read(&buf).unwrap();
         assert_eq!(decoded, reports);
-    }
-
-    #[test]
-    fn format_is_autodetected() {
-        let reports = sample_reports();
-        for format in [TraceFormat::JsonLines, TraceFormat::Binary] {
-            let mut buf = Vec::new();
-            write_trace(&mut buf, format, &reports).unwrap();
-            assert_eq!(read(&buf).unwrap(), reports);
-        }
     }
 
     #[test]
@@ -419,53 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn malformed_json_line_reports_line_number() {
-        match read(b"{\"epc\":\"00\"}\n") {
-            Err(TraceError::Parse { line, .. }) => assert_eq!(line, 1),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-        // Not JSON, though a comma splitter took them: NaN, a duplicated
-        // field, and a leading `+`.
-        let line = encode_json_line(&TagReport::synthetic(TagId(3), 1.5, 2.0, -44.0), 0).unwrap();
-        for bad in [
-            line.replacen("\"time\":1.5", "\"time\":NaN", 1),
-            line.replacen("\"tag\":3", "\"tag\":3,\"tag\":4", 1),
-            line.replacen("\"tag\":3", "\"tag\":+1", 1),
-        ] {
-            let err = decode_json_line(&bad, 7).unwrap_err();
-            assert!(matches!(err, TraceError::Parse { line: 7, .. }), "{err}");
-        }
-    }
-
-    #[test]
-    fn field_order_does_not_matter() {
-        let r = TagReport::synthetic(TagId(3), 1.5, 2.0, -44.0);
-        let line = encode_json_line(&r, 0).unwrap();
-        // Reverse the field order by hand.
-        let body = line
-            .trim_start_matches('{')
-            .trim_end_matches('}')
-            .split(',')
-            .rev()
-            .collect::<Vec<_>>()
-            .join(",");
-        let reordered = format!("{{{body}}}");
-        assert_eq!(decode_json_line(&reordered, 1).unwrap(), r);
-    }
-
-    #[test]
-    fn extreme_floats_survive_json() {
-        let mut r = TagReport::synthetic(TagId(1), 0.1 + 0.2, 1e-15, -45.0);
-        r.doppler_hz = -0.0;
-        let line = encode_json_line(&r, 0).unwrap();
-        let dec = decode_json_line(&line, 1).unwrap();
-        assert_eq!(dec.time.to_bits(), r.time.to_bits());
-        assert_eq!(dec.phase.to_bits(), r.phase.to_bits());
-        assert_eq!(dec.doppler_hz.to_bits(), r.doppler_hz.to_bits());
-    }
-
-    #[test]
-    fn non_finite_floats_are_refused_in_json_lines_and_kept_in_binary() {
+    fn non_finite_floats_keep_their_bits() {
         let reports = sample_reports();
         for field in ["time", "phase", "rss_dbm", "doppler_hz"] {
             for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
@@ -477,17 +281,6 @@ mod tests {
                     "rss_dbm" => &mut r.rss_dbm,
                     _ => &mut r.doppler_hz,
                 } = bad;
-                let mut buf = Vec::new();
-                match write_trace(&mut buf, TraceFormat::JsonLines, &hostile) {
-                    Err(TraceError::NonFinite {
-                        report: 2,
-                        field: f,
-                    }) => assert_eq!(f, field),
-                    other => panic!("{field} = {bad}: expected a refusal, got {other:?}"),
-                }
-                // The reports before it are whole lines; its line is not written.
-                assert_eq!(read(&buf).unwrap(), reports[..2]);
-
                 let mut buf = Vec::new();
                 write_trace(&mut buf, TraceFormat::Binary, &hostile).unwrap();
                 let decoded = read(&buf).unwrap();

@@ -99,7 +99,6 @@ pub mod prelude {
     pub use crate::config::RfipadConfig;
     pub use crate::engine::{Backpressure, Engine, IngestReceipt, SessionHandle};
     pub use crate::error::RfipadError;
-    pub use crate::grammar::GrammarTree;
     pub use crate::layout::ArrayLayout;
     pub use crate::metrics::ConfusionMatrix;
     pub use crate::recognizer::{RecognizedStroke, Recognizer, SessionResult};

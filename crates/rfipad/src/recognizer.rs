@@ -5,7 +5,7 @@ use crate::calibration::Calibration;
 use crate::config::RfipadConfig;
 use crate::direction;
 use crate::error::RfipadError;
-use crate::grammar::{GrammarTree, ObservedStroke};
+use crate::grammar::ObservedStroke;
 use crate::layout::ArrayLayout;
 use crate::motion::{self, RecognizedMotion, TemplateTable};
 use crate::segmentation::{FrameScorer, Segmentation, StrokeSpan};
@@ -134,7 +134,6 @@ impl RecognizerBuilder {
         })?;
         Ok(Recognizer {
             templates: Arc::default(),
-            grammar: GrammarTree::standard(),
             layout,
             calibration,
             config,
@@ -151,7 +150,6 @@ pub struct Recognizer {
     /// Shared by every clone: a recognizer cloned per session or per
     /// worker serves the templates the original already drew.
     templates: Arc<TemplateTable>,
-    grammar: GrammarTree,
 }
 
 impl Recognizer {
@@ -392,11 +390,6 @@ impl Recognizer {
             }
         }
         result
-    }
-
-    /// The grammar tree (for online prefix queries).
-    pub fn grammar(&self) -> &GrammarTree {
-        &self.grammar
     }
 }
 

@@ -807,7 +807,7 @@ impl Stage for Grammar {
                     .iter()
                     .map(|s| s.to_observed(self.recognizer.layout()))
                     .collect();
-                let letter = self.recognizer.grammar().deduce_fuzzy(&observed);
+                let letter = crate::grammar::deduce_fuzzy(&observed);
                 crate::telemetry::stage_metrics().letters.inc();
                 out.push(PipelineEvent::LetterRecognized {
                     letter,

@@ -3,7 +3,7 @@
 use hand_kinematics::letters::ALPHABET;
 use proptest::prelude::*;
 use rfipad::calibration::wrap_to_pi;
-use rfipad::grammar::{ideal_observation, GrammarTree, ObservedStroke};
+use rfipad::grammar::{deduce_fuzzy, ideal_observation, ObservedStroke};
 use rfipad::metrics::{score_segmentation, ConfusionMatrix};
 use rfipad::segmentation::StrokeSpan;
 
@@ -64,14 +64,13 @@ proptest! {
         jitter in -0.05f64..0.05,
     ) {
         let letter = ALPHABET[letter_idx];
-        let tree = GrammarTree::standard();
         let mut obs = ideal_observation(letter).expect("alphabet letter");
         for (i, o) in obs.iter_mut().enumerate() {
             let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
             o.centroid.0 += sign * jitter;
             o.centroid.1 -= sign * jitter;
         }
-        prop_assert_eq!(tree.deduce(&obs), Some(letter));
+        prop_assert_eq!(deduce_fuzzy(&obs), Some(letter));
     }
 
     /// Fuzzy deduction with one corrupted stroke shape still prefers a
@@ -83,7 +82,6 @@ proptest! {
         corrupt_idx in 0usize..4,
     ) {
         let letter = ALPHABET[letter_idx];
-        let tree = GrammarTree::standard();
         let mut obs = ideal_observation(letter).expect("alphabet letter");
         if corrupt_idx < obs.len() {
             // Flip the corrupted stroke's shape to a line.
@@ -94,7 +92,7 @@ proptest! {
                 ..obs[corrupt_idx]
             };
         }
-        if let Some(guess) = tree.deduce_fuzzy(&obs) {
+        if let Some(guess) = deduce_fuzzy(&obs) {
             let count = hand_kinematics::letters::stroke_count(guess).unwrap();
             prop_assert_eq!(count, obs.len());
         }

@@ -47,7 +47,7 @@ fn letter_session_segments_every_stroke() {
     let bench = bench();
     let user = UserProfile::average();
     let trial = bench.run_letter_trial('E', &user, 77);
-    let outcome = trial.segmentation_outcome(&bench.recognizer);
+    let outcome = trial.segmentation_outcome();
     assert_eq!(outcome.truth_count, 4);
     assert!(outcome.matched >= 3, "{outcome:?}");
     assert_eq!(outcome.missed + outcome.matched, 4);
@@ -57,12 +57,12 @@ fn letter_session_segments_every_stroke() {
 fn segmentation_covers_a_letter_that_closes_before_its_recording_ends() {
     // This trial's idle tail outlasts the letter gap, so the letter closes
     // mid-recording and its history is trimmed; segmentation is scored
-    // over the whole recording regardless.
+    // over every stroke the recognition emitted regardless.
     let bench = bench();
     let trial = bench.run_letter_trial('E', &UserProfile::average(), 2531);
     assert!(trial.correct(), "{:?}", trial.result.letter);
     assert_eq!(trial.result.strokes.len(), 4);
-    let outcome = trial.segmentation_outcome(&bench.recognizer);
+    let outcome = trial.segmentation_outcome();
     assert_eq!((outcome.matched, outcome.missed), (4, 0), "{outcome:?}");
 }
 

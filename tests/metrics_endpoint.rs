@@ -138,10 +138,6 @@ fn every_json_writer_output_parses_strictly() {
         ("journal_json", obs::logging::journal_json()),
         ("FlightRecorder::to_json", recorder.to_json()),
         ("PipelineCheckpoint::to_json", checkpoint.to_json()),
-        (
-            "encode_json_line",
-            rfid_gen2::trace::encode_json_line(&trial.reports[0], 0).expect("finite report"),
-        ),
     ] {
         if let Err(e) = obs::json::parse(&document) {
             panic!("{writer} wrote invalid JSON: {e}");

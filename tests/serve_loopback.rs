@@ -79,9 +79,6 @@ fn loopback_replay_is_bit_identical_to_in_process_batched_replay() {
         &LoopbackConfig {
             connections: 4,
             sessions_per_connection: 2,
-            batch: 64,
-            jobs: 0,
-            capacity: 1024,
             ..LoopbackConfig::default()
         },
     )
@@ -108,9 +105,6 @@ fn loopback_replay_is_bit_identical_with_tracing_disabled() {
         &LoopbackConfig {
             connections: 2,
             sessions_per_connection: 1,
-            batch: 64,
-            jobs: 2,
-            capacity: 1024,
             ..LoopbackConfig::default()
         },
     );

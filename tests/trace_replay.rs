@@ -1,9 +1,9 @@
 //! Trace record/replay: a recorded session must drive the recognizer and
-//! the online pipeline to bit-identical results, in both trace framings.
+//! the online pipeline to bit-identical results.
 //!
-//! The golden traces under `tests/data/` were recorded once with
+//! The golden trace under `tests/data/` was recorded once with
 //! `trace_tool record`; the golden session itself is fully seeded, so a
-//! live re-run here must match them byte for byte — any drift in the
+//! live re-run here must match it byte for byte — any drift in the
 //! simulator, the reader, or the trace codec fails these tests.
 
 use experiments::golden::{golden_bench, golden_trial};
@@ -12,10 +12,6 @@ use rfid_gen2::source::{ReportSource, TraceSource};
 use rfid_gen2::trace::{write_trace, TraceFormat};
 use rfipad::{PipelineEvent, RecognizedStroke, Recognizer, StageGraph};
 
-const GOLDEN_JSONL: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/data/golden_session.jsonl"
-);
 const GOLDEN_BINARY: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/data/golden_session.rftrace"
@@ -107,9 +103,7 @@ fn drive_online(recognizer: &Recognizer, reports: &[TagReport]) -> Vec<ReplayEve
 fn golden_traces_match_live_session_bit_for_bit() {
     let bench = golden_bench();
     let live = golden_trial(&bench);
-    for path in [GOLDEN_JSONL, GOLDEN_BINARY] {
-        assert_reports_bit_identical(&load(path), &live.reports);
-    }
+    assert_reports_bit_identical(&load(GOLDEN_BINARY), &live.reports);
 }
 
 #[test]
@@ -117,11 +111,9 @@ fn replayed_trace_reproduces_batch_recognition() {
     let bench = golden_bench();
     let live = golden_trial(&bench);
     assert!(live.result.letter.is_some(), "golden session recognizes");
-    for path in [GOLDEN_JSONL, GOLDEN_BINARY] {
-        let replayed = bench.recognizer.recognize_session(&load(path));
-        assert_eq!(replayed.letter, live.result.letter, "letter via {path}");
-        assert_strokes_equal(&replayed.strokes, &live.result.strokes);
-    }
+    let replayed = bench.recognizer.recognize_session(&load(GOLDEN_BINARY));
+    assert_eq!(replayed.letter, live.result.letter);
+    assert_strokes_equal(&replayed.strokes, &live.result.strokes);
 }
 
 #[test]
@@ -135,10 +127,8 @@ fn replayed_trace_reproduces_online_pipeline() {
             .any(|e| matches!(e, ReplayEvent::Letter(Some(_), _))),
         "live online run recognizes a letter"
     );
-    for path in [GOLDEN_JSONL, GOLDEN_BINARY] {
-        let replay_events = drive_online(&bench.recognizer, &load(path));
-        assert_eq!(replay_events, live_events, "online replay via {path}");
-    }
+    let replay_events = drive_online(&bench.recognizer, &load(GOLDEN_BINARY));
+    assert_eq!(replay_events, live_events);
 }
 
 #[test]
@@ -148,19 +138,17 @@ fn trace_sources_stream_what_live_source_holds() {
     // across a refill about every 136 records.
     let bench = golden_bench();
     let live = golden_trial(&bench);
-    for path in [GOLDEN_JSONL, GOLDEN_BINARY] {
-        let mut source = TraceSource::open(path).expect("golden trace opens");
-        let (mut batch, mut streamed) = (ReportBatch::new(), Vec::new());
-        loop {
-            batch.clear();
-            if source.next_batch(64, &mut batch) == 0 {
-                break;
-            }
-            streamed.extend_from_slice(&batch);
+    let mut source = TraceSource::open(GOLDEN_BINARY).expect("golden trace opens");
+    let (mut batch, mut streamed) = (ReportBatch::new(), Vec::new());
+    loop {
+        batch.clear();
+        if source.next_batch(64, &mut batch) == 0 {
+            break;
         }
-        assert!(source.error().is_none(), "{:?}", source.error());
-        assert_reports_bit_identical(&streamed, &live.reports);
+        streamed.extend_from_slice(&batch);
     }
+    assert!(source.error().is_none(), "{:?}", source.error());
+    assert_reports_bit_identical(&streamed, &live.reports);
 }
 
 #[test]
@@ -211,16 +199,11 @@ fn truncated_golden_trace_surfaces_one_typed_error_then_ends() {
 
 #[test]
 fn reencoding_the_golden_trace_is_byte_stable() {
-    // Decode → encode must reproduce the committed files exactly: the
-    // codec has one canonical form per framing.
-    for (path, format) in [
-        (GOLDEN_JSONL, TraceFormat::JsonLines),
-        (GOLDEN_BINARY, TraceFormat::Binary),
-    ] {
-        let reports = load(path);
-        let mut reencoded = Vec::new();
-        write_trace(&mut reencoded, format, &reports).expect("encode");
-        let original = std::fs::read(path).expect("golden trace bytes");
-        assert_eq!(reencoded, original, "re-encode of {path} drifted");
-    }
+    // Decode → encode must reproduce the committed file exactly: the
+    // codec has one canonical form.
+    let reports = load(GOLDEN_BINARY);
+    let mut reencoded = Vec::new();
+    write_trace(&mut reencoded, TraceFormat::Binary, &reports).expect("encode");
+    let original = std::fs::read(GOLDEN_BINARY).expect("golden trace bytes");
+    assert_eq!(reencoded, original, "re-encode of the golden trace drifted");
 }
