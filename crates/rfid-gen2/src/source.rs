@@ -150,6 +150,7 @@ impl<R: BufRead> ReportSource for TraceSource<R> {
 mod tests {
     use super::*;
     use crate::trace::{write_trace, TraceFormat, BINARY_RECORD_LEN, RECORD_LEN};
+    use crate::wire::{encode_frame_v, Frame, WIRE_VERSION_V1};
     use rf_sim::tags::TagId;
     use std::io::Read;
 
@@ -157,6 +158,41 @@ mod tests {
         (0..5)
             .map(|i| TagReport::synthetic(TagId(i), i as f64 * 0.1, 1.0 + i as f64, -45.0))
             .collect()
+    }
+
+    /// `reports` in both framings of the 60-byte record, each behind the
+    /// trace magic: as `write_trace` writes a trace, and as the records an
+    /// RFIW BATCH frame carries.
+    fn both_framings(reports: &[TagReport]) -> [(&'static str, Vec<u8>); 2] {
+        let mut trace = Vec::new();
+        write_trace(&mut trace, TraceFormat::Binary, reports).unwrap();
+        let frame = encode_frame_v(
+            &Frame::Batch {
+                session: "s".into(),
+                seq: 0,
+                reports: reports.to_vec(),
+                trace: None,
+            },
+            WIRE_VERSION_V1,
+        );
+        // A version 1 BATCH frame ends with its records.
+        let mut batch = BINARY_MAGIC.to_vec();
+        batch.extend_from_slice(&frame[frame.len() - reports.len() * RECORD_LEN..]);
+        [("trace", trace), ("BATCH", batch)]
+    }
+
+    #[test]
+    fn trace_source_streams_both_framings() {
+        let reports = sample();
+        for (framing, bytes) in both_framings(&reports) {
+            let mut src = TraceSource::from_reader(bytes.as_slice()).unwrap();
+            assert_eq!(
+                src.try_collect_reports().unwrap(),
+                reports,
+                "framing {framing}"
+            );
+            assert!(src.error().is_none());
+        }
     }
 
     fn drain_batched(src: &mut impl ReportSource, max: usize) -> Vec<TagReport> {
@@ -174,14 +210,18 @@ mod tests {
     }
 
     #[test]
-    fn next_batch_matches_serial() {
+    fn next_batch_matches_serial_for_both_framings() {
         let reports = sample();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, TraceFormat::Binary, &reports).unwrap();
-        for max in [1, 2, 5, 64, usize::MAX] {
-            let mut src = TraceSource::from_reader(buf.as_slice()).unwrap();
-            assert_eq!(drain_batched(&mut src, max), reports, "max={max}");
-            assert!(src.error().is_none());
+        for (framing, bytes) in both_framings(&reports) {
+            for max in [1, 2, 5, 64] {
+                let mut src = TraceSource::from_reader(bytes.as_slice()).unwrap();
+                assert_eq!(
+                    drain_batched(&mut src, max),
+                    reports,
+                    "framing {framing} max={max}"
+                );
+                assert!(src.error().is_none());
+            }
         }
     }
 
